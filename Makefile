@@ -6,9 +6,11 @@
 #   make bench   root benchmark smoke (one iteration per figure) and
 #                write the results to BENCH_ci.json so the performance
 #                trajectory accumulates across PRs
+#   make allocprof PLATFORM=hyperledger WORKLOAD=smallbank SECONDS=5
+#                where a live run's allocated bytes go (top 15 frames)
 GO ?= go
 
-.PHONY: build vet test race bench bench-check clean
+.PHONY: build vet test race bench bench-check allocprof clean
 
 build:
 	$(GO) build ./...
@@ -32,14 +34,15 @@ race:
 # (internal/mpt) and the raft engine benchmarks (commit latency with
 # the event pipeline on/off, long-run log residency with compaction
 # on/off) and the storage-engine benchmarks (internal/kvstore: LSM
-# point reads vs history length, range scans, flat-cache hits), so all
-# those trajectories accumulate across PRs. The root set also covers
-# the analytics engine (the RPC-walk-vs-indexed query latency series at
-# 1k/10k/100k blocks and the HTAP OLTP+OLAP mix) and the lifecycle
-# tracer's overhead sweep (submission throughput with sampling off, at
-# the 1% default, and at sample-everything).
+# point reads vs history length, range scans, flat-cache hits) and the
+# bucket-tree put/get/commit benchmarks (internal/bmt, dense and sparse
+# write sets), so all those trajectories accumulate across PRs. The
+# root set also covers the analytics engine (the RPC-walk-vs-indexed
+# query latency series at 1k/10k/100k blocks and the HTAP OLTP+OLAP
+# mix) and the lifecycle tracer's overhead sweep (submission throughput
+# with sampling off, at the 1% default, and at sample-everything).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/consensus/raft ./internal/kvstore > BENCH_ci.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/consensus/raft ./internal/kvstore ./internal/bmt > BENCH_ci.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_ci.json | sed 's/"Output":"//;s/\\n$$//' || true
 
 # bench-check is the CI regression gate: run only the tracked benchmark
@@ -55,5 +58,32 @@ bench-check:
 		-benchtime 1x -benchmem -timeout 60m -json . ./internal/txpool ./internal/consensus/raft ./internal/kvstore > BENCH_new.json
 	$(GO) run ./cmd/benchcheck -baseline BENCH_ci.json -new BENCH_new.json
 
+# allocprof answers "where do the bytes go" for one platform x workload:
+# a 4-node run with the per-run ops endpoint up, the heap's allocation
+# profile (everything allocated since process start) fetched from
+# /debug/pprof/allocs three quarters of the way through, and the top
+# frames by bytes printed. The profile stays in $(ALLOCPROF_OUT) for
+# `go tool pprof -list` or a diff against another commit's.
+PLATFORM ?= hyperledger
+WORKLOAD ?= smallbank
+SECONDS ?= 5
+ALLOCPROF_ADDR ?= 127.0.0.1:6062
+ALLOCPROF_OUT ?= allocs.pprof
+
+allocprof:
+	@set -eu; \
+	$(GO) run ./cmd/blockbench -platform $(PLATFORM) -workload $(WORKLOAD) \
+		-nodes 4 -duration $(SECONDS)s -http $(ALLOCPROF_ADDR) -quiet & \
+	run_pid=$$!; \
+	for i in $$(seq 1 100); do \
+		curl -sf http://$(ALLOCPROF_ADDR)/healthz > /dev/null && break; \
+		kill -0 $$run_pid 2> /dev/null || { echo "allocprof: run exited before its ops endpoint answered"; exit 1; }; \
+		sleep 0.2; \
+	done; \
+	sleep $$(( $(SECONDS) * 3 / 4 )); \
+	curl -sf -o $(ALLOCPROF_OUT) http://$(ALLOCPROF_ADDR)/debug/pprof/allocs; \
+	wait $$run_pid; \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(ALLOCPROF_OUT)
+
 clean:
-	rm -f BENCH_ci.json BENCH_new.json
+	rm -f BENCH_ci.json BENCH_new.json $(ALLOCPROF_OUT)

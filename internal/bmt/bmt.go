@@ -5,18 +5,22 @@
 //
 // Unlike the Patricia-Merkle trie, the structure is not versioned: data
 // lives directly in the backing key-value store (one record per state
-// key) and only the bucket digests are recomputed on commit. This is why
-// Hyperledger's disk usage in the IOHeavy experiment is an order of
-// magnitude below Ethereum's and Parity's, and also why historical state
-// queries are impossible without a custom chaincode (the paper's
-// VersionKVStore workaround for analytics Q2).
+// key). This is why Hyperledger's disk usage in the IOHeavy experiment is
+// an order of magnitude below Ethereum's and Parity's, and also why
+// historical state queries are impossible without a custom chaincode (the
+// paper's VersionKVStore workaround for analytics Q2).
+//
+// Every level of the tree stays resident, so a commit rehashes only the
+// buckets that were written and their ancestor groups: its cost is
+// O(write set x depth), independent of the number of buckets or resident
+// keys.
 package bmt
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"blockbench/internal/kvstore"
 	"blockbench/internal/types"
@@ -29,25 +33,31 @@ type Options struct {
 }
 
 // Tree is a bucket-Merkle tree over a key-value store. It is not safe
-// for concurrent mutation.
+// for concurrent use: reads share scratch buffers with mutation.
 type Tree struct {
 	store      kvstore.Store
 	numBuckets int
 	grouping   int
 
+	// levels[0][b] is bucket b's digest and the single entry of the last
+	// level is the root. After New and after every Commit, levels[l][p]
+	// is the fold of levels[l-1][p*grouping:(p+1)*grouping].
+	levels [][]types.Hash
+	// keys[b] holds bucket b's live keys in ascending order (nil until
+	// the bucket receives its first key), so Commit rehashes a dirty
+	// bucket in O(bucket size) without scanning the store or sorting
+	// (mirroring the real implementation's in-memory bucket cache).
+	keys  [][][]byte
 	dirty map[int]struct{} // buckets touched since the last Commit
-	// bucketHash caches level-0 digests; levels above are recomputed on
-	// demand from this cache.
-	bucketHash []types.Hash
-	// keysByBucket indexes each bucket's live keys so Commit recomputes
-	// a dirty bucket in O(bucket size) instead of scanning the whole
-	// store (mirroring the real implementation's in-memory bucket
-	// cache).
-	keysByBucket []map[string]struct{}
+
+	// Scratch reused across calls; the store copies what it keeps.
+	keyBuf []byte        // store key under construction
+	enc    types.Encoder // preimage of the bucket or group being hashed
+	path   []int         // dirty positions of the level being refolded
 }
 
-// New opens a bucket tree over store, rebuilding bucket digests from any
-// existing data.
+// New opens a bucket tree over store, rebuilding the digest levels and
+// the bucket key index from any existing data.
 func New(store kvstore.Store, opts Options) (*Tree, error) {
 	if opts.NumBuckets <= 0 {
 		opts.NumBuckets = 10009
@@ -56,30 +66,41 @@ func New(store kvstore.Store, opts Options) (*Tree, error) {
 		opts.Grouping = 10
 	}
 	t := &Tree{
-		store:        store,
-		numBuckets:   opts.NumBuckets,
-		grouping:     opts.Grouping,
-		dirty:        make(map[int]struct{}),
-		bucketHash:   make([]types.Hash, opts.NumBuckets),
-		keysByBucket: make([]map[string]struct{}, opts.NumBuckets),
+		store:      store,
+		numBuckets: opts.NumBuckets,
+		grouping:   opts.Grouping,
+		keys:       make([][][]byte, opts.NumBuckets),
+		dirty:      make(map[int]struct{}),
 	}
-	for i := range t.keysByBucket {
-		t.keysByBucket[i] = make(map[string]struct{})
-	}
-	// Recover digests persisted by a previous instance.
-	for i := 0; i < t.numBuckets; i++ {
-		if v, ok, err := store.Get(t.digestKey(i)); err != nil {
-			return nil, err
-		} else if ok {
-			t.bucketHash[i] = types.BytesToHash(v)
+	for n := t.numBuckets; ; n = (n + t.grouping - 1) / t.grouping {
+		t.levels = append(t.levels, make([]types.Hash, n))
+		if n == 1 {
+			break
 		}
 	}
-	// Rebuild the bucket key index with one scan.
-	err := store.Iterate([]byte("b:"), []byte("b;"), func(k, v []byte) bool {
+	// Recover digests persisted by a previous instance.
+	err := store.Iterate([]byte("d:"), []byte("d;"), func(k, v []byte) bool {
+		if len(k) == 6 {
+			if b := int(binary.BigEndian.Uint32(k[2:])); b < t.numBuckets {
+				t.levels[0][b] = types.BytesToHash(v)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	for l := 1; l < len(t.levels); l++ {
+		for p := range t.levels[l] {
+			t.levels[l][p] = t.foldGroup(l, p)
+		}
+	}
+	// Rebuild the bucket key index with one scan. The store yields
+	// (bucket, key) ascending, so each bucket's slice arrives sorted.
+	err = store.Iterate([]byte("b:"), []byte("b;"), func(k, v []byte) bool {
 		if len(k) >= 7 {
-			b := int(binary.BigEndian.Uint32(k[2:6]))
-			if b >= 0 && b < t.numBuckets {
-				t.keysByBucket[b][string(k[7:])] = struct{}{}
+			if b := int(binary.BigEndian.Uint32(k[2:6])); b < t.numBuckets {
+				t.keys[b] = append(t.keys[b], bytes.Clone(k[7:]))
 			}
 		}
 		return true
@@ -96,18 +117,19 @@ func (t *Tree) bucketOf(key []byte) int {
 	return int(h.Sum32()) % t.numBuckets
 }
 
+// dataKey builds key's store record name in the shared scratch buffer;
+// the result is valid until the next dataKey or digestKey call.
 func (t *Tree) dataKey(bucket int, key []byte) []byte {
-	out := make([]byte, 0, 7+len(key))
-	out = append(out, 'b', ':')
+	out := append(t.keyBuf[:0], 'b', ':')
 	out = binary.BigEndian.AppendUint32(out, uint32(bucket))
 	out = append(out, ':')
-	return append(out, key...)
+	t.keyBuf = append(out, key...)
+	return t.keyBuf
 }
 
 func (t *Tree) digestKey(bucket int) []byte {
-	out := make([]byte, 0, 7)
-	out = append(out, 'd', ':')
-	return binary.BigEndian.AppendUint32(out, uint32(bucket))
+	t.keyBuf = binary.BigEndian.AppendUint32(append(t.keyBuf[:0], 'd', ':'), uint32(bucket))
+	return t.keyBuf
 }
 
 // Get returns the value for key, or nil if absent.
@@ -125,7 +147,9 @@ func (t *Tree) Put(key, value []byte) error {
 	if err := t.store.Put(t.dataKey(b, key), value); err != nil {
 		return err
 	}
-	t.keysByBucket[b][string(key)] = struct{}{}
+	if i, found := slices.BinarySearchFunc(t.keys[b], key, bytes.Compare); !found {
+		t.keys[b] = slices.Insert(t.keys[b], i, bytes.Clone(key))
+	}
 	t.dirty[b] = struct{}{}
 	return nil
 }
@@ -136,104 +160,103 @@ func (t *Tree) Delete(key []byte) error {
 	if err := t.store.Delete(t.dataKey(b, key)); err != nil {
 		return err
 	}
-	delete(t.keysByBucket[b], string(key))
+	if i, found := slices.BinarySearchFunc(t.keys[b], key, bytes.Compare); found {
+		t.keys[b] = slices.Delete(t.keys[b], i, i+1)
+	}
 	t.dirty[b] = struct{}{}
 	return nil
 }
 
-// Commit recomputes digests for dirty buckets, persists them, and
-// returns the new root hash.
+// Commit recomputes the digests of dirty buckets and of their ancestor
+// groups, persists the bucket digests, and returns the new root hash.
 func (t *Tree) Commit() (types.Hash, error) {
+	path := t.path[:0]
 	for b := range t.dirty {
-		h, err := t.computeBucket(b)
+		path = append(path, b)
+	}
+	slices.Sort(path)
+	t.path = path
+	for _, b := range path {
+		h, err := t.hashBucket(b)
 		if err != nil {
 			return types.ZeroHash, err
 		}
-		t.bucketHash[b] = h
-		if err := t.store.Put(t.digestKey(b), h.Bytes()); err != nil {
+		t.levels[0][b] = h
+		if err := t.store.Put(t.digestKey(b), t.levels[0][b][:]); err != nil {
 			return types.ZeroHash, err
 		}
 	}
-	t.dirty = make(map[int]struct{})
-	return t.root(), nil
+	clear(t.dirty)
+	// path holds the changed positions of level l-1 in ascending order;
+	// rewrite it in place as their distinct parents while refolding them.
+	for l := 1; l < len(t.levels); l++ {
+		n := 0
+		for _, i := range path {
+			p := i / t.grouping
+			if n > 0 && path[n-1] == p {
+				continue
+			}
+			path[n] = p
+			n++
+			t.levels[l][p] = t.foldGroup(l, p)
+		}
+		path = path[:n]
+	}
+	return t.RootHash(), nil
 }
 
-// computeBucket hashes the bucket's entries in key order, using the
-// in-memory bucket index to touch only this bucket's keys.
-func (t *Tree) computeBucket(b int) (types.Hash, error) {
-	keys := make([]string, 0, len(t.keysByBucket[b]))
-	for k := range t.keysByBucket[b] {
-		keys = append(keys, k)
-	}
-	if len(keys) == 0 {
+// hashBucket hashes bucket b's entries in key order.
+func (t *Tree) hashBucket(b int) (types.Hash, error) {
+	if len(t.keys[b]) == 0 {
 		return types.ZeroHash, nil
 	}
-	sort.Strings(keys)
-	e := types.NewEncoder()
-	for _, k := range keys {
-		v, ok, err := t.store.Get(t.dataKey(b, []byte(k)))
+	t.enc.Reset()
+	for _, k := range t.keys[b] {
+		v, ok, err := t.store.Get(t.dataKey(b, k))
 		if err != nil {
 			return types.ZeroHash, err
 		}
 		if !ok {
 			continue
 		}
-		e.String(k)
-		e.Bytes(v)
+		t.enc.Bytes(k)
+		t.enc.Bytes(v)
 	}
-	return types.HashData(e.Out()), nil
+	return types.HashData(t.enc.Out()), nil
 }
 
-// root folds bucket digests up through grouped interior levels.
-func (t *Tree) root() types.Hash {
-	level := t.bucketHash
-	for len(level) > 1 {
-		next := make([]types.Hash, 0, (len(level)+t.grouping-1)/t.grouping)
-		for i := 0; i < len(level); i += t.grouping {
-			j := i + t.grouping
-			if j > len(level) {
-				j = len(level)
-			}
-			e := types.NewEncoder()
-			empty := true
-			for _, h := range level[i:j] {
-				e.Raw(h[:])
-				if !h.IsZero() {
-					empty = false
-				}
-			}
-			if empty {
-				next = append(next, types.ZeroHash)
-			} else {
-				next = append(next, types.HashData(e.Out()))
-			}
+// foldGroup hashes the p-th group of level l-1 into its level-l digest.
+// A group of all-zero digests (no live key below it) folds to ZeroHash.
+func (t *Tree) foldGroup(l, p int) types.Hash {
+	below := t.levels[l-1]
+	group := below[p*t.grouping : min((p+1)*t.grouping, len(below))]
+	t.enc.Reset()
+	empty := true
+	for i := range group {
+		t.enc.Raw(group[i][:])
+		if !group[i].IsZero() {
+			empty = false
 		}
-		level = next
 	}
-	if len(level) == 0 {
+	if empty {
 		return types.ZeroHash
 	}
-	return level[0]
+	return types.HashData(t.enc.Out())
 }
 
-// RootHash returns the current root without committing. Dirty buckets
-// are reflected only after Commit.
-func (t *Tree) RootHash() types.Hash { return t.root() }
+// RootHash returns the last committed root. Dirty buckets are reflected
+// only after Commit.
+func (t *Tree) RootHash() types.Hash { return t.levels[len(t.levels)-1][0] }
 
 // Iterate walks every key/value pair in the tree. Order is by (bucket,
 // key), which is stable but not globally key-ordered — matching the
 // unordered bucket layout of the real system.
 func (t *Tree) Iterate(fn func(key, value []byte) bool) error {
-	stop := fmt.Errorf("stop")
-	err := t.store.Iterate([]byte("b:"), []byte("b;"), func(k, v []byte) bool {
+	return t.store.Iterate([]byte("b:"), []byte("b;"), func(k, v []byte) bool {
 		// strip "b:" + 4-byte bucket + ":"
 		if len(k) < 7 {
 			return true
 		}
 		return fn(k[7:], v)
 	})
-	if err == stop {
-		return nil
-	}
-	return err
 }

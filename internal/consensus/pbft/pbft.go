@@ -586,10 +586,3 @@ func (e *Engine) enterViewLocked(nv uint64, votes map[simnet.NodeID]*ViewChange)
 	}
 	e.maybeProposeLocked()
 }
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

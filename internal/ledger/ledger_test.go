@@ -159,6 +159,32 @@ func TestStateRootMismatchRejected(t *testing.T) {
 	}
 }
 
+// A header that carries a TxRoot (Raft, PoW) is checked against the
+// body; one that carries none (PBFT) is accepted without the check.
+func TestTxRootCheckedOnlyWhenCarried(t *testing.T) {
+	propose := func(c *Chain, key *crypto.Key) *types.Block {
+		b, err := c.ProposeBlock([]*types.Transaction{
+			signedTx(t, key, 1, "write", []byte("a"), []byte("b")),
+		}, key.Address(), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	c, key := newTestChain(t, true)
+	b := propose(c, key)
+	b.Header.TxRoot = types.HashData([]byte("wrong"))
+	if err := c.Append(b); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("bad tx root accepted: %v", err)
+	}
+	c, key = newTestChain(t, true)
+	b = propose(c, key)
+	b.Header.TxRoot = types.ZeroHash
+	if err := c.Append(b); err != nil {
+		t.Fatalf("block without tx root rejected: %v", err)
+	}
+}
+
 func TestForkChoiceHeaviestChain(t *testing.T) {
 	c, key := newTestChain(t, true)
 	// Chain A: one block of difficulty 10.

@@ -47,6 +47,10 @@ func (e *Encoder) Bool(v bool) {
 // Out returns the accumulated encoding.
 func (e *Encoder) Out() []byte { return e.buf }
 
+// Reset empties the encoder, keeping its buffer for the next encoding;
+// slices previously returned by Out are overwritten.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
 // ErrTruncated reports a decode past the end of the buffer.
 var ErrTruncated = errors.New("types: truncated encoding")
 
