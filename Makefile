@@ -8,9 +8,11 @@
 #                trajectory accumulates across PRs
 #   make allocprof PLATFORM=hyperledger WORKLOAD=smallbank SECONDS=5
 #                where a live run's allocated bytes go (top 15 frames)
+#   make loc     the non-test Go line count ROADMAP's design-shrink item
+#                tracks (bench/ excluded)
 GO ?= go
 
-.PHONY: build vet test race bench bench-check allocprof clean
+.PHONY: build vet test race bench bench-check allocprof loc clean
 
 build:
 	$(GO) build ./...
@@ -31,9 +33,9 @@ race:
 # pipeline, the run handle's snapshot-stream overhead and the sharded
 # platform's shard-scaling sweep at S=1/2/4/8) it runs the txpool
 # contention benchmarks, the trie-commit allocation benchmarks
-# (internal/mpt) and the raft engine benchmarks (commit latency with
-# the event pipeline on/off, long-run log residency with compaction
-# on/off) and the storage-engine benchmarks (internal/kvstore: LSM
+# (internal/mpt) and the raft engine benchmarks (commit latency,
+# long-run log residency with compaction on/off) and the
+# storage-engine benchmarks (internal/kvstore: LSM
 # point reads vs history length, range scans, flat-cache hits) and the
 # bucket-tree put/get/commit benchmarks (internal/bmt, dense and sparse
 # write sets), so all those trajectories accumulate across PRs. The
@@ -84,6 +86,10 @@ allocprof:
 	curl -sf -o $(ALLOCPROF_OUT) http://$(ALLOCPROF_ADDR)/debug/pprof/allocs; \
 	wait $$run_pid; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(ALLOCPROF_OUT)
+
+# loc makes "net-negative" a number in the log rather than a claim.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 clean:
 	rm -f BENCH_ci.json BENCH_new.json $(ALLOCPROF_OUT)

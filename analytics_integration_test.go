@@ -11,23 +11,16 @@ import (
 	"blockbench/internal/kvstore"
 )
 
-// fastAnalyticsCluster is fastClusterStopped plus -popt style Options.
+// fastAnalyticsCluster is fastClusterStopped plus extra -popt style
+// Options.
 func fastAnalyticsCluster(t *testing.T, kind Platform, nodes, clients int, popts map[string]string) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterConfig{
-		Kind:              kind,
-		Nodes:             nodes,
-		Contracts:         []string{"versionkv", "donothing"},
-		Options:           popts,
-		BlockInterval:     40 * time.Millisecond,
-		StepDuration:      20 * time.Millisecond,
-		IngestCost:        2 * time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		ViewTimeout:       200 * time.Millisecond,
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
-	}, clients)
+	cfg := testConfig(kind, nodes)
+	cfg.Contracts = []string{"versionkv", "donothing"}
+	for k, v := range popts {
+		cfg.Options[k] = v
+	}
+	c, err := NewCluster(cfg, clients)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,15 +97,7 @@ func BenchmarkHTAPMix(b *testing.B) {
 	var tput, qps float64
 	for i := 0; i < b.N; i++ {
 		w := blockbench.MustWorkload("htap", blockbench.WorkloadOptions{"qevery": "8"})
-		c, err := blockbench.NewCluster(blockbench.ClusterConfig{
-			Kind:              blockbench.Quorum,
-			Nodes:             3,
-			Contracts:         w.Contracts(),
-			BatchTimeout:      5 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			ElectionTimeout:   100 * time.Millisecond,
-			RPCLatency:        50 * time.Microsecond,
-		}, 4)
+		c, err := blockbench.NewCluster(benchConfig(blockbench.Quorum, 3, w), 4)
 		if err != nil {
 			b.Fatal(err)
 		}

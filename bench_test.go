@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -129,6 +130,17 @@ func BenchmarkDriverSnapshotOverhead(b *testing.B) {
 	b.ReportMetric(frames/float64(b.N), "frames/s")
 }
 
+// benchConfig is the root tests' fast config at the tracked Raft
+// benchmarks' own timings — a coarser heartbeat and a modelled 50µs RPC
+// — so their numbers stay comparable with the BENCH_ci.json baseline.
+func benchConfig(kind blockbench.Platform, nodes int, w blockbench.Workload) blockbench.ClusterConfig {
+	cfg := blockbench.TestingConfig(kind, nodes)
+	cfg.Contracts = w.Contracts()
+	cfg.RPCLatency = 50 * time.Microsecond
+	cfg.Options["heartbeat"], cfg.Options["election"] = "10ms", "100ms"
+	return cfg
+}
+
 // BenchmarkShardScaling is the sharded platform's scaling benchmark:
 // committed tx/s over 8 nodes as the shard count sweeps 1/2/4/8, on a
 // fully shardable workload (YCSB: single-key operations, pure fast
@@ -145,17 +157,10 @@ func BenchmarkShardScaling(b *testing.B) {
 				var tput, xratio float64
 				for i := 0; i < b.N; i++ {
 					w := blockbench.MustWorkload(wname, blockbench.WorkloadOptions{"records": "500"})
-					c, err := blockbench.NewCluster(blockbench.ClusterConfig{
-						Kind:              blockbench.Sharded,
-						Nodes:             8,
-						Shards:            shards,
-						Contracts:         w.Contracts(),
-						BatchSize:         8,
-						BatchTimeout:      5 * time.Millisecond,
-						HeartbeatInterval: 10 * time.Millisecond,
-						ElectionTimeout:   100 * time.Millisecond,
-						RPCLatency:        50 * time.Microsecond,
-					}, 8)
+					cfg := benchConfig(blockbench.Sharded, 8, w)
+					cfg.Options["shards"] = strconv.Itoa(shards)
+					cfg.Options["batch"] = "8"
+					c, err := blockbench.NewCluster(cfg, 8)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -33,7 +33,6 @@ import (
 
 	"blockbench/internal/analytics"
 	"blockbench/internal/crypto"
-	"blockbench/internal/exec"
 	"blockbench/internal/node"
 	"blockbench/internal/platform"
 	"blockbench/internal/simnet"
@@ -49,13 +48,13 @@ type (
 	Address = types.Address
 	// Key is a client signing identity.
 	Key = crypto.Key
-	// Platform selects one of the three systems under study.
+	// Platform selects a registered backend: the paper's three systems,
+	// the Quorum and Sharded extensions, or one a framework user
+	// registered.
 	Platform = platform.Kind
-	// NetConfig tunes the simulated cluster network.
-	NetConfig = simnet.Config
-	// MemModel tunes the simulated execution-memory accounting.
-	MemModel = exec.MemModel
-	// ClusterConfig sizes and tunes a platform deployment.
+	// ClusterConfig sizes a platform deployment; the selected preset's
+	// tuning knobs travel in its Options, keyed like the CLI's -popt
+	// (DESIGN.md tabulates them).
 	ClusterConfig = platform.Config
 	// AnalyticsQuery is one server-side analytics request (operation,
 	// height range, accounts) served from the node's columnar index.

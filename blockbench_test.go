@@ -8,28 +8,41 @@ import (
 	"time"
 )
 
-// fastClusterStopped builds a cluster with timings well below the
-// defaults so end-to-end tests finish in a couple of seconds, leaving it
-// unstarted (workloads that preload history must do so before consensus
-// begins producing blocks).
+// testConfig is the one fast-timing cluster config of the root tests
+// and benchmarks: timings well below the defaults so end-to-end tests
+// finish in a couple of seconds. The knobs belong to the presets, so
+// the Options are per kind; the map is fresh, so callers add or
+// override keys freely.
+func testConfig(kind Platform, nodes int) ClusterConfig {
+	var opts map[string]string
+	switch kind {
+	case Ethereum:
+		opts = map[string]string{"block": "40ms"}
+	case Parity:
+		opts = map[string]string{"step": "20ms", "ingest": "2ms"}
+	case Hyperledger:
+		opts = map[string]string{"batchtimeout": "5ms", "viewtimeout": "200ms"}
+	default: // the Raft-backed presets
+		opts = map[string]string{"batchtimeout": "5ms", "election": "80ms", "heartbeat": "5ms"}
+	}
+	return ClusterConfig{Kind: kind, Nodes: nodes, RPCLatency: time.Microsecond, Options: opts}
+}
+
+// TestingConfig hands testConfig to the external blockbench_test
+// package (the files that import experiments cannot be internal).
+var TestingConfig = testConfig
+
+// fastClusterStopped builds a testConfig cluster, leaving it unstarted
+// (workloads that preload history must do so before consensus begins
+// producing blocks).
 func fastClusterStopped(t *testing.T, kind Platform, nodes, clients int, contracts ...string) *Cluster {
 	t.Helper()
 	if len(contracts) == 0 {
 		contracts = []string{"ycsb", "smallbank", "donothing"}
 	}
-	c, err := NewCluster(ClusterConfig{
-		Kind:              kind,
-		Nodes:             nodes,
-		Contracts:         contracts,
-		BlockInterval:     40 * time.Millisecond,
-		StepDuration:      20 * time.Millisecond,
-		IngestCost:        2 * time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		ViewTimeout:       200 * time.Millisecond,
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
-	}, clients)
+	cfg := testConfig(kind, nodes)
+	cfg.Contracts = contracts
+	c, err := NewCluster(cfg, clients)
 	if err != nil {
 		t.Fatal(err)
 	}

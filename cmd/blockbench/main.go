@@ -4,8 +4,9 @@
 // Platforms and workloads both come from pluggable registries
 // (internal/platform, internal/workload): the paper's presets plus
 // anything framework users register. Workload parameters are generic
-// -wopt key=val pairs interpreted by the workload's factory, so a new
-// workload needs zero CLI edits.
+// -wopt key=val pairs interpreted by the workload's factory, and
+// platform tuning is the same mechanism under -popt, interpreted by the
+// preset, so a new workload or backend needs zero CLI edits.
 //
 // The run executes through the driver's run handle: a live progress line
 // streams from the per-bucket snapshot channel, -out records the full
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"blockbench"
+	"blockbench/internal/workload"
 )
 
 func platformNames() string {
@@ -44,7 +46,7 @@ func platformNames() string {
 	return strings.Join(names, " | ")
 }
 
-// multiFlag collects repeated -wopt key=val arguments.
+// multiFlag collects repeated -wopt / -popt key=val arguments.
 type multiFlag []string
 
 func (m *multiFlag) String() string { return strings.Join(*m, ",") }
@@ -52,20 +54,6 @@ func (m *multiFlag) String() string { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error {
 	*m = append(*m, v)
 	return nil
-}
-
-// parsePlatformOpts turns repeated -popt key=val strings into the
-// generic platform option map each preset's Fill hook interprets.
-func parsePlatformOpts(kvs []string) (map[string]string, error) {
-	opts := make(map[string]string, len(kvs))
-	for _, kv := range kvs {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok || k == "" {
-			return nil, fmt.Errorf("platform option %q is not key=val", kv)
-		}
-		opts[k] = v
-	}
-	return opts, nil
 }
 
 func main() {
@@ -108,9 +96,9 @@ func main() {
 		return
 	}
 
-	opts, err := blockbench.ParseWorkloadOptions(wopts)
+	opts, err := workload.ParseOptions(wopts)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-wopt: %w", err))
 	}
 	injected := false
 	if *records > 0 {
@@ -135,9 +123,9 @@ func main() {
 		fatal(err)
 	}
 
-	platformOpts, err := parsePlatformOpts(popts)
+	platformOpts, err := workload.ParseOptions(popts)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-popt: %w", err))
 	}
 	c, err := blockbench.NewCluster(blockbench.ClusterConfig{
 		Kind:      kind,

@@ -1,0 +1,71 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for the CLI: re-executed with
+// the marker variable set it runs main() on its arguments, so the table
+// below observes real flag parsing, stderr and exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv("BLOCKBENCH_TEST_RUN_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestOptionFlags covers -wopt / -popt handling end to end: key=val
+// parsing, malformed and repeated keys, and an unknown -popt key failing
+// with the keys the preset does take.
+func TestOptionFlags(t *testing.T) {
+	// A run small enough to finish in well under a second once it boots.
+	boot := []string{"-nodes", "2", "-clients", "1", "-threads", "1", "-rate", "20", "-duration", "300ms", "-quiet"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		ok   bool
+		want []string // substrings of stderr on failure
+	}{
+		{"popt and wopt key=val", []string{"-platform", "quorum", "-popt", "batch=8", "-popt", "heartbeat=10ms",
+			"-workload", "ycsb", "-wopt", "records=20", "-wopt", "distribution=uniform"}, true, nil},
+		{"value containing =", []string{"-platform", "sharded", "-popt", "partitioner=range", "-popt", "bounds=a=b"}, true, nil},
+		{"popt without value", []string{"-popt", "novalue"}, false, []string{"-popt", "novalue", "key=val"}},
+		{"popt without key", []string{"-popt", "=v"}, false, []string{"-popt", "key=val"}},
+		{"wopt without value", []string{"-wopt", "novalue"}, false, []string{"-wopt", "novalue", "key=val"}},
+		{"wopt without key", []string{"-wopt", "=v"}, false, []string{"-wopt", "key=val"}},
+		{"repeated popt", []string{"-platform", "sharded", "-popt", "shards=2", "-popt", "shards=4"}, false,
+			[]string{"-popt", "shards", "twice"}},
+		{"repeated wopt", []string{"-wopt", "records=1", "-wopt", "records=2"}, false, []string{"-wopt", "records", "twice"}},
+		{"unknown popt key", []string{"-platform", "quorum", "-popt", "hartbeat=10ms"}, false,
+			[]string{"unknown option", "hartbeat", "known:", "heartbeat", "election", "workers"}},
+		{"popt on the wrong preset", []string{"-platform", "hyperledger", "-popt", "workers=4"}, false,
+			[]string{"hyperledger", "unknown option", "workers", "known:", "batch", "index"}},
+		{"unknown wopt key", []string{"-workload", "ycsb", "-wopt", "recrods=5"}, false, []string{"unknown option", "recrods", "records"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append(tc.args, boot...)...)
+			cmd.Env = append(os.Environ(), "BLOCKBENCH_TEST_RUN_MAIN=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("exit %v, stderr:\n%s", err, stderr.String())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("exit 0, want a non-zero exit")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stderr.String(), w) {
+					t.Errorf("stderr %q does not mention %q", stderr.String(), w)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"time"
 
 	"blockbench"
@@ -49,18 +50,17 @@ func AblationInbox(s Scale) (*Result, error) {
 // cost of read throughput (§4.2.2's caching discussion).
 func AblationStateCache(s Scale) (*Result, error) {
 	res := &Result{ID: "abl-cache", Title: "Ethereum: LRU state cache on/off (YCSB)"}
-	for _, entries := range []int{-1, 4096, 65_536} {
+	for _, entries := range []int{0, 4096, 65_536} { // 0 turns the LRU off
 		w := macroWorkload("ycsb", s)
-		label := entries
 		r, err := measure(blockbench.Ethereum, 4, 4, w, blockbench.RunConfig{
 			Threads: 4, Rate: 256, Duration: s.Duration,
 		}, func(cfg *blockbench.ClusterConfig) {
-			cfg.CacheEntries = entries // -1 disables (fill keeps non-zero)
+			cfg.Options["cache"] = strconv.Itoa(entries)
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.addf("cache=%6d entries -> %7.1f tx/s, lat %6.3fs", label, r.Throughput, r.LatencyMean)
+		res.addf("cache=%6d entries -> %7.1f tx/s, lat %6.3fs", entries, r.Throughput, r.LatencyMean)
 	}
 	return res, nil
 }
@@ -77,7 +77,7 @@ func AblationParitySigning(s Scale) (*Result, error) {
 		r, err := measure(blockbench.Parity, 4, 4, w, blockbench.RunConfig{
 			Threads: 4, Rate: 512, Duration: s.Duration,
 		}, func(cfg *blockbench.ClusterConfig) {
-			cfg.IngestCost = cost
+			cfg.Options["ingest"] = cost.String()
 		})
 		if err != nil {
 			return nil, err

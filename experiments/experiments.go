@@ -101,10 +101,13 @@ func sizedWorkload(name string, records int) blockbench.Workload {
 }
 
 // newCluster builds a stopped cluster with paper-faithful defaults.
+// tweak adjusts the shared fields directly and the preset's knobs
+// through cfg.Options, keyed like the CLI's -popt (a key the preset
+// does not take fails the build, so tweaks name their platform).
 func newCluster(kind blockbench.Platform, nodes, clients int,
 	w blockbench.Workload, tweak func(*blockbench.ClusterConfig)) (*blockbench.Cluster, error) {
 
-	cfg := blockbench.ClusterConfig{Kind: kind, Nodes: nodes}
+	cfg := blockbench.ClusterConfig{Kind: kind, Nodes: nodes, Options: map[string]string{}}
 	if w != nil {
 		cfg.Contracts = w.Contracts()
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"blockbench"
-	"blockbench/internal/consensus/pow"
 )
 
 func init() {
@@ -146,5 +145,3 @@ func Fig16Utilization(s Scale) (*Result, error) {
 	}
 	return res, nil
 }
-
-var _ = pow.SealOK // keep the pow package linked for hash-cost docs

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"blockbench"
@@ -167,19 +168,22 @@ func Fig15BlockSizes(s Scale) (*Result, error) {
 			r, err := measure(kind, 8, 8, w, blockbench.RunConfig{
 				Threads: 4, Rate: 256, Duration: s.Duration,
 			}, func(cfg *blockbench.ClusterConfig) {
+				scaled := func(d time.Duration) string {
+					return time.Duration(float64(d) * sz.mul).String()
+				}
 				switch kind {
 				case blockbench.Ethereum:
-					cfg.GasLimit = uint64(1_000_000 * sz.mul)
+					cfg.Options["gas"] = strconv.Itoa(int(1_000_000 * sz.mul))
 					// Bigger blocks take proportionally longer to mine:
 					// geth's difficulty targets a constant gas throughput.
-					cfg.BlockInterval = time.Duration(float64(100*time.Millisecond) * sz.mul)
+					cfg.Options["block"] = scaled(100 * time.Millisecond)
 				case blockbench.Parity:
-					cfg.StepDuration = time.Duration(float64(40*time.Millisecond) * sz.mul)
+					cfg.Options["step"] = scaled(40 * time.Millisecond)
 				case blockbench.Hyperledger, blockbench.Quorum:
 					// Both batch by count: Fabric's batchSize, Raft's
 					// per-entry batch.
-					cfg.BatchSize = int(20 * sz.mul)
-					cfg.BatchTimeout = time.Duration(float64(10*time.Millisecond) * sz.mul)
+					cfg.Options["batch"] = strconv.Itoa(int(20 * sz.mul))
+					cfg.Options["batchtimeout"] = scaled(10 * time.Millisecond)
 				}
 			})
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strconv"
 	"time"
 
 	"blockbench"
@@ -108,11 +109,16 @@ func ioHeavyRun(kind blockbench.Platform, tuples, perTx int) (string, error) {
 	}
 	defer os.RemoveAll(dir)
 	c, err := newCluster(kind, 1, 1, blockbench.MustWorkload("ioheavy", nil), func(cfg *blockbench.ClusterConfig) {
-		if kind != blockbench.Parity {
-			cfg.DataDir = dir
+		switch kind {
+		case blockbench.Parity:
+			cfg.Options["memcap"] = strconv.Itoa(192 << 20)
+			return // state stays pinned in memory: no data dir
+		case blockbench.Ethereum:
+			// IOHeavy transactions exceed normal limits; only Ethereum
+			// bounds blocks by gas.
+			cfg.Options["gas"] = strconv.Itoa(1 << 50)
 		}
-		cfg.GasLimit = 1 << 50 // IOHeavy transactions exceed normal limits
-		cfg.ParityMemCap = 192 << 20
+		cfg.DataDir = dir
 	})
 	if err != nil {
 		return "", err

@@ -104,11 +104,12 @@ type Options struct {
 	Window int
 }
 
-// DefaultOptions returns the Hyperledger-preset defaults.
+// DefaultOptions returns the Hyperledger-preset defaults: the one place
+// they are stated (the preset starts from it and overlays -popt keys).
 func DefaultOptions() Options {
 	return Options{
 		BatchSize:    20,
-		BatchTimeout: 10 * time.Millisecond,
+		BatchTimeout: 15 * time.Millisecond,
 		ViewTimeout:  400 * time.Millisecond,
 		Window:       8,
 	}
@@ -152,17 +153,18 @@ type Engine struct {
 
 // New creates a PBFT engine. All peers run replicas.
 func New(ctx consensus.Context, opts Options) *Engine {
+	def := DefaultOptions()
 	if opts.BatchSize <= 0 {
-		opts.BatchSize = 20
+		opts.BatchSize = def.BatchSize
 	}
 	if opts.BatchTimeout <= 0 {
-		opts.BatchTimeout = 10 * time.Millisecond
+		opts.BatchTimeout = def.BatchTimeout
 	}
 	if opts.ViewTimeout <= 0 {
-		opts.ViewTimeout = 400 * time.Millisecond
+		opts.ViewTimeout = def.ViewTimeout
 	}
 	if opts.Window <= 0 {
-		opts.Window = 8
+		opts.Window = def.Window
 	}
 	peers := append([]simnet.NodeID(nil), ctx.Peers...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })

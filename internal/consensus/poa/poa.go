@@ -27,10 +27,17 @@ type Options struct {
 	// Authorities is the ordered authority set; the slot owner is
 	// Authorities[step mod len].
 	Authorities []types.Address
-	// MaxTxsPerBlock bounds block size (the Parity block-size knob is
-	// stepDuration itself, but a hard cap keeps memory bounded).
-	MaxTxsPerBlock int
 }
+
+// DefaultOptions returns the Parity-preset defaults (the authority set
+// is per cluster and has none).
+func DefaultOptions() Options {
+	return Options{StepDuration: 40 * time.Millisecond}
+}
+
+// maxTxsPerBlock caps a sealed block: Parity's block-size knob is
+// stepDuration itself, but a hard cap keeps memory bounded.
+const maxTxsPerBlock = 4096
 
 // Engine is one authority node.
 type Engine struct {
@@ -49,10 +56,7 @@ type Engine struct {
 // New creates a PoA engine.
 func New(ctx consensus.Context, opts Options) *Engine {
 	if opts.StepDuration <= 0 {
-		opts.StepDuration = 40 * time.Millisecond
-	}
-	if opts.MaxTxsPerBlock <= 0 {
-		opts.MaxTxsPerBlock = 4096
+		opts.StepDuration = DefaultOptions().StepDuration
 	}
 	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{}),
 		orphans: make(map[types.Hash]*types.Block)}
@@ -104,7 +108,7 @@ func (e *Engine) stepLoop() {
 			if !e.myTurn(step) {
 				continue
 			}
-			txs := e.ctx.Pool.Batch(e.opts.MaxTxsPerBlock, 0)
+			txs := e.ctx.Pool.Batch(maxTxsPerBlock, 0)
 			block, err := e.ctx.Chain.ProposeBlock(txs, e.ctx.Address, 1, uint64(step))
 			if err != nil {
 				continue

@@ -30,25 +30,26 @@ type Options struct {
 	InitialDifficulty uint64
 	// MinDifficulty floors the retarget.
 	MinDifficulty uint64
-	// MaxTxsPerBlock bounds block size in transactions (0 = gas-limit
-	// only).
-	MaxTxsPerBlock int
 	// GasLimit bounds the summed gas of a block's transactions — the
 	// geth miner's gasLimit knob, which the block-size experiment tunes.
+	// The ledger's ProposeBlock enforces it; the preset hands it there.
 	GasLimit uint64
-	// Mine disables block production when false (non-mining node).
-	Mine bool
 }
 
-// DefaultOptions returns the Ethereum-preset defaults.
+// DefaultOptions returns the Ethereum-preset defaults: the one place
+// they are stated (the preset starts from it and overlays -popt keys).
 func DefaultOptions() Options {
 	return Options{
 		TargetInterval:    100 * time.Millisecond,
 		InitialDifficulty: 2_000_000,
 		MinDifficulty:     50_000,
-		Mine:              true,
+		GasLimit:          650_000,
 	}
 }
+
+// batchFetch is the per-block over-fetch from the pool, in
+// transactions; the block gas limit decides how many of them fit.
+const batchFetch = 512
 
 // Engine is one node's PoW miner + block handler.
 type Engine struct {
@@ -69,14 +70,15 @@ type Engine struct {
 
 // New creates a PoW engine.
 func New(ctx consensus.Context, opts Options) *Engine {
+	def := DefaultOptions()
 	if opts.TargetInterval <= 0 {
-		opts.TargetInterval = 100 * time.Millisecond
+		opts.TargetInterval = def.TargetInterval
 	}
 	if opts.InitialDifficulty == 0 {
-		opts.InitialDifficulty = 2_000_000
+		opts.InitialDifficulty = def.InitialDifficulty
 	}
 	if opts.MinDifficulty == 0 {
-		opts.MinDifficulty = 50_000
+		opts.MinDifficulty = def.MinDifficulty
 	}
 	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{}),
 		orphans: make(map[types.Hash]*types.Block)}
@@ -87,10 +89,8 @@ func (e *Engine) Start() {
 	if !e.started.CompareAndSwap(false, true) {
 		return
 	}
-	if e.opts.Mine {
-		e.done.Add(1)
-		go e.mineLoop()
-	}
+	e.done.Add(1)
+	go e.mineLoop()
 }
 
 // Stop implements consensus.Engine.
@@ -176,11 +176,7 @@ func (e *Engine) mineLoop() {
 		diff := e.nextDifficulty(parent)
 		// Over-fetch by count; ProposeBlock trims to the block gas limit
 		// based on gas actually consumed.
-		maxTxs := e.opts.MaxTxsPerBlock
-		if maxTxs <= 0 {
-			maxTxs = 512
-		}
-		txs := e.ctx.Pool.Batch(maxTxs, 0)
+		txs := e.ctx.Pool.Batch(batchFetch, 0)
 		block, err := e.ctx.Chain.ProposeBlock(txs, e.ctx.Address, diff, 0)
 		if err != nil {
 			// Head may have moved mid-build; retry.

@@ -184,11 +184,6 @@ type Options struct {
 	// entries stay resident for follower catch-up). 0 disables
 	// compaction; the quorum preset default is 4096.
 	Retain int
-	// TickOnly disables the event-driven paths (propose-time
-	// replication, ack-driven pipelining, the sub-tick batch timer),
-	// reverting to tick-paced batching and appends. Benchmark baseline
-	// only — it reintroduces the one-tick commit latency floor.
-	TickOnly bool
 	// Seed makes election-timeout randomization reproducible per node.
 	Seed int64
 }
@@ -333,7 +328,7 @@ func New(ctx consensus.Context, opts Options) *Engine {
 		rng:        rand.New(rand.NewSource(opts.Seed*7919 + int64(ctx.Self)*104729 + 1)),
 		stop:       make(chan struct{}),
 	}
-	if ctx.Pool != nil && !opts.TickOnly {
+	if ctx.Pool != nil {
 		e.notify = ctx.Pool.Notify()
 	}
 	e.restoreMeta()
@@ -529,13 +524,11 @@ func (e *Engine) run() {
 	// quantize onto the same tick and collide forever. Heartbeats still
 	// go out only every opts.Heartbeat (lastHB below).
 	interval := e.opts.Heartbeat
-	if !e.opts.TickOnly {
-		if el := e.opts.ElectionTimeout / 4; el < interval {
-			interval = el
-		}
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
+	if el := e.opts.ElectionTimeout / 4; el < interval {
+		interval = el
+	}
+	if interval < time.Millisecond {
+		interval = time.Millisecond
 	}
 	var lastHB time.Time
 	tick := time.NewTicker(interval)
@@ -755,9 +748,7 @@ func (e *Engine) proposeLocked(now time.Time) bool {
 			if due := e.lastProposal.Add(e.opts.BatchTimeout); now.Before(due) {
 				// Wait for a fuller batch; the sub-tick timer (or the
 				// next pool notification) retries at the deadline.
-				if !e.opts.TickOnly {
-					e.batchDue = due
-				}
+				e.batchDue = due
 				break
 			}
 		}
@@ -1168,21 +1159,18 @@ func (e *Engine) onAppendResp(from simnet.NodeID, r *AppendResp) {
 		if e.next[from] < e.match[from]+1 {
 			e.next[from] = e.match[from] + 1
 		}
-		advanced := e.advanceCommitLocked()
-		if !e.opts.TickOnly {
-			if advanced {
-				// The commit advance freed proposal-window space: pick up
-				// pool transactions that a burst left behind (a coalesced
-				// notify proposes at most the window), then push the new
-				// commit index to every follower now; otherwise both
-				// would wait for the next tick.
-				e.proposeLocked(time.Now())
-				e.broadcastAppendsLocked(true)
-			}
-			// Pipeline continuation: ship the next window right away
-			// instead of waiting for the tick.
-			e.sendToLocked(from, false)
+		if e.advanceCommitLocked() {
+			// The commit advance freed proposal-window space: pick up
+			// pool transactions that a burst left behind (a coalesced
+			// notify proposes at most the window), then push the new
+			// commit index to every follower now; otherwise both
+			// would wait for the next tick.
+			e.proposeLocked(time.Now())
+			e.broadcastAppendsLocked(true)
 		}
+		// Pipeline continuation: ship the next window right away
+		// instead of waiting for the tick.
+		e.sendToLocked(from, false)
 		return
 	}
 	// Rejected: back up toward the follower's hint and resend
@@ -1207,9 +1195,7 @@ func (e *Engine) onAppendResp(from simnet.NodeID, r *AppendResp) {
 		e.match[from] = ni - 1
 	}
 	e.next[from] = ni
-	if !e.opts.TickOnly {
-		e.sendToLocked(from, false)
-	}
+	e.sendToLocked(from, false)
 }
 
 // onSnapshot installs a leader's snapshot on a follower whose log fell

@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"time"
-
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/pow"
 	"blockbench/internal/exec"
@@ -10,6 +8,7 @@ import (
 	"blockbench/internal/metrics"
 	"blockbench/internal/state"
 	"blockbench/internal/types"
+	"blockbench/internal/workload"
 )
 
 // Ethereum is the geth v1.4.18 preset: proof-of-work consensus,
@@ -17,91 +16,102 @@ import (
 // cache, EVM execution.
 const Ethereum Kind = "ethereum"
 
+// ethereumOptions are the Ethereum preset's knobs beyond the shared
+// store/workers/index trio: -popt block= (target PoW interval), gas=
+// (block gas limit) and cache= (LRU state cache entries, 0 = off).
+type ethereumOptions struct {
+	pow   pow.Options
+	cache int
+}
+
+func decodeEthereum(d *workload.Decoder) ethereumOptions {
+	o := ethereumOptions{pow: pow.DefaultOptions(), cache: decodeCache(d)}
+	o.pow.TargetInterval = positive(d, "block", d.Duration("block", o.pow.TargetInterval))
+	o.pow.GasLimit = positive(d, "gas", d.Uint64("gas", o.pow.GasLimit))
+	return o
+}
+
 func ethereumPreset() *Preset {
 	return &Preset{
 		Kind:          Ethereum,
 		Describe:      "geth v1.4.18: PoW, Patricia-Merkle trie + LRU state cache, EVM",
 		SupportsForks: true,
-		OptionKeys: append(append(append([]string{}, storeOptionKeys...), execOptionKeys...),
-			analyticsOptionKeys...),
-		Fill: func(cfg *Config) error {
-			if cfg.BlockInterval <= 0 {
-				cfg.BlockInterval = 100 * time.Millisecond
-			}
-			if cfg.GasLimit == 0 {
-				cfg.GasLimit = 650_000
-			}
-			if cfg.CacheEntries == 0 {
-				cfg.CacheEntries = 4096
-			}
-			if err := fillStoreOptions(cfg); err != nil {
-				return err
-			}
-			if err := fillExecWorkers(cfg); err != nil {
-				return err
-			}
-			return fillAnalyticsOption(cfg)
-		},
-		MemModel:        gethMemModel,
-		NewEngine:       newEVMEngine,
-		NewStateFactory: trieSharedStateFactory,
-		// Only Ethereum-lineage PoW bounds blocks by gas; Parity's block
-		// size is set by stepDuration and Hyperledger's by batch size.
-		GasLimit: func(cfg *Config) uint64 { return cfg.GasLimit },
 		// confirmationLength: 5s paper / 2.5s blocks, scaled.
-		ConfirmationDepth: func(*Config) uint64 { return 2 },
-		NewConsensus: func(cfg *Config, _ *Env) func(consensus.Context) consensus.Engine {
-			return func(ctx consensus.Context) consensus.Engine {
-				opts := pow.DefaultOptions()
-				opts.TargetInterval = cfg.BlockInterval
-				opts.GasLimit = cfg.GasLimit
-				opts.MaxTxsPerBlock = cfg.MaxTxsPerBlock
-				opts.Mine = !cfg.DisableMining
-				return pow.New(ctx, opts)
+		ConfirmationDepth: 2,
+		Build: func(cfg *Config, d *workload.Decoder) (*Assembly, error) {
+			o := decodeEthereum(d)
+			a := &Assembly{
+				// Only Ethereum-lineage PoW bounds blocks by gas; Parity's
+				// block size is set by stepDuration and Hyperledger's by
+				// batch size.
+				GasLimit:        o.pow.GasLimit,
+				NewStateFactory: trieSharedStateFactory(o.cache),
+				NewConsensus: func(*Env) func(consensus.Context) consensus.Engine {
+					return func(ctx consensus.Context) consensus.Engine { return pow.New(ctx, o.pow) }
+				},
 			}
+			return a, buildEVM(cfg, d, a, gethMemModel)
 		},
 	}
 }
 
-// newEVMEngine builds an EVM execution engine over the subset of
-// cfg.Contracts that have an EVM build.
-func newEVMEngine(cfg *Config, mem exec.MemModel) (exec.Engine, error) {
+// buildEVM finishes an EVM preset's assembly with what the four of them
+// share: an EVM execution engine over the subset of cfg.Contracts that
+// have an EVM build, and the store / workers (-popt workers=N, default
+// the serial 1) / index trio.
+func buildEVM(cfg *Config, d *workload.Decoder, a *Assembly, mem exec.MemModel) error {
 	names, err := evmContracts(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return exec.NewEVMEngine(mem, names...)
+	a.NewEngine = func() (exec.Engine, error) { return exec.NewEVMEngine(mem, names...) }
+	a.Workers = positive(d, "workers", d.Int("workers", 1))
+	a.Index = decodeIndex(d)
+	return decodeStore(cfg, d)
 }
 
 // gethMemModel is the geth-lineage memory cost model shared by the
-// Ethereum and Quorum presets: ~2.1 KB resident per sorted element
-// (22.8 GB at 10M), fitted to the paper's CPUHeavy runs at 1/100 input
-// scale.
-func gethMemModel(*Config) exec.MemModel {
-	return exec.MemModel{Base: 20 << 20, Factor: 262, Cap: 320 << 20}
+// Ethereum, Quorum and Sharded presets: ~2.1 KB resident per sorted
+// element (22.8 GB at 10M), fitted to the paper's CPUHeavy runs at
+// 1/100 input scale.
+var gethMemModel = exec.MemModel{Base: 20 << 20, Factor: 262, Cap: 320 << 20}
+
+// defaultCacheEntries sizes the geth-lineage presets' LRU state cache.
+const defaultCacheEntries = 4096
+
+// decodeCache reads -popt cache=N for the geth-lineage presets.
+func decodeCache(d *workload.Decoder) int {
+	n := d.Int("cache", defaultCacheEntries)
+	if n < 0 {
+		d.Reject("cache", "want a non-negative integer (0 turns the LRU off)")
+	}
+	return n
 }
 
 // trieSharedStateFactory is the geth-lineage state organization shared
 // by the Ethereum, Quorum and Sharded presets: a Patricia-Merkle trie
-// over the node's store with one long-lived LRU node cache per node,
-// shared across block executions — geth's partial in-memory state
-// ("using LRU for eviction") — plus a flat snapshot layer in front of
-// the trie so head-state point reads cost one lookup instead of a
-// nibble walk over ever-deeper history. Roots are computed by the trie
-// alone, so they are byte-identical with or without the flat layer;
-// the layer's hit/miss counters surface as store.flat_* in reports.
-func trieSharedStateFactory(cfg *Config, store kvstore.Store) (StateFactory, []metrics.CounterProvider, error) {
-	var cache *state.SharedCache
-	if cfg.CacheEntries > 0 {
-		cache = state.NewSharedCache(cfg.CacheEntries)
-	}
-	flat := state.NewFlatState(store, cfg.CacheEntries)
-	factory := func(root types.Hash) (*state.DB, error) {
-		b, err := state.NewFlatBackend(store, root, cache, flat)
-		if err != nil {
-			return nil, err
+// over the node's store with one long-lived LRU node cache per node
+// (none when entries is 0), shared across block executions — geth's
+// partial in-memory state ("using LRU for eviction") — plus a flat
+// snapshot layer in front of the trie so head-state point reads cost
+// one lookup instead of a nibble walk over ever-deeper history. Roots
+// are computed by the trie alone, so they are byte-identical with or
+// without the flat layer; the layer's hit/miss counters surface as
+// store.flat_* in reports.
+func trieSharedStateFactory(entries int) func(kvstore.Store) (StateFactory, []metrics.CounterProvider, error) {
+	return func(store kvstore.Store) (StateFactory, []metrics.CounterProvider, error) {
+		var cache *state.SharedCache
+		if entries > 0 {
+			cache = state.NewSharedCache(entries)
 		}
-		return state.NewDB(b), nil
+		flat := state.NewFlatState(store, entries)
+		factory := func(root types.Hash) (*state.DB, error) {
+			b, err := state.NewFlatBackend(store, root, cache, flat)
+			if err != nil {
+				return nil, err
+			}
+			return state.NewDB(b), nil
+		}
+		return factory, []metrics.CounterProvider{flat}, nil
 	}
-	return factory, []metrics.CounterProvider{flat}, nil
 }

@@ -4,7 +4,10 @@
 // registry.go): each preset file declares its state store, state
 // organization, execution engine, per-element memory cost model and
 // consensus factory, and the driver, experiments and CLI pick new
-// platforms up automatically.
+// platforms up automatically. Configuration is split the same way:
+// Config (this file) holds only what every preset reads; a preset's
+// tuning knobs live in its own file, as a private struct decoded from
+// Config.Options by its Build hook. DESIGN.md tabulates every key.
 //
 // Five presets ship with the framework: the three systems the paper
 // evaluates — Ethereum (geth v1.4.18: PoW, Patricia-Merkle trie over
@@ -28,6 +31,7 @@ import (
 	"blockbench/internal/analytics"
 	"blockbench/internal/crypto"
 	"blockbench/internal/exec"
+	"blockbench/internal/exec/parallel"
 	"blockbench/internal/kvstore"
 	"blockbench/internal/ledger"
 	"blockbench/internal/metrics"
@@ -36,6 +40,7 @@ import (
 	"blockbench/internal/trace"
 	"blockbench/internal/txpool"
 	"blockbench/internal/types"
+	"blockbench/internal/workload"
 )
 
 // Kind selects a platform preset by registry key.
@@ -51,9 +56,12 @@ func init() {
 	MustRegister(shardedPreset())
 }
 
-// Config sizes and tunes a cluster. Zero values take preset defaults.
-// All time defaults are at the repository's 25x scale relative to the
-// paper's testbed (see DESIGN.md).
+// Config sizes a cluster and carries the settings every preset reads.
+// Preset-specific tuning (block interval, batch size, Raft timers, shard
+// count, ...) is not here: it travels in Options and is decoded, with
+// its defaults, by the selected preset's file — see DESIGN.md for the
+// table of keys. All time defaults are at the repository's 25x scale
+// relative to the paper's testbed (DESIGN.md).
 type Config struct {
 	Kind      Kind
 	Nodes     int
@@ -74,78 +82,19 @@ type Config struct {
 	// temp directory, removed at Cluster.Close.
 	StoreBackend string
 	// ephemeralData marks DataDir as a temp directory provisioned by
-	// fillStoreOptions; Cluster.Close removes it.
+	// decodeStore; Cluster.Close removes it.
 	ephemeralData bool
-	// AnalyticsIndex toggles the per-node columnar analytics index
-	// maintained on the ledger commit path: "" or "on" (the default)
-	// builds it and serves node analytics queries; "off" disables it
-	// (queries error). Exposed as -popt index= on every preset.
-	AnalyticsIndex string
-
-	// Ethereum knobs (Quorum shares CacheEntries; its blocks are
-	// batch-bounded like PBFT's, so GasLimit does not apply).
-	BlockInterval time.Duration // target PoW interval (default 100ms)
-	GasLimit      uint64        // block gas limit (default 650,000)
-	CacheEntries  int           // LRU state cache entries (default 4096)
-	DisableMining bool          // turn off PoW block production
-
-	// Parity knobs.
-	StepDuration time.Duration // PoA step (default 40ms)
-	IngestCost   time.Duration // per-tx server processing (default 180ms)
-	ParityMemCap int64         // state memory cap (default 256 MiB)
-
-	// Hyperledger knobs (Quorum shares the batching pair).
-	BatchSize    int           // txs per consensus batch (default 20)
-	BatchTimeout time.Duration // partial-batch timer (default 10ms)
-	ViewTimeout  time.Duration // view-change timer (default 400ms)
-
-	// Quorum (Raft) knobs, shared by the sharded preset's per-shard
-	// groups. All are exposed as -popt key=val on both presets
-	// (heartbeat=, batch=, maxappend=, window=, retain=).
-	ElectionTimeout   time.Duration // follower election timeout floor (default 300ms)
-	HeartbeatInterval time.Duration // leader heartbeat cadence (default 20ms)
-	RaftWindow        int           // uncommitted entries / per-follower pipeline depth (default 64)
-	RaftMaxAppend     int           // entries per AppendEntries message (default 32)
-	// RaftRetain is the log-compaction retention window in entries:
-	// 0 takes the preset default (4096), negative disables compaction
-	// (-popt retain=0).
-	RaftRetain int
-	// RaftLeaseFactor sizes leader leases as Heartbeat×LeaseFactor
-	// (default 3, capped at half the election timeout).
-	RaftLeaseFactor int
-
-	// Sharded knobs.
-	Shards int // shard groups (default min(4, Nodes), clamped to Nodes)
-	// Partitioner selects key placement: "hash" (default) or "range"
-	// (-popt partitioner=range). PartitionBounds are the range split
-	// points (-popt bounds=a,b,c → 4 shards-worth of ranges); when empty
-	// the range partitioner splits the key space evenly by leading byte.
-	Partitioner     string
-	PartitionBounds []string
-
-	// Options carries generic -popt key=val parameters for the selected
-	// preset's Fill hook — the platform-side mirror of workload -wopt,
-	// so a registered backend can expose tuning (the sharded preset's
-	// shards=N) with zero CLI edits. Keys outside the preset's
-	// OptionKeys are rejected by New.
+	// RPCLatency models the client↔server round trip (default 200µs).
+	RPCLatency time.Duration
+	// Options carries the selected preset's knobs as key=val strings —
+	// the CLI's -popt, and the only way in for Go callers too, so a knob
+	// aimed at the wrong preset fails as loudly from code as from the
+	// command line. New rejects keys the preset's Build did not read.
 	Options map[string]string
-
-	// ExecWorkers is the intra-block parallel execution worker count
-	// (-popt workers=N on the presets that own an execution engine:
-	// ethereum, parity, quorum, sharded). 0 takes the preset default;
-	// 1 is the serial path. The block outcome is byte-identical to
-	// serial execution at any worker count (see internal/exec/parallel).
-	ExecWorkers int
-
-	// Shared knobs.
-	MaxTxsPerBlock    int
-	RPCLatency        time.Duration // default 200µs
-	ConfirmationDepth *uint64       // override preset confirmation depth
-	MemModel          *exec.MemModel
 }
 
 // fill applies the platform-independent defaults; preset-specific knobs
-// are defaulted by each preset's Fill hook.
+// are defaulted by each preset's Build hook.
 func (c *Config) fill() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("platform: cluster needs at least 1 node")
@@ -169,6 +118,8 @@ type Cluster struct {
 	Kind   Kind
 	Net    *simnet.Network
 	preset *Preset
+	// asm is the preset resolved against cfg, built once in New.
+	asm *Assembly
 
 	mu       sync.RWMutex
 	nodes    []*node.Node
@@ -217,15 +168,21 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if err := p.checkOptions(cfg.Options); err != nil {
-		return nil, err
-	}
-	if p.Fill != nil {
-		if err := p.Fill(&cfg); err != nil {
-			return nil, err
-		}
-	}
 	c := &Cluster{Kind: cfg.Kind, preset: p, cfg: cfg, tracer: trace.New()}
+	// Resolve the preset's knobs once, against the cluster's own copy of
+	// the config (Build's closures keep pointing at it).
+	d := workload.NewDecoder(cfg.Options)
+	c.asm, err = p.Build(&c.cfg, d)
+	if err == nil {
+		err = d.Finish()
+	}
+	if err == nil && (c.asm.NewEngine == nil || c.asm.NewStateFactory == nil || c.asm.NewConsensus == nil) {
+		err = fmt.Errorf("Build left NewEngine, NewStateFactory or NewConsensus unset")
+	}
+	if err != nil {
+		c.Close() // removes a temp data dir decodeStore may have provisioned
+		return nil, fmt.Errorf("platform: %s: %w", cfg.Kind, err)
+	}
 	c.Net = simnet.New(cfg.Net)
 
 	peers := make([]simnet.NodeID, cfg.Nodes)
@@ -300,7 +257,7 @@ func (m storeMeta) LoadMeta(key string) ([]byte, bool) {
 // DurableRecovery preset replays its journaled chain from disk.
 func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	cfg := &c.cfg
-	p := c.preset
+	p, a := c.preset, c.asm
 
 	if store == nil {
 		s, err := c.openStoreFor(i)
@@ -311,21 +268,14 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	}
 	c.stores[i] = store
 
-	mem := exec.MemModel{}
-	if p.MemModel != nil {
-		mem = p.MemModel(cfg)
-	}
-	if cfg.MemModel != nil {
-		mem = *cfg.MemModel
-	}
-	eng, err := p.NewEngine(cfg, mem)
+	eng, err := a.NewEngine()
 	if err != nil {
 		return err
 	}
 	c.engines[i] = eng
 
 	var provs []metrics.CounterProvider
-	factory, stateProviders, err := p.NewStateFactory(cfg, store)
+	factory, stateProviders, err := a.NewStateFactory(store)
 	if err != nil {
 		return err
 	}
@@ -343,12 +293,9 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 
 	pool := txpool.New(1 << 20)
 	pool.SetTracer(c.tracer)
-	var ledgerGas uint64
-	if p.GasLimit != nil {
-		ledgerGas = p.GasLimit(cfg)
-	}
 	var blockExec ledger.BlockExecutor
-	if pex := newBlockExecutor(cfg); pex != nil {
+	if a.Workers > 0 {
+		pex := parallel.New(a.Workers)
 		blockExec = pex
 		provs = append(provs, pex)
 	}
@@ -356,7 +303,7 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	// It persists through the node's own store, so -popt store=lsm
 	// carries the columnar segments on the same engine as state.
 	var idx *analytics.Indexer
-	if cfg.AnalyticsIndex != "off" {
+	if a.Index {
 		idx = analytics.NewIndexer(store, analytics.Options{})
 		provs = append(provs, idx)
 	}
@@ -368,7 +315,7 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		Parallel:      blockExec,
 		StateFactory:  factory,
 		Registry:      reg,
-		GasLimit:      ledgerGas,
+		GasLimit:      a.GasLimit,
 		SupportsForks: p.SupportsForks,
 		GenesisAlloc:  c.alloc,
 		OnInclude:     pool.MarkIncluded,
@@ -419,14 +366,6 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		}
 	}
 
-	depth := uint64(0)
-	if p.ConfirmationDepth != nil {
-		depth = p.ConfirmationDepth(cfg)
-	}
-	if cfg.ConfirmationDepth != nil {
-		depth = *cfg.ConfirmationDepth
-	}
-
 	ncfg := node.Config{
 		ID:                simnet.NodeID(i),
 		Key:               c.nodeKeys[i],
@@ -434,10 +373,10 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		Chain:             chain,
 		Pool:              pool,
 		Exec:              eng,
-		NewConsensus:      p.NewConsensus(cfg, c.env),
+		NewConsensus:      a.NewConsensus(c.env),
 		Peers:             c.peers,
 		RPCLatency:        cfg.RPCLatency,
-		ConfirmationDepth: depth,
+		ConfirmationDepth: p.ConfirmationDepth,
 		Analytics:         idx,
 		Tracer:            c.tracer,
 	}
@@ -446,7 +385,7 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	}
 	if p.ServerSigns {
 		ncfg.ServerSigns = true
-		ncfg.IngestCost = cfg.IngestCost
+		ncfg.IngestCost = a.IngestCost
 		ncfg.Keyring = c.env.Keyring
 	}
 	if p.VerifyIngress {
@@ -461,11 +400,10 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 // The path is deterministic in i, so reopening after a crash recovers
 // whatever the previous incarnation persisted.
 func (c *Cluster) openStoreFor(i int) (kvstore.Store, error) {
-	open := c.preset.OpenStore
-	if open == nil {
-		open = defaultOpenStore
+	if c.asm.OpenStore != nil {
+		return c.asm.OpenStore(i)
 	}
-	return open(&c.cfg, i)
+	return defaultOpenStore(&c.cfg, i)
 }
 
 // ServerSigns reports whether this platform signs transactions inside
@@ -657,16 +595,7 @@ func (c *Cluster) BlockHash(i int, height uint64) (types.Hash, bool) {
 
 // ConfirmationDepth returns the effective confirmation depth nodes were
 // built with.
-func (c *Cluster) ConfirmationDepth() uint64 {
-	depth := uint64(0)
-	if c.preset.ConfirmationDepth != nil {
-		depth = c.preset.ConfirmationDepth(&c.cfg)
-	}
-	if c.cfg.ConfirmationDepth != nil {
-		depth = *c.cfg.ConfirmationDepth
-	}
-	return depth
-}
+func (c *Cluster) ConfirmationDepth() uint64 { return c.preset.ConfirmationDepth }
 
 // SupportsForks reports whether the platform's ledger admits competing
 // branches (PoW/PoA) — agreement checks then apply only to blocks

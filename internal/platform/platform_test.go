@@ -18,22 +18,29 @@ func clientKeys(n int) []*crypto.Key {
 	return keys
 }
 
-// fastConfig shrinks timings so integration tests stay quick.
+// fastConfig shrinks timings so integration tests stay quick. The knobs
+// are per preset, so the Options are too; the map is fresh, so callers
+// add keys to it freely.
 func fastConfig(kind Kind, nodes int, keys []*crypto.Key) Config {
+	var opts map[string]string
+	switch kind {
+	case Ethereum:
+		opts = map[string]string{"block": "40ms"}
+	case Parity:
+		opts = map[string]string{"step": "20ms", "ingest": "1ms"}
+	case Hyperledger:
+		opts = map[string]string{"batchtimeout": "5ms", "viewtimeout": "200ms"}
+	default: // the Raft-backed presets
+		opts = map[string]string{"batchtimeout": "5ms", "election": "80ms", "heartbeat": "5ms"}
+	}
 	return Config{
-		Kind:              kind,
-		Nodes:             nodes,
-		Contracts:         []string{"ycsb", "donothing"},
-		ClientKeys:        keys,
-		GenesisBalance:    1_000_000,
-		BlockInterval:     40 * time.Millisecond,
-		StepDuration:      20 * time.Millisecond,
-		IngestCost:        time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		ViewTimeout:       200 * time.Millisecond,
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
+		Kind:           kind,
+		Nodes:          nodes,
+		Contracts:      []string{"ycsb", "donothing"},
+		ClientKeys:     keys,
+		GenesisBalance: 1_000_000,
+		RPCLatency:     time.Microsecond,
+		Options:        opts,
 	}
 }
 
@@ -282,7 +289,7 @@ func TestEthereumPartitionForksAndHeals(t *testing.T) {
 func TestParityConstantRateAndRateLimit(t *testing.T) {
 	keys := clientKeys(1)
 	cfg := fastConfig(Parity, 4, keys)
-	cfg.IngestCost = 5 * time.Millisecond // ~200 tx/s cap
+	cfg.Options["ingest"] = "5ms" // ~200 tx/s cap
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

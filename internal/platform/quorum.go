@@ -1,8 +1,11 @@
 package platform
 
 import (
+	"fmt"
+
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/raft"
+	"blockbench/internal/workload"
 )
 
 // Quorum is the Raft-ordered preset: a geth-lineage platform (trie
@@ -20,6 +23,38 @@ import (
 // workers=N turns on intra-block parallel execution (exec/parallel).
 const Quorum Kind = "quorum"
 
+// quorumOptions are the Raft-backed presets' knobs beyond the shared
+// store/workers/index trio; the sharded preset's per-shard groups take
+// the same set.
+type quorumOptions struct {
+	raft  raft.Options
+	cache int // LRU state cache entries, as on ethereum
+}
+
+// decodeQuorum overlays the Raft keys — election=, heartbeat=, batch=,
+// batchtimeout=, maxappend=, window=, retain= — on the engine's own
+// defaults. retain=0 disables compaction, which is why it alone may be
+// zero.
+func decodeQuorum(cfg *Config, d *workload.Decoder) quorumOptions {
+	o := quorumOptions{raft: raft.DefaultOptions(), cache: decodeCache(d)}
+	r := &o.raft
+	r.ElectionTimeout = positive(d, "election", d.Duration("election", r.ElectionTimeout))
+	r.Heartbeat = positive(d, "heartbeat", d.Duration("heartbeat", r.Heartbeat))
+	r.BatchSize = positive(d, "batch", d.Int("batch", r.BatchSize))
+	r.BatchTimeout = positive(d, "batchtimeout", d.Duration("batchtimeout", r.BatchTimeout))
+	r.MaxAppend = positive(d, "maxappend", d.Int("maxappend", r.MaxAppend))
+	r.Window = positive(d, "window", d.Int("window", r.Window))
+	if r.Retain = d.Int("retain", r.Retain); r.Retain < 0 {
+		d.Reject("retain", "want a non-negative integer (0 disables compaction)")
+	}
+	if r.Heartbeat >= r.ElectionTimeout {
+		d.Reject("heartbeat", fmt.Sprintf("heartbeat %v must stay well below the election timeout %v",
+			r.Heartbeat, r.ElectionTimeout))
+	}
+	r.Seed = cfg.Net.Seed
+	return o
+}
+
 func quorumPreset() *Preset {
 	return &Preset{
 		Kind:     Quorum,
@@ -28,32 +63,19 @@ func quorumPreset() *Preset {
 		// ledger's versioned-state queries (analytics Q2) stay available.
 		SupportsForks:   true,
 		DurableRecovery: true,
-		OptionKeys: append(append(append(append([]string{}, raftOptionKeys...), storeOptionKeys...),
-			execOptionKeys...), analyticsOptionKeys...),
-		Fill: func(cfg *Config) error {
-			if err := fillRaftConfig(cfg); err != nil {
-				return err
-			}
-			if err := fillStoreOptions(cfg); err != nil {
-				return err
-			}
-			if err := fillExecWorkers(cfg); err != nil {
-				return err
-			}
-			return fillAnalyticsOption(cfg)
-		},
-		// Same geth lineage as the Ethereum preset: EVM, trie state with
-		// a shared per-node LRU, and the geth memory cost model.
-		MemModel:        gethMemModel,
-		NewEngine:       newEVMEngine,
-		NewStateFactory: trieSharedStateFactory,
 		// Blocks are batch-bounded like PBFT, not gas-bounded (no
-		// GasLimit hook), and final on commit: no confirmation depth.
-		NewConsensus: func(cfg *Config, _ *Env) func(consensus.Context) consensus.Engine {
-			opts := raftOptions(cfg)
-			return func(ctx consensus.Context) consensus.Engine {
-				return raft.New(ctx, opts)
+		// GasLimit), and final on commit: no confirmation depth.
+		Build: func(cfg *Config, d *workload.Decoder) (*Assembly, error) {
+			o := decodeQuorum(cfg, d)
+			// Same geth lineage as the Ethereum preset: EVM, trie state
+			// with a shared per-node LRU, and the geth memory cost model.
+			a := &Assembly{
+				NewStateFactory: trieSharedStateFactory(o.cache),
+				NewConsensus: func(*Env) func(consensus.Context) consensus.Engine {
+					return func(ctx consensus.Context) consensus.Engine { return raft.New(ctx, o.raft) }
+				},
 			}
+			return a, buildEVM(cfg, d, a, gethMemModel)
 		},
 	}
 }

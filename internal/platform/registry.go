@@ -2,9 +2,11 @@ package platform
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/contracts"
@@ -14,6 +16,7 @@ import (
 	"blockbench/internal/metrics"
 	"blockbench/internal/state"
 	"blockbench/internal/types"
+	"blockbench/internal/workload"
 )
 
 // StateFactory opens a state database at the given root (one factory per
@@ -52,6 +55,10 @@ func (env *Env) newRegistry() *crypto.Registry {
 // protocol, and how its nodes ingest transactions. Register a Preset to
 // plug a new platform into the framework — the driver, workloads,
 // experiments and CLI pick it up through platform.Kinds.
+//
+// A preset owns its tuning knobs: its file declares a private option
+// struct, and Build is the only place that reads them out of
+// Config.Options (-popt key=val).
 type Preset struct {
 	// Kind is the registry key (the CLI's -platform value).
 	Kind Kind
@@ -74,40 +81,56 @@ type Preset struct {
 	// term/vote/applied). Presets without it restart empty and rejoin
 	// through the chain-sync protocol alone.
 	DurableRecovery bool
+	// ConfirmationDepth hides the newest blocks from pollers until buried
+	// this deep (0: blocks are final on commit).
+	ConfirmationDepth uint64
 
-	// OptionKeys names the generic Config.Options (-popt key=val) keys
-	// this preset's Fill hook consumes; New rejects options outside the
-	// list, so a misspelled -popt fails loudly instead of silently
-	// running the default configuration.
-	OptionKeys []string
+	// Build resolves the preset's knobs once per cluster: it starts from
+	// the engines' own DefaultOptions, overlays cfg.Options through d
+	// (rejecting values that fail validation — a -popt heartbeat=bogus
+	// must fail loudly, not run the default) and returns the node
+	// constructors closed over the result. The keys Build reads from d
+	// are the preset's whole option surface: New calls d.Finish right
+	// after, so any other key is an error that names the ones it took.
+	// Build may fold the storage keys into cfg's typed DataDir and
+	// StoreBackend; cfg is otherwise read-only.
+	Build func(cfg *Config, d *workload.Decoder) (*Assembly, error)
+}
 
-	// Fill applies the preset's default tuning to zero Config fields and
-	// folds the generic Config.Options values into their typed fields,
-	// erroring on values that fail validation (a -popt heartbeat=bogus
-	// must fail loudly, not run the default).
-	Fill func(cfg *Config) error
-	// MemModel returns the simulated execution-memory cost model (zero
-	// value disables memory accounting). Optional.
-	MemModel func(cfg *Config) exec.MemModel
+// Assembly is one cluster's resolved preset: the knob values buildNode
+// reads itself, and the per-node constructors closed over the rest.
+// buildNode calls the constructors once per node, and again when
+// Recover rebuilds one.
+type Assembly struct {
+	// GasLimit is the ledger's block gas limit (0 = unbounded: blocks are
+	// bounded by step or batch instead).
+	GasLimit uint64
+	// IngestCost is the per-transaction server processing time of a
+	// ServerSigns preset.
+	IngestCost time.Duration
+	// Workers sizes the intra-block parallel executor (1 is the serial
+	// path through it; the block outcome is byte-identical to serial at
+	// any count, see internal/exec/parallel). 0 builds none: hyperledger
+	// keeps the strictly serial Fabric v0.6 pipeline.
+	Workers int
+	// Index maintains the per-node columnar analytics index on the
+	// ledger commit path; without it node analytics queries error.
+	Index bool
+
 	// OpenStore opens node i's storage engine. Optional: the default is
-	// an in-memory map, or the LSM engine when cfg.DataDir is set.
-	OpenStore func(cfg *Config, i int) (kvstore.Store, error)
+	// defaultOpenStore's shared policy.
+	OpenStore func(i int) (kvstore.Store, error)
 	// NewEngine builds a node's execution engine.
-	NewEngine func(cfg *Config, mem exec.MemModel) (exec.Engine, error)
+	NewEngine func() (exec.Engine, error)
 	// NewStateFactory builds the per-node state-database factory over the
 	// node's store, plus any per-node counter sources the state layer
 	// owns (the flat snapshot layer's hit/miss counters); providers flow
 	// into Cluster.Counters alongside the consensus and execution
 	// engines.
-	NewStateFactory func(cfg *Config, store kvstore.Store) (StateFactory, []metrics.CounterProvider, error)
-	// GasLimit is the ledger's block gas limit (0 = unbounded). Optional.
-	GasLimit func(cfg *Config) uint64
-	// ConfirmationDepth hides the newest blocks from pollers until buried
-	// this deep. Optional (default 0: immediate confirmation).
-	ConfirmationDepth func(cfg *Config) uint64
+	NewStateFactory func(store kvstore.Store) (StateFactory, []metrics.CounterProvider, error)
 	// NewConsensus builds the factory producing one node's consensus
 	// engine; env carries the cluster identity material.
-	NewConsensus func(cfg *Config, env *Env) func(consensus.Context) consensus.Engine
+	NewConsensus func(env *Env) func(consensus.Context) consensus.Engine
 }
 
 var (
@@ -121,8 +144,8 @@ func Register(p *Preset) error {
 	if p == nil || p.Kind == "" {
 		return fmt.Errorf("platform: Register: empty kind")
 	}
-	if p.NewEngine == nil || p.NewStateFactory == nil || p.NewConsensus == nil {
-		return fmt.Errorf("platform: Register(%q): NewEngine, NewStateFactory and NewConsensus are mandatory", p.Kind)
+	if p.Build == nil {
+		return fmt.Errorf("platform: Register(%q): Build is mandatory", p.Kind)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -181,38 +204,65 @@ func Describe(kind Kind) string {
 	return ""
 }
 
-// checkOptions rejects generic platform options the preset does not
-// consume (a misspelled or misdirected -popt).
-func (p *Preset) checkOptions(opts map[string]string) error {
-	var unknown []string
-	for k := range opts {
-		known := false
-		for _, ok := range p.OptionKeys {
-			if k == ok {
-				known = true
-				break
-			}
+// positive rejects a decoded count or duration that is not above zero:
+// a pool of no workers or a zero-length timer cannot run, and silently
+// falling back to the default would make the knob lie.
+func positive[T int | uint64 | time.Duration](d *workload.Decoder, key string, v T) T {
+	if v <= 0 {
+		d.Reject(key, "want a positive value")
+	}
+	return v
+}
+
+// decodeStore folds -popt store=mem|lsm and storedir=DIR (which implies
+// lsm) into the typed Config fields, for the presets whose storage
+// engine is selectable (hyperledger keeps its fixed RocksDB-modelled
+// default and takes neither). An LSM run that names no directory gets
+// an ephemeral one, flagged so Cluster.Close removes it; an explicit
+// storedir (or DataDir) is the caller's to keep.
+func decodeStore(cfg *Config, d *workload.Decoder) error {
+	cfg.StoreBackend = d.String("store", cfg.StoreBackend)
+	switch cfg.StoreBackend {
+	case "", "mem", "lsm":
+	default:
+		return fmt.Errorf("store=%q: want mem or lsm", cfg.StoreBackend)
+	}
+	if d.Has("storedir") {
+		switch dir := d.String("storedir", ""); {
+		case dir == "":
+			d.Reject("storedir", "empty directory")
+		case cfg.StoreBackend == "mem":
+			d.Reject("storedir", "conflicts with store=mem")
+		default:
+			cfg.DataDir, cfg.StoreBackend = dir, "lsm"
 		}
-		if !known {
-			unknown = append(unknown, k)
+	}
+	if cfg.StoreBackend == "lsm" && cfg.DataDir == "" {
+		dir, err := os.MkdirTemp("", "blockbench-lsm-")
+		if err != nil {
+			return fmt.Errorf("provisioning LSM data dir: %w", err)
 		}
+		cfg.DataDir, cfg.ephemeralData = dir, true
 	}
-	if len(unknown) == 0 {
-		return nil
+	return nil
+}
+
+// decodeIndex reads -popt index=on|off, the one key every preset takes:
+// the analytics index is read-side only — it never affects consensus or
+// state — so unlike storage and execution it is uniformly selectable.
+func decodeIndex(d *workload.Decoder) bool {
+	v := d.String("index", "on")
+	if v != "on" && v != "off" {
+		d.Reject("index", "want on or off")
 	}
-	sort.Strings(unknown)
-	if len(p.OptionKeys) == 0 {
-		return fmt.Errorf("platform: %s takes no -popt options (got %v)", p.Kind, unknown)
-	}
-	return fmt.Errorf("platform: %s: unknown option(s) %v (known: %v)", p.Kind, unknown, p.OptionKeys)
+	return v != "off"
 }
 
 // defaultOpenStore is the shared storage policy: in-memory maps, or the
 // LSM engine (one directory per node) when DataDir is set — either
 // directly (IOHeavy disk-usage runs) or through -popt store=lsm /
-// storedir= (fillStoreOptions, which provisions an ephemeral DataDir
-// when none was given). -popt store=mem forces the in-memory map even
-// with a DataDir.
+// storedir= (decodeStore). -popt store=mem forces the in-memory map
+// even with a DataDir.
 func defaultOpenStore(cfg *Config, i int) (kvstore.Store, error) {
 	if cfg.StoreBackend == "mem" || cfg.DataDir == "" {
 		return kvstore.NewMem(), nil

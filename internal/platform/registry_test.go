@@ -40,9 +40,9 @@ func TestRegisterRejectsInvalidPresets(t *testing.T) {
 		t.Fatal("empty kind accepted")
 	}
 	p := stubPreset("registry-test-incomplete")
-	p.NewConsensus = nil
+	p.Build = nil
 	if err := Register(p); err == nil {
-		t.Fatal("preset without consensus factory accepted")
+		t.Fatal("preset without a Build hook accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/sharding"
+	"blockbench/internal/workload"
 )
 
 // Sharded is the partitioned-execution preset: the database scaling
@@ -26,6 +27,67 @@ import (
 // engines take the same -popt knobs as the quorum preset.
 const Sharded Kind = "sharded"
 
+// shardedOptions are quorum's knobs plus placement: -popt shards=N
+// (default min(4, nodes), clamped to nodes), partitioner=hash|range and
+// bounds=k1,k2 (range split points, len+1 shards).
+type shardedOptions struct {
+	quorumOptions
+	shards int
+	ranged bool
+	bounds [][]byte
+}
+
+func decodeSharded(cfg *Config, d *workload.Decoder) shardedOptions {
+	o := shardedOptions{quorumOptions: decodeQuorum(cfg, d)}
+	if d.Has("shards") {
+		o.shards = positive(d, "shards", d.Int("shards", 0))
+	}
+	switch d.String("partitioner", "hash") {
+	case "hash":
+	case "range":
+		o.ranged = true
+	default:
+		d.Reject("partitioner", "want hash or range")
+	}
+	if d.Has("bounds") {
+		if !o.ranged {
+			d.Reject("bounds", "requires partitioner=range")
+		}
+		seen := make(map[string]bool)
+		for _, b := range strings.Split(d.String("bounds", ""), ",") {
+			if b == "" {
+				d.Reject("bounds", "empty split point")
+			}
+			if seen[b] {
+				// A duplicate split point would pin an extra shard group
+				// no key can ever reach.
+				d.Reject("bounds", fmt.Sprintf("duplicate split point %q", b))
+			}
+			seen[b] = true
+			o.bounds = append(o.bounds, []byte(b))
+		}
+		// Explicit split points pin the shard count: every router must
+		// place keys over exactly these ranges.
+		n := len(o.bounds) + 1
+		if o.shards > 0 && o.shards != n {
+			d.Reject("bounds", fmt.Sprintf("%d bounds make %d shards, but shards=%d was requested",
+				len(o.bounds), n, o.shards))
+		}
+		if n > cfg.Nodes {
+			d.Reject("bounds", fmt.Sprintf("%d bounds make %d shards, but only %d nodes",
+				len(o.bounds), n, cfg.Nodes))
+		}
+		o.shards = n
+	}
+	if o.shards == 0 {
+		o.shards = sharding.DefaultOptions().Shards
+	}
+	if o.shards > cfg.Nodes {
+		o.shards = cfg.Nodes
+	}
+	return o
+}
+
 func shardedPreset() *Preset {
 	return &Preset{
 		Kind:     Sharded,
@@ -34,115 +96,42 @@ func shardedPreset() *Preset {
 		// roots for versioned-state queries, as on Quorum.
 		SupportsForks:   true,
 		DurableRecovery: true,
-		OptionKeys: append(append(append(append([]string{"shards", "partitioner", "bounds"},
-			raftOptionKeys...), storeOptionKeys...), execOptionKeys...), analyticsOptionKeys...),
-		Fill: func(cfg *Config) error {
-			if err := fillRaftConfig(cfg); err != nil {
-				return err
+		Build: func(cfg *Config, d *workload.Decoder) (*Assembly, error) {
+			o := decodeSharded(cfg, d)
+			opts := sharding.DefaultOptions()
+			opts.Shards = o.shards
+			opts.Partitioner = o.partitioner()
+			opts.Raft = o.raft
+			opts.Seed = cfg.Net.Seed
+			// Same geth lineage as Quorum: EVM, trie state, shared LRU.
+			a := &Assembly{
+				NewStateFactory: trieSharedStateFactory(o.cache),
+				NewConsensus: func(*Env) func(consensus.Context) consensus.Engine {
+					return func(ctx consensus.Context) consensus.Engine { return sharding.New(ctx, opts) }
+				},
 			}
-			if err := fillStoreOptions(cfg); err != nil {
-				return err
-			}
-			if err := fillExecWorkers(cfg); err != nil {
-				return err
-			}
-			if err := fillAnalyticsOption(cfg); err != nil {
-				return err
-			}
-			if cfg.Shards <= 0 {
-				if n, ok, err := poptPositiveInt(cfg, "shards"); err != nil {
-					return err
-				} else if ok {
-					cfg.Shards = n
-				}
-			}
-			if v, ok := cfg.Options["partitioner"]; ok {
-				cfg.Partitioner = v
-			}
-			switch cfg.Partitioner {
-			case "", "hash", "range":
-			default:
-				return fmt.Errorf("platform: sharded: -popt partitioner=%q: want hash or range", cfg.Partitioner)
-			}
-			if v, ok := cfg.Options["bounds"]; ok {
-				if cfg.Partitioner != "range" {
-					return fmt.Errorf("platform: sharded: -popt bounds requires partitioner=range")
-				}
-				cfg.PartitionBounds = strings.Split(v, ",")
-				seen := make(map[string]bool, len(cfg.PartitionBounds))
-				for _, b := range cfg.PartitionBounds {
-					if b == "" {
-						return fmt.Errorf("platform: sharded: -popt bounds=%q: empty split point", v)
-					}
-					if seen[b] {
-						// A duplicate split point would pin an extra shard
-						// group no key can ever reach.
-						return fmt.Errorf("platform: sharded: -popt bounds=%q: duplicate split point %q", v, b)
-					}
-					seen[b] = true
-				}
-				// Explicit split points pin the shard count: every router
-				// must place keys over exactly these ranges.
-				n := len(cfg.PartitionBounds) + 1
-				if cfg.Shards > 0 && cfg.Shards != n {
-					return fmt.Errorf("platform: sharded: %d bounds make %d shards, but shards=%d was requested",
-						len(cfg.PartitionBounds), n, cfg.Shards)
-				}
-				if n > cfg.Nodes {
-					return fmt.Errorf("platform: sharded: %d bounds make %d shards, but only %d nodes", len(cfg.PartitionBounds), n, cfg.Nodes)
-				}
-				cfg.Shards = n
-			}
-			if cfg.Shards <= 0 {
-				cfg.Shards = 4
-			}
-			if cfg.Shards > cfg.Nodes {
-				cfg.Shards = cfg.Nodes
-			}
-			return nil
-		},
-		// Same geth lineage as Quorum: EVM, trie state, shared LRU.
-		MemModel:        gethMemModel,
-		NewEngine:       newEVMEngine,
-		NewStateFactory: trieSharedStateFactory,
-		NewConsensus: func(cfg *Config, _ *Env) func(consensus.Context) consensus.Engine {
-			shards := cfg.Shards
-			ropts := raftOptions(cfg)
-			part := shardPartitioner(cfg)
-			seed := cfg.Net.Seed
-			return func(ctx consensus.Context) consensus.Engine {
-				opts := sharding.DefaultOptions()
-				opts.Shards = shards
-				opts.Partitioner = part
-				opts.Raft = ropts
-				opts.Seed = seed
-				return sharding.New(ctx, opts)
-			}
+			return a, buildEVM(cfg, d, a, gethMemModel)
 		},
 	}
 }
 
-// shardPartitioner builds the placement function every node of the
-// cluster shares (construction must be deterministic from the config —
-// all routers have to agree). nil lets the sharding engine default to
-// hash partitioning over the clamped shard count.
-func shardPartitioner(cfg *Config) sharding.Partitioner {
-	if cfg.Partitioner != "range" {
+// partitioner builds the placement function every node of the cluster
+// shares (construction must be deterministic from the options — all
+// routers have to agree). nil lets the sharding engine default to hash
+// partitioning over the clamped shard count.
+func (o *shardedOptions) partitioner() sharding.Partitioner {
+	if !o.ranged {
 		return nil
 	}
-	if len(cfg.PartitionBounds) > 0 {
-		bounds := make([][]byte, len(cfg.PartitionBounds))
-		for i, b := range cfg.PartitionBounds {
-			bounds[i] = []byte(b)
+	bounds := o.bounds
+	if bounds == nil {
+		// No explicit split points: split the key space evenly by leading
+		// byte. Workloads whose keys share a prefix will hotspot one range —
+		// pass -popt bounds= split points matched to the key population.
+		bounds = make([][]byte, o.shards-1)
+		for i := range bounds {
+			bounds[i] = []byte{byte(256 * (i + 1) / o.shards)}
 		}
-		return sharding.NewRangePartitioner(bounds...)
-	}
-	// No explicit split points: split the key space evenly by leading
-	// byte. Workloads whose keys share a prefix will hotspot one range —
-	// pass -popt bounds= split points matched to the key population.
-	bounds := make([][]byte, cfg.Shards-1)
-	for i := range bounds {
-		bounds[i] = []byte{byte(256 * (i + 1) / cfg.Shards)}
 	}
 	return sharding.NewRangePartitioner(bounds...)
 }

@@ -1,5 +1,5 @@
-// Contention benchmarks for the sharded pool against the pre-sharding
-// single-mutex implementation (kept below as mutexPool). Each benchmark
+// Contention benchmarks for the sharded pool (the retired single-mutex
+// baseline's last numbers are in EXPERIMENTS.md). Each benchmark
 // iteration runs a fixed node-shaped workload — N adder goroutines on
 // the ingestion path racing one block producer's Batch+MarkIncluded
 // cycle over a deep standing pool — and reports transactions per
@@ -15,14 +15,6 @@ import (
 
 	"blockbench/internal/types"
 )
-
-// benchPool is the surface both implementations share.
-type benchPool interface {
-	Add(*types.Transaction) bool
-	Batch(int, uint64) []*types.Transaction
-	MarkIncluded([]*types.Transaction)
-	Len() int
-}
 
 const (
 	benchTxsPerG  = 4096  // transactions each adder goroutine admits
@@ -61,7 +53,7 @@ func benchTxSets(goroutines int) ([][]*types.Transaction, []*types.Transaction) 
 // producer cycles Batch+MarkIncluded until the pool drains, all over a
 // deep standing backlog — and returns the number of transactions that
 // passed through the pool.
-func runContention(p benchPool, sets [][]*types.Transaction, backlog []*types.Transaction) int {
+func runContention(p *Pool, sets [][]*types.Transaction, backlog []*types.Transaction) int {
 	for _, tx := range backlog {
 		p.Add(tx)
 	}
@@ -99,121 +91,35 @@ func runContention(p benchPool, sets [][]*types.Transaction, backlog []*types.Tr
 	return len(backlog) + len(sets)*benchTxsPerG
 }
 
-func benchContention(b *testing.B, goroutines int, newPool func() benchPool) {
+func benchContention(b *testing.B, goroutines int) {
 	sets, backlog := benchTxSets(goroutines)
 	b.ResetTimer()
 	txs := 0
 	for i := 0; i < b.N; i++ {
-		txs += runContention(newPool(), sets, backlog)
+		txs += runContention(New(0), sets, backlog)
 	}
 	b.ReportMetric(float64(txs)/b.Elapsed().Seconds(), "tx/s")
 }
 
-func BenchmarkPoolContentionSharded8(b *testing.B) {
-	benchContention(b, 8, func() benchPool { return New(0) })
-}
+func BenchmarkPoolContentionSharded8(b *testing.B) { benchContention(b, 8) }
 
-func BenchmarkPoolContentionSharded16(b *testing.B) {
-	benchContention(b, 16, func() benchPool { return New(0) })
-}
+func BenchmarkPoolContentionSharded16(b *testing.B) { benchContention(b, 16) }
 
-func BenchmarkPoolContentionMutex8(b *testing.B) {
-	benchContention(b, 8, func() benchPool { return newMutexPool(0) })
-}
-
-func BenchmarkPoolContentionMutex16(b *testing.B) {
-	benchContention(b, 16, func() benchPool { return newMutexPool(0) })
-}
-
-// TestShardedMatchesMutexUnderContention cross-checks the two
-// implementations: after the same concurrent workload both must end
-// empty-or-consistent, with every admitted transaction either included
-// or still pending exactly once.
-func TestShardedMatchesMutexUnderContention(t *testing.T) {
+// TestPoolConsistentUnderContention: after the concurrent workload the
+// pool must end consistent, with every admitted transaction either
+// included or still pending exactly once.
+func TestPoolConsistentUnderContention(t *testing.T) {
 	sets, backlog := benchTxSets(4)
-	for _, p := range []benchPool{New(0), newMutexPool(0)} {
-		runContention(p, sets, backlog)
-		seen := make(map[types.Hash]int)
-		for _, tx := range p.Batch(0, 0) {
-			seen[tx.Hash()]++
-			if seen[tx.Hash()] > 1 {
-				t.Fatalf("%T: duplicate pending transaction", p)
-			}
-		}
-		if p.Len() != len(seen) {
-			t.Fatalf("%T: Len=%d but Batch returned %d", p, p.Len(), len(seen))
+	p := New(0)
+	runContention(p, sets, backlog)
+	seen := make(map[types.Hash]int)
+	for _, tx := range p.Batch(0, 0) {
+		seen[tx.Hash()]++
+		if seen[tx.Hash()] > 1 {
+			t.Fatal("duplicate pending transaction")
 		}
 	}
-}
-
-// mutexPool is the pre-sharding implementation: one mutex, one FIFO
-// slice, O(pool) MarkIncluded. It is the baseline the contention
-// benchmarks compare against.
-type mutexPool struct {
-	mu      sync.Mutex
-	pending []*types.Transaction
-	index   map[types.Hash]int
-	limit   int
-}
-
-func newMutexPool(limit int) *mutexPool {
-	return &mutexPool{index: make(map[types.Hash]int), limit: limit}
-}
-
-func (p *mutexPool) Add(tx *types.Transaction) bool {
-	h := tx.Hash()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, known := p.index[h]; known {
-		return false
+	if p.Len() != len(seen) {
+		t.Fatalf("Len=%d but Batch returned %d", p.Len(), len(seen))
 	}
-	if p.limit > 0 && len(p.pending) >= p.limit {
-		return false
-	}
-	p.index[h] = len(p.pending)
-	p.pending = append(p.pending, tx)
-	return true
-}
-
-func (p *mutexPool) Batch(maxTxs int, gasLimit uint64) []*types.Transaction {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []*types.Transaction
-	var gas uint64
-	for _, tx := range p.pending {
-		if maxTxs > 0 && len(out) >= maxTxs {
-			break
-		}
-		if gasLimit > 0 && gas+tx.GasLimit > gasLimit {
-			break
-		}
-		gas += tx.GasLimit
-		out = append(out, tx)
-	}
-	return out
-}
-
-func (p *mutexPool) MarkIncluded(txs []*types.Transaction) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	drop := make(map[types.Hash]bool, len(txs))
-	for _, tx := range txs {
-		h := tx.Hash()
-		drop[h] = true
-		p.index[h] = -1
-	}
-	kept := p.pending[:0]
-	for _, tx := range p.pending {
-		if !drop[tx.Hash()] {
-			p.index[tx.Hash()] = len(kept)
-			kept = append(kept, tx)
-		}
-	}
-	p.pending = kept
-}
-
-func (p *mutexPool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending)
 }

@@ -15,9 +15,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
-// Options carries the -wopt key=val parameters into a workload factory.
+// Options carries key=val parameters into a factory: -wopt into a
+// workload's, -popt into a platform preset's (platform.Config.Options).
 type Options map[string]string
 
 // Spec describes one registered workload.
@@ -123,16 +125,17 @@ func Contracts(name string) []string {
 	return append([]string(nil), specs[name].Contracts...)
 }
 
-// ParseOptions turns repeated "key=val" CLI arguments into Options.
+// ParseOptions turns repeated "key=val" CLI arguments (-wopt, -popt)
+// into Options.
 func ParseOptions(kvs []string) (Options, error) {
 	opts := make(Options, len(kvs))
 	for _, kv := range kvs {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok || k == "" {
-			return nil, fmt.Errorf("workload: option %q is not key=val", kv)
+			return nil, fmt.Errorf("option %q is not key=val", kv)
 		}
 		if _, dup := opts[k]; dup {
-			return nil, fmt.Errorf("workload: option %q given twice", k)
+			return nil, fmt.Errorf("option %q given twice", k)
 		}
 		opts[k] = v
 	}
@@ -141,7 +144,8 @@ func ParseOptions(kvs []string) (Options, error) {
 
 // Decoder reads typed values out of Options, accumulating the first
 // conversion error and tracking which keys were consumed so factories
-// can reject typos with Finish.
+// can reject typos with Finish. The keys a factory reads are its whole
+// option surface: there is no separate list to keep in step.
 type Decoder struct {
 	opts Options
 	used map[string]bool
@@ -159,9 +163,12 @@ func (d *Decoder) lookup(key string) (string, bool) {
 	return v, ok
 }
 
-func (d *Decoder) fail(key, val, kind string) {
+// Reject records that the factory cannot use key's value — a failed
+// conversion here, or a range check in the factory once the value is
+// decoded. Finish reports the first rejection.
+func (d *Decoder) Reject(key, why string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("option %s=%q: not a %s", key, val, kind)
+		d.err = fmt.Errorf("option %s=%q: %s", key, d.opts[key], why)
 	}
 }
 
@@ -173,7 +180,7 @@ func (d *Decoder) Int(key string, def int) int {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		d.fail(key, v, "number")
+		d.Reject(key, "not a number")
 		return def
 	}
 	return n
@@ -187,7 +194,7 @@ func (d *Decoder) Uint64(key string, def uint64) uint64 {
 	}
 	n, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		d.fail(key, v, "number")
+		d.Reject(key, "not a number")
 		return def
 	}
 	return n
@@ -201,7 +208,7 @@ func (d *Decoder) Float(key string, def float64) float64 {
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		d.fail(key, v, "number")
+		d.Reject(key, "not a number")
 		return def
 	}
 	return f
@@ -215,10 +222,31 @@ func (d *Decoder) Bool(key string, def bool) bool {
 	}
 	b, err := strconv.ParseBool(v)
 	if err != nil {
-		d.fail(key, v, "boolean")
+		d.Reject(key, "not a boolean")
 		return def
 	}
 	return b
+}
+
+// Has reports whether key was given at all, for options whose absence
+// means something a value cannot say (derive it, leave it alone).
+func (d *Decoder) Has(key string) bool {
+	_, ok := d.lookup(key)
+	return ok
+}
+
+// Duration reads a time.Duration option ("10ms"), or def when absent.
+func (d *Decoder) Duration(key string, def time.Duration) time.Duration {
+	v, ok := d.lookup(key)
+	if !ok {
+		return def
+	}
+	t, err := time.ParseDuration(v)
+	if err != nil {
+		d.Reject(key, "not a duration (e.g. 10ms)")
+		return def
+	}
+	return t
 }
 
 // String reads a string option, or def when absent.
@@ -229,8 +257,9 @@ func (d *Decoder) String(key, def string) string {
 	return def
 }
 
-// Finish returns the first conversion error, or an error naming any
-// option key the factory never consumed (a misspelled -wopt).
+// Finish returns the first rejection, or an error naming any option key
+// the factory never consumed (a misspelled or misdirected -wopt/-popt)
+// next to the keys it did consult.
 func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err
@@ -241,9 +270,14 @@ func (d *Decoder) Finish() error {
 			unknown = append(unknown, k)
 		}
 	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return fmt.Errorf("unknown option(s) %v", unknown)
+	if len(unknown) == 0 {
+		return nil
 	}
-	return nil
+	known := make([]string, 0, len(d.used))
+	for k := range d.used {
+		known = append(known, k)
+	}
+	sort.Strings(unknown)
+	sort.Strings(known)
+	return fmt.Errorf("unknown option(s) %v (known: %v)", unknown, known)
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRegisterValidation(t *testing.T) {
@@ -71,7 +72,7 @@ func TestParseOptions(t *testing.T) {
 
 func TestDecoderTypesAndDefaults(t *testing.T) {
 	d := NewDecoder(Options{
-		"i": "42", "u": "7", "f": "0.25", "b": "true", "s": "zipfian",
+		"i": "42", "u": "7", "f": "0.25", "b": "true", "s": "zipfian", "d": "15ms", "empty": "",
 	})
 	if got := d.Int("i", 0); got != 42 {
 		t.Fatalf("Int = %d", got)
@@ -88,8 +89,18 @@ func TestDecoderTypesAndDefaults(t *testing.T) {
 	if got := d.String("s", ""); got != "zipfian" {
 		t.Fatalf("String = %q", got)
 	}
+	if got := d.Duration("d", 0); got != 15*time.Millisecond {
+		t.Fatalf("Duration = %v", got)
+	}
 	if got := d.Int("missing", 99); got != 99 {
 		t.Fatalf("default = %d", got)
+	}
+	if got := d.Duration("missing", time.Second); got != time.Second {
+		t.Fatalf("Duration default = %v", got)
+	}
+	// Has tells an empty value from an absent key.
+	if !d.Has("empty") || d.Has("missing") {
+		t.Fatalf("Has(empty)=%v Has(missing)=%v", d.Has("empty"), d.Has("missing"))
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
@@ -102,11 +113,28 @@ func TestDecoderErrors(t *testing.T) {
 	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "records") {
 		t.Fatalf("conversion error lost: %v", err)
 	}
-	// Unconsumed keys are a typo'd -wopt.
+	d = NewDecoder(Options{"heartbeat": "fast"})
+	d.Duration("heartbeat", 0)
+	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), `heartbeat="fast"`) {
+		t.Fatalf("duration conversion error lost: %v", err)
+	}
+	// A factory's own range check reports like a conversion failure, and
+	// the first rejection wins.
+	d = NewDecoder(Options{"workers": "0", "batch": "-1"})
+	d.Reject("workers", "want a positive value")
+	d.Reject("batch", "want a positive value")
+	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), `workers="0": want a positive value`) {
+		t.Fatalf("rejection lost: %v", err)
+	}
+	// Unconsumed keys are a typo'd -wopt / -popt; the error lists the
+	// keys the factory did consult.
 	d = NewDecoder(Options{"recrods": "10"})
 	d.Int("records", 0)
-	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "recrods") {
-		t.Fatalf("unknown option not flagged: %v", err)
+	d.Has("valuesize")
+	err := d.Finish()
+	if err == nil || !strings.Contains(err.Error(), "[recrods]") ||
+		!strings.Contains(err.Error(), "known: [records valuesize]") {
+		t.Fatalf("unknown option not flagged with the known keys: %v", err)
 	}
 }
 

@@ -13,20 +13,9 @@ import (
 // state) rather than from an in-memory snapshot of nothing.
 func durableCluster(t *testing.T, kind Platform, nodes, clients int, mut func(*ClusterConfig)) *Cluster {
 	t.Helper()
-	cfg := ClusterConfig{
-		Kind:              kind,
-		Nodes:             nodes,
-		Contracts:         []string{"ycsb", "smallbank", "donothing"},
-		DataDir:           t.TempDir(),
-		BlockInterval:     40 * time.Millisecond,
-		StepDuration:      20 * time.Millisecond,
-		IngestCost:        2 * time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		ViewTimeout:       200 * time.Millisecond,
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
-	}
+	cfg := testConfig(kind, nodes)
+	cfg.Contracts = []string{"ycsb", "smallbank", "donothing"}
+	cfg.DataDir = t.TempDir()
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -139,7 +128,7 @@ func TestQuorumCrashRecoveryByteIdentical(t *testing.T) {
 // still converge byte-identically.
 func TestQuorumRejoinViaInstallSnapshot(t *testing.T) {
 	c := durableCluster(t, Quorum, 4, 2, func(cfg *ClusterConfig) {
-		cfg.RaftRetain = 8 // compact aggressively so the gap outgrows the log
+		cfg.Options["retain"] = "8" // compact aggressively so the gap outgrows the log
 	})
 	// Commit a little history first so the killed node persists a chain
 	// prefix it must extend (not bootstrap) after restart.
@@ -174,7 +163,7 @@ func TestQuorumRejoinViaInstallSnapshot(t *testing.T) {
 // by the driver's invariant checker plus the workload's own hook.
 func TestShardedGatewayCrashMid2PC(t *testing.T) {
 	c := durableCluster(t, Sharded, 6, 3, func(cfg *ClusterConfig) {
-		cfg.Shards = 2 // 3 replicas per group: one kill keeps the majority
+		cfg.Options["shards"] = "2" // 3 replicas per group: one kill keeps the majority
 	})
 	w := &SmallbankWorkload{Accounts: 20, InitialBalance: 1000}
 	r, err := Run(c, w, RunConfig{

@@ -2,6 +2,7 @@ package blockbench_test
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -13,16 +14,10 @@ import (
 // test-fast timings.
 func fastShardedCluster(t *testing.T, nodes, shards, clients int, w blockbench.Workload) *blockbench.Cluster {
 	t.Helper()
-	c, err := blockbench.NewCluster(blockbench.ClusterConfig{
-		Kind:              blockbench.Sharded,
-		Nodes:             nodes,
-		Shards:            shards,
-		Contracts:         w.Contracts(),
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
-	}, clients)
+	cfg := blockbench.TestingConfig(blockbench.Sharded, nodes)
+	cfg.Contracts = w.Contracts()
+	cfg.Options["shards"] = strconv.Itoa(shards)
+	c, err := blockbench.NewCluster(cfg, clients)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,16 +90,10 @@ func checkStages(t *testing.T, stages map[string]StageStat, counted ...string) {
 // every exported span must still read as the canonical pipeline
 // sequence, and the per-stage breakdown must cover the whole pipeline.
 func TestTraceLifecycleQuorumParallelExec(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Kind:              Quorum,
-		Nodes:             4,
-		Contracts:         []string{"ycsb"},
-		ExecWorkers:       4,
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
-	}, 4)
+	cfg := testConfig(Quorum, 4)
+	cfg.Contracts = []string{"ycsb"}
+	cfg.Options["workers"] = "4"
+	c, err := NewCluster(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +137,10 @@ func TestTraceLifecycleQuorumParallelExec(t *testing.T) {
 // path and still export in canonical order.
 func TestTraceLifecycleSharded2PC(t *testing.T) {
 	w := MustWorkload("smallbank", WorkloadOptions{"accounts": "60"})
-	c, err := NewCluster(ClusterConfig{
-		Kind:              Sharded,
-		Nodes:             4,
-		Shards:            2,
-		Contracts:         w.Contracts(),
-		ElectionTimeout:   80 * time.Millisecond,
-		HeartbeatInterval: 5 * time.Millisecond,
-		BatchTimeout:      5 * time.Millisecond,
-		RPCLatency:        time.Microsecond,
-	}, 4)
+	cfg := testConfig(Sharded, 4)
+	cfg.Contracts = w.Contracts()
+	cfg.Options["shards"] = "2"
+	c, err := NewCluster(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

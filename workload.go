@@ -90,9 +90,3 @@ func WorkloadDescribe(name string) string { return workload.Describe(name) }
 // WorkloadContracts returns the contracts a registered workload deploys
 // without instantiating it (nil if unknown).
 func WorkloadContracts(name string) []string { return workload.Contracts(name) }
-
-// ParseWorkloadOptions turns repeated "key=val" strings (the CLI's
-// -wopt values) into WorkloadOptions.
-func ParseWorkloadOptions(kvs []string) (WorkloadOptions, error) {
-	return workload.ParseOptions(kvs)
-}
