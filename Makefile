@@ -7,7 +7,8 @@
 #                write the results to BENCH_ci.json so the performance
 #                trajectory accumulates across PRs
 #   make allocprof PLATFORM=hyperledger WORKLOAD=smallbank SECONDS=5
-#                where a live run's allocated bytes go (top 15 frames)
+#                where a live run's allocated bytes go (top 15 frames);
+#                ARGS='-popt store=lsm -wopt tuples=10' reaches the CLI
 #   make loc     the non-test Go line count ROADMAP's design-shrink item
 #                tracks (bench/ excluded)
 GO ?= go
@@ -33,7 +34,8 @@ race:
 # pipeline, the run handle's snapshot-stream overhead and the sharded
 # platform's shard-scaling sweep at S=1/2/4/8) it runs the txpool
 # contention benchmarks, the trie-commit allocation benchmarks
-# (internal/mpt) and the raft engine benchmarks (commit latency,
+# (internal/mpt), the LRU put-at-capacity/get-hit benchmarks
+# (internal/lru) and the raft engine benchmarks (commit latency,
 # long-run log residency with compaction on/off) and the
 # storage-engine benchmarks (internal/kvstore: LSM
 # point reads vs history length, range scans, flat-cache hits) and the
@@ -44,7 +46,7 @@ race:
 # mix) and the lifecycle tracer's overhead sweep (submission throughput
 # with sampling off, at the 1% default, and at sample-everything).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/consensus/raft ./internal/kvstore ./internal/bmt > BENCH_ci.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt > BENCH_ci.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_ci.json | sed 's/"Output":"//;s/\\n$$//' || true
 
 # bench-check is the CI regression gate: run only the tracked benchmark
@@ -65,17 +67,21 @@ bench-check:
 # profile (everything allocated since process start) fetched from
 # /debug/pprof/allocs three quarters of the way through, and the top
 # frames by bytes printed. The profile stays in $(ALLOCPROF_OUT) for
-# `go tool pprof -list` or a diff against another commit's.
+# `go tool pprof -list` or a diff against another commit's. ARGS is
+# appended to the CLI line (-popt/-wopt and the like), e.g. the trie
+# write path: PLATFORM=quorum WORKLOAD=ioheavy
+# ARGS='-popt store=lsm -wopt tuples=10'.
 PLATFORM ?= hyperledger
 WORKLOAD ?= smallbank
 SECONDS ?= 5
+ARGS ?=
 ALLOCPROF_ADDR ?= 127.0.0.1:6062
 ALLOCPROF_OUT ?= allocs.pprof
 
 allocprof:
 	@set -eu; \
 	$(GO) run ./cmd/blockbench -platform $(PLATFORM) -workload $(WORKLOAD) \
-		-nodes 4 -duration $(SECONDS)s -http $(ALLOCPROF_ADDR) -quiet & \
+		-nodes 4 -duration $(SECONDS)s -http $(ALLOCPROF_ADDR) -quiet $(ARGS) & \
 	run_pid=$$!; \
 	for i in $$(seq 1 100); do \
 		curl -sf http://$(ALLOCPROF_ADDR)/healthz > /dev/null && break; \

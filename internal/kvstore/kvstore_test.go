@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -303,7 +304,8 @@ func TestLSMDiskBytesGrow(t *testing.T) {
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(k string, v []byte, del bool) bool {
 		var buf bytes.Buffer
-		if err := writeRecord(&buf, k, v, del); err != nil {
+		w := bufio.NewWriter(&buf)
+		if err := writeRecord(w, k, v, del); err != nil || w.Flush() != nil {
 			return false
 		}
 		k2, v2, del2, err := readRecord(&buf)

@@ -215,17 +215,20 @@ func (s *LSM) memApply(k string, v []byte, del bool) {
 }
 
 // record layout: flag(1) klen(4) vlen(4) key val
-func writeRecord(w io.Writer, k string, v []byte, del bool) error {
-	var hdr [9]byte
+//
+// The header is built in the writer's own spare buffer space: a local
+// array would escape through Write, one heap object per record.
+func writeRecord(w *bufio.Writer, k string, v []byte, del bool) error {
+	hdr := append(w.AvailableBuffer(), 0)
 	if del {
 		hdr[0] = 1
 	}
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(k)))
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(v)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(k)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(v)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	if _, err := io.WriteString(w, k); err != nil {
+	if _, err := w.WriteString(k); err != nil {
 		return err
 	}
 	_, err := w.Write(v)
@@ -291,12 +294,13 @@ func (s *LSM) Put(key, value []byte) error {
 		return ErrClosed
 	}
 	s.puts.Add(1)
+	k := string(key)
 	v := make([]byte, len(value))
 	copy(v, value)
-	if err := s.walAppend(string(key), v, false); err != nil {
+	if err := s.walAppend(k, v, false); err != nil {
 		return err
 	}
-	s.memApply(string(key), v, false)
+	s.memApply(k, v, false)
 	return s.maybeFlush()
 }
 
@@ -308,10 +312,11 @@ func (s *LSM) Delete(key []byte) error {
 		return ErrClosed
 	}
 	s.dels.Add(1)
-	if err := s.walAppend(string(key), nil, true); err != nil {
+	k := string(key)
+	if err := s.walAppend(k, nil, true); err != nil {
 		return err
 	}
-	s.memApply(string(key), nil, true)
+	s.memApply(k, nil, true)
 	return s.maybeFlush()
 }
 
@@ -331,8 +336,9 @@ func (s *LSM) Get(key []byte) ([]byte, bool, error) {
 		copy(out, e.value)
 		return out, true, nil
 	}
+	k := string(key)
 	for _, r := range s.runs {
-		v, del, ok, err := r.get(string(key), &s.bloomProbes, &s.bloomSkips)
+		v, del, ok, err := r.get(k, &s.bloomProbes, &s.bloomSkips)
 		if err != nil {
 			return nil, false, err
 		}
@@ -383,7 +389,7 @@ func (s *LSM) flushLocked() error {
 		return err
 	}
 	s.runs = append([]*run{r}, s.runs...)
-	s.mem = make(map[string]entry)
+	clear(s.mem) // keeps its buckets: the next memtable grows to the same size
 	s.memBytes = 0
 	s.flushes.Add(1)
 

@@ -417,9 +417,9 @@ func (r *run) get(key string, probes, skips *atomic.Uint64) (v []byte, del, ok b
 	if lo >= hi {
 		return nil, false, false, nil
 	}
-	br := iterBufPool.Get().(*bufio.Reader)
-	defer iterBufPool.Put(br)
-	br.Reset(io.NewSectionReader(r.f, lo, hi-lo))
+	rr := r.region(lo, hi-lo)
+	defer regionPool.Put(rr)
+	br := rr.br
 	// Step through the region without materialising the records we pass
 	// over: peek the header and key in place, and only allocate for the
 	// one value we return. A region holds at most indexStride records, so
@@ -501,11 +501,27 @@ func cmpBytesString(b []byte, s string) int {
 	return 0
 }
 
-// iterBufPool recycles the buffered readers behind point-read regions
-// and run iterators, so scan-heavy workloads do not reallocate buffers
-// per probe.
-var iterBufPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 32<<10) },
+// regionReader is a buffered reader over one region of a run file. The
+// section reader is held by value next to the buffer that reads from it,
+// so pointing a pooled regionReader at a new region allocates nothing.
+type regionReader struct {
+	sec io.SectionReader
+	br  *bufio.Reader
+}
+
+// regionPool recycles the readers behind point-read regions and run
+// iterators, so read-heavy workloads do not reallocate buffers per probe.
+var regionPool = sync.Pool{
+	New: func() any { return &regionReader{br: bufio.NewReaderSize(nil, 32<<10)} },
+}
+
+// region returns a pooled reader over n bytes of the run file at off;
+// the caller hands it back with regionPool.Put.
+func (r *run) region(off, n int64) *regionReader {
+	rr := regionPool.Get().(*regionReader)
+	rr.sec = *io.NewSectionReader(r.f, off, n)
+	rr.br.Reset(&rr.sec)
+	return rr
 }
 
 // kvIter is a sorted stream of (key, value, tombstone) records.
@@ -516,7 +532,7 @@ type kvIter interface {
 // runIterator streams a run's record section in key order, starting at
 // the greatest indexed key <= start.
 type runIterator struct {
-	br    *bufio.Reader
+	rr    *regionReader
 	start string
 	begun bool
 }
@@ -526,14 +542,12 @@ func (r *run) iterator(start string) *runIterator {
 	if start > r.minKey {
 		lo, _ = r.blockFor(start)
 	}
-	br := iterBufPool.Get().(*bufio.Reader)
-	br.Reset(io.NewSectionReader(r.f, lo, r.dataLen-lo))
-	return &runIterator{br: br, start: start}
+	return &runIterator{rr: r.region(lo, r.dataLen-lo), start: start}
 }
 
 func (it *runIterator) next() (string, []byte, bool, bool, error) {
 	for {
-		key, v, del, err := readRecord(it.br)
+		key, v, del, err := readRecord(it.rr.br)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return "", nil, false, false, nil
 		}
@@ -548,7 +562,7 @@ func (it *runIterator) next() (string, []byte, bool, bool, error) {
 	}
 }
 
-func (it *runIterator) close() { iterBufPool.Put(it.br) }
+func (it *runIterator) close() { regionPool.Put(it.rr) }
 
 // memEnt is one memtable record snapshotted for iteration.
 type memEnt struct {

@@ -1,72 +1,92 @@
 // Package lru implements the fixed-capacity least-recently-used cache
 // that the Ethereum preset places in front of its state trie ("Ethereum
 // only caches parts of the state in memory, using LRU for eviction
-// policy").
+// policy"). One generic cache serves both the decoded trie-node cache
+// and the flat-state value cache.
 package lru
 
-import "container/list"
-
-// Cache maps string keys to byte-slice values with LRU eviction. It is
-// not safe for concurrent use; callers hold their own locks.
-type Cache struct {
+// Cache maps keys to values with LRU eviction. Entries are linked
+// intrusively: a new key costs one allocation, a hit or refresh none,
+// and at capacity the evicted entry is recycled for the incoming key.
+// It is not safe for concurrent use; callers hold their own locks.
+type Cache[K comparable, V any] struct {
 	cap   int
-	ll    *list.List
-	items map[string]*list.Element
+	items map[K]*entry[K, V]
+	// head is the list sentinel: head.next is the most recently used
+	// entry, head.prev the eviction candidate.
+	head entry[K, V]
 
 	hits, misses uint64
 }
 
-type pair struct {
-	key   string
-	value []byte
+type entry[K comparable, V any] struct {
+	key        K
+	value      V
+	prev, next *entry[K, V]
 }
 
 // New creates a cache holding at most capacity entries. A non-positive
 // capacity yields a cache that stores nothing.
-func New(capacity int) *Cache {
-	return &Cache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+func New[K comparable, V any](capacity int) *Cache[K, V] {
+	c := &Cache[K, V]{cap: capacity, items: make(map[K]*entry[K, V])}
+	c.head.prev, c.head.next = &c.head, &c.head
+	return c
+}
+
+func (e *entry[K, V]) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
+	e.prev, e.next = &c.head, c.head.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // Get returns the cached value and whether it was present.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	if e, ok := c.items[key]; ok {
-		c.ll.MoveToFront(e)
+		e.unlink()
+		c.pushFront(e)
 		c.hits++
-		return e.Value.(*pair).value, true
+		return e.value, true
 	}
 	c.misses++
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Put inserts or refreshes key=value, evicting the LRU entry on overflow.
-func (c *Cache) Put(key string, value []byte) {
+func (c *Cache[K, V]) Put(key K, value V) {
 	if c.cap <= 0 {
 		return
 	}
-	if e, ok := c.items[key]; ok {
-		c.ll.MoveToFront(e)
-		e.Value.(*pair).value = value
-		return
+	e, ok := c.items[key]
+	switch {
+	case ok:
+		e.unlink()
+	case len(c.items) >= c.cap:
+		e = c.head.prev
+		e.unlink()
+		delete(c.items, e.key)
+		c.items[key] = e
+	default:
+		e = &entry[K, V]{}
+		c.items[key] = e
 	}
-	e := c.ll.PushFront(&pair{key: key, value: value})
-	c.items[key] = e
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*pair).key)
-	}
+	e.key, e.value = key, value
+	c.pushFront(e)
 }
 
 // Remove drops key from the cache if present.
-func (c *Cache) Remove(key string) {
+func (c *Cache[K, V]) Remove(key K) {
 	if e, ok := c.items[key]; ok {
-		c.ll.Remove(e)
+		e.unlink()
 		delete(c.items, key)
 	}
 }
 
 // Len returns the number of resident entries.
-func (c *Cache) Len() int { return c.ll.Len() }
+func (c *Cache[K, V]) Len() int { return len(c.items) }
 
 // Stats returns hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
+func (c *Cache[K, V]) Stats() (hits, misses uint64) { return c.hits, c.misses }

@@ -84,9 +84,9 @@ func BenchmarkTrieCommitAllocs(b *testing.B) {
 }
 
 // BenchmarkTrieCommitCached is the same commit under a shared node
-// cache (the geth-lineage production configuration): the cache retains
-// every persisted encoding, so this tracks the one remaining per-node
-// copy on the write path.
+// cache (the geth-lineage production configuration): Commit publishes
+// the node objects it persisted, so the cache costs the write path no
+// copy — only whatever the cache itself allocates per entry.
 func BenchmarkTrieCommitCached(b *testing.B) {
 	store := kvstore.NewMem()
 	tr, _ := NewWithCache(store, types.ZeroHash, newMapCache())
@@ -104,10 +104,11 @@ func BenchmarkTrieCommitCached(b *testing.B) {
 	}
 }
 
-// mapCache is a minimal NodeCache for benchmarks.
-type mapCache map[string][]byte
+// mapCache is a minimal unbounded NodeCache for benchmarks and
+// single-goroutine tests.
+type mapCache map[types.Hash]Node
 
 func newMapCache() mapCache { return make(mapCache) }
 
-func (c mapCache) Get(key string) ([]byte, bool) { v, ok := c[key]; return v, ok }
-func (c mapCache) Put(key string, value []byte)  { c[key] = value }
+func (c mapCache) Get(h types.Hash) (Node, bool) { n, ok := c[h]; return n, ok }
+func (c mapCache) Put(h types.Hash, n Node)      { c[h] = n }

@@ -10,9 +10,19 @@
 // (b) reproduces the write amplification that the paper's IOHeavy
 // experiment observes for Ethereum and Parity relative to Hyperledger's
 // plain key-value layout.
+//
+// Node lifecycle. A node is dirty from the moment Put or Delete creates
+// it until the Commit that persists it, and clean from then on; a node
+// decoded from the store is born clean. Dirty nodes are reachable only
+// from the trie that created them, so that trie mutates them in place.
+// A clean node's content is never written again — Commit hands the very
+// node object to the shared NodeCache, where other tries read it without
+// a lock — so Put and Delete copy a clean node before changing it, and
+// Commit skips it: a node version is hashed and persisted exactly once.
 package mpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -24,48 +34,80 @@ import (
 // truncated or corrupted node store.
 var ErrNotFound = errors.New("mpt: node not found")
 
-type node interface{}
+// Node is a decoded trie node, opaque outside this package: a NodeCache
+// stores and returns Nodes but cannot look inside or build one.
+type Node interface{ meta() *nodeMeta }
+
+// nodeMeta is the lifecycle state every node carries.
+type nodeMeta struct {
+	hash   types.Hash // content hash, valid while hashed
+	hashed bool       // cleared by every in-place mutation
+	clean  bool       // persisted under hash: immutable, Commit skips it
+}
+
+func (m *nodeMeta) meta() *nodeMeta { return m }
+
+// ref is a child slot: the child itself once resolved, otherwise the
+// hash it is persisted under (zero: no child). h is meaningful only
+// while n is nil.
+type ref struct {
+	n Node
+	h types.Hash
+}
+
+func (r *ref) empty() bool { return r.n == nil && r.h.IsZero() }
 
 type (
 	// leafNode holds the tail of a key path and its value.
 	leafNode struct {
+		nodeMeta
 		path  []byte // nibbles
 		value []byte
 	}
 	// extNode compresses a shared path segment above a branch.
 	extNode struct {
+		nodeMeta
 		path  []byte // nibbles, non-empty
-		child node
+		child ref
 	}
 	// branchNode fans out on the next nibble; value holds a terminated
-	// key ending exactly here.
+	// key ending exactly here. Unresolved children cost no allocation:
+	// their hashes live in the slots.
 	branchNode struct {
-		children [16]node
+		nodeMeta
+		children [16]ref
 		value    []byte
 	}
-	// hashNode is an unresolved reference to a persisted node.
-	hashNode types.Hash
 )
 
-// NodeCache caches encoded trie nodes by content hash. Because nodes
-// are immutable under their hash, a shared cache is valid across every
+// NodeCache caches decoded trie nodes by content hash. Because a clean
+// node is immutable under its hash, a shared cache is valid across every
 // trie version simultaneously — this is how geth's state cache can serve
-// both head and historical reads.
+// both head and historical reads. Implementations must be safe for
+// concurrent use when tries on several goroutines share them.
 type NodeCache interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, value []byte)
+	Get(h types.Hash) (Node, bool)
+	Put(h types.Hash, n Node)
 }
 
 // Trie is a mutable Patricia-Merkle trie. It is not safe for concurrent
 // mutation; callers serialize access (block execution is single-threaded
 // on every platform in the paper).
+//
+// Resolved children are memoised only into nodes private to this trie:
+// dirty ones, or any node when no NodeCache is configured (nothing is
+// shared then, and the trie keeps what it resolved, like Parity's
+// in-memory state). Under a NodeCache a clean node may be visible to
+// other tries, so it stays as decoded, re-resolution is a cache hit,
+// and Commit unlinks the children it persists so the cache's capacity,
+// not the trie's history, bounds resident nodes.
 type Trie struct {
 	store kvstore.Store // nil for a purely in-memory trie
 	cache NodeCache     // nil disables node caching
-	root  node
+	root  ref
 
-	// nodesWritten counts persisted node writes, exposing the trie's
-	// write amplification to the IOHeavy experiment.
+	// nodesWritten counts persisted nodes — each node version once —
+	// exposing the trie's write amplification to the IOHeavy experiment.
 	nodesWritten uint64
 
 	// Reusable scratch for the hot paths (the trie is already
@@ -90,14 +132,10 @@ func New(store kvstore.Store, root types.Hash) (*Trie, error) {
 // NewWithCache opens a trie with a shared node cache in front of the
 // store.
 func NewWithCache(store kvstore.Store, root types.Hash, cache NodeCache) (*Trie, error) {
-	t := &Trie{store: store, cache: cache}
-	if !root.IsZero() {
-		if store == nil {
-			return nil, errors.New("mpt: non-zero root requires a store")
-		}
-		t.root = hashNode(root)
+	if !root.IsZero() && store == nil {
+		return nil, errors.New("mpt: non-zero root requires a store")
 	}
-	return t, nil
+	return &Trie{store: store, cache: cache, root: ref{h: root}}, nil
 }
 
 // keyNibbles expands key bytes into nibbles (hi, lo per byte).
@@ -131,55 +169,58 @@ func commonPrefix(a, b []byte) int {
 	return n
 }
 
-// Get returns the value stored at key, or nil if absent.
-func (t *Trie) Get(key []byte) ([]byte, error) {
-	v, newRoot, err := t.get(t.root, t.scratchNibbles(key))
-	if err != nil {
-		return nil, err
+// load returns the child in slot r of owner (nil for the root slot),
+// resolving it on demand; the already-resolved case inlines into the
+// walks.
+func (t *Trie) load(owner *nodeMeta, r *ref) (Node, error) {
+	if r.n != nil {
+		return r.n, nil
 	}
-	t.root = newRoot // keep resolved nodes to avoid re-reading the store
-	return v, nil
+	return t.loadSlow(owner, r)
 }
 
-func (t *Trie) get(n node, path []byte) (value []byte, resolved node, err error) {
-	switch n := n.(type) {
-	case nil:
-		return nil, nil, nil
-	case *leafNode:
-		if len(path) == len(n.path) && commonPrefix(path, n.path) == len(path) {
-			return n.value, n, nil
-		}
-		return nil, n, nil
-	case *extNode:
-		cp := commonPrefix(path, n.path)
-		if cp < len(n.path) {
-			return nil, n, nil
-		}
-		v, child, err := t.get(n.child, path[cp:])
-		if err != nil {
-			return nil, n, err
-		}
-		n.child = child
-		return v, n, nil
-	case *branchNode:
-		if len(path) == 0 {
-			return n.value, n, nil
-		}
-		v, child, err := t.get(n.children[path[0]], path[1:])
-		if err != nil {
-			return nil, n, err
-		}
-		n.children[path[0]] = child
-		return v, n, nil
-	case hashNode:
-		real, err := t.resolve(n)
-		if err != nil {
-			return nil, n, err
-		}
-		return t.get(real, path)
-	default:
-		return nil, n, fmt.Errorf("mpt: unknown node type %T", n)
+// loadSlow resolves slot r, if it holds a child at all, and memoises the
+// node into it only when owner is private to this trie (see the Trie
+// comment).
+func (t *Trie) loadSlow(owner *nodeMeta, r *ref) (Node, error) {
+	if r.h.IsZero() {
+		return nil, nil
 	}
+	n, err := t.resolve(r.h)
+	if err == nil && (t.cache == nil || owner == nil || !owner.clean) {
+		r.n = n
+	}
+	return n, err
+}
+
+// Get returns the value stored at key, or nil if absent.
+func (t *Trie) Get(key []byte) ([]byte, error) {
+	path := t.scratchNibbles(key)
+	n, err := t.load(nil, &t.root)
+	for err == nil {
+		switch cur := n.(type) {
+		case nil:
+			return nil, nil
+		case *leafNode:
+			if len(path) == len(cur.path) && commonPrefix(path, cur.path) == len(path) {
+				return cur.value, nil
+			}
+			return nil, nil
+		case *extNode:
+			if commonPrefix(path, cur.path) < len(cur.path) {
+				return nil, nil
+			}
+			path = path[len(cur.path):]
+			n, err = t.load(&cur.nodeMeta, &cur.child)
+		case *branchNode:
+			if len(path) == 0 {
+				return cur.value, nil
+			}
+			n, err = t.load(&cur.nodeMeta, &cur.children[path[0]])
+			path = path[1:]
+		}
+	}
+	return nil, err
 }
 
 // Put inserts or overwrites key=value. Empty values are stored as-is;
@@ -187,107 +228,135 @@ func (t *Trie) get(n node, path []byte) (value []byte, resolved node, err error)
 func (t *Trie) Put(key, value []byte) error {
 	v := make([]byte, len(value))
 	copy(v, value)
-	newRoot, err := t.insert(t.root, keyNibbles(key), v)
+	root, err := t.load(nil, &t.root)
 	if err != nil {
 		return err
 	}
-	t.root = newRoot
+	newRoot, err := t.insert(root, keyNibbles(key), v)
+	if err != nil {
+		return err
+	}
+	t.root = ref{n: newRoot}
 	return nil
 }
 
-func (t *Trie) insert(n node, path []byte, value []byte) (node, error) {
+// ownExt and ownBranch return n ready for mutation: n itself with its
+// cached hash cleared when this trie created it since its last Commit,
+// a dirty copy when n is clean.
+func ownExt(n *extNode) *extNode {
+	if n.clean {
+		return &extNode{path: n.path, child: n.child}
+	}
+	n.hashed = false
+	return n
+}
+
+func ownBranch(n *branchNode) *branchNode {
+	if n.clean {
+		return &branchNode{children: n.children, value: n.value}
+	}
+	n.hashed = false
+	return n
+}
+
+func (t *Trie) insert(n Node, path []byte, value []byte) (Node, error) {
 	switch n := n.(type) {
 	case nil:
 		return &leafNode{path: path, value: value}, nil
 	case *leafNode:
 		cp := commonPrefix(path, n.path)
 		if cp == len(path) && cp == len(n.path) {
-			return &leafNode{path: path, value: value}, nil
+			if n.clean {
+				return &leafNode{path: path, value: value}, nil
+			}
+			n.value, n.hashed = value, false
+			return n, nil
 		}
 		branch := &branchNode{}
-		if err := branch.attach(n.path[cp:], n.value); err != nil {
-			return nil, err
-		}
-		if err := branch.attach(path[cp:], value); err != nil {
-			return nil, err
-		}
-		if cp > 0 {
-			return &extNode{path: path[:cp], child: branch}, nil
-		}
-		return branch, nil
+		branch.attach(n.path[cp:], n.value)
+		branch.attach(path[cp:], value)
+		return extend(path[:cp], branch), nil
 	case *extNode:
 		cp := commonPrefix(path, n.path)
 		if cp == len(n.path) {
-			child, err := t.insert(n.child, path[cp:], value)
+			child, err := t.load(&n.nodeMeta, &n.child)
 			if err != nil {
 				return nil, err
 			}
-			return &extNode{path: n.path, child: child}, nil
+			if child, err = t.insert(child, path[cp:], value); err != nil {
+				return nil, err
+			}
+			n = ownExt(n)
+			n.child = ref{n: child}
+			return n, nil
 		}
-		// Split the extension at cp.
+		// Split the extension at cp: its remainder goes under the first
+		// nibble past the split.
 		branch := &branchNode{}
-		// Remainder of the extension goes under its first nibble.
 		rem := n.path[cp:]
 		if len(rem) == 1 {
 			branch.children[rem[0]] = n.child
 		} else {
-			branch.children[rem[0]] = &extNode{path: rem[1:], child: n.child}
+			branch.children[rem[0]] = ref{n: &extNode{path: rem[1:], child: n.child}}
 		}
-		if err := branch.attach(path[cp:], value); err != nil {
-			return nil, err
-		}
-		if cp > 0 {
-			return &extNode{path: path[:cp], child: branch}, nil
-		}
-		return branch, nil
+		branch.attach(path[cp:], value)
+		return extend(path[:cp], branch), nil
 	case *branchNode:
-		cp := *n // copy-on-write so committed parents stay valid
 		if len(path) == 0 {
-			cp.value = value
-			return &cp, nil
+			n = ownBranch(n)
+			n.value = value
+			return n, nil
 		}
-		child, err := t.insert(cp.children[path[0]], path[1:], value)
+		child, err := t.load(&n.nodeMeta, &n.children[path[0]])
 		if err != nil {
 			return nil, err
 		}
-		cp.children[path[0]] = child
-		return &cp, nil
-	case hashNode:
-		real, err := t.resolve(n)
-		if err != nil {
+		if child, err = t.insert(child, path[1:], value); err != nil {
 			return nil, err
 		}
-		return t.insert(real, path, value)
+		n = ownBranch(n)
+		n.children[path[0]] = ref{n: child}
+		return n, nil
 	default:
 		return nil, fmt.Errorf("mpt: unknown node type %T", n)
 	}
 }
 
-// attach places (path, value) directly under a branch node.
-func (b *branchNode) attach(path []byte, value []byte) error {
+// extend puts child under an extension carrying path, or returns it bare
+// when there is no shared path to carry.
+func extend(path []byte, child Node) Node {
+	if len(path) == 0 {
+		return child
+	}
+	return &extNode{path: path, child: ref{n: child}}
+}
+
+// attach places (path, value) directly under a fresh branch node.
+func (b *branchNode) attach(path []byte, value []byte) {
 	if len(path) == 0 {
 		b.value = value
-		return nil
+		return
 	}
-	if len(path) == 1 {
-		b.children[path[0]] = &leafNode{path: nil, value: value}
-		return nil
-	}
-	b.children[path[0]] = &leafNode{path: path[1:], value: value}
-	return nil
+	b.children[path[0]] = ref{n: &leafNode{path: path[1:], value: value}}
 }
 
 // Delete removes key from the trie; deleting an absent key is a no-op.
 func (t *Trie) Delete(key []byte) error {
-	newRoot, _, err := t.remove(t.root, t.scratchNibbles(key))
+	root, err := t.load(nil, &t.root)
 	if err != nil {
 		return err
 	}
-	t.root = newRoot
+	newRoot, changed, err := t.remove(root, t.scratchNibbles(key))
+	if err != nil || !changed {
+		return err
+	}
+	t.root = ref{n: newRoot}
 	return nil
 }
 
-func (t *Trie) remove(n node, path []byte) (node, bool, error) {
+// remove returns n's replacement and whether anything changed; an
+// unchanged subtree is returned as is, so a miss copies nothing.
+func (t *Trie) remove(n Node, path []byte) (Node, bool, error) {
 	switch n := n.(type) {
 	case nil:
 		return nil, false, nil
@@ -301,58 +370,52 @@ func (t *Trie) remove(n node, path []byte) (node, bool, error) {
 		if cp < len(n.path) {
 			return n, false, nil
 		}
-		child, changed, err := t.remove(n.child, path[cp:])
-		if err != nil || !changed {
-			return n, changed, err
-		}
-		return t.collapseExt(n.path, child)
-	case *branchNode:
-		cp := *n
-		if len(path) == 0 {
-			if cp.value == nil {
-				return n, false, nil
-			}
-			cp.value = nil
-		} else {
-			child, changed, err := t.remove(cp.children[path[0]], path[1:])
-			if err != nil || !changed {
-				return n, changed, err
-			}
-			cp.children[path[0]] = child
-		}
-		collapsed, err := t.collapseBranch(&cp)
-		return collapsed, true, err
-	case hashNode:
-		real, err := t.resolve(n)
+		child, err := t.load(&n.nodeMeta, &n.child)
 		if err != nil {
 			return n, false, err
 		}
-		return t.remove(real, path)
+		child, changed, err := t.remove(child, path[cp:])
+		if err != nil || !changed {
+			return n, changed, err
+		}
+		if child == nil {
+			return nil, true, nil
+		}
+		// The child was a branch; what is left of it decides the shape.
+		return prepend(n.path, ref{n: child}, child), true, nil
+	case *branchNode:
+		if len(path) == 0 {
+			if n.value == nil {
+				return n, false, nil
+			}
+			n = ownBranch(n)
+			n.value = nil
+		} else {
+			child, err := t.load(&n.nodeMeta, &n.children[path[0]])
+			if err != nil {
+				return n, false, err
+			}
+			child, changed, err := t.remove(child, path[1:])
+			if err != nil || !changed {
+				return n, changed, err
+			}
+			n = ownBranch(n)
+			n.children[path[0]] = ref{n: child}
+		}
+		collapsed, err := t.collapseBranch(n)
+		return collapsed, true, err
 	default:
 		return nil, false, fmt.Errorf("mpt: unknown node type %T", n)
 	}
 }
 
-// collapseExt rebuilds an extension over a possibly-degenerate child.
-func (t *Trie) collapseExt(path []byte, child node) (node, bool, error) {
-	switch c := child.(type) {
-	case nil:
-		return nil, true, nil
-	case *leafNode:
-		return &leafNode{path: concat(path, c.path), value: c.value}, true, nil
-	case *extNode:
-		return &extNode{path: concat(path, c.path), child: c.child}, true, nil
-	default:
-		return &extNode{path: path, child: child}, true, nil
-	}
-}
-
-// collapseBranch simplifies a branch left with zero or one descendants.
-func (t *Trie) collapseBranch(b *branchNode) (node, error) {
+// collapseBranch simplifies a (dirty) branch left with zero or one
+// descendants.
+func (t *Trie) collapseBranch(b *branchNode) (Node, error) {
 	live := -1
 	count := 0
-	for i, c := range b.children {
-		if c != nil {
+	for i := range b.children {
+		if !b.children[i].empty() {
 			live = i
 			count++
 		}
@@ -364,25 +427,27 @@ func (t *Trie) collapseBranch(b *branchNode) (node, error) {
 		return &leafNode{path: nil, value: b.value}, nil
 	}
 	if count == 1 && b.value == nil {
-		child := b.children[live]
-		if hn, ok := child.(hashNode); ok {
-			real, err := t.resolve(hn)
-			if err != nil {
-				return nil, err
-			}
-			child = real
+		child, err := t.load(&b.nodeMeta, &b.children[live])
+		if err != nil {
+			return nil, err
 		}
-		prefix := []byte{byte(live)}
-		switch c := child.(type) {
-		case *leafNode:
-			return &leafNode{path: concat(prefix, c.path), value: c.value}, nil
-		case *extNode:
-			return &extNode{path: concat(prefix, c.path), child: c.child}, nil
-		default:
-			return &extNode{path: prefix, child: child}, nil
-		}
+		return prepend([]byte{byte(live)}, b.children[live], child), nil
 	}
 	return b, nil
+}
+
+// prepend returns the node that puts prefix in front of child, the
+// resolved occupant of slot r: a leaf or extension absorbs the prefix
+// into its own path, a branch goes under a new extension that keeps r.
+func prepend(prefix []byte, r ref, child Node) Node {
+	switch c := child.(type) {
+	case *leafNode:
+		return &leafNode{path: concat(prefix, c.path), value: c.value}
+	case *extNode:
+		return &extNode{path: concat(prefix, c.path), child: c.child}
+	default:
+		return &extNode{path: prefix, child: r}
+	}
 }
 
 func concat(a, b []byte) []byte {
@@ -391,56 +456,50 @@ func concat(a, b []byte) []byte {
 	return append(out, b...)
 }
 
-// encode serializes a node with child references replaced by hashes and
-// returns its content hash; write additionally persists it (and,
-// recursively, its resolved children). Children are hashed before any
-// of the parent's bytes are laid down, so the single reusable encBuf
-// serves every recursion level in turn — the Commit hot path allocates
-// no per-node encoder or buffer (the shared node cache still takes a
-// copy, since it retains what it is given).
-func (t *Trie) encode(n node, write bool) (types.Hash, error) {
-	var children [16]types.Hash
-	var childCount int
-	switch n := n.(type) {
-	case *leafNode:
-	case *extNode:
-		ch, err := t.hashChild(n.child, write)
-		if err != nil {
-			return types.ZeroHash, err
-		}
-		children[0], childCount = ch, 1
-	case *branchNode:
-		for i, c := range n.children {
-			if c == nil {
-				continue
-			}
-			ch, err := t.hashChild(c, write)
-			if err != nil {
-				return types.ZeroHash, err
-			}
-			children[i] = ch
-		}
-		childCount = 16
-	default:
-		return types.ZeroHash, fmt.Errorf("mpt: cannot encode %T", n)
-	}
+// Node encoding, the hashing preimage (all integers little-endian):
+//
+//	branch  kind=0(4) 16 x childHash(32, zero = none) hasValue(1) [vlen(4) value]
+//	ext     kind=1(4) plen(4) path childHash(32)
+//	leaf    kind=2(4) plen(4) path vlen(4) value
+const (
+	kindBranch = 0
+	kindExt    = 1
+	kindLeaf   = 2
+)
 
-	// Flat encoding into the reused buffer (layout unchanged: it is the
-	// hashing preimage, so existing roots stay valid).
-	buf := t.encBuf[:0]
+// encode returns n's content hash, computing it — and, when write is
+// set, persisting n — only if that has not happened for this version of
+// the node: a clean node returns at once, so Commit costs O(dirty
+// nodes), and Hash never repeats work either. Children are hashed
+// before any of the parent's bytes are laid down, so the single
+// reusable encBuf serves every recursion level in turn.
+func (t *Trie) encode(n Node, write bool) (types.Hash, error) {
+	m := n.meta()
+	if m.clean || (m.hashed && !write) {
+		return m.hash, nil
+	}
+	var buf []byte
 	switch n := n.(type) {
 	case *leafNode:
-		buf = appendUint32(buf, 2)
+		buf = appendUint32(t.encBuf[:0], kindLeaf)
 		buf = appendBytes(buf, n.path)
 		buf = appendBytes(buf, n.value)
 	case *extNode:
-		buf = appendUint32(buf, 1)
+		if err := t.encodeChild(&n.child, write); err != nil {
+			return types.ZeroHash, err
+		}
+		buf = appendUint32(t.encBuf[:0], kindExt)
 		buf = appendBytes(buf, n.path)
-		buf = append(buf, children[0][:]...)
+		buf = append(buf, n.child.h[:]...)
 	case *branchNode:
-		buf = appendUint32(buf, 0)
-		for i := 0; i < childCount; i++ {
-			buf = append(buf, children[i][:]...)
+		for i := range n.children {
+			if err := t.encodeChild(&n.children[i], write); err != nil {
+				return types.ZeroHash, err
+			}
+		}
+		buf = appendUint32(t.encBuf[:0], kindBranch)
+		for i := range n.children {
+			buf = append(buf, n.children[i].h[:]...)
 		}
 		if n.value != nil {
 			buf = append(buf, 1)
@@ -451,70 +510,74 @@ func (t *Trie) encode(n node, write bool) (types.Hash, error) {
 	}
 	t.encBuf = buf
 
-	h := types.HashData(buf)
-	if write && t.store != nil {
-		if err := t.store.Put(t.nodeKey(h), buf); err != nil {
+	m.hash, m.hashed = types.HashData(buf), true
+	if write {
+		if err := t.store.Put(t.nodeKey(m.hash), buf); err != nil {
 			return types.ZeroHash, err
 		}
 		t.nodesWritten++
+		m.clean = true
 		if t.cache != nil {
-			t.cache.Put(string(h[:]), append([]byte(nil), buf...))
+			t.cache.Put(m.hash, n)
 		}
 	}
-	return h, nil
+	return m.hash, nil
+}
+
+// encodeChild brings slot r's hash up to date with its resolved child.
+// Under a node cache a persisted child is then unlinked: its parent is
+// about to be published, and published nodes hold hashes, not subtrees.
+func (t *Trie) encodeChild(r *ref, write bool) error {
+	if r.n == nil {
+		return nil
+	}
+	h, err := t.encode(r.n, write)
+	if err != nil {
+		return err
+	}
+	r.h = h
+	if write && t.cache != nil {
+		r.n = nil
+	}
+	return nil
 }
 
 // appendUint32 and appendBytes mirror types.Encoder's length-prefixed
 // little-endian layout without an encoder allocation.
 func appendUint32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	return binary.LittleEndian.AppendUint32(buf, v)
 }
 
 func appendBytes(buf, b []byte) []byte {
 	return append(appendUint32(buf, uint32(len(b))), b...)
 }
 
-func (t *Trie) hashChild(n node, write bool) (types.Hash, error) {
-	if hn, ok := n.(hashNode); ok {
-		return types.Hash(hn), nil
-	}
-	return t.encode(n, write)
-}
-
-// Hash computes the root hash without persisting anything.
+// Hash computes the root hash without persisting anything. It may leave
+// hashes cached in dirty nodes but never marks one persisted.
 func (t *Trie) Hash() (types.Hash, error) {
-	if t.root == nil {
-		return types.ZeroHash, nil
-	}
-	if hn, ok := t.root.(hashNode); ok {
-		return types.Hash(hn), nil
-	}
-	return t.encode(t.root, false)
+	err := t.encodeChild(&t.root, false)
+	return t.root.h, err
 }
 
-// Commit persists all nodes reachable from the root and returns the root
-// hash. The trie remains usable afterwards.
+// Commit persists every node created since the last Commit and returns
+// the root hash. The trie remains usable afterwards.
 func (t *Trie) Commit() (types.Hash, error) {
 	if t.store == nil {
 		return types.ZeroHash, errors.New("mpt: commit without store")
 	}
-	if t.root == nil {
-		return types.ZeroHash, nil
-	}
-	if hn, ok := t.root.(hashNode); ok {
-		return types.Hash(hn), nil
-	}
-	return t.encode(t.root, true)
+	err := t.encodeChild(&t.root, true)
+	return t.root.h, err
 }
 
 // NodesWritten reports how many trie nodes have been persisted, a direct
-// measure of write amplification.
+// measure of write amplification: every node version counts once, and
+// nodes that were only read never count.
 func (t *Trie) NodesWritten() uint64 { return t.nodesWritten }
 
 // nodeKey builds the store key for a node hash in the trie's reusable
 // key scratch (both storage engines copy their key argument).
 func (t *Trie) nodeKey(h types.Hash) []byte {
-	if cap(t.keyBuf) < 2+types.HashSize {
+	if t.keyBuf == nil {
 		t.keyBuf = make([]byte, 0, 2+types.HashSize)
 	}
 	k := append(t.keyBuf[:0], 't', ':')
@@ -523,14 +586,16 @@ func (t *Trie) nodeKey(h types.Hash) []byte {
 	return k
 }
 
-func (t *Trie) resolve(hn hashNode) (node, error) {
+// resolve returns the clean node persisted under h: the shared object
+// from the node cache when it is resident, else a fresh decode that is
+// published to the cache for every later trie.
+func (t *Trie) resolve(h types.Hash) (Node, error) {
 	if t.store == nil {
 		return nil, ErrNotFound
 	}
-	h := types.Hash(hn)
 	if t.cache != nil {
-		if enc, ok := t.cache.Get(string(h[:])); ok {
-			return decodeNode(enc)
+		if n, ok := t.cache.Get(h); ok {
+			return n, nil
 		}
 	}
 	enc, ok, err := t.store.Get(t.nodeKey(h))
@@ -540,44 +605,56 @@ func (t *Trie) resolve(hn hashNode) (node, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Hex())
 	}
-	if t.cache != nil {
-		t.cache.Put(string(h[:]), enc)
+	n, err := decodeNode(enc)
+	if err != nil {
+		return nil, err
 	}
-	return decodeNode(enc)
+	*n.meta() = nodeMeta{hash: h, hashed: true, clean: true}
+	if t.cache != nil {
+		t.cache.Put(h, n)
+	}
+	return n, nil
 }
 
-func decodeNode(enc []byte) (node, error) {
-	d := types.NewDecoder(enc)
-	switch kind := d.Uint32(); kind {
-	case 2:
-		n := &leafNode{path: d.Bytes(), value: d.Bytes()}
-		if err := d.Err(); err != nil {
-			return nil, err
+// decodeNode builds the node enc describes in one allocation whatever
+// its fan-out: child hashes are copied into the node's own slots, paths
+// and values alias enc, which the node therefore retains (both storage
+// engines return a private copy from Get).
+func decodeNode(enc []byte) (Node, error) {
+	if len(enc) < 4 {
+		return nil, fmt.Errorf("mpt: node: %w", types.ErrTruncated)
+	}
+	kind, enc := binary.LittleEndian.Uint32(enc), enc[4:]
+	var ok bool
+	switch kind {
+	case kindLeaf:
+		n := &leafNode{}
+		if n.path, enc, ok = cutBytes(enc); ok {
+			n.value, _, ok = cutBytes(enc)
+		}
+		if !ok {
+			return nil, fmt.Errorf("mpt: leaf node: %w", types.ErrTruncated)
 		}
 		return n, nil
-	case 1:
-		n := &extNode{path: d.Bytes()}
-		var h types.Hash
-		copy(h[:], d.Raw(types.HashSize))
-		if err := d.Err(); err != nil {
-			return nil, err
+	case kindExt:
+		n := &extNode{}
+		if n.path, enc, ok = cutBytes(enc); !ok || len(enc) < types.HashSize {
+			return nil, fmt.Errorf("mpt: extension node: %w", types.ErrTruncated)
 		}
-		n.child = hashNode(h)
+		copy(n.child.h[:], enc)
 		return n, nil
-	case 0:
+	case kindBranch:
+		if len(enc) < 16*types.HashSize+1 {
+			return nil, fmt.Errorf("mpt: branch node: %w", types.ErrTruncated)
+		}
 		n := &branchNode{}
-		for i := 0; i < 16; i++ {
-			var h types.Hash
-			copy(h[:], d.Raw(types.HashSize))
-			if !h.IsZero() {
-				n.children[i] = hashNode(h)
+		for i := range n.children {
+			copy(n.children[i].h[:], enc[i*types.HashSize:])
+		}
+		if enc = enc[16*types.HashSize:]; enc[0] != 0 {
+			if n.value, _, ok = cutBytes(enc[1:]); !ok {
+				return nil, fmt.Errorf("mpt: branch node value: %w", types.ErrTruncated)
 			}
-		}
-		if d.Bool() {
-			n.value = d.Bytes()
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
 		}
 		return n, nil
 	default:
@@ -585,44 +662,54 @@ func decodeNode(enc []byte) (node, error) {
 	}
 }
 
+// cutBytes splits a length-prefixed byte string off the front of enc.
+func cutBytes(enc []byte) (b, rest []byte, ok bool) {
+	if len(enc) < 4 {
+		return nil, nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(enc))
+	if n < 0 || len(enc)-4 < n {
+		return nil, nil, false
+	}
+	return enc[4 : 4+n : 4+n], enc[4+n:], true
+}
+
 // Iterate walks all key/value pairs in nibble order. Keys are
 // reconstructed from paths; only byte-aligned keys (even nibble count)
 // are produced, which is all this repository ever stores.
 func (t *Trie) Iterate(fn func(key, value []byte) bool) error {
-	_, err := t.walk(t.root, nil, fn)
+	_, err := t.walk(nil, &t.root, nil, fn)
 	return err
 }
 
-func (t *Trie) walk(n node, prefix []byte, fn func(k, v []byte) bool) (bool, error) {
+func (t *Trie) walk(owner *nodeMeta, r *ref, prefix []byte, fn func(k, v []byte) bool) (bool, error) {
+	n, err := t.load(owner, r)
+	if err != nil {
+		return false, err
+	}
 	switch n := n.(type) {
 	case nil:
 		return true, nil
 	case *leafNode:
 		return emit(concat(prefix, n.path), n.value, fn), nil
 	case *extNode:
-		return t.walk(n.child, concat(prefix, n.path), fn)
+		return t.walk(&n.nodeMeta, &n.child, concat(prefix, n.path), fn)
 	case *branchNode:
 		if n.value != nil {
 			if !emit(prefix, n.value, fn) {
 				return false, nil
 			}
 		}
-		for i, c := range n.children {
-			if c == nil {
+		for i := range n.children {
+			if n.children[i].empty() {
 				continue
 			}
-			cont, err := t.walk(c, concat(prefix, []byte{byte(i)}), fn)
+			cont, err := t.walk(&n.nodeMeta, &n.children[i], concat(prefix, []byte{byte(i)}), fn)
 			if err != nil || !cont {
 				return cont, err
 			}
 		}
 		return true, nil
-	case hashNode:
-		real, err := t.resolve(n)
-		if err != nil {
-			return false, err
-		}
-		return t.walk(real, prefix, fn)
 	default:
 		return false, fmt.Errorf("mpt: unknown node type %T", n)
 	}

@@ -11,32 +11,32 @@ import (
 	"blockbench/internal/types"
 )
 
-// SharedCache is a thread-safe LRU of encoded trie nodes keyed by
-// content hash, shared across all trie versions of one node. Because
-// node encodings are immutable under their hash, the cache can never
-// serve a stale value — head and historical reads both hit it safely
-// (geth's state cache works the same way).
+// SharedCache is a thread-safe LRU of decoded trie nodes keyed by
+// content hash, shared across all trie versions of one node. Because a
+// persisted node is immutable under its hash, the cache can never serve
+// a stale value — head and historical reads both hit it safely (geth's
+// state cache works the same way) — and a hit costs no decode.
 type SharedCache struct {
 	mu  sync.Mutex
-	lru *lru.Cache
+	lru *lru.Cache[types.Hash, mpt.Node]
 }
 
 // NewSharedCache creates a cache holding up to capacity nodes.
 func NewSharedCache(capacity int) *SharedCache {
-	return &SharedCache{lru: lru.New(capacity)}
+	return &SharedCache{lru: lru.New[types.Hash, mpt.Node](capacity)}
 }
 
 // Get implements mpt.NodeCache.
-func (c *SharedCache) Get(key string) ([]byte, bool) {
+func (c *SharedCache) Get(h types.Hash) (mpt.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Get(key)
+	return c.lru.Get(h)
 }
 
 // Put implements mpt.NodeCache.
-func (c *SharedCache) Put(key string, v []byte) {
+func (c *SharedCache) Put(h types.Hash, n mpt.Node) {
 	c.mu.Lock()
-	c.lru.Put(key, v)
+	c.lru.Put(h, n)
 	c.mu.Unlock()
 }
 

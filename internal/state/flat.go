@@ -3,6 +3,7 @@ package state
 import (
 	"encoding/binary"
 	"sync"
+	"unsafe"
 
 	"blockbench/internal/kvstore"
 	"blockbench/internal/lru"
@@ -33,10 +34,11 @@ import (
 type FlatState struct {
 	mu      sync.Mutex
 	store   kvstore.Store
-	cache   *lru.Cache
+	cache   *lru.Cache[string, []byte]
 	entries int
 	root    types.Hash
 	gen     uint64
+	keyBuf  []byte // flatKey scratch, used under mu
 
 	hits, misses, stale, resets uint64
 }
@@ -46,15 +48,16 @@ type FlatState struct {
 //
 // A store that survived a process crash still holds the previous life's
 // persisted entries — that life's *head* state, which journal replay
-// must never read mid-history. Generations restart from zero in every
-// life, so the two lives would collide; scanning for the highest
-// persisted generation and starting above it makes every inherited
-// entry invisible (the documented O(1) reset, applied at open).
+// must never read mid-history. The generation counter lives only in
+// memory, so a life that started again from zero would collide with
+// them; scanning for the highest persisted generation and starting
+// above it makes every inherited entry invisible (the documented O(1)
+// reset, applied at open).
 func NewFlatState(store kvstore.Store, entries int) *FlatState {
 	if entries <= 0 {
 		entries = 1024
 	}
-	f := &FlatState{store: store, cache: lru.New(entries), entries: entries}
+	f := &FlatState{store: store, cache: lru.New[string, []byte](entries), entries: entries}
 	found := false
 	store.Iterate([]byte("f:"), []byte("f;"), func(k, _ []byte) bool {
 		if len(k) >= 10 {
@@ -67,13 +70,14 @@ func NewFlatState(store kvstore.Store, entries int) *FlatState {
 	return f
 }
 
-func (f *FlatState) flatKey(key string) []byte {
-	b := make([]byte, 0, 10+len(key))
-	b = append(b, 'f', ':')
-	var g [8]byte
-	binary.BigEndian.PutUint64(g[:], f.gen)
-	b = append(b, g[:]...)
-	return append(b, key...)
+// flatKey builds "f:<gen>:key" in the layer's scratch buffer: callers
+// hold f.mu, and both storage engines copy their key argument.
+func flatKey[K string | []byte](f *FlatState, key K) []byte {
+	b := append(f.keyBuf[:0], 'f', ':')
+	b = binary.BigEndian.AppendUint64(b, f.gen)
+	b = append(b, key...)
+	f.keyBuf = b
+	return b
 }
 
 // Get serves a point read if the layer is anchored at root and knows the
@@ -86,12 +90,14 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 		f.stale++
 		return nil, false
 	}
-	k := string(key)
-	if v, ok := f.cache.Get(k); ok {
+	// The lookup does not retain its key, so it reads the caller's bytes
+	// in place (the generic cache rules out the map[string(b)] form); only
+	// a key that enters the LRU below is materialised.
+	if v, ok := f.cache.Get(unsafe.String(unsafe.SliceData(key), len(key))); ok {
 		f.hits++
 		return v, true
 	}
-	v, ok, err := f.store.Get(f.flatKey(k))
+	v, ok, err := f.store.Get(flatKey(f, key))
 	if err != nil || !ok {
 		// Absence here does not mean absence in state (the key may simply
 		// never have been written since the layer was anchored), so the
@@ -99,7 +105,7 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 		f.misses++
 		return nil, false
 	}
-	f.cache.Put(k, v)
+	f.cache.Put(string(key), v)
 	f.hits++
 	return v, true
 }
@@ -116,19 +122,19 @@ func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	}
 	if parent != f.root {
 		f.gen++
-		f.cache = lru.New(f.entries)
+		f.cache = lru.New[string, []byte](f.entries)
 		f.resets++
 	}
 	for k, v := range writes {
 		if v == nil {
 			f.cache.Remove(k)
-			f.store.Delete(f.flatKey(k))
+			f.store.Delete(flatKey(f, k))
 			continue
 		}
 		f.cache.Put(k, v)
 		// Persistence is best-effort: on a failed write the entry is just
 		// absent from the flat layer and reads fall through to the trie.
-		f.store.Put(f.flatKey(k), v)
+		f.store.Put(flatKey(f, k), v)
 	}
 	f.root = root
 }
