@@ -11,9 +11,10 @@
 #                ARGS='-popt store=lsm -wopt tuples=10' reaches the CLI
 #   make loc     the non-test Go line count ROADMAP's design-shrink item
 #                tracks (bench/ excluded)
+#   make loc-check  fail when that count exceeds LOC_MAX (the CI ratchet)
 GO ?= go
 
-.PHONY: build vet test race bench bench-check allocprof loc clean
+.PHONY: build vet test race bench bench-check allocprof loc loc-check clean
 
 build:
 	$(GO) build ./...
@@ -96,6 +97,15 @@ allocprof:
 # loc makes "net-negative" a number in the log rather than a claim.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+# loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
+# left. A PR that lowers the count lowers LOC_MAX with it; one that must
+# raise it says so in its diff of this line.
+LOC_MAX ?= 22864
+
+loc-check:
+	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \
+	test $$n -le $(LOC_MAX) || { echo "loc-check: $$n exceeds LOC_MAX=$(LOC_MAX)"; exit 1; }
 
 clean:
 	rm -f BENCH_ci.json BENCH_new.json $(ALLOCPROF_OUT)

@@ -29,6 +29,7 @@ package blockbench
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"blockbench/internal/analytics"
@@ -120,6 +121,7 @@ func NewKeys(n int) []*Key {
 type Cluster struct {
 	inner   *platform.Cluster
 	keys    []*Key
+	nonces  []atomic.Uint64 // one sequence per client identity
 	started bool
 }
 
@@ -136,7 +138,7 @@ func NewCluster(cfg ClusterConfig, clients int) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{inner: inner, keys: cfg.ClientKeys}, nil
+	return &Cluster{inner: inner, keys: cfg.ClientKeys, nonces: make([]atomic.Uint64, len(cfg.ClientKeys))}, nil
 }
 
 // Start launches all nodes.
@@ -179,6 +181,7 @@ func (c *Cluster) ClientOn(i, server int) *Client {
 		key:       c.keys[i],
 		signLocal: !c.inner.ServerSigns(),
 		id:        i,
+		nonce:     &c.nonces[i],
 	}
 	cl.server.Store(int32(server))
 	return cl
@@ -193,16 +196,9 @@ func (c *Cluster) ClientOn(i, server int) *Client {
 func (c *Cluster) Crash(i int) { c.inner.Crash(i) }
 
 // Recover restarts a killed node from its persisted store (WAL replay
-// and chain journal on durable platforms, chain sync otherwise), or
-// restores connectivity to a merely muted node.
+// and chain journal on durable platforms, chain sync otherwise). On a
+// node that is not down it is a no-op.
 func (c *Cluster) Recover(i int) { c.inner.Recover(i) }
-
-// Mute suppresses node i's network traffic without killing the process
-// (the paper's original fail-stop mode); Unmute restores it.
-func (c *Cluster) Mute(i int) { c.inner.Mute(i) }
-
-// Unmute restores a muted node's connectivity.
-func (c *Cluster) Unmute(i int) { c.inner.Unmute(i) }
 
 // Down reports whether node i is currently process-killed.
 func (c *Cluster) Down(i int) bool { return c.inner.Down(i) }
@@ -229,7 +225,7 @@ func (c *Cluster) SetLinkFaults(drop, dup, reorder float64, nodes ...int) {
 	c.inner.SetLinkFaults(drop, dup, reorder, nodes...)
 }
 
-// Heal removes partitions and blocked links.
+// Heal removes partitions.
 func (c *Cluster) Heal() { c.inner.Heal() }
 
 // SetDelay injects extra message delay at the given nodes.

@@ -25,14 +25,17 @@ const DefaultGasLimit = 500_000
 
 // Client is the paper's IBlockchainConnector client half: one identity
 // talking to one server, submitting transactions asynchronously and
-// polling confirmed blocks.
+// polling confirmed blocks. Fail-over state is per Client; the nonce
+// sequence belongs to the identity and lives on the Cluster, so every
+// Client of one identity — on any server, in any run — draws from it
+// and no two of them build the same transaction.
 type Client struct {
 	cluster   *Cluster
 	key       *crypto.Key
 	server    atomic.Int32
 	signLocal bool
 	id        int
-	nonce     atomic.Uint64
+	nonce     *atomic.Uint64
 }
 
 // ID returns the client's index.
@@ -42,9 +45,7 @@ func (c *Client) ID() int { return c.id }
 // and polls.
 func (c *Client) Server() int { return int(c.server.Load()) }
 
-// Failover re-points the client at another server, keeping its identity
-// and nonce sequence (rebuilding the client would restart the nonce and
-// collide with transactions already committed). The driver calls it
+// Failover re-points the client at another server. The driver calls it
 // when submissions to the current server keep failing.
 func (c *Client) Failover(server int) { c.server.Store(int32(server)) }
 
@@ -110,14 +111,13 @@ func (c *Client) BlocksFrom(h uint64) ([]node.BlockInfo, error) {
 // Height returns the confirmed chain height at the client's server.
 func (c *Client) Height() (uint64, error) { return c.nodeRef().Height() }
 
-// Committed reports whether the transaction is on the confirmed chain.
+// Committed reports whether the transaction has a receipt on the
+// server's canonical chain, at any depth. It is a receipt lookup, not
+// the driver's confirmation rule, which waits ConfirmationDepth blocks
+// (BlocksFrom).
 func (c *Client) Committed(id Hash) (bool, error) {
-	r, ok, err := c.nodeRef().Receipt(id)
-	if err != nil || !ok {
-		return false, err
-	}
-	_ = r
-	return true, nil
+	_, ok, err := c.nodeRef().Receipt(id)
+	return ok, err
 }
 
 // Query runs a read-only contract method at the client's server.

@@ -63,11 +63,10 @@ func main() {
 		workloadName = flag.String("workload", "ycsb", strings.Join(blockbench.Workloads(), " | "))
 		nodes        = flag.Int("nodes", 8, "number of server nodes")
 		clients      = flag.Int("clients", 8, "number of concurrent clients")
-		threads      = flag.Int("threads", 4, "submit threads per client")
-		rate         = flag.Float64("rate", 128, "offered load per client in tx/s (0 = max)")
+		threads      = flag.Int("threads", 4, "submit threads per client (with -blocking: its window of unconfirmed txs)")
+		rate         = flag.Float64("rate", 128, "offered load per client in tx/s (0 = max; ignored with -blocking)")
 		duration     = flag.Duration("duration", 12*time.Second, "measurement window")
-		blocking     = flag.Bool("blocking", false, "closed loop: wait for each tx to commit")
-		records      = flag.Int("records", 0, "shorthand for -wopt records=N (YCSB records / Smallbank accounts)")
+		blocking     = flag.Bool("blocking", false, "closed loop: a client sends its next tx once an earlier one is confirmed")
 		seed         = flag.Int64("seed", 42, "workload RNG seed")
 		out          = flag.String("out", "", "record the run to this file: .jsonl = snapshot series + final report, .csv = series only")
 		httpAddr     = flag.String("http", "", "serve the run's ops endpoint on this address (e.g. :6060): /metrics, /debug/pprof/, /healthz, /traces")
@@ -100,21 +99,7 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("-wopt: %w", err))
 	}
-	injected := false
-	if *records > 0 {
-		if _, set := opts["records"]; !set {
-			opts["records"] = strconv.Itoa(*records)
-			injected = true
-		}
-	}
 	w, err := blockbench.NewWorkload(*workloadName, opts)
-	if err != nil && injected {
-		// The -records shorthand is best-effort, as before the generic
-		// options existed: workloads without a record volume ignore it.
-		// An explicit -wopt records=N stays strict.
-		delete(opts, "records")
-		w, err = blockbench.NewWorkload(*workloadName, opts)
-	}
 	if err != nil {
 		fatal(err)
 	}

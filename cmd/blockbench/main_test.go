@@ -1,29 +1,79 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"blockbench"
 )
 
 // TestMain lets the test binary stand in for the CLI: re-executed with
-// the marker variable set it runs main() on its arguments, so the table
-// below observes real flag parsing, stderr and exit codes.
+// the marker variable set it runs main() on its arguments, so the tests
+// below observe real flag parsing, stderr and exit codes. The stand-in
+// also registers the "violator" workload, whose safety audit always
+// fails.
 func TestMain(m *testing.M) {
 	if os.Getenv("BLOCKBENCH_TEST_RUN_MAIN") == "1" {
+		if err := blockbench.RegisterWorkload(blockbench.WorkloadSpec{
+			Name:      "violator",
+			Contracts: []string{"donothing"},
+			New:       func(blockbench.WorkloadOptions) (any, error) { return violator{}, nil },
+		}); err != nil {
+			panic(err)
+		}
 		main()
 		return
 	}
 	os.Exit(m.Run())
 }
 
+// violator is DoNothing with a workload invariant that never holds.
+type violator struct{ blockbench.DoNothingWorkload }
+
+func (violator) CheckInvariants(*blockbench.Cluster) []string {
+	return []string{"planted violation"}
+}
+
+// runMain re-executes the test binary as the CLI and returns its stderr
+// and exit error.
+func runMain(args ...string) (string, error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BLOCKBENCH_TEST_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	return stderr.String(), err
+}
+
+// boot is a run small enough to finish in well under a second once it
+// boots.
+var boot = []string{"-nodes", "2", "-clients", "1", "-threads", "1", "-rate", "20", "-duration", "300ms", "-quiet"}
+
+// TestInvariantViolationExitsTwo: a run whose invariant checks report
+// anything prints the violations and exits with status 2. Negative
+// probabilities switch both chaos fault axes off; -chaos still arms the
+// checks.
+func TestInvariantViolationExitsTwo(t *testing.T) {
+	stderr, err := runMain(append([]string{"-platform", "quorum", "-workload", "violator",
+		"-chaos", "seed=1,kill=-1,net=-1"}, boot...)...)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit %v, want status 2; stderr:\n%s", err, stderr)
+	}
+	for _, want := range []string{"SAFETY INVARIANT VIOLATIONS (1)", "planted violation"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr %q does not mention %q", stderr, want)
+		}
+	}
+}
+
 // TestOptionFlags covers -wopt / -popt handling end to end: key=val
 // parsing, malformed and repeated keys, and an unknown -popt key failing
 // with the keys the preset does take.
 func TestOptionFlags(t *testing.T) {
-	// A run small enough to finish in well under a second once it boots.
-	boot := []string{"-nodes", "2", "-clients", "1", "-threads", "1", "-rate", "20", "-duration", "300ms", "-quiet"}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -47,14 +97,10 @@ func TestOptionFlags(t *testing.T) {
 		{"unknown wopt key", []string{"-workload", "ycsb", "-wopt", "recrods=5"}, false, []string{"unknown option", "recrods", "records"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], append(tc.args, boot...)...)
-			cmd.Env = append(os.Environ(), "BLOCKBENCH_TEST_RUN_MAIN=1")
-			var stderr strings.Builder
-			cmd.Stderr = &stderr
-			err := cmd.Run()
+			stderr, err := runMain(append(tc.args, boot...)...)
 			if tc.ok {
 				if err != nil {
-					t.Fatalf("exit %v, stderr:\n%s", err, stderr.String())
+					t.Fatalf("exit %v, stderr:\n%s", err, stderr)
 				}
 				return
 			}
@@ -62,8 +108,8 @@ func TestOptionFlags(t *testing.T) {
 				t.Fatalf("exit 0, want a non-zero exit")
 			}
 			for _, w := range tc.want {
-				if !strings.Contains(stderr.String(), w) {
-					t.Errorf("stderr %q does not mention %q", stderr.String(), w)
+				if !strings.Contains(stderr, w) {
+					t.Errorf("stderr %q does not mention %q", stderr, w)
 				}
 			}
 		})

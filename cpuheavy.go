@@ -14,7 +14,7 @@ func init() {
 		Contracts:   []string{"cpuheavy"},
 		New: func(opts workload.Options) (any, error) {
 			d := workload.NewDecoder(opts)
-			w := &CPUHeavyWorkload{N: d.Uint64("n", 10_000)}
+			w := &CPUHeavyWorkload{N: d.Uint64("n", 0)}
 			if err := d.Finish(); err != nil {
 				return nil, err
 			}

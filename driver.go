@@ -26,9 +26,10 @@ type Workload interface {
 	// Init pre-loads the blockchain (records, accounts, history) before
 	// measurement starts.
 	Init(c *Cluster, rng *rand.Rand) error
-	// Next returns the next operation for the given client. Open-loop
-	// runs call it from one generator goroutine per client; blocking
-	// runs call it from every submit thread of the client.
+	// Next returns the next operation for the given client. In every run
+	// mode it is called from that client's one generator goroutine, so
+	// per-client state needs no synchronization; different clients call
+	// it concurrently, so state shared across clients does.
 	Next(clientID int, rng *rand.Rand) Op
 }
 
@@ -38,14 +39,16 @@ type RunConfig struct {
 	// Clients is the number of concurrent client processes; client i
 	// talks to server i mod N.
 	Clients int
-	// Threads is the number of submit threads per client.
+	// Threads is the number of sender workers per client and, under
+	// Blocking, the client's window of unconfirmed transactions.
 	Threads int
 	// Rate is the per-client offered load in tx/s (open loop). Zero
 	// with Blocking=false means submit as fast as possible.
 	Rate float64
-	// Blocking switches to closed-loop operation: each thread waits for
-	// its transaction to commit before sending the next one (the
-	// paper's latency measurement mode).
+	// Blocking switches to closed-loop operation (the paper's latency
+	// measurement mode): a client generates its next transaction only
+	// once one of its Threads earlier ones has confirmed. Rate is
+	// ignored; confirmation and latency mean what they mean open loop.
 	Blocking bool
 	// Duration is the measurement window.
 	Duration time.Duration
@@ -135,14 +138,13 @@ func (cfg *RunConfig) fill() {
 	if cfg.TraceSample == 0 {
 		cfg.TraceSample = 0.01
 	}
-	if cfg.TraceSample < 0 {
-		cfg.TraceSample = 0 // explicit off
-	}
+	cfg.TraceSample = max(cfg.TraceSample, 0) // negative: explicit off
 }
 
-// clientState is one client's leg of the submission pipeline:
+// clientState is one client's leg of the submit→confirm pipeline, the
+// same in every run mode:
 //
-//	generator -> submitCh (bounded) -> sender workers -> outstanding
+//	generator -> submitCh (bounded) -> sender workers -> outstanding -> poller
 //
 // The generator owns any overflow beyond the channel's capacity, so the
 // hot path between generator and senders is a plain channel with no
@@ -154,18 +156,31 @@ type clientState struct {
 	server int // server index, for grouping confirmation pollers
 
 	submitCh chan Op
+	// window is the closed-loop pacing source: Threads slots, one taken
+	// by the generator before each Next and handed back by whoever
+	// retires the transaction. nil unless RunConfig.Blocking.
+	window   chan struct{}
 	overflow atomic.Int64 // generated ops the channel had no room for
 	inflight atomic.Int64 // ops taken by a sender, not yet accepted
 
 	mu          sync.Mutex
-	outstanding map[Hash]time.Time
+	outstanding map[Hash]time.Time // accepted, unconfirmed: id -> accept time
 }
 
+// queueLen reads the stages downstream first: an operation leaves one
+// stage before it enters the next, so it is counted at most once.
 func (cs *clientState) queueLen() int {
 	cs.mu.Lock()
 	n := len(cs.outstanding)
 	cs.mu.Unlock()
-	return n + len(cs.submitCh) + int(cs.overflow.Load()) + int(cs.inflight.Load())
+	return n + int(cs.inflight.Load()) + len(cs.submitCh) + int(cs.overflow.Load())
+}
+
+// release hands a closed-loop window slot back to the generator.
+func (cs *clientState) release() {
+	if cs.window != nil {
+		<-cs.window
+	}
 }
 
 // Handle is the run handle over one live benchmark run: the driver's
@@ -204,8 +219,7 @@ type Handle struct {
 	chaosSeed int64
 
 	snapshots chan Snapshot
-	stop      chan struct{}
-	stopOnce  sync.Once
+	stop      chan struct{} // closed by the controller: teardown begins
 	done      chan struct{}
 	aborted   atomic.Bool
 
@@ -219,7 +233,6 @@ type Handle struct {
 	pending []string             // fired since the last frame, for Snapshots
 
 	reportOut *Report
-	err       error
 }
 
 // Start launches a workload against a started cluster and returns the
@@ -228,9 +241,8 @@ type Handle struct {
 // when cfg.Duration elapses or ctx is cancelled, whichever comes first.
 func Start(ctx context.Context, c *Cluster, w Workload, cfg RunConfig) (*Handle, error) {
 	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	if !cfg.SkipInit {
-		if err := w.Init(c, rng); err != nil {
+		if err := w.Init(c, rand.New(rand.NewSource(cfg.Seed))); err != nil {
 			return nil, fmt.Errorf("blockbench: workload init: %w", err)
 		}
 	}
@@ -307,6 +319,9 @@ func Start(ctx context.Context, c *Cluster, w Workload, cfg RunConfig) (*Handle,
 			submitCh:    make(chan Op, cfg.Threads*4),
 			outstanding: make(map[Hash]time.Time),
 		}
+		if cfg.Blocking {
+			r.states[i].window = make(chan struct{}, cfg.Threads)
+		}
 	}
 
 	if cfg.HTTPAddr != "" {
@@ -318,12 +333,8 @@ func Start(ctx context.Context, c *Cluster, w Workload, cfg RunConfig) (*Handle,
 	}
 
 	var workers sync.WaitGroup
-	if cfg.Blocking {
-		r.runBlocking(&workers)
-	} else {
-		r.runOpenLoop(&workers)
-		r.runPollers(&workers)
-	}
+	r.runClients(&workers)
+	r.runPollers(&workers)
 	if len(cfg.Events) > 0 {
 		workers.Add(1)
 		go func() {
@@ -332,29 +343,19 @@ func Start(ctx context.Context, c *Cluster, w Workload, cfg RunConfig) (*Handle,
 		}()
 	}
 	workers.Add(1)
-	go func() {
-		defer workers.Done()
-		r.snapshotLoop()
-	}()
+	go r.snapshotLoop(&workers)
 
-	// Deadline / cancellation controller.
+	// Controller: the window ends at the deadline in every mode, or on
+	// cancellation; then teardown, the final frame, the report, waiters.
 	go func() {
 		timer := time.NewTimer(time.Until(r.end))
-		defer timer.Stop()
 		select {
 		case <-ctx.Done():
 			r.aborted.Store(true)
-			r.halt()
 		case <-timer.C:
-			r.halt()
-		case <-r.stop:
 		}
-	}()
-
-	// Finisher: wait out the teardown, emit the final partial frame,
-	// build the report, release waiters.
-	go func() {
-		<-r.stop
+		timer.Stop()
+		close(r.stop)
 		workers.Wait()
 		r.emitSnapshot(time.Now())
 		r.finish()
@@ -366,8 +367,8 @@ func Start(ctx context.Context, c *Cluster, w Workload, cfg RunConfig) (*Handle,
 }
 
 // Run executes a workload against a started cluster and reports the
-// paper's metrics — the original blocking API, now a thin wrapper over
-// the run handle: it drains the snapshot stream and waits the run out.
+// paper's metrics: the one-call form of Start, which drains the
+// snapshot stream and waits the run out.
 func Run(c *Cluster, w Workload, cfg RunConfig) (*Report, error) {
 	run, err := Start(context.Background(), c, w, cfg)
 	if err != nil {
@@ -377,9 +378,6 @@ func Run(c *Cluster, w Workload, cfg RunConfig) (*Report, error) {
 	}
 	return run.Wait()
 }
-
-// halt closes the stop channel exactly once, beginning teardown.
-func (r *Handle) halt() { r.stopOnce.Do(func() { close(r.stop) }) }
 
 // Snapshots returns the live metric stream: one frame per bucket (plus a
 // final partial frame), closed when the run ends. The driver never
@@ -394,7 +392,7 @@ func (r *Handle) Snapshots() <-chan Snapshot { return r.snapshots }
 // is a legitimate way to end a run early.
 func (r *Handle) Wait() (*Report, error) {
 	<-r.done
-	return r.reportOut, r.err
+	return r.reportOut, nil
 }
 
 // recordEvent stamps one fired schedule event for both the snapshot
@@ -407,7 +405,8 @@ func (r *Handle) recordEvent(rec schedule.Record) {
 }
 
 // snapshotLoop emits one frame per bucket until teardown.
-func (r *Handle) snapshotLoop() {
+func (r *Handle) snapshotLoop(wg *sync.WaitGroup) {
+	defer wg.Done()
 	tick := time.NewTicker(r.cfg.Bucket)
 	defer tick.Stop()
 	for {
@@ -477,10 +476,6 @@ func (r *Handle) finish() {
 	}
 	committed := r.committed.Load()
 
-	r.mu.Lock()
-	events := append([]report.EventRecord(nil), r.events...)
-	r.mu.Unlock()
-
 	rep := &Report{
 		Platform:     string(c.Kind()),
 		Workload:     r.workload.Name(),
@@ -506,24 +501,25 @@ func (r *Handle) finish() {
 		MsgsSent:     netAfter.MessagesSent - r.netBefore.MessagesSent,
 		MsgsDropped:  netAfter.MessagesDropped - r.netBefore.MessagesDropped,
 		Counters:     counterDelta(c.inner.Counters(), r.countersBefore),
-		Events:       events,
+		Events:       r.events, // the scheduler has exited: no more writers
 		Stages:       stageStats(r.tracer),
 		Traces:       exportTraces(r.tracer),
 	}
 	rep.Counters["driver.failovers"] = r.failovers.Load()
 
 	if r.inv != nil {
-		inner := c.inner
-		r.inv.ObserveHeights(inner)
+		r.inv.ObserveHeights(c.inner)
 		// Prefix agreement stops short of the confirmation depth, plus a
 		// reorg margin on forking chains: PoW nodes legitimately disagree
 		// near the tip while a reorg is in flight.
-		depth := inner.ConfirmationDepth()
-		if inner.SupportsForks() {
+		depth := c.inner.ConfirmationDepth()
+		if c.inner.SupportsForks() {
 			depth += 4
 		}
-		r.inv.CheckAgreement(inner, depth)
-		r.inv.CheckXShard(rep.Counters)
+		r.inv.CheckAgreement(c.inner, depth)
+		// Absolute counters, not the run's delta: a 2PC begun before the
+		// run and resolved in it would read as a commit without its tx.
+		r.inv.CheckXShard(c.inner.Counters())
 		if wi, ok := r.workload.(WorkloadInvariants); ok {
 			for _, v := range wi.CheckInvariants(c) {
 				r.inv.Add(v)
@@ -588,14 +584,13 @@ func counterDelta(after, before map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// submitWithRetry is the submission core shared by the open-loop sender
-// workers and the blocking threads: it pushes one operation through
-// Client.Send, backing off exponentially while the server reports busy,
-// and gives up when stop closes. After two consecutive failures it
-// fails the client over to the next server not currently
-// process-killed — a crashed server rejects every RPC instantly, so
-// without failover its submit threads would spin until the node
-// recovers. Rotations are counted as driver.failovers.
+// submitWithRetry is the senders' submission core: it pushes one
+// operation through Client.Send, backing off exponentially while the
+// server reports busy, and gives up when stop closes. After two
+// consecutive failures it fails the client over to the next server not
+// currently process-killed — a crashed server rejects every RPC
+// instantly, so without failover its submit threads would spin until
+// the node recovers. Rotations are counted as driver.failovers.
 func (r *Handle) submitWithRetry(cl *Client, op Op) (Hash, bool) {
 	backoff := time.Millisecond
 	errs := 0
@@ -624,9 +619,9 @@ func (r *Handle) submitWithRetry(cl *Client, op Op) (Hash, bool) {
 }
 
 // failoverClient rotates the client to the next server that is not
-// process-killed, reporting whether it moved. Muted or partitioned
-// servers look up but keep erroring, so the rotation simply fires again
-// two failures later and walks past them.
+// process-killed, reporting whether it moved. Partitioned servers look
+// up but keep erroring, so the rotation simply fires again two failures
+// later and walks past them.
 func (r *Handle) failoverClient(cl *Client) bool {
 	size := r.cluster.Size()
 	cur := cl.Server()
@@ -642,88 +637,98 @@ func (r *Handle) failoverClient(cl *Client) bool {
 	return false
 }
 
-// runOpenLoop starts the pipelines: one generator per client producing
-// at Rate into the bounded submit channel, and Threads sender workers
-// per client draining it.
-func (r *Handle) runOpenLoop(wg *sync.WaitGroup) {
-	cfg, w, end, stop := r.cfg, r.workload, r.end, r.stop
+// runClients starts every client's pipeline: one generator feeding the
+// bounded submit channel and Threads sender workers draining it.
+func (r *Handle) runClients(wg *sync.WaitGroup) {
 	for i, cs := range r.states {
-		gen := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		wg.Add(1)
-		go func(i int, cs *clientState, gen *rand.Rand) {
-			defer wg.Done()
-			if cfg.Rate <= 0 {
-				// As-fast-as-possible: the bounded channel is the
-				// standing queue; its backpressure paces the generator.
-				for time.Now().Before(end) {
-					select {
-					case <-stop: // aborted mid-window
-						return
-					default:
-					}
-					op := w.Next(i, gen)
-					select {
-					case cs.submitCh <- op:
-					case <-stop:
-						return
-					}
+		wg.Add(1 + r.cfg.Threads)
+		go r.generate(wg, i, cs)
+		for t := 0; t < r.cfg.Threads; t++ {
+			go r.send(wg, cs)
+		}
+	}
+}
+
+// generate is client i's generator, the only caller of Workload.Next
+// for that client. The run mode selects nothing but its pacing source:
+// a ticker (Rate > 0), the closed-loop window (Blocking), or neither —
+// then the bounded channel's back-pressure paces it.
+func (r *Handle) generate(wg *sync.WaitGroup, i int, cs *clientState) {
+	defer wg.Done()
+	cfg, w, stop := r.cfg, r.workload, r.stop
+	gen := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+	var tick <-chan time.Time // nil unless paced
+	if cfg.Rate > 0 && !cfg.Blocking {
+		t := time.NewTicker(time.Duration(float64(time.Second) / cfg.Rate))
+		defer t.Stop()
+		tick = t.C
+	}
+	var backlog []Op
+	for {
+		if tick != nil || cs.window != nil {
+			select {
+			case <-stop:
+				return
+			case now := <-tick:
+				if now.After(r.end) {
+					return
 				}
+			case cs.window <- struct{}{}:
+			}
+		}
+		op := w.Next(i, gen)
+		if tick == nil {
+			// The bounded channel is the standing queue. Closed loop
+			// never fills it: the window is smaller.
+			select {
+			case cs.submitCh <- op:
+				continue
+			case <-stop:
 				return
 			}
-			// Paced generation: one operation per tick. When the
-			// channel is full (offered load above capacity) ops pile up
-			// in the generator-owned backlog, which is what the paper's
-			// queue-length figures measure growing without bound.
-			interval := time.Duration(float64(time.Second) / cfg.Rate)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			var backlog []Op
-			for {
-				select {
-				case <-stop:
-					return
-				case now := <-tick.C:
-					if now.After(end) {
-						return
-					}
-					backlog = append(backlog, w.Next(i, gen))
-					for len(backlog) > 0 {
-						select {
-						case cs.submitCh <- backlog[0]:
-							backlog = backlog[1:]
-							continue
-						default:
-						}
-						break
-					}
-					if len(backlog) == 0 {
-						backlog = nil // let the drained backlog be reclaimed
-					}
-					cs.overflow.Store(int64(len(backlog)))
-				}
+		}
+		// Paced: one operation per tick. When the channel is full
+		// (offered load above capacity) ops pile up in the
+		// generator-owned backlog, which is what the paper's
+		// queue-length figures measure growing without bound.
+		backlog = append(backlog, op)
+		for len(backlog) > 0 {
+			select {
+			case cs.submitCh <- backlog[0]:
+				backlog = backlog[1:]
+				continue
+			default:
 			}
-		}(i, cs, gen)
+			break
+		}
+		if len(backlog) == 0 {
+			backlog = nil // let the drained backlog be reclaimed
+		}
+		cs.overflow.Store(int64(len(backlog)))
+	}
+}
 
-		for t := 0; t < cfg.Threads; t++ {
-			wg.Add(1)
-			go func(cs *clientState) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					case op := <-cs.submitCh:
-						cs.inflight.Add(1)
-						if id, ok := r.submitWithRetry(cs.client, op); ok {
-							r.submitted.Add(1)
-							cs.mu.Lock()
-							cs.outstanding[id] = time.Now()
-							cs.mu.Unlock()
-						}
-						cs.inflight.Add(-1)
-					}
-				}
-			}(cs)
+// send is one sender worker: it submits what the generator queued and
+// parks each accepted transaction in outstanding, stamped with the
+// accept time the latency clock starts from.
+func (r *Handle) send(wg *sync.WaitGroup, cs *clientState) {
+	defer wg.Done()
+	for {
+		select {
+		case <-r.stop:
+			return
+		case op := <-cs.submitCh:
+			cs.inflight.Add(1)
+			id, ok := r.submitWithRetry(cs.client, op)
+			cs.inflight.Add(-1)
+			if !ok {
+				cs.release()
+				return
+			}
+			r.submitted.Add(1)
+			cs.mu.Lock()
+			cs.outstanding[id] = time.Now()
+			cs.mu.Unlock()
 		}
 	}
 }
@@ -738,7 +743,7 @@ func (r *Handle) runPollers(wg *sync.WaitGroup) {
 	}
 	for _, group := range byNode {
 		wg.Add(1)
-		go func(group []*clientState) {
+		go func() {
 			defer wg.Done()
 			var polledTo uint64
 			tick := time.NewTicker(r.cfg.PollInterval)
@@ -748,90 +753,28 @@ func (r *Handle) runPollers(wg *sync.WaitGroup) {
 				case <-r.stop:
 					return
 				case now := <-tick.C:
-					polledTo = pollNode(group, polledTo, now, &r.committed, &r.latency, r.commitSeries, r.tracer)
+					polledTo = r.pollNode(group, polledTo, now)
 					for _, cs := range group {
 						r.queueSeries.Sample(now, float64(cs.queueLen()))
 					}
 				}
 			}
-		}(group)
-	}
-}
-
-// runBlocking implements the closed-loop latency mode: each thread
-// submits one transaction through the shared submission core and polls
-// until it commits.
-func (r *Handle) runBlocking(wg *sync.WaitGroup) {
-	cfg, w, end, stop := r.cfg, r.workload, r.end, r.stop
-	for i, cs := range r.states {
-		for t := 0; t < cfg.Threads; t++ {
-			gen := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919 + int64(t)*104729))
-			wg.Add(1)
-			go func(i int, cs *clientState, gen *rand.Rand) {
-				defer wg.Done()
-				for time.Now().Before(end) {
-					select {
-					case <-stop: // aborted mid-window
-						return
-					default:
-					}
-					op := w.Next(i, gen)
-					t0 := time.Now()
-					id, ok := r.submitWithRetry(cs.client, op)
-					if !ok {
-						return
-					}
-					r.submitted.Add(1)
-					// An in-flight transaction is polled up to 10s past
-					// the window's natural end (slow platforms commit the
-					// tail after the deadline, and its latency sample is
-					// part of the distribution); only an abort cuts the
-					// wait short.
-					grace := end.Add(10 * time.Second)
-					for time.Now().Before(grace) {
-						ok, err := cs.client.Committed(id)
-						if err != nil {
-							break
-						}
-						if ok {
-							r.latency.Observe(time.Since(t0))
-							r.committed.Add(1)
-							r.commitSeries.Sample(time.Now(), 1)
-							r.tracer.Stamp(id, trace.StageConfirm)
-							break
-						}
-						select {
-						case <-stop:
-							if r.aborted.Load() {
-								return
-							}
-							// Natural end: stop stays closed, so sleep
-							// plainly for the rest of the grace period.
-							time.Sleep(cfg.PollInterval)
-						case <-time.After(cfg.PollInterval):
-						}
-					}
-				}
-			}(i, cs, gen)
-		}
+		}()
 	}
 }
 
 // pollNode advances one server's confirmation polling: a single
-// BlocksFrom batch is matched against the outstanding set of every
-// client attached to that server.
-func pollNode(group []*clientState, from uint64, now time.Time,
-	committed *atomic.Uint64, latency *metrics.Histogram,
-	commitSeries *metrics.TimeSeries, tracer *trace.Tracer) uint64 {
-
+// BlocksFrom batch — blocks ConfirmationDepth deep, plus the sharded
+// gateway's remote commits — is matched against the outstanding set of
+// every client attached to that server. It is the one confirm site: in
+// every mode a transaction commits when poll tick `now` finds it here.
+func (r *Handle) pollNode(group []*clientState, from uint64, now time.Time) uint64 {
 	blocks, err := group[0].client.BlocksFrom(from)
 	if err != nil {
 		return from
 	}
 	for _, b := range blocks {
-		if b.Number > from {
-			from = b.Number
-		}
+		from = max(from, b.Number)
 		for _, cs := range group {
 			var mine []time.Time
 			var confirmed []Hash
@@ -845,10 +788,11 @@ func pollNode(group []*clientState, from uint64, now time.Time,
 			}
 			cs.mu.Unlock()
 			for i, t0 := range mine {
-				latency.Observe(now.Sub(t0))
-				committed.Add(1)
-				commitSeries.Sample(now, 1)
-				tracer.Stamp(confirmed[i], trace.StageConfirm)
+				r.latency.Observe(now.Sub(t0))
+				r.committed.Add(1)
+				r.commitSeries.Sample(now, 1)
+				r.tracer.Stamp(confirmed[i], trace.StageConfirm)
+				cs.release()
 			}
 		}
 	}

@@ -41,17 +41,6 @@ func RecoverNode(at time.Duration, node int) Event {
 	return Event{At: at, Act: schedule.Recover(node)}
 }
 
-// MuteNode schedules a network-only fail-stop of node i (the paper's
-// original crash failure mode — the process keeps its state).
-func MuteNode(at time.Duration, node int) Event {
-	return Event{At: at, Act: schedule.Mute(node)}
-}
-
-// UnmuteNode schedules the reconnection of a muted node.
-func UnmuteNode(at time.Duration, node int) Event {
-	return Event{At: at, Act: schedule.Unmute(node)}
-}
-
 // PartitionGroups schedules an arbitrary (possibly asymmetric)
 // multi-way partition; nodes not listed in any group form an implicit
 // group of their own.

@@ -79,9 +79,6 @@ func (e *Engine) Stop() {
 	}
 }
 
-// Sealed reports how many blocks this authority has produced.
-func (e *Engine) Sealed() uint64 { return e.sealed.Load() }
-
 // Counters implements metrics.CounterProvider.
 func (e *Engine) Counters() map[string]uint64 {
 	return map[string]uint64{"poa.sealed": e.sealed.Load()}

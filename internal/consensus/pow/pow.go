@@ -101,12 +101,6 @@ func (e *Engine) Stop() {
 	}
 }
 
-// Hashes reports total hash attempts (CPU utilization proxy).
-func (e *Engine) Hashes() uint64 { return e.hashes.Load() }
-
-// Mined reports blocks sealed by this node.
-func (e *Engine) Mined() uint64 { return e.mined.Load() }
-
 // Counters implements metrics.CounterProvider.
 func (e *Engine) Counters() map[string]uint64 {
 	return map[string]uint64{

@@ -464,9 +464,6 @@ func (e *Engine) leaseValidLocked(now time.Time) bool {
 // Elections counts elections this replica has started.
 func (e *Engine) Elections() uint64 { return e.elections.Load() }
 
-// LeaderWins counts elections this replica has won.
-func (e *Engine) LeaderWins() uint64 { return e.leaderWins.Load() }
-
 // BatchesCommitted counts log entries this replica has applied as
 // blocks.
 func (e *Engine) BatchesCommitted() uint64 { return e.batchesDone.Load() }

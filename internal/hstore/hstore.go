@@ -80,9 +80,6 @@ func (s *Store) Close() {
 	s.wg.Wait()
 }
 
-// Partitions returns the partition count.
-func (s *Store) Partitions() int { return len(s.parts) }
-
 func (s *Store) partOf(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

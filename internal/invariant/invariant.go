@@ -151,11 +151,11 @@ func (c *Checker) CheckAgreement(v ChainView, depth uint64) {
 }
 
 // CheckXShard audits the cross-shard two-phase-commit accounting from
-// the final counter set: every coordinated transaction resolves at most
-// once, so commits+aborts can never exceed coordinated txs. (Reads are
-// non-atomic across engines mid-run, so only the over-resolution
-// direction is a hard violation; a shortfall just means coordinations
-// were still pending at sample time.)
+// the cluster's absolute counters (not a run's delta, which a
+// coordination spanning the run's start puts out of balance): every
+// coordinated transaction resolves at most once, so commits+aborts can
+// never exceed coordinated txs. Only that direction is a violation; a
+// shortfall just means coordinations were still pending at sample time.
 func (c *Checker) CheckXShard(counters map[string]uint64) {
 	txs, ok := counters["xshard.txs"]
 	if !ok {

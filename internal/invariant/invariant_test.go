@@ -152,6 +152,14 @@ func TestCheckXShardAccounting(t *testing.T) {
 	if got := c.Violations(); len(got) != 0 {
 		t.Fatalf("in-flight shortfall flagged: %v", got)
 	}
+	// The checker is meant to see the cluster's absolute counters. A
+	// coordination open when a run began (txs 10, commits 8, aborts 1)
+	// and resolved during it makes the run's delta read commits 6 > txs
+	// 5, while the absolutes at its end stay consistent.
+	c.CheckXShard(map[string]uint64{"xshard.txs": 15, "xshard.commits": 14, "xshard.aborts": 1})
+	if got := c.Violations(); len(got) != 0 {
+		t.Fatalf("absolute counters across a run boundary flagged: %v", got)
+	}
 	c.CheckXShard(map[string]uint64{"xshard.txs": 10, "xshard.commits": 8, "xshard.aborts": 3})
 	got := c.Violations()
 	if len(got) != 1 || !strings.Contains(got[0], "xshard") {

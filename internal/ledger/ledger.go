@@ -57,10 +57,6 @@ type Config struct {
 	SupportsForks bool
 	// GenesisAlloc funds accounts at genesis.
 	GenesisAlloc map[types.Address]uint64
-	// GenesisTime stamps the genesis header. All nodes of one network
-	// must agree on it, or their genesis hashes (and thus chains) would
-	// diverge.
-	GenesisTime int64
 	// OnInclude is called with the transactions of blocks that become
 	// canonical, so the node can clear them from its pending pool. Pool
 	// bookkeeping must key off canonicality, not block arrival: a
@@ -121,8 +117,7 @@ func New(cfg Config) (*Chain, error) {
 		return nil, fmt.Errorf("ledger: genesis commit: %w", err)
 	}
 	genesis := &types.Block{Header: types.Header{
-		Number: 0, StateRoot: root, Time: cfg.GenesisTime,
-		GasLimit: cfg.GasLimit,
+		Number: 0, StateRoot: root, GasLimit: cfg.GasLimit,
 	}}
 	e := &entry{block: genesis, stateRoot: root}
 	c := &Chain{
@@ -172,10 +167,10 @@ func (c *Chain) verifyTxs(b *types.Block) error {
 }
 
 // execute runs the block's transactions on the parent state.
-func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Receipt, uint64, error) {
+func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Receipt, error) {
 	db, err := c.cfg.StateFactory(parent.stateRoot)
 	if err != nil {
-		return types.ZeroHash, nil, 0, err
+		return types.ZeroHash, nil, err
 	}
 	var receipts []*types.Receipt
 	if c.cfg.Parallel != nil {
@@ -186,11 +181,9 @@ func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Rec
 			receipts[i] = c.cfg.Engine.Execute(db, tx, b.Number())
 		}
 	}
-	var gasUsed uint64
 	for i, r := range receipts {
 		r.Index = i
 		r.BlockHash = b.Hash()
-		gasUsed += r.GasUsed
 	}
 	if c.cfg.Tracer.Enabled() {
 		for _, tx := range b.Txs {
@@ -199,14 +192,14 @@ func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Rec
 	}
 	root, err := db.Commit()
 	if err != nil {
-		return types.ZeroHash, nil, 0, fmt.Errorf("ledger: state commit: %w", err)
+		return types.ZeroHash, nil, fmt.Errorf("ledger: state commit: %w", err)
 	}
 	if c.cfg.Tracer.Enabled() {
 		for _, tx := range b.Txs {
 			c.cfg.Tracer.Stamp(tx.Hash(), trace.StageStateCommit)
 		}
 	}
-	return root, receipts, gasUsed, nil
+	return root, receipts, nil
 }
 
 // Append validates, executes and stores a block, advancing the head if
@@ -240,7 +233,7 @@ func (c *Chain) Append(b *types.Block) error {
 		}
 	}
 
-	root, receipts, gasUsed, err := c.execute(parent, b)
+	root, receipts, err := c.execute(parent, b)
 	if err != nil {
 		return err
 	}
@@ -254,7 +247,6 @@ func (c *Chain) Append(b *types.Block) error {
 		diff = 1
 	}
 	e := &entry{block: b, stateRoot: root, totalDiff: parent.totalDiff + diff, receipts: receipts}
-	_ = gasUsed
 	c.entries[b.Hash()] = e
 	c.appended++
 
@@ -510,11 +502,4 @@ func (c *Chain) KnownHashes() []types.Hash {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -511,12 +511,11 @@ func (c *Cluster) Crash(i int) {
 // torn tail), rebuild the chain from the journaled blocks and hand the
 // consensus engine its persisted hard state; other presets restart
 // from genesis and rejoin through the chain-sync protocol. On a node
-// that was merely Muted, Recover just restores connectivity.
+// that is not down it is a no-op.
 func (c *Cluster) Recover(i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.down[i] {
-		c.Net.Recover(simnet.NodeID(i))
 		return
 	}
 	var store kvstore.Store
@@ -554,15 +553,6 @@ func (c *Cluster) Recover(i int) {
 	c.down[i] = false
 	c.restarts[i]++
 }
-
-// Mute suppresses message delivery to and from node i without killing
-// the process — the paper's original fail-stop-on-the-network failure
-// mode. The node's in-memory state survives; Unmute (or Recover)
-// restores connectivity.
-func (c *Cluster) Mute(i int) { c.Net.Crash(simnet.NodeID(i)) }
-
-// Unmute restores a muted node's connectivity.
-func (c *Cluster) Unmute(i int) { c.Net.Recover(simnet.NodeID(i)) }
 
 // Down reports whether node i is currently process-killed.
 func (c *Cluster) Down(i int) bool {
@@ -661,7 +651,7 @@ func (c *Cluster) PartitionGroups(groups [][]int) {
 	c.Net.PartitionGroups(g)
 }
 
-// Heal removes partitions and blocked links.
+// Heal removes partitions.
 func (c *Cluster) Heal() { c.Net.Heal() }
 
 // SetLinkFaults installs a probabilistic link-fault profile on messages

@@ -30,19 +30,15 @@ type Cluster interface {
 	Size() int
 	// Crash process-kills node i (in-memory state is lost).
 	Crash(i int)
-	// Recover restarts a killed node from its persisted store, or
-	// restores connectivity to a muted node.
+	// Recover restarts a killed node from its persisted store; on a
+	// node that is not down it is a no-op.
 	Recover(i int)
-	// Mute suppresses node i's traffic without killing the process.
-	Mute(i int)
-	// Unmute restores a muted node's connectivity.
-	Unmute(i int)
 	// PartitionHalves splits the network into [0,k) and [k,N).
 	PartitionHalves(k int)
 	// PartitionGroups installs an arbitrary multi-way partition;
 	// unlisted nodes form an implicit group.
 	PartitionGroups(groups [][]int)
-	// Heal removes partitions and blocked links.
+	// Heal removes partitions.
 	Heal()
 	// SetDelay injects extra message delay at the given nodes.
 	SetDelay(d time.Duration, nodes ...int)
@@ -97,17 +93,6 @@ func Recover(i int) Action {
 // Partition returns the split-in-[0,k)/[k,N) action.
 func Partition(k int) Action {
 	return Action{Name: fmt.Sprintf("partition(%d)", k), Do: func(c Cluster) { c.PartitionHalves(k) }}
-}
-
-// Mute returns the network-only fail-stop action (the pre-process-kill
-// Crash semantics).
-func Mute(i int) Action {
-	return Action{Name: fmt.Sprintf("mute(%d)", i), Do: func(c Cluster) { c.Mute(i) }}
-}
-
-// Unmute returns the restore-connectivity action.
-func Unmute(i int) Action {
-	return Action{Name: fmt.Sprintf("unmute(%d)", i), Do: func(c Cluster) { c.Unmute(i) }}
 }
 
 // PartitionGroups returns the multi-way partition action.
@@ -211,11 +196,6 @@ type ChaosConfig struct {
 	// NetProb is the per-tick probability of starting a network fault
 	// (asymmetric partition or probabilistic link faults).
 	NetProb float64
-	// Tick is the decision cadence (default 250ms).
-	Tick time.Duration
-	// MaxDown caps concurrently killed nodes (default: a minority,
-	// (Nodes-1)/2, so majority-quorum platforms keep making progress).
-	MaxDown int
 }
 
 // Chaos generates a deterministic randomized fault timeline: process
@@ -228,14 +208,10 @@ func Chaos(cfg ChaosConfig) []Event {
 	if cfg.Nodes <= 0 || cfg.Duration <= 0 {
 		return nil
 	}
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = 250 * time.Millisecond
-	}
-	maxDown := cfg.MaxDown
-	if maxDown <= 0 {
-		maxDown = (cfg.Nodes - 1) / 2
-	}
+	const tick = 250 * time.Millisecond // the decision cadence
+	// No more than a minority is ever down at once, so majority-quorum
+	// platforms keep making progress.
+	maxDown := (cfg.Nodes - 1) / 2
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	healAt := cfg.Duration * 4 / 5
 

@@ -28,8 +28,6 @@ func (f *fakeCluster) record(s string) {
 func (f *fakeCluster) Size() int                                { return f.size }
 func (f *fakeCluster) Crash(i int)                              { f.record("crash") }
 func (f *fakeCluster) Recover(i int)                            { f.record("recover") }
-func (f *fakeCluster) Mute(i int)                               { f.record("mute") }
-func (f *fakeCluster) Unmute(i int)                             { f.record("unmute") }
 func (f *fakeCluster) PartitionHalves(int)                      { f.record("partition") }
 func (f *fakeCluster) PartitionGroups(groups [][]int)           { f.record("partition_groups") }
 func (f *fakeCluster) Heal()                                    { f.record("heal") }

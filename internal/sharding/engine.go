@@ -283,11 +283,13 @@ func (e *Engine) Stop() {
 // cluster-wide aggregates like raft.elections keep working) and under a
 // per-shard prefix (so shard imbalance is visible per group).
 func (e *Engine) Counters() map[string]uint64 {
+	// Resolutions are read before coordinations, so commits + aborts
+	// never exceeds txs in any reading (the accounting invariant).
 	out := map[string]uint64{
-		"xshard.fastpath": e.fastpath.Load(),
-		"xshard.txs":      e.xTxs.Load(),
 		"xshard.commits":  e.xCommits.Load(),
 		"xshard.aborts":   e.xAborts.Load(),
+		"xshard.txs":      e.xTxs.Load(),
+		"xshard.fastpath": e.fastpath.Load(),
 		"xshard.retries":  e.xRetries.Load(),
 	}
 	for k, v := range e.inner.Counters() {

@@ -94,8 +94,6 @@ type LinkFaults struct {
 
 func (f LinkFaults) zero() bool { return f.Drop <= 0 && f.Dup <= 0 && f.Reorder <= 0 }
 
-type link struct{ from, to NodeID }
-
 // Network is the shared medium connecting all endpoints.
 type Network struct {
 	cfg Config
@@ -109,11 +107,8 @@ type Network struct {
 	group       map[NodeID]int
 	extraDelay  map[NodeID]time.Duration
 	corruptRate map[NodeID]float64
-	// faults holds each sender's probabilistic link fault profile;
-	// blocked cuts individual directed links (asymmetric partial
-	// partitions: A may reach B while B cannot reach A).
-	faults  map[NodeID]LinkFaults
-	blocked map[link]bool
+	// faults holds each sender's probabilistic link fault profile.
+	faults map[NodeID]LinkFaults
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -142,7 +137,6 @@ func New(cfg Config) *Network {
 		extraDelay:  make(map[NodeID]time.Duration),
 		corruptRate: make(map[NodeID]float64),
 		faults:      make(map[NodeID]LinkFaults),
-		blocked:     make(map[link]bool),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -224,11 +218,6 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 		n.dropped.Add(1)
 		return false
 	}
-	if n.blocked[link{from.ID, to}] {
-		n.mu.RUnlock()
-		n.dropped.Add(1)
-		return false
-	}
 	dst, ok := n.endpoints[to]
 	delay := n.cfg.BaseLatency + n.extraDelay[from.ID] + n.extraDelay[to]
 	corrupt := n.corruptRate[from.ID]
@@ -283,8 +272,8 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 }
 
 // deliverAfter schedules one delivery attempt of msg to dst, re-checking
-// the destination's liveness (crash, partition, directed block, endpoint
-// replacement) at delivery time.
+// the destination's liveness (crash, partition, endpoint replacement) at
+// delivery time.
 func (n *Network) deliverAfter(msg Message, dst *Endpoint, delay time.Duration) {
 	n.timers.Add(1)
 	time.AfterFunc(delay, func() {
@@ -297,7 +286,6 @@ func (n *Network) deliverAfter(msg Message, dst *Endpoint, delay time.Duration) 
 		cur, ok := n.endpoints[to]
 		crashed := n.crashed[to]
 		cut := n.partitioned && n.group[msg.From] != n.group[to]
-		cut = cut || n.blocked[link{msg.From, to}]
 		n.mu.RUnlock()
 		if !ok || crashed || cut || cur != dst {
 			n.dropped.Add(1)
@@ -370,23 +358,6 @@ func (n *Network) PartitionGroups(groups [][]NodeID) {
 	n.partitioned = true
 }
 
-// BlockLink cuts the directed link from → to: messages from "from" to
-// "to" are dropped while the reverse direction still delivers. This is
-// the asymmetric-partition primitive (a node that can send but not hear,
-// or vice versa). Heal clears all blocked links.
-func (n *Network) BlockLink(from, to NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blocked[link{from, to}] = true
-}
-
-// UnblockLink restores a directed link cut by BlockLink.
-func (n *Network) UnblockLink(from, to NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blocked, link{from, to})
-}
-
 // SetLinkFaults installs a probabilistic fault profile on all links
 // originating at the given nodes (every node when none are given). A
 // zero profile clears the faults.
@@ -407,14 +378,12 @@ func (n *Network) SetLinkFaults(f LinkFaults, ids ...NodeID) {
 	}
 }
 
-// Heal removes the partition and every blocked directed link.
+// Heal removes the partition; link faults, delays and corruption stay
+// until cleared by their own setters.
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partitioned = false
-	for l := range n.blocked {
-		delete(n.blocked, l)
-	}
 }
 
 // SetDelay injects extra one-way delay on all links touching the given

@@ -233,25 +233,6 @@ func TestLinkFaultsReorderCounts(t *testing.T) {
 	}
 }
 
-func TestBlockLinkIsDirected(t *testing.T) {
-	n := New(fastConfig())
-	defer n.Close()
-	a, b := n.Join(1), n.Join(2)
-	n.BlockLink(1, 2)
-	if a.Send(2, "x", nil) {
-		t.Fatal("blocked direction delivered")
-	}
-	if !b.Send(1, "x", nil) {
-		t.Fatal("reverse direction should stay open")
-	}
-	recvWithin(t, a, time.Second)
-	n.UnblockLink(1, 2)
-	if !a.Send(2, "x", nil) {
-		t.Fatal("unblocked link refused")
-	}
-	recvWithin(t, b, time.Second)
-}
-
 func TestPartitionGroupsImplicitGroupZero(t *testing.T) {
 	n := New(fastConfig())
 	defer n.Close()
@@ -272,14 +253,19 @@ func TestPartitionGroupsImplicitGroupZero(t *testing.T) {
 	recvWithin(t, a, time.Second)
 }
 
-func TestHealClearsBlockedLinksAndFaultsSurvive(t *testing.T) {
+// TestHealKeepsLinkFaults pins Heal's scope: it lifts the partition and
+// nothing else, so a link-fault profile outlives it until its own
+// setter clears it (the chaos timeline clears the two separately).
+func TestHealKeepsLinkFaults(t *testing.T) {
 	n := New(fastConfig())
 	defer n.Close()
 	a, b := n.Join(1), n.Join(2)
-	n.BlockLink(1, 2)
+	n.Partition([]NodeID{1})
+	n.SetLinkFaults(LinkFaults{Dup: 1.0}, 1)
 	n.Heal()
 	if !a.Send(2, "x", nil) {
-		t.Fatal("Heal did not clear the blocked link")
+		t.Fatal("Heal did not lift the partition")
 	}
 	recvWithin(t, b, time.Second)
+	recvWithin(t, b, time.Second) // the duplicate: the profile survived
 }

@@ -16,7 +16,7 @@ func init() {
 		New: func(opts workload.Options) (any, error) {
 			d := workload.NewDecoder(opts)
 			w := &IOHeavyWorkload{
-				TuplesPerTx: d.Uint64("tuples", 1000),
+				TuplesPerTx: d.Uint64("tuples", 0),
 				Write:       d.Bool("write", true),
 			}
 			if err := d.Finish(); err != nil {

@@ -45,9 +45,8 @@ func (w *SmallbankWorkload) Name() string { return "smallbank" }
 // Contracts implements Workload.
 func (w *SmallbankWorkload) Contracts() []string { return []string{"smallbank"} }
 
-// lazyFill applies defaults exactly once: Next may run on several
-// goroutines without Init (SkipInit), so the check-then-initialize must
-// not race.
+// lazyFill applies defaults exactly once: without Init (SkipInit) the
+// first callers of Next are the clients' generators, all at once.
 func (w *SmallbankWorkload) lazyFill() { w.fillOnce.Do(w.fill) }
 
 func (w *SmallbankWorkload) fill() {

@@ -31,8 +31,8 @@ type WavesWorkload struct {
 }
 
 func (w *WavesWorkload) lazyFill() {
-	// Next may run on several goroutines without Init (SkipInit), so
-	// the counter allocation must not race.
+	// Without Init (SkipInit) the first callers of Next are the clients'
+	// generators, all at once.
 	w.fillOnce.Do(func() { w.counters = make([]atomic.Int64, 256) })
 }
 

@@ -54,9 +54,8 @@ func (w *YCSBWorkload) Name() string { return "ycsb" }
 // Contracts implements Workload.
 func (w *YCSBWorkload) Contracts() []string { return []string{"ycsb"} }
 
-// lazyFill applies defaults exactly once: Next may run on several
-// goroutines without Init (SkipInit), so the check-then-initialize must
-// not race.
+// lazyFill applies defaults exactly once: without Init (SkipInit) the
+// first callers of Next are the clients' generators, all at once.
 func (w *YCSBWorkload) lazyFill() { w.fillOnce.Do(w.fill) }
 
 func (w *YCSBWorkload) fill() {

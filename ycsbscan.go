@@ -48,8 +48,8 @@ type YCSBScanWorkload struct {
 
 	scanFillOnce sync.Once
 	// cursors pack one scan window per client slot as start<<16 |
-	// remaining, advanced with CAS: Next may be called from several
-	// threads of the same client in blocking mode.
+	// remaining. A client's one generator is its slot's only writer;
+	// the slots are atomic because clients 256 apart share one.
 	cursors []atomic.Uint64
 }
 
@@ -97,18 +97,11 @@ func (w *YCSBScanWorkload) Next(clientID int, rng *rand.Rand) Op {
 			Args: [][]byte{ycsbKey(w.chooser.Next(rng)), randValue(rng, w.ValueSize)}}
 	}
 	slot := &w.cursors[clientID%len(w.cursors)]
-	for {
-		cur := slot.Load()
-		rem := cur & 0xffff
-		if rem == 0 {
-			break
-		}
-		if !slot.CompareAndSwap(cur, cur-1) {
-			continue // another thread of this client advanced the window
-		}
-		start := int(cur >> 16)
+	if cur := slot.Load(); cur&0xffff != 0 {
+		slot.Store(cur - 1)
+		start, rem := int(cur>>16), int(cur&0xffff)
 		return Op{Contract: "ycsb", Method: "read",
-			Args: [][]byte{ycsbKey((start + w.ScanLen - int(rem)) % w.Records)}}
+			Args: [][]byte{ycsbKey((start + w.ScanLen - rem) % w.Records)}}
 	}
 	// Open a new scan window: read its first key now, leave the rest
 	// for the following calls.
