@@ -9,12 +9,14 @@
 #   make allocprof PLATFORM=hyperledger WORKLOAD=smallbank SECONDS=5
 #                where a live run's allocated bytes go (top 15 frames);
 #                ARGS='-popt store=lsm -wopt tuples=10' reaches the CLI
+#   make bench-build  compile and vet bench/, the benchmark's own module:
+#                tier-1 never builds it, and it imports internal/...
 #   make loc     the non-test Go line count ROADMAP's design-shrink item
 #                tracks (bench/ excluded)
 #   make loc-check  fail when that count exceeds LOC_MAX (the CI ratchet)
 GO ?= go
 
-.PHONY: build vet test race bench bench-check allocprof loc loc-check clean
+.PHONY: build vet test race bench bench-check bench-build allocprof loc loc-check clean
 
 build:
 	$(GO) build ./...
@@ -63,6 +65,13 @@ bench-check:
 		-benchtime 1x -benchmem -timeout 60m -json . ./internal/txpool ./internal/consensus/raft ./internal/kvstore > BENCH_new.json
 	$(GO) run ./cmd/benchcheck -baseline BENCH_ci.json -new BENCH_new.json
 
+# bench-build is the only thing that tells a refactor it broke the
+# repository benchmark: bench/ is a separate module (replace => ../), so
+# `go build ./...` and `go test ./...` skip it, yet its layer probes call
+# internal/ packages directly. -mod=mod because it commits no go.sum.
+bench-build:
+	cd bench && GOFLAGS=-mod=mod $(GO) vet ./...
+
 # allocprof answers "where do the bytes go" for one platform x workload:
 # a 4-node run with the per-run ops endpoint up, the heap's allocation
 # profile (everything allocated since process start) fetched from
@@ -101,7 +110,7 @@ loc:
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
 # raise it says so in its diff of this line.
-LOC_MAX ?= 22864
+LOC_MAX ?= 22431
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -61,11 +61,6 @@ func (s *Stub) PutState(key, value []byte) { s.db.SetState(s.name, key, value) }
 // DelState removes a key from the chaincode's namespace.
 func (s *Stub) DelState(key []byte) { s.db.DeleteState(s.name, key) }
 
-// RangeQuery iterates the chaincode's namespace in backend order.
-func (s *Stub) RangeQuery(fn func(key, value []byte) bool) error {
-	return s.db.IterateState(s.name, fn)
-}
-
 // Transfer moves funds between ledger accounts. EVM workloads use real
 // balances; the chaincode ports keep the same effect so cross-platform
 // results are comparable.

@@ -54,20 +54,6 @@ func TestStubContext(t *testing.T) {
 	}
 }
 
-func TestStubRangeQuery(t *testing.T) {
-	s := newStub(t)
-	for i := byte(0); i < 5; i++ {
-		s.PutState([]byte{'k', i}, []byte{i})
-	}
-	n := 0
-	if err := s.RangeQuery(func(k, v []byte) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("ranged %d keys", n)
-	}
-}
-
 func TestStubTransferAndBalance(t *testing.T) {
 	s := newStub(t)
 	a, b := types.BytesToAddress([]byte("a")), types.BytesToAddress([]byte("b"))

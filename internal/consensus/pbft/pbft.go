@@ -206,18 +206,8 @@ func (e *Engine) Stop() {
 	}
 }
 
-// View returns the current view (for tests and diagnostics).
-func (e *Engine) View() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.view
-}
-
 // ViewChanges counts view transitions this replica has performed.
 func (e *Engine) ViewChanges() uint64 { return e.viewChanges.Load() }
-
-// BatchesCommitted counts batches this replica has executed.
-func (e *Engine) BatchesCommitted() uint64 { return e.batchesDone.Load() }
 
 // Counters implements metrics.CounterProvider.
 func (e *Engine) Counters() map[string]uint64 {

@@ -414,13 +414,6 @@ func (e *Engine) Stop() {
 	}
 }
 
-// Term returns the current term (for tests and diagnostics).
-func (e *Engine) Term() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.term
-}
-
 // IsLeader reports whether this replica currently leads.
 func (e *Engine) IsLeader() bool {
 	e.mu.Lock()
@@ -463,10 +456,6 @@ func (e *Engine) leaseValidLocked(now time.Time) bool {
 
 // Elections counts elections this replica has started.
 func (e *Engine) Elections() uint64 { return e.elections.Load() }
-
-// BatchesCommitted counts log entries this replica has applied as
-// blocks.
-func (e *Engine) BatchesCommitted() uint64 { return e.batchesDone.Load() }
 
 // Compactions counts log-compaction rounds on this replica.
 func (e *Engine) Compactions() uint64 { return e.compactions.Load() }

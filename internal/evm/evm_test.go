@@ -385,23 +385,6 @@ func TestGasAccountingStorageDominates(t *testing.T) {
 	}
 }
 
-func TestProgramEncodeDecode(t *testing.T) {
-	prog, err := asm.Assemble(".func x\n STOP\n.func y\n STOP\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := evm.DecodeProgram(prog.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec.Funcs) != 2 || dec.Funcs["y"] != prog.Funcs["y"] {
-		t.Fatalf("round trip lost functions: %+v", dec.Funcs)
-	}
-	if len(dec.Methods()) != 2 {
-		t.Fatal("methods list wrong")
-	}
-}
-
 func TestAssemblerErrors(t *testing.T) {
 	cases := map[string]string{
 		"unknown mnemonic": ".func f\n FROB\n",

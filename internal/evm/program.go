@@ -1,12 +1,5 @@
 package evm
 
-import (
-	"fmt"
-	"sort"
-
-	"blockbench/internal/types"
-)
-
 // Program is a compiled contract: flat bytecode plus a function table
 // mapping method selectors to entry offsets. Execution starts at the
 // offset of the transaction's method and runs until STOP/RETURN/REVERT
@@ -14,51 +7,4 @@ import (
 type Program struct {
 	Code  []byte
 	Funcs map[string]uint32
-}
-
-// Methods lists the program's function names in sorted order.
-func (p *Program) Methods() []string {
-	out := make([]string, 0, len(p.Funcs))
-	for name := range p.Funcs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Encode serializes the program for deployment transactions.
-func (p *Program) Encode() []byte {
-	e := types.NewEncoder()
-	e.Uint32(uint32(len(p.Funcs)))
-	for _, name := range p.Methods() {
-		e.String(name)
-		e.Uint32(p.Funcs[name])
-	}
-	e.Bytes(p.Code)
-	return e.Out()
-}
-
-// DecodeProgram parses a serialized program.
-func DecodeProgram(buf []byte) (*Program, error) {
-	d := types.NewDecoder(buf)
-	n := int(d.Uint32())
-	p := &Program{Funcs: make(map[string]uint32, n)}
-	for i := 0; i < n; i++ {
-		name := d.String()
-		off := d.Uint32()
-		if d.Err() != nil {
-			break
-		}
-		p.Funcs[name] = off
-	}
-	p.Code = d.Bytes()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("evm: decode program: %w", err)
-	}
-	for name, off := range p.Funcs {
-		if int(off) > len(p.Code) {
-			return nil, fmt.Errorf("evm: function %q offset %d beyond code", name, off)
-		}
-	}
-	return p, nil
 }

@@ -267,9 +267,6 @@ func (e *NativeEngine) Query(db *state.DB, contract, method string, args [][]byt
 	return cc.Query(stub, method, args)
 }
 
-// ExecTime reports cumulative wall-clock time spent inside chaincode.
-func (e *NativeEngine) ExecTime() time.Duration { return time.Duration(e.execTime.Load()) }
-
 // Counters implements metrics.CounterProvider.
 func (e *NativeEngine) Counters() map[string]uint64 {
 	return map[string]uint64{"exec.time_ns": uint64(e.execTime.Load())}

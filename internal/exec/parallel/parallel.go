@@ -102,9 +102,9 @@ func (e *Executor) ExecuteBlock(eng exec.Engine, db *state.DB, txs []*types.Tran
 				for idx := range jobs {
 					txdb := state.NewDB(views[idx])
 					receipts[idx] = eng.Execute(txdb, txs[idx], blockNum)
-					// Flush the speculation's overlay into the view's
+					// Hand the speculation's overlay to the view as its
 					// private write set (failed executions were already
-					// reverted and flush nothing, as on the serial path).
+					// reverted and hand over nothing, as on the serial path).
 					txdb.Commit()
 				}
 			}()
@@ -151,19 +151,10 @@ func (e *Executor) ExecuteBlock(eng exec.Engine, db *state.DB, txs []*types.Tran
 // validate re-resolves a speculation's recorded reads against the
 // current committed state. Version equality implies value equality
 // (committed write sets are never replaced), so a fully matching read
-// set means the execution already produced the serial outcome. Range
-// scans carry their span and the observed overlapping writes, so they
-// re-validate by overlap: only a committed write that lands inside the
-// span can fail them — a scan-heavy transaction no longer waits for its
-// whole prefix to be final before it can commit.
+// set means the execution already produced the serial outcome.
 func (e *Executor) validate(mv *state.MVStore, v *state.TxView) bool {
 	for _, r := range v.Reads() {
 		if _, ver := mv.Read(r.Key, v.Tx()); ver != r.Version {
-			return false
-		}
-	}
-	for _, rr := range v.Ranges() {
-		if !mv.RangeUnchanged(v.Tx(), rr) {
 			return false
 		}
 	}

@@ -31,7 +31,7 @@ func BenchmarkFlatCacheHit(b *testing.B) {
 	flat := state.NewFlatState(store, accounts)
 	cache := state.NewSharedCache(1024)
 	root := types.ZeroHash
-	fb, err := state.NewFlatBackend(store, root, cache, flat)
+	fb, err := state.NewTrieBackendShared(store, root, cache, flat)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkFlatCacheHit(b *testing.B) {
 
 	// A fresh backend at the head root, as the per-block state factory
 	// would open it; the shared FlatState carries the hot set across.
-	fb2, err := state.NewFlatBackend(store, root, cache, flat)
+	fb2, err := state.NewTrieBackendShared(store, root, cache, flat)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -185,9 +186,10 @@ func (s *LSM) replayWAL() error {
 	var valid int64
 	for {
 		k, v, del, err := readRecord(r)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// A torn tail record is expected after a crash; everything
-			// before it is durable and already applied.
+		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorruptRecord) {
+			// A torn tail record is expected after a crash, and a header
+			// that cannot be real ends the readable log the same way;
+			// everything before it is durable and already applied.
 			break
 		}
 		if err != nil {
@@ -235,14 +237,37 @@ func writeRecord(w *bufio.Writer, k string, v []byte, del bool) error {
 	return err
 }
 
+// maxRecordLen bounds a record's key and its value. The largest values
+// the harness stores are encoded blocks and analytics segments, a few
+// MiB, so a longer field is a damaged header: without the bound one
+// flipped bit in a length is a 4 GiB allocation during crash recovery.
+const maxRecordLen = 64 << 20
+
+// ErrCorruptRecord reports a record whose header cannot have been
+// written by writeRecord, or which runs past the end of a run's data
+// region (whose extent the footer fixes).
+var ErrCorruptRecord = errors.New("kvstore: corrupt record")
+
+// recordHeader decodes a 9-byte record header, refusing lengths over
+// maxRecordLen before anything is allocated from them.
+func recordHeader(hdr []byte) (del bool, klen, vlen int, err error) {
+	kl := binary.LittleEndian.Uint32(hdr[1:5])
+	vl := binary.LittleEndian.Uint32(hdr[5:9])
+	if hdr[0] > 1 || kl > maxRecordLen || vl > maxRecordLen {
+		return false, 0, 0, fmt.Errorf("%w: flag %d, key %d B, value %d B", ErrCorruptRecord, hdr[0], kl, vl)
+	}
+	return hdr[0] == 1, int(kl), int(vl), nil
+}
+
 func readRecord(r io.Reader) (k string, v []byte, del bool, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return
 	}
-	del = hdr[0] == 1
-	klen := binary.LittleEndian.Uint32(hdr[1:5])
-	vlen := binary.LittleEndian.Uint32(hdr[5:9])
+	del, klen, vlen, err := recordHeader(hdr[:])
+	if err != nil {
+		return
+	}
 	kb := make([]byte, klen)
 	if _, err = io.ReadFull(r, kb); err != nil {
 		err = io.ErrUnexpectedEOF
@@ -257,8 +282,13 @@ func readRecord(r io.Reader) (k string, v []byte, del bool, err error) {
 }
 
 // walAppend writes one record to the WAL buffer and group-fsyncs once
-// enough unsynced bytes accumulate: many records share one fsync.
+// enough unsynced bytes accumulate: many records share one fsync. It
+// refuses what readRecord would: a record that replay could not read
+// back must not be acknowledged.
 func (s *LSM) walAppend(k string, v []byte, del bool) error {
+	if len(k) > maxRecordLen || len(v) > maxRecordLen {
+		return fmt.Errorf("kvstore: %d B key, %d B value: over the %d B record limit", len(k), len(v), maxRecordLen)
+	}
 	if err := writeRecord(s.walBuf, k, v, del); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}

@@ -1,10 +1,12 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -268,5 +270,126 @@ func TestLSMCrashCloseTornTail(t *testing.T) {
 	defer s3.Close()
 	if v, ok, _ := s3.Get([]byte("after")); !ok || string(v) != "recovery" {
 		t.Fatalf("post-recovery append lost: %q %v", v, ok)
+	}
+}
+
+// flipLengthByte sets the high byte of a record's key length (field 4)
+// or value length (field 8) in the record that starts at off, which
+// turns the length into ~4 GiB.
+func flipLengthByte(t *testing.T, path string, off int64, field int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xff}, off+field); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocatedDuring reports the bytes fn allocated; a length field read
+// back as ~4 GiB and passed to make would show up here (or panic).
+func allocatedDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLSMCorruptLengthField damages one length field on disk, in the
+// WAL's last record and in a run's first record. The WAL must come
+// back truncated to its last good record, like a torn tail; a run's
+// data region has a fixed extent, so there the damage must surface as
+// ErrCorruptRecord from the read and from a compaction over the run —
+// never as "absent" or end-of-run, which would drop the records that
+// follow — and in neither place may the bogus length be allocated.
+func TestLSMCorruptLengthField(t *testing.T) {
+	const recLen = 9 + 6 + 8 // "key-NN" -> "value-NN"
+	fill := func(t *testing.T, s *LSM, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte(fmt.Sprintf("value-%02d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, field := range []int64{4, 8} {
+		t.Run(fmt.Sprintf("wal/field%d", field), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, s, 10)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wal := filepath.Join(dir, "wal.log")
+			flipLengthByte(t, wal, 9*recLen, field)
+
+			var s2 *LSM
+			if got := allocatedDuring(func() { s2, err = OpenLSM(dir, LSMOptions{SyncBytes: -1}) }); got > maxRecordLen {
+				t.Fatalf("reopen allocated %d bytes", got)
+			}
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer s2.Close()
+			if st, err := os.Stat(wal); err != nil || st.Size() != 9*recLen {
+				t.Fatalf("wal is %d bytes (%v), want the 9 good records = %d", st.Size(), err, 9*recLen)
+			}
+			for i := 0; i < 10; i++ {
+				v, ok, err := s2.Get([]byte(fmt.Sprintf("key-%02d", i)))
+				if want := i < 9; err != nil || ok != want || (ok && string(v) != fmt.Sprintf("value-%02d", i)) {
+					t.Fatalf("key-%02d after recovery: %q present=%v err=%v", i, v, ok, err)
+				}
+			}
+		})
+
+		t.Run(fmt.Sprintf("run/field%d", field), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, s, 64) // four index regions of 16 records
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			flipLengthByte(t, filepath.Join(dir, "run-00000000.sst"), 0, field)
+
+			// MaxRuns 1 forces a merge of every run at the next flush.
+			s2, err := OpenLSM(dir, LSMOptions{SyncBytes: -1, MaxRuns: 1})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer s2.Close()
+			got := allocatedDuring(func() {
+				if _, _, err := s2.Get([]byte("key-05")); !errors.Is(err, ErrCorruptRecord) {
+					t.Errorf("read through the damaged record: err = %v, want ErrCorruptRecord", err)
+				}
+				if err := s2.Put([]byte("zzz"), []byte("new")); err != nil {
+					t.Error(err)
+				}
+				if err := s2.Flush(); !errors.Is(err, ErrCorruptRecord) {
+					t.Errorf("compaction over the damaged run: err = %v, want ErrCorruptRecord", err)
+				}
+			})
+			if got > maxRecordLen {
+				t.Fatalf("read and compaction allocated %d bytes", got)
+			}
+			// The failed merge replaced nothing: regions past the damage
+			// still answer, and so does the run the flush just wrote.
+			for _, k := range []string{"key-16", "key-63", "zzz"} {
+				if _, ok, err := s2.Get([]byte(k)); err != nil || !ok {
+					t.Fatalf("%s after the failed compaction: present=%v err=%v", k, ok, err)
+				}
+			}
+		})
 	}
 }

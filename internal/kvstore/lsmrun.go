@@ -423,26 +423,26 @@ func (r *run) get(key string, probes, skips *atomic.Uint64) (v []byte, del, ok b
 	// Step through the region without materialising the records we pass
 	// over: peek the header and key in place, and only allocate for the
 	// one value we return. A region holds at most indexStride records, so
-	// this loop is the hot path of every disk-served point read.
+	// this loop is the hot path of every disk-served point read. Regions
+	// begin and end on record boundaries, so only a clean end of the
+	// region means "absent"; a record cut short by it is corruption.
 	for {
 		hdr, rerr := br.Peek(9)
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+		if rerr == io.EOF && len(hdr) == 0 {
 			return nil, false, false, nil
 		}
 		if rerr != nil {
+			return nil, false, false, corruptIfCut(rerr)
+		}
+		d, klen, vlen, rerr := recordHeader(hdr)
+		if rerr != nil {
 			return nil, false, false, rerr
 		}
-		d := hdr[0] == 1
-		klen := int(binary.LittleEndian.Uint32(hdr[1:5]))
-		vlen := int(binary.LittleEndian.Uint32(hdr[5:9]))
 		if 9+klen > br.Size() {
 			// Key longer than the peek window: fall back to a full decode.
 			k, val, dd, rerr := readRecord(br)
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				return nil, false, false, nil
-			}
 			if rerr != nil {
-				return nil, false, false, rerr
+				return nil, false, false, corruptIfCut(rerr)
 			}
 			if k == key {
 				return val, dd, true, nil
@@ -454,7 +454,7 @@ func (r *run) get(key string, probes, skips *atomic.Uint64) (v []byte, del, ok b
 		}
 		rec, rerr := br.Peek(9 + klen)
 		if rerr != nil {
-			return nil, false, false, nil // torn region tail
+			return nil, false, false, corruptIfCut(rerr)
 		}
 		switch cmp := cmpBytesString(rec[9:], key); {
 		case cmp == 0:
@@ -463,17 +463,28 @@ func (r *run) get(key string, probes, skips *atomic.Uint64) (v []byte, del, ok b
 			}
 			val := make([]byte, vlen)
 			if _, rerr := io.ReadFull(br, val); rerr != nil {
-				return nil, false, false, io.ErrUnexpectedEOF
+				return nil, false, false, corruptIfCut(rerr)
 			}
 			return val, d, true, nil
 		case cmp > 0:
 			return nil, false, false, nil
 		default:
 			if _, rerr := br.Discard(9 + klen + vlen); rerr != nil {
-				return nil, false, false, nil // region ends before the key: absent
+				return nil, false, false, corruptIfCut(rerr)
 			}
 		}
 	}
+}
+
+// corruptIfCut turns the end of a run region met inside a record into
+// ErrCorruptRecord: the footer fixes the data region's extent and the
+// index cuts it on record boundaries, so lengths that lead past the end
+// are damaged, and reading them as end-of-run would drop what follows.
+func corruptIfCut(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrCorruptRecord
+	}
+	return err
 }
 
 // cmpBytesString is bytes.Compare across a []byte and a string without
@@ -548,11 +559,11 @@ func (r *run) iterator(start string) *runIterator {
 func (it *runIterator) next() (string, []byte, bool, bool, error) {
 	for {
 		key, v, del, err := readRecord(it.rr.br)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if err == io.EOF { // clean end, between records
 			return "", nil, false, false, nil
 		}
 		if err != nil {
-			return "", nil, false, false, err
+			return "", nil, false, false, corruptIfCut(err)
 		}
 		if !it.begun && key < it.start {
 			continue

@@ -1,7 +1,6 @@
 // Package merkle implements the classic binary Merkle tree used for block
 // transaction roots ("the hash tree for transaction list is a classic
-// Merkle tree, as the list is not large"), with audit-proof generation and
-// verification.
+// Merkle tree, as the list is not large").
 package merkle
 
 import (
@@ -63,52 +62,4 @@ func TxRoot(txs []*types.Transaction) types.Hash {
 		leaves[i] = h.Bytes()
 	}
 	return Root(leaves)
-}
-
-// ProofStep is one sibling on the path from a leaf to the root.
-type ProofStep struct {
-	Sibling types.Hash
-	Left    bool // sibling is on the left
-}
-
-// Prove returns the audit path for leaf index i.
-func Prove(leaves [][]byte, i int) []ProofStep {
-	if i < 0 || i >= len(leaves) {
-		return nil
-	}
-	level := make([]types.Hash, len(leaves))
-	for j, l := range leaves {
-		level[j] = hashLeaf(l)
-	}
-	var proof []ProofStep
-	idx := i
-	for len(level) > 1 {
-		next := make([]types.Hash, 0, (len(level)+1)/2)
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, hashNode(level[j], level[j+1]))
-			} else {
-				next = append(next, level[j])
-			}
-		}
-		if idx^1 < len(level) { // has a sibling
-			proof = append(proof, ProofStep{Sibling: level[idx^1], Left: idx%2 == 1})
-		}
-		idx /= 2
-		level = next
-	}
-	return proof
-}
-
-// Verify checks an audit path against a root.
-func Verify(root types.Hash, leaf []byte, proof []ProofStep) bool {
-	h := hashLeaf(leaf)
-	for _, s := range proof {
-		if s.Left {
-			h = hashNode(s.Sibling, h)
-		} else {
-			h = hashNode(h, s.Sibling)
-		}
-	}
-	return h == root
 }

@@ -62,28 +62,6 @@ func TestLeafInteriorDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestProveVerifyAllSizes(t *testing.T) {
-	for n := 1; n <= 20; n++ {
-		l := leaves(n)
-		root := Root(l)
-		for i := 0; i < n; i++ {
-			p := Prove(l, i)
-			if !Verify(root, l[i], p) {
-				t.Fatalf("n=%d i=%d: proof rejected", n, i)
-			}
-			if Verify(root, []byte("bogus"), p) {
-				t.Fatalf("n=%d i=%d: bogus leaf accepted", n, i)
-			}
-		}
-	}
-}
-
-func TestProveOutOfRange(t *testing.T) {
-	if Prove(leaves(3), -1) != nil || Prove(leaves(3), 3) != nil {
-		t.Fatal("out-of-range proof should be nil")
-	}
-}
-
 func TestTxRoot(t *testing.T) {
 	txs := []*types.Transaction{{Nonce: 1}, {Nonce: 2}}
 	r := TxRoot(txs)

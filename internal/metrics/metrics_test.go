@@ -29,15 +29,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 100; i++ {

@@ -192,17 +192,11 @@ func (n *Node) Stop() {
 // ID returns the node's network identity.
 func (n *Node) ID() simnet.NodeID { return n.cfg.ID }
 
-// Chain exposes the node's ledger (used by experiments for fork counts).
-func (n *Node) Chain() *ledger.Chain { return n.cfg.Chain }
-
 // Pool exposes the node's pending pool.
 func (n *Node) Pool() *txpool.Pool { return n.cfg.Pool }
 
 // Consensus exposes the consensus engine for protocol-level metrics.
 func (n *Node) Consensus() consensus.Engine { return n.cons }
-
-// Endpoint exposes network counters.
-func (n *Node) Endpoint() *simnet.Endpoint { return n.ep }
 
 // inboxLoop is the node's single message-processing thread. One thread
 // per node matches the paper's observation that servers saturate on

@@ -106,7 +106,7 @@ func trieSharedStateFactory(entries int) func(kvstore.Store) (StateFactory, []me
 		}
 		flat := state.NewFlatState(store, entries)
 		factory := func(root types.Hash) (*state.DB, error) {
-			b, err := state.NewFlatBackend(store, root, cache, flat)
+			b, err := state.NewTrieBackendShared(store, root, cache, flat)
 			if err != nil {
 				return nil, err
 			}

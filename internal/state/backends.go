@@ -1,7 +1,6 @@
 package state
 
 import (
-	"bytes"
 	"sync"
 
 	"blockbench/internal/bmt"
@@ -41,29 +40,33 @@ func (c *SharedCache) Put(h types.Hash, n mpt.Node) {
 }
 
 // TrieBackend authenticates state with a Patricia-Merkle trie persisted
-// into a key-value store (the Ethereum/Parity data model). An optional
-// LRU value cache in front of the trie models geth's partial in-memory
-// state caching; Parity instead pins everything by using an uncapped
-// in-memory store underneath.
+// into a key-value store (the Ethereum/Parity data model). Two optional
+// parts model geth's partial in-memory state: an LRU of decoded trie
+// nodes, and a flat snapshot layer that answers head-state point reads
+// before the trie is walked. Parity instead pins everything by using an
+// uncapped in-memory store underneath. Roots are computed by the trie
+// alone, so they are byte-identical with or without either part.
 type TrieBackend struct {
-	trie  *mpt.Trie
-	store kvstore.Store
+	trie *mpt.Trie
+	flat *FlatState // nil: every read walks the trie
+	root types.Hash // root this backend reads at, the flat layer's anchor
 }
 
 // NewTrieBackend opens a trie backend at root. cacheEntries > 0 installs
 // a backend-private LRU node cache; to share one cache across all the
-// backends of a node, use NewTrieBackendShared.
+// backends of a node, or to put a flat layer in front, use
+// NewTrieBackendShared.
 func NewTrieBackend(store kvstore.Store, root types.Hash, cacheEntries int) (*TrieBackend, error) {
 	var cache *SharedCache
 	if cacheEntries > 0 {
 		cache = NewSharedCache(cacheEntries)
 	}
-	return NewTrieBackendShared(store, root, cache)
+	return NewTrieBackendShared(store, root, cache, nil)
 }
 
-// NewTrieBackendShared opens a trie backend at root using the given
-// (possibly nil) shared node cache.
-func NewTrieBackendShared(store kvstore.Store, root types.Hash, cache *SharedCache) (*TrieBackend, error) {
+// NewTrieBackendShared opens a trie backend at root using the node's
+// shared node cache and flat layer; either may be nil.
+func NewTrieBackendShared(store kvstore.Store, root types.Hash, cache *SharedCache, flat *FlatState) (*TrieBackend, error) {
 	var nc mpt.NodeCache
 	if cache != nil {
 		nc = cache
@@ -72,50 +75,52 @@ func NewTrieBackendShared(store kvstore.Store, root types.Hash, cache *SharedCac
 	if err != nil {
 		return nil, err
 	}
-	return &TrieBackend{trie: trie, store: store}, nil
+	return &TrieBackend{trie: trie, flat: flat, root: root}, nil
 }
 
-// Get implements Backend.
-func (b *TrieBackend) Get(key []byte) ([]byte, error) { return b.trie.Get(key) }
-
-// Put implements Backend.
-func (b *TrieBackend) Put(key, value []byte) error { return b.trie.Put(key, value) }
-
-// Delete implements Backend.
-func (b *TrieBackend) Delete(key []byte) error { return b.trie.Delete(key) }
-
-// Commit implements Backend.
-func (b *TrieBackend) Commit() (types.Hash, error) { return b.trie.Commit() }
-
-// Iterate implements Backend (ascending key order).
-func (b *TrieBackend) Iterate(fn func(k, v []byte) bool) error { return b.trie.Iterate(fn) }
-
-// IterateRange implements Backend. The trie walk is in ascending key
-// order, so the scan stops as soon as it passes end.
-func (b *TrieBackend) IterateRange(start, end []byte, fn func(k, v []byte) bool) error {
-	return b.trie.Iterate(func(k, v []byte) bool {
-		if start != nil && bytes.Compare(k, start) < 0 {
-			return true
+// Get implements Backend: the flat layer first, the trie walk on a miss.
+func (b *TrieBackend) Get(key []byte) ([]byte, error) {
+	if b.flat != nil {
+		if v, ok := b.flat.Get(b.root, key); ok {
+			return v, nil
 		}
-		if end != nil && bytes.Compare(k, end) >= 0 {
-			return false
-		}
-		return fn(k, v)
-	})
+	}
+	return b.trie.Get(key)
 }
 
-// MemBytes implements Backend.
-func (b *TrieBackend) MemBytes() int64 { return b.store.Stats().MemBytes }
-
-// NodesWritten exposes trie write amplification for the IOHeavy report.
-func (b *TrieBackend) NodesWritten() uint64 { return b.trie.NodesWritten() }
+// Commit implements Backend: the trie takes the write set and computes
+// the root, then the flat layer advances to it with the same map.
+func (b *TrieBackend) Commit(writes map[string][]byte) (types.Hash, error) {
+	// The calls are on the concrete trie, which does not keep its key
+	// argument, so the conversions below copy nothing; through an
+	// interface each would be a heap allocation.
+	for k, v := range writes {
+		var err error
+		if v == nil {
+			err = b.trie.Delete([]byte(k))
+		} else {
+			err = b.trie.Put([]byte(k), v)
+		}
+		if err != nil {
+			return types.ZeroHash, err
+		}
+	}
+	root, err := b.trie.Commit()
+	if err != nil {
+		return root, err
+	}
+	if b.flat != nil {
+		b.flat.Advance(b.root, root, writes)
+	}
+	b.root = root
+	return root, nil
+}
 
 // BucketBackend authenticates state with a Bucket-Merkle tree directly
 // over the storage engine (the Hyperledger data model: "outsources its
 // data management entirely to the storage engine").
 type BucketBackend struct {
-	tree  *bmt.Tree
-	store kvstore.Store
+	tree *bmt.Tree
 }
 
 // NewBucketBackend opens a bucket-tree backend.
@@ -124,38 +129,24 @@ func NewBucketBackend(store kvstore.Store, opts bmt.Options) (*BucketBackend, er
 	if err != nil {
 		return nil, err
 	}
-	return &BucketBackend{tree: tree, store: store}, nil
+	return &BucketBackend{tree: tree}, nil
 }
 
 // Get implements Backend.
 func (b *BucketBackend) Get(key []byte) ([]byte, error) { return b.tree.Get(key) }
 
-// Put implements Backend.
-func (b *BucketBackend) Put(key, value []byte) error { return b.tree.Put(key, value) }
-
-// Delete implements Backend.
-func (b *BucketBackend) Delete(key []byte) error { return b.tree.Delete(key) }
-
 // Commit implements Backend.
-func (b *BucketBackend) Commit() (types.Hash, error) { return b.tree.Commit() }
-
-// Iterate implements Backend (bucket order, not key order — matching the
-// real system's unordered bucket layout).
-func (b *BucketBackend) Iterate(fn func(k, v []byte) bool) error { return b.tree.Iterate(fn) }
-
-// IterateRange implements Backend. Bucket order gives no early-stop
-// opportunity; the full walk is filtered to the span.
-func (b *BucketBackend) IterateRange(start, end []byte, fn func(k, v []byte) bool) error {
-	return b.tree.Iterate(func(k, v []byte) bool {
-		if start != nil && bytes.Compare(k, start) < 0 {
-			return true
+func (b *BucketBackend) Commit(writes map[string][]byte) (types.Hash, error) {
+	for k, v := range writes {
+		var err error
+		if v == nil {
+			err = b.tree.Delete([]byte(k))
+		} else {
+			err = b.tree.Put([]byte(k), v)
 		}
-		if end != nil && bytes.Compare(k, end) >= 0 {
-			return true
+		if err != nil {
+			return types.ZeroHash, err
 		}
-		return fn(k, v)
-	})
+	}
+	return b.tree.Commit()
 }
-
-// MemBytes implements Backend.
-func (b *BucketBackend) MemBytes() int64 { return b.store.Stats().MemBytes }

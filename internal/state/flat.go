@@ -139,13 +139,6 @@ func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	f.root = root
 }
 
-// Root returns the state root the layer is currently anchored at.
-func (f *FlatState) Root() types.Hash {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.root
-}
-
 // Counters implements metrics.CounterProvider.
 func (f *FlatState) Counters() map[string]uint64 {
 	f.mu.Lock()
@@ -156,73 +149,3 @@ func (f *FlatState) Counters() map[string]uint64 {
 		"store.flat_resets": f.resets,
 	}
 }
-
-// FlatBackend is a TrieBackend with the flat layer in front: point reads
-// try the flat snapshot first and only walk the trie on a miss, writes
-// go to the trie and are captured for the flat layer, and Commit
-// advances the layer with the accumulated write-set. Roots are computed
-// by the trie alone, so they are byte-identical with or without the
-// flat layer.
-type FlatBackend struct {
-	trie   *TrieBackend
-	flat   *FlatState
-	root   types.Hash // root this backend is reading at
-	writes map[string][]byte
-}
-
-// NewFlatBackend opens a trie backend at root with flat in front.
-func NewFlatBackend(store kvstore.Store, root types.Hash, cache *SharedCache, flat *FlatState) (*FlatBackend, error) {
-	tb, err := NewTrieBackendShared(store, root, cache)
-	if err != nil {
-		return nil, err
-	}
-	return &FlatBackend{trie: tb, flat: flat, root: root, writes: make(map[string][]byte)}, nil
-}
-
-// Get implements Backend.
-func (b *FlatBackend) Get(key []byte) ([]byte, error) {
-	if v, ok := b.flat.Get(b.root, key); ok {
-		return v, nil
-	}
-	return b.trie.Get(key)
-}
-
-// Put implements Backend.
-func (b *FlatBackend) Put(key, value []byte) error {
-	b.writes[string(key)] = value
-	return b.trie.Put(key, value)
-}
-
-// Delete implements Backend.
-func (b *FlatBackend) Delete(key []byte) error {
-	b.writes[string(key)] = nil
-	return b.trie.Delete(key)
-}
-
-// Commit implements Backend: the trie computes the root, then the flat
-// layer advances to it with this backend's write-set.
-func (b *FlatBackend) Commit() (types.Hash, error) {
-	root, err := b.trie.Commit()
-	if err != nil {
-		return root, err
-	}
-	b.flat.Advance(b.root, root, b.writes)
-	b.root = root
-	b.writes = make(map[string][]byte)
-	return root, nil
-}
-
-// Iterate implements Backend (trie order — the flat layer holds no
-// authority over enumeration).
-func (b *FlatBackend) Iterate(fn func(k, v []byte) bool) error { return b.trie.Iterate(fn) }
-
-// IterateRange implements Backend.
-func (b *FlatBackend) IterateRange(start, end []byte, fn func(k, v []byte) bool) error {
-	return b.trie.IterateRange(start, end, fn)
-}
-
-// MemBytes implements Backend.
-func (b *FlatBackend) MemBytes() int64 { return b.trie.MemBytes() }
-
-// NodesWritten exposes trie write amplification for the IOHeavy report.
-func (b *FlatBackend) NodesWritten() uint64 { return b.trie.NodesWritten() }

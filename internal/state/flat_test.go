@@ -33,7 +33,7 @@ func TestFlatBackendRootsMatchTrie(t *testing.T) {
 	cache := NewSharedCache(256)
 	flatRoot := types.ZeroHash
 	newFlatDB := func(root types.Hash) *DB {
-		fb, err := NewFlatBackend(lsmStore, root, cache, flat)
+		fb, err := NewTrieBackendShared(lsmStore, root, cache, flat)
 		if err != nil {
 			t.Fatal(err)
 		}

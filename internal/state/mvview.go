@@ -34,24 +34,6 @@ type ReadRecord struct {
 	Version int
 }
 
-// RangeRecord is one recorded range scan of a speculative execution:
-// the span [Start, End) (empty End = unbounded) and the in-block writes
-// the scan observed inside it, as key → writer version. The base state
-// is frozen for the block and committed write sets are final, so if the
-// same span resolves to the same observation map at validation time,
-// the merged scan output is identical and the speculation stands —
-// writes outside the span can never invalidate it.
-type RangeRecord struct {
-	Start, End string
-	Obs        map[string]int
-}
-
-// strInRange reports whether k lies in [start, end); an empty end is
-// unbounded (an empty start is naturally unbounded: "" <= every key).
-func strInRange(k, start, end string) bool {
-	return k >= start && (end == "" || k < end)
-}
-
 // mvWrite is one committed in-block write: transaction `tx` wrote
 // `value` (nil = deletion) to the key. Entries per key are kept in
 // ascending tx order.
@@ -152,96 +134,12 @@ func (m *MVStore) ApplyTo(db *DB) {
 	}
 }
 
-// visibleRange snapshots the committed writes visible to transaction tx
-// inside [start, end): the latest committed value per key from writers
-// < tx (nil values are deletions and shadow the base entry), plus the
-// observation map (key → writer version) that makes the scan
-// re-validatable.
-func (m *MVStore) visibleRange(tx int, start, end string) (vals map[string][]byte, obs map[string]int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	vals = make(map[string][]byte)
-	obs = make(map[string]int)
-	for k, ws := range m.writes {
-		if !strInRange(k, start, end) {
-			continue
-		}
-		i := sort.Search(len(ws), func(i int) bool { return ws[i].tx >= tx })
-		if i > 0 {
-			vals[k] = ws[i-1].value
-			obs[k] = ws[i-1].tx
-		}
-	}
-	return vals, obs
-}
-
-// RangeUnchanged re-resolves a recorded range scan for transaction tx:
-// it holds iff the committed writes now visible inside the span are
-// exactly the recorded observations (same keys, same writer versions).
-func (m *MVStore) RangeUnchanged(tx int, rr RangeRecord) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	matched := 0
-	for k, ws := range m.writes {
-		if !strInRange(k, rr.Start, rr.End) {
-			continue
-		}
-		i := sort.Search(len(ws), func(i int) bool { return ws[i].tx >= tx })
-		if i == 0 {
-			continue // no writer below tx for this key, now or at exec time
-		}
-		ver, ok := rr.Obs[k]
-		if !ok || ver != ws[i-1].tx {
-			return false
-		}
-		matched++
-	}
-	// Committed writes are never retracted, so every recorded observation
-	// must still be present; a shortfall means a key left the span, which
-	// cannot happen — but check for symmetry.
-	return matched == len(rr.Obs)
-}
-
-// baseIterate walks the base state (overlay-merged, like DB iteration)
-// under the base lock, restricted to [start, end).
-func (m *MVStore) baseIterateRange(start, end string, fn func(key, value []byte) bool) error {
-	m.baseMu.Lock()
-	defer m.baseMu.Unlock()
-	db := m.base
-	seen := make(map[string]struct{}, len(db.overlay))
-	for k, v := range db.overlay {
-		if !strInRange(k, start, end) {
-			continue
-		}
-		seen[k] = struct{}{}
-		if v != nil {
-			if !fn([]byte(k), v) {
-				return nil
-			}
-		}
-	}
-	var endB []byte
-	if end != "" {
-		endB = []byte(end)
-	}
-	var startB []byte
-	if start != "" {
-		startB = []byte(start)
-	}
-	return db.backend.IterateRange(startB, endB, func(k, v []byte) bool {
-		if _, shadowed := seen[string(k)]; shadowed {
-			return true
-		}
-		return fn(k, v)
-	})
-}
-
 // TxView is the per-transaction state surface of one speculative
 // execution: a Backend whose reads resolve through the MVStore
 // (recording the version observed, first observation per key) and
-// whose writes are captured into a private write set when the
-// transaction's DB overlay is flushed. A TxView is used by exactly one
-// worker at a time; it is not safe for concurrent use.
+// whose Commit keeps the overlay the transaction's DB hands it as the
+// private write set. A TxView is used by exactly one worker at a time;
+// it is not safe for concurrent use.
 type TxView struct {
 	mv *MVStore
 	tx int
@@ -249,26 +147,19 @@ type TxView struct {
 	reads   []ReadRecord
 	readIdx map[string]struct{}
 	writes  map[string][]byte
-	ranges  []RangeRecord
 }
 
 // NewTxView creates the state view for the transaction at in-block
 // index tx.
 func NewTxView(mv *MVStore, tx int) *TxView {
-	return &TxView{
-		mv:      mv,
-		tx:      tx,
-		readIdx: make(map[string]struct{}),
-		writes:  make(map[string][]byte),
-	}
+	return &TxView{mv: mv, tx: tx, readIdx: make(map[string]struct{})}
 }
 
 // Reset clears the recorded read and write sets for re-execution.
 func (v *TxView) Reset() {
 	v.reads = v.reads[:0]
 	v.readIdx = make(map[string]struct{})
-	v.writes = make(map[string][]byte)
-	v.ranges = v.ranges[:0]
+	v.writes = nil
 }
 
 // Tx returns the view's in-block transaction index.
@@ -279,9 +170,6 @@ func (v *TxView) Reads() []ReadRecord { return v.reads }
 
 // Writes returns the captured write set (nil values are deletions).
 func (v *TxView) Writes() map[string][]byte { return v.writes }
-
-// Ranges returns the recorded range scans in observation order.
-func (v *TxView) Ranges() []RangeRecord { return v.ranges }
 
 // Get implements Backend: a versioned read through the MVStore,
 // recorded once per key. The transaction's own writes never reach here
@@ -296,53 +184,10 @@ func (v *TxView) Get(key []byte) ([]byte, error) {
 	return val, nil
 }
 
-// Put implements Backend, capturing the write privately. It is reached
-// when the transaction's DB flushes its overlay.
-func (v *TxView) Put(key, value []byte) error {
-	v.writes[string(key)] = value
-	return nil
+// Commit implements Backend: the transaction's flushed overlay is its
+// write set, kept as handed over. There is no structure to persist and
+// no meaningful root for a speculative overlay.
+func (v *TxView) Commit(writes map[string][]byte) (types.Hash, error) {
+	v.writes = writes
+	return types.ZeroHash, nil
 }
-
-// Delete implements Backend, capturing the deletion privately.
-func (v *TxView) Delete(key []byte) error {
-	v.writes[string(key)] = nil
-	return nil
-}
-
-// Commit implements Backend. The flush that precedes it already
-// captured every write; there is no structure to persist and no
-// meaningful root for a speculative overlay.
-func (v *TxView) Commit() (types.Hash, error) { return types.ZeroHash, nil }
-
-// Iterate implements Backend as an unbounded range scan.
-func (v *TxView) Iterate(fn func(key, value []byte) bool) error {
-	return v.IterateRange(nil, nil, fn)
-}
-
-// IterateRange implements Backend: committed in-block writes visible to
-// this transaction shadow the base state inside the span. The scan is
-// recorded with its span and observed writer versions, so validation
-// only fails it when an overlapping write landed — disjoint writers
-// never invalidate a range scan.
-func (v *TxView) IterateRange(start, end []byte, fn func(key, value []byte) bool) error {
-	s, e := string(start), string(end)
-	shadow, obs := v.mv.visibleRange(v.tx, s, e)
-	v.ranges = append(v.ranges, RangeRecord{Start: s, End: e, Obs: obs})
-	for k, val := range shadow {
-		if val != nil {
-			if !fn([]byte(k), val) {
-				return nil
-			}
-		}
-	}
-	return v.mv.baseIterateRange(s, e, func(k, val []byte) bool {
-		if _, shadowed := shadow[string(k)]; shadowed {
-			return true
-		}
-		return fn(k, val)
-	})
-}
-
-// MemBytes implements Backend; a speculative view owns no resident
-// state worth accounting.
-func (v *TxView) MemBytes() int64 { return 0 }

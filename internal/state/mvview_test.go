@@ -150,66 +150,14 @@ func TestTxViewReset(t *testing.T) {
 	if _, err := v.Get([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Put([]byte("k"), []byte("v")); err != nil {
+	if _, err := v.Commit(map[string][]byte{"k": []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Iterate(func(_, _ []byte) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Reads()) == 0 || len(v.Writes()) == 0 || len(v.Ranges()) == 0 {
+	if len(v.Reads()) == 0 || len(v.Writes()) == 0 {
 		t.Fatal("setup did not populate the view")
 	}
 	v.Reset()
-	if len(v.Reads()) != 0 || len(v.Writes()) != 0 || len(v.Ranges()) != 0 {
-		t.Fatalf("Reset left state: reads=%d writes=%d ranges=%d",
-			len(v.Reads()), len(v.Writes()), len(v.Ranges()))
-	}
-}
-
-func TestTxViewIterateMergesVersions(t *testing.T) {
-	base := newMVBase(t)
-	base.SetState("c", []byte("a"), []byte("baseA"))
-	base.SetState("c", []byte("b"), []byte("baseB"))
-	if _, err := base.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	mv := NewMVStore(base)
-	mv.Commit(0, map[string][]byte{
-		stateKey("c", []byte("a")): []byte("newA"), // overwrites base
-		stateKey("c", []byte("x")): []byte("newX"), // in-block only
-	})
-	mv.Commit(5, map[string][]byte{
-		stateKey("c", []byte("b")): nil, // not visible to tx 2
-	})
-
-	v := NewTxView(mv, 2)
-	seen := map[string]string{}
-	if err := v.Iterate(func(k, val []byte) bool {
-		seen[string(k)] = string(val)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Ranges()) != 1 {
-		t.Fatalf("Iterate recorded %d range records, want 1", len(v.Ranges()))
-	}
-	if rr := v.Ranges()[0]; rr.Start != "" || rr.End != "" {
-		t.Fatalf("full Iterate recorded span [%q, %q), want unbounded", rr.Start, rr.End)
-	}
-	// The scan observed exactly the in-block writes visible to tx 2.
-	if rr := v.Ranges()[0]; len(rr.Obs) != 2 ||
-		rr.Obs[stateKey("c", []byte("a"))] != 0 || rr.Obs[stateKey("c", []byte("x"))] != 0 {
-		t.Fatalf("range observations = %v, want a/x at version 0", rr.Obs)
-	}
-	want := map[string]string{
-		stateKey("c", []byte("a")): "newA",
-		stateKey("c", []byte("b")): "baseB",
-		stateKey("c", []byte("x")): "newX",
-	}
-	for k, wv := range want {
-		if seen[k] != wv {
-			t.Fatalf("iterate saw %q=%q, want %q (all: %v)", k, seen[k], wv, seen)
-		}
+	if len(v.Reads()) != 0 || len(v.Writes()) != 0 {
+		t.Fatalf("Reset left state: reads=%d writes=%d", len(v.Reads()), len(v.Writes()))
 	}
 }

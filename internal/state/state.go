@@ -13,36 +13,17 @@ import (
 	"blockbench/internal/types"
 )
 
-// Backend is the authenticated storage a DB commits into.
+// Backend is the authenticated storage a DB commits into: point reads,
+// and one commit per block whose only argument is the block's write
+// set. There is no enumeration — no contract, workload or figure scans
+// state (the paper's data-model workloads are point reads and writes).
 type Backend interface {
 	// Get returns nil for absent keys.
 	Get(key []byte) ([]byte, error)
-	Put(key, value []byte) error
-	Delete(key []byte) error
-	// Commit persists pending structure changes, returning the state root.
-	Commit() (types.Hash, error)
-	// Iterate walks all key/value pairs (order backend-defined).
-	Iterate(fn func(key, value []byte) bool) error
-	// IterateRange walks key/value pairs with key in [start, end) (order
-	// backend-defined; nil start/end leave that side unbounded). Range
-	// scans carry their span, which lets versioned views validate them
-	// against overlapping writes instead of any whole-state rule.
-	IterateRange(start, end []byte, fn func(key, value []byte) bool) error
-	// MemBytes reports resident memory attributable to the backend.
-	MemBytes() int64
-}
-
-// PrefixEnd returns the smallest key greater than every key with the
-// given prefix ("" when no such key exists, i.e. an unbounded end).
-func PrefixEnd(prefix string) string {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] < 0xff {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	return ""
+	// Commit applies writes (a nil value deletes the key), persists the
+	// structure changes and returns the new state root. The backend may
+	// keep the map; the caller must not touch it afterwards.
+	Commit(writes map[string][]byte) (types.Hash, error)
 }
 
 // ErrInsufficientFunds is returned by Transfer when the sender balance
@@ -153,64 +134,12 @@ func (db *DB) DeleteState(contract string, key []byte) {
 	db.write(stateKey(contract, key), nil)
 }
 
-// Commit flushes the overlay into the backend and returns the new state
-// root. The journal is cleared; the DB remains usable.
+// Commit hands the overlay to the backend as the block's write set and
+// returns the new state root. The journal is cleared and the DB, now
+// over a fresh overlay, remains usable.
 func (db *DB) Commit() (types.Hash, error) {
-	for k, v := range db.overlay {
-		var err error
-		if v == nil {
-			err = db.backend.Delete([]byte(k))
-		} else {
-			err = db.backend.Put([]byte(k), v)
-		}
-		if err != nil {
-			return types.ZeroHash, err
-		}
-	}
+	writes := db.overlay
 	db.overlay = make(map[string][]byte)
 	db.journal = db.journal[:0]
-	return db.backend.Commit()
-}
-
-// IterateState walks all keys of one contract namespace in backend order,
-// passing the bare key (namespace prefix stripped). The walk is issued as
-// a range scan over [prefix, PrefixEnd(prefix)), so backends only visit
-// the namespace and versioned views can validate the scan by its span.
-func (db *DB) IterateState(contract string, fn func(key, value []byte) bool) error {
-	// Overlay entries shadow backend entries; merge them.
-	prefix := "c:" + contract + ":"
-	seen := make(map[string]struct{})
-	for k, v := range db.overlay {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			seen[k] = struct{}{}
-			if v != nil {
-				if !fn([]byte(k[len(prefix):]), v) {
-					return nil
-				}
-			}
-		}
-	}
-	var end []byte
-	if e := PrefixEnd(prefix); e != "" {
-		end = []byte(e)
-	}
-	return db.backend.IterateRange([]byte(prefix), end, func(k, v []byte) bool {
-		ks := string(k)
-		if len(ks) < len(prefix) || ks[:len(prefix)] != prefix {
-			return true
-		}
-		if _, shadowed := seen[ks]; shadowed {
-			return true
-		}
-		return fn(k[len(prefix):], v)
-	})
-}
-
-// MemBytes reports resident memory of the backend plus overlay.
-func (db *DB) MemBytes() int64 {
-	var overlay int64
-	for k, v := range db.overlay {
-		overlay += int64(len(k) + len(v))
-	}
-	return overlay + db.backend.MemBytes()
+	return db.backend.Commit(writes)
 }

@@ -28,6 +28,18 @@ func backends(t *testing.T) map[string]func() Backend {
 			}
 			return b
 		},
+		"trie-flat-lsm": func() Backend {
+			store, err := kvstore.OpenLSM(t.TempDir(), kvstore.LSMOptions{MemTableBytes: 1 << 12, SyncBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			b, err := NewTrieBackendShared(store, types.ZeroHash, NewSharedCache(16), NewFlatState(store, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
 		"bucket": func() Backend {
 			b, err := NewBucketBackend(kvstore.NewMem(), bmt.Options{NumBuckets: 31})
 			if err != nil {
@@ -155,39 +167,12 @@ func TestNamespaceIsolation(t *testing.T) {
 	}
 }
 
-func TestIterateState(t *testing.T) {
-	db := NewDB(mustTrie(t))
-	for i := 0; i < 10; i++ {
-		db.SetState("mine", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
-		db.SetState("other", []byte(fmt.Sprintf("x%d", i)), []byte("w"))
-	}
-	if _, err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Add one uncommitted overlay key and shadow one committed key.
-	db.SetState("mine", []byte("k-extra"), []byte("v"))
-	db.SetState("mine", []byte("k3"), []byte("updated"))
-	got := map[string]string{}
-	if err := db.IterateState("mine", func(k, v []byte) bool {
-		got[string(k)] = string(v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 11 {
-		t.Fatalf("iterated %d keys, want 11", len(got))
-	}
-	if got["k3"] != "updated" {
-		t.Fatalf("overlay did not shadow: %q", got["k3"])
-	}
-	if _, ok := got["x1"]; ok {
-		t.Fatal("foreign namespace leaked")
-	}
-}
-
 func TestTrieAndBucketModelEquivalence(t *testing.T) {
-	// Both backends must expose identical visible state under a random
-	// workload, even though their roots and layouts differ.
+	// Every backend must expose identical visible state under a random
+	// workload of puts and deletions, even though roots and layouts
+	// differ. Between commits a read is answered by the DB's overlay, so
+	// each commit is followed by a sweep of the whole key space: that is
+	// what proves a nil in the write set deleted the key in the backend.
 	dbs := map[string]*DB{}
 	for name, mk := range backends(t) {
 		dbs[name] = NewDB(mk())
@@ -223,6 +208,12 @@ func TestTrieAndBucketModelEquivalence(t *testing.T) {
 			for name, db := range dbs {
 				if _, err := db.Commit(); err != nil {
 					t.Fatalf("%s: commit: %v", name, err)
+				}
+				for j := 0; j < 150; j++ {
+					k := fmt.Sprintf("key-%03d", j)
+					if got := db.GetState("w", []byte(k)); !bytes.Equal(got, model[k]) {
+						t.Fatalf("%s: after commit at op %d, %s = %q, model %q", name, i, k, got, model[k])
+					}
 				}
 			}
 		}

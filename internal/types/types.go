@@ -68,9 +68,6 @@ func BytesToAddress(b []byte) Address {
 	return a
 }
 
-// Hex returns the hexadecimal representation prefixed with 0x.
-func (a Address) Hex() string { return "0x" + hex.EncodeToString(a[:]) }
-
 func (a Address) String() string { return "0x" + hex.EncodeToString(a[:4]) }
 
 // IsZero reports whether the address is all zeroes.
