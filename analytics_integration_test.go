@@ -159,7 +159,6 @@ func TestAnalyticsCatchUpRebuild(t *testing.T) {
 		{Op: AnalyticsSum, From: h / 2, To: h/2 + 50},
 		{Op: AnalyticsMaxDelta, Account: a.Account(0), From: 1, To: h + 1},
 		{Op: AnalyticsTopK, Account: a.Account(1), From: 1, To: h + 1, K: 4},
-		{Op: AnalyticsCommon, Account: a.Account(0), Account2: a.Account(2), From: 1, To: h + 1, K: 8},
 	}
 	for _, q := range queries {
 		live, err := client.Analytics(q)

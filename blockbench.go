@@ -20,8 +20,8 @@
 //     Workloads live on a registry mirroring the platform one
 //     (RegisterWorkload / NewWorkload): YCSB, Smallbank, EtherId,
 //     Doubler, WavesPresale, DoNothing, IOHeavy, CPUHeavy, Analytics
-//     and the read-mostly ycsb-scan variant ship registered; framework
-//     users plug in their own the same way.
+//     and the HTAP mix ship registered; framework users plug in their
+//     own the same way.
 //   - Run is the benchmark driver: multiple clients, multiple threads,
 //     open- or closed-loop, collecting throughput, latency, queue and
 //     commit time series, fork and resource statistics.
@@ -58,7 +58,7 @@ type (
 	// (DESIGN.md tabulates them).
 	ClusterConfig = platform.Config
 	// AnalyticsQuery is one server-side analytics request (operation,
-	// height range, accounts) served from the node's columnar index.
+	// height range, account) served from the node's columnar index.
 	AnalyticsQuery = analytics.Query
 	// AnalyticsResult is an analytics query's answer.
 	AnalyticsResult = analytics.Result
@@ -70,13 +70,12 @@ type (
 
 // The analytics operations: the paper's Q1 (sum) and Q2 (maxdelta on
 // the balance platforms, maxversion on Hyperledger's versioned store)
-// plus the join-shaped counterparty queries.
+// plus the counterparty ranking.
 const (
 	AnalyticsSum        = analytics.OpSum
 	AnalyticsMaxDelta   = analytics.OpMaxDelta
 	AnalyticsMaxVersion = analytics.OpMaxVersion
 	AnalyticsTopK       = analytics.OpTopK
-	AnalyticsCommon     = analytics.OpCommon
 )
 
 // The built-in platforms: the paper's three systems plus the

@@ -10,13 +10,12 @@
 //
 // The run executes through the driver's run handle: a live progress line
 // streams from the per-bucket snapshot channel, -out records the full
-// machine-readable series (JSONL, or CSV by extension) for offline
-// analysis, and Ctrl-C aborts the run cleanly with a partial report.
+// machine-readable series (JSONL) for offline analysis, and Ctrl-C
+// aborts the run cleanly with a partial report.
 //
 // Examples:
 //
 //	blockbench -platform hyperledger -workload ycsb -nodes 8 -clients 8 -rate 128 -duration 12s
-//	blockbench -platform quorum -workload ycsb-scan -wopt scanlen=20 -wopt distribution=uniform
 //	blockbench -platform ethereum -workload smallbank -blocking -duration 10s
 //	blockbench -platform parity -workload ycsb -wopt readprop=0.9 -wopt updateprop=0.1
 //	blockbench -platform quorum -workload ycsb -duration 10s -out run.jsonl
@@ -68,7 +67,7 @@ func main() {
 		duration     = flag.Duration("duration", 12*time.Second, "measurement window")
 		blocking     = flag.Bool("blocking", false, "closed loop: a client sends its next tx once an earlier one is confirmed")
 		seed         = flag.Int64("seed", 42, "workload RNG seed")
-		out          = flag.String("out", "", "record the run to this file: .jsonl = snapshot series + final report, .csv = series only")
+		out          = flag.String("out", "", "record the run to this file as JSONL: the snapshot series, then the final report")
 		httpAddr     = flag.String("http", "", "serve the run's ops endpoint on this address (e.g. :6060): /metrics, /debug/pprof/, /healthz, /traces")
 		traceSample  = flag.Float64("trace", 0, "lifecycle trace sampling fraction (0 = default 1%, negative = off, 1 = all)")
 		chaos        = flag.String("chaos", "", "randomized fault injection: seed=N,kill=p,net=p (empty values take defaults); safety invariants are checked and violations fail the run")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestOptionFlags(t *testing.T) {
 	}{
 		{"popt and wopt key=val", []string{"-platform", "quorum", "-popt", "batch=8", "-popt", "heartbeat=10ms",
 			"-workload", "ycsb", "-wopt", "records=20", "-wopt", "distribution=uniform"}, true, nil},
-		{"value containing =", []string{"-platform", "sharded", "-popt", "partitioner=range", "-popt", "bounds=a=b"}, true, nil},
+		{"value containing =", []string{"-platform", "quorum", "-popt", "storedir=" + filepath.Join(t.TempDir(), "a=b")}, true, nil},
 		{"popt without value", []string{"-popt", "novalue"}, false, []string{"-popt", "novalue", "key=val"}},
 		{"popt without key", []string{"-popt", "=v"}, false, []string{"-popt", "key=val"}},
 		{"wopt without value", []string{"-wopt", "novalue"}, false, []string{"-wopt", "novalue", "key=val"}},
@@ -94,6 +95,9 @@ func TestOptionFlags(t *testing.T) {
 			[]string{"unknown option", "hartbeat", "known:", "heartbeat", "election", "workers"}},
 		{"popt on the wrong preset", []string{"-platform", "hyperledger", "-popt", "workers=4"}, false,
 			[]string{"hyperledger", "unknown option", "workers", "known:", "batch", "index"}},
+		{"retired popt keys", []string{"-platform", "sharded", "-popt", "partitioner=range", "-popt", "bounds=a,b",
+			"-popt", "maxappend=16", "-popt", "window=32"}, false,
+			[]string{"unknown option", "bounds", "maxappend", "partitioner", "window"}},
 		{"unknown wopt key", []string{"-workload", "ycsb", "-wopt", "recrods=5"}, false, []string{"unknown option", "recrods", "records"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,14 +5,14 @@
 //
 // The Indexer appends one row per transaction into fixed-size column
 // segments (height, time, sender, recipient, value, contract, method,
-// status). Sealed segments carry min/max zone maps so range-restricted
-// scans skip whole segments without touching rows, and a per-account
-// posting list maps each address to the global row ids that touch it,
-// so account-keyed queries read only their own rows. Sealed segments
-// are persisted through internal/kvstore under the "a:" prefix
-// (write-through, best effort) and reloaded by Load; CatchUp replays
-// any blocks the persisted image is missing from a BlockSource, so a
-// late-started or freshly-attached indexer converges on the chain.
+// status). Sealed segments carry a min/max height zone map so
+// range-restricted scans skip whole segments without touching rows, and
+// a per-account posting list maps each address to the global row ids
+// that touch it, so account-keyed queries read only their own rows.
+// Sealed segments are persisted through internal/kvstore under the "a:"
+// prefix (write-through, best effort) and reloaded by Load; CatchUp
+// replays any blocks the persisted image is missing from a BlockSource,
+// so a late-started or freshly-attached indexer converges on the chain.
 //
 // Concurrency contract: OnCommit/Apply mutate under ix.mu; queries take
 // a snapshot of the segment set under RLock and then run lock-free.
@@ -54,7 +54,7 @@ type BlockSource interface {
 }
 
 // segment is one fixed-capacity column group. Sealed segments are
-// immutable and carry zone maps; the open segment grows by append only.
+// immutable and carry a zone map; the open segment grows by append only.
 type segment struct {
 	height   []uint64
 	time     []int64
@@ -65,11 +65,9 @@ type segment struct {
 	method   []uint16
 	ok       []byte // 1 = receipt OK
 
-	// Zone maps, valid only when zoned (sealed or loaded segments).
+	// Height zone map, valid only when zoned (sealed or loaded segments).
 	zoned      bool
 	minH, maxH uint64
-	minV, maxV uint64
-	minT, maxT int64
 }
 
 func (s *segment) rows() int { return len(s.height) }
@@ -89,9 +87,8 @@ func (s *segment) freeze() *segment {
 		method:   s.method[:n:n],
 		ok:       s.ok[:n:n],
 		zoned:    s.zoned,
-		minH:     s.minH, maxH: s.maxH,
-		minV: s.minV, maxV: s.maxV,
-		minT: s.minT, maxT: s.maxT,
+		minH:     s.minH,
+		maxH:     s.maxH,
 	}
 }
 
@@ -111,20 +108,12 @@ func (s *segment) clone(keep int) *segment {
 	return c
 }
 
-// zone recomputes the segment's min/max zone maps.
+// zone records the segment's height zone map (heights ascend, so it is
+// the first and last row).
 func (s *segment) zone() {
 	s.zoned = true
-	if s.rows() == 0 {
-		return
-	}
-	s.minH, s.maxH = s.height[0], s.height[s.rows()-1]
-	s.minV, s.maxV = s.value[0], s.value[0]
-	s.minT, s.maxT = s.time[0], s.time[0]
-	for i := 1; i < s.rows(); i++ {
-		s.minV = min(s.minV, s.value[i])
-		s.maxV = max(s.maxV, s.value[i])
-		s.minT = min(s.minT, s.time[i])
-		s.maxT = max(s.maxT, s.time[i])
+	if s.rows() > 0 {
+		s.minH, s.maxH = s.height[0], s.height[s.rows()-1]
 	}
 }
 
@@ -329,7 +318,7 @@ func (ix *Indexer) internLocked(s string) uint16 {
 	return id
 }
 
-// sealLocked freezes the full open segment: computes its zone maps,
+// sealLocked freezes the full open segment: computes its zone map,
 // persists it, and starts a fresh open segment.
 func (ix *Indexer) sealLocked() {
 	s := ix.open

@@ -70,10 +70,14 @@ func chainSource(blocks, txPerBlock int) *fakeSource {
 	return src
 }
 
-func drainHeights(t *testing.T, it Iterator[Row]) []uint64 {
-	t.Helper()
+// collect folds a bounded test stream into a slice.
+func collect(it Iterator[Row]) []Row {
+	return Reduce(it, []Row(nil), func(acc []Row, r Row) []Row { return append(acc, r) })
+}
+
+func heights(it Iterator[Row]) []uint64 {
 	var out []uint64
-	for _, r := range Drain(it) {
+	for _, r := range collect(it) {
 		out = append(out, r.Height)
 	}
 	return out
@@ -92,16 +96,16 @@ func TestScanRangeAndZoneSkips(t *testing.T) {
 		t.Fatalf("last = %d, want 100", got)
 	}
 
-	heights := drainHeights(t, ix.Scan(40, 43))
+	got := heights(ix.view().scan(40, 43, nil))
 	want := []uint64{40, 40, 40, 41, 41, 41, 42, 42, 42}
-	if !reflect.DeepEqual(heights, want) {
-		t.Fatalf("scan [40,43) heights = %v, want %v", heights, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan [40,43) heights = %v, want %v", got, want)
 	}
 
 	// A range deep inside the chain must skip the leading sealed
 	// segments via their zone maps.
 	before := ix.zoneSkips.Value()
-	if got := len(Drain(ix.Scan(90, 95))); got != 15 {
+	if got := len(collect(ix.view().scan(90, 95, nil))); got != 15 {
 		t.Fatalf("scan [90,95) rows = %d, want 15", got)
 	}
 	if ix.zoneSkips.Value() <= before {
@@ -110,7 +114,7 @@ func TestScanRangeAndZoneSkips(t *testing.T) {
 	}
 
 	// Full scan covers everything in order.
-	all := drainHeights(t, ix.Scan(0, 0xffffffff))
+	all := heights(ix.view().scan(0, 0xffffffff, nil))
 	if len(all) != 300 || all[0] != 1 || all[299] != 100 {
 		t.Fatalf("full scan: %d rows, first %d, last %d", len(all), all[0], all[299])
 	}
@@ -127,7 +131,7 @@ func TestAccountScanPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows := Drain(ix.AccountScan(addr(1), 1, 100))
+	rows := collect(ix.view().accountScan(addr(1), 1, 100, nil))
 	if len(rows) != 3 {
 		t.Fatalf("account 1 rows = %d, want 3", len(rows))
 	}
@@ -139,10 +143,10 @@ func TestAccountScanPostings(t *testing.T) {
 	if hs := []uint64{rows[0].Height, rows[1].Height, rows[2].Height}; !reflect.DeepEqual(hs, []uint64{1, 3, 3}) {
 		t.Fatalf("account 1 heights = %v, want [1 3 3]", hs)
 	}
-	if got := drainHeights(t, ix.AccountScan(addr(1), 2, 4)); !reflect.DeepEqual(got, []uint64{3, 3}) {
+	if got := heights(ix.view().accountScan(addr(1), 2, 4, nil)); !reflect.DeepEqual(got, []uint64{3, 3}) {
 		t.Fatalf("account 1 [2,4) heights = %v, want [3 3]", got)
 	}
-	if got := Drain(ix.AccountScan(addr(9), 1, 100)); len(got) != 0 {
+	if got := collect(ix.view().accountScan(addr(9), 1, 100, nil)); len(got) != 0 {
 		t.Fatalf("unknown account returned %d rows", len(got))
 	}
 	if ix.postingsHits.Value() == 0 {
@@ -226,7 +230,6 @@ func TestPersistLoadCatchUp(t *testing.T) {
 		{Op: OpMaxDelta, Account: addr(3), From: 1, To: 51},
 		{Op: OpMaxVersion, Account: addr(3), From: 1, To: 51},
 		{Op: OpTopK, Account: addr(2), From: 5, To: 45},
-		{Op: OpCommon, Account: addr(1), Account2: addr(2), From: 1, To: 51, K: 20},
 	} {
 		got, err := restored.Query(q)
 		if err != nil {
@@ -302,15 +305,6 @@ func TestQuerySemantics(t *testing.T) {
 		t.Fatalf("topk = %+v", top.Top)
 	}
 
-	common, err := ix.Query(Query{Op: OpCommon, Account: addr(2), Account2: addr(3), From: 1, To: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Accounts 2 and 3 share exactly one counterparty: account 1.
-	if len(common.Top) != 1 || common.Top[0].Account != addr(1) {
-		t.Fatalf("common = %+v", common.Top)
-	}
-
 	if _, err := ix.Query(Query{Op: "bogus"}); err == nil {
 		t.Fatal("unknown op succeeded")
 	}
@@ -361,23 +355,13 @@ func TestMaxVersionMatchesVersionDiffSemantics(t *testing.T) {
 }
 
 func TestOperators(t *testing.T) {
-	evens := Filter(SliceIter([]int{1, 2, 3, 4, 5, 6}), func(v int) bool { return v%2 == 0 })
-	if got := Reduce(evens, 0, func(a, v int) int { return a + v }); got != 12 {
-		t.Fatalf("filter+reduce = %d, want 12", got)
+	ix := NewIndexer(nil, Options{})
+	if err := ix.CatchUp(chainSource(6, 1)); err != nil {
+		t.Fatal(err)
 	}
-
-	type pair struct{ k, v int }
-	left := []pair{{1, 10}, {2, 20}, {2, 25}, {3, 30}}
-	right := []pair{{2, 200}, {3, 300}, {4, 400}}
-	joined := Drain(HashJoin(
-		SliceIter(left), func(p pair) int { return p.k },
-		SliceIter(right), func(p pair) int { return p.k },
-		func(l, r pair) int { return l.v + r.v },
-	))
-	// Key 2 fans out over both build rows; key 4 has no build match.
-	want := []int{220, 225, 330}
-	if !reflect.DeepEqual(joined, want) {
-		t.Fatalf("hash join = %v, want %v", joined, want)
+	evens := Filter(ix.view().scan(1, 7, nil), func(r Row) bool { return r.Height%2 == 0 })
+	if got := Reduce(evens, uint64(0), func(a uint64, r Row) uint64 { return a + r.Height }); got != 12 {
+		t.Fatalf("filter+reduce = %d, want 12", got)
 	}
 
 	stats := []AccountStat{
@@ -399,7 +383,7 @@ func TestLargeBatchesStreamBounded(t *testing.T) {
 	if err := ix.CatchUp(src); err != nil {
 		t.Fatal(err)
 	}
-	it := ix.Scan(1, 401)
+	it := ix.view().scan(1, 401, nil)
 	total, batches := 0, 0
 	for {
 		b := it.Next()
@@ -435,69 +419,5 @@ func TestApplyGapFails(t *testing.T) {
 	b := &types.Block{Header: types.Header{Number: 5}}
 	if err := ix.Apply(b, nil); err == nil {
 		t.Fatal("applying block 5 onto an empty index succeeded")
-	}
-}
-
-func TestTimeBoundsPruneSegments(t *testing.T) {
-	src := chainSource(100, 3) // block n carries Time n*1000
-	ix := NewIndexer(nil, Options{SegmentSize: 32})
-	if err := ix.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
-
-	// The time window [90000, 95000) covers exactly blocks 90..94, so a
-	// sum bounded by time must equal the same sum bounded by height.
-	byHeight, err := ix.Query(Query{Op: OpSum, From: 90, To: 95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ix.zoneSkips.Value()
-	byTime, err := ix.Query(Query{Op: OpSum, Since: 90_000, Until: 95_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byTime.Value != byHeight.Value || byTime.Value == 0 {
-		t.Fatalf("time-bounded sum = %d, height-bounded = %d", byTime.Value, byHeight.Value)
-	}
-	if byTime.Rows != 15 {
-		t.Fatalf("time-bounded scan pulled %d rows, want 15", byTime.Rows)
-	}
-	// The timestamp zone maps must have pruned the sealed segments
-	// outside the window without reading a row.
-	if ix.zoneSkips.Value() <= before {
-		t.Fatalf("zone skips did not grow on a time-restricted scan (%d -> %d)",
-			before, ix.zoneSkips.Value())
-	}
-
-	// Half-open semantics: Until is exclusive, Since inclusive.
-	only90, err := ix.Query(Query{Op: OpSum, Since: 90_000, Until: 90_001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if only90.Rows != 3 {
-		t.Fatalf("window [90000,90001) pulled %d rows, want 3", only90.Rows)
-	}
-
-	// Time bounds compose with posting-list scans (account-driven ops).
-	topAll, err := ix.Query(Query{Op: OpTopK, Account: addr(1), K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topWin, err := ix.Query(Query{Op: OpTopK, Account: addr(1), K: 8, Since: 90_000, Until: 95_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topWin.Rows == 0 || topWin.Rows >= topAll.Rows {
-		t.Fatalf("windowed topk rows = %d, unbounded = %d; want 0 < windowed < unbounded",
-			topWin.Rows, topAll.Rows)
-	}
-
-	// An empty window prunes everything and reads nothing.
-	empty, err := ix.Query(Query{Op: OpSum, Since: 500_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Value != 0 || empty.Rows != 0 {
-		t.Fatalf("out-of-range window returned value=%d rows=%d", empty.Value, empty.Rows)
 	}
 }

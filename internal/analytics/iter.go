@@ -35,42 +35,22 @@ type Iterator[T any] interface {
 	Next() []T
 }
 
-// Scan streams rows with Height in [from, to) in ascending row order,
-// skipping sealed segments whose height zone maps fall outside the
-// range. It is the index's table-scan access path.
-func (ix *Indexer) Scan(from, to uint64) Iterator[Row] {
-	return ix.view().scan(from, to, 0, 0, nil)
-}
-
-// AccountScan streams the rows touching acct (as sender or recipient)
-// with Height in [from, to), driven by the account's posting list —
-// cost proportional to the account's own history, not the chain's.
-func (ix *Indexer) AccountScan(acct types.Address, from, to uint64) Iterator[Row] {
-	return ix.view().accountScan(acct, from, to, 0, 0, nil)
-}
-
-// timeKeep reports whether a row timestamp falls inside the half-open
-// [since, until) window; a zero bound is unbounded on that side.
-func timeKeep(t, since, until int64) bool {
-	return t >= since && (until == 0 || t < until)
-}
-
-// scanIter walks segments in order, binary-searching into the first
-// relevant row per segment and pruning sealed segments by zone map
-// (height and, when a time window is set, timestamp).
+// scanIter is the index's table-scan access path: it streams rows with
+// Height in [from, to) in ascending row order, walking segments in
+// order, binary-searching into the first relevant row per segment and
+// pruning sealed segments by their height zone map.
 type scanIter struct {
-	v            *view
-	from, to     uint64
-	since, until int64
-	seg          int
-	pos          int // -1: segment not yet entered
-	done         bool
-	buf          []Row
-	scanned      *uint64
+	v        *view
+	from, to uint64
+	seg      int
+	pos      int // -1: segment not yet entered
+	done     bool
+	buf      []Row
+	scanned  *uint64
 }
 
-func (v *view) scan(from, to uint64, since, until int64, scanned *uint64) Iterator[Row] {
-	return &scanIter{v: v, from: from, to: to, since: since, until: until, pos: -1, scanned: scanned}
+func (v *view) scan(from, to uint64, scanned *uint64) Iterator[Row] {
+	return &scanIter{v: v, from: from, to: to, pos: -1, scanned: scanned}
 }
 
 func (it *scanIter) Next() []Row {
@@ -103,14 +83,6 @@ func (it *scanIter) Next() []Row {
 				it.done = true
 				break
 			}
-			// Timestamp zone map: the whole segment lies outside the time
-			// window. Timestamps are not strictly monotone across
-			// segments, so this skips rather than ending the scan.
-			if s.zoned && (s.maxT < it.since || (it.until > 0 && s.minT >= it.until)) {
-				it.v.ix.zoneSkips.Inc()
-				it.seg++
-				continue
-			}
 			it.pos = sort.Search(s.rows(), func(i int) bool { return s.height[i] >= it.from })
 		}
 		for it.pos < s.rows() && len(out) < batchRows {
@@ -118,9 +90,7 @@ func (it *scanIter) Next() []Row {
 				it.done = true
 				break
 			}
-			if timeKeep(s.time[it.pos], it.since, it.until) {
-				out = append(out, it.v.rowFrom(s, it.pos))
-			}
+			out = append(out, it.v.rowFrom(s, it.pos))
 			it.pos++
 		}
 		if it.pos >= s.rows() {
@@ -139,23 +109,24 @@ func (it *scanIter) Next() []Row {
 	return out
 }
 
-// postingIter walks one account's posting list, resolving global row
-// ids into rows. Posting lists are ascending by row id, hence by
-// height, so the height window is a contiguous slice of the list.
+// postingIter streams the rows touching one account (as sender or
+// recipient) with Height in [from, to), driven by the account's posting
+// list — cost proportional to the account's own history, not the
+// chain's. Posting lists are ascending by row id, hence by height, so
+// the height window is a contiguous slice of the list.
 type postingIter struct {
-	v            *view
-	ids          []uint32
-	i            int
-	from, to     uint64
-	since, until int64
-	started      bool
-	done         bool
-	buf          []Row
-	scanned      *uint64
+	v        *view
+	ids      []uint32
+	i        int
+	from, to uint64
+	started  bool
+	done     bool
+	buf      []Row
+	scanned  *uint64
 }
 
-func (v *view) accountScan(acct types.Address, from, to uint64, since, until int64, scanned *uint64) Iterator[Row] {
-	return &postingIter{v: v, ids: v.postingsFor(acct), from: from, to: to, since: since, until: until, scanned: scanned}
+func (v *view) accountScan(acct types.Address, from, to uint64, scanned *uint64) Iterator[Row] {
+	return &postingIter{v: v, ids: v.postingsFor(acct), from: from, to: to, scanned: scanned}
 }
 
 func (it *postingIter) Next() []Row {
@@ -175,10 +146,8 @@ func (it *postingIter) Next() []Row {
 		if s.height[p] >= it.to {
 			break
 		}
-		if timeKeep(s.time[p], it.since, it.until) {
-			out = append(out, it.v.rowFrom(s, p))
-			it.v.ix.postingsHits.Inc()
-		}
+		out = append(out, it.v.rowFrom(s, p))
+		it.v.ix.postingsHits.Inc()
 		it.i++
 	}
 	it.buf = out
@@ -232,95 +201,6 @@ func Reduce[T, A any](in Iterator[T], acc A, f func(A, T) A) A {
 		}
 		for _, x := range batch {
 			acc = f(acc, x)
-		}
-	}
-}
-
-// Drain collects the remaining elements of in into a slice. Only for
-// streams already reduced to bounded size (joined aggregates, top-k
-// candidates) — never for raw scans.
-func Drain[T any](in Iterator[T]) []T {
-	var out []T
-	for {
-		batch := in.Next()
-		if batch == nil {
-			return out
-		}
-		out = append(out, batch...)
-	}
-}
-
-// SliceIter streams a slice in batches, adapting materialized
-// aggregates back into the iterator tree.
-func SliceIter[T any](xs []T) Iterator[T] {
-	return &sliceIter[T]{xs: xs}
-}
-
-type sliceIter[T any] struct {
-	xs []T
-	i  int
-}
-
-func (it *sliceIter[T]) Next() []T {
-	if it.i >= len(it.xs) {
-		return nil
-	}
-	j := min(it.i+batchRows, len(it.xs))
-	out := it.xs[it.i:j]
-	it.i = j
-	return out
-}
-
-// HashJoin equi-joins two streams: the build side is drained into a
-// hash table keyed by bkey on the first Next call, then the probe side
-// streams through it, emitting join(l, r) for every key match. Keys
-// with multiple build rows fan out.
-func HashJoin[L, R, O any, K comparable](
-	build Iterator[L], bkey func(L) K,
-	probe Iterator[R], pkey func(R) K,
-	join func(L, R) O,
-) Iterator[O] {
-	return &hashJoinIter[L, R, O, K]{build: build, bkey: bkey, probe: probe, pkey: pkey, join: join}
-}
-
-type hashJoinIter[L, R, O any, K comparable] struct {
-	build Iterator[L]
-	bkey  func(L) K
-	probe Iterator[R]
-	pkey  func(R) K
-	join  func(L, R) O
-	table map[K][]L
-	buf   []O
-}
-
-func (it *hashJoinIter[L, R, O, K]) Next() []O {
-	if it.table == nil {
-		it.table = make(map[K][]L)
-		for {
-			batch := it.build.Next()
-			if batch == nil {
-				break
-			}
-			for _, l := range batch {
-				k := it.bkey(l)
-				it.table[k] = append(it.table[k], l)
-			}
-		}
-	}
-	for {
-		batch := it.probe.Next()
-		if batch == nil {
-			return nil
-		}
-		out := it.buf[:0]
-		for _, r := range batch {
-			for _, l := range it.table[it.pkey(r)] {
-				out = append(out, it.join(l, r))
-			}
-		}
-		it.buf = out
-		if len(out) > 0 {
-			return out
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (ix *Indexer) persistMeta() error {
 	return ix.store.Put(metaKey, buf)
 }
 
-// persistSegment writes one sealed segment's columns. Zone maps are
+// persistSegment writes one sealed segment's columns. The zone map is
 // recomputed on load, not stored.
 func (ix *Indexer) persistSegment(i int, s *segment) error {
 	n := s.rows()

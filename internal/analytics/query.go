@@ -1,8 +1,8 @@
 // Query is the node-facing entry point: one request describes an
 // operation over a height range, and the indexer plans a small
-// iterator tree for it. The five operations cover the paper's two
-// Analytics queries (sum, maxdelta/maxversion) and the join-shaped
-// queries the HTAP workload issues (topk, common).
+// iterator tree for it. The four operations cover the paper's two
+// Analytics queries (sum, maxdelta/maxversion) and the counterparty
+// ranking the HTAP workload issues (topk).
 package analytics
 
 import (
@@ -30,9 +30,6 @@ const (
 	// OpTopK ranks Account's counterparties in the range by
 	// transaction count (K results).
 	OpTopK Op = "topk"
-	// OpCommon joins the counterparty sets of Account and Account2 and
-	// ranks the shared ones by combined activity (K results).
-	OpCommon Op = "common"
 )
 
 // Query is one analytics request. To == 0 means "to the end of what
@@ -42,15 +39,7 @@ type Query struct {
 	Op       Op
 	From, To uint64
 	Account  types.Address
-	Account2 types.Address
 	K        int
-	// Since/Until bound rows by block timestamp (the half-open interval
-	// [Since, Until), in the chain's own time unit; 0 means unbounded on
-	// that side). Sealed segments record min/max timestamp zone maps, so
-	// a time bound prunes whole segments without reading a row — but
-	// unlike heights, timestamps are not strictly monotone across
-	// segments, so a pruned segment skips rather than ending the scan.
-	Since, Until int64
 }
 
 // AccountStat aggregates one account's activity in a range.
@@ -73,7 +62,7 @@ type Result struct {
 // Query runs one request against a consistent snapshot of the index.
 func (ix *Indexer) Query(q Query) (Result, error) {
 	switch q.Op {
-	case OpSum, OpMaxDelta, OpMaxVersion, OpTopK, OpCommon:
+	case OpSum, OpMaxDelta, OpMaxVersion, OpTopK:
 	default:
 		return Result{}, fmt.Errorf("analytics: unknown op %q", q.Op)
 	}
@@ -97,7 +86,7 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 	case OpSum:
 		// Q1 counts value-bearing transactions whether or not they
 		// committed successfully, matching the baseline block walk.
-		it := Filter(v.scan(from, to, q.Since, q.Until, &scanned), func(r Row) bool {
+		it := Filter(v.scan(from, to, &scanned), func(r Row) bool {
 			return r.Contract == "" || (r.Contract == "versionkv" && r.Method == "sendValue")
 		})
 		res.Value = Reduce(it, uint64(0), func(acc uint64, r Row) uint64 { return acc + r.Value })
@@ -106,7 +95,7 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 		// Per-block net balance movement of the account, max |net|.
 		// Transfers move balances by exactly their value (no fees in
 		// this system), so this equals the baseline's BalanceAt diffs.
-		it := Filter(v.accountScan(q.Account, from+1, to, q.Since, q.Until, &scanned), func(r Row) bool {
+		it := Filter(v.accountScan(q.Account, from+1, to, &scanned), func(r Row) bool {
 			return r.OK && r.Contract != "versionkv" && (r.Contract == "" || r.Value > 0)
 		})
 		type state struct {
@@ -135,7 +124,7 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 		// value — so the largest newest-first diff over the in-range
 		// versions is the largest in-range update value, excluding the
 		// range's oldest version (it only anchors the first diff).
-		it := Filter(v.accountScan(q.Account, from, to, q.Since, q.Until, &scanned), func(r Row) bool {
+		it := Filter(v.accountScan(q.Account, from, to, &scanned), func(r Row) bool {
 			return r.OK && r.Contract == "versionkv" && (r.Method == "sendValue" || r.Method == "prealloc")
 		})
 		type state struct {
@@ -153,22 +142,7 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 		res.Value = st.best
 
 	case OpTopK:
-		res.Top = TopAccounts(v.counterpartyStats(q.Account, from, to, q.Since, q.Until, &scanned), topK(q.K))
-
-	case OpCommon:
-		// Join the two accounts' counterparty aggregates on the
-		// counterparty address; shared counterparties rank by combined
-		// activity.
-		a := v.counterpartyStats(q.Account, from, to, q.Since, q.Until, &scanned)
-		b := v.counterpartyStats(q.Account2, from, to, q.Since, q.Until, &scanned)
-		joined := HashJoin(
-			SliceIter(a), func(s AccountStat) types.Address { return s.Account },
-			SliceIter(b), func(s AccountStat) types.Address { return s.Account },
-			func(l, r AccountStat) AccountStat {
-				return AccountStat{Account: l.Account, Count: l.Count + r.Count, Sum: l.Sum + r.Sum}
-			},
-		)
-		res.Top = TopAccounts(Drain(joined), topK(q.K))
+		res.Top = TopAccounts(v.counterpartyStats(q.Account, from, to, &scanned), topK(q.K))
 	}
 
 	res.Rows = scanned
@@ -181,9 +155,9 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 
 // counterpartyStats aggregates the per-counterparty count and value
 // sum of the committed rows touching acct in [from, to).
-func (v *view) counterpartyStats(acct types.Address, from, to uint64, since, until int64, scanned *uint64) []AccountStat {
+func (v *view) counterpartyStats(acct types.Address, from, to uint64, scanned *uint64) []AccountStat {
 	var zero types.Address
-	it := Filter(v.accountScan(acct, from, to, since, until, scanned), func(r Row) bool { return r.OK })
+	it := Filter(v.accountScan(acct, from, to, scanned), func(r Row) bool { return r.OK })
 	m := Reduce(it, make(map[types.Address]*AccountStat), func(m map[types.Address]*AccountStat, r Row) map[types.Address]*AccountStat {
 		cp := r.From
 		if cp == acct {

@@ -1,11 +1,13 @@
 // Package consensus defines the interface between a blockchain node and
-// its consensus engine, plus the block-synchronization protocol shared
-// by the forking engines (PoW, PoA). The three engines — proof-of-work
+// its consensus engine, plus the block gossip and synchronization
+// protocol shared by the forking engines (PoW, PoA). The three engines — proof-of-work
 // (Ethereum), proof-of-authority (Parity) and PBFT (Hyperledger Fabric
 // v0.6) — live in subpackages.
 package consensus
 
 import (
+	"sync"
+
 	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
@@ -151,4 +153,67 @@ func RequestSync(ctx Context, peer simnet.NodeID) {
 		}
 	}
 	ctx.Endpoint.Send(peer, MsgSyncReq, &SyncReq{Locators: locs})
+}
+
+// maxOrphans bounds the orphan buffer; a block dropped past it comes
+// back with the sync response its arrival requested.
+const maxOrphans = 256
+
+// Orphans is the receiving half of block gossip for the forking
+// engines: a block whose parent is not yet known waits here while a
+// sync request to its sender fetches the gap. The zero value is ready.
+type Orphans struct {
+	mu     sync.Mutex
+	blocks map[types.Hash]*types.Block
+}
+
+// Handle processes sync traffic and MsgBlock gossip for an engine whose
+// consensus rule accepts exactly the blocks valid reports true for. It
+// returns false if msg is neither.
+func (o *Orphans) Handle(ctx Context, msg simnet.Message, valid func(*types.Block) bool) bool {
+	if HandleSync(ctx, msg) {
+		o.drain(ctx)
+		return true
+	}
+	if msg.Type != MsgBlock {
+		return false
+	}
+	b, ok := msg.Payload.(*types.Block)
+	if !ok || msg.Corrupt || ctx.Chain.Has(b.Hash()) || !valid(b) {
+		return true
+	}
+	switch err := ctx.Chain.Append(b); err {
+	case nil:
+		o.drain(ctx)
+	case ledger.ErrUnknownParent:
+		o.mu.Lock()
+		if o.blocks == nil {
+			o.blocks = make(map[types.Hash]*types.Block)
+		}
+		if len(o.blocks) < maxOrphans {
+			o.blocks[b.Hash()] = b
+		}
+		o.mu.Unlock()
+		RequestSync(ctx, msg.From)
+	default:
+		// Invalid block: drop.
+	}
+	return true
+}
+
+// drain retries buffered blocks whose parents may now be known.
+func (o *Orphans) drain(ctx Context) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for progress := true; progress; {
+		progress = false
+		for h, b := range o.blocks {
+			if err := ctx.Chain.Append(b); err != ledger.ErrUnknownParent {
+				delete(o.blocks, h)
+				if err == nil {
+					progress = true
+				}
+			}
+		}
+	}
 }

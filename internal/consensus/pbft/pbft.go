@@ -100,9 +100,11 @@ type Options struct {
 	// ViewTimeout triggers a view change when no progress happens while
 	// work is outstanding. Doubles on consecutive failed views.
 	ViewTimeout time.Duration
-	// Window is the number of concurrently in-flight instances.
-	Window int
 }
+
+// window is the number of concurrently in-flight instances. It has one
+// value in use, so it is not an option.
+const window = 8
 
 // DefaultOptions returns the Hyperledger-preset defaults: the one place
 // they are stated (the preset starts from it and overlays -popt keys).
@@ -111,7 +113,6 @@ func DefaultOptions() Options {
 		BatchSize:    20,
 		BatchTimeout: 15 * time.Millisecond,
 		ViewTimeout:  400 * time.Millisecond,
-		Window:       8,
 	}
 }
 
@@ -151,21 +152,9 @@ type Engine struct {
 	started atomic.Bool
 }
 
-// New creates a PBFT engine. All peers run replicas.
+// New creates a PBFT engine from resolved options (the preset and tests
+// start from DefaultOptions). All peers run replicas.
 func New(ctx consensus.Context, opts Options) *Engine {
-	def := DefaultOptions()
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = def.BatchSize
-	}
-	if opts.BatchTimeout <= 0 {
-		opts.BatchTimeout = def.BatchTimeout
-	}
-	if opts.ViewTimeout <= 0 {
-		opts.ViewTimeout = def.ViewTimeout
-	}
-	if opts.Window <= 0 {
-		opts.Window = def.Window
-	}
 	peers := append([]simnet.NodeID(nil), ctx.Peers...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	n := len(peers)
@@ -256,7 +245,7 @@ func (e *Engine) maybeProposeLocked() {
 	if e.nextSeq <= height {
 		e.nextSeq = height + 1
 	}
-	if int(e.nextSeq-height)-1 < e.opts.Window {
+	if int(e.nextSeq-height)-1 < window {
 		txs := e.pickBatchLocked()
 		if len(txs) == 0 {
 			return
@@ -382,7 +371,7 @@ func (e *Engine) onPrePrepare(from simnet.NodeID, pp *PrePrepare) {
 	if pp.Seq <= height {
 		return // already executed
 	}
-	if pp.Seq > height+uint64(4*e.opts.Window) {
+	if pp.Seq > height+4*window {
 		// Far ahead: we missed batches; catch up from the primary.
 		consensus.RequestSync(e.ctx, from)
 		return

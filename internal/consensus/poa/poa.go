@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
@@ -49,17 +48,13 @@ type Engine struct {
 	started atomic.Bool
 	sealed  atomic.Uint64
 
-	mu      sync.Mutex
-	orphans map[types.Hash]*types.Block
+	orphans consensus.Orphans // blocks whose parents are not yet known
 }
 
-// New creates a PoA engine.
+// New creates a PoA engine from resolved options (the preset starts
+// from DefaultOptions).
 func New(ctx consensus.Context, opts Options) *Engine {
-	if opts.StepDuration <= 0 {
-		opts.StepDuration = DefaultOptions().StepDuration
-	}
-	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{}),
-		orphans: make(map[types.Hash]*types.Block)}
+	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{})}
 }
 
 // Start implements consensus.Engine.
@@ -119,37 +114,10 @@ func (e *Engine) stepLoop() {
 	}
 }
 
-// Handle implements consensus.Engine.
+// Handle implements consensus.Engine: sync traffic, and gossiped blocks
+// sealed by the authority that owned their step.
 func (e *Engine) Handle(msg simnet.Message) bool {
-	if consensus.HandleSync(e.ctx, msg) {
-		e.drainOrphans()
-		return true
-	}
-	if msg.Type != consensus.MsgBlock {
-		return false
-	}
-	b, ok := msg.Payload.(*types.Block)
-	if !ok || msg.Corrupt {
-		return true
-	}
-	if e.ctx.Chain.Has(b.Hash()) {
-		return true
-	}
-	if !e.validProposer(b) {
-		return true
-	}
-	switch err := e.ctx.Chain.Append(b); err {
-	case nil:
-		e.drainOrphans()
-	case ledger.ErrUnknownParent:
-		e.mu.Lock()
-		if len(e.orphans) < 256 {
-			e.orphans[b.Hash()] = b
-		}
-		e.mu.Unlock()
-		consensus.RequestSync(e.ctx, msg.From)
-	}
-	return true
+	return e.orphans.Handle(e.ctx, msg, e.validProposer)
 }
 
 // validProposer checks the block's proposer is an authority that owned
@@ -160,20 +128,4 @@ func (e *Engine) validProposer(b *types.Block) bool {
 		return false
 	}
 	return e.opts.Authorities[b.Header.View%n] == b.Header.Proposer
-}
-
-func (e *Engine) drainOrphans() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for progress := true; progress; {
-		progress = false
-		for h, b := range e.orphans {
-			if err := e.ctx.Chain.Append(b); err != ledger.ErrUnknownParent {
-				delete(e.orphans, h)
-				if err == nil {
-					progress = true
-				}
-			}
-		}
-	}
 }

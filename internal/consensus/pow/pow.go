@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
@@ -60,28 +59,16 @@ type Engine struct {
 	done    sync.WaitGroup
 	started atomic.Bool
 
-	// orphans buffers blocks whose parents are not yet known.
-	mu      sync.Mutex
-	orphans map[types.Hash]*types.Block
+	orphans consensus.Orphans // blocks whose parents are not yet known
 
 	hashes atomic.Uint64 // total hash attempts, drives the CPU figure
 	mined  atomic.Uint64
 }
 
-// New creates a PoW engine.
+// New creates a PoW engine from resolved options (the preset starts
+// from DefaultOptions).
 func New(ctx consensus.Context, opts Options) *Engine {
-	def := DefaultOptions()
-	if opts.TargetInterval <= 0 {
-		opts.TargetInterval = def.TargetInterval
-	}
-	if opts.InitialDifficulty == 0 {
-		opts.InitialDifficulty = def.InitialDifficulty
-	}
-	if opts.MinDifficulty == 0 {
-		opts.MinDifficulty = def.MinDifficulty
-	}
-	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{}),
-		orphans: make(map[types.Hash]*types.Block)}
+	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{})}
 }
 
 // Start implements consensus.Engine.
@@ -221,58 +208,8 @@ func (e *Engine) broadcastBlock(b *types.Block) {
 	e.ctx.Endpoint.Broadcast(consensus.MsgBlock, b)
 }
 
-// Handle implements consensus.Engine.
+// Handle implements consensus.Engine: sync traffic, and gossiped blocks
+// that carry a valid seal.
 func (e *Engine) Handle(msg simnet.Message) bool {
-	if consensus.HandleSync(e.ctx, msg) {
-		e.drainOrphans()
-		return true
-	}
-	if msg.Type != consensus.MsgBlock {
-		return false
-	}
-	b, ok := msg.Payload.(*types.Block)
-	if !ok || msg.Corrupt {
-		return true
-	}
-	e.acceptBlock(b, msg.From)
-	return true
-}
-
-func (e *Engine) acceptBlock(b *types.Block, from simnet.NodeID) {
-	if e.ctx.Chain.Has(b.Hash()) {
-		return
-	}
-	if !SealOK(&b.Header) {
-		return
-	}
-	switch err := e.ctx.Chain.Append(b); err {
-	case nil:
-		e.drainOrphans()
-	case ledger.ErrUnknownParent:
-		e.mu.Lock()
-		if len(e.orphans) < 256 {
-			e.orphans[b.Hash()] = b
-		}
-		e.mu.Unlock()
-		consensus.RequestSync(e.ctx, from)
-	default:
-		// Invalid block: drop.
-	}
-}
-
-// drainOrphans retries buffered blocks whose parents may now be known.
-func (e *Engine) drainOrphans() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for progress := true; progress; {
-		progress = false
-		for h, b := range e.orphans {
-			if err := e.ctx.Chain.Append(b); err != ledger.ErrUnknownParent {
-				delete(e.orphans, h)
-				if err == nil {
-					progress = true
-				}
-			}
-		}
-	}
+	return e.orphans.Handle(e.ctx, msg, func(b *types.Block) bool { return SealOK(&b.Header) })
 }

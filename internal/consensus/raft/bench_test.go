@@ -77,11 +77,7 @@ func BenchmarkRaftLongRunMemory(b *testing.B) {
 				opts.Heartbeat = 10 * time.Millisecond
 				opts.BatchSize = 1
 				opts.BatchTimeout = time.Millisecond
-				if mode.retain > 0 {
-					opts.Retain = mode.retain
-				} else {
-					opts.Retain = -1 // normalized to 0: compaction off
-				}
+				opts.Retain = mode.retain // 0: compaction off
 				c := newTestCluster(b, 3, opts)
 				l := c.waitLeader(b, nil)
 				var last *types.Transaction
@@ -98,9 +94,9 @@ func BenchmarkRaftLongRunMemory(b *testing.B) {
 				if lg := c.nodes[l].e.LogLen(); float64(lg) > maxLog {
 					maxLog = float64(lg)
 				}
-				if mode.retain > 0 && maxLog > float64(mode.retain+opts.Window) {
+				if mode.retain > 0 && maxLog > float64(mode.retain+window) {
 					b.Fatalf("resident log %v exceeded retention window %d (+%d in flight)",
-						maxLog, mode.retain, opts.Window)
+						maxLog, mode.retain, window)
 				}
 				for _, tn := range c.nodes {
 					tn.e.Stop()

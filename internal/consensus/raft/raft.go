@@ -15,9 +15,9 @@
 // window triggers the next one without waiting for a tick — the ticker
 // only paces heartbeats, elections and retransmission probes. Each
 // follower has an in-flight window (nextIndex runs ahead of matchIndex
-// by up to Window entries, MaxAppend per message) with fast backoff on
+// by up to window entries, maxAppend per message) with fast backoff on
 // rejection. Leaders that have heard from a majority within
-// Heartbeat×LeaseFactor serve reads under a leader lease (see
+// Heartbeat×leaseFactor serve reads under a leader lease (see
 // LeaseRead); once the applied index passes the retention window the
 // log prefix is compacted behind a snapshot record, and laggard
 // followers are caught up with InstallSnapshot plus a canonical-chain
@@ -165,19 +165,6 @@ type Options struct {
 	// pool notification or on a sub-tick timer, never quantized up to
 	// the heartbeat.
 	BatchTimeout time.Duration
-	// Window bounds uncommitted entries in flight, and per follower the
-	// entries sent ahead of the acknowledged match index (the pipeline
-	// depth).
-	Window int
-	// MaxAppend bounds entries per AppendEntries message; a pipeline
-	// burst splits into several messages.
-	MaxAppend int
-	// LeaseFactor sizes the leader lease as Heartbeat×LeaseFactor: a
-	// leader that has heard from a majority within the lease serves
-	// reads locally (LeaseRead). Clamped so the lease stays at most
-	// half the election timeout — a deposed leader's lease must expire
-	// before any successor can win. 0 takes the default.
-	LeaseFactor int
 	// Retain is the log compaction retention window: once the applied
 	// index runs more than Retain entries past the snapshot, the prefix
 	// is truncated behind a snapshot record (at least Retain/2 applied
@@ -195,12 +182,25 @@ func DefaultOptions() Options {
 		Heartbeat:       20 * time.Millisecond,
 		BatchSize:       20,
 		BatchTimeout:    10 * time.Millisecond,
-		Window:          64,
-		MaxAppend:       32,
-		LeaseFactor:     3,
 		Retain:          4096,
 	}
 }
+
+// The pipeline's and the lease's fixed parameters: each has one value
+// in use, so none is an option.
+const (
+	// window bounds uncommitted entries in flight, and per follower the
+	// entries sent ahead of the acknowledged match index (the pipeline
+	// depth).
+	window = 64
+	// maxAppend bounds entries per AppendEntries message; a pipeline
+	// burst splits into several messages.
+	maxAppend = 32
+	// leaseFactor sizes the leader lease as Heartbeat×leaseFactor: a
+	// leader that has heard from a majority within the lease serves
+	// reads locally (LeaseRead).
+	leaseFactor = 3
+)
 
 type role int
 
@@ -279,37 +279,13 @@ type Engine struct {
 	started atomic.Bool
 }
 
-// New creates a Raft engine. All peers run replicas.
+// New creates a Raft engine from resolved options (presets and tests
+// start from DefaultOptions). All peers run replicas.
 func New(ctx consensus.Context, opts Options) *Engine {
-	def := DefaultOptions()
-	if opts.ElectionTimeout <= 0 {
-		opts.ElectionTimeout = def.ElectionTimeout
-	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = def.Heartbeat
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = def.BatchSize
-	}
-	if opts.BatchTimeout <= 0 {
-		opts.BatchTimeout = def.BatchTimeout
-	}
-	if opts.Window <= 0 {
-		opts.Window = def.Window
-	}
-	if opts.MaxAppend <= 0 {
-		opts.MaxAppend = def.MaxAppend
-	}
-	if opts.LeaseFactor <= 0 {
-		opts.LeaseFactor = def.LeaseFactor
-	}
-	if opts.Retain < 0 {
-		opts.Retain = 0
-	}
 	// The lease must expire before any successor can be elected: cap it
 	// at half the election-timeout floor (one shared clock here, so no
 	// drift margin beyond that).
-	lease := opts.Heartbeat * time.Duration(opts.LeaseFactor)
+	lease := opts.Heartbeat * leaseFactor
 	if max := opts.ElectionTimeout / 2; lease > max {
 		lease = max
 	}
@@ -423,7 +399,7 @@ func (e *Engine) IsLeader() bool {
 
 // LeaseRead classifies one client read on this replica: true means it
 // is the leader under a live majority lease (heard from a majority
-// within Heartbeat×LeaseFactor) and the local answer is linearizable
+// within Heartbeat×leaseFactor) and the local answer is linearizable
 // without a log round-trip; false means the read would have to redirect
 // to the leader for that guarantee. Counted as raft.lease_reads vs
 // raft.read_redirects.
@@ -723,7 +699,7 @@ func (e *Engine) proposeLocked(now time.Time) bool {
 	e.batchDue = time.Time{}
 	appended := false
 	for rounds := 0; rounds < 8; rounds++ {
-		if e.lastIndexLocked()-e.commit >= uint64(e.opts.Window) {
+		if e.lastIndexLocked()-e.commit >= window {
 			break
 		}
 		txs := e.pickBatchLocked()
@@ -762,7 +738,7 @@ func (e *Engine) broadcastAppendsLocked(heartbeat bool) {
 
 // sendToLocked ships the follower's next window(s). Pipelined: nextIndex
 // advances optimistically as messages go out, running ahead of the
-// acknowledged matchIndex by up to Window entries in MaxAppend-sized
+// acknowledged matchIndex by up to window entries in maxAppend-sized
 // messages, so a burst streams without waiting for per-message acks.
 // Followers behind the compacted prefix get an InstallSnapshot instead.
 func (e *Engine) sendToLocked(p simnet.NodeID, heartbeat bool) {
@@ -776,8 +752,8 @@ func (e *Engine) sendToLocked(p simnet.NodeID, heartbeat bool) {
 	}
 	last := e.lastIndexLocked()
 	sent := false
-	for ni <= last && ni-1-e.match[p] < uint64(e.opts.Window) {
-		end := ni - 1 + uint64(e.opts.MaxAppend)
+	for ni <= last && ni-1-e.match[p] < window {
+		end := ni - 1 + maxAppend
 		if end > last {
 			end = last
 		}

@@ -394,8 +394,8 @@ func TestCompactionBoundsResidentLog(t *testing.T) {
 		}
 		// Resident log = retained applied prefix (≤ Retain) plus any
 		// not-yet-applied tail (bounded by the proposal window).
-		if got := tn.e.LogLen(); got > opts.Retain+opts.Window {
-			t.Errorf("node %d resident log %d exceeds retain+window %d", i, got, opts.Retain+opts.Window)
+		if got := tn.e.LogLen(); got > opts.Retain+window {
+			t.Errorf("node %d resident log %d exceeds retain+window %d", i, got, opts.Retain+window)
 		}
 	}
 	h0 := c.nodes[0].chain.Height()

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -391,5 +392,60 @@ func TestLSMCorruptLengthField(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLSMCorruptIndexCount overwrites the sparse index's entry count in
+// a real flushed run with 2^32-1. Reopening must report the run as
+// corrupt, and must do so before sizing the index slices from the count
+// (which would ask for ~100 GiB).
+func TestLSMCorruptIndexCount(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "run-00000000.sst")
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var footer [runFooterSz]byte
+	if _, err := f.ReadAt(footer[:], st.Size()-runFooterSz); err != nil {
+		t.Fatal(err)
+	}
+	// The index section follows the records and the bloom filter.
+	idxOff := int64(binary.LittleEndian.Uint64(footer[0:8]) + binary.LittleEndian.Uint64(footer[8:16]))
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, idxOff); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var s2 *LSM
+	got := allocatedDuring(func() { s2, err = OpenLSM(dir, LSMOptions{SyncBytes: -1}) })
+	if err == nil {
+		s2.Close()
+		t.Fatal("reopen accepted a run whose index count exceeds its section")
+	}
+	if got > 1<<20 {
+		t.Fatalf("reopen allocated %d bytes from the bogus count", got)
 	}
 }

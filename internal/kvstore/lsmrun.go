@@ -343,6 +343,11 @@ func openRun(path string) (*run, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(idx[0:4]))
 	idx = idx[4:]
+	// An entry is at least a key length and an offset (2 + 8 bytes):
+	// bound the count before sizing anything from it.
+	if n > len(idx)/10 {
+		return fail(fmt.Errorf("index count %d exceeds its %d-byte section", n, len(idx)))
+	}
 	idxKeys := make([]string, 0, n)
 	idxOffs := make([]int64, 0, n)
 	for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package platform
 import (
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestGoldenDefaults(t *testing.T) {
 	cfg := &Config{Nodes: 4}
 	wantRaft := quorumOptions{
 		raft: raft.Options{ElectionTimeout: 300 * ms, Heartbeat: 20 * ms, BatchSize: 20,
-			BatchTimeout: 10 * ms, Window: 64, MaxAppend: 32, LeaseFactor: 3, Retain: 4096},
+			BatchTimeout: 10 * ms, Retain: 4096},
 		cache: 4096,
 	}
 	for _, tc := range []struct {
@@ -40,7 +41,7 @@ func TestGoldenDefaults(t *testing.T) {
 			poa: poa.Options{StepDuration: 40 * ms}, ingest: 180 * ms, memCap: 256 << 20,
 		}},
 		{"hyperledger", decodeHyperledger(none()), pbft.Options{
-			BatchSize: 20, BatchTimeout: 15 * ms, ViewTimeout: 400 * ms, Window: 8,
+			BatchSize: 20, BatchTimeout: 15 * ms, ViewTimeout: 400 * ms,
 		}},
 		{"quorum", decodeQuorum(cfg, none()), wantRaft},
 		{"sharded", decodeSharded(cfg, none()), shardedOptions{quorumOptions: wantRaft, shards: 4}},
@@ -82,9 +83,6 @@ func TestGoldenDefaults(t *testing.T) {
 		}
 		c.Close()
 	}
-	if o := decodeSharded(cfg, none()); o.partitioner() != nil {
-		t.Error("sharded: default placement is not the engine's hash partitioner")
-	}
 }
 
 // TestOptionValidation is the one table of option rejections: nonsense
@@ -101,8 +99,6 @@ func TestOptionValidation(t *testing.T) {
 		{Quorum, map[string]string{"heartbeat": "500ms"}, []string{"heartbeat", "election timeout"}},
 		{Quorum, map[string]string{"election": "2ms"}, []string{"heartbeat", "election timeout"}},
 		{Quorum, map[string]string{"batch": "0"}, []string{"batch"}},
-		{Quorum, map[string]string{"maxappend": "x"}, []string{"maxappend"}},
-		{Quorum, map[string]string{"window": "-3"}, []string{"window"}},
 		{Quorum, map[string]string{"retain": "-1"}, []string{"retain"}},
 		{Quorum, map[string]string{"cache": "-1"}, []string{"cache"}},
 		{Quorum, map[string]string{"workers": "0"}, []string{"workers"}},
@@ -121,12 +117,6 @@ func TestOptionValidation(t *testing.T) {
 		{Hyperledger, map[string]string{"viewtimeout": "soon"}, []string{"viewtimeout"}},
 		{Sharded, map[string]string{"shards": "zero"}, []string{"shards"}},
 		{Sharded, map[string]string{"shards": "0"}, []string{"shards"}},
-		{Sharded, map[string]string{"partitioner": "round-robin"}, []string{"partitioner"}},
-		{Sharded, map[string]string{"bounds": "a,b"}, []string{"bounds", "partitioner=range"}},
-		{Sharded, map[string]string{"partitioner": "range", "bounds": "a,,c"}, []string{"bounds", "empty"}},
-		{Sharded, map[string]string{"partitioner": "range", "bounds": "a,b,a"}, []string{"bounds", "duplicate"}},
-		{Sharded, map[string]string{"shards": "2", "partitioner": "range", "bounds": "a,b,c"}, []string{"bounds", "shards=2"}},
-		{Sharded, map[string]string{"partitioner": "range", "bounds": "a,b,c,d"}, []string{"bounds", "only 4 nodes"}},
 		// An unknown key names the keys the preset does take.
 		{Quorum, map[string]string{"hartbeat": "10ms"}, []string{"unknown option", "hartbeat", "heartbeat", "election"}},
 		// So does a valid key on the wrong preset: hyperledger's Fabric
@@ -135,6 +125,11 @@ func TestOptionValidation(t *testing.T) {
 		{Hyperledger, map[string]string{"store": "lsm"}, []string{"unknown option", "store"}},
 		{Ethereum, map[string]string{"batch": "8"}, []string{"unknown option", "batch", "block", "gas"}},
 		{Quorum, map[string]string{"shards": "2"}, []string{"unknown option", "shards"}},
+		// Retired keys (each had one value in use) are unknown, not ignored.
+		{Quorum, map[string]string{"maxappend": "16"}, []string{"unknown option", "maxappend"}},
+		{Quorum, map[string]string{"window": "32"}, []string{"unknown option", "window"}},
+		{Sharded, map[string]string{"partitioner": "range"}, []string{"unknown option", "partitioner"}},
+		{Sharded, map[string]string{"bounds": "a,b,c"}, []string{"unknown option", "bounds"}},
 	}
 	for _, tc := range bad {
 		cfg := fastConfig(tc.kind, 4, clientKeys(1))
@@ -157,11 +152,11 @@ func TestOptionValidation(t *testing.T) {
 		kind Kind
 		opts map[string]string
 	}{
-		{Quorum, map[string]string{"heartbeat": "10ms", "batch": "8", "maxappend": "16", "window": "32", "retain": "64"}},
+		{Quorum, map[string]string{"heartbeat": "10ms", "batch": "8", "retain": "64"}},
 		{Quorum, map[string]string{"retain": "0"}},  // the explicit compaction-off switch
 		{Ethereum, map[string]string{"cache": "0"}}, // the LRU-off switch
 		{Hyperledger, map[string]string{"batch": "10", "index": "off"}},
-		{Sharded, map[string]string{"shards": "4", "partitioner": "range", "bounds": "a,b,c"}},
+		{Sharded, map[string]string{"shards": "4", "retain": "0"}},
 	}
 	for _, tc := range good {
 		cfg := fastConfig(tc.kind, 4, clientKeys(1))
@@ -174,6 +169,61 @@ func TestOptionValidation(t *testing.T) {
 			continue
 		}
 		c.Close()
+	}
+}
+
+// TestDesignOptionTable holds DESIGN.md's -popt table to the code: per
+// preset, the keys with a non-empty cell must be exactly the keys that
+// preset's Build consults, as the unknown-key error lists them.
+func TestDesignOptionTable(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(doc), "\n## Platform options\n")
+	if !found {
+		t.Fatal("DESIGN.md has no Platform options section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var kinds []string
+	documented := make(map[string][]string)
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "| ---") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if kinds == nil { // header: key | one column per preset | meaning
+			kinds = cells[1 : len(cells)-1]
+			continue
+		}
+		for i, kind := range kinds {
+			if cells[1+i] != "" {
+				documented[kind] = append(documented[kind], strings.Trim(cells[0], "`"))
+			}
+		}
+	}
+	builtin := []Kind{Ethereum, Parity, Hyperledger, Quorum, Sharded}
+	if len(kinds) != len(builtin) {
+		t.Fatalf("table columns %v, built-in presets %v", kinds, builtin)
+	}
+	for _, kind := range builtin {
+		_, err := New(Config{Kind: kind, Nodes: 4, Options: map[string]string{"no-such-key": "1"}})
+		if err == nil {
+			t.Fatalf("%s accepted an unknown key", kind)
+		}
+		_, known, found := strings.Cut(err.Error(), "(known: [")
+		if !found {
+			t.Fatalf("%s: error %q lists no known keys", kind, err)
+		}
+		consulted := strings.Fields(strings.TrimSuffix(known, "])"))
+		want := documented[string(kind)]
+		sort.Strings(want)
+		if !reflect.DeepEqual(consulted, want) {
+			t.Errorf("%s: Build consults %v, DESIGN.md documents %v", kind, consulted, want)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 //
 // The engine is event-driven and pipelined (propose-time replication,
 // leader-lease reads, log compaction); its knobs are exposed as generic
-// platform options: -popt heartbeat=10ms,batch=32,maxappend=64,
-// window=128,retain=4096 (retain=0 disables compaction). -popt
-// workers=N turns on intra-block parallel execution (exec/parallel).
+// platform options: -popt heartbeat=10ms,batch=32,retain=4096
+// (retain=0 disables compaction). -popt workers=N turns on intra-block
+// parallel execution (exec/parallel).
 const Quorum Kind = "quorum"
 
 // quorumOptions are the Raft-backed presets' knobs beyond the shared
@@ -32,9 +32,8 @@ type quorumOptions struct {
 }
 
 // decodeQuorum overlays the Raft keys — election=, heartbeat=, batch=,
-// batchtimeout=, maxappend=, window=, retain= — on the engine's own
-// defaults. retain=0 disables compaction, which is why it alone may be
-// zero.
+// batchtimeout=, retain= — on the engine's own defaults. retain=0
+// disables compaction, which is why it alone may be zero.
 func decodeQuorum(cfg *Config, d *workload.Decoder) quorumOptions {
 	o := quorumOptions{raft: raft.DefaultOptions(), cache: decodeCache(d)}
 	r := &o.raft
@@ -42,8 +41,6 @@ func decodeQuorum(cfg *Config, d *workload.Decoder) quorumOptions {
 	r.Heartbeat = positive(d, "heartbeat", d.Duration("heartbeat", r.Heartbeat))
 	r.BatchSize = positive(d, "batch", d.Int("batch", r.BatchSize))
 	r.BatchTimeout = positive(d, "batchtimeout", d.Duration("batchtimeout", r.BatchTimeout))
-	r.MaxAppend = positive(d, "maxappend", d.Int("maxappend", r.MaxAppend))
-	r.Window = positive(d, "window", d.Int("window", r.Window))
 	if r.Retain = d.Int("retain", r.Retain); r.Retain < 0 {
 		d.Reject("retain", "want a non-negative integer (0 disables compaction)")
 	}

@@ -79,7 +79,7 @@ func TestShardedClusterCommits(t *testing.T) {
 
 // crossShardPair returns two smallbank account ids that the sharded
 // engine's partitioner places on different shards.
-func crossShardPair(p sharding.Partitioner, from int) (a, b []byte) {
+func crossShardPair(p sharding.HashPartitioner, from int) (a, b []byte) {
 	a = types.U64Bytes(uint64(from))
 	sa := p.Shard(a)
 	for i := from + 1; ; i++ {
@@ -195,37 +195,5 @@ func TestShardedShardGroupsIsolated(t *testing.T) {
 			t.Fatalf("per-shard leaders never stabilized: %v", leaders)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestShardedRangePartitionerBoots proves the -popt partitioner=range
-// seam end to end: explicit split points place the test keys on both
-// shards and routed transactions still commit everywhere they should.
-func TestShardedRangePartitionerBoots(t *testing.T) {
-	keys := clientKeys(4)
-	cfg := fastConfig(Sharded, 4, keys)
-	// submitYCSB keys look like "key-N": split at "key-2" → 2 ranges.
-	cfg.Options["partitioner"], cfg.Options["bounds"] = "range", "key-2"
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Stop(); c.Close() })
-	c.Start()
-
-	const txs = 20
-	ids := make([]types.Hash, txs)
-	gateways := make([]int, txs)
-	for i := 0; i < txs; i++ {
-		ids[i] = submitYCSB(t, c, keys[i%len(keys)], true, i)
-		gateways[i] = i % c.Size()
-	}
-	waitReceipts(t, c, ids, gateways, 30*time.Second)
-
-	// Both ranges saw traffic: the per-shard counter prefixes from both
-	// groups must have applied batches.
-	got := c.Counters()
-	if got["shard0.raft.batches"] == 0 || got["shard1.raft.batches"] == 0 {
-		t.Fatalf("range placement left a shard idle: %v", got)
 	}
 }

@@ -24,55 +24,48 @@ var ErrBusy = errors.New("sharding: gateway at capacity")
 type Options struct {
 	// Shards is the number of shard groups (clamped to the node count).
 	Shards int
-	// Partitioner places keys; nil defaults to hash partitioning.
-	Partitioner Partitioner
 	// Raft tunes the per-shard consensus groups.
 	Raft raft.Options
-	// ForwardInterval is the gateway's flush cadence: accepted
-	// single-shard transactions are forwarded to their group in
-	// key-affinity batches on this tick (which also drives 2PC timeouts
-	// and commit-notice scanning).
-	ForwardInterval time.Duration
-	// PrepareTimeout bounds phase one: a shard that has not voted by
-	// then (crashed leader, election in progress) counts as a refusal.
-	PrepareTimeout time.Duration
-	// RetryBackoff is the base delay before re-preparing an aborted
-	// transaction. The actual wait grows linearly with the attempt
-	// number plus a uniform jitter of one base unit, so coordinators
-	// contending for the same locks desynchronize instead of colliding
-	// on every round.
-	RetryBackoff time.Duration
-	// MaxAttempts bounds abort-retry; beyond it the transaction is
-	// abandoned and counted in xshard.aborts.
-	MaxAttempts int
-	// LockTTL expires prepare locks whose coordinator went silent.
-	LockTTL time.Duration
-	// OutboundLimit bounds the gateway's forward queue.
-	OutboundLimit int
-	// MaxCoordinations bounds the cross-shard transactions one gateway
-	// coordinates concurrently; beyond it SubmitTx reports busy — the
-	// same admission control the fast path gets from OutboundLimit, so
-	// an open-loop flood cannot pile up unbounded 2PC state and
-	// prepare-retry storms.
-	MaxCoordinations int
 	// Seed feeds the inner consensus groups' randomized timeouts.
 	Seed int64
 }
 
 // DefaultOptions returns the sharded-preset defaults.
 func DefaultOptions() Options {
-	return Options{
-		Shards:           4,
-		Raft:             raft.DefaultOptions(),
-		ForwardInterval:  2 * time.Millisecond,
-		PrepareTimeout:   100 * time.Millisecond,
-		RetryBackoff:     10 * time.Millisecond,
-		MaxAttempts:      16,
-		LockTTL:          time.Second,
-		OutboundLimit:    1 << 16,
-		MaxCoordinations: 1024,
-	}
+	return Options{Shards: 4, Raft: raft.DefaultOptions()}
 }
+
+// The gateway's and the 2PC protocol's fixed parameters: each has one
+// value in use, so none is an option.
+const (
+	// forwardInterval is the gateway's flush cadence: accepted
+	// single-shard transactions are forwarded to their group in
+	// key-affinity batches on this tick (which also drives 2PC timeouts
+	// and commit-notice scanning).
+	forwardInterval = 2 * time.Millisecond
+	// prepareTimeout bounds phase one: a shard that has not voted by
+	// then (crashed leader, election in progress) counts as a refusal.
+	prepareTimeout = 100 * time.Millisecond
+	// retryBackoff is the base delay before re-preparing an aborted
+	// transaction. The actual wait grows linearly with the attempt
+	// number plus a uniform jitter of one base unit, so coordinators
+	// contending for the same locks desynchronize instead of colliding
+	// on every round.
+	retryBackoff = 10 * time.Millisecond
+	// maxAttempts bounds abort-retry; beyond it the transaction is
+	// abandoned and counted in xshard.aborts.
+	maxAttempts = 16
+	// lockTTL expires prepare locks whose coordinator went silent.
+	lockTTL = time.Second
+	// outboundLimit bounds the gateway's forward queue.
+	outboundLimit = 1 << 16
+	// maxCoordinations bounds the cross-shard transactions one gateway
+	// coordinates concurrently; beyond it SubmitTx reports busy — the
+	// same admission control the fast path gets from outboundLimit, so
+	// an open-loop flood cannot pile up unbounded 2PC state and
+	// prepare-retry storms.
+	maxCoordinations = 1024
+)
 
 // lockEntry is one held prepare lock. Locks are soft state at the
 // shard's current leader: they serialize conflicting cross-shard
@@ -122,8 +115,7 @@ const noticeRetain = 5 * time.Second
 // back through BlocksFrom/Receipt).
 type Engine struct {
 	ctx    consensus.Context
-	opts   Options
-	part   Partitioner
+	part   HashPartitioner
 	groups [][]simnet.NodeID
 	shard  int                    // this node's shard group
 	member map[simnet.NodeID]bool // members of this node's group
@@ -145,7 +137,7 @@ type Engine struct {
 	fastpath atomic.Uint64 // single-shard txs accepted (2PC bypassed)
 	xTxs     atomic.Uint64 // cross-shard txs coordinated
 	xCommits atomic.Uint64 // cross-shard txs committed
-	xAborts  atomic.Uint64 // cross-shard txs abandoned after MaxAttempts
+	xAborts  atomic.Uint64 // cross-shard txs abandoned after maxAttempts
 	xRetries atomic.Uint64 // abort-retry rounds
 
 	stop    chan struct{}
@@ -153,45 +145,13 @@ type Engine struct {
 	started atomic.Bool
 }
 
-// New builds the sharded engine for one node. The shard groups are
-// computed from ctx.Peers, and the node's own group runs an inner Raft
-// instance whose peer set is just that group.
+// New builds the sharded engine for one node from resolved options
+// (DefaultOptions states the defaults). The shard groups are
+// computed from ctx.Peers, keys are hash-placed over exactly those
+// groups, and the node's own group runs an inner Raft instance whose
+// peer set is just that group.
 func New(ctx consensus.Context, opts Options) *Engine {
-	def := DefaultOptions()
-	if opts.Shards <= 0 {
-		opts.Shards = def.Shards
-	}
-	if opts.ForwardInterval <= 0 {
-		opts.ForwardInterval = def.ForwardInterval
-	}
-	if opts.PrepareTimeout <= 0 {
-		opts.PrepareTimeout = def.PrepareTimeout
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = def.RetryBackoff
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = def.MaxAttempts
-	}
-	if opts.LockTTL <= 0 {
-		opts.LockTTL = def.LockTTL
-	}
-	if opts.OutboundLimit <= 0 {
-		opts.OutboundLimit = def.OutboundLimit
-	}
-	if opts.MaxCoordinations <= 0 {
-		opts.MaxCoordinations = def.MaxCoordinations
-	}
 	groups := Groups(ctx.Peers, opts.Shards)
-	opts.Shards = len(groups)
-	if opts.Partitioner == nil {
-		opts.Partitioner = NewHashPartitioner(opts.Shards)
-	}
-	if opts.Partitioner.Shards() != len(groups) {
-		// Routing tables and the shard groups must agree, on every node.
-		panic(fmt.Sprintf("sharding: partitioner places over %d shards but the cluster forms %d groups",
-			opts.Partitioner.Shards(), len(groups)))
-	}
 	shard := GroupOf(groups, ctx.Self)
 	if shard < 0 {
 		panic(fmt.Sprintf("sharding: node %v not in any group", ctx.Self))
@@ -207,12 +167,11 @@ func New(ctx consensus.Context, opts Options) *Engine {
 	// The gateway's outbound queue is the admission point for traffic a
 	// gateway accepts on behalf of other shards, so it stamps the same
 	// lifecycle stages as a node's own pool.
-	outbound := txpool.New(opts.OutboundLimit)
+	outbound := txpool.New(outboundLimit)
 	outbound.SetTracer(ctx.Tracer)
 	return &Engine{
 		ctx:      ctx,
-		opts:     opts,
-		part:     opts.Partitioner,
+		part:     NewHashPartitioner(len(groups)),
 		groups:   groups,
 		shard:    shard,
 		member:   member,
@@ -236,7 +195,7 @@ func (e *Engine) Shard() int { return e.shard }
 func (e *Engine) Shards() int { return len(e.groups) }
 
 // Partition exposes the engine's partitioner (tests, skew tooling).
-func (e *Engine) Partition() Partitioner { return e.part }
+func (e *Engine) Partition() HashPartitioner { return e.part }
 
 // Inner exposes the node's shard-group consensus replica.
 func (e *Engine) Inner() *raft.Engine { return e.inner }
@@ -330,7 +289,7 @@ func (e *Engine) SubmitTx(tx *types.Transaction) error {
 	if _, done := e.remote[id]; done {
 		return nil
 	}
-	if len(e.coord) >= e.opts.MaxCoordinations {
+	if len(e.coord) >= maxCoordinations {
 		return ErrBusy
 	}
 	e.xTxs.Add(1)
@@ -454,7 +413,7 @@ func (e *Engine) prepareLocked(m *Prepare) *Vote {
 	held := make([]string, len(keys))
 	for i, k := range keys {
 		ks := string(k)
-		e.locks[ks] = lockEntry{owner: id, expires: now.Add(e.opts.LockTTL)}
+		e.locks[ks] = lockEntry{owner: id, expires: now.Add(lockTTL)}
 		held[i] = ks
 	}
 	e.txLocks[id] = held
@@ -475,7 +434,7 @@ func (e *Engine) releaseLocked(id types.Hash) {
 // transaction.
 func (e *Engine) sendPreparesLocked(id types.Hash, cs *coordState) {
 	cs.votes = make(map[int]bool, len(cs.shards))
-	cs.deadline = time.Now().Add(e.opts.PrepareTimeout)
+	cs.deadline = time.Now().Add(prepareTimeout)
 	cs.retryAt = time.Time{}
 	m := &Prepare{Origin: e.ctx.Self, Attempt: cs.attempt, Tx: cs.tx}
 	for _, s := range cs.shards {
@@ -538,10 +497,10 @@ func (e *Engine) commitLocked(id types.Hash, cs *coordState) {
 }
 
 // abortAttemptLocked closes the current phase one with an abort,
-// scheduling a retry (with linear backoff) until MaxAttempts.
+// scheduling a retry (with linear backoff) until maxAttempts.
 func (e *Engine) abortAttemptLocked(id types.Hash, cs *coordState) {
 	e.decideLocked(id, cs, &Decision{TxID: id, Commit: false, Origin: e.ctx.Self})
-	if cs.attempt >= e.opts.MaxAttempts {
+	if cs.attempt >= maxAttempts {
 		delete(e.coord, id)
 		e.xAborts.Add(1)
 		return
@@ -549,8 +508,8 @@ func (e *Engine) abortAttemptLocked(id types.Hash, cs *coordState) {
 	e.xRetries.Add(1)
 	cs.attempt++
 	cs.deadline = time.Time{}
-	wait := time.Duration(cs.attempt)*e.opts.RetryBackoff +
-		time.Duration(e.rng.Int63n(int64(e.opts.RetryBackoff)))
+	wait := time.Duration(cs.attempt)*retryBackoff +
+		time.Duration(e.rng.Int63n(int64(retryBackoff)))
 	cs.retryAt = time.Now().Add(wait)
 }
 
@@ -602,7 +561,7 @@ func (e *Engine) onNoticeLocked(m *CommitNotice) {
 // retries, and expired-lock sweeps.
 func (e *Engine) timerLoop() {
 	defer e.done.Done()
-	tick := time.NewTicker(e.opts.ForwardInterval)
+	tick := time.NewTicker(forwardInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -714,7 +673,7 @@ func (e *Engine) sweepLocksLocked(now time.Time) {
 	if now.Before(e.sweepAt) {
 		return
 	}
-	e.sweepAt = now.Add(e.opts.LockTTL)
+	e.sweepAt = now.Add(lockTTL)
 	for ks, ent := range e.locks {
 		if !now.Before(ent.expires) {
 			delete(e.locks, ks)

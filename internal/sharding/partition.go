@@ -1,6 +1,6 @@
 // Package sharding implements the partitioned execution subsystem: a
-// Partitioner that maps workload keys onto S shards, contract-aware key
-// extraction, and a per-node Engine that runs one consensus group per
+// HashPartitioner that maps workload keys onto S shards, contract-aware
+// key extraction, and a per-node Engine that runs one consensus group per
 // shard (reusing the Raft engine) with a two-phase-commit coordinator
 // for transactions that touch more than one shard. Single-shard
 // transactions bypass 2PC entirely — they are forwarded to their shard
@@ -18,27 +18,17 @@
 package sharding
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
 
 	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
 
-// Partitioner assigns workload keys to shards. Implementations must be
-// deterministic and safe for concurrent use: every node of the cluster
-// routes with its own copy and they must all agree.
-type Partitioner interface {
-	// Shards returns the number of shards keys are spread over.
-	Shards() int
-	// Shard returns the shard owning key, in [0, Shards()).
-	Shard(key []byte) int
-}
-
-// HashPartitioner spreads keys by FNV-1a hash — the default placement:
+// HashPartitioner assigns workload keys to shards by FNV-1a hash:
 // skewed request distributions (YCSB's zipfian) still land evenly
-// because popularity is uncorrelated with hash value.
+// because popularity is uncorrelated with hash value. It is
+// deterministic and safe for concurrent use: every node of the cluster
+// routes with its own copy and they all agree.
 type HashPartitioner struct{ n int }
 
 // NewHashPartitioner builds a hash partitioner over n shards.
@@ -49,10 +39,7 @@ func NewHashPartitioner(n int) HashPartitioner {
 	return HashPartitioner{n: n}
 }
 
-// Shards implements Partitioner.
-func (p HashPartitioner) Shards() int { return p.n }
-
-// Shard implements Partitioner.
+// Shard returns the shard owning key, in [0, n).
 func (p HashPartitioner) Shard(key []byte) int {
 	const (
 		offset32 = 2166136261
@@ -64,34 +51,6 @@ func (p HashPartitioner) Shard(key []byte) int {
 		h *= prime32
 	}
 	return int(h % uint32(p.n))
-}
-
-// RangePartitioner splits the key space at explicit boundaries: shard i
-// owns keys in [bounds[i-1], bounds[i]) under bytewise comparison, with
-// the first shard open below and the last open above. Range placement
-// keeps adjacent keys co-located (scan workloads) at the price of
-// hotspot sensitivity.
-type RangePartitioner struct{ bounds [][]byte }
-
-// NewRangePartitioner builds a range partitioner with len(bounds)+1
-// shards from ascending split points.
-func NewRangePartitioner(bounds ...[]byte) RangePartitioner {
-	cp := make([][]byte, len(bounds))
-	for i, b := range bounds {
-		cp[i] = append([]byte(nil), b...)
-	}
-	sort.Slice(cp, func(i, j int) bool { return bytes.Compare(cp[i], cp[j]) < 0 })
-	return RangePartitioner{bounds: cp}
-}
-
-// Shards implements Partitioner.
-func (p RangePartitioner) Shards() int { return len(p.bounds) + 1 }
-
-// Shard implements Partitioner.
-func (p RangePartitioner) Shard(key []byte) int {
-	return sort.Search(len(p.bounds), func(i int) bool {
-		return bytes.Compare(key, p.bounds[i]) < 0
-	})
 }
 
 // Groups partitions the sorted peer set into s contiguous shard groups
@@ -139,7 +98,7 @@ func GroupOf(groups [][]simnet.NodeID, id simnet.NodeID) int {
 // transaction's keys land on. A transaction without extractable keys
 // (unknown contract, plain value transfer) is pinned to a home shard
 // derived from its content hash, so it stays single-shard.
-func TouchedShards(p Partitioner, tx *types.Transaction) []int {
+func TouchedShards(p HashPartitioner, tx *types.Transaction) []int {
 	keys := ContractKeys(tx.Contract, tx.Method, tx.Args)
 	if len(keys) == 0 {
 		h := tx.Hash()
@@ -159,7 +118,7 @@ func TouchedShards(p Partitioner, tx *types.Transaction) []int {
 }
 
 // localKeys filters a transaction's keys down to those owned by shard s.
-func localKeys(p Partitioner, tx *types.Transaction, s int) [][]byte {
+func localKeys(p HashPartitioner, tx *types.Transaction, s int) [][]byte {
 	var out [][]byte
 	for _, k := range ContractKeys(tx.Contract, tx.Method, tx.Args) {
 		if p.Shard(k) == s {
@@ -168,6 +127,3 @@ func localKeys(p Partitioner, tx *types.Transaction, s int) [][]byte {
 	}
 	return out
 }
-
-func (p HashPartitioner) String() string  { return fmt.Sprintf("hash/%d", p.n) }
-func (p RangePartitioner) String() string { return fmt.Sprintf("range/%d", p.Shards()) }

@@ -9,9 +9,6 @@ import (
 
 func TestHashPartitionerRangeAndDeterminism(t *testing.T) {
 	p := NewHashPartitioner(4)
-	if p.Shards() != 4 {
-		t.Fatalf("Shards = %d", p.Shards())
-	}
 	seen := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
 		k := []byte{byte(i), byte(i >> 8)}
@@ -26,23 +23,6 @@ func TestHashPartitionerRangeAndDeterminism(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("only %d of 4 shards used", len(seen))
-	}
-}
-
-func TestRangePartitioner(t *testing.T) {
-	p := NewRangePartitioner([]byte("m"), []byte("t"))
-	if p.Shards() != 3 {
-		t.Fatalf("Shards = %d", p.Shards())
-	}
-	for _, tc := range []struct {
-		key  string
-		want int
-	}{
-		{"", 0}, {"a", 0}, {"lzz", 0}, {"m", 1}, {"pig", 1}, {"szz", 1}, {"t", 2}, {"zebra", 2},
-	} {
-		if got := p.Shard([]byte(tc.key)); got != tc.want {
-			t.Fatalf("Shard(%q) = %d, want %d", tc.key, got, tc.want)
-		}
 	}
 }
 

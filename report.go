@@ -18,11 +18,10 @@ type (
 	StageStat = report.StageStat
 	// Trace is one complete sampled transaction lifecycle.
 	Trace = report.Trace
-	// Sink consumes a run's snapshot stream and final report (JSONL and
-	// CSV implementations ship in the report package).
+	// Sink consumes a run's snapshot stream and final report (the JSONL
+	// implementation ships in the report package).
 	Sink = report.Sink
 )
 
-// OpenSink creates a file sink for path, chosen by extension: ".csv"
-// gets the CSV sink, anything else JSONL.
+// OpenSink creates a JSONL file sink for path.
 func OpenSink(path string) (Sink, error) { return report.Open(path) }

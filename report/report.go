@@ -1,10 +1,10 @@
 // Package report defines the machine-readable outputs of one benchmark
 // run: the final Report, the per-bucket Snapshot stream the driver's run
-// handle emits while the run is live, and Sink implementations (JSONL,
-// CSV) that persist both. It is deliberately free of platform types —
-// resource counters arrive as a generic name→value map, so any backend
-// registered with the platform registry flows through without this
-// package (or the driver) knowing its engines.
+// handle emits while the run is live, and the JSONL Sink that persists
+// both. It is deliberately free of platform types — resource counters
+// arrive as a generic name→value map, so any backend registered with
+// the platform registry flows through without this package (or the
+// driver) knowing its engines.
 package report
 
 import (

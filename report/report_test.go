@@ -87,26 +87,3 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 		t.Fatalf("bad report record: %v", last)
 	}
 }
-
-func TestCSVSinkWritesHeaderAndRows(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewCSV(&buf)
-	for i := 0; i < 2; i++ {
-		if err := s.WriteSnapshot(Snapshot{Seq: i, Committed: uint64(i * 4)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.WriteReport(&Report{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 rows, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "seq,elapsed_s,") {
-		t.Fatalf("missing header: %q", lines[0])
-	}
-}

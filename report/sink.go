@@ -1,14 +1,10 @@
 package report
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // Sink consumes one run's metric stream: every live Snapshot in emission
@@ -23,16 +19,12 @@ type Sink interface {
 	Close() error
 }
 
-// Open creates a file sink for path, chosen by extension: ".csv" gets
-// the CSV sink, anything else the JSONL sink. Parent directories must
-// exist.
+// Open creates a JSONL file sink for path, whatever its extension.
+// Parent directories must exist.
 func Open(path string) (Sink, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("report: open sink: %w", err)
-	}
-	if strings.EqualFold(filepath.Ext(path), ".csv") {
-		return NewCSV(f), nil
 	}
 	return NewJSONL(f), nil
 }
@@ -69,67 +61,6 @@ func (s *JSONL) WriteReport(r *Report) error {
 
 // Close implements Sink.
 func (s *JSONL) Close() error {
-	if c, ok := s.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// CSV writes the snapshot stream as a flat table (header + one row per
-// frame). The final Report is not representable in the fixed columns and
-// is skipped — pair the CSV series with a JSONL sink when the summary is
-// needed too.
-type CSV struct {
-	w       io.Writer
-	cw      *csv.Writer
-	started bool
-}
-
-// NewCSV returns a CSV sink over w. If w is an io.Closer, Close closes
-// it.
-func NewCSV(w io.Writer) *CSV {
-	return &CSV{w: w, cw: csv.NewWriter(w)}
-}
-
-var csvHeader = []string{
-	"seq", "elapsed_s", "submitted", "committed", "submit_errors",
-	"committed_in_bucket", "queue_depth",
-	"latency_mean_s", "latency_p50_s", "latency_p99_s", "events",
-}
-
-// WriteSnapshot implements Sink.
-func (s *CSV) WriteSnapshot(snap Snapshot) error {
-	if !s.started {
-		if err := s.cw.Write(csvHeader); err != nil {
-			return err
-		}
-		s.started = true
-	}
-	row := []string{
-		strconv.Itoa(snap.Seq),
-		strconv.FormatFloat(snap.Elapsed.Seconds(), 'f', 3, 64),
-		strconv.FormatUint(snap.Submitted, 10),
-		strconv.FormatUint(snap.Committed, 10),
-		strconv.FormatUint(snap.SubmitErrors, 10),
-		strconv.FormatUint(snap.CommittedInBucket, 10),
-		strconv.Itoa(snap.QueueDepth),
-		strconv.FormatFloat(snap.LatencyMean, 'f', 6, 64),
-		strconv.FormatFloat(snap.LatencyP50, 'f', 6, 64),
-		strconv.FormatFloat(snap.LatencyP99, 'f', 6, 64),
-		strings.Join(snap.Events, ";"),
-	}
-	return s.cw.Write(row)
-}
-
-// WriteReport implements Sink (no-op: see type comment).
-func (s *CSV) WriteReport(*Report) error { return nil }
-
-// Close implements Sink.
-func (s *CSV) Close() error {
-	s.cw.Flush()
-	if err := s.cw.Error(); err != nil {
-		return err
-	}
 	if c, ok := s.w.(io.Closer); ok {
 		return c.Close()
 	}

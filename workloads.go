@@ -11,9 +11,9 @@ import (
 
 // The workload implementations live one per file (ycsb.go, smallbank.go,
 // etherid.go, doubler.go, wavespresale.go, donothing.go, ioheavy.go,
-// cpuheavy.go, ycsbscan.go), each registering itself with the workload
-// registry in its init block. This file holds the preload machinery they
-// share.
+// cpuheavy.go, analytics.go, htap.go), each registering itself with the
+// workload registry in its init block. This file holds the preload
+// machinery they share.
 
 // preloadOps seeds the blockchain with the given operations before
 // measurement starts ("preloads each store with a number of records").

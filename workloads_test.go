@@ -13,7 +13,7 @@ import (
 func TestWorkloadRegistryComplete(t *testing.T) {
 	want := []string{"ycsb", "smallbank", "etherid", "doubler",
 		"wavespresale", "donothing", "ioheavy", "cpuheavy", "analytics",
-		"ycsb-scan", "htap"}
+		"htap"}
 	names := Workloads()
 	if len(names) != len(want) {
 		t.Fatalf("registered %d workloads, want %d: %v", len(names), len(want), names)
@@ -143,39 +143,6 @@ func TestSmallbankProportions(t *testing.T) {
 	checkProportion(t, "amalgamate", float64(counts["amalgamate"])/n, sixth, n)
 }
 
-// TestYCSBScanWindows verifies the registry-seam workload: read-mostly
-// by default, and reads arrive as sequential scan windows.
-func TestYCSBScanWindows(t *testing.T) {
-	const n = 10_000
-	w := MustWorkload("ycsb-scan", WorkloadOptions{
-		"records": "1000", "scanlen": "10", "distribution": "uniform",
-	})
-	sc := w.(*YCSBScanWorkload)
-	reads := 0
-	rng := rand.New(rand.NewSource(5))
-	var prev []byte
-	sequential := 0
-	for i := 0; i < n; i++ {
-		op := sc.Next(0, rng) // one client: windows stay contiguous
-		if op.Method == "read" {
-			reads++
-			if prev != nil && string(op.Args[0]) > string(prev) {
-				sequential++
-			}
-			prev = op.Args[0]
-		} else {
-			prev = nil
-		}
-	}
-	checkProportion(t, "read", float64(reads)/n, 0.95, n)
-	// Inside a 10-key window 9 of 10 reads follow their predecessor;
-	// window starts and wraps break the chain, so require a clear
-	// majority rather than the exact ratio.
-	if frac := float64(sequential) / float64(reads); frac < 0.75 {
-		t.Fatalf("only %.2f of reads were sequential", frac)
-	}
-}
-
 // TestNextConcurrentWithoutInit drives every registered workload's Next
 // from several goroutines with Init skipped — the SkipInit + blocking
 // configuration — so the race detector can catch unsynchronized lazy
@@ -203,33 +170,5 @@ func TestNextConcurrentWithoutInit(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-	}
-}
-
-// TestYCSBScanProportionNormalized pins the two-way mix normalization:
-// either proportion alone implies the other.
-func TestYCSBScanProportionNormalized(t *testing.T) {
-	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-	sc := MustWorkload("ycsb-scan", WorkloadOptions{"updateprop": "0.2"}).(*YCSBScanWorkload)
-	sc.lazyFill()
-	if !near(sc.ReadProp, 0.8) || !near(sc.UpdateProp, 0.2) {
-		t.Fatalf("updateprop alone: read=%v update=%v", sc.ReadProp, sc.UpdateProp)
-	}
-	sc = MustWorkload("ycsb-scan", WorkloadOptions{"readprop": "0.9", "updateprop": "0.3"}).(*YCSBScanWorkload)
-	sc.lazyFill()
-	if !near(sc.ReadProp, 0.9) || !near(sc.UpdateProp, 0.1) {
-		t.Fatalf("conflict: read=%v update=%v", sc.ReadProp, sc.UpdateProp)
-	}
-}
-
-// TestYCSBScanLenCapped guards the window cursor's 16-bit remainder
-// field: oversized -wopt scanlen values must clamp, not overflow into
-// the packed start key.
-func TestYCSBScanLenCapped(t *testing.T) {
-	w := MustWorkload("ycsb-scan", WorkloadOptions{"scanlen": "70000"})
-	sc := w.(*YCSBScanWorkload)
-	sc.Next(0, rand.New(rand.NewSource(1)))
-	if sc.ScanLen != 0xffff {
-		t.Fatalf("ScanLen = %d, want clamped to %d", sc.ScanLen, 0xffff)
 	}
 }
