@@ -43,13 +43,15 @@ race:
 # storage-engine benchmarks (internal/kvstore: LSM
 # point reads vs history length, range scans, flat-cache hits) and the
 # bucket-tree put/get/commit benchmarks (internal/bmt, dense and sparse
-# write sets), so all those trajectories accumulate across PRs. The
+# write sets) and the execution-layer benchmarks (internal/contracts:
+# the EVM quicksort and ycsb write against their native chaincode
+# twins), so all those trajectories accumulate across PRs. The
 # root set also covers the analytics engine (the RPC-walk-vs-indexed
 # query latency series at 1k/10k/100k blocks and the HTAP OLTP+OLAP
 # mix) and the lifecycle tracer's overhead sweep (submission throughput
 # with sampling off, at the 1% default, and at sample-everything).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt > BENCH_ci.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt ./internal/contracts > BENCH_ci.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_ci.json | sed 's/"Output":"//;s/\\n$$//' || true
 
 # bench-check is the CI regression gate: run only the tracked benchmark
@@ -110,7 +112,7 @@ loc:
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
 # raise it says so in its diff of this line.
-LOC_MAX ?= 21851
+LOC_MAX ?= 21705
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

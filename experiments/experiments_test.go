@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -24,22 +25,47 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestFig11CPUHeavyShape runs Fig 11 at full scale — seconds since the
+// EVM's memory growth became amortised, minutes before — and pins the
+// modelled part of every cell: which runs die of memory (the paper's 'X':
+// the geth memory model at the largest size, on the three presets that
+// use it) and the peak footprint of the others, to the 0.1 MB printed.
+// The values are the parent commit's full-scale output; times are the
+// harness's and are not pinned.
 func TestFig11CPUHeavyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run too heavy for -short")
 	}
-	res, err := Fig11CPUHeavy(tiny)
+	res, err := Fig11CPUHeavy(Full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.String()
-	// Every platform produced rows and Hyperledger appears.
-	for _, p := range []string{"ethereum", "parity", "hyperledger"} {
-		if !strings.Contains(out, p) {
-			t.Fatalf("missing platform %s in:\n%s", p, out)
+	want := map[string][3]string{ // platform -> cell at n = 10^4, 10^5, 10^6
+		"ethereum":    {"42.3 MB", "230.9 MB", "X"},
+		"quorum":      {"42.3 MB", "230.9 MB", "X"},
+		"sharded":     {"42.3 MB", "230.9 MB", "X"},
+		"parity":      {"7.7 MB", "19.9 MB", "142.3 MB"},
+		"hyperledger": {"3.6 MB", "4.5 MB", "13.5 MB"},
+	}
+	got := map[string][]string{}
+	for _, row := range res.Rows {
+		platform, cell := strings.Fields(row)[0], "X"
+		if _, mem, ok := strings.Cut(row, "peak mem"); ok {
+			cell = strings.TrimSpace(mem)
+		} else if !strings.Contains(row, "-> X (evm: out of memory)") {
+			t.Errorf("unexpected row %q", row)
+		}
+		got[platform] = append(got[platform], cell)
+	}
+	for platform, cells := range want {
+		if fmt.Sprint(got[platform]) != fmt.Sprint(cells[:]) {
+			t.Errorf("%s: cells %v, want %v", platform, got[platform], cells)
 		}
 	}
-	t.Log("\n" + out)
+	if len(got) != len(want) {
+		t.Errorf("platforms %v, want %d of them", got, len(want))
+	}
+	t.Log("\n" + res.String())
 }
 
 func TestFig13AnalyticsShape(t *testing.T) {

@@ -33,9 +33,27 @@ type testNode struct {
 }
 
 type testCluster struct {
-	net   *simnet.Network
-	nodes []*testNode
-	pumps sync.WaitGroup
+	net      *simnet.Network
+	nodes    []*testNode
+	pumps    sync.WaitGroup
+	stopOnce sync.Once
+}
+
+// stop halts every engine and pump and closes the network. Cleanup calls
+// it; a test calls it first when it is about to compare two reads of a
+// chain (KnownBlocks against Height), which on a live cluster a block
+// landing between them makes unequal without any fork.
+func (c *testCluster) stop() {
+	c.stopOnce.Do(func() {
+		for _, tn := range c.nodes {
+			tn.e.Stop()
+			close(tn.stop)
+		}
+		// A pump may still be inside Handle (which sends); the network
+		// must outlive every pump.
+		c.pumps.Wait()
+		c.net.Close()
+	})
 }
 
 // newTestCluster boots n replicas over a fresh simnet, each with its own
@@ -103,16 +121,7 @@ func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
 		}(tn)
 		c.nodes = append(c.nodes, tn)
 	}
-	t.Cleanup(func() {
-		for _, tn := range c.nodes {
-			tn.e.Stop()
-			close(tn.stop)
-		}
-		// A pump may still be inside Handle (which sends); the network
-		// must outlive every pump.
-		c.pumps.Wait()
-		net.Close()
-	})
+	t.Cleanup(c.stop)
 	for _, tn := range c.nodes {
 		tn.e.Start()
 	}
@@ -266,6 +275,7 @@ func TestReplicatesBatchesToAllReplicas(t *testing.T) {
 	}
 	c.waitCommitted(t, txs, nil)
 	// All replicas converged on identical chains with no forks.
+	c.stop()
 	h0 := c.nodes[0].chain.Height()
 	ref, _ := c.nodes[0].chain.GetBlock(h0)
 	for i, tn := range c.nodes {
@@ -351,6 +361,7 @@ func TestPartitionedMinorityRejoins(t *testing.T) {
 	// without ever having forked the chain.
 	c.net.Heal()
 	c.waitCommitted(t, txs, nil)
+	c.stop()
 	for i, tn := range c.nodes {
 		if tn.chain.KnownBlocks() != tn.chain.Height() {
 			t.Fatalf("node %d forked during the partition", i)

@@ -20,7 +20,7 @@ func newState(t *testing.T) *state.DB {
 	return state.NewDB(b)
 }
 
-func run(t *testing.T, src, method string, env *evm.Env) *evm.Result {
+func run(t *testing.T, src, method string, env *evm.Env) evm.Result {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {

@@ -15,6 +15,7 @@ package evm
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"blockbench/internal/types"
 )
@@ -134,43 +135,46 @@ type Result struct {
 	Steps uint64
 }
 
+// vm is one machine. Machines are pooled: Run takes one, resets what a
+// program can observe (memory length, the peak; stack and call depth are
+// locals of run) and puts it back on every exit. What a program cannot
+// observe — the arrays behind the stacks, the capacity behind memory — is
+// the harness's and is reused. sync.Pool drops idle machines at GC, so a
+// large memory is not pinned past the burst that needed it.
 type vm struct {
-	code  []byte
-	pc    int
-	stack []uint64
-	calls []int
+	stack [maxStack]uint64
+	calls [maxCallDepth]int
 	mem   []byte
-	gas   uint64
-	env   *Env
+	env   Env
 	peak  int64
-	steps uint64
 }
 
-// Run executes the named method of prog under env.
-func Run(prog *Program, method string, env *Env) *Result {
+var vmPool = sync.Pool{New: func() any { return new(vm) }}
+
+// Run executes the named method of prog under env. env is copied, not
+// retained, so a literal passed by address stays on the caller's stack.
+func Run(prog *Program, method string, env *Env) Result {
 	entry, ok := prog.Funcs[method]
 	if !ok {
-		return &Result{Err: fmt.Errorf("%w: %q", ErrNoMethod, method)}
+		return Result{Err: fmt.Errorf("%w: %q", ErrNoMethod, method)}
 	}
-	m := &vm{
-		code:  prog.Code,
-		pc:    int(entry),
-		stack: make([]uint64, 0, 64),
-		gas:   env.GasLimit,
-		env:   env,
-	}
-	if env.MemFactor <= 0 {
-		env.MemFactor = 1
+	m := vmPool.Get().(*vm)
+	res := m.exec(prog.Code, int(entry), env)
+	vmPool.Put(m)
+	return res
+}
+
+// exec is one call on this machine: reset, run, let go of the caller's
+// state and arguments so an idle pooled machine keeps nothing alive.
+func (m *vm) exec(code []byte, entry int, env *Env) Result {
+	m.mem, m.env, m.peak = m.mem[:0], *env, 0
+	if m.env.MemFactor <= 0 {
+		m.env.MemFactor = 1
 	}
 	m.notePeak()
-	out, err := m.run()
-	return &Result{
-		GasUsed: env.GasLimit - m.gas,
-		Output:  out,
-		Err:     err,
-		PeakMem: m.peak,
-		Steps:   m.steps,
-	}
+	res := m.run(code, entry, env.GasLimit)
+	m.env = Env{}
+	return res
 }
 
 func (m *vm) notePeak() {
@@ -180,105 +184,70 @@ func (m *vm) notePeak() {
 	}
 }
 
-func (m *vm) charge(g uint64) error {
-	if m.gas < g {
-		m.gas = 0
-		return ErrOutOfGas
+// charge takes g out of gas; running out leaves none.
+func charge(gas, g uint64) (uint64, error) {
+	if gas < g {
+		return 0, ErrOutOfGas
 	}
-	m.gas -= g
-	return nil
+	return gas - g, nil
 }
 
-// grow ensures memory covers [off, off+n), charging expansion gas and
-// enforcing the simulated memory cap.
-func (m *vm) grow(off, n uint64) error {
+// grow ensures memory covers [off, off+n), charging expansion to gas
+// (the remainder is returned) and enforcing the simulated memory cap.
+// Everything a program or the memory model can observe — gas per new
+// word, MSIZE, the simulated footprint, the cap, the sanity bound — is a
+// function of the word-rounded length. Capacity doubles underneath, so
+// extending costs the bytes added, not the bytes already held.
+func (m *vm) grow(off, n, gas uint64) (uint64, error) {
 	if n == 0 {
-		return nil
+		return gas, nil
 	}
 	end := off + n
 	if end < off || end > 1<<40 { // hard sanity bound on actual memory
-		return ErrOutOfMemory
+		return gas, ErrOutOfMemory
 	}
 	if end <= uint64(len(m.mem)) {
-		return nil
+		return gas, nil
 	}
 	// Round up to 32-byte words, charge per new word.
 	newWords := (end + 31) / 32
 	oldWords := (uint64(len(m.mem)) + 31) / 32
-	if err := m.charge((newWords - oldWords) * gasMemWord); err != nil {
-		return err
+	gas, err := charge(gas, (newWords-oldWords)*gasMemWord)
+	if err != nil {
+		return gas, err
 	}
 	newLen := newWords * 32
 	if m.env.MemCap > 0 {
 		sim := m.env.MemBase + int64(newLen)*m.env.MemFactor
 		if sim > m.env.MemCap {
 			m.peak = sim
-			return ErrOutOfMemory
+			return gas, ErrOutOfMemory
 		}
 	}
-	grown := make([]byte, newLen)
-	copy(grown, m.mem)
-	m.mem = grown
+	if newLen > uint64(cap(m.mem)) {
+		grown := make([]byte, newLen, max(newLen, 2*uint64(cap(m.mem))))
+		copy(grown, m.mem)
+		m.mem = grown
+	} else { // reused capacity: a pooled machine's, so not zero
+		clear(m.mem[len(m.mem):newLen])
+		m.mem = m.mem[:newLen]
+	}
 	m.notePeak()
-	return nil
+	return gas, nil
 }
 
-func (m *vm) push(v uint64) error {
-	if len(m.stack) >= maxStack {
-		return ErrStackOverflow
+// span grows memory to cover [off, off+n) and returns that range. A
+// zero-length range is empty wherever it starts: it neither grows
+// memory nor depends on how much capacity happens to lie past the end.
+func (m *vm) span(off, n, gas uint64) ([]byte, uint64, error) {
+	if n == 0 {
+		return nil, gas, nil
 	}
-	m.stack = append(m.stack, v)
-	return nil
-}
-
-func (m *vm) pop() (uint64, error) {
-	if len(m.stack) == 0 {
-		return 0, ErrStackUnderflow
+	gas, err := m.grow(off, n, gas)
+	if err != nil {
+		return nil, gas, err
 	}
-	v := m.stack[len(m.stack)-1]
-	m.stack = m.stack[:len(m.stack)-1]
-	return v, nil
-}
-
-func (m *vm) pop2() (a, b uint64, err error) {
-	if len(m.stack) < 2 {
-		return 0, 0, ErrStackUnderflow
-	}
-	n := len(m.stack)
-	b, a = m.stack[n-1], m.stack[n-2]
-	m.stack = m.stack[:n-2]
-	return a, b, nil
-}
-
-func (m *vm) imm64() (uint64, error) {
-	if m.pc+8 > len(m.code) {
-		return 0, ErrBadJump
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(m.code[m.pc+i]) << (8 * i)
-	}
-	m.pc += 8
-	return v, nil
-}
-
-func (m *vm) imm32() (int, error) {
-	if m.pc+4 > len(m.code) {
-		return 0, ErrBadJump
-	}
-	v := int(m.code[m.pc]) | int(m.code[m.pc+1])<<8 |
-		int(m.code[m.pc+2])<<16 | int(m.code[m.pc+3])<<24
-	m.pc += 4
-	return v, nil
-}
-
-func (m *vm) imm8() (int, error) {
-	if m.pc >= len(m.code) {
-		return 0, ErrBadJump
-	}
-	v := int(m.code[m.pc])
-	m.pc++
-	return v, nil
+	return m.mem[off : off+n], gas, nil
 }
 
 func boolWord(b bool) uint64 {

@@ -84,6 +84,23 @@ func contractAddress(name string) types.Address {
 // recipient of value-bearing contract calls).
 func ContractAddress(name string) types.Address { return contractAddress(name) }
 
+// run executes one method under the engine's memory model and folds its
+// cost into the engine's counters. env and the result stay on the stack:
+// evm.Run copies the one and returns the other by value.
+func (e *EVMEngine) run(prog *evm.Program, method string, env *evm.Env) evm.Result {
+	env.MemBase, env.MemFactor, env.MemCap = e.mem.Base, e.mem.Factor, e.mem.Cap
+	start := time.Now()
+	res := evm.Run(prog, method, env)
+	e.execTime.Add(int64(time.Since(start)))
+	e.steps.Add(res.Steps)
+	for {
+		cur := e.peakMem.Load()
+		if res.PeakMem <= cur || e.peakMem.CompareAndSwap(cur, res.PeakMem) {
+			return res
+		}
+	}
+}
+
 // Execute implements Engine.
 func (e *EVMEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64) *types.Receipt {
 	r := &types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
@@ -117,8 +134,7 @@ func (e *EVMEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64
 			return fail(evm.TxIntrinsicGas, err)
 		}
 	}
-	start := time.Now()
-	res := evm.Run(prog, tx.Method, &evm.Env{
+	res := e.run(prog, tx.Method, &evm.Env{
 		State:        db,
 		Contract:     tx.Contract,
 		ContractAddr: addr,
@@ -126,18 +142,7 @@ func (e *EVMEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64
 		Value:        tx.Value,
 		Args:         tx.Args,
 		GasLimit:     tx.GasLimit - evm.TxIntrinsicGas,
-		MemBase:      e.mem.Base,
-		MemFactor:    e.mem.Factor,
-		MemCap:       e.mem.Cap,
 	})
-	e.execTime.Add(int64(time.Since(start)))
-	e.steps.Add(res.Steps)
-	for {
-		cur := e.peakMem.Load()
-		if res.PeakMem <= cur || e.peakMem.CompareAndSwap(cur, res.PeakMem) {
-			break
-		}
-	}
 	gas := evm.TxIntrinsicGas + res.GasUsed
 	if res.Err != nil {
 		return fail(gas, res.Err)
@@ -157,20 +162,10 @@ func (e *EVMEngine) Query(db *state.DB, contract, method string, args [][]byte) 
 	}
 	snap := db.Snapshot()
 	defer db.Revert(snap)
-	start := time.Now()
-	res := evm.Run(prog, method, &evm.Env{
+	res := e.run(prog, method, &evm.Env{
 		State: db, Contract: contract, ContractAddr: contractAddress(contract),
 		Args: args, GasLimit: 1 << 40,
-		MemBase: e.mem.Base, MemFactor: e.mem.Factor, MemCap: e.mem.Cap,
 	})
-	e.execTime.Add(int64(time.Since(start)))
-	e.steps.Add(res.Steps)
-	for {
-		cur := e.peakMem.Load()
-		if res.PeakMem <= cur || e.peakMem.CompareAndSwap(cur, res.PeakMem) {
-			break
-		}
-	}
 	if res.Err != nil {
 		return nil, res.Err
 	}

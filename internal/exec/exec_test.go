@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"blockbench/internal/kvstore"
@@ -179,5 +181,64 @@ func TestEVMEngineCounters(t *testing.T) {
 	}
 	if len(eng.Contracts()) != 1 {
 		t.Fatal("contracts list wrong")
+	}
+}
+
+// TestExecAllocBudget is the execution layer's allocation budget, beside
+// the data-model layer's TestBlockAllocBudget: EVMEngine.Execute at
+// steady state (the machine pool is warm, as on a node that has executed
+// a block) for the two transactions the benchmark's EVM workloads are
+// made of. Before the interpreter stopped paying for its own memory a
+// cpuheavy sort of 300 integers cost 87 allocations and 191 KB here —
+// one make+copy of the whole memory per 32-byte word of growth — and a
+// ycsb write 9 and 3.2 KB; they measure 2 and 176 B (the receipt, the
+// output) and 3 and 304 B (plus what state.DB keeps of the write). The
+// budget is a few objects above that, and the byte bounds are ones a
+// single regrowth of either memory (3.5 KB, 1.1 KB) would break.
+func TestExecAllocBudget(t *testing.T) {
+	eng, err := NewEVMEngine(MemModel{}, "ycsb", "cpuheavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := newDB(t)
+	sort := &types.Transaction{Contract: "cpuheavy", Method: "sort",
+		Args: [][]byte{types.U64Bytes(300)}, GasLimit: 10_000_000}
+	write := &types.Transaction{Contract: "ycsb", Method: "write",
+		Args: [][]byte{make([]byte, 20), make([]byte, 100)}, GasLimit: 100_000}
+	for _, c := range []struct {
+		name   string
+		tx     *types.Transaction
+		allocs uint64
+		bytes  uint64
+	}{
+		{"cpuheavy sort n=300", sort, 5, 1024},
+		{"ycsb write", write, 6, 1024},
+	} {
+		exec := func() {
+			if r := eng.Execute(db, c.tx, 1); !r.OK {
+				t.Fatalf("%s: %s", c.name, r.Err)
+			}
+		}
+		// Medians over single calls rather than testing.AllocsPerRun's
+		// mean: under the race detector sync.Pool drops a quarter of what
+		// it is given on purpose, and those calls build a new machine.
+		const runs = 51
+		var allocs, bytes [runs]uint64
+		for i := -1; i < runs; i++ { // the first call warms the pool
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			exec()
+			runtime.ReadMemStats(&after)
+			if i >= 0 {
+				allocs[i], bytes[i] = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			}
+		}
+		slices.Sort(allocs[:])
+		slices.Sort(bytes[:])
+		t.Logf("%s: %d allocations, %d bytes per Execute", c.name, allocs[runs/2], bytes[runs/2])
+		if allocs[runs/2] > c.allocs || bytes[runs/2] > c.bytes {
+			t.Errorf("%s: %d allocations and %d bytes per Execute, budget %d and %d",
+				c.name, allocs[runs/2], bytes[runs/2], c.allocs, c.bytes)
+		}
 	}
 }

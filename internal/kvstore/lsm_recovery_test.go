@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -448,4 +449,86 @@ func TestLSMCorruptIndexCount(t *testing.T) {
 	if got > 1<<20 {
 		t.Fatalf("reopen allocated %d bytes from the bogus count", got)
 	}
+}
+
+// TestLSMCorruptFooterLengths rewrites the three section lengths in a
+// real run's footer: negative ones, huge ones, pairs that cancel so the
+// sum still equals the file size, and swaps of two honest values.
+// Reopening must report each as corrupt — never panic, and never size the
+// bloom+index buffer from a length that does not fit the file.
+func TestLSMCorruptFooterLengths(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "run-00000000.sst")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := good[len(good)-runFooterSz:]
+	data := int64(binary.LittleEndian.Uint64(footer[0:8]))
+	bloom := int64(binary.LittleEndian.Uint64(footer[8:16]))
+	idx := int64(binary.LittleEndian.Uint64(footer[16:24]))
+
+	const huge = 1 << 40
+	for name, l := range map[string][3]int64{
+		"negative data":           {-1, bloom, idx},
+		"negative bloom":          {data, -8, idx},
+		"negative index":          {data, bloom, -idx},
+		"huge data":               {huge, bloom, idx},
+		"huge bloom":              {data, huge, idx},
+		"huge index":              {data, bloom, math.MaxInt64},
+		"data and bloom cancel":   {data - huge, bloom + huge, idx},
+		"bloom and index cancel":  {data, bloom + huge, idx - huge},
+		"data and index cancel":   {data + huge, bloom, idx - huge},
+		"all bits set":            {-1, -1, -1},
+		"data and bloom swapped":  {bloom, data, idx},
+		"bloom and index swapped": {data, idx, bloom},
+		"data and index swapped":  {idx, bloom, data},
+		"one byte moved":          {data - 1, bloom + 1, idx},
+	} {
+		bad := append([]byte{}, good...)
+		for i, v := range l {
+			binary.LittleEndian.PutUint64(bad[len(bad)-runFooterSz+8*i:], uint64(v))
+		}
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var s2 *LSM
+		var err error
+		got := allocatedDuring(func() { s2, err = OpenLSM(dir, LSMOptions{SyncBytes: -1}) })
+		if err == nil {
+			s2.Close()
+			t.Errorf("%s: reopen accepted the run", name)
+		}
+		if got > 1<<20 {
+			t.Errorf("%s: reopen allocated %d bytes from the bogus lengths", name, got)
+		}
+	}
+
+	// The honest footer still opens.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen of the restored run: %v", err)
+	}
+	if v, ok, err := s2.Get([]byte("key-07")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("restored run: Get = %q, %v, %v", v, ok, err)
+	}
+	s2.Close()
 }

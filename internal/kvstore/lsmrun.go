@@ -316,7 +316,16 @@ func openRun(path string) (*run, error) {
 	bloomLen := int64(binary.LittleEndian.Uint64(footer[8:16]))
 	idxLen := int64(binary.LittleEndian.Uint64(footer[16:24]))
 	count := int(binary.LittleEndian.Uint64(footer[24:32]))
-	if dataLen+bloomLen+idxLen+runFooterSz != st.Size() {
+	// Each length is a hostile 64 bits until it is known to fit the file:
+	// as int64s a negative one and an oversized one can cancel in the sum,
+	// and meta below is sized from two of them.
+	body := st.Size() - runFooterSz
+	for _, l := range []int64{dataLen, bloomLen, idxLen} {
+		if l < 0 || l > body {
+			return fail(fmt.Errorf("section length %d outside the %d-byte file", l, st.Size()))
+		}
+	}
+	if dataLen+bloomLen+idxLen != body {
 		return fail(fmt.Errorf("inconsistent section lengths"))
 	}
 
