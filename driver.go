@@ -519,7 +519,9 @@ func (r *Handle) finish() {
 		r.inv.CheckAgreement(c.inner, depth)
 		// Absolute counters, not the run's delta: a 2PC begun before the
 		// run and resolved in it would read as a commit without its tx.
-		r.inv.CheckXShard(c.inner.Counters())
+		counters := c.inner.Counters()
+		r.inv.CheckXShard(counters)
+		r.inv.CheckApply(counters, c.inner)
 		if wi, ok := r.workload.(WorkloadInvariants); ok {
 			for _, v := range wi.CheckInvariants(c) {
 				r.inv.Add(v)

@@ -34,10 +34,21 @@ type MetaStore interface {
 	LoadMeta(key string) (value []byte, ok bool)
 }
 
+// Net is the wire as an engine sees it: the two calls every engine makes
+// on its node's *simnet.Endpoint. A core-level test substitutes a
+// recorder and delivers the messages by hand.
+type Net interface {
+	// Send transmits to one peer, reporting false if the message was
+	// dropped at origin.
+	Send(to simnet.NodeID, typ string, payload any) bool
+	// Broadcast sends to every other peer.
+	Broadcast(typ string, payload any)
+}
+
 // Context carries the node-side dependencies an engine needs.
 type Context struct {
 	Self     simnet.NodeID
-	Endpoint *simnet.Endpoint
+	Endpoint Net
 	Chain    *ledger.Chain
 	Pool     *txpool.Pool
 	Address  types.Address

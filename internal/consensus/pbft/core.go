@@ -1,0 +1,393 @@
+package pbft
+
+import (
+	"sort"
+	"time"
+
+	"blockbench/internal/consensus"
+	"blockbench/internal/merkle"
+	"blockbench/internal/simnet"
+	"blockbench/internal/trace"
+	"blockbench/internal/types"
+)
+
+type instance struct {
+	view     uint64
+	digest   types.Hash
+	txs      []*types.Transaction
+	prepares map[simnet.NodeID]bool
+	commits  map[simnet.NodeID]bool
+	sentPrep bool
+	sentComm bool
+}
+
+// core is one PBFT replica's protocol state and logic, and nothing
+// else: no lock, no goroutine, no clock. Everything happens inside
+// step(now, msg), which sends through ctx.Endpoint, applies through
+// ctx.Chain and returns the next instant the replica needs to run.
+type core struct {
+	ctx  consensus.Context
+	opts Options
+	f    int
+	// peers sorted for deterministic primary rotation.
+	peers []simnet.NodeID
+
+	view         uint64
+	active       bool // false while a view change is in progress
+	instances    map[uint64]*instance
+	assigned     map[types.Hash]bool // txs already batched (primary)
+	nextSeq      uint64
+	vcVotes      map[uint64]map[simnet.NodeID]*ViewChange
+	votedView    uint64
+	tick         time.Time // next batch/view-timeout tick
+	lastProgress time.Time
+	failedViews  uint64 // consecutive views without progress (backoff)
+	viewChanges  uint64
+	batchesDone  uint64
+}
+
+func newCore(ctx consensus.Context, opts Options, now time.Time) *core {
+	peers := append([]simnet.NodeID(nil), ctx.Peers...)
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	return &core{
+		ctx:          ctx,
+		opts:         opts,
+		f:            (len(peers) - 1) / 3,
+		peers:        peers,
+		active:       true,
+		instances:    make(map[uint64]*instance),
+		assigned:     make(map[types.Hash]bool),
+		vcVotes:      make(map[uint64]map[simnet.NodeID]*ViewChange),
+		tick:         now.Add(opts.BatchTimeout),
+		lastProgress: now,
+	}
+}
+
+func (c *core) quorum() int { return 2*c.f + 1 }
+
+func (c *core) primaryOf(view uint64) simnet.NodeID {
+	return c.peers[int(view)%len(c.peers)]
+}
+
+// step advances the replica to now on one event: consensus.Wake (the
+// timer) or a delivered message. Corrupted messages fail authentication
+// and are discarded — the paper's "random response" Byzantine failure
+// mode. It returns the next tick: every BatchTimeout the primary may
+// open one instance and every replica checks its view timeout.
+func (c *core) step(now time.Time, msg simnet.Message) time.Time {
+	if consensus.HandleSync(c.ctx, msg) {
+		c.noteProgress(now)
+		c.executeReady(now)
+	} else if !msg.Corrupt {
+		switch m := msg.Payload.(type) {
+		case nil: // consensus.Wake
+			if !now.Before(c.tick) {
+				// Drift-free cadence, unless a whole tick behind.
+				if c.tick = c.tick.Add(c.opts.BatchTimeout); !c.tick.After(now) {
+					c.tick = now.Add(c.opts.BatchTimeout)
+				}
+				c.maybePropose(now)
+				c.maybeViewChange(now)
+			}
+		case *PrePrepare:
+			c.onPrePrepare(now, msg.From, m)
+		case *Vote:
+			c.onVote(now, msg.From, m, msg.Type == MsgCommit)
+		case *ViewChange:
+			c.onViewChange(now, msg.From, m)
+		}
+	}
+	return c.tick
+}
+
+func digestOf(view, seq uint64, txs []*types.Transaction) types.Hash {
+	e := types.NewEncoder()
+	e.Uint64(view)
+	e.Uint64(seq)
+	root := merkle.TxRoot(txs)
+	e.Raw(root[:])
+	return types.HashData(e.Out())
+}
+
+// maybePropose lets the primary open one new instance per batch tick
+// (Fabric batches on a size/timeout trigger; one batch per timeout is
+// what yields the paper's ~3 blocks/s at batch size 500).
+func (c *core) maybePropose(now time.Time) {
+	if !c.active || c.primaryOf(c.view) != c.ctx.Self {
+		return
+	}
+	height := c.ctx.Chain.Height()
+	if c.nextSeq <= height {
+		c.nextSeq = height + 1
+	}
+	if int(c.nextSeq-height)-1 < window {
+		txs := c.pickBatch()
+		if len(txs) == 0 {
+			return
+		}
+		seq := c.nextSeq
+		c.nextSeq++
+		for _, tx := range txs {
+			c.ctx.Tracer.Stamp(tx.Hash(), trace.StagePropose)
+		}
+		pp := &PrePrepare{View: c.view, Seq: seq, Txs: txs}
+		inst := c.getInstance(seq, c.view, txs)
+		inst.prepares[c.ctx.Self] = true // primary's pre-prepare counts
+		c.ctx.Endpoint.Broadcast(MsgPrePrepare, pp)
+		// Tiny deployments (n ≤ 3 ⇒ f = 0) reach quorum on the primary's
+		// own messages; advance immediately rather than waiting for
+		// network echoes that never come.
+		c.advance(now, seq, inst)
+	}
+}
+
+// pickBatch selects pending transactions not already in flight.
+func (c *core) pickBatch() []*types.Transaction {
+	candidates := c.ctx.Pool.Batch(c.opts.BatchSize+len(c.assigned), 0)
+	out := make([]*types.Transaction, 0, c.opts.BatchSize)
+	for _, tx := range candidates {
+		if c.assigned[tx.Hash()] {
+			continue
+		}
+		out = append(out, tx)
+		if len(out) >= c.opts.BatchSize {
+			break
+		}
+	}
+	for _, tx := range out {
+		c.assigned[tx.Hash()] = true
+	}
+	return out
+}
+
+func (c *core) getInstance(seq, view uint64, txs []*types.Transaction) *instance {
+	inst := c.instances[seq]
+	if inst == nil || inst.view != view {
+		inst = &instance{
+			view:     view,
+			prepares: make(map[simnet.NodeID]bool),
+			commits:  make(map[simnet.NodeID]bool),
+		}
+		c.instances[seq] = inst
+	}
+	if txs != nil {
+		inst.txs = txs
+		inst.digest = digestOf(view, seq, txs)
+	}
+	return inst
+}
+
+func (c *core) onPrePrepare(now time.Time, from simnet.NodeID, pp *PrePrepare) {
+	if pp.View > c.view && c.primaryOf(pp.View) == from {
+		// A restarted replica wakes up in a stale view while the cluster
+		// has moved on; the primary of the newer view is speaking, so
+		// adopt its view (honest-node simplification — a Byzantine-safe
+		// replica would demand the new-view certificate first).
+		c.view = pp.View
+		c.active = true
+		if c.votedView < pp.View {
+			c.votedView = pp.View
+		}
+		c.instances = make(map[uint64]*instance)
+		c.assigned = make(map[types.Hash]bool)
+		c.noteProgress(now)
+	}
+	if pp.View != c.view || !c.active || c.primaryOf(pp.View) != from {
+		return
+	}
+	height := c.ctx.Chain.Height()
+	if pp.Seq <= height {
+		return // already executed
+	}
+	if pp.Seq > height+4*window {
+		// Far ahead: we missed batches; catch up from the primary.
+		consensus.RequestSync(c.ctx, from)
+		return
+	}
+	inst := c.getInstance(pp.Seq, pp.View, pp.Txs)
+	inst.prepares[from] = true // the pre-prepare is the primary's prepare
+	if !inst.sentPrep {
+		inst.sentPrep = true
+		inst.prepares[c.ctx.Self] = true
+		c.ctx.Endpoint.Broadcast(MsgPrepare, &Vote{View: pp.View, Seq: pp.Seq, Digest: inst.digest})
+	}
+	c.advance(now, pp.Seq, inst)
+}
+
+func (c *core) onVote(now time.Time, from simnet.NodeID, v *Vote, isCommit bool) {
+	if v.View != c.view || !c.active {
+		return
+	}
+	if v.Seq <= c.ctx.Chain.Height() {
+		return
+	}
+	inst := c.getInstance(v.Seq, v.View, nil)
+	if isCommit {
+		inst.commits[from] = true
+	} else {
+		inst.prepares[from] = true
+	}
+	c.advance(now, v.Seq, inst)
+}
+
+// advance moves an instance through prepared → committed → executed as
+// quorums fill.
+func (c *core) advance(now time.Time, seq uint64, inst *instance) {
+	if inst.txs == nil {
+		return // still waiting for the pre-prepare
+	}
+	if !inst.sentComm && len(inst.prepares) >= c.quorum() {
+		inst.sentComm = true
+		inst.commits[c.ctx.Self] = true
+		c.ctx.Endpoint.Broadcast(MsgCommit, &Vote{View: inst.view, Seq: seq, Digest: inst.digest})
+	}
+	c.executeReady(now)
+}
+
+// executeReady executes committed instances in sequence order.
+func (c *core) executeReady(now time.Time) {
+	for {
+		height := c.ctx.Chain.Height()
+		inst := c.instances[height+1]
+		if inst == nil || inst.txs == nil || len(inst.commits) < c.quorum() {
+			return
+		}
+		head := c.ctx.Chain.Head()
+		// Header fields must be identical on every replica so all nodes
+		// commit byte-identical blocks: deterministic time, no proposer.
+		block := &types.Block{
+			Header: types.Header{
+				Number:     height + 1,
+				ParentHash: head.Hash(),
+				Time:       int64(height + 1),
+				View:       inst.view,
+			},
+			Txs: inst.txs,
+		}
+		if err := c.ctx.Chain.Append(block); err != nil {
+			return
+		}
+		for _, tx := range inst.txs {
+			delete(c.assigned, tx.Hash())
+		}
+		delete(c.instances, height+1)
+		c.batchesDone++
+		c.noteProgress(now)
+	}
+}
+
+func (c *core) noteProgress(now time.Time) {
+	c.lastProgress = now
+	c.failedViews = 0
+}
+
+// maybeViewChange fires a view change when work is outstanding but
+// nothing has executed for a full (backed-off) view timeout.
+func (c *core) maybeViewChange(now time.Time) {
+	outstanding := c.ctx.Pool.Len() > 0 || len(c.instances) > 0
+	if !outstanding {
+		c.lastProgress = now
+		return
+	}
+	timeout := c.opts.ViewTimeout << min(c.failedViews, 4)
+	if now.Sub(c.lastProgress) < timeout {
+		return
+	}
+	c.failedViews++
+	c.voteView(now, c.view+1)
+	c.lastProgress = now
+}
+
+// voteView broadcasts (and records) our view-change vote.
+func (c *core) voteView(now time.Time, nv uint64) {
+	if nv <= c.votedView {
+		return
+	}
+	c.votedView = nv
+	vc := &ViewChange{NewView: nv, Height: c.ctx.Chain.Height()}
+	for seq, inst := range c.instances {
+		if inst.txs != nil && len(inst.prepares) >= c.quorum() {
+			vc.Prepared = append(vc.Prepared, PreparedProof{Seq: seq, Digest: inst.digest, Txs: inst.txs})
+		}
+	}
+	c.recordViewVote(now, c.ctx.Self, vc)
+	c.ctx.Endpoint.Broadcast(MsgViewChange, vc)
+}
+
+func (c *core) onViewChange(now time.Time, from simnet.NodeID, vc *ViewChange) {
+	if vc.NewView <= c.view {
+		return
+	}
+	c.recordViewVote(now, from, vc)
+}
+
+func (c *core) recordViewVote(now time.Time, from simnet.NodeID, vc *ViewChange) {
+	votes := c.vcVotes[vc.NewView]
+	if votes == nil {
+		votes = make(map[simnet.NodeID]*ViewChange)
+		c.vcVotes[vc.NewView] = votes
+	}
+	votes[from] = vc
+
+	// Join a view change that f+1 others already voted for: at least one
+	// honest replica timed out, so our timer is just late.
+	if len(votes) >= c.f+1 && vc.NewView > c.votedView {
+		c.voteView(now, vc.NewView)
+	}
+	if len(votes) >= c.quorum() && vc.NewView > c.view {
+		c.enterView(now, vc.NewView, votes)
+	}
+}
+
+// enterView transitions to a new view, carrying over prepared batches
+// from the view-change certificates.
+func (c *core) enterView(now time.Time, nv uint64, votes map[simnet.NodeID]*ViewChange) {
+	c.view = nv
+	c.active = true
+	c.viewChanges++
+	c.instances = make(map[uint64]*instance)
+	c.assigned = make(map[types.Hash]bool)
+	c.noteProgress(now)
+
+	// Clean up stale vote sets.
+	for v := range c.vcVotes {
+		if v <= nv {
+			delete(c.vcVotes, v)
+		}
+	}
+
+	if c.primaryOf(nv) != c.ctx.Self {
+		return
+	}
+	// New primary: re-propose prepared batches from the certificates,
+	// highest-seq wins per slot, then resume normal proposing.
+	height := c.ctx.Chain.Height()
+	carried := make(map[uint64]PreparedProof)
+	for _, vc := range votes {
+		for _, p := range vc.Prepared {
+			if p.Seq > height {
+				carried[p.Seq] = p
+			}
+		}
+	}
+	c.nextSeq = height + 1
+	seqs := make([]uint64, 0, len(carried))
+	for seq := range carried {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, seq := range seqs {
+		p := carried[seq]
+		inst := c.getInstance(seq, nv, p.Txs)
+		inst.prepares[c.ctx.Self] = true
+		for _, tx := range p.Txs {
+			c.assigned[tx.Hash()] = true
+		}
+		c.ctx.Endpoint.Broadcast(MsgPrePrepare, &PrePrepare{View: nv, Seq: seq, Txs: p.Txs})
+		if seq >= c.nextSeq {
+			c.nextSeq = seq + 1
+		}
+		c.advance(now, seq, inst)
+	}
+	c.maybePropose(now)
+}

@@ -93,38 +93,36 @@ func TestViewChangeVotesTriggerJoinAndEnter(t *testing.T) {
 	e := New(consensus.Context{Self: 0, Peers: []simnet.NodeID{0, 1, 2, 3},
 		Endpoint: ep, Chain: testChain(t)}, DefaultOptions())
 
-	e.mu.Lock()
-	e.recordViewVoteLocked(1, &ViewChange{NewView: 1})
+	e.run.Lock()
+	e.recordViewVote(time.Now(), 1, &ViewChange{NewView: 1})
 	joined := e.votedView
-	e.mu.Unlock()
+	e.run.Unlock()
 	if joined != 0 {
 		t.Fatal("joined view change with only one foreign vote (f+1 = 2 needed)")
 	}
 
-	e.mu.Lock()
-	e.recordViewVoteLocked(2, &ViewChange{NewView: 1})
+	e.run.Lock()
+	e.recordViewVote(time.Now(), 2, &ViewChange{NewView: 1})
 	// Two foreign votes = f+1 → we vote too (3 total = quorum) → enter.
 	view, voted := e.view, e.votedView
-	e.mu.Unlock()
+	e.run.Unlock()
 	if voted != 1 {
 		t.Fatalf("votedView = %d, want 1", voted)
 	}
 	if view != 1 {
 		t.Fatalf("view = %d, want 1 (entered)", view)
 	}
-	if e.ViewChanges() != 1 {
+	if e.Counters()["pbft.view_changes"] != 1 {
 		t.Fatal("view change counter not bumped")
 	}
 }
 
 func TestStaleViewChangeIgnored(t *testing.T) {
 	e := engineOf(4, 0)
-	e.mu.Lock()
+	e.run.Lock()
 	e.view = 5
-	e.mu.Unlock()
-	e.onViewChange(1, &ViewChange{NewView: 3})
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.onViewChange(time.Now(), 1, &ViewChange{NewView: 3})
+	defer e.run.Unlock()
 	if len(e.vcVotes[3]) != 0 {
 		t.Fatal("stale view-change vote recorded")
 	}

@@ -83,7 +83,7 @@ func BenchmarkRaftLongRunMemory(b *testing.B) {
 				var last *types.Transaction
 				for j := 0; j < entries; j++ {
 					last = c.submit(i*entries+j, nil)
-					if lg := c.nodes[l].e.LogLen(); float64(lg) > maxLog {
+					if lg := logLen(c.nodes[l].e); float64(lg) > maxLog {
 						maxLog = float64(lg)
 					}
 					if j%50 == 49 { // pace: let commits drain the window
@@ -91,7 +91,7 @@ func BenchmarkRaftLongRunMemory(b *testing.B) {
 					}
 				}
 				c.waitCommitted(b, []*types.Transaction{last}, nil)
-				if lg := c.nodes[l].e.LogLen(); float64(lg) > maxLog {
+				if lg := logLen(c.nodes[l].e); float64(lg) > maxLog {
 					maxLog = float64(lg)
 				}
 				if mode.retain > 0 && maxLog > float64(mode.retain+window) {

@@ -56,6 +56,32 @@ func (c *testCluster) stop() {
 	})
 }
 
+// newChain builds an empty do-nothing ledger whose inclusions drain pool.
+func newChain(t testing.TB, pool *txpool.Pool) *ledger.Chain {
+	t.Helper()
+	store := kvstore.NewMem()
+	eng, err := exec.NewNativeEngine("donothing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := ledger.New(ledger.Config{
+		Engine: eng,
+		StateFactory: func(root types.Hash) (*state.DB, error) {
+			b, err := state.NewTrieBackend(store, root, 0)
+			if err != nil {
+				return nil, err
+			}
+			return state.NewDB(b), nil
+		},
+		SupportsForks: true,
+		OnInclude:     pool.MarkIncluded,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain
+}
+
 // newTestCluster boots n replicas over a fresh simnet, each with its own
 // chain, pool and a pump goroutine standing in for the node inbox loop.
 func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
@@ -72,27 +98,8 @@ func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
 	}
 	c := &testCluster{net: net}
 	for i := 0; i < n; i++ {
-		store := kvstore.NewMem()
-		eng, err := exec.NewNativeEngine("donothing")
-		if err != nil {
-			t.Fatal(err)
-		}
 		pool := txpool.New(1 << 16)
-		chain, err := ledger.New(ledger.Config{
-			Engine: eng,
-			StateFactory: func(root types.Hash) (*state.DB, error) {
-				b, err := state.NewTrieBackend(store, root, 0)
-				if err != nil {
-					return nil, err
-				}
-				return state.NewDB(b), nil
-			},
-			SupportsForks: true,
-			OnInclude:     pool.MarkIncluded,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		chain := newChain(t, pool)
 		ep := net.Join(simnet.NodeID(i))
 		tn := &testNode{
 			ep:    ep,
@@ -126,6 +133,14 @@ func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
 		tn.e.Start()
 	}
 	return c
+}
+
+// logLen returns the resident log length (entries past the snapshot) —
+// the quantity compaction bounds.
+func logLen(e *Engine) int {
+	e.run.Lock()
+	defer e.run.Unlock()
+	return len(e.log)
 }
 
 // leader returns the index of the single live leader, or -1.
@@ -235,21 +250,21 @@ func TestWireSizes(t *testing.T) {
 func TestVoteRestrictionPrefersCompleteLogs(t *testing.T) {
 	peers := []simnet.NodeID{0, 1, 2}
 	e := New(consensus.Context{Self: 0, Peers: peers}, DefaultOptions())
-	e.mu.Lock()
+	e.run.Lock()
 	e.log = []Entry{{Term: 1}, {Term: 2}}
-	if e.upToDateLocked(1, 2) {
+	if e.upToDate(1, 2) {
 		t.Fatal("granted vote to a shorter log of the same last term")
 	}
-	if e.upToDateLocked(5, 1) {
+	if e.upToDate(5, 1) {
 		t.Fatal("granted vote to a longer log with an older last term")
 	}
-	if !e.upToDateLocked(2, 2) {
+	if !e.upToDate(2, 2) {
 		t.Fatal("rejected an equal log")
 	}
-	if !e.upToDateLocked(1, 3) {
+	if !e.upToDate(1, 3) {
 		t.Fatal("rejected a newer-term log")
 	}
-	e.mu.Unlock()
+	e.run.Unlock()
 }
 
 func TestElectsSingleLeader(t *testing.T) {
@@ -374,7 +389,7 @@ func TestElectionsMetricCounts(t *testing.T) {
 	c.waitLeader(t, nil)
 	var started uint64
 	for _, tn := range c.nodes {
-		started += tn.e.Elections()
+		started += tn.e.Counters()["raft.elections"]
 	}
 	if started == 0 {
 		t.Fatal("leader exists but no election was counted")
@@ -400,12 +415,12 @@ func TestCompactionBoundsResidentLog(t *testing.T) {
 	}
 	c.waitCommitted(t, txs, nil)
 	for i, tn := range c.nodes {
-		if tn.e.Compactions() == 0 {
-			t.Errorf("node %d never compacted (log len %d)", i, tn.e.LogLen())
+		if tn.e.Counters()["raft.compactions"] == 0 {
+			t.Errorf("node %d never compacted (log len %d)", i, logLen(tn.e))
 		}
 		// Resident log = retained applied prefix (≤ Retain) plus any
 		// not-yet-applied tail (bounded by the proposal window).
-		if got := tn.e.LogLen(); got > opts.Retain+window {
+		if got := logLen(tn.e); got > opts.Retain+window {
 			t.Errorf("node %d resident log %d exceeds retain+window %d", i, got, opts.Retain+window)
 		}
 	}
@@ -463,9 +478,11 @@ func TestSnapshotInstallRejoin(t *testing.T) {
 	c.waitCommitted(t, txs, skip)
 	var compacted bool
 	for i, tn := range c.nodes {
-		if !skip[i] && tn.e.SnapIndex() > 0 {
+		tn.e.run.Lock()
+		if !skip[i] && tn.e.snapIndex > 0 {
 			compacted = true
 		}
+		tn.e.run.Unlock()
 	}
 	if !compacted {
 		t.Fatal("majority never compacted; snapshot path not exercised")
@@ -473,7 +490,7 @@ func TestSnapshotInstallRejoin(t *testing.T) {
 
 	c.net.Heal()
 	c.waitCommitted(t, txs, nil)
-	if got := c.nodes[lagger].e.SnapshotsInstalled(); got == 0 {
+	if got := c.nodes[lagger].e.Counters()["raft.snapshot_installs"]; got == 0 {
 		t.Fatal("lagger rejoined without installing a snapshot")
 	}
 	// Byte-identical convergence, block by block.
@@ -586,19 +603,16 @@ func TestRejectionHintLowersStaleMatch(t *testing.T) {
 	l := c.waitLeader(t, nil)
 	e := c.nodes[l].e
 	peer := simnet.NodeID(1 - l)
-	e.mu.Lock()
+	e.run.Lock()
 	e.log = make([]Entry, 10)
 	for i := range e.log {
 		e.log[i] = Entry{Term: e.term}
 	}
 	e.match[peer] = 9
 	e.next[peer] = 10
-	term := e.term
-	e.mu.Unlock()
+	defer e.run.Unlock()
 	// The follower rejects with a hint at its new, shorter log end.
-	e.onAppendResp(peer, &AppendResp{Term: term, OK: false, Match: 3})
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.onAppendResp(time.Now(), peer, &AppendResp{Term: e.term, OK: false, Match: 3})
 	if e.match[peer] > 3 {
 		t.Fatalf("stale match survived the rejection hint: match=%d, hint was 3", e.match[peer])
 	}

@@ -1,7 +1,8 @@
 // Package invariant implements the always-on safety checks that run
 // alongside every fault-injected benchmark: committed-prefix agreement
-// across live nodes, per-node commit-index monotonicity, and
-// cross-shard commit/abort accounting. The driver feeds the checker
+// across live nodes, per-node commit-index monotonicity, a replicated
+// log that still matches the chain it is applied to, and cross-shard
+// commit/abort accounting. The driver feeds the checker
 // from its snapshot sampler during the run and from final cluster
 // state afterwards; any violation fails the run (and CI) with the
 // chaos seed printed, so a broken interleaving reproduces exactly.
@@ -167,5 +168,36 @@ func (c *Checker) CheckXShard(counters map[string]uint64) {
 		c.Add(fmt.Sprintf(
 			"xshard accounting: commits(%d)+aborts(%d) > coordinated txs(%d): a transaction resolved twice",
 			commits, aborts, txs))
+	}
+}
+
+// ApplyView locates apply mismatches per node — implemented by
+// platform.Cluster.
+type ApplyView interface {
+	Size() int
+	// ApplyMismatch reports the first log index node i could not account
+	// for and the height whose block held other transactions (ok=false:
+	// none, or the node is down or keeps no replicated log).
+	ApplyMismatch(i int) (index, height uint64, ok bool)
+}
+
+// CheckApply turns a non-zero raft.apply_mismatches count into located
+// violations: a replica found a block already on its chain at the height
+// a committed log entry accounts for, holding different transactions —
+// its chain and the group's log diverged at or before that block, and it
+// stopped applying there. A mismatch counted by an incarnation that has
+// since been killed has lost its location and is reported bare.
+func (c *Checker) CheckApply(counters map[string]uint64, v ApplyView) {
+	left := counters["raft.apply_mismatches"]
+	for i := 0; i < v.Size() && left > 0; i++ {
+		if index, height, ok := v.ApplyMismatch(i); ok {
+			left--
+			c.Add(fmt.Sprintf(
+				"apply: node %d: committed log index %d accounts for height %d, but a different block is already there",
+				i, index, height))
+		}
+	}
+	if left > 0 {
+		c.Add(fmt.Sprintf("apply: %d mismatch(es) counted on nodes since killed", left))
 	}
 }

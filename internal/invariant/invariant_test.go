@@ -182,3 +182,33 @@ func TestViolationListBounded(t *testing.T) {
 		t.Fatalf("violations = %d, want capped at 64", got)
 	}
 }
+
+// fakeApply scripts per-node apply mismatches (index, height; zero: none).
+type fakeApply [][2]uint64
+
+func (f fakeApply) Size() int { return len(f) }
+func (f fakeApply) ApplyMismatch(i int) (uint64, uint64, bool) {
+	return f[i][0], f[i][1], f[i][0] != 0
+}
+
+func TestCheckApplyLocatesMismatches(t *testing.T) {
+	c := New()
+	c.CheckApply(map[string]uint64{"raft.apply_mismatches": 0}, fakeApply{{0, 0}, {7, 5}})
+	c.CheckApply(map[string]uint64{}, fakeApply{{0, 0}})
+	if got := c.Violations(); len(got) != 0 {
+		t.Fatalf("zero count flagged: %v", got)
+	}
+	c.CheckApply(map[string]uint64{"raft.apply_mismatches": 2}, fakeApply{{0, 0}, {812, 640}, {0, 0}})
+	got := c.Violations()
+	if len(got) != 2 {
+		t.Fatalf("want a located and a bare violation, got %v", got)
+	}
+	for _, want := range []string{"node 1", "index 812", "height 640"} {
+		if !strings.Contains(got[0], want) {
+			t.Fatalf("violation %q does not locate %q", got[0], want)
+		}
+	}
+	if !strings.Contains(got[1], "1 mismatch(es) counted on nodes since killed") {
+		t.Fatalf("unlocated remainder not reported: %q", got[1])
+	}
+}

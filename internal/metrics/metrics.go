@@ -274,22 +274,6 @@ func (h *FixedHistogram) Quantile(q float64) float64 {
 	return fixedBounds[fixedBucketCount-2]
 }
 
-// Merge adds o's samples into h bucket-wise. The layouts are identical
-// by construction, so merging loses nothing beyond each histogram's own
-// bucketing error.
-func (h *FixedHistogram) Merge(o *FixedHistogram) {
-	if o == nil {
-		return
-	}
-	for i := range h.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(o.total.Load())
-	h.sumNanos.Add(o.sumNanos.Load())
-}
-
 // Reset zeroes the histogram. Not atomic with respect to concurrent
 // Observe calls; callers reset between runs, not during them.
 func (h *FixedHistogram) Reset() {
@@ -363,6 +347,3 @@ func (s *TimeSeries) Values() []float64 {
 	}
 	return out
 }
-
-// BucketSeconds returns the bucket width in seconds.
-func (s *TimeSeries) BucketSeconds() float64 { return s.bucket.Seconds() }

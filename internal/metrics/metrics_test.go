@@ -106,9 +106,6 @@ func TestTimeSeriesSumAndAverage(t *testing.T) {
 	if got := sum.Values(); got[0] != 8 {
 		t.Fatal("negative-time sample corrupted series")
 	}
-	if sum.BucketSeconds() != 1 {
-		t.Fatal("bucket seconds wrong")
-	}
 }
 
 func TestFixedHistogramObserveAndQuantile(t *testing.T) {
@@ -171,20 +168,18 @@ func TestFixedHistogramExtremes(t *testing.T) {
 	}
 }
 
-func TestFixedHistogramMergeAndReset(t *testing.T) {
-	var a, b FixedHistogram
+func TestFixedHistogramSumAndReset(t *testing.T) {
+	var a FixedHistogram
 	for i := 1; i <= 100; i++ {
 		a.Observe(time.Duration(i) * time.Millisecond)
-		b.Observe(time.Duration(i) * time.Microsecond)
+		a.Observe(time.Duration(i) * time.Microsecond)
 	}
-	a.Merge(&b)
-	a.Merge(nil)
 	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
+		t.Fatalf("count = %d", a.Count())
 	}
 	wantSum := 5.05 + 0.00505
 	if got := a.Sum(); got < wantSum*0.999 || got > wantSum*1.001 {
-		t.Fatalf("merged sum = %v, want ~%v", got, wantSum)
+		t.Fatalf("sum = %v, want ~%v", got, wantSum)
 	}
 	_, cum := a.Buckets()
 	if cum[len(cum)-1] != 200 {

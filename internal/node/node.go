@@ -125,9 +125,6 @@ type Node struct {
 	done    sync.WaitGroup
 	started atomic.Bool
 	stopped atomic.Bool
-
-	rpcs     atomic.Uint64
-	txsTaken atomic.Uint64
 }
 
 // New wires a node together (does not start goroutines).
@@ -253,7 +250,6 @@ func (n *Node) ingestLoop() {
 
 func (n *Node) admit(tx *types.Transaction) {
 	if n.cfg.Pool.Add(tx) {
-		n.txsTaken.Add(1)
 		n.ep.Broadcast(consensus.MsgTx, tx)
 	}
 }
@@ -262,7 +258,6 @@ func (n *Node) rpc() error {
 	if n.stopped.Load() || n.cfg.Net.Crashed(n.cfg.ID) {
 		return ErrStopped
 	}
-	n.rpcs.Add(1)
 	if n.cfg.RPCLatency > 0 {
 		time.Sleep(n.cfg.RPCLatency)
 	}
@@ -436,6 +431,3 @@ func (n *Node) Receipt(txHash types.Hash) (*types.Receipt, bool, error) {
 	}
 	return r, ok, nil
 }
-
-// RPCCount reports how many RPCs this node served.
-func (n *Node) RPCCount() uint64 { return n.rpcs.Load() }

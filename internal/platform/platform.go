@@ -604,6 +604,22 @@ func (c *Cluster) ShardOf(i int) int {
 	return 0
 }
 
+// ApplyMismatch locates the first committed log entry node i's Raft
+// replica could not account for on its chain (invariant.ApplyView;
+// ok=false when there is none, the node is down, or its engine keeps no
+// replicated log).
+func (c *Cluster) ApplyMismatch(i int) (index, height uint64, ok bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	p, logged := c.nodes[i].Consensus().(interface {
+		ApplyMismatch() (index, height uint64, ok bool)
+	})
+	if !logged || c.down[i] {
+		return 0, 0, false
+	}
+	return p.ApplyMismatch()
+}
+
 // retireCountersLocked folds the dying incarnation's counters into the
 // retired accumulator. Gauge keys (".workers") restate configuration
 // rather than progress, so they are dropped instead of summed — the

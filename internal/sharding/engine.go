@@ -205,6 +205,10 @@ func (e *Engine) Inner() *raft.Engine { return e.inner }
 // holds a live leader lease.
 func (e *Engine) LeaseRead() bool { return e.inner.LeaseRead() }
 
+// ApplyMismatch forwards the shard group's replica's (see
+// raft.Engine.ApplyMismatch) to the invariant checker.
+func (e *Engine) ApplyMismatch() (index, height uint64, ok bool) { return e.inner.ApplyMismatch() }
+
 // Start implements consensus.Engine.
 func (e *Engine) Start() {
 	if !e.started.CompareAndSwap(false, true) {
@@ -584,19 +588,19 @@ func (e *Engine) timerLoop() {
 // travels (and is pool-admitted) together instead of one message per
 // transaction per member.
 func (e *Engine) flushForwards() {
-	classOf := func(tx *types.Transaction) int {
-		return TouchedShards(e.part, tx)[0]
-	}
 	// Bounded per flush: oversized forwards would monopolize receiver
 	// inboxes and link time; the excess stays queued (and the queue
 	// bound turns into ErrBusy admission control at the gateway).
-	batches := e.outbound.BatchAffinity(512, 0, len(e.groups), classOf)
-	var flushed []*types.Transaction
+	flushed := e.outbound.Batch(512, 0)
+	batches := make([][]*types.Transaction, len(e.groups))
+	for _, tx := range flushed {
+		s := TouchedShards(e.part, tx)[0]
+		batches[s] = append(batches[s], tx)
+	}
 	for s, txs := range batches {
 		if len(txs) == 0 {
 			continue
 		}
-		flushed = append(flushed, txs...)
 		m := &ForwardBatch{Origin: e.ctx.Self, Shard: s, Txs: txs}
 		if s == e.shard {
 			e.mu.Lock()

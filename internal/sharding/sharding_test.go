@@ -3,7 +3,9 @@ package sharding
 import (
 	"testing"
 
+	"blockbench/internal/consensus"
 	"blockbench/internal/simnet"
+	"blockbench/internal/txpool"
 	"blockbench/internal/types"
 )
 
@@ -101,5 +103,74 @@ func TestContractKeysRegistry(t *testing.T) {
 	})
 	if ks := ContractKeys("sharding-test-cc", "m", [][]byte{[]byte("x"), []byte("y")}); len(ks) != 2 {
 		t.Fatalf("registered extractor ignored: %v", ks)
+	}
+}
+
+// sentLog is a consensus.Net that records what a gateway sends.
+type sentLog struct{ msgs []simnet.Message }
+
+func (l *sentLog) Send(to simnet.NodeID, typ string, payload any) bool {
+	l.msgs = append(l.msgs, simnet.Message{To: to, Type: typ, Payload: payload})
+	return true
+}
+func (l *sentLog) Broadcast(string, any) {}
+
+// TestFlushForwardsGroupsByShardAndKeepsFIFO: one flush turns the
+// gateway's accepted single-shard transactions into one forward batch
+// per destination shard — every transaction with its own shard's batch,
+// in arrival order within it, sent to each other member of that group —
+// and drains them from the outbound queue.
+func TestFlushForwardsGroupsByShardAndKeepsFIFO(t *testing.T) {
+	wire := &sentLog{}
+	pool := txpool.New(0)
+	opts := DefaultOptions()
+	opts.Shards = 2
+	e := New(consensus.Context{Self: 0, Endpoint: wire, Pool: pool,
+		Peers: []simnet.NodeID{0, 1, 2, 3}}, opts)
+	perShard := make([]int, 2)
+	for i := uint64(0); i < 30; i++ {
+		tx := &types.Transaction{Nonce: i, Contract: "donothing", Method: "nop"}
+		if err := e.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		perShard[TouchedShards(e.part, tx)[0]]++
+	}
+	if perShard[0] == 0 || perShard[1] == 0 {
+		t.Fatalf("30 keyless transactions all hashed to one shard: %v", perShard)
+	}
+	e.flushForwards()
+
+	// Own shard (nodes 0, 1): pooled locally and forwarded to node 1.
+	// Foreign shard (nodes 2, 3): forwarded to both.
+	if pool.Len() != perShard[0] {
+		t.Fatalf("local pool holds %d of the %d own-shard transactions", pool.Len(), perShard[0])
+	}
+	sentTo := make(map[simnet.NodeID]int)
+	for _, m := range wire.msgs {
+		fb, ok := m.Payload.(*ForwardBatch)
+		if !ok || m.Type != MsgForward {
+			t.Fatalf("flush sent a %s", m.Type)
+		}
+		sentTo[m.To]++
+		if GroupOf(e.groups, m.To) != fb.Shard || fb.Origin != 0 || len(fb.Txs) != perShard[fb.Shard] {
+			t.Fatalf("batch for shard %d (%d txs, origin %d) sent to node %d", fb.Shard, len(fb.Txs), fb.Origin, m.To)
+		}
+		for i, tx := range fb.Txs {
+			if TouchedShards(e.part, tx)[0] != fb.Shard {
+				t.Fatalf("shard %d's batch holds a transaction of shard %d", fb.Shard, TouchedShards(e.part, tx)[0])
+			}
+			if i > 0 && tx.Nonce < fb.Txs[i-1].Nonce {
+				t.Fatalf("shard %d's batch out of arrival order: %d after %d", fb.Shard, tx.Nonce, fb.Txs[i-1].Nonce)
+			}
+		}
+	}
+	if len(sentTo) != 3 || sentTo[1] != 1 || sentTo[2] != 1 || sentTo[3] != 1 {
+		t.Fatalf("one batch each to nodes 1, 2, 3 expected; sent %v", sentTo)
+	}
+	// Flushed transactions left the outbound queue: nothing goes twice.
+	wire.msgs = nil
+	e.flushForwards()
+	if e.outbound.Len() != 0 || len(wire.msgs) != 0 {
+		t.Fatalf("second flush: %d queued, %d messages", e.outbound.Len(), len(wire.msgs))
 	}
 }

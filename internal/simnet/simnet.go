@@ -146,9 +146,6 @@ type Endpoint struct {
 	ID    NodeID
 	Inbox chan Message
 	net   *Network
-
-	bytesOut atomic.Uint64
-	bytesIn  atomic.Uint64
 }
 
 // Join attaches a new endpoint. Joining an existing ID replaces the old
@@ -187,12 +184,6 @@ func (ep *Endpoint) Broadcast(typ string, payload any) {
 		}
 	}
 }
-
-// BytesOut reports total bytes this endpoint has sent.
-func (ep *Endpoint) BytesOut() uint64 { return ep.bytesOut.Load() }
-
-// BytesIn reports total bytes delivered to this endpoint.
-func (ep *Endpoint) BytesIn() uint64 { return ep.bytesIn.Load() }
 
 func payloadSize(payload any) int {
 	if s, ok := payload.(Sizer); ok {
@@ -260,7 +251,6 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 
 	n.msgs.Add(1)
 	n.bytes.Add(uint64(size))
-	from.bytesOut.Add(uint64(size))
 
 	msg := Message{From: from.ID, To: to, Type: typ, Payload: payload, Size: size, Corrupt: isCorrupt}
 	n.deliverAfter(msg, dst, delay)
@@ -293,7 +283,6 @@ func (n *Network) deliverAfter(msg Message, dst *Endpoint, delay time.Duration) 
 		}
 		select {
 		case dst.Inbox <- msg:
-			dst.bytesIn.Add(uint64(msg.Size))
 		default:
 			// Inbox full: the receiving process cannot keep up and the
 			// message is lost, exactly like a saturated gRPC/message

@@ -31,8 +31,8 @@ func TestSendDeliver(t *testing.T) {
 	if m.Type != "ping" || m.Payload.(string) != "hello" || m.From != 1 {
 		t.Fatalf("bad message: %+v", m)
 	}
-	if a.BytesOut() == 0 || b.BytesIn() == 0 {
-		t.Fatal("byte accounting missing")
+	if st := n.Stats(); st.MessagesSent != 1 || st.BytesSent == 0 {
+		t.Fatalf("byte accounting missing: %+v", st)
 	}
 }
 

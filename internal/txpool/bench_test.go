@@ -1,5 +1,5 @@
-// Contention benchmarks for the sharded pool (the retired single-mutex
-// baseline's last numbers are in EXPERIMENTS.md). Each benchmark
+// Contention benchmarks for the pool (the retired 16-shard variant's
+// last numbers are in EXPERIMENTS.md). Each benchmark
 // iteration runs a fixed node-shaped workload — N adder goroutines on
 // the ingestion path racing one block producer's Batch+MarkIncluded
 // cycle over a deep standing pool — and reports transactions per
@@ -101,9 +101,9 @@ func benchContention(b *testing.B, goroutines int) {
 	b.ReportMetric(float64(txs)/b.Elapsed().Seconds(), "tx/s")
 }
 
-func BenchmarkPoolContentionSharded8(b *testing.B) { benchContention(b, 8) }
+func BenchmarkPoolContention8(b *testing.B) { benchContention(b, 8) }
 
-func BenchmarkPoolContentionSharded16(b *testing.B) { benchContention(b, 16) }
+func BenchmarkPoolContention16(b *testing.B) { benchContention(b, 16) }
 
 // TestPoolConsistentUnderContention: after the concurrent workload the
 // pool must end consistent, with every admitted transaction either

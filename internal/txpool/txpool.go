@@ -1,69 +1,48 @@
 // Package txpool implements the pending-transaction pool each node keeps
 // between transaction arrival (client RPC or gossip) and block inclusion.
 //
-// The pool is sharded: transactions hash into one of shardCount
-// independently-locked shards, so concurrent Add/MarkIncluded callers
-// (client RPC threads, the gossip dispatch thread, the consensus block
-// path) contend only when they land on the same shard. A global atomic
-// counter keeps Len lock-free, and a monotone sequence number stamped at
-// admission lets Batch merge the shard FIFOs back into arrival order.
-// Inclusion uses tombstones instead of rewriting the pending slice, so
+// The pool is one FIFO slice plus a duplicate-suppression index under
+// one mutex: Add, Batch and MarkIncluded each take it once. (A 16-shard
+// variant lost to this on the contention benchmark that had justified
+// it; the numbers are in EXPERIMENTS.md § Retired baselines.) Inclusion
+// uses tombstones instead of rewriting the pending slice, so
 // MarkIncluded is O(batch) amortized rather than O(pool).
 package txpool
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"blockbench/internal/trace"
 	"blockbench/internal/types"
 )
 
-// shardCount is the number of independently-locked shards. Power of two
-// so the shard index is a mask of the transaction hash.
-const shardCount = 16
-
-// entry is one pending transaction with its global admission sequence.
+// entry is one pending transaction.
 type entry struct {
 	tx   *types.Transaction
 	hash types.Hash
-	seq  uint64
 	dead bool // included (tombstoned), awaiting compaction
-}
-
-// shard is one lock domain: a FIFO slice plus the duplicate-suppression
-// index. index maps a hash to its position in pending, or -1 once the
-// transaction has been included (so duplicates are still rejected).
-type shard struct {
-	mu      sync.Mutex
-	pending []entry
-	index   map[types.Hash]int
-	head    int // first possibly-live position in pending
-	dead    int // tombstones at or after head
 }
 
 // Pool is a FIFO pending pool with duplicate suppression. Transactions
 // seen before (pending or already included) are rejected, which keeps
 // gossip loops from amplifying traffic.
 type Pool struct {
-	shards [shardCount]shard
-	seq    atomic.Uint64
-	length atomic.Int64
+	mu      sync.Mutex
+	pending []entry
+	// index maps a hash to its position in pending, or -1 once the
+	// transaction has been included (so duplicates are still rejected).
+	index  map[types.Hash]int
+	head   int // first possibly-live position in pending
+	dead   int // tombstones at or after head
 	limit  int
 	notify chan struct{}
 	tracer *trace.Tracer
 }
 
 // New creates a pool that holds at most limit pending transactions
-// (0 means unbounded). Under concurrent admission the limit is
-// approximate: racing adders can overshoot by at most a few
-// transactions, never by more than one per shard.
+// (0 means unbounded).
 func New(limit int) *Pool {
-	p := &Pool{limit: limit, notify: make(chan struct{}, 1)}
-	for i := range p.shards {
-		p.shards[i].index = make(map[types.Hash]int)
-	}
-	return p
+	return &Pool{limit: limit, index: make(map[types.Hash]int), notify: make(chan struct{}, 1)}
 }
 
 // SetTracer attaches the cluster's lifecycle tracer; sampled
@@ -86,26 +65,23 @@ func (p *Pool) signal() {
 	}
 }
 
-func (p *Pool) shardOf(h types.Hash) *shard {
-	return &p.shards[h[0]&(shardCount-1)]
-}
+// live counts pending transactions. Called with the lock held.
+func (p *Pool) live() int { return len(p.pending) - p.head - p.dead }
 
 // Add inserts tx unless it is known or the pool is full. It reports
 // whether the transaction was accepted as new.
 func (p *Pool) Add(tx *types.Transaction) bool {
 	h := tx.Hash()
-	s := p.shardOf(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, known := s.index[h]; known {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, known := p.index[h]; known {
 		return false
 	}
-	if p.limit > 0 && p.length.Load() >= int64(p.limit) {
+	if p.limit > 0 && p.live() >= p.limit {
 		return false
 	}
-	s.index[h] = len(s.pending)
-	s.pending = append(s.pending, entry{tx: tx, hash: h, seq: p.seq.Add(1)})
-	p.length.Add(1)
+	p.index[h] = len(p.pending)
+	p.pending = append(p.pending, entry{tx: tx, hash: h})
 	p.tracer.Stamp(h, trace.StageAdmit)
 	p.signal()
 	return true
@@ -113,101 +89,41 @@ func (p *Pool) Add(tx *types.Transaction) bool {
 
 // Known reports whether the pool has ever seen tx.
 func (p *Pool) Known(h types.Hash) bool {
-	s := p.shardOf(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[h]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.index[h]
 	return ok
 }
 
-// Batch returns up to maxTxs pending transactions whose gas limits sum
-// to at most gasLimit (0 disables the gas constraint), in arrival order:
-// each shard drains its FIFO head and the heads are merged back by
-// admission sequence. Transactions stay pending until MarkIncluded.
+// Batch returns up to maxTxs pending transactions (0: no bound) whose
+// gas limits sum to at most gasLimit (0 disables the gas constraint), in
+// arrival order, walking the live head of the FIFO in place.
+// Transactions stay pending until MarkIncluded.
 func (p *Pool) Batch(maxTxs int, gasLimit uint64) []*types.Transaction {
-	// Snapshot each shard's live head under its own lock; no shard lock
-	// is held during the merge. Small batches copy up to maxTxs per
-	// shard, keeping the merge exact; large batches cap the per-shard
-	// snapshot, so a heavily skewed shard may defer a few of its oldest
-	// transactions to the next batch (approximate FIFO) in exchange for
-	// copying ~2x the batch size instead of shardCount x.
-	perShard := maxTxs
-	if perShard > 64 {
-		perShard = maxTxs/shardCount*2 + 32
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.head < len(p.pending) && p.pending[p.head].dead {
+		p.head++
+		p.dead--
 	}
-	var heads [shardCount][]entry
-	for i := range p.shards {
-		heads[i] = p.shards[i].snapshot(perShard)
+	p.maybeCompact()
+	n := p.live()
+	if maxTxs > 0 && maxTxs < n {
+		n = maxTxs
 	}
-	var out []*types.Transaction
+	out := make([]*types.Transaction, 0, n)
 	var gas uint64
-	var cursor [shardCount]int
-	for {
-		best := -1
-		var bestSeq uint64
-		for i := range heads {
-			if cursor[i] < len(heads[i]) {
-				if e := heads[i][cursor[i]]; best < 0 || e.seq < bestSeq {
-					best, bestSeq = i, e.seq
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := heads[best][cursor[best]]
-		if maxTxs > 0 && len(out) >= maxTxs {
-			break
+	for i := p.head; i < len(p.pending) && len(out) < n; i++ {
+		e := &p.pending[i]
+		if e.dead {
+			continue
 		}
 		if gasLimit > 0 && gas+e.tx.GasLimit > gasLimit {
 			break
 		}
-		cursor[best]++
 		gas += e.tx.GasLimit
 		p.tracer.Stamp(e.hash, trace.StageBatch)
 		out = append(out, e.tx)
-	}
-	return out
-}
-
-// BatchAffinity returns one Batch worth of pending transactions (same
-// FIFO and gas semantics as Batch) regrouped by affinity class: all
-// transactions of one class travel together, in arrival order within
-// the class. classOf must return a value in [0, classes). The sharded
-// platform's gateways use this to turn a flush interval's worth of
-// accepted transactions into one forward batch per destination shard
-// instead of a message per transaction. Transactions stay pending until
-// MarkIncluded, exactly as with Batch.
-func (p *Pool) BatchAffinity(maxTxs int, gasLimit uint64, classes int,
-	classOf func(*types.Transaction) int) [][]*types.Transaction {
-
-	out := make([][]*types.Transaction, classes)
-	for _, tx := range p.Batch(maxTxs, gasLimit) {
-		c := classOf(tx)
-		out[c] = append(out[c], tx)
-	}
-	return out
-}
-
-// snapshot copies up to max live entries from the shard's FIFO head
-// (all of them when max <= 0), advancing head past any tombstoned
-// prefix on the way.
-func (s *shard) snapshot(max int) []entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.head < len(s.pending) && s.pending[s.head].dead {
-		s.head++
-		s.dead--
-	}
-	s.maybeCompact()
-	var out []entry
-	for i := s.head; i < len(s.pending); i++ {
-		if max > 0 && len(out) >= max {
-			break
-		}
-		if !s.pending[i].dead {
-			out = append(out, s.pending[i])
-		}
 	}
 	return out
 }
@@ -218,75 +134,61 @@ func (s *shard) snapshot(max int) []entry {
 // tombstones dominate, keeping the per-block cost proportional to the
 // batch rather than the pool.
 func (p *Pool) MarkIncluded(txs []*types.Transaction) {
-	var byShard [shardCount][]types.Hash
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, tx := range txs {
 		h := tx.Hash()
-		i := h[0] & (shardCount - 1)
-		byShard[i] = append(byShard[i], h)
-	}
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
+		if pos, known := p.index[h]; known && pos >= 0 {
+			p.pending[pos].dead = true
+			p.dead++
 		}
-		s := &p.shards[i]
-		s.mu.Lock()
-		for _, h := range byShard[i] {
-			pos, known := s.index[h]
-			if known && pos >= 0 {
-				s.pending[pos].dead = true
-				s.dead++
-				p.length.Add(-1)
-			}
-			s.index[h] = -1
-		}
-		s.maybeCompact()
-		s.mu.Unlock()
+		p.index[h] = -1
 	}
+	p.maybeCompact()
 }
 
 // maybeCompact rebuilds the pending slice once the wasted entries —
 // the consumed prefix before head plus tombstones past it — outnumber
 // the live ones, restoring index positions and releasing the retained
 // transactions. The doubling threshold keeps removal O(1) amortized.
-// Called with the shard lock held.
-func (s *shard) maybeCompact() {
-	live := len(s.pending) - s.head - s.dead
-	if waste := s.head + s.dead; waste <= live || waste < 64 {
+// Called with the lock held.
+func (p *Pool) maybeCompact() {
+	live := p.live()
+	if waste := p.head + p.dead; waste <= live || waste < 64 {
 		return
 	}
 	kept := make([]entry, 0, live)
-	for _, e := range s.pending[s.head:] {
+	for _, e := range p.pending[p.head:] {
 		if !e.dead {
-			s.index[e.hash] = len(kept)
+			p.index[e.hash] = len(kept)
 			kept = append(kept, e)
 		}
 	}
-	s.pending = kept
-	s.head = 0
-	s.dead = 0
+	p.pending = kept
+	p.head = 0
+	p.dead = 0
 }
 
 // Reinject returns transactions to the pending set even if they were
 // previously marked included — used when a chain reorganization drops
 // the blocks that contained them.
 func (p *Pool) Reinject(txs []*types.Transaction) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, tx := range txs {
 		h := tx.Hash()
-		s := p.shardOf(h)
-		s.mu.Lock()
-		if pos, known := s.index[h]; known && pos >= 0 {
-			s.mu.Unlock()
+		if pos, known := p.index[h]; known && pos >= 0 {
 			continue // still pending
 		}
-		s.index[h] = len(s.pending)
-		s.pending = append(s.pending, entry{tx: tx, hash: h, seq: p.seq.Add(1)})
-		p.length.Add(1)
-		s.mu.Unlock()
+		p.index[h] = len(p.pending)
+		p.pending = append(p.pending, entry{tx: tx, hash: h})
 		p.signal()
 	}
 }
 
 // Len returns the number of pending transactions.
 func (p *Pool) Len() int {
-	return int(p.length.Load())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.live()
 }

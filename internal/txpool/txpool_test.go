@@ -201,7 +201,7 @@ func TestConcurrentAddBatchInclude(t *testing.T) {
 
 // TestSteadyStateMemoryBounded guards the compaction trigger: in FIFO
 // steady state (adds balanced by includes over a standing pool) the
-// shards must reclaim the consumed prefix instead of retaining every
+// pool must reclaim the consumed prefix instead of retaining every
 // transaction ever admitted.
 func TestSteadyStateMemoryBounded(t *testing.T) {
 	p := New(0)
@@ -217,15 +217,11 @@ func TestSteadyStateMemoryBounded(t *testing.T) {
 		}
 		p.MarkIncluded(p.Batch(256, 0))
 	}
-	retained := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		retained += len(s.pending)
-		s.mu.Unlock()
-	}
-	if limit := 4*p.Len() + shardCount*64; retained > limit {
-		t.Fatalf("shards retain %d entries for %d live transactions (limit %d)",
+	p.mu.Lock()
+	retained := len(p.pending)
+	p.mu.Unlock()
+	if limit := 4*p.Len() + 64; retained > limit {
+		t.Fatalf("pool retains %d entries for %d live transactions (limit %d)",
 			retained, p.Len(), limit)
 	}
 }
@@ -242,52 +238,6 @@ func TestFIFOOrder(t *testing.T) {
 	for i, x := range batch {
 		if x.Hash() != hs[i] {
 			t.Fatal("batch not FIFO")
-		}
-	}
-}
-
-func TestBatchAffinityGroupsAndKeepsFIFO(t *testing.T) {
-	p := New(0)
-	var all []*types.Transaction
-	for i := uint64(0); i < 30; i++ {
-		x := tx(i, 1)
-		p.Add(x)
-		all = append(all, x)
-	}
-	classOf := func(x *types.Transaction) int { return int(x.Nonce % 3) }
-	groups := p.BatchAffinity(0, 0, 3, classOf)
-	if len(groups) != 3 {
-		t.Fatalf("got %d classes", len(groups))
-	}
-	total := 0
-	for c, txs := range groups {
-		var prev uint64
-		for i, x := range txs {
-			if classOf(x) != c {
-				t.Fatalf("class %d holds tx of class %d", c, classOf(x))
-			}
-			if i > 0 && x.Nonce < prev {
-				t.Fatalf("class %d out of FIFO order: %d after %d", c, x.Nonce, prev)
-			}
-			prev = x.Nonce
-			total++
-		}
-		if len(txs) != 10 {
-			t.Fatalf("class %d has %d txs", c, len(txs))
-		}
-	}
-	if total != 30 {
-		t.Fatalf("affinity batch covered %d of 30", total)
-	}
-	// Like Batch, transactions stay pending until MarkIncluded drains
-	// them; the next affinity batch is then empty.
-	if p.Len() != 30 {
-		t.Fatalf("len after batch = %d", p.Len())
-	}
-	p.MarkIncluded(all)
-	for _, txs := range p.BatchAffinity(0, 0, 3, classOf) {
-		if len(txs) != 0 {
-			t.Fatalf("drained pool still batches %d txs", len(txs))
 		}
 	}
 }
