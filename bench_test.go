@@ -204,9 +204,9 @@ type delayEngine struct {
 	d time.Duration
 }
 
-func (e delayEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64) *types.Receipt {
+func (e delayEngine) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
 	time.Sleep(e.d)
-	return e.Engine.Execute(db, tx, blockNum)
+	e.Engine.ExecuteInto(db, tx, blockNum, r)
 }
 
 // BenchmarkExecScaling charts the intra-block parallel executor:

@@ -51,9 +51,9 @@ type Tree struct {
 	dirty map[int]struct{} // buckets touched since the last Commit
 
 	// Scratch reused across calls; the store copies what it keeps.
-	keyBuf []byte        // store key under construction
-	enc    types.Encoder // preimage of the bucket or group being hashed
-	path   []int         // dirty positions of the level being refolded
+	keyBuf []byte // store key under construction
+	enc    []byte // preimage of the bucket or group being hashed, reused
+	path   []int  // dirty positions of the level being refolded
 }
 
 // New opens a bucket tree over store, rebuilding the digest levels and
@@ -210,7 +210,7 @@ func (t *Tree) hashBucket(b int) (types.Hash, error) {
 	if len(t.keys[b]) == 0 {
 		return types.ZeroHash, nil
 	}
-	t.enc.Reset()
+	t.enc = t.enc[:0]
 	for _, k := range t.keys[b] {
 		v, ok, err := t.store.Get(t.dataKey(b, k))
 		if err != nil {
@@ -219,10 +219,9 @@ func (t *Tree) hashBucket(b int) (types.Hash, error) {
 		if !ok {
 			continue
 		}
-		t.enc.Bytes(k)
-		t.enc.Bytes(v)
+		t.enc = types.AppendBytes(types.AppendBytes(t.enc, k), v)
 	}
-	return types.HashData(t.enc.Out()), nil
+	return types.HashData(t.enc), nil
 }
 
 // foldGroup hashes the p-th group of level l-1 into its level-l digest.
@@ -230,10 +229,10 @@ func (t *Tree) hashBucket(b int) (types.Hash, error) {
 func (t *Tree) foldGroup(l, p int) types.Hash {
 	below := t.levels[l-1]
 	group := below[p*t.grouping : min((p+1)*t.grouping, len(below))]
-	t.enc.Reset()
+	t.enc = t.enc[:0]
 	empty := true
 	for i := range group {
-		t.enc.Raw(group[i][:])
+		t.enc = append(t.enc, group[i][:]...)
 		if !group[i].IsZero() {
 			empty = false
 		}
@@ -241,7 +240,7 @@ func (t *Tree) foldGroup(l, p int) types.Hash {
 	if empty {
 		return types.ZeroHash
 	}
-	return types.HashData(t.enc.Out())
+	return types.HashData(t.enc)
 }
 
 // RootHash returns the last committed root. Dirty buckets are reflected

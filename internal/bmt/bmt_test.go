@@ -193,14 +193,10 @@ func TestDiskFootprintFlat(t *testing.T) {
 // state with the Tree under test.
 func referenceRoot(t *testing.T, store kvstore.Store, numBuckets, grouping int) types.Hash {
 	t.Helper()
-	encs := make([]*types.Encoder, numBuckets)
+	encs := make([][]byte, numBuckets)
 	err := store.Iterate([]byte("b:"), []byte("b;"), func(k, v []byte) bool {
 		b := int(binary.BigEndian.Uint32(k[2:6]))
-		if encs[b] == nil {
-			encs[b] = types.NewEncoder()
-		}
-		encs[b].String(string(k[7:]))
-		encs[b].Bytes(v)
+		encs[b] = types.AppendBytes(types.AppendBytes(encs[b], k[7:]), v)
 		return true
 	})
 	if err != nil {
@@ -209,7 +205,7 @@ func referenceRoot(t *testing.T, store kvstore.Store, numBuckets, grouping int) 
 	digests := make([]types.Hash, numBuckets)
 	for b, e := range encs {
 		if e != nil {
-			digests[b] = types.HashData(e.Out())
+			digests[b] = types.HashData(e)
 		}
 	}
 	return referenceFold(digests, grouping)
@@ -226,10 +222,10 @@ func referenceFold(bucketHash []types.Hash, grouping int) types.Hash {
 			if j > len(level) {
 				j = len(level)
 			}
-			e := types.NewEncoder()
+			var e []byte
 			empty := true
 			for _, h := range level[i:j] {
-				e.Raw(h[:])
+				e = append(e, h[:]...)
 				if !h.IsZero() {
 					empty = false
 				}
@@ -237,7 +233,7 @@ func referenceFold(bucketHash []types.Hash, grouping int) types.Hash {
 			if empty {
 				next = append(next, types.ZeroHash)
 			} else {
-				next = append(next, types.HashData(e.Out()))
+				next = append(next, types.HashData(e))
 			}
 		}
 		level = next

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"encoding/binary"
 	"sort"
 	"time"
 
@@ -101,12 +102,12 @@ func (c *core) step(now time.Time, msg simnet.Message) time.Time {
 }
 
 func digestOf(view, seq uint64, txs []*types.Transaction) types.Hash {
-	e := types.NewEncoder()
-	e.Uint64(view)
-	e.Uint64(seq)
+	var buf [16 + types.HashSize]byte
+	binary.LittleEndian.PutUint64(buf[0:], view)
+	binary.LittleEndian.PutUint64(buf[8:], seq)
 	root := merkle.TxRoot(txs)
-	e.Raw(root[:])
-	return types.HashData(e.Out())
+	copy(buf[16:], root[:])
+	return types.HashData(buf[:])
 }
 
 // maybePropose lets the primary open one new instance per batch tick

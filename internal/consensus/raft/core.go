@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"time"
@@ -249,14 +250,18 @@ func (c *core) saveMeta() {
 	if c.ctx.Meta == nil {
 		return
 	}
-	enc := types.NewEncoder()
-	enc.Uint64(c.term)
-	enc.Uint64(uint64(int64(c.votedFor)))
-	enc.Bool(c.baseSet)
-	enc.Uint64(c.applied)
-	enc.Uint64(c.termAt(c.applied))
-	enc.Uint64(c.appliedHeight)
-	c.ctx.Meta.SaveMeta(metaKey, enc.Out())
+	var base byte
+	if c.baseSet {
+		base = 1
+	}
+	le := binary.LittleEndian
+	buf := le.AppendUint64(make([]byte, 0, 5*8+1), c.term)
+	buf = le.AppendUint64(buf, uint64(int64(c.votedFor)))
+	buf = append(buf, base)
+	buf = le.AppendUint64(buf, c.applied)
+	buf = le.AppendUint64(buf, c.termAt(c.applied))
+	buf = le.AppendUint64(buf, c.appliedHeight)
+	c.ctx.Meta.SaveMeta(metaKey, buf)
 }
 
 func (c *core) majority() int { return len(c.peers)/2 + 1 }

@@ -20,8 +20,12 @@ import (
 
 // Engine executes transactions and read-only queries for one platform.
 type Engine interface {
-	// Execute applies tx to db as part of block blockNum, returning a
-	// receipt. State changes of failed transactions are rolled back.
+	// ExecuteInto applies tx to db as part of block blockNum and
+	// overwrites *r with the outcome. State changes of failed
+	// transactions are rolled back. The caller owns r, so a block's
+	// receipts can share one allocation (types.NewReceipts).
+	ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt)
+	// Execute is ExecuteInto with a receipt of its own.
 	Execute(db *state.DB, tx *types.Transaction, blockNum uint64) *types.Receipt
 	// Query runs a read-only contract method against db.
 	Query(db *state.DB, contract, method string, args [][]byte) ([]byte, error)
@@ -103,35 +107,42 @@ func (e *EVMEngine) run(prog *evm.Program, method string, env *evm.Env) evm.Resu
 
 // Execute implements Engine.
 func (e *EVMEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64) *types.Receipt {
-	r := &types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
+	r := new(types.Receipt)
+	e.ExecuteInto(db, tx, blockNum, r)
+	return r
+}
+
+// ExecuteInto implements Engine.
+func (e *EVMEngine) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
+	*r = types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
 	snap := db.Snapshot()
-	fail := func(gas uint64, err error) *types.Receipt {
+	var err error
+	if r.GasUsed, r.Output, err = e.apply(db, tx); err != nil {
 		db.Revert(snap)
-		r.OK = false
-		r.GasUsed = gas
-		r.Err = err.Error()
-		return r
+		r.Output, r.Err = nil, err.Error()
+		return
 	}
+	r.OK = true
+}
+
+// apply runs tx against db and returns the gas charged, the output and
+// the failure, if any; rolling a failure back is the caller's.
+func (e *EVMEngine) apply(db *state.DB, tx *types.Transaction) (uint64, []byte, error) {
 	if tx.GasLimit < evm.TxIntrinsicGas {
-		return fail(tx.GasLimit, evm.ErrOutOfGas)
+		return tx.GasLimit, nil, evm.ErrOutOfGas
 	}
 	// Plain value transfer.
 	if tx.Contract == "" {
-		if err := db.Transfer(tx.From, tx.To, tx.Value); err != nil {
-			return fail(evm.TxIntrinsicGas, err)
-		}
-		r.OK = true
-		r.GasUsed = evm.TxIntrinsicGas
-		return r
+		return evm.TxIntrinsicGas, nil, db.Transfer(tx.From, tx.To, tx.Value)
 	}
 	prog, ok := e.progs[tx.Contract]
 	if !ok {
-		return fail(evm.TxIntrinsicGas, fmt.Errorf("exec: no contract %q", tx.Contract))
+		return evm.TxIntrinsicGas, nil, fmt.Errorf("exec: no contract %q", tx.Contract)
 	}
 	addr := contractAddress(tx.Contract)
 	if tx.Value > 0 {
 		if err := db.Transfer(tx.From, addr, tx.Value); err != nil {
-			return fail(evm.TxIntrinsicGas, err)
+			return evm.TxIntrinsicGas, nil, err
 		}
 	}
 	res := e.run(prog, tx.Method, &evm.Env{
@@ -143,14 +154,7 @@ func (e *EVMEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64
 		Args:         tx.Args,
 		GasLimit:     tx.GasLimit - evm.TxIntrinsicGas,
 	})
-	gas := evm.TxIntrinsicGas + res.GasUsed
-	if res.Err != nil {
-		return fail(gas, res.Err)
-	}
-	r.OK = true
-	r.GasUsed = gas
-	r.Output = res.Output
-	return r
+	return evm.TxIntrinsicGas + res.GasUsed, res.Output, res.Err
 }
 
 // Query implements Engine. Queries run on a snapshot and are always
@@ -223,15 +227,22 @@ func (e *NativeEngine) Contracts() []string {
 	return out
 }
 
-// Execute implements Engine. Chaincode execution is not gas metered
-// (Fabric v0.6 "does not consider these semantics in its design").
+// Execute implements Engine.
 func (e *NativeEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64) *types.Receipt {
-	r := &types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
+	r := new(types.Receipt)
+	e.ExecuteInto(db, tx, blockNum, r)
+	return r
+}
+
+// ExecuteInto implements Engine. Chaincode execution is not gas metered
+// (Fabric v0.6 "does not consider these semantics in its design").
+func (e *NativeEngine) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
+	*r = types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
 	snap := db.Snapshot()
 	cc, ok := e.codes[tx.Contract]
 	if !ok {
 		r.Err = fmt.Sprintf("exec: no chaincode %q", tx.Contract)
-		return r
+		return
 	}
 	stub := chaincode.NewStub(db, tx.Contract, tx.From, tx.Value)
 	stub.ContractAddr = contractAddress(tx.Contract)
@@ -242,11 +253,10 @@ func (e *NativeEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uin
 	if err != nil {
 		db.Revert(snap)
 		r.Err = err.Error()
-		return r
+		return
 	}
 	r.OK = true
 	r.Output = out
-	return r
 }
 
 // Query implements Engine.

@@ -68,10 +68,10 @@ func (e *Executor) Counters() map[string]uint64 {
 func (e *Executor) ExecuteBlock(eng exec.Engine, db *state.DB, txs []*types.Transaction, blockNum uint64) []*types.Receipt {
 	n := len(txs)
 	e.txs.Add(uint64(n))
-	receipts := make([]*types.Receipt, n)
+	receipts := types.NewReceipts(n)
 	if e.workers <= 1 || n <= 1 {
 		for i, tx := range txs {
-			receipts[i] = eng.Execute(db, tx, blockNum)
+			eng.ExecuteInto(db, tx, blockNum, receipts[i])
 		}
 		return receipts
 	}
@@ -101,7 +101,7 @@ func (e *Executor) ExecuteBlock(eng exec.Engine, db *state.DB, txs []*types.Tran
 				defer wg.Done()
 				for idx := range jobs {
 					txdb := state.NewDB(views[idx])
-					receipts[idx] = eng.Execute(txdb, txs[idx], blockNum)
+					eng.ExecuteInto(txdb, txs[idx], blockNum, receipts[idx])
 					// Hand the speculation's overlay to the view as its
 					// private write set (failed executions were already
 					// reverted and hand over nothing, as on the serial path).

@@ -176,9 +176,9 @@ func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Rec
 	if c.cfg.Parallel != nil {
 		receipts = c.cfg.Parallel.ExecuteBlock(c.cfg.Engine, db, b.Txs, b.Number())
 	} else {
-		receipts = make([]*types.Receipt, len(b.Txs))
+		receipts = types.NewReceipts(len(b.Txs))
 		for i, tx := range b.Txs {
-			receipts[i] = c.cfg.Engine.Execute(db, tx, b.Number())
+			c.cfg.Engine.ExecuteInto(db, tx, b.Number(), receipts[i])
 		}
 	}
 	for i, r := range receipts {
@@ -279,24 +279,26 @@ func (c *Chain) setHeadLocked(e *entry) {
 	}
 	// Receipts on abandoned branch blocks must no longer resolve, and
 	// their transactions go back to the pool unless the new branch also
-	// includes them.
+	// includes them. A head that extends the old head abandons nothing.
 	var dropped []*types.Transaction
 	if len(fresh) > 0 {
 		lowest := fresh[len(fresh)-1].block.Number()
-		inNew := make(map[types.Hash]bool)
-		for _, en := range fresh {
-			for _, tx := range en.block.Txs {
-				inNew[tx.Hash()] = true
+		if abandoned := c.canonical[min(int(lowest), len(c.canonical)):]; len(abandoned) > 0 {
+			inNew := make(map[types.Hash]bool)
+			for _, en := range fresh {
+				for _, tx := range en.block.Txs {
+					inNew[tx.Hash()] = true
+				}
 			}
-		}
-		for _, h := range c.canonical[min(int(lowest), len(c.canonical)):] {
-			old := c.entries[h]
-			for _, r := range old.receipts {
-				delete(c.byTx, r.TxHash)
-			}
-			for _, tx := range old.block.Txs {
-				if !inNew[tx.Hash()] {
-					dropped = append(dropped, tx)
+			for _, h := range abandoned {
+				old := c.entries[h]
+				for _, r := range old.receipts {
+					delete(c.byTx, r.TxHash)
+				}
+				for _, tx := range old.block.Txs {
+					if !inNew[tx.Hash()] {
+						dropped = append(dropped, tx)
+					}
 				}
 			}
 		}
@@ -356,9 +358,10 @@ func (c *Chain) ProposeBlock(txs []*types.Transaction, proposer types.Address, d
 		}
 		included = txs
 	} else {
+		var r types.Receipt // a proposal keeps only the gas
 		for _, tx := range txs {
 			snap := db.Snapshot()
-			r := c.cfg.Engine.Execute(db, tx, number)
+			c.cfg.Engine.ExecuteInto(db, tx, number, &r)
 			if c.cfg.GasLimit > 0 && gasUsed+r.GasUsed > c.cfg.GasLimit {
 				db.Revert(snap)
 				break // block is full; keep FIFO order

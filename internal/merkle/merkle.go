@@ -15,11 +15,11 @@ const (
 	nodePrefix = 0x01
 )
 
-func hashLeaf(data []byte) types.Hash {
-	buf := make([]byte, 1+len(data))
+func hashLeaf(h types.Hash) types.Hash {
+	var buf [1 + types.HashSize]byte
 	buf[0] = leafPrefix
-	copy(buf[1:], data)
-	return types.HashData(buf)
+	copy(buf[1:], h[:])
+	return types.HashData(buf[:])
 }
 
 func hashNode(l, r types.Hash) types.Hash {
@@ -30,36 +30,39 @@ func hashNode(l, r types.Hash) types.Hash {
 	return types.HashData(buf[:])
 }
 
-// Root computes the Merkle root of the given leaves. An empty list hashes
-// to the zero hash. Odd levels promote the unpaired node unchanged.
-func Root(leaves [][]byte) types.Hash {
-	if len(leaves) == 0 {
+// stackLeaves is the widest block body whose tree is built on the
+// stack (2 KB); Raft and PBFT batch 20 transactions by default.
+const stackLeaves = 64
+
+// TxRoot computes the transaction root of a block body: the root of the
+// binary tree over the transactions' hashes. An empty list hashes to the
+// zero hash. Odd levels promote the unpaired node unchanged.
+func TxRoot(txs []*types.Transaction) types.Hash {
+	if len(txs) == 0 {
 		return types.ZeroHash
 	}
-	level := make([]types.Hash, len(leaves))
-	for i, l := range leaves {
-		level[i] = hashLeaf(l)
+	var stack [stackLeaves]types.Hash
+	level := stack[:]
+	if len(txs) > stackLeaves {
+		level = make([]types.Hash, len(txs))
 	}
+	level = level[:len(txs)]
+	for i, tx := range txs {
+		level[i] = hashLeaf(tx.Hash())
+	}
+	// Reduce each level in place: node i of the next level is written
+	// at i after nodes 2i and 2i+1 were read, and 2i >= i.
 	for len(level) > 1 {
-		next := make([]types.Hash, 0, (len(level)+1)/2)
+		n := 0
 		for i := 0; i < len(level); i += 2 {
 			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
+				level[n] = hashNode(level[i], level[i+1])
 			} else {
-				next = append(next, level[i])
+				level[n] = level[i]
 			}
+			n++
 		}
-		level = next
+		level = level[:n]
 	}
 	return level[0]
-}
-
-// TxRoot computes the transaction root of a block body.
-func TxRoot(txs []*types.Transaction) types.Hash {
-	leaves := make([][]byte, len(txs))
-	for i, tx := range txs {
-		h := tx.Hash()
-		leaves[i] = h.Bytes()
-	}
-	return Root(leaves)
 }

@@ -204,7 +204,7 @@ func TestDecodeBranchAllocs(t *testing.T) {
 		h := types.HashData([]byte{byte(i)})
 		enc = append(enc, h[:]...)
 	}
-	enc = appendBytes(append(enc, 1), []byte("value"))
+	enc = types.AppendBytes(append(enc, 1), []byte("value"))
 	n, err := decodeNode(enc)
 	if err != nil {
 		t.Fatal(err)

@@ -482,14 +482,14 @@ func (t *Trie) encode(n Node, write bool) (types.Hash, error) {
 	switch n := n.(type) {
 	case *leafNode:
 		buf = appendUint32(t.encBuf[:0], kindLeaf)
-		buf = appendBytes(buf, n.path)
-		buf = appendBytes(buf, n.value)
+		buf = types.AppendBytes(buf, n.path)
+		buf = types.AppendBytes(buf, n.value)
 	case *extNode:
 		if err := t.encodeChild(&n.child, write); err != nil {
 			return types.ZeroHash, err
 		}
 		buf = appendUint32(t.encBuf[:0], kindExt)
-		buf = appendBytes(buf, n.path)
+		buf = types.AppendBytes(buf, n.path)
 		buf = append(buf, n.child.h[:]...)
 	case *branchNode:
 		for i := range n.children {
@@ -503,7 +503,7 @@ func (t *Trie) encode(n Node, write bool) (types.Hash, error) {
 		}
 		if n.value != nil {
 			buf = append(buf, 1)
-			buf = appendBytes(buf, n.value)
+			buf = types.AppendBytes(buf, n.value)
 		} else {
 			buf = append(buf, 0)
 		}
@@ -542,14 +542,10 @@ func (t *Trie) encodeChild(r *ref, write bool) error {
 	return nil
 }
 
-// appendUint32 and appendBytes mirror types.Encoder's length-prefixed
-// little-endian layout without an encoder allocation.
+// appendUint32 appends a node's kind tag; paths and values follow it in
+// types.AppendBytes' length-prefixed little-endian layout.
 func appendUint32(buf []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, v)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	return append(appendUint32(buf, uint32(len(b))), b...)
 }
 
 // Hash computes the root hash without persisting anything. It may leave

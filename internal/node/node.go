@@ -326,7 +326,7 @@ func (n *Node) BlocksFrom(h uint64) ([]BlockInfo, error) {
 			if b.Number() > confirmed {
 				break
 			}
-			info := BlockInfo{Number: b.Number(), Hash: b.Hash()}
+			info := BlockInfo{Number: b.Number(), Hash: b.Hash(), TxIDs: make([]types.Hash, 0, len(b.Txs))}
 			for _, tx := range b.Txs {
 				info.TxIDs = append(info.TxIDs, tx.Hash())
 			}

@@ -1,9 +1,14 @@
 package platform
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"blockbench/internal/crypto"
+	"blockbench/internal/merkle"
 	"blockbench/internal/types"
 )
 
@@ -77,5 +82,56 @@ func TestExecWorkersCountersFlow(t *testing.T) {
 	}
 	if got["exec.parallel.txs"] == 0 {
 		t.Fatal("committed transaction never went through the parallel executor")
+	}
+}
+
+// TestQuorumAppendAllocBudget holds one node's whole share of a block —
+// Chain.Append of 20 signed ycsb writes on the quorum preset: signature
+// checks, the tx root, EVM execution, the trie commit, receipts, the
+// head switch, the recovery journal and the analytics index — to a
+// per-transaction ceiling. Four nodes pay it for every transaction; the
+// standard library's ECDSA verify is about half of it.
+func TestQuorumAppendAllocBudget(t *testing.T) {
+	const (
+		blocks  = 15
+		perBlk  = 20
+		ceiling = 22 // allocations per transaction: 20 when written (21 under -race), 27 before
+	)
+	keys := clientKeys(1)
+	c, err := New(fastConfig(Quorum, 1, keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Stop(); c.Close() })
+	chain := c.Chain(0)
+
+	var perTx [blocks]uint64
+	for h := 0; h < blocks; h++ {
+		txs := make([]*types.Transaction, perBlk)
+		for i := range txs {
+			n := h*perBlk + i
+			txs[i] = &types.Transaction{Nonce: uint64(n), From: keys[0].Address(), Contract: "ycsb", Method: "write",
+				Args: [][]byte{[]byte(fmt.Sprintf("user%016d", n%100)), make([]byte, 100)}, GasLimit: 100_000}
+			if err := crypto.SignTx(txs[i], keys[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		head := chain.Head()
+		b := &types.Block{Header: types.Header{Number: head.Number() + 1, ParentHash: head.Hash(),
+			Time: int64(h + 1), Difficulty: 1, TxRoot: merkle.TxRoot(txs)}, Txs: txs}
+		b.Hash()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := chain.Append(b)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perTx[h] = (after.Mallocs - before.Mallocs) / perBlk
+	}
+	slices.Sort(perTx[:])
+	t.Logf("Chain.Append: %d allocations per transaction (median of %d blocks of %d)", perTx[blocks/2], blocks, perBlk)
+	if perTx[blocks/2] > ceiling {
+		t.Errorf("Chain.Append: %d allocations per transaction, ceiling %d", perTx[blocks/2], ceiling)
 	}
 }

@@ -1,60 +1,28 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// Encoder builds the deterministic binary encoding used for hashing and
-// message serialization. Layout is length-prefixed little-endian; it is a
-// simplified stand-in for Ethereum's RLP.
-type Encoder struct{ buf []byte }
+// The deterministic binary encoding used for hashing, the journal's
+// at-rest format and wire-size accounting is length-prefixed
+// little-endian, a simplified stand-in for Ethereum's RLP. Encoders are
+// append-style: AppendTo(dst) appends a value's encoding to dst and
+// returns the extended slice, so a caller that sized dst (WireSize,
+// HeaderSize) writes every byte once, into a buffer it owns.
 
-// NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 256)} }
-
-// Uint64 appends an 8-byte little-endian integer.
-func (e *Encoder) Uint64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-
-// Uint32 appends a 4-byte little-endian integer.
-func (e *Encoder) Uint32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) Bytes(b []byte) {
-	e.Uint32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+// AppendBytes appends the byte string b to dst behind its 4-byte length.
+func AppendBytes[B []byte | string](dst []byte, b B) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(b))), b...)
 }
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uint32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Raw appends b without a length prefix (fixed-size fields).
-func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
-
-// Bool appends a single 0/1 byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-
-// Out returns the accumulated encoding.
-func (e *Encoder) Out() []byte { return e.buf }
-
-// Reset empties the encoder, keeping its buffer for the next encoding;
-// slices previously returned by Out are overwritten.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // ErrTruncated reports a decode past the end of the buffer.
 var ErrTruncated = errors.New("types: truncated encoding")
 
-// Decoder reads values written by Encoder, in the same order.
+// Decoder reads values in the order they were appended.
 type Decoder struct {
 	buf []byte
 	off int
@@ -67,11 +35,13 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Err returns the first decoding error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
 
-func (d *Decoder) take(n int) []byte {
+// Raw reads n bytes without a length prefix; the result aliases the
+// decoder's buffer.
+func (d *Decoder) Raw(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.off {
 		d.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, d.off, len(d.buf))
 		return nil
 	}
@@ -82,7 +52,7 @@ func (d *Decoder) take(n int) []byte {
 
 // Uint64 reads an 8-byte little-endian integer.
 func (d *Decoder) Uint64() uint64 {
-	b := d.take(8)
+	b := d.Raw(8)
 	if b == nil {
 		return 0
 	}
@@ -91,42 +61,40 @@ func (d *Decoder) Uint64() uint64 {
 
 // Uint32 reads a 4-byte little-endian integer.
 func (d *Decoder) Uint32() uint32 {
-	b := d.take(4)
+	b := d.Raw(4)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
 }
 
-// Bytes reads a length-prefixed byte string (copied).
-func (d *Decoder) Bytes() []byte {
+// Count reads the 4-byte element count of a list whose elements each
+// start with a 4-byte length prefix. A count the remaining bytes cannot
+// hold is a truncated (or hostile) buffer: it is an error here, before
+// any caller sizes an allocation by it.
+func (d *Decoder) Count() int {
 	n := int(d.Uint32())
-	if d.err != nil {
-		return nil
+	if rest := len(d.buf) - d.off; d.err == nil && (n < 0 || n > rest/4) {
+		d.err = fmt.Errorf("%w: %d elements in %d bytes", ErrTruncated, n, rest)
+		return 0
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return n
 }
+
+// Bytes reads a length-prefixed byte string (copied).
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.Raw(int(d.Uint32()))) }
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.Bytes()) }
 
-// Raw reads n bytes without a length prefix.
-func (d *Decoder) Raw(n int) []byte { return d.take(n) }
-
 // Bool reads a single 0/1 byte.
 func (d *Decoder) Bool() bool {
-	b := d.take(1)
+	b := d.Raw(1)
 	return b != nil && b[0] != 0
 }
 
 // DecodeHeader parses a header from the deterministic encoding produced
-// by Header.Encode, reading from d.
+// by Header.AppendTo, reading from d.
 func DecodeHeader(d *Decoder) Header {
 	var h Header
 	h.Number = d.Uint64()
@@ -148,20 +116,24 @@ func DecodeHeader(d *Decoder) Header {
 // at-rest format the platform layer persists for crash recovery, so it
 // round-trips byte-identically through DecodeBlock.
 func EncodeBlock(b *Block) []byte {
-	e := NewEncoder()
-	e.Raw(b.Header.Encode())
-	e.Uint32(uint32(len(b.Txs)))
+	buf := make([]byte, 0, b.WireSize()+4+4*len(b.Txs))
+	buf = b.Header.AppendTo(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Txs)))
 	for _, tx := range b.Txs {
-		e.Bytes(tx.Encode())
+		// Reserve the length prefix and fill it in behind the
+		// transaction, so the format never depends on WireSize.
+		at := len(buf)
+		buf = tx.AppendTo(append(buf, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
-	return e.Out()
+	return buf
 }
 
 // DecodeBlock parses a block encoded by EncodeBlock.
 func DecodeBlock(buf []byte) (*Block, error) {
 	d := NewDecoder(buf)
 	b := &Block{Header: DecodeHeader(d)}
-	n := int(d.Uint32())
+	n := d.Count()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -181,7 +153,7 @@ func DecodeBlock(buf []byte) (*Block, error) {
 	return b, nil
 }
 
-// DecodeTransaction parses a transaction wire encoding from Encode.
+// DecodeTransaction parses a transaction wire encoding from AppendTo.
 func DecodeTransaction(buf []byte) (*Transaction, error) {
 	d := NewDecoder(buf)
 	tx := &Transaction{}
@@ -191,8 +163,7 @@ func DecodeTransaction(buf []byte) (*Transaction, error) {
 	tx.Value = d.Uint64()
 	tx.Contract = d.String()
 	tx.Method = d.String()
-	n := int(d.Uint32())
-	if n > 0 && d.Err() == nil {
+	if n := d.Count(); n > 0 {
 		tx.Args = make([][]byte, n)
 		for i := 0; i < n; i++ {
 			tx.Args[i] = d.Bytes()

@@ -55,9 +55,6 @@ func (h Hash) IsZero() bool { return h == ZeroHash }
 
 func (h Hash) String() string { return h.Short() }
 
-// Bytes returns the hash as a byte slice.
-func (h Hash) Bytes() []byte { return h[:] }
-
 // BytesToAddress copies b into an Address, left-truncating if too long.
 func BytesToAddress(b []byte) Address {
 	var a Address
@@ -103,33 +100,31 @@ func (tx *Transaction) Hash() Hash {
 	if h := tx.hash.Load(); h != nil {
 		return *h
 	}
-	h := HashData(tx.encodeForHash())
+	var buf [512]byte // on the stack; a longer encoding spills to the heap
+	h := HashData(tx.appendForHash(buf[:0]))
 	tx.hash.Store(&h)
 	return h
 }
 
-func (tx *Transaction) encodeForHash() []byte {
-	e := NewEncoder()
-	e.Uint64(tx.Nonce)
-	e.Bytes(tx.From[:])
-	e.Bytes(tx.To[:])
-	e.Uint64(tx.Value)
-	e.String(tx.Contract)
-	e.String(tx.Method)
-	e.Uint32(uint32(len(tx.Args)))
+// appendForHash appends the signed part of the encoding: every field
+// but the signature.
+func (tx *Transaction) appendForHash(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, tx.Nonce)
+	dst = AppendBytes(dst, tx.From[:])
+	dst = AppendBytes(dst, tx.To[:])
+	dst = binary.LittleEndian.AppendUint64(dst, tx.Value)
+	dst = AppendBytes(dst, tx.Contract)
+	dst = AppendBytes(dst, tx.Method)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tx.Args)))
 	for _, a := range tx.Args {
-		e.Bytes(a)
+		dst = AppendBytes(dst, a)
 	}
-	e.Uint64(tx.GasLimit)
-	return e.Out()
+	return binary.LittleEndian.AppendUint64(dst, tx.GasLimit)
 }
 
-// Encode returns the full wire encoding, including the signature.
-func (tx *Transaction) Encode() []byte {
-	e := NewEncoder()
-	e.Raw(tx.encodeForHash())
-	e.Bytes(tx.Sig)
-	return e.Out()
+// AppendTo appends the full wire encoding, including the signature.
+func (tx *Transaction) AppendTo(dst []byte) []byte {
+	return AppendBytes(tx.appendForHash(dst), tx.Sig)
 }
 
 // WireSize reports the encoded size in bytes, used for network accounting.
@@ -159,32 +154,37 @@ type Header struct {
 	GasUsed    uint64
 }
 
-// Encode returns the deterministic binary encoding of the header.
-func (h *Header) Encode() []byte {
-	e := NewEncoder()
-	e.Uint64(h.Number)
-	e.Raw(h.ParentHash[:])
-	e.Raw(h.TxRoot[:])
-	e.Raw(h.StateRoot[:])
-	e.Uint64(uint64(h.Time))
-	e.Uint64(h.Difficulty)
-	e.Uint64(h.PowNonce)
-	e.Raw(h.Proposer[:])
-	e.Uint64(h.View)
-	e.Uint64(h.GasLimit)
-	e.Uint64(h.GasUsed)
-	return e.Out()
+// HeaderSize is the byte length of every header's encoding: its fields
+// are all fixed-width.
+const HeaderSize = 8 + 3*HashSize + 3*8 + AddressSize + 3*8
+
+// AppendTo appends the deterministic binary encoding of the header.
+func (h *Header) AppendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, h.Number)
+	dst = append(dst, h.ParentHash[:]...)
+	dst = append(dst, h.TxRoot[:]...)
+	dst = append(dst, h.StateRoot[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.Time))
+	dst = binary.LittleEndian.AppendUint64(dst, h.Difficulty)
+	dst = binary.LittleEndian.AppendUint64(dst, h.PowNonce)
+	dst = append(dst, h.Proposer[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, h.View)
+	dst = binary.LittleEndian.AppendUint64(dst, h.GasLimit)
+	return binary.LittleEndian.AppendUint64(dst, h.GasUsed)
 }
 
 // Hash returns the content hash of the header, which identifies the block.
-func (h *Header) Hash() Hash { return HashData(h.Encode()) }
+func (h *Header) Hash() Hash {
+	var buf [HeaderSize]byte
+	return HashData(h.AppendTo(buf[:0]))
+}
 
 // SealHash returns the hash of the header with the PoW solution zeroed;
 // miners search for a PowNonce such that H(SealHash||nonce) meets target.
 func (h *Header) SealHash() Hash {
 	cp := *h
 	cp.PowNonce = 0
-	return HashData(cp.Encode())
+	return cp.Hash()
 }
 
 // Block is a header plus its transaction list.
@@ -210,7 +210,7 @@ func (b *Block) Number() uint64 { return b.Header.Number }
 
 // WireSize reports the encoded block size in bytes.
 func (b *Block) WireSize() int {
-	n := len(b.Header.Encode())
+	n := HeaderSize
 	for _, tx := range b.Txs {
 		n += tx.WireSize()
 	}
@@ -232,6 +232,17 @@ type Receipt struct {
 	Output      []byte
 	Err         string
 	CommitTime  time.Time // local time the containing block was committed
+}
+
+// NewReceipts returns n zero receipts backed by one allocation, for a
+// block's executor to fill in place.
+func NewReceipts(n int) []*Receipt {
+	slab := make([]Receipt, n)
+	out := make([]*Receipt, n)
+	for i := range slab {
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 // U64Bytes encodes v as 8 big-endian bytes. It is the canonical integer

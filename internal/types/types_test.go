@@ -2,6 +2,9 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -72,7 +75,7 @@ func TestTransactionRoundTrip(t *testing.T) {
 		GasLimit: 100000,
 		Sig:      []byte{1, 2, 3, 4},
 	}
-	dec, err := DecodeTransaction(tx.Encode())
+	dec, err := DecodeTransaction(tx.AppendTo(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -92,7 +95,7 @@ func TestTransactionRoundTrip(t *testing.T) {
 
 func TestDecodeTransactionTruncated(t *testing.T) {
 	tx := &Transaction{Nonce: 1, Method: "m"}
-	enc := tx.Encode()
+	enc := tx.AppendTo(nil)
 	for cut := 0; cut < len(enc); cut += 5 {
 		if _, err := DecodeTransaction(enc[:cut]); err == nil && cut < len(enc)-1 {
 			// Some prefixes may decode to a valid shorter tx only if all
@@ -110,7 +113,7 @@ func TestTransactionWireSizeMatchesEncode(t *testing.T) {
 	f := func(nonce, value uint64, contract, method string, a1, a2, sig []byte) bool {
 		tx := &Transaction{Nonce: nonce, Value: value, Contract: contract,
 			Method: method, Args: [][]byte{a1, a2}, Sig: sig}
-		return tx.WireSize() == len(tx.Encode())
+		return tx.WireSize() == len(tx.AppendTo(nil))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -162,14 +165,12 @@ func TestU64RoundTrip(t *testing.T) {
 }
 
 func TestEncoderDecoderRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	e.Uint64(77)
-	e.Uint32(13)
-	e.Bytes([]byte("payload"))
-	e.String("name")
-	e.Bool(true)
-	e.Bool(false)
-	d := NewDecoder(e.Out())
+	buf := binary.LittleEndian.AppendUint64(nil, 77)
+	buf = binary.LittleEndian.AppendUint32(buf, 13)
+	buf = AppendBytes(buf, []byte("payload"))
+	buf = AppendBytes(buf, "name")
+	buf = append(buf, 1, 0)
+	d := NewDecoder(buf)
 	if d.Uint64() != 77 || d.Uint32() != 13 {
 		t.Fatal("ints lost")
 	}
@@ -184,5 +185,71 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	}
 	if d.Uint64() != 0 || d.Err() == nil {
 		t.Fatal("reading past end must set error")
+	}
+}
+
+// TestDecodeHostileCounts: an element count read from the buffer must
+// never size an allocation the buffer cannot back. A 176-byte journal
+// record claiming 2^32-1 transactions asked the runtime for 32 GB.
+func TestDecodeHostileCounts(t *testing.T) {
+	block := EncodeBlock(&Block{Header: Header{Number: 1}})
+	tx := (&Transaction{Nonce: 1, Method: "m"}).AppendTo(nil)
+	argCount := 8 + 2*(4+AddressSize) + 8 + 4 + 4 + len("m")
+	for _, count := range []uint32{1 << 22, 1<<32 - 1} {
+		hostileBlock := append([]byte{}, block...)
+		binary.LittleEndian.PutUint32(hostileBlock[HeaderSize:], count)
+		hostileTx := append([]byte{}, tx...)
+		binary.LittleEndian.PutUint32(hostileTx[argCount:], count)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, blockErr := DecodeBlock(hostileBlock)
+		_, txErr := DecodeTransaction(hostileTx)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(blockErr, ErrTruncated) || !errors.Is(txErr, ErrTruncated) {
+			t.Errorf("count %d: errors %v and %v, want ErrTruncated", count, blockErr, txErr)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+			t.Errorf("count %d: decoding %d and %d bytes allocated %d", count, len(hostileBlock), len(hostileTx), got)
+		}
+	}
+}
+
+func budgetBlock(n int) *Block {
+	b := &Block{Header: Header{Number: 1, Time: 1, Difficulty: 1}}
+	for i := 0; i < n; i++ {
+		b.Txs = append(b.Txs, &Transaction{Nonce: uint64(i), Contract: "ycsb", Method: "write",
+			Args: [][]byte{make([]byte, 20), make([]byte, 100)}, GasLimit: 100_000, Sig: make([]byte, 72)})
+	}
+	return b
+}
+
+// TestCodecAllocBudget: encodings are appended to a buffer the caller
+// sized, and hashes are taken from the stack. Every node encodes every
+// block for its journal and hashes its header several times, so an
+// allocation here is paid per transaction per node.
+func TestCodecAllocBudget(t *testing.T) {
+	b := budgetBlock(20)
+	if got := testing.AllocsPerRun(100, func() { EncodeBlock(b) }); got != 1 {
+		t.Errorf("EncodeBlock of 20 transactions: %v allocations, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { b.Header.Hash(); b.Header.SealHash() }); got != 0 {
+		t.Errorf("Header.Hash and SealHash: %v allocations, want 0", got)
+	}
+	fresh := budgetBlock(101).Txs
+	i := 0
+	if got := testing.AllocsPerRun(100, func() { fresh[i].Hash(); i++ }); got > 1 {
+		t.Errorf("first Transaction.Hash: %v allocations, want at most the cached pointer", got)
+	}
+}
+
+var encSink []byte
+
+func BenchmarkEncodeBlock(b *testing.B) {
+	blk := budgetBlock(20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encSink = EncodeBlock(blk)
 	}
 }
