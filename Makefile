@@ -48,14 +48,16 @@ race:
 # the EVM quicksort and ycsb write against their native chaincode
 # twins) and the shared commit path's codec and tx-root benchmarks
 # (internal/types BenchmarkEncodeBlock, internal/merkle BenchmarkTxRoot:
-# a 20-transaction block, allocs/op is the number that matters), so all
-# those trajectories accumulate across PRs. The
+# a 20-transaction block, allocs/op is the number that matters) and the
+# state point read (internal/state BenchmarkStatePointRead: GetState over
+# an LSM-backed flat layer with a working set 5x its LRU; allocs/get),
+# so all those trajectories accumulate across PRs. The
 # root set also covers the analytics engine (the RPC-walk-vs-indexed
 # query latency series at 1k/10k/100k blocks and the HTAP OLTP+OLAP
 # mix) and the lifecycle tracer's overhead sweep (submission throughput
 # with sampling off, at the 1% default, and at sample-everything).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt ./internal/contracts ./internal/types ./internal/merkle > BENCH_ci.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt ./internal/contracts ./internal/types ./internal/merkle ./internal/state > BENCH_ci.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_ci.json | sed 's/"Output":"//;s/\\n$$//' || true
 
 # bench-check is the CI regression gate: run only the tracked benchmark
@@ -119,7 +121,7 @@ loc:
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
 # raise it says so in its diff of this line.
-LOC_MAX ?= 21625
+LOC_MAX ?= 21598
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -30,6 +30,12 @@ type Stats struct {
 }
 
 // Store is the engine interface shared by all state backends.
+//
+// Ownership: no method keeps a slice it is passed — Put copies key and
+// value — and nobody writes into a slice Get returns. An engine only
+// ever replaces a stored value, never rewrites it in place, so a Get
+// result is shared and immutable: the caller may keep it for ever and
+// must not modify it.
 type Store interface {
 	// Get returns the value for key, with ok=false if absent.
 	Get(key []byte) (value []byte, ok bool, err error)
@@ -92,12 +98,7 @@ func (s *Mem) Get(key []byte) ([]byte, bool, error) {
 	}
 	s.reads++
 	v, ok := s.m[string(key)]
-	if !ok {
-		return nil, false, nil
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true, nil
+	return v, ok, nil
 }
 
 // Put implements Store.

@@ -359,24 +359,12 @@ func (s *LSM) Get(key []byte) ([]byte, bool, error) {
 	}
 	s.gets.Add(1)
 	if e, ok := s.mem[string(key)]; ok {
-		if e.deleted {
-			return nil, false, nil
-		}
-		out := make([]byte, len(e.value))
-		copy(out, e.value)
-		return out, true, nil
+		return e.value, !e.deleted, nil
 	}
-	k := string(key)
 	for _, r := range s.runs {
-		v, del, ok, err := r.get(k, &s.bloomProbes, &s.bloomSkips)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if del {
-				return nil, false, nil
-			}
-			return v, true, nil
+		v, del, ok, err := r.get(key, &s.bloomProbes, &s.bloomSkips)
+		if err != nil || ok {
+			return v, ok && !del, err
 		}
 	}
 	return nil, false, nil
@@ -549,7 +537,7 @@ func (s *LSM) compactRange(lo, hi int) error {
 	sources := make([]kvIter, 0, len(window))
 	iters := make([]*runIterator, 0, len(window))
 	for _, r := range window {
-		it := r.iterator("")
+		it := r.iterator(nil)
 		iters = append(iters, it)
 		sources = append(sources, it)
 	}
@@ -644,9 +632,8 @@ func (s *LSM) Iterate(start, end []byte, fn func(k, v []byte) bool) error {
 	sources := make([]kvIter, 0, len(runs)+1)
 	sources = append(sources, &sliceIter{ents: memSnap})
 	iters := make([]*runIterator, 0, len(runs))
-	startS := string(start)
 	for _, r := range runs {
-		it := r.iterator(startS)
+		it := r.iterator(start)
 		iters = append(iters, it)
 		sources = append(sources, it)
 	}

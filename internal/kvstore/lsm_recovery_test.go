@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -448,6 +449,105 @@ func TestLSMCorruptIndexCount(t *testing.T) {
 	}
 	if got > 1<<20 {
 		t.Fatalf("reopen allocated %d bytes from the bogus count", got)
+	}
+}
+
+// flushedRun64 writes key-00..key-63 (four full index regions) with the
+// given values into a fresh store, flushes them into one run and closes
+// the store, returning its directory and the run file for a test to damage.
+func flushedRun64(t *testing.T, value func(i int) string) (dir, path string) {
+	t.Helper()
+	dir = t.TempDir()
+	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte(value(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, filepath.Join(dir, "run-00000000.sst")
+}
+
+// TestLSMCorruptIndexEntries rewrites, in a real flushed run, what a
+// point read trusts the index and footer for: an entry's offset (it
+// sizes the region buffer and positions the read), an entry's key (it
+// steers the search) and the footer's record count. Reopening must
+// report each as a wrapped open error. Before the check existed all of
+// them opened: a decreasing offset made a negative region length (a
+// panic in the read), one past the data read the bloom filter as
+// records, and the count was converted to int unchecked.
+func TestLSMCorruptIndexEntries(t *testing.T) {
+	dir, path := flushedRun64(t, func(int) string { return "v" })
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := len(good) - runFooterSz
+	dataLen := binary.LittleEndian.Uint64(good[footer:])
+	// Five entries (records 0, 16, 32, 48 and the last, 63) of
+	// klen(2) "key-NN" off(8) follow the 4-byte entry count.
+	entry := func(i int) int {
+		return int(dataLen+binary.LittleEndian.Uint64(good[footer+8:])) + 4 + 16*i
+	}
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	off := func(i int) uint64 { return binary.LittleEndian.Uint64(good[entry(i)+8:]) }
+
+	for name, patch := range map[string]struct {
+		at    int
+		bytes []byte
+	}{
+		"first offset not zero":      {entry(0) + 8, u64(1)},
+		"offset decreases":           {entry(2) + 8, u64(off(1) - 1)},
+		"offset repeats":             {entry(2) + 8, u64(off(1))},
+		"offset at the data's end":   {entry(4) + 8, u64(dataLen)},
+		"offset far past the file":   {entry(4) + 8, u64(1 << 40)},
+		"negative offset":            {entry(3) + 8, u64(1 << 63)},
+		"keys out of order":          {entry(2) + 2, []byte("key-00")},
+		"zero record count":          {footer + 24, u64(0)},
+		"negative record count":      {footer + 24, u64(1 << 63)},
+		"record count over the data": {footer + 24, u64(dataLen)},
+		"fewer records than entries": {footer + 24, u64(4)},
+	} {
+		bad := append([]byte{}, good...)
+		copy(bad[patch.at:], patch.bytes)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var s2 *LSM
+		var err error
+		got := allocatedDuring(func() { s2, err = OpenLSM(dir, LSMOptions{SyncBytes: -1}) })
+		if err == nil {
+			s2.Close()
+			t.Errorf("%s: reopen accepted the run", name)
+		} else if !strings.Contains(err.Error(), "open run") {
+			t.Errorf("%s: %v is not an open-run error", name, err)
+		}
+		if got > 1<<20 {
+			t.Errorf("%s: reopen allocated %d bytes", name, got)
+		}
+	}
+
+	// The honest file still opens and every region still reads.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen of the restored run: %v", err)
+	}
+	defer s2.Close()
+	for i := 0; i < 64; i++ {
+		if v, ok, err := s2.Get([]byte(fmt.Sprintf("key-%02d", i))); err != nil || !ok || string(v) != "v" {
+			t.Fatalf("restored run: Get(key-%02d) = %q, %v, %v", i, v, ok, err)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package kvstore
 
 import (
 	"bufio"
+	"bytes"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,7 +52,7 @@ type bloom struct {
 // bloomBlockWords is one cache line (64 bytes) of filter per block.
 const bloomBlockWords = 8
 
-func bloomHash(key string) (h1, h2 uint64) {
+func bloomHash[K string | []byte](key K) (h1, h2 uint64) {
 	// FNV-1a, then derive the second hash by rotation (Kirsch-Mitzenmacher
 	// double hashing: bit_i = h1 + i*h2).
 	const offset, prime = 14695981039346656037, 1099511628211
@@ -95,7 +97,7 @@ func buildBloom(keys []string, bitsPerKey int) bloom {
 	return b
 }
 
-func (b bloom) mayContain(key string) bool {
+func (b bloom) mayContain(key []byte) bool {
 	if len(b.bits) == 0 {
 		return true
 	}
@@ -315,7 +317,7 @@ func openRun(path string) (*run, error) {
 	dataLen := int64(binary.LittleEndian.Uint64(footer[0:8]))
 	bloomLen := int64(binary.LittleEndian.Uint64(footer[8:16]))
 	idxLen := int64(binary.LittleEndian.Uint64(footer[16:24]))
-	count := int(binary.LittleEndian.Uint64(footer[24:32]))
+	count := binary.LittleEndian.Uint64(footer[24:32])
 	// Each length is a hostile 64 bits until it is known to fit the file:
 	// as int64s a negative one and an oversized one can cancel in the sum,
 	// and meta below is sized from two of them.
@@ -367,19 +369,27 @@ func openRun(path string) (*run, error) {
 		if len(idx) < 2+klen+8 {
 			return fail(fmt.Errorf("index entry truncated"))
 		}
-		idxKeys = append(idxKeys, string(idx[2:2+klen]))
-		idxOffs = append(idxOffs, int64(binary.LittleEndian.Uint64(idx[2+klen:10+klen])))
+		key, off := string(idx[2:2+klen]), int64(binary.LittleEndian.Uint64(idx[2+klen:10+klen]))
+		// The offsets size the region a get reads and the keys steer its
+		// search: the first entry opens the data at 0, every later one is
+		// past its predecessor in both, and all lie inside the data.
+		if off >= dataLen || (i == 0 && off != 0) || (i > 0 && (off <= idxOffs[i-1] || key <= idxKeys[i-1])) {
+			return fail(fmt.Errorf("index entry %d (offset %d of %d data bytes) out of order", i, off, dataLen))
+		}
+		idxKeys = append(idxKeys, key)
+		idxOffs = append(idxOffs, off)
 		idx = idx[10+klen:]
 	}
-	if len(idxKeys) == 0 {
-		return fail(fmt.Errorf("empty index"))
+	// Every index entry is a record, and a record is at least its header.
+	if n == 0 || count < uint64(n) || count > uint64(dataLen)/9 {
+		return fail(fmt.Errorf("record count %d with %d index entries over %d data bytes", count, n, dataLen))
 	}
 	r := &run{
 		path:    path,
 		f:       f,
 		size:    st.Size(),
 		dataLen: dataLen,
-		count:   count,
+		count:   int(count),
 		filter:  filter,
 		idxKeys: idxKeys,
 		idxOffs: idxOffs,
@@ -392,34 +402,33 @@ func openRun(path string) (*run, error) {
 }
 
 // blockFor returns the file region [lo, hi) that may hold key: the span
-// between the greatest indexed key <= key and the next indexed key.
-func (r *run) blockFor(key string) (lo, hi int64) {
-	i := sort.SearchStrings(r.idxKeys, key) // first index >= key
-	switch {
-	case i < len(r.idxKeys) && r.idxKeys[i] == key:
-		lo = r.idxOffs[i]
-		if i+1 < len(r.idxOffs) {
-			hi = r.idxOffs[i+1]
-		} else {
-			hi = r.dataLen
-		}
-	case i == 0:
-		lo, hi = 0, 0 // key < minKey: not present
-	default:
-		lo = r.idxOffs[i-1]
-		if i < len(r.idxOffs) {
-			hi = r.idxOffs[i]
-		} else {
-			hi = r.dataLen
-		}
+// from the greatest indexed key <= key to the next indexed key. openRun
+// checked the offsets, so lo < hi <= dataLen; a key below minKey gets
+// the empty region.
+func (r *run) blockFor(key []byte) (lo, hi int64) {
+	// i is the first index entry > key, so entry i-1 opens key's region.
+	i := sort.Search(len(r.idxKeys), func(i int) bool { return r.idxKeys[i] > string(key) })
+	if i == 0 {
+		return 0, 0
 	}
-	return lo, hi
+	if i < len(r.idxOffs) {
+		return r.idxOffs[i-1], r.idxOffs[i]
+	}
+	return r.idxOffs[i-1], r.dataLen
 }
 
+// regionBufs recycles the buffers point reads load their region into.
+var regionBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // get probes the run for key: min/max bounds, then the bloom filter,
-// then a single bounded region read.
-func (r *run) get(key string, probes, skips *atomic.Uint64) (v []byte, del, ok bool, err error) {
-	if key < r.minKey || key > r.maxKey {
+// then one read of the bounded region — at most indexStride records —
+// into a pooled buffer, walked in place. The only allocation is the copy
+// of the value that is returned (a tombstone has none). Regions begin
+// and end on record boundaries, so only a clean end of the region means
+// "absent": a record the region cuts short has damaged lengths, and
+// reading it as the end would drop what follows.
+func (r *run) get(key []byte, probes, skips *atomic.Uint64) (v []byte, del, ok bool, err error) {
+	if string(key) < r.minKey || string(key) > r.maxKey {
 		return nil, false, false, nil
 	}
 	probes.Add(1)
@@ -428,66 +437,37 @@ func (r *run) get(key string, probes, skips *atomic.Uint64) (v []byte, del, ok b
 		return nil, false, false, nil
 	}
 	lo, hi := r.blockFor(key)
-	if lo >= hi {
-		return nil, false, false, nil
+	bp := regionBufs.Get().(*[]byte)
+	defer regionBufs.Put(bp)
+	*bp = slices.Grow((*bp)[:0], int(hi-lo))
+	buf := (*bp)[:hi-lo]
+	if _, err := r.f.ReadAt(buf, lo); err != nil {
+		return nil, false, false, fmt.Errorf("kvstore: read run %s at %d: %w", r.path, lo, err)
 	}
-	rr := r.region(lo, hi-lo)
-	defer regionPool.Put(rr)
-	br := rr.br
-	// Step through the region without materialising the records we pass
-	// over: peek the header and key in place, and only allocate for the
-	// one value we return. A region holds at most indexStride records, so
-	// this loop is the hot path of every disk-served point read. Regions
-	// begin and end on record boundaries, so only a clean end of the
-	// region means "absent"; a record cut short by it is corruption.
-	for {
-		hdr, rerr := br.Peek(9)
-		if rerr == io.EOF && len(hdr) == 0 {
-			return nil, false, false, nil
+	for len(buf) > 0 {
+		if len(buf) < 9 {
+			return nil, false, false, ErrCorruptRecord
 		}
-		if rerr != nil {
-			return nil, false, false, corruptIfCut(rerr)
+		d, klen, vlen, err := recordHeader(buf)
+		if err != nil {
+			return nil, false, false, err
 		}
-		d, klen, vlen, rerr := recordHeader(hdr)
-		if rerr != nil {
-			return nil, false, false, rerr
+		end := 9 + klen + vlen
+		if end > len(buf) {
+			return nil, false, false, ErrCorruptRecord
 		}
-		if 9+klen > br.Size() {
-			// Key longer than the peek window: fall back to a full decode.
-			k, val, dd, rerr := readRecord(br)
-			if rerr != nil {
-				return nil, false, false, corruptIfCut(rerr)
-			}
-			if k == key {
-				return val, dd, true, nil
-			}
-			if k > key {
-				return nil, false, false, nil
-			}
-			continue
-		}
-		rec, rerr := br.Peek(9 + klen)
-		if rerr != nil {
-			return nil, false, false, corruptIfCut(rerr)
-		}
-		switch cmp := cmpBytesString(rec[9:], key); {
-		case cmp == 0:
-			if _, rerr := br.Discard(9 + klen); rerr != nil {
-				return nil, false, false, rerr
-			}
-			val := make([]byte, vlen)
-			if _, rerr := io.ReadFull(br, val); rerr != nil {
-				return nil, false, false, corruptIfCut(rerr)
-			}
-			return val, d, true, nil
+		switch cmp := bytes.Compare(buf[9:9+klen], key); {
 		case cmp > 0:
 			return nil, false, false, nil
-		default:
-			if _, rerr := br.Discard(9 + klen + vlen); rerr != nil {
-				return nil, false, false, corruptIfCut(rerr)
+		case cmp == 0:
+			if !d {
+				v = append(make([]byte, 0, vlen), buf[9+klen:end]...)
 			}
+			return v, d, true, nil
 		}
+		buf = buf[end:]
 	}
+	return nil, false, false, nil
 }
 
 // corruptIfCut turns the end of a run region met inside a record into
@@ -501,31 +481,6 @@ func corruptIfCut(err error) error {
 	return err
 }
 
-// cmpBytesString is bytes.Compare across a []byte and a string without
-// converting either (the conversion would allocate on the ordered
-// branches the compiler cannot elide).
-func cmpBytesString(b []byte, s string) int {
-	n := len(b)
-	if len(s) < n {
-		n = len(s)
-	}
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
-}
-
 // regionReader is a buffered reader over one region of a run file. The
 // section reader is held by value next to the buffer that reads from it,
 // so pointing a pooled regionReader at a new region allocates nothing.
@@ -534,8 +489,8 @@ type regionReader struct {
 	br  *bufio.Reader
 }
 
-// regionPool recycles the readers behind point-read regions and run
-// iterators, so read-heavy workloads do not reallocate buffers per probe.
+// regionPool recycles the readers behind run iterators, so scans and
+// merges do not reallocate a buffer per run.
 var regionPool = sync.Pool{
 	New: func() any { return &regionReader{br: bufio.NewReaderSize(nil, 32<<10)} },
 }
@@ -558,15 +513,12 @@ type kvIter interface {
 // the greatest indexed key <= start.
 type runIterator struct {
 	rr    *regionReader
-	start string
+	start []byte
 	begun bool
 }
 
-func (r *run) iterator(start string) *runIterator {
-	lo := int64(0)
-	if start > r.minKey {
-		lo, _ = r.blockFor(start)
-	}
+func (r *run) iterator(start []byte) *runIterator {
+	lo, _ := r.blockFor(start) // 0 for a start below minKey
 	return &runIterator{rr: r.region(lo, r.dataLen-lo), start: start}
 }
 
@@ -579,7 +531,7 @@ func (it *runIterator) next() (string, []byte, bool, bool, error) {
 		if err != nil {
 			return "", nil, false, false, corruptIfCut(err)
 		}
-		if !it.begun && key < it.start {
+		if !it.begun && key < string(it.start) {
 			continue
 		}
 		it.begun = true

@@ -614,8 +614,9 @@ func (t *Trie) resolve(h types.Hash) (Node, error) {
 
 // decodeNode builds the node enc describes in one allocation whatever
 // its fan-out: child hashes are copied into the node's own slots, paths
-// and values alias enc, which the node therefore retains (both storage
-// engines return a private copy from Get).
+// and values alias enc, which the node therefore retains: a store's Get
+// result is shared and immutable (kvstore.Store), so the node may keep
+// it and must never write into it.
 func decodeNode(enc []byte) (Node, error) {
 	if len(enc) < 4 {
 		return nil, fmt.Errorf("mpt: node: %w", types.ErrTruncated)

@@ -40,7 +40,9 @@ type FlatState struct {
 	gen     uint64
 	keyBuf  []byte // flatKey scratch, used under mu
 
-	hits, misses, stale, resets uint64
+	// hits counts every read the layer served; persisted, the ones among
+	// them that the store answered because the LRU no longer held the key.
+	hits, persisted, misses, stale, resets uint64
 }
 
 // NewFlatState creates a flat layer over store with an in-memory LRU of
@@ -71,7 +73,7 @@ func NewFlatState(store kvstore.Store, entries int) *FlatState {
 }
 
 // flatKey builds "f:<gen>:key" in the layer's scratch buffer: callers
-// hold f.mu, and both storage engines copy their key argument.
+// hold f.mu, and no storage engine keeps its key argument.
 func flatKey[K string | []byte](f *FlatState, key K) []byte {
 	b := append(f.keyBuf[:0], 'f', ':')
 	b = binary.BigEndian.AppendUint64(b, f.gen)
@@ -107,6 +109,7 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 	}
 	f.cache.Put(string(key), v)
 	f.hits++
+	f.persisted++
 	return v, true
 }
 
@@ -144,8 +147,9 @@ func (f *FlatState) Counters() map[string]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return map[string]uint64{
-		"store.flat_hits":   f.hits,
-		"store.flat_misses": f.misses + f.stale,
-		"store.flat_resets": f.resets,
+		"store.flat_hits":           f.hits,
+		"store.flat_persisted_hits": f.persisted,
+		"store.flat_misses":         f.misses + f.stale,
+		"store.flat_resets":         f.resets,
 	}
 }

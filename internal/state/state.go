@@ -18,7 +18,9 @@ import (
 // set. There is no enumeration — no contract, workload or figure scans
 // state (the paper's data-model workloads are point reads and writes).
 type Backend interface {
-	// Get returns nil for absent keys.
+	// Get returns nil for absent keys. It must not keep key (the DB
+	// reuses those bytes for its next call); the result is shared and
+	// read-only, like a kvstore.Store's.
 	Get(key []byte) ([]byte, error)
 	// Commit applies writes (a nil value deletes the key), persists the
 	// structure changes and returns the new state root. The backend may
@@ -37,31 +39,54 @@ type journalEntry struct {
 }
 
 // DB is the mutable world state during block execution. It is not safe
-// for concurrent use; block execution is single-threaded on every
-// platform the paper studies.
+// for concurrent use — a read rebuilds keyBuf — and block execution is
+// single-threaded on every platform the paper studies.
 type DB struct {
 	backend Backend
-	// overlay holds uncommitted writes; a nil value is a deletion.
+	// overlay holds uncommitted writes; a nil value is a deletion. The
+	// map is made by the first write: most DBs (every head-state reader,
+	// every block after its commit) never see one.
 	overlay map[string][]byte
 	journal []journalEntry
+	// keyBuf is the composite key of the call in progress. A read probes
+	// the overlay and the backend with these bytes (neither keeps them); a
+	// write copies them into the string the overlay and journal hold.
+	// keyArr is its first backing, enough for every registry contract's
+	// keys: a DB lives for one block, and a buffer grown from nil would
+	// cost every one of them three allocations.
+	keyBuf []byte
+	keyArr [32]byte
 }
 
 // NewDB creates a state database over backend.
 func NewDB(backend Backend) *DB {
-	return &DB{backend: backend, overlay: make(map[string][]byte)}
+	db := &DB{backend: backend}
+	db.keyBuf = db.keyArr[:0]
+	return db
 }
 
-func accountKey(addr types.Address) string { return "a:" + string(addr[:]) }
-
-func stateKey(contract string, key []byte) string {
-	return "c:" + contract + ":" + string(key)
+func (db *DB) accountKey(addr types.Address) []byte {
+	db.keyBuf = append(append(db.keyBuf[:0], "a:"...), addr[:]...)
+	return db.keyBuf
 }
 
+func (db *DB) stateKey(contract string, key []byte) []byte {
+	b := append(append(db.keyBuf[:0], "c:"...), contract...)
+	db.keyBuf = append(append(b, ':'), key...)
+	return db.keyBuf
+}
+
+// raw is the MVStore's entry: a composite key it already holds as a string.
 func (db *DB) raw(key string) []byte {
-	if v, ok := db.overlay[key]; ok {
+	db.keyBuf = append(db.keyBuf[:0], key...)
+	return db.read(db.keyBuf)
+}
+
+func (db *DB) read(key []byte) []byte {
+	if v, ok := db.overlay[string(key)]; ok {
 		return v
 	}
-	v, err := db.backend.Get([]byte(key))
+	v, err := db.backend.Get(key)
 	if err != nil {
 		// Backend read errors indicate a broken store; in the simulated
 		// cluster this only happens for capped Parity memory, which
@@ -74,6 +99,9 @@ func (db *DB) raw(key string) []byte {
 func (db *DB) write(key string, value []byte) {
 	prev, had := db.overlay[key]
 	db.journal = append(db.journal, journalEntry{key: key, prev: prev, hadPrev: had})
+	if db.overlay == nil {
+		db.overlay = make(map[string][]byte)
+	}
 	db.overlay[key] = value
 }
 
@@ -95,12 +123,12 @@ func (db *DB) Revert(snap int) {
 
 // GetBalance returns the account balance (0 for unknown accounts).
 func (db *DB) GetBalance(addr types.Address) uint64 {
-	return types.U64(db.raw(accountKey(addr)))
+	return types.U64(db.read(db.accountKey(addr)))
 }
 
 // SetBalance assigns an account balance.
 func (db *DB) SetBalance(addr types.Address, amount uint64) {
-	db.write(accountKey(addr), types.U64Bytes(amount))
+	db.write(string(db.accountKey(addr)), types.U64Bytes(amount))
 }
 
 // Transfer moves amount from one account to another. A zero from-address
@@ -119,27 +147,27 @@ func (db *DB) Transfer(from, to types.Address, amount uint64) error {
 
 // GetState reads a contract state key (nil if absent).
 func (db *DB) GetState(contract string, key []byte) []byte {
-	return db.raw(stateKey(contract, key))
+	return db.read(db.stateKey(contract, key))
 }
 
 // SetState writes a contract state key.
 func (db *DB) SetState(contract string, key, value []byte) {
 	v := make([]byte, len(value))
 	copy(v, value)
-	db.write(stateKey(contract, key), v)
+	db.write(string(db.stateKey(contract, key)), v)
 }
 
 // DeleteState removes a contract state key.
 func (db *DB) DeleteState(contract string, key []byte) {
-	db.write(stateKey(contract, key), nil)
+	db.write(string(db.stateKey(contract, key)), nil)
 }
 
 // Commit hands the overlay to the backend as the block's write set and
-// returns the new state root. The journal is cleared and the DB, now
-// over a fresh overlay, remains usable.
+// returns the new state root (a nil map when nothing was written). The
+// journal is cleared and the DB, its overlay empty again, remains usable.
 func (db *DB) Commit() (types.Hash, error) {
 	writes := db.overlay
-	db.overlay = make(map[string][]byte)
+	db.overlay = nil
 	db.journal = db.journal[:0]
 	return db.backend.Commit(writes)
 }

@@ -70,7 +70,7 @@ func TestGoldenRootIOHeavyBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 2000; k++ {
-		v, err := cold.Get([]byte(stateKey("ioheavy", ioKey(k))))
+		v, err := cold.Get(append([]byte("c:ioheavy:"), ioKey(k)...))
 		if err != nil || len(v) != 100 || binary.LittleEndian.Uint64(v) != k%10 {
 			t.Fatalf("tuple %d = %x, %v", k, v, err)
 		}
