@@ -121,7 +121,7 @@ loc:
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
 # raise it says so in its diff of this line.
-LOC_MAX ?= 21598
+LOC_MAX ?= 21594
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -67,9 +67,9 @@ type Engine interface {
 	Start()
 	// Stop halts them. Engines must tolerate Stop before Start.
 	Stop()
-	// Handle processes one network message, returning false if the
-	// message type is not for this engine.
-	Handle(msg simnet.Message) bool
+	// Handle processes one network message; one that is not this
+	// engine's is ignored.
+	Handle(msg simnet.Message)
 }
 
 // Locator identifies one block on the requester's canonical chain.
@@ -179,19 +179,16 @@ type Orphans struct {
 }
 
 // Handle processes sync traffic and MsgBlock gossip for an engine whose
-// consensus rule accepts exactly the blocks valid reports true for. It
-// returns false if msg is neither.
-func (o *Orphans) Handle(ctx Context, msg simnet.Message, valid func(*types.Block) bool) bool {
+// consensus rule accepts exactly the blocks valid reports true for;
+// anything else is ignored.
+func (o *Orphans) Handle(ctx Context, msg simnet.Message, valid func(*types.Block) bool) {
 	if HandleSync(ctx, msg) {
 		o.drain(ctx)
-		return true
-	}
-	if msg.Type != MsgBlock {
-		return false
+		return
 	}
 	b, ok := msg.Payload.(*types.Block)
-	if !ok || msg.Corrupt || ctx.Chain.Has(b.Hash()) || !valid(b) {
-		return true
+	if !ok || msg.Type != MsgBlock || msg.Corrupt || ctx.Chain.Has(b.Hash()) || !valid(b) {
+		return
 	}
 	switch err := ctx.Chain.Append(b); err {
 	case nil:
@@ -209,7 +206,6 @@ func (o *Orphans) Handle(ctx Context, msg simnet.Message, valid func(*types.Bloc
 	default:
 		// Invalid block: drop.
 	}
-	return true
 }
 
 // drain retries buffered blocks whose parents may now be known.

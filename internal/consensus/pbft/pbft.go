@@ -135,16 +135,9 @@ func (e *Engine) Start() { e.run.Start() }
 // Stop implements consensus.Engine.
 func (e *Engine) Stop() { e.run.Stop() }
 
-// Handle implements consensus.Engine.
-func (e *Engine) Handle(msg simnet.Message) bool {
-	switch msg.Type {
-	case MsgPrePrepare, MsgPrepare, MsgCommit, MsgViewChange,
-		consensus.MsgSyncReq, consensus.MsgSyncResp:
-		e.run.Deliver(msg)
-		return true
-	}
-	return false
-}
+// Handle implements consensus.Engine. The core tells its own messages
+// from anyone else's by payload type.
+func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }
 
 // Counters implements metrics.CounterProvider.
 func (e *Engine) Counters() map[string]uint64 {

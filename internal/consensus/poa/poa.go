@@ -9,8 +9,6 @@
 package poa
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"blockbench/internal/consensus"
@@ -38,94 +36,33 @@ func DefaultOptions() Options {
 // stepDuration itself, but a hard cap keeps memory bounded.
 const maxTxsPerBlock = 4096
 
-// Engine is one authority node.
+// Engine is one authority node: a core behind a runner.
 type Engine struct {
-	ctx  consensus.Context
-	opts Options
-
-	stop    chan struct{}
-	done    sync.WaitGroup
-	started atomic.Bool
-	sealed  atomic.Uint64
-
-	orphans consensus.Orphans // blocks whose parents are not yet known
+	run *consensus.Runner // its mutex guards the core
+	*core
 }
 
 // New creates a PoA engine from resolved options (the preset starts
 // from DefaultOptions).
 func New(ctx consensus.Context, opts Options) *Engine {
-	return &Engine{ctx: ctx, opts: opts, stop: make(chan struct{})}
+	e := &Engine{core: &core{ctx: ctx, opts: opts}}
+	e.run = consensus.NewRunner(e.step, nil)
+	return e
 }
 
 // Start implements consensus.Engine.
-func (e *Engine) Start() {
-	if !e.started.CompareAndSwap(false, true) {
-		return
-	}
-	e.done.Add(1)
-	go e.stepLoop()
-}
+func (e *Engine) Start() { e.run.Start() }
 
 // Stop implements consensus.Engine.
-func (e *Engine) Stop() {
-	if e.started.CompareAndSwap(true, false) {
-		close(e.stop)
-		e.done.Wait()
-	}
-}
-
-// Counters implements metrics.CounterProvider.
-func (e *Engine) Counters() map[string]uint64 {
-	return map[string]uint64{"poa.sealed": e.sealed.Load()}
-}
-
-func (e *Engine) myTurn(step int64) bool {
-	n := int64(len(e.opts.Authorities))
-	if n == 0 {
-		return false
-	}
-	return e.opts.Authorities[step%n] == e.ctx.Address
-}
-
-func (e *Engine) stepLoop() {
-	defer e.done.Done()
-	tick := time.NewTicker(e.opts.StepDuration)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case now := <-tick.C:
-			step := now.UnixNano() / int64(e.opts.StepDuration)
-			if !e.myTurn(step) {
-				continue
-			}
-			txs := e.ctx.Pool.Batch(maxTxsPerBlock, 0)
-			block, err := e.ctx.Chain.ProposeBlock(txs, e.ctx.Address, 1, uint64(step))
-			if err != nil {
-				continue
-			}
-			if err := e.ctx.Chain.Append(block); err != nil {
-				continue
-			}
-			e.sealed.Add(1)
-			e.ctx.Endpoint.Broadcast(consensus.MsgBlock, block)
-		}
-	}
-}
+func (e *Engine) Stop() { e.run.Stop() }
 
 // Handle implements consensus.Engine: sync traffic, and gossiped blocks
 // sealed by the authority that owned their step.
-func (e *Engine) Handle(msg simnet.Message) bool {
-	return e.orphans.Handle(e.ctx, msg, e.validProposer)
-}
+func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }
 
-// validProposer checks the block's proposer is an authority that owned
-// the block's step.
-func (e *Engine) validProposer(b *types.Block) bool {
-	n := uint64(len(e.opts.Authorities))
-	if n == 0 {
-		return false
-	}
-	return e.opts.Authorities[b.Header.View%n] == b.Header.Proposer
+// Counters implements metrics.CounterProvider.
+func (e *Engine) Counters() map[string]uint64 {
+	e.run.Lock()
+	defer e.run.Unlock()
+	return map[string]uint64{"poa.sealed": e.sealed}
 }

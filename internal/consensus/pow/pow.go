@@ -210,6 +210,6 @@ func (e *Engine) broadcastBlock(b *types.Block) {
 
 // Handle implements consensus.Engine: sync traffic, and gossiped blocks
 // that carry a valid seal.
-func (e *Engine) Handle(msg simnet.Message) bool {
-	return e.orphans.Handle(e.ctx, msg, func(b *types.Block) bool { return SealOK(&b.Header) })
+func (e *Engine) Handle(msg simnet.Message) {
+	e.orphans.Handle(e.ctx, msg, func(b *types.Block) bool { return SealOK(&b.Header) })
 }

@@ -3,7 +3,7 @@ package raft
 import (
 	"encoding/binary"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"blockbench/internal/consensus"
@@ -32,10 +32,16 @@ const metaKey = "raft:hard"
 
 // core is one Raft replica's protocol state and logic, and nothing
 // else: no lock, no goroutine, no clock. Everything happens inside
-// step(now, msg), which sends through ctx.Endpoint, persists through
+// Step(now, msg), which sends through ctx.Endpoint, persists through
 // ctx.Meta, applies through ctx.Chain and returns the next instant the
 // replica needs to run. The Engine's runner supplies the time, the
 // serialization and the timer; a test supplies them by hand.
+//
+// Core is the replica for an engine that contains one and steps it inside
+// its own step (sharding's gateway): the exported methods, none of which
+// locks, are its whole surface.
+type Core = core
+
 type core struct {
 	ctx   consensus.Context
 	opts  Options
@@ -65,9 +71,7 @@ type core struct {
 	// preloaded history) or at snapshot install.
 	appliedHeight uint64
 	baseSet       bool
-	// mismatchIndex/mismatchHeight locate the first entry whose block
-	// was already on the chain with other transactions (0: none). The
-	// replica stops applying there.
+	// Where the replica stopped applying (0: nowhere; see ApplyMismatch).
 	mismatchIndex  uint64
 	mismatchHeight uint64
 
@@ -97,13 +101,14 @@ type core struct {
 	applyMismatches uint64
 }
 
-func newCore(ctx consensus.Context, opts Options, now time.Time) *core {
+// NewCore builds a replica that has no runner.
+func NewCore(ctx consensus.Context, opts Options, now time.Time) *Core {
 	// The lease must expire before any successor can be elected: cap it
 	// at half the election-timeout floor (one shared clock here, so no
 	// drift margin beyond that).
 	lease := min(opts.Heartbeat*leaseFactor, opts.ElectionTimeout/2)
-	peers := append([]simnet.NodeID(nil), ctx.Peers...)
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	peers := slices.Clone(ctx.Peers)
+	slices.Sort(peers)
 	c := &core{
 		ctx:        ctx,
 		opts:       opts,
@@ -124,8 +129,9 @@ func newCore(ctx consensus.Context, opts Options, now time.Time) *core {
 // step advances the replica to now on one event: consensus.Wake (the
 // timer or a pool admission) or a delivered message. Corrupted messages
 // (the paper's "random response" failure mode) fail authentication and
-// are dropped. It returns the next instant the replica needs a Wake.
-func (c *core) step(now time.Time, msg simnet.Message) time.Time {
+// are dropped, and so is whatever is not Raft's. It returns the next
+// instant the replica needs a Wake.
+func (c *core) Step(now time.Time, msg simnet.Message) time.Time {
 	if consensus.HandleSync(c.ctx, msg) {
 		// Snapshot catch-up moves canonical blocks over the shared sync
 		// protocol; any replica serves requests from its chain, and a
@@ -266,10 +272,15 @@ func (c *core) saveMeta() {
 
 func (c *core) majority() int { return len(c.peers)/2 + 1 }
 
-// leaseRead classifies one client read (see Engine.LeaseRead) and
-// counts it: a lease read needs a leader that a majority (self
-// included) has acknowledged within the lease window.
-func (c *core) leaseRead(now time.Time) bool {
+// IsLeader reports whether this replica currently leads.
+func (c *core) IsLeader() bool { return c.role == leader }
+
+// LeaseRead classifies one client read on this replica and counts it
+// (raft.lease_reads vs raft.read_redirects): true means it is the leader
+// and a majority (self included) has acknowledged it within the lease,
+// Heartbeat×leaseFactor, so the local answer is linearizable without a
+// log round-trip; false means the read would have to redirect to the leader.
+func (c *core) LeaseRead(now time.Time) bool {
 	cnt := 0
 	if c.role == leader {
 		cnt = 1 // self
@@ -285,6 +296,29 @@ func (c *core) leaseRead(now time.Time) bool {
 	}
 	c.leaseReads++
 	return true
+}
+
+// ApplyMismatch locates the first committed entry whose block this
+// replica found already on its chain holding other transactions — the
+// point where chain and log diverged and the replica stopped applying
+// (ok=false: none). Counted as raft.apply_mismatches.
+func (c *core) ApplyMismatch() (index, height uint64, ok bool) {
+	return c.mismatchIndex, c.mismatchHeight, c.mismatchIndex != 0
+}
+
+// Counters implements metrics.CounterProvider.
+func (c *core) Counters() map[string]uint64 {
+	return map[string]uint64{
+		"raft.elections":         c.elections,
+		"raft.leader_wins":       c.leaderWins,
+		"raft.batches":           c.batchesDone,
+		"raft.lease_reads":       c.leaseReads,
+		"raft.read_redirects":    c.readRedirect,
+		"raft.compactions":       c.compactions,
+		"raft.snapshots_sent":    c.snapsSent,
+		"raft.snapshot_installs": c.snapsTaken,
+		"raft.apply_mismatches":  c.applyMismatches,
+	}
 }
 
 func (c *core) resetDeadline(now time.Time) {
@@ -350,9 +384,7 @@ func (c *core) stepDown(term uint64, now time.Time) {
 	c.role = follower
 	c.votes = nil
 	c.batchDue = time.Time{}
-	if len(c.assigned) > 0 {
-		c.assigned = make(map[types.Hash]bool)
-	}
+	clear(c.assigned)
 	c.resetDeadline(now)
 }
 
@@ -461,10 +493,7 @@ func (c *core) broadcastAppends(now time.Time, heartbeat bool) {
 // messages, so a burst streams without waiting for per-message acks.
 // Followers behind the compacted prefix get an InstallSnapshot instead.
 func (c *core) sendTo(now time.Time, p simnet.NodeID, heartbeat bool) {
-	ni := c.next[p]
-	if ni == 0 {
-		ni = 1
-	}
+	ni := max(c.next[p], 1)
 	if ni <= c.snapIndex {
 		c.sendSnapshot(now, p)
 		return
@@ -810,10 +839,7 @@ func (c *core) onAppendResp(now time.Time, from simnet.NodeID, r *AppendResp) {
 	// nextIndex above the follower's log end and wedge replication (and
 	// with it the commit index) forever. Lowering match is always safe:
 	// it can only delay commit advancement, never un-commit.
-	ni := c.next[from]
-	if ni == 0 {
-		ni = 1
-	}
+	ni := max(c.next[from], 1)
 	if hinted := r.Match + 1; hinted < ni {
 		ni = hinted
 	} else if ni > 1 {
@@ -850,7 +876,6 @@ func (c *core) onSnapshot(now time.Time, from simnet.NodeID, s *InstallSnapshot)
 		return
 	}
 	c.rebase(s.LastIndex, s.LastTerm, s.Height, s.Root)
-	c.assigned = make(map[types.Hash]bool)
 	c.snapsTaken++
 	c.saveMeta()
 	c.syncReqAt = now

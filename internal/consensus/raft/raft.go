@@ -24,7 +24,7 @@
 // sync instead of a replay from index 1.
 //
 // The package is split along the consensus seam (DESIGN.md): core.go is
-// the protocol behind one step(now, event), with no lock, clock or
+// the protocol behind one Step(now, event), with no lock, clock or
 // goroutine; Engine here is that core behind a consensus.Runner. Like
 // the other engines, a replica processes all messages on its node's
 // single inbox goroutine.
@@ -206,12 +206,12 @@ type Engine struct {
 // New creates a Raft engine from resolved options (presets and tests
 // start from DefaultOptions). All peers run replicas.
 func New(ctx consensus.Context, opts Options) *Engine {
-	e := &Engine{core: newCore(ctx, opts, time.Now())}
+	e := &Engine{core: NewCore(ctx, opts, time.Now())}
 	var notify <-chan struct{} // pool admission signal (propose-time replication)
 	if ctx.Pool != nil {
 		notify = ctx.Pool.Notify()
 	}
-	e.run = consensus.NewRunner(e.step, notify)
+	e.run = consensus.NewRunner(e.Step, notify)
 	return e
 }
 
@@ -221,59 +221,34 @@ func (e *Engine) Start() { e.run.Start() }
 // Stop implements consensus.Engine.
 func (e *Engine) Stop() { e.run.Stop() }
 
-// Handle implements consensus.Engine.
-func (e *Engine) Handle(msg simnet.Message) bool {
-	switch msg.Type {
-	case MsgRequestVote, MsgVote, MsgAppend, MsgAppendResp, MsgSnapshot,
-		consensus.MsgSyncReq, consensus.MsgSyncResp:
-		e.run.Deliver(msg)
-		return true
-	}
-	return false
-}
+// Handle implements consensus.Engine. The core tells its own messages
+// from anyone else's by payload type.
+func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }
 
-// IsLeader reports whether this replica currently leads.
+// IsLeader is the core's, under the lock.
 func (e *Engine) IsLeader() bool {
 	e.run.Lock()
 	defer e.run.Unlock()
-	return e.role == leader
+	return e.core.IsLeader()
 }
 
-// LeaseRead classifies one client read on this replica: true means it
-// is the leader under a live majority lease (heard from a majority
-// within Heartbeat×leaseFactor) and the local answer is linearizable
-// without a log round-trip; false means the read would have to redirect
-// to the leader for that guarantee. Counted as raft.lease_reads vs
-// raft.read_redirects.
+// LeaseRead is the core's, under the lock at the current time.
 func (e *Engine) LeaseRead() bool {
 	e.run.Lock()
 	defer e.run.Unlock()
-	return e.leaseRead(time.Now())
+	return e.core.LeaseRead(time.Now())
 }
 
-// ApplyMismatch locates the first committed entry whose block this
-// replica found already on its chain holding other transactions — the
-// point where chain and log diverged and the replica stopped applying
-// (ok=false: none). Counted as raft.apply_mismatches.
+// ApplyMismatch is the core's, under the lock.
 func (e *Engine) ApplyMismatch() (index, height uint64, ok bool) {
 	e.run.Lock()
 	defer e.run.Unlock()
-	return e.mismatchIndex, e.mismatchHeight, e.mismatchIndex != 0
+	return e.core.ApplyMismatch()
 }
 
-// Counters implements metrics.CounterProvider.
+// Counters is the core's, under the lock.
 func (e *Engine) Counters() map[string]uint64 {
 	e.run.Lock()
 	defer e.run.Unlock()
-	return map[string]uint64{
-		"raft.elections":         e.elections,
-		"raft.leader_wins":       e.leaderWins,
-		"raft.batches":           e.batchesDone,
-		"raft.lease_reads":       e.leaseReads,
-		"raft.read_redirects":    e.readRedirect,
-		"raft.compactions":       e.compactions,
-		"raft.snapshots_sent":    e.snapsSent,
-		"raft.snapshot_installs": e.snapsTaken,
-		"raft.apply_mismatches":  e.applyMismatches,
-	}
+	return e.core.Counters()
 }

@@ -50,7 +50,14 @@ func (r *Runner) Deliver(msg simnet.Message) {
 	r.Lock()
 	defer r.Unlock()
 	now := time.Now()
-	if wake := r.step(now, msg); wake.IsZero() {
+	r.Arm(now, r.step(now, msg))
+}
+
+// Arm sets the timer to fire at wake (zero: never). Deliver does it
+// after every step; an engine that changes its core's deadlines outside
+// a step — under the lock, which the caller holds — does it itself.
+func (r *Runner) Arm(now, wake time.Time) {
+	if wake.IsZero() {
 		r.timer.Stop()
 	} else {
 		r.timer.Reset(wake.Sub(now))

@@ -18,9 +18,9 @@ import (
 // nullConsensus commits nothing; tests drive the chain directly.
 type nullConsensus struct{}
 
-func (nullConsensus) Start()                       {}
-func (nullConsensus) Stop()                        {}
-func (nullConsensus) Handle(m simnet.Message) bool { return false }
+func (nullConsensus) Start()                  {}
+func (nullConsensus) Stop()                   {}
+func (nullConsensus) Handle(m simnet.Message) {}
 
 func newTestNode(t *testing.T, cfgMut func(*Config)) (*Node, *ledger.Chain, *crypto.Key) {
 	t.Helper()

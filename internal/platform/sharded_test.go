@@ -184,7 +184,7 @@ func TestShardedShardGroupsIsolated(t *testing.T) {
 		leaders := make(map[int]int)
 		for i := 0; i < c.Size(); i++ {
 			eng := c.Node(i).Consensus().(*sharding.Engine)
-			if eng.Inner().IsLeader() {
+			if eng.IsLeader() {
 				leaders[eng.Shard()]++
 			}
 		}

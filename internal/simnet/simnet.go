@@ -14,6 +14,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,7 +101,11 @@ type Network struct {
 
 	mu        sync.RWMutex
 	endpoints map[NodeID]*Endpoint
-	crashed   map[NodeID]bool
+	// ids holds the joined IDs in ascending order. Join replaces the
+	// slice instead of writing into it, so Broadcast walks a snapshot
+	// without holding the lock or allocating.
+	ids     []NodeID
+	crashed map[NodeID]bool
 	// group assigns each node to a partition group; messages crossing
 	// group boundaries are dropped while partitioned is true.
 	partitioned bool
@@ -154,19 +159,12 @@ func (n *Network) Join(id NodeID) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ep := &Endpoint{ID: id, Inbox: make(chan Message, n.cfg.InboxSize), net: n}
+	if _, rejoin := n.endpoints[id]; !rejoin {
+		i, _ := slices.BinarySearch(n.ids, id)
+		n.ids = slices.Insert(slices.Clone(n.ids), i, id)
+	}
 	n.endpoints[id] = ep
 	return ep
-}
-
-// Peers returns the IDs of all joined endpoints.
-func (n *Network) Peers() []NodeID {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]NodeID, 0, len(n.endpoints))
-	for id := range n.endpoints {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Send transmits a message from ep to the given destination. It returns
@@ -176,9 +174,14 @@ func (ep *Endpoint) Send(to NodeID, typ string, payload any) bool {
 	return ep.net.send(ep, to, typ, payload)
 }
 
-// Broadcast sends the message to every other endpoint.
+// Broadcast sends the message to every other endpoint, in ascending ID
+// order: which link gets which draw from the network's seeded rng is
+// then a function of the seed and the sends, not of map iteration.
 func (ep *Endpoint) Broadcast(typ string, payload any) {
-	for _, id := range ep.net.Peers() {
+	ep.net.mu.RLock()
+	ids := ep.net.ids
+	ep.net.mu.RUnlock()
+	for _, id := range ids {
 		if id != ep.ID {
 			ep.net.send(ep, id, typ, payload)
 		}

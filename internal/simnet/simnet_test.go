@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -268,4 +270,79 @@ func TestHealKeepsLinkFaults(t *testing.T) {
 	}
 	recvWithin(t, b, time.Second)
 	recvWithin(t, b, time.Second) // the duplicate: the profile survived
+}
+
+// inboxCounts waits for every scheduled delivery, then reports how many
+// messages each endpoint holds.
+func inboxCounts(n *Network, eps []*Endpoint) []int {
+	n.timers.Wait()
+	out := make([]int, len(eps))
+	for i, ep := range eps {
+		out[i] = len(ep.Inbox)
+	}
+	return out
+}
+
+// TestBroadcastSendsInIDOrder: a broadcast walks the joined IDs in
+// ascending order whatever order they joined in, so the k-th draw from
+// the seeded rng belongs to the k-th smallest peer. Observed through a
+// Drop=0.5 link: exactly one draw per destination decides whether it is
+// lost, so the set of receivers is a function of the seed alone.
+func TestBroadcastSendsInIDOrder(t *testing.T) {
+	const sender = 3
+	for rep := 0; rep < 50; rep++ {
+		seed := int64(rep)
+		n := New(Config{InboxSize: 8, Seed: seed})
+		eps := make([]*Endpoint, 7)
+		for _, id := range []NodeID{3, 0, 6, 1, 5, 2, 4} {
+			eps[id] = n.Join(id)
+		}
+		n.SetLinkFaults(LinkFaults{Drop: 0.5}, sender)
+		eps[sender].Broadcast("x", nil)
+		got := inboxCounts(n, eps)
+		n.Close()
+
+		rng := rand.New(rand.NewSource(seed))
+		for id := range eps {
+			want := 0
+			if id != sender && rng.Float64() >= 0.5 {
+				want = 1
+			}
+			if got[id] != want {
+				t.Fatalf("seed %d: node %d holds %d messages, want %d (receivers %v): "+
+					"draws were not handed out in ascending ID order", seed, id, got[id], want, got)
+			}
+		}
+	}
+}
+
+// TestSameSeedSameFate: two networks built from one seed hand identical
+// sends identical fates link by link — jitter, drop and duplicate draws
+// all come off the one rng in send order, so a difference anywhere would
+// shift every later link's outcome.
+func TestSameSeedSameFate(t *testing.T) {
+	run := func() ([]int, Stats) {
+		n := New(Config{Jitter: 300 * time.Microsecond, InboxSize: 64, Seed: 99})
+		defer n.Close()
+		eps := make([]*Endpoint, 7)
+		for i := range eps {
+			eps[i] = n.Join(NodeID(i))
+		}
+		n.SetLinkFaults(LinkFaults{Drop: 0.3, Dup: 0.3})
+		for round := 0; round < 4; round++ {
+			for i, ep := range eps {
+				ep.Broadcast("x", nil)
+				ep.Send(NodeID((i+round+1)%len(eps)), "y", nil)
+			}
+		}
+		return inboxCounts(n, eps), n.Stats()
+	}
+	a, sa := run()
+	b, sb := run()
+	if !slices.Equal(a, b) || sa != sb {
+		t.Fatalf("one seed, two outcomes:\n%v %+v\n%v %+v", a, sa, b, sb)
+	}
+	if sa.ChaosDrops == 0 || sa.ChaosDups == 0 {
+		t.Fatalf("fault draws never fired: %+v", sa)
+	}
 }
