@@ -7,8 +7,9 @@
 #                write the results to BENCH_ci.json so the performance
 #                trajectory accumulates across PRs
 #   make allocprof PLATFORM=hyperledger WORKLOAD=smallbank SECONDS=5
-#                where a live run's allocated bytes and objects go (top
-#                15 frames of each); ARGS='-popt store=lsm -wopt
+#                where a live run's allocated bytes and objects go from a
+#                quarter to three quarters of the way through (top 15
+#                frames of each); ARGS='-popt store=lsm -wopt
 #                tuples=10' reaches the CLI
 #   make bench-build  compile and vet bench/, the benchmark's own module:
 #                tier-1 never builds it, and it imports internal/...
@@ -83,14 +84,17 @@ bench-build:
 # allocprof answers "where do the bytes go" for one platform x workload:
 # a 4-node run with the per-run ops endpoint up, the heap's allocation
 # profile (everything allocated since process start) fetched from
-# /debug/pprof/allocs three quarters of the way through, and the top
-# frames printed by bytes and then by objects (the benchmark gates
-# allocs_per_tx, a count: a 33-byte make per Merkle leaf is invisible in
-# the first table and near the top of the second). The profile stays in
-# $(ALLOCPROF_OUT) for `go tool pprof -list` or a diff against another
-# commit's. ARGS is appended to the CLI line (-popt/-wopt and the like),
-# e.g. the trie write path: PLATFORM=quorum WORKLOAD=ioheavy
-# ARGS='-popt store=lsm -wopt tuples=10'.
+# /debug/pprof/allocs twice, a quarter and three quarters of the way
+# through, and the top frames of their difference (-base first second,
+# so set-up and preload drop out: one cumulative snapshot once blamed
+# compaction for a CLI run's preload) printed by bytes and then by
+# objects (the benchmark gates allocs_per_tx, a count: a 33-byte make per
+# Merkle leaf is invisible in the first table and near the top of the
+# second). The later snapshot stays in $(ALLOCPROF_OUT), the earlier one
+# beside it with -base in its name, for `go tool pprof -list` or a diff
+# against another commit's. ARGS is appended to the CLI line (-popt/-wopt
+# and the like), e.g. the trie write path: PLATFORM=quorum
+# WORKLOAD=ioheavy ARGS='-popt store=lsm -wopt tuples=10'.
 PLATFORM ?= hyperledger
 WORKLOAD ?= smallbank
 SECONDS ?= 5
@@ -108,11 +112,14 @@ allocprof:
 		kill -0 $$run_pid 2> /dev/null || { echo "allocprof: run exited before its ops endpoint answered"; exit 1; }; \
 		sleep 0.2; \
 	done; \
-	sleep $$(( $(SECONDS) * 3 / 4 )); \
+	sleep $$(( $(SECONDS) / 4 )); \
+	curl -sf -o $(basename $(ALLOCPROF_OUT))-base.pprof http://$(ALLOCPROF_ADDR)/debug/pprof/allocs; \
+	sleep $$(( $(SECONDS) * 3 / 4 - $(SECONDS) / 4 )); \
 	curl -sf -o $(ALLOCPROF_OUT) http://$(ALLOCPROF_ADDR)/debug/pprof/allocs; \
 	wait $$run_pid; \
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(ALLOCPROF_OUT); \
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(ALLOCPROF_OUT)
+	for index in alloc_space alloc_objects; do \
+		$(GO) tool pprof -sample_index=$$index -top -nodecount=15 -base $(basename $(ALLOCPROF_OUT))-base.pprof $(ALLOCPROF_OUT); \
+	done
 
 # loc makes "net-negative" a number in the log rather than a claim.
 loc:
@@ -120,12 +127,13 @@ loc:
 
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
-# raise it says so in its diff of this line.
-LOC_MAX ?= 21594
+# raise it says so in its diff of this line. PR 25 raised it from 21594:
+# the one-slab record helpers and the write path's ownership comments.
+LOC_MAX ?= 21612
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \
 	test $$n -le $(LOC_MAX) || { echo "loc-check: $$n exceeds LOC_MAX=$(LOC_MAX)"; exit 1; }
 
 clean:
-	rm -f BENCH_ci.json BENCH_new.json $(ALLOCPROF_OUT)
+	rm -f BENCH_ci.json BENCH_new.json $(ALLOCPROF_OUT) $(basename $(ALLOCPROF_OUT))-base.pprof

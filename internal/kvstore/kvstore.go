@@ -32,10 +32,11 @@ type Stats struct {
 // Store is the engine interface shared by all state backends.
 //
 // Ownership: no method keeps a slice it is passed — Put copies key and
-// value — and nobody writes into a slice Get returns. An engine only
-// ever replaces a stored value, never rewrites it in place, so a Get
-// result is shared and immutable: the caller may keep it for ever and
-// must not modify it.
+// value, together, into the one allocation that is the stored record —
+// and nobody writes into a slice Get returns. An engine only ever
+// replaces a stored record, never rewrites it in place, so a Get result
+// is shared and immutable: the caller may keep it for ever and must not
+// modify it.
 type Store interface {
 	// Get returns the value for key, with ok=false if absent.
 	Get(key []byte) (value []byte, ok bool, err error)
@@ -109,8 +110,7 @@ func (s *Mem) Put(key, value []byte) error {
 		return ErrClosed
 	}
 	s.writes++
-	k := string(key)
-	old, had := s.m[k]
+	old, had := s.m[string(key)]
 	delta := int64(len(key) + len(value))
 	if had {
 		delta = int64(len(value) - len(old))
@@ -118,9 +118,8 @@ func (s *Mem) Put(key, value []byte) error {
 	if s.cap > 0 && s.bytes+delta > s.cap {
 		return ErrMemoryFull
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	s.m[k] = v
+	k, v := newRecord(key, value)
+	s.m[k] = v // replaces the key string too, releasing the old record
 	s.bytes += delta
 	return nil
 }

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // LSM is a log-structured merge store: writes go to a group-fsynced
@@ -208,6 +210,8 @@ func (s *LSM) replayWAL() error {
 	return nil
 }
 
+// memApply installs a record. Assigning to a present key replaces the
+// map's key string too, so an overwritten record is released whole.
 func (s *LSM) memApply(k string, v []byte, del bool) {
 	if old, ok := s.mem[k]; ok {
 		s.memBytes -= int64(len(k) + len(old.value))
@@ -216,23 +220,32 @@ func (s *LSM) memApply(k string, v []byte, del bool) {
 	s.memBytes += int64(len(k) + len(v))
 }
 
+// newRecord copies key and value into one allocation laid out
+// [key | value], the shape both engines store a record in.
+func newRecord(key, value []byte) (k string, v []byte) {
+	return splitRecord(append(append(make([]byte, 0, len(key)+len(value)), key...), value...), len(key))
+}
+
+// splitRecord views a [key | value] slab as a string over its head and
+// the tail, capacity clipped: sound because nothing writes into a stored
+// record (Store's ownership rule).
+func splitRecord(slab []byte, klen int) (string, []byte) {
+	return unsafe.String(unsafe.SliceData(slab), klen), slab[klen:len(slab):len(slab)]
+}
+
 // record layout: flag(1) klen(4) vlen(4) key val
 //
 // The header is built in the writer's own spare buffer space: a local
-// array would escape through Write, one heap object per record.
+// array would escape through Write, one heap object per record. A failed
+// write is sticky in bufio.Writer, so the last one reports any of them.
 func writeRecord(w *bufio.Writer, k string, v []byte, del bool) error {
 	hdr := append(w.AvailableBuffer(), 0)
 	if del {
 		hdr[0] = 1
 	}
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(k)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(v)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(k); err != nil {
-		return err
-	}
+	w.Write(binary.LittleEndian.AppendUint32(hdr, uint32(len(v))))
+	w.WriteString(k)
 	_, err := w.Write(v)
 	return err
 }
@@ -259,35 +272,39 @@ func recordHeader(hdr []byte) (del bool, klen, vlen int, err error) {
 	return hdr[0] == 1, int(kl), int(vl), nil
 }
 
-func readRecord(r io.Reader) (k string, v []byte, del bool, err error) {
-	var hdr [9]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// readRecord reads one record into one slab (splitRecord), peeking the
+// header in r's own buffer; errors are io.ReadFull's: io.EOF only
+// between records.
+func readRecord(r *bufio.Reader) (k string, v []byte, del bool, err error) {
+	hdr, err := r.Peek(9)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return
 	}
-	del, klen, vlen, err := recordHeader(hdr[:])
+	del, klen, vlen, err := recordHeader(hdr)
 	if err != nil {
 		return
 	}
-	kb := make([]byte, klen)
-	if _, err = io.ReadFull(r, kb); err != nil {
+	r.Discard(9)
+	slab := make([]byte, klen+vlen)
+	if _, err = io.ReadFull(r, slab); err != nil {
 		err = io.ErrUnexpectedEOF
 		return
 	}
-	v = make([]byte, vlen)
-	if _, err = io.ReadFull(r, v); err != nil {
-		err = io.ErrUnexpectedEOF
-		return
-	}
-	return string(kb), v, del, nil
+	k, v = splitRecord(slab, klen)
+	return k, v, del, nil
 }
 
 // walAppend writes one record to the WAL buffer and group-fsyncs once
 // enough unsynced bytes accumulate: many records share one fsync. It
-// refuses what readRecord would: a record that replay could not read
-// back must not be acknowledged.
+// refuses what a later open could not read back, so it is never
+// acknowledged: a value over the record limit, and a key too long for a
+// run's sparse index, which stores key lengths as uint16.
 func (s *LSM) walAppend(k string, v []byte, del bool) error {
-	if len(k) > maxRecordLen || len(v) > maxRecordLen {
-		return fmt.Errorf("kvstore: %d B key, %d B value: over the %d B record limit", len(k), len(v), maxRecordLen)
+	if len(k) > math.MaxUint16 || len(v) > maxRecordLen {
+		return fmt.Errorf("kvstore: %d B key, %d B value: over the %d B key or %d B value limit", len(k), len(v), math.MaxUint16, maxRecordLen)
 	}
 	if err := writeRecord(s.walBuf, k, v, del); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
@@ -324,9 +341,7 @@ func (s *LSM) Put(key, value []byte) error {
 		return ErrClosed
 	}
 	s.puts.Add(1)
-	k := string(key)
-	v := make([]byte, len(value))
-	copy(v, value)
+	k, v := newRecord(key, value)
 	if err := s.walAppend(k, v, false); err != nil {
 		return err
 	}
@@ -391,7 +406,7 @@ func (s *LSM) flushLocked() error {
 
 	path := filepath.Join(s.dir, fmt.Sprintf("run-%08d.sst", s.nextRun))
 	s.nextRun++
-	rw, err := newRunWriter(path, s.bitsPerKey)
+	rw, err := newRunWriter(path, s.bitsPerKey, len(keys))
 	if err != nil {
 		return err
 	}
@@ -528,9 +543,15 @@ func (s *LSM) compactRange(lo, hi int) error {
 	window := append([]*run(nil), s.runs[lo:hi]...)
 	dropTombstones := hi == len(s.runs)
 
+	var cost int64
+	var records int // upper bound on the merged run's: duplicates collapse
+	for _, r := range window {
+		cost += r.size
+		records += r.count
+	}
 	target := window[0].path // newest sequence number in the window
 	path := target + ".tmp"
-	rw, err := newRunWriter(path, s.bitsPerKey)
+	rw, err := newRunWriter(path, s.bitsPerKey, records)
 	if err != nil {
 		return err
 	}
@@ -540,10 +561,6 @@ func (s *LSM) compactRange(lo, hi int) error {
 		it := r.iterator(nil)
 		iters = append(iters, it)
 		sources = append(sources, it)
-	}
-	var cost int64
-	for _, r := range window {
-		cost += r.size
 	}
 	var addErr error
 	err = mergeSources(sources, func(k string, v []byte, del bool) bool {

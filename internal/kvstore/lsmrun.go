@@ -10,6 +10,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -52,25 +53,31 @@ type bloom struct {
 // bloomBlockWords is one cache line (64 bytes) of filter per block.
 const bloomBlockWords = 8
 
-func bloomHash[K string | []byte](key K) (h1, h2 uint64) {
-	// FNV-1a, then derive the second hash by rotation (Kirsch-Mitzenmacher
-	// double hashing: bit_i = h1 + i*h2).
+// bloomHash is FNV-1a over the key: everything a filter needs of it.
+func bloomHash[K string | []byte](key K) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= prime
 	}
-	h1 = h
+	return h
+}
+
+// probe returns the block of b that hash h selects and the second hash
+// its bits are drawn from, derived by rotation (Kirsch-Mitzenmacher
+// double hashing: bit_i = h1 + i*h2).
+func (b bloom) probe(h uint64) (block []uint64, h2 uint64) {
+	blocks := uint64(len(b.bits) / bloomBlockWords)
 	h2 = h>>33 | h<<31
 	if h2 == 0 {
 		h2 = 0x9e3779b97f4a7c15
 	}
-	return h1, h2
+	return b.bits[(h%blocks)*bloomBlockWords:][:bloomBlockWords], h2
 }
 
-func buildBloom(keys []string, bitsPerKey int) bloom {
-	nbits := len(keys) * bitsPerKey
+func buildBloom(hashes []uint64, bitsPerKey int) bloom {
+	nbits := len(hashes) * bitsPerKey
 	blocks := (nbits + 511) / 512
 	if blocks < 1 {
 		blocks = 1
@@ -85,9 +92,8 @@ func buildBloom(keys []string, bitsPerKey int) bloom {
 		k = 7
 	}
 	b := bloom{bits: make([]uint64, blocks*bloomBlockWords), k: k}
-	for _, key := range keys {
-		h1, h2 := bloomHash(key)
-		block := b.bits[(h1%uint64(blocks))*bloomBlockWords:][:bloomBlockWords]
+	for _, h := range hashes {
+		block, h2 := b.probe(h)
 		for i := uint32(0); i < k; i++ {
 			bit := h2 & 511
 			block[bit/64] |= 1 << (bit % 64)
@@ -101,9 +107,7 @@ func (b bloom) mayContain(key []byte) bool {
 	if len(b.bits) == 0 {
 		return true
 	}
-	blocks := uint64(len(b.bits) / bloomBlockWords)
-	h1, h2 := bloomHash(key)
-	block := b.bits[(h1%blocks)*bloomBlockWords:][:bloomBlockWords]
+	block, h2 := b.probe(bloomHash(key))
 	for i := uint32(0); i < b.k; i++ {
 		bit := h2 & 511
 		if block[bit/64]&(1<<(bit%64)) == 0 {
@@ -153,40 +157,43 @@ func (r *run) retire() {
 }
 
 // runWriter streams sorted records into a new run file, accumulating the
-// bloom keys and sparse index, then seals them into the footer.
+// bloom hashes and sparse index, then seals them into the footer. The
+// keys it is handed are views of memtable or merge records, so it keeps
+// none of them: every key's hash, and its own copy of each index key.
 type runWriter struct {
 	path       string
 	f          *os.File
 	w          *bufio.Writer
 	off        int64
 	count      int
-	keys       []string // every key, for the bloom
+	hashes     []uint64 // every key's, for the bloom
 	idxKeys    []string
 	idxOffs    []int64
-	lastKey    string
+	lastKey    string // copied only if finish indexes it
 	lastOff    int64
 	bitsPerKey int
 }
 
-func newRunWriter(path string, bitsPerKey int) (*runWriter, error) {
+// newRunWriter creates the run file at path for about n records.
+func newRunWriter(path string, bitsPerKey, n int) (*runWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &runWriter{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), bitsPerKey: bitsPerKey}, nil
+	return &runWriter{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), hashes: make([]uint64, 0, n), bitsPerKey: bitsPerKey}, nil
 }
 
 // add appends one record; keys must arrive in strictly ascending order.
 func (rw *runWriter) add(k string, v []byte, del bool) error {
 	if rw.count%indexStride == 0 {
-		rw.idxKeys = append(rw.idxKeys, k)
+		rw.idxKeys = append(rw.idxKeys, strings.Clone(k))
 		rw.idxOffs = append(rw.idxOffs, rw.off)
 	}
 	rw.lastKey, rw.lastOff = k, rw.off
 	if err := writeRecord(rw.w, k, v, del); err != nil {
 		return err
 	}
-	rw.keys = append(rw.keys, k)
+	rw.hashes = append(rw.hashes, bloomHash(k))
 	rw.off += int64(9 + len(k) + len(v))
 	rw.count++
 	return nil
@@ -202,43 +209,33 @@ func (rw *runWriter) finish() (*run, error) {
 		return nil, nil
 	}
 	if rw.idxKeys[len(rw.idxKeys)-1] != rw.lastKey {
-		rw.idxKeys = append(rw.idxKeys, rw.lastKey)
+		rw.idxKeys = append(rw.idxKeys, strings.Clone(rw.lastKey))
 		rw.idxOffs = append(rw.idxOffs, rw.lastOff)
 	}
 	dataLen := rw.off
-	filter := buildBloom(rw.keys, rw.bitsPerKey)
+	filter := buildBloom(rw.hashes, rw.bitsPerKey)
 
+	// Bloom, index and footer stream into rw.w; a failed write is sticky
+	// in bufio.Writer, so Flush reports any of them.
 	var scratch [10]byte
 	binary.LittleEndian.PutUint32(scratch[0:4], filter.k)
 	binary.LittleEndian.PutUint32(scratch[4:8], uint32(len(filter.bits)))
-	if _, err := rw.w.Write(scratch[:8]); err != nil {
-		return nil, err
-	}
+	rw.w.Write(scratch[:8])
 	for _, word := range filter.bits {
 		binary.LittleEndian.PutUint64(scratch[:8], word)
-		if _, err := rw.w.Write(scratch[:8]); err != nil {
-			return nil, err
-		}
+		rw.w.Write(scratch[:8])
 	}
 	bloomLen := int64(8 + 8*len(filter.bits))
 
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(rw.idxKeys)))
-	if _, err := rw.w.Write(scratch[:4]); err != nil {
-		return nil, err
-	}
+	rw.w.Write(scratch[:4])
 	idxLen := int64(4)
 	for i, k := range rw.idxKeys {
 		binary.LittleEndian.PutUint16(scratch[0:2], uint16(len(k)))
-		if _, err := rw.w.Write(scratch[:2]); err != nil {
-			return nil, err
-		}
-		if _, err := io.WriteString(rw.w, k); err != nil {
-			return nil, err
-		}
+		rw.w.Write(scratch[:2])
+		rw.w.WriteString(k)
 		binary.LittleEndian.PutUint64(scratch[0:8], uint64(rw.idxOffs[i]))
-		if _, err := rw.w.Write(scratch[:8]); err != nil {
-			return nil, err
-		}
+		rw.w.Write(scratch[:8])
 		idxLen += int64(2 + len(k) + 8)
 	}
 
@@ -248,9 +245,7 @@ func (rw *runWriter) finish() (*run, error) {
 	binary.LittleEndian.PutUint64(footer[16:24], uint64(idxLen))
 	binary.LittleEndian.PutUint64(footer[24:32], uint64(rw.count))
 	binary.LittleEndian.PutUint64(footer[32:40], runMagic)
-	if _, err := rw.w.Write(footer[:]); err != nil {
-		return nil, err
-	}
+	rw.w.Write(footer[:])
 	if err := rw.w.Flush(); err != nil {
 		rw.f.Close()
 		return nil, err

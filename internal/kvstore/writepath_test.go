@@ -1,0 +1,165 @@
+package kvstore
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"path/filepath"
+	"testing"
+)
+
+// TestPutAllocBudget is the storage engine's write budget: a Put
+// allocates the record it stores — key and value in one slab — and
+// nothing else, fresh key or overwrite, outside a flush.
+func TestPutAllocBudget(t *testing.T) {
+	s, err := OpenLSM(t.TempDir(), LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	val := make([]byte, 100)
+	// 40-byte keys, like a trie node's (see TestPointReadAllocBudget),
+	// built before the count, one per medianAllocs call.
+	keys := make([][]byte, 102)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%036d", i))
+	}
+	for name, st := range map[string]Store{"lsm": s, "mem": NewMem()} {
+		i := 0
+		fresh := medianAllocs(101, func() {
+			if err := st.Put(keys[i], val); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		overwrite := medianAllocs(101, func() {
+			if err := st.Put(keys[0], val); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fresh != 1 || overwrite != 1 {
+			t.Errorf("%s: %d allocations per fresh-key Put, %d per overwrite; budget 1", name, fresh, overwrite)
+		}
+	}
+}
+
+// TestPutDoesNotKeepArguments: one key buffer and one value buffer,
+// rewritten between Puts the way the trie reuses its node-key scratch,
+// leave every record as it was put, through Get and Iterate, on both
+// engines, across flushes and merges on the LSM.
+func TestPutDoesNotKeepArguments(t *testing.T) {
+	for name, mk := range storeFactories(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			defer s.Close()
+			model := map[string]string{}
+			var kbuf, vbuf []byte
+			for i := 0; i < 300; i++ {
+				kbuf = fmt.Appendf(kbuf[:0], "key-%03d", i%200)
+				vbuf = fmt.Appendf(vbuf[:0], "value-%d-%s", i, bytes.Repeat([]byte{'v'}, i%50))
+				if err := s.Put(kbuf, vbuf); err != nil {
+					t.Fatal(err)
+				}
+				model[string(kbuf)] = string(vbuf)
+			}
+			for i := range kbuf {
+				kbuf[i] = 'X'
+			}
+			for i := range vbuf {
+				vbuf[i] = 'Y'
+			}
+			for k, want := range model {
+				if got, ok, err := s.Get([]byte(k)); err != nil || !ok || string(got) != want {
+					t.Fatalf("Get(%s) = %q, %v, %v; want %q", k, got, ok, err, want)
+				}
+			}
+			n := 0
+			err := s.Iterate(nil, nil, func(k, v []byte) bool {
+				if want, ok := model[string(k)]; !ok || string(v) != want {
+					t.Fatalf("Iterate: %s = %q, want %q (in model: %v)", k, v, want, ok)
+				}
+				n++
+				return true
+			})
+			if err != nil || n != len(model) {
+				t.Fatalf("Iterate: %d records, %v; want %d", n, err, len(model))
+			}
+		})
+	}
+}
+
+// TestLongKeyRefused: a run's sparse index stores key lengths as uint16,
+// so the LSM refuses a longer key at the WAL rather than acknowledge a
+// record whose flush would leave the store unopenable. The longest key
+// it accepts round-trips through a flush and a reopen from the index's
+// first slot, where the parent commit's long key broke OpenLSM.
+func TestLongKeyRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(bytes.Repeat([]byte{'a'}, 70_000), []byte("v")); err == nil {
+		t.Fatal("a 70 000-byte key was accepted")
+	}
+	longest := bytes.Repeat([]byte{'b'}, math.MaxUint16)
+	for _, k := range [][]byte{longest, []byte("c")} {
+		if err := s.Put(k, []byte("kept")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s.Close()
+	for _, k := range [][]byte{longest, []byte("c")} {
+		if v, ok, err := s.Get(k); err != nil || !ok || string(v) != "kept" {
+			t.Fatalf("Get(%d-byte key) = %q, %v, %v", len(k), v, ok, err)
+		}
+	}
+}
+
+// TestReplayAllocBudget: reopening a WAL reads each record into one
+// allocation — the parent commit made four (the header, the key bytes,
+// the key string, the value) — plus a fixed cost for the open itself and
+// the memtable's growth.
+func TestReplayAllocBudget(t *testing.T) {
+	const records, fixed = 1000, 100 // 59 when written
+	dir := t.TempDir()
+	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%036d", i)), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := filepath.Glob(filepath.Join(dir, "run-*")); len(runs) != 0 {
+		t.Fatalf("the fill flushed %d runs; the WAL must hold every record", len(runs))
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.mem) != records {
+			t.Fatalf("replayed %d records, want %d", len(s.mem), records)
+		}
+		s.Close()
+	})
+	t.Logf("%.0f allocations to reopen a WAL of %d records", avg, records)
+	if avg > records+fixed {
+		t.Fatalf("%.0f allocations to reopen a WAL of %d records, budget %d", avg, records, records+fixed)
+	}
+}

@@ -223,16 +223,19 @@ func (t *Trie) Get(key []byte) ([]byte, error) {
 	return nil, err
 }
 
-// Put inserts or overwrites key=value. Empty values are stored as-is;
-// use Delete to remove a key.
+// Put inserts or overwrites key=value and keeps value itself: the caller
+// gives the slice up and never writes into it again (its node may be
+// shared through the NodeCache). An empty value, nil included, is stored
+// as empty — a branch's encoding tells that from none; Delete removes.
 func (t *Trie) Put(key, value []byte) error {
-	v := make([]byte, len(value))
-	copy(v, value)
+	if value == nil {
+		value = []byte{}
+	}
 	root, err := t.load(nil, &t.root)
 	if err != nil {
 		return err
 	}
-	newRoot, err := t.insert(root, keyNibbles(key), v)
+	newRoot, err := t.insert(root, keyNibbles(key), value)
 	if err != nil {
 		return err
 	}

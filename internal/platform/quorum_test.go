@@ -95,7 +95,7 @@ func TestQuorumAppendAllocBudget(t *testing.T) {
 	const (
 		blocks  = 15
 		perBlk  = 20
-		ceiling = 22 // allocations per transaction: 20 when written (21 under -race), 27 before
+		ceiling = 20 // allocations per transaction: 17 when written (18-19 under -race); 20 before PR 25, 27 before PR 22
 	)
 	keys := clientKeys(1)
 	c, err := New(fastConfig(Quorum, 1, keys))

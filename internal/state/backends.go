@@ -89,7 +89,8 @@ func (b *TrieBackend) Get(key []byte) ([]byte, error) {
 }
 
 // Commit implements Backend: the trie takes the write set and computes
-// the root, then the flat layer advances to it with the same map.
+// the root, then the flat layer advances to it with the same map. The
+// backend owns the map, so the trie keeps its values as they are.
 func (b *TrieBackend) Commit(writes map[string][]byte) (types.Hash, error) {
 	// The calls are on the concrete trie, which does not keep its key
 	// argument, so the conversions below copy nothing; through an

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -145,6 +146,51 @@ func TestFlatStateDeletionShadows(t *testing.T) {
 	f.Advance(r1, r2, map[string][]byte{"k": nil})
 	if _, ok := f.Get(r2, []byte("k")); ok {
 		t.Fatal("deleted key still served by flat layer")
+	}
+}
+
+// TestFlatStateSkipsUnstorableKey: the LSM refuses a key longer than a
+// run's sparse index can record (uint16 lengths), the flat layer's
+// best-effort put skips it, and the trie, which stores only hashes as
+// keys, still serves it. The store flushes and reopens — after the
+// parent commit's flush of such a key, OpenLSM failed.
+func TestFlatStateSkipsUnstorableKey(t *testing.T) {
+	dir := t.TempDir()
+	store, err := kvstore.OpenLSM(dir, kvstore.LSMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := bytes.Repeat([]byte{'k'}, 70_000)
+	b, err := NewTrieBackendShared(store, types.ZeroHash, nil, NewFlatState(store, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB(b)
+	db.SetState("c", long, []byte("long"))
+	db.SetState("c", []byte("short"), []byte("short"))
+	root, err := db.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Iterate([]byte("f:"), []byte("f;"), func(k, _ []byte) bool {
+		if len(k) > 1<<16 {
+			t.Errorf("the flat layer persisted a %d-byte key", len(k))
+		}
+		return true
+	})
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	if store, err = kvstore.OpenLSM(dir, kvstore.LSMOptions{}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer store.Close()
+	if b, err = NewTrieBackendShared(store, root, nil, NewFlatState(store, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if v := NewDB(b).GetState("c", long); string(v) != "long" {
+		t.Fatalf("the long key reads %q after reopen", v)
 	}
 }
 

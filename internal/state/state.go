@@ -150,7 +150,10 @@ func (db *DB) GetState(contract string, key []byte) []byte {
 	return db.read(db.stateKey(contract, key))
 }
 
-// SetState writes a contract state key.
+// SetState writes a contract state key. The copy it makes is the one
+// the backend keeps — Commit hands over the write set and the trie keeps
+// the value it is handed — so only a store's persisted record copies it
+// again.
 func (db *DB) SetState(contract string, key, value []byte) {
 	v := make([]byte, len(value))
 	copy(v, value)
