@@ -129,7 +129,7 @@ loc:
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
 # raise it says so in its diff of this line. PR 25 raised it from 21594:
 # the one-slab record helpers and the write path's ownership comments.
-LOC_MAX ?= 21612
+LOC_MAX ?= 21610
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

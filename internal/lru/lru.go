@@ -15,8 +15,6 @@ type Cache[K comparable, V any] struct {
 	// head is the list sentinel: head.next is the most recently used
 	// entry, head.prev the eviction candidate.
 	head entry[K, V]
-
-	hits, misses uint64
 }
 
 type entry[K comparable, V any] struct {
@@ -26,11 +24,19 @@ type entry[K comparable, V any] struct {
 }
 
 // New creates a cache holding at most capacity entries. A non-positive
-// capacity yields a cache that stores nothing.
+// capacity yields a cache that stores nothing. The map is made at its
+// capacity: a bounded cache fills anyway, and growing there would copy
+// every slot once per doubling.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
-	c := &Cache[K, V]{cap: capacity, items: make(map[K]*entry[K, V])}
-	c.head.prev, c.head.next = &c.head, &c.head
+	c := &Cache[K, V]{cap: capacity, items: make(map[K]*entry[K, V], max(capacity, 0))}
+	c.Clear()
 	return c
+}
+
+// Clear drops every entry and keeps the map's room for them.
+func (c *Cache[K, V]) Clear() {
+	clear(c.items)
+	c.head.prev, c.head.next = &c.head, &c.head
 }
 
 func (e *entry[K, V]) unlink() {
@@ -47,10 +53,8 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	if e, ok := c.items[key]; ok {
 		e.unlink()
 		c.pushFront(e)
-		c.hits++
 		return e.value, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
@@ -84,9 +88,3 @@ func (c *Cache[K, V]) Remove(key K) {
 		delete(c.items, key)
 	}
 }
-
-// Len returns the number of resident entries.
-func (c *Cache[K, V]) Len() int { return len(c.items) }
-
-// Stats returns hit and miss counts.
-func (c *Cache[K, V]) Stats() (hits, misses uint64) { return c.hits, c.misses }

@@ -18,8 +18,8 @@ func TestBasicGetPut(t *testing.T) {
 	if v, _ := c.Get("a"); string(v) != "2" {
 		t.Fatal("update failed")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if len(c.items) != 1 {
+		t.Fatalf("len = %d", len(c.items))
 	}
 }
 
@@ -53,19 +53,29 @@ func TestRemove(t *testing.T) {
 func TestZeroCapacityStoresNothing(t *testing.T) {
 	c := New[string, []byte](0)
 	c.Put("a", []byte("1"))
-	if c.Len() != 0 {
+	if len(c.items) != 0 {
 		t.Fatal("zero-cap cache stored an entry")
 	}
 }
 
-func TestStats(t *testing.T) {
-	c := New[string, []byte](4)
-	c.Put("a", []byte("1"))
-	c.Get("a")
-	c.Get("b")
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d, %d", hits, misses)
+// TestClear: a cleared cache holds nothing and then fills and evicts as a
+// new one would.
+func TestClear(t *testing.T) {
+	c := New[int, int](2)
+	c.Put(1, 1)
+	c.Put(2, 2)
+	c.Clear()
+	if _, ok := c.Get(1); ok || len(c.items) != 0 {
+		t.Fatalf("len = %d after Clear", len(c.items))
+	}
+	for k := 3; k <= 5; k++ {
+		c.Put(k, k) // 5 evicts 3
+	}
+	if _, ok := c.Get(3); ok || len(c.items) != 2 {
+		t.Fatalf("len = %d; 3 should have been evicted", len(c.items))
+	}
+	if v, ok := c.Get(4); !ok || v != 4 {
+		t.Fatalf("get 4 = %d, %v", v, ok)
 	}
 }
 
@@ -73,8 +83,8 @@ func TestCapacityNeverExceeded(t *testing.T) {
 	c := New[string, []byte](16)
 	for i := 0; i < 1000; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
-		if c.Len() > 16 {
-			t.Fatalf("cache grew to %d", c.Len())
+		if len(c.items) > 16 {
+			t.Fatalf("cache grew to %d", len(c.items))
 		}
 	}
 }
@@ -99,8 +109,8 @@ func TestEvictionRecyclesInRecencyOrder(t *testing.T) {
 	}
 	c.Remove(3)
 	c.Put(5, 5) // room again: nothing is evicted
-	if _, ok := c.Get(0); !ok || c.Len() != 3 {
-		t.Fatalf("len = %d after remove and put", c.Len())
+	if _, ok := c.Get(0); !ok || len(c.items) != 3 {
+		t.Fatalf("len = %d after remove and put", len(c.items))
 	}
 }
 

@@ -125,7 +125,10 @@ type Network struct {
 	chaosDups     atomic.Uint64
 	chaosReorders atomic.Uint64
 
-	closed atomic.Bool
+	// closed is set under mu's write lock, and a send counts its delivery
+	// timers in timers under the read lock: Close's Wait then never runs
+	// alongside an Add, and no timer starts once it has begun.
+	closed bool
 	timers sync.WaitGroup
 }
 
@@ -196,31 +199,21 @@ func payloadSize(payload any) int {
 }
 
 func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool {
-	if n.closed.Load() {
-		return false
-	}
 	size := payloadSize(payload)
 
 	n.mu.RLock()
-	if n.crashed[from.ID] || n.crashed[to] {
-		n.mu.RUnlock()
-		n.dropped.Add(1)
-		return false
-	}
-	if n.partitioned && n.group[from.ID] != n.group[to] {
-		n.mu.RUnlock()
-		n.dropped.Add(1)
+	defer n.mu.RUnlock()
+	if n.closed {
 		return false
 	}
 	dst, ok := n.endpoints[to]
-	delay := n.cfg.BaseLatency + n.extraDelay[from.ID] + n.extraDelay[to]
-	corrupt := n.corruptRate[from.ID]
-	faults := n.faults[from.ID]
-	n.mu.RUnlock()
-	if !ok {
+	if !ok || n.crashed[from.ID] || n.crashed[to] || n.partitioned && n.group[from.ID] != n.group[to] {
 		n.dropped.Add(1)
 		return false
 	}
+	delay := n.cfg.BaseLatency + n.extraDelay[from.ID] + n.extraDelay[to]
+	corrupt := n.corruptRate[from.ID]
+	faults := n.faults[from.ID]
 
 	duplicate := false
 	n.rngMu.Lock()
@@ -266,21 +259,20 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 
 // deliverAfter schedules one delivery attempt of msg to dst, re-checking
 // the destination's liveness (crash, partition, endpoint replacement) at
-// delivery time.
+// delivery time. The caller holds n.mu's read lock (see closed).
 func (n *Network) deliverAfter(msg Message, dst *Endpoint, delay time.Duration) {
 	n.timers.Add(1)
 	time.AfterFunc(delay, func() {
 		defer n.timers.Done()
-		if n.closed.Load() {
-			return
-		}
 		to := msg.To
 		n.mu.RLock()
-		cur, ok := n.endpoints[to]
-		crashed := n.crashed[to]
-		cut := n.partitioned && n.group[msg.From] != n.group[to]
+		closed := n.closed
+		lost := n.endpoints[to] != dst || n.crashed[to] || n.partitioned && n.group[msg.From] != n.group[to]
 		n.mu.RUnlock()
-		if !ok || crashed || cut || cur != dst {
+		if closed {
+			return
+		}
+		if lost {
 			n.dropped.Add(1)
 			return
 		}
@@ -319,17 +311,7 @@ func (n *Network) Crashed(id NodeID) bool {
 // Partition splits the network in two: nodes in groupA on one side,
 // everyone else on the other. Traffic across the cut is dropped. This is
 // the attack primitive from §3.3 (eclipse / BGP-hijack simulation).
-func (n *Network) Partition(groupA []NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for id := range n.endpoints {
-		n.group[id] = 0
-	}
-	for _, id := range groupA {
-		n.group[id] = 1
-	}
-	n.partitioned = true
-}
+func (n *Network) Partition(groupA []NodeID) { n.PartitionGroups([][]NodeID{groupA}) }
 
 // PartitionGroups splits the network into an arbitrary number of
 // mutually-isolated groups: nodes in groups[i] can only talk to members
@@ -361,11 +343,17 @@ func (n *Network) SetLinkFaults(f LinkFaults, ids ...NodeID) {
 			ids = append(ids, id)
 		}
 	}
+	setPerNode(n.faults, f, f.zero(), ids)
+}
+
+// setPerNode sets m[id] = v for every id, or deletes the entries when off.
+// The caller holds n.mu.
+func setPerNode[V any](m map[NodeID]V, v V, off bool, ids []NodeID) {
 	for _, id := range ids {
-		if f.zero() {
-			delete(n.faults, id)
+		if off {
+			delete(m, id)
 		} else {
-			n.faults[id] = f
+			m[id] = v
 		}
 	}
 }
@@ -383,13 +371,7 @@ func (n *Network) Heal() {
 func (n *Network) SetDelay(d time.Duration, ids ...NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, id := range ids {
-		if d <= 0 {
-			delete(n.extraDelay, id)
-		} else {
-			n.extraDelay[id] = d
-		}
-	}
+	setPerNode(n.extraDelay, d, d <= 0, ids)
 }
 
 // SetCorruptRate makes a fraction of messages sent by the given nodes
@@ -397,13 +379,7 @@ func (n *Network) SetDelay(d time.Duration, ids ...NodeID) {
 func (n *Network) SetCorruptRate(rate float64, ids ...NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, id := range ids {
-		if rate <= 0 {
-			delete(n.corruptRate, id)
-		} else {
-			n.corruptRate[id] = rate
-		}
-	}
+	setPerNode(n.corruptRate, rate, rate <= 0, ids)
 }
 
 // Stats returns a snapshot of global counters.
@@ -420,7 +396,9 @@ func (n *Network) Stats() Stats {
 
 // Close stops all future deliveries and waits for in-flight timers.
 func (n *Network) Close() {
-	n.closed.Store(true)
+	n.mu.Lock()
+	n.closed = true
+	n.mu.Unlock()
 	n.timers.Wait()
 }
 

@@ -3,6 +3,7 @@ package simnet
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -344,5 +345,33 @@ func TestSameSeedSameFate(t *testing.T) {
 	}
 	if sa.ChaosDrops == 0 || sa.ChaosDups == 0 {
 		t.Fatalf("fault draws never fired: %+v", sa)
+	}
+}
+
+// TestCloseDuringSend: Close may run while senders are mid-Send. Each
+// delivery timer must be counted before Close starts waiting or never
+// be started; counting one while Close waits is WaitGroup misuse, which
+// the race detector reports and the runtime may panic on. Nothing lands
+// in an inbox once Close has returned.
+func TestCloseDuringSend(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		n := New(Config{InboxSize: 1024, Seed: int64(round)})
+		a, b := n.Join(1), n.Join(2)
+		var senders sync.WaitGroup
+		for s := 0; s < 4; s++ {
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				for i := 0; i < 200; i++ {
+					a.Send(2, "x", i)
+				}
+			}()
+		}
+		n.Close()
+		held := len(b.Inbox)
+		senders.Wait()
+		if got := len(b.Inbox); got != held {
+			t.Fatalf("round %d: %d messages delivered after Close returned", round, got-held)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package state
 
 import (
 	"encoding/binary"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -32,13 +33,12 @@ import (
 
 // FlatState is one node's flat snapshot layer. Safe for concurrent use.
 type FlatState struct {
-	mu      sync.Mutex
-	store   kvstore.Store
-	cache   *lru.Cache[string, []byte]
-	entries int
-	root    types.Hash
-	gen     uint64
-	keyBuf  []byte // flatKey scratch, used under mu
+	mu     sync.Mutex
+	store  kvstore.Store
+	cache  *lru.Cache[lruKey, []byte]
+	root   types.Hash
+	gen    uint64
+	keyBuf []byte // flatKey scratch, used under mu
 
 	// hits counts every read the layer served; persisted, the ones among
 	// them that the store answered because the LRU no longer held the key.
@@ -59,7 +59,7 @@ func NewFlatState(store kvstore.Store, entries int) *FlatState {
 	if entries <= 0 {
 		entries = 1024
 	}
-	f := &FlatState{store: store, cache: lru.New[string, []byte](entries), entries: entries}
+	f := &FlatState{store: store, cache: lru.New[lruKey, []byte](entries)}
 	found := false
 	store.Iterate([]byte("f:"), []byte("f;"), func(k, _ []byte) bool {
 		if len(k) >= 10 {
@@ -70,6 +70,27 @@ func NewFlatState(store kvstore.Store, entries int) *FlatState {
 		return true
 	})
 	return f
+}
+
+// lruKey is a key as the LRU holds it: a value, so a lookup builds it on
+// the stack. A key of up to 32 bytes (DB.keyArr's size, which fits every
+// registry contract's keys) is held inline with its length, so "k" and
+// "k\x00" stay distinct; a longer one is held as a string.
+type lruKey struct {
+	n    uint8
+	b    [32]byte
+	long string
+}
+
+// lruKeyOf keys key. A longer key's string is key itself: a lookup may
+// pass bytes it does not own, a key the LRU keeps must own them.
+func lruKeyOf(key string) (k lruKey) {
+	if len(key) > len(k.b) {
+		k.long = key
+	} else {
+		k.n = uint8(copy(k.b[:], key))
+	}
+	return k
 }
 
 // flatKey builds "f:<gen>:key" in the layer's scratch buffer: callers
@@ -92,10 +113,10 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 		f.stale++
 		return nil, false
 	}
-	// The lookup does not retain its key, so it reads the caller's bytes
-	// in place (the generic cache rules out the map[string(b)] form); only
-	// a key that enters the LRU below is materialised.
-	if v, ok := f.cache.Get(unsafe.String(unsafe.SliceData(key), len(key))); ok {
+	// The lookup keeps nothing, so a long key reads the caller's bytes in
+	// place; only one that enters the LRU below is copied.
+	k := lruKeyOf(unsafe.String(unsafe.SliceData(key), len(key)))
+	if v, ok := f.cache.Get(k); ok {
 		f.hits++
 		return v, true
 	}
@@ -107,7 +128,8 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 		f.misses++
 		return nil, false
 	}
-	f.cache.Put(string(key), v)
+	k.long = strings.Clone(k.long)
+	f.cache.Put(k, v)
 	f.hits++
 	f.persisted++
 	return v, true
@@ -116,7 +138,7 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 // Advance folds a committed block's write-set into the layer and moves
 // the anchor from parent to root. Re-committing the block the layer is
 // already anchored at is a no-op; a commit from any other parent resets
-// the layer (new generation, cold LRU) and re-anchors at root.
+// the layer (new generation, LRU cleared in place) and re-anchors at root.
 func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -125,16 +147,16 @@ func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	}
 	if parent != f.root {
 		f.gen++
-		f.cache = lru.New[string, []byte](f.entries)
+		f.cache.Clear()
 		f.resets++
 	}
 	for k, v := range writes {
 		if v == nil {
-			f.cache.Remove(k)
+			f.cache.Remove(lruKeyOf(k))
 			f.store.Delete(flatKey(f, k))
 			continue
 		}
-		f.cache.Put(k, v)
+		f.cache.Put(lruKeyOf(k), v)
 		// Persistence is best-effort: on a failed write the entry is just
 		// absent from the flat layer and reads fall through to the trie.
 		f.store.Put(flatKey(f, k), v)

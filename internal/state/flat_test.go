@@ -2,11 +2,16 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"blockbench/internal/kvstore"
+	"blockbench/internal/lru"
 	"blockbench/internal/types"
 )
 
@@ -212,5 +217,102 @@ func TestFlatStateLRUSpill(t *testing.T) {
 		if !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("spilled entry %s not served: %q,%v", k, v, ok)
 		}
+	}
+}
+
+// TestFlatStateKeysMatchStringModel drives a FlatState and a model whose
+// LRU is keyed on strings through one seeded mix of reads and one-write
+// blocks: puts, deletes, re-commits and fork resets, and reads at a
+// foreign root. Every read and every counter must agree after every step.
+// Two keys one representation tells apart and the other merges would read
+// each other's values; a key held differently would change which keys stay
+// resident and so the split between LRU and persisted hits. Reads pass a
+// reused buffer, as DB does, so a long key the LRU kept without copying
+// would be rewritten under it.
+func TestFlatStateKeysMatchStringModel(t *testing.T) {
+	p := strings.Repeat("p", 32)
+	keys := []string{
+		"", "k", "k\x00", "k\x00\x00", // lengths 0 and 1, trailing zeros
+		p[:31], p[:31] + "\x00", p, p + "\x00", // 31, 32 and 33 bytes
+		p + "a", p + "b", p + "tail-0", p + "tail-1", // differ past byte 32
+		strings.Repeat("k", 70_000), // refused by the LSM: never persisted
+	}
+	store, err := kvstore.OpenLSM(t.TempDir(), kvstore.LSMOptions{MemTableBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const entries = 4
+	f := NewFlatState(store, entries)
+
+	cache, stored := lru.New[string, []byte](entries), map[string][]byte{}
+	want := map[string]uint64{"store.flat_hits": 0, "store.flat_persisted_hits": 0, "store.flat_misses": 0, "store.flat_resets": 0}
+	var anchor types.Hash
+	blocks := uint64(0)
+	advance := func(parent types.Hash, k string, v []byte) {
+		blocks++
+		var root types.Hash
+		binary.BigEndian.PutUint64(root[:], blocks)
+		f.Advance(parent, root, map[string][]byte{k: v})
+		if parent != anchor {
+			cache.Clear()
+			clear(stored)
+			want["store.flat_resets"]++
+		}
+		if v == nil {
+			cache.Remove(k)
+			delete(stored, k)
+		} else if cache.Put(k, v); len(k)+10 <= math.MaxUint16 {
+			stored[k] = v
+		}
+		anchor = root
+	}
+
+	rng := rand.New(rand.NewSource(26))
+	var buf []byte
+	for step := 0; step < 5000; step++ {
+		k := keys[rng.Intn(len(keys))]
+		switch op := rng.Intn(20); {
+		case op < 12:
+			root := anchor
+			if op == 0 {
+				root = types.Hash{0xff}
+			}
+			buf = append(buf[:0], k...)
+			got, ok := f.Get(root, buf)
+			var exp []byte
+			var expOK bool
+			if root == anchor {
+				exp, expOK = cache.Get(k)
+				if !expOK {
+					if exp, expOK = stored[k]; expOK {
+						cache.Put(k, exp)
+						want["store.flat_persisted_hits"]++
+					}
+				}
+			}
+			if expOK {
+				want["store.flat_hits"]++
+			} else {
+				want["store.flat_misses"]++
+			}
+			if ok != expOK || !bytes.Equal(got, exp) {
+				t.Fatalf("step %d: Get(%d-byte key %.40q) = %q, %v; model %q, %v", step, len(k), k, got, ok, exp, expOK)
+			}
+		case op < 16:
+			advance(anchor, k, []byte(fmt.Sprintf("v%d", step)))
+		case op < 18:
+			advance(anchor, k, nil)
+		case op == 18:
+			f.Advance(types.Hash{0xee}, anchor, map[string][]byte{k: []byte("replayed")})
+		default:
+			advance(types.Hash{0xee}, k, []byte(fmt.Sprintf("fork%d", step)))
+		}
+		if got := f.Counters(); !maps.Equal(got, want) {
+			t.Fatalf("step %d: counters %v, model %v", step, got, want)
+		}
+	}
+	if want["store.flat_persisted_hits"] == 0 || want["store.flat_resets"] == 0 {
+		t.Fatalf("the mix never reached the store or a reset: %v", want)
 	}
 }

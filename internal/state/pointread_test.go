@@ -15,10 +15,9 @@ import (
 
 // readFixture is the read side of the quorum preset's state stack: tuples
 // IOHeavy tuples and as many balances committed as one block through a
-// trie backend with a flat layer of lru entries over an LSM, flushed so
-// the store serves from a run, and a DB opened at the head root.
-func readFixture(t testing.TB, tuples, lru int) (*DB, *FlatState, [][]byte, []types.Address) {
-	store := openLSM(t)
+// trie backend with a flat layer of lru entries over store, and a DB
+// opened at the head root.
+func readFixture(t testing.TB, store kvstore.Store, tuples, lru int) (*DB, *FlatState, [][]byte, []types.Address) {
 	flat := NewFlatState(store, lru)
 	b, err := NewTrieBackendShared(store, types.ZeroHash, NewSharedCache(lru), flat)
 	if err != nil {
@@ -37,9 +36,6 @@ func readFixture(t testing.TB, tuples, lru int) (*DB, *FlatState, [][]byte, []ty
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	head, err := NewTrieBackendShared(store, root, NewSharedCache(lru), flat)
 	if err != nil {
 		t.Fatal(err)
@@ -49,55 +45,73 @@ func readFixture(t testing.TB, tuples, lru int) (*DB, *FlatState, [][]byte, []ty
 
 // TestGetStateAllocBudget is the state layer's read budget, through the
 // stack the geth-lineage presets build (DB over TrieBackend over FlatState
-// over an LSM): a read served by the overlay or the flat layer's LRU
-// allocates nothing — the composite key lives in the DB's scratch buffer —
-// and one the flat layer fetches from the store allocates what is kept:
-// the value, and the key string its new LRU entry holds.
+// over a store): a read served by the overlay or the flat layer's LRU
+// allocates nothing — the composite key lives in the DB's scratch buffer,
+// and the LRU's key is a value built on the stack — and one the flat layer
+// fetches from the store allocates only the value the store hands out: the
+// copy an LSM run makes, and nothing from an LSM memtable or a Mem store
+// (ycsb-quorum's), which share the value they hold.
 func TestGetStateAllocBudget(t *testing.T) {
 	const tuples, lru = 640, 64
-	db, flat, keys, addrs := readFixture(t, tuples, lru)
-
-	// Cycling through ten times the LRU's capacity, every read finds its
-	// key evicted; the counters below confirm which path each case took.
-	next := 0
-	cycle := func() int { next = (next + 1) % tuples; return next }
-	db.SetState("ioheavy", []byte("dirty"), []byte("v"))
-	db.SetBalance(types.Address{1}, 7)
-
-	for _, tc := range []struct {
-		name            string
-		read            func() bool
-		budget          uint64
-		lruHits, stored uint64 // per read
+	run := openLSM(t)
+	for _, st := range []struct {
+		name      string
+		store     kvstore.Store
+		flush     func() error // puts the fixture in a run; nil leaves it in the memtable
+		persisted uint64       // budget for a read the store serves
 	}{
-		{"GetState overlay hit", func() bool { return db.GetState("ioheavy", []byte("dirty")) != nil }, 0, 0, 0},
-		{"GetBalance overlay hit", func() bool { return db.GetBalance(types.Address{1}) == 7 }, 0, 0, 0},
-		{"GetState LRU hit", func() bool { return db.GetState("ioheavy", keys[0]) != nil }, 0, 1, 0},
-		{"GetBalance LRU hit", func() bool { return db.GetBalance(addrs[0]) == 1 }, 0, 1, 0},
-		{"GetState persisted hit", func() bool { return db.GetState("ioheavy", keys[cycle()]) != nil }, 2, 0, 1},
-		{"GetBalance persisted hit", func() bool { i := cycle(); return db.GetBalance(addrs[i]) == uint64(i)+1 }, 2, 0, 1},
+		{"LSM run", run, run.Flush, 1},
+		{"LSM memtable", openLSM(t), nil, 0},
+		{"Mem", kvstore.NewMem(), nil, 0},
 	} {
-		const runs = 201
-		// Settle the LRU: a case that reads one key leaves it resident, a
-		// cycling one leaves only keys it will not reach again in time.
-		for i := 0; i < tuples; i++ {
-			tc.read()
-		}
-		before := flat.Counters()
-		got := medianAllocs(runs, func() {
-			if !tc.read() {
-				t.Fatalf("%s: wrong value", tc.name)
+		db, flat, keys, addrs := readFixture(t, st.store, tuples, lru)
+		if st.flush != nil {
+			if err := st.flush(); err != nil {
+				t.Fatal(err)
 			}
-		})
-		after := flat.Counters()
-		hits := after["store.flat_hits"] - before["store.flat_hits"]
-		stored := after["store.flat_persisted_hits"] - before["store.flat_persisted_hits"]
-		// medianAllocs makes one warm-up call on top of runs.
-		if want := tc.stored * (runs + 1); stored != want || hits-stored != tc.lruHits*(runs+1) {
-			t.Errorf("%s: %d LRU hits and %d persisted hits in %d reads", tc.name, hits-stored, stored, runs+1)
 		}
-		if got > tc.budget {
-			t.Errorf("%s: %d allocations per read, budget %d", tc.name, got, tc.budget)
+		// Cycling through ten times the LRU's capacity, every read finds its
+		// key evicted; the counters below confirm which path each case took.
+		next := 0
+		cycle := func() int { next = (next + 1) % tuples; return next }
+		db.SetState("ioheavy", []byte("dirty"), []byte("v"))
+		db.SetBalance(types.Address{1}, 7)
+
+		for _, tc := range []struct {
+			name            string
+			read            func() bool
+			budget          uint64
+			lruHits, stored uint64 // per read
+		}{
+			{"GetState overlay hit", func() bool { return db.GetState("ioheavy", []byte("dirty")) != nil }, 0, 0, 0},
+			{"GetBalance overlay hit", func() bool { return db.GetBalance(types.Address{1}) == 7 }, 0, 0, 0},
+			{"GetState LRU hit", func() bool { return db.GetState("ioheavy", keys[0]) != nil }, 0, 1, 0},
+			{"GetBalance LRU hit", func() bool { return db.GetBalance(addrs[0]) == 1 }, 0, 1, 0},
+			{"GetState persisted hit", func() bool { return db.GetState("ioheavy", keys[cycle()]) != nil }, st.persisted, 0, 1},
+			{"GetBalance persisted hit", func() bool { i := cycle(); return db.GetBalance(addrs[i]) == uint64(i)+1 }, st.persisted, 0, 1},
+		} {
+			const runs = 201
+			// Settle the LRU: a case that reads one key leaves it resident, a
+			// cycling one leaves only keys it will not reach again in time.
+			for i := 0; i < tuples; i++ {
+				tc.read()
+			}
+			before := flat.Counters()
+			got := medianAllocs(runs, func() {
+				if !tc.read() {
+					t.Fatalf("%s, %s: wrong value", st.name, tc.name)
+				}
+			})
+			after := flat.Counters()
+			hits := after["store.flat_hits"] - before["store.flat_hits"]
+			stored := after["store.flat_persisted_hits"] - before["store.flat_persisted_hits"]
+			// medianAllocs makes one warm-up call on top of runs.
+			if want := tc.stored * (runs + 1); stored != want || hits-stored != tc.lruHits*(runs+1) {
+				t.Errorf("%s, %s: %d LRU hits and %d persisted hits in %d reads", st.name, tc.name, hits-stored, stored, runs+1)
+			}
+			if got > tc.budget {
+				t.Errorf("%s, %s: %d allocations per read, budget %d", st.name, tc.name, got, tc.budget)
+			}
 		}
 	}
 }
@@ -268,7 +282,11 @@ func (b *recordingBackend) Commit(writes map[string][]byte) (types.Hash, error) 
 // and allocs/get, so the row survives `make bench`'s -benchtime 1x.
 func BenchmarkStatePointRead(b *testing.B) {
 	const tuples, gets = 20000, 20000
-	db, flat, keys, _ := readFixture(b, tuples, tuples/5)
+	store := openLSM(b)
+	db, flat, keys, _ := readFixture(b, store, tuples, tuples/5)
+	if err := store.Flush(); err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
 	var ms runtime.MemStats
 	b.ResetTimer()
