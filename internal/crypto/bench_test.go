@@ -40,3 +40,21 @@ func BenchmarkVerifyTx(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerifyBlockCold is the commit-time check of a block no pool
+// has seen (preload, chain sync, journal replay): 400 transactions, all
+// misses, fanned out over GOMAXPROCS. us/tx is the number to read.
+func BenchmarkVerifyBlockCold(b *testing.B) {
+	k := DeterministicKey(1)
+	txs := signedTxs(b, k, 400)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reg := NewRegistry()
+		reg.Add(k)
+		b.StartTimer()
+		if bad := reg.VerifyTxs(txs); bad >= 0 {
+			b.Fatalf("tx %d failed", bad)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(txs)), "us/tx")
+}

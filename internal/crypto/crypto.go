@@ -6,6 +6,7 @@
 package crypto
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -13,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"runtime"
+	"slices"
 	"sync"
 
 	"blockbench/internal/types"
@@ -22,15 +25,6 @@ import (
 type Key struct {
 	priv *ecdsa.PrivateKey
 	addr types.Address
-}
-
-// GenerateKey creates a fresh random keypair.
-func GenerateKey() (*Key, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("crypto: generate key: %w", err)
-	}
-	return &Key{priv: priv, addr: pubAddress(&priv.PublicKey)}, nil
 }
 
 // DeterministicKey derives a keypair from a seed. It is used to give every
@@ -68,14 +62,6 @@ func (k *Key) Sign(h types.Hash) ([]byte, error) {
 	return sig, nil
 }
 
-// PublicKey exposes the verifying half of the keypair.
-func (k *Key) PublicKey() *ecdsa.PublicKey { return &k.priv.PublicKey }
-
-// Verify checks sig over h against pub.
-func Verify(pub *ecdsa.PublicKey, h types.Hash, sig []byte) bool {
-	return ecdsa.VerifyASN1(pub, h[:], sig)
-}
-
 // SignTx signs tx in place with k and stamps the sender address.
 func SignTx(tx *types.Transaction, k *Key) error {
 	tx.From = k.addr
@@ -89,27 +75,40 @@ func SignTx(tx *types.Transaction, k *Key) error {
 
 // Registry maps addresses to public keys. Private deployments authenticate
 // every participant up front, so nodes share a static registry rather than
-// recovering keys from signatures. Verification results are cached per
-// transaction hash, so a node that validated a transaction at ingress
-// does not pay again at block execution (registries are per-node, so each
-// node still pays exactly once, as in the real systems).
+// recovering keys from signatures. A verified signature is cached under its
+// transaction hash and must match on a hit (Hash excludes it): a node that
+// checked a transaction at pool admission does not pay again at commit, and
+// per-node registries make each node pay exactly once, as real systems do.
 type Registry struct {
-	keys map[types.Address]*ecdsa.PublicKey
-
-	mu       sync.Mutex
-	verified map[types.Hash]bool
+	keys           map[types.Address]*ecdsa.PublicKey
+	mu             sync.Mutex
+	cur, prev      map[types.Hash][]byte // two generations: cur becomes prev at limit entries
+	limit          int
+	verifies, hits uint64 // ECDSA runs; checks the cache answered
 }
+
+// fanoutMin is the number of misses per VerifyTxs goroutine.
+const fanoutMin = 64
 
 // NewRegistry returns an empty key registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		keys:     make(map[types.Address]*ecdsa.PublicKey),
-		verified: make(map[types.Hash]bool),
-	}
+	return &Registry{keys: make(map[types.Address]*ecdsa.PublicKey), cur: make(map[types.Hash][]byte), limit: 1 << 20}
 }
 
 // Add registers the public half of k.
 func (r *Registry) Add(k *Key) { r.keys[k.addr] = &k.priv.PublicKey }
+
+// hitLocked reports, and counts, a hit: tx verified under its own signature.
+func (r *Registry) hitLocked(tx *types.Transaction) bool {
+	s, ok := r.cur[tx.Hash()]
+	if !ok {
+		s, ok = r.prev[tx.Hash()]
+	}
+	if ok = ok && !tx.Corrupt && bytes.Equal(s, tx.Sig); ok {
+		r.hits++
+	}
+	return ok
+}
 
 // VerifyTx checks the transaction signature against the registered key of
 // tx.From. Unknown senders and corrupted transactions fail verification.
@@ -117,22 +116,71 @@ func (r *Registry) VerifyTx(tx *types.Transaction) bool {
 	if tx.Corrupt || len(tx.Sig) == 0 {
 		return false
 	}
-	h := tx.Hash()
 	r.mu.Lock()
-	if ok, seen := r.verified[h]; seen {
-		r.mu.Unlock()
-		return ok
-	}
+	hit := r.hitLocked(tx)
 	r.mu.Unlock()
-
+	if hit {
+		return true
+	}
 	pub, known := r.keys[tx.From]
-	ok := known && Verify(pub, h, tx.Sig)
-
+	h := tx.Hash()
+	ok := known && ecdsa.VerifyASN1(pub, h[:], tx.Sig)
 	r.mu.Lock()
-	if len(r.verified) > 1<<20 { // bound memory on long runs
-		r.verified = make(map[types.Hash]bool)
+	defer r.mu.Unlock()
+	if known {
+		r.verifies++
 	}
-	r.verified[h] = ok
-	r.mu.Unlock()
+	if ok { // only successes: a forgery checked first must not bar the genuine tx
+		if len(r.cur) >= r.limit {
+			r.prev, r.cur = r.cur, make(map[types.Hash][]byte)
+		}
+		r.cur[h] = tx.Sig // kept, not copied: a checked Sig must not be written into
+	}
 	return ok
+}
+
+// VerifyTxs checks a block's transactions and returns the index of the
+// first that fails, or -1. It looks them all up under one lock and passes
+// the misses to VerifyTx, striped over GOMAXPROCS goroutines at most.
+func (r *Registry) VerifyTxs(txs []*types.Transaction) int {
+	var misses []int
+	r.mu.Lock()
+	for i, tx := range txs {
+		if !r.hitLocked(tx) {
+			misses = append(misses, i)
+		}
+	}
+	r.mu.Unlock()
+	if len(misses) == 0 {
+		return -1
+	}
+	return r.verifyMisses(txs, misses)
+}
+
+func (r *Registry) verifyMisses(txs []*types.Transaction, misses []int) int {
+	ok := make([]bool, len(misses))
+	workers := min(runtime.GOMAXPROCS(0), len(misses)/fanoutMin+1)
+	stripe := func(w int) {
+		for j := w; j < len(misses); j += workers {
+			ok[j] = r.VerifyTx(txs[misses[j]])
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() { defer wg.Done(); stripe(w) }()
+	}
+	stripe(0)
+	wg.Wait()
+	if j := slices.Index(ok, false); j >= 0 {
+		return misses[j]
+	}
+	return -1
+}
+
+// Counters implements metrics.CounterProvider.
+func (r *Registry) Counters() map[string]uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return map[string]uint64{"crypto.verifies": r.verifies, "crypto.verify_hits": r.hits}
 }

@@ -131,13 +131,6 @@ func New(cfg Config) (*Chain, error) {
 	return c, nil
 }
 
-// Genesis returns the genesis block.
-func (c *Chain) Genesis() *types.Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.entries[c.canonical[0]].block
-}
-
 // Head returns the current canonical head block.
 func (c *Chain) Head() *types.Block {
 	c.mu.RLock()
@@ -153,15 +146,14 @@ func (c *Chain) Has(h types.Hash) bool {
 	return ok
 }
 
-// verifyTxs checks signatures and corruption flags.
+// verifyTxs checks signatures and corruption flags: cache hits for what
+// the pool admitted, fanned out for the rest (preload, sync, replay).
 func (c *Chain) verifyTxs(b *types.Block) error {
 	if c.cfg.Registry == nil {
 		return nil
 	}
-	for _, tx := range b.Txs {
-		if !c.cfg.Registry.VerifyTx(tx) {
-			return fmt.Errorf("%w: bad signature on %s", ErrBadBlock, tx.Hash())
-		}
+	if i := c.cfg.Registry.VerifyTxs(b.Txs); i >= 0 {
+		return fmt.Errorf("%w: bad signature on %s", ErrBadBlock, b.Txs[i].Hash())
 	}
 	return nil
 }
@@ -205,6 +197,9 @@ func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Rec
 // Append validates, executes and stores a block, advancing the head if
 // the block extends the heaviest chain. Duplicate blocks are ignored.
 func (c *Chain) Append(b *types.Block) error {
+	if err := c.verifyTxs(b); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[b.Hash()]; dup {
@@ -219,9 +214,6 @@ func (c *Chain) Append(b *types.Block) error {
 	}
 	if b.Number() != parent.block.Number()+1 {
 		return fmt.Errorf("%w: number %d after parent %d", ErrBadBlock, b.Number(), parent.block.Number())
-	}
-	if err := c.verifyTxs(b); err != nil {
-		return err
 	}
 	// PBFT blocks carry no TxRoot; build the tx tree only to compare it.
 	if !b.Header.TxRoot.IsZero() && merkle.TxRoot(b.Txs) != b.Header.TxRoot {

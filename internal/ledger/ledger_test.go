@@ -200,7 +200,7 @@ func TestForkChoiceHeaviestChain(t *testing.T) {
 	headA := c.Head().Hash()
 
 	// Chain B: two blocks of difficulty 10 each, built on genesis.
-	genesis := c.Genesis()
+	genesis, _ := c.GetBlock(0)
 	b1 := &types.Block{Header: types.Header{
 		Number: 1, ParentHash: genesis.Hash(), Difficulty: 10, Time: 12345,
 	}}
@@ -269,8 +269,9 @@ func TestNoForksPlatformRejectsSideChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second block on genesis must be refused.
+	genesis, _ := c.GetBlock(0)
 	side := &types.Block{Header: types.Header{
-		Number: 1, ParentHash: c.Genesis().Hash(), Time: 1,
+		Number: 1, ParentHash: genesis.Hash(), Time: 1,
 	}}
 	if err := c.Append(side); !errors.Is(err, ErrNoForks) {
 		t.Fatalf("side chain accepted: %v", err)

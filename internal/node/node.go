@@ -58,14 +58,6 @@ type Config struct {
 	// Keyring holds the account keys a ServerSigns node signs with.
 	Keyring map[types.Address]*crypto.Key
 
-	// VerifyIngress validates transaction signatures as they arrive
-	// (client RPC and gossip) on the node's single dispatch thread, as
-	// Fabric does. Combined with bounded inboxes, this is the processing
-	// load behind the paper's Hyperledger collapse at scale. Requires
-	// Registry.
-	VerifyIngress bool
-	Registry      *crypto.Registry
-
 	// Tracer is the cluster's lifecycle tracer (nil-safe), handed to the
 	// consensus engine through its Context.
 	Tracer *trace.Tracer
@@ -111,6 +103,10 @@ var ErrStopped = errors.New("node: stopped")
 
 // ErrBusy is returned when the server-side ingestion queue is full.
 var ErrBusy = errors.New("node: ingestion queue full")
+
+// ErrRejected is returned when the node's pool refuses a transaction it
+// has not seen: its signature does not verify, or the pool is full.
+var ErrRejected = errors.New("node: transaction rejected")
 
 // Node is a running blockchain server.
 type Node struct {
@@ -212,14 +208,9 @@ func (n *Node) inboxLoop() {
 
 func (n *Node) dispatch(msg simnet.Message) {
 	if msg.Type == consensus.MsgTx {
-		tx, ok := msg.Payload.(*types.Transaction)
-		if !ok || msg.Corrupt {
-			return
+		if tx, ok := msg.Payload.(*types.Transaction); ok && !msg.Corrupt {
+			n.cfg.Pool.Add(tx)
 		}
-		if n.cfg.VerifyIngress && n.cfg.Registry != nil && !n.cfg.Registry.VerifyTx(tx) {
-			return
-		}
-		n.cfg.Pool.Add(tx)
 		return
 	}
 	n.cons.Handle(msg)
@@ -248,10 +239,13 @@ func (n *Node) ingestLoop() {
 	}
 }
 
-func (n *Node) admit(tx *types.Transaction) {
+// admit pools and gossips tx; false means the pool refused it unseen.
+func (n *Node) admit(tx *types.Transaction) bool {
 	if n.cfg.Pool.Add(tx) {
 		n.ep.Broadcast(consensus.MsgTx, tx)
+		return true
 	}
+	return n.cfg.Pool.Known(tx.Hash())
 }
 
 func (n *Node) rpc() error {
@@ -266,7 +260,8 @@ func (n *Node) rpc() error {
 
 // SendTransaction is the asynchronous submit RPC: it enqueues the
 // transaction and returns its ID; clients poll BlocksFrom for
-// confirmation (the paper's asynchronous-driver pattern).
+// confirmation (the paper's asynchronous-driver pattern). It returns after
+// the signature check, as geth does (ServerSigns nodes sign after it).
 func (n *Node) SendTransaction(tx *types.Transaction) (types.Hash, error) {
 	if err := n.rpc(); err != nil {
 		return types.ZeroHash, err
@@ -290,7 +285,9 @@ func (n *Node) SendTransaction(tx *types.Transaction) (types.Hash, error) {
 			return types.ZeroHash, ErrBusy
 		}
 	}
-	n.admit(tx)
+	if !n.admit(tx) {
+		return types.ZeroHash, ErrRejected
+	}
 	return id, nil
 }
 

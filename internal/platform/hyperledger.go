@@ -34,9 +34,6 @@ func hyperledgerPreset() *Preset {
 	return &Preset{
 		Kind:     Hyperledger,
 		Describe: "Fabric v0.6.0-preview: PBFT, Bucket-Merkle tree, native chaincode",
-		// Fabric validates transactions as they arrive; the work lands on
-		// the node's message-processing thread.
-		VerifyIngress: true,
 		// Progress requires a live quorum, so blocks are final on commit:
 		// the protocol never forks.
 		SupportsForks: false,

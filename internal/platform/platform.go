@@ -288,11 +288,13 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 
 	// Per-node registry: verification results are cached per transaction,
 	// so sharing one registry would let N-1 nodes skip the signature
-	// check the simulation charges each node for.
+	// check the simulation charges each node for (its pool pays it).
 	reg := c.env.newRegistry()
+	provs = append(provs, reg)
 
 	pool := txpool.New(1 << 20)
 	pool.SetTracer(c.tracer)
+	pool.SetVerifier(reg)
 	var blockExec ledger.BlockExecutor
 	if a.Workers > 0 {
 		pex := parallel.New(a.Workers)
@@ -387,10 +389,6 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		ncfg.ServerSigns = true
 		ncfg.IngestCost = a.IngestCost
 		ncfg.Keyring = c.env.Keyring
-	}
-	if p.VerifyIngress {
-		ncfg.VerifyIngress = true
-		ncfg.Registry = reg
 	}
 	c.nodes[i] = node.New(ncfg)
 	return nil

@@ -68,9 +68,6 @@ type Preset struct {
 	// ServerSigns moves transaction signing into the server's serial
 	// ingestion path (Parity); clients submit unsigned transactions.
 	ServerSigns bool
-	// VerifyIngress makes nodes verify transaction signatures as they
-	// arrive on the dispatch thread (Fabric).
-	VerifyIngress bool
 	// SupportsForks enables side chains and reorgs in the ledger (PoW,
 	// PoA). Agreement-based platforms (PBFT, Raft) never fork.
 	SupportsForks bool

@@ -12,6 +12,7 @@ package txpool
 import (
 	"sync"
 
+	"blockbench/internal/crypto"
 	"blockbench/internal/trace"
 	"blockbench/internal/types"
 )
@@ -37,6 +38,7 @@ type Pool struct {
 	limit  int
 	notify chan struct{}
 	tracer *trace.Tracer
+	verify *crypto.Registry // nil: admit anything
 }
 
 // New creates a pool that holds at most limit pending transactions
@@ -49,6 +51,11 @@ func New(limit int) *Pool {
 // transactions are stamped at pool admission (Add) and batch pickup
 // (Batch). Call before the pool is shared across goroutines.
 func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
+
+// SetVerifier makes Add admit only what reg verifies: the node's registry,
+// so every way into a node (RPC, gossip, sharded forwards and 2PC) pays
+// its signature check before the commit path. Call before sharing the pool.
+func (p *Pool) SetVerifier(reg *crypto.Registry) { p.verify = reg }
 
 // Notify returns the pool's admission signal: a 1-buffered channel that
 // receives (coalesced, non-blocking) whenever a transaction enters the
@@ -68,10 +75,13 @@ func (p *Pool) signal() {
 // live counts pending transactions. Called with the lock held.
 func (p *Pool) live() int { return len(p.pending) - p.head - p.dead }
 
-// Add inserts tx unless it is known or the pool is full. It reports
-// whether the transaction was accepted as new.
+// Add inserts tx unless it is known, fails verification (checked outside
+// the lock) or the pool is full. It reports whether tx was accepted as new.
 func (p *Pool) Add(tx *types.Transaction) bool {
 	h := tx.Hash()
+	if p.verify != nil && (p.Known(h) || !p.verify.VerifyTx(tx)) {
+		return false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, known := p.index[h]; known {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"blockbench/internal/crypto"
 	"blockbench/internal/types"
 )
 
@@ -25,6 +26,37 @@ func TestAddAndDuplicate(t *testing.T) {
 	}
 	if p.Len() != 1 {
 		t.Fatalf("len = %d", p.Len())
+	}
+}
+
+// TestVerifierGatesAdmission: with a verifier the pool admits only what
+// it verifies, and a transaction it already holds costs no second check.
+func TestVerifierGatesAdmission(t *testing.T) {
+	k := crypto.DeterministicKey(1)
+	reg := crypto.NewRegistry()
+	reg.Add(k)
+	p := New(0)
+	p.SetVerifier(reg)
+
+	good, bad := tx(1, 1), tx(2, 1)
+	for _, x := range []*types.Transaction{good, bad} {
+		if err := crypto.SignTx(x, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad.Sig = append([]byte(nil), bad.Sig...)
+	bad.Sig[4] ^= 0xff
+	if p.Add(bad) || p.Known(bad.Hash()) {
+		t.Fatal("a tampered signature was admitted")
+	}
+	if p.Add(tx(3, 1)) {
+		t.Fatal("an unsigned transaction was admitted")
+	}
+	if !p.Add(good) || p.Add(good) {
+		t.Fatal("want the signed transaction admitted once")
+	}
+	if got := reg.Counters()["crypto.verifies"]; got != 2 {
+		t.Fatalf("%d ECDSA runs, want 2 (the tampered and the good transaction, once each)", got)
 	}
 }
 
