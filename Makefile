@@ -54,13 +54,16 @@ race:
 # an LSM-backed flat layer with a working set 5x its LRU; allocs/get) and
 # the commit-time signature check of a block no pool has seen
 # (internal/crypto BenchmarkVerifyBlockCold: 400 misses fanned out over
-# GOMAXPROCS; us/tx), so all those trajectories accumulate across PRs. The
-# root set also covers the analytics engine (the RPC-walk-vs-indexed
-# query latency series at 1k/10k/100k blocks and the HTAP OLTP+OLAP
-# mix) and the lifecycle tracer's overhead sweep (submission throughput
-# with sampling off, at the 1% default, and at sample-everything).
+# GOMAXPROCS; us/tx) and the analytics index's own query cost
+# (internal/analytics BenchmarkIndexQuery: the four ops over 100 000 x 3
+# rows, no RPC; ns/op and allocs/op), so all those trajectories
+# accumulate across PRs. The root set also covers the analytics engine
+# (the RPC-walk-vs-indexed query latency series at 1k/10k/100k blocks
+# and the HTAP OLTP+OLAP mix) and the lifecycle tracer's overhead sweep
+# (submission throughput with sampling off, at the 1% default, and at
+# sample-everything).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt ./internal/contracts ./internal/types ./internal/merkle ./internal/state ./internal/crypto > BENCH_ci.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -timeout 120m -json . ./internal/txpool ./internal/mpt ./internal/lru ./internal/consensus/raft ./internal/kvstore ./internal/bmt ./internal/contracts ./internal/types ./internal/merkle ./internal/state ./internal/crypto ./internal/analytics > BENCH_ci.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_ci.json | sed 's/"Output":"//;s/\\n$$//' || true
 
 # bench-check is the CI regression gate: run only the tracked benchmark
@@ -129,13 +132,10 @@ loc:
 
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
-# raise it says so in its diff of this line. PR 25 raised it from 21594:
-# the one-slab record helpers and the write path's ownership comments.
-# It was raised again from 21610 for the signature registry's
-# two-generation cache, its block check with fan-out and its counters,
-# net of the deleted VerifyIngress plumbing, GenerateKey,
-# Key.PublicKey, Verify and Chain.Genesis.
-LOC_MAX ?= 21649
+# raise it says so in its diff of this line. It was lowered from 21649
+# when analytics' pull-based Iterator/Filter/Reduce framework gave way
+# to two push access paths and one loop per query op.
+LOC_MAX ?= 21515
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -1,7 +1,7 @@
 // Package analytics is the ledger's read-side query subsystem: a
-// columnar block/transaction index maintained on the commit path, a
-// streaming iterator-tree executor over it, and the server-side query
-// entry point the node exposes to clients.
+// columnar block/transaction index maintained on the commit path, two
+// access paths over it (a zone-pruned scan and a posting-list scan),
+// and the server-side query entry point the node exposes to clients.
 //
 // The Indexer appends one row per transaction into fixed-size column
 // segments (height, time, sender, recipient, value, contract, method,
@@ -126,7 +126,7 @@ type Indexer struct {
 	sealed   []*segment // immutable, exactly segSize rows each
 	open     *segment   // append-only tail
 	postings map[types.Address][]uint32
-	dict     []string // id -> string; dict[0] == ""
+	dict     []string // id -> string; starts with fixedNames
 	dictIDs  map[string]uint16
 	last     uint64 // highest fully indexed block height (0 = none)
 	rows     uint64 // live row count (sealed + open)
@@ -150,15 +150,18 @@ func NewIndexer(store kvstore.Store, opts Options) *Indexer {
 	if size <= 0 {
 		size = DefaultSegmentSize
 	}
-	return &Indexer{
+	ix := &Indexer{
 		store:    store,
 		segSize:  size,
 		open:     &segment{},
 		postings: make(map[types.Address][]uint32),
-		dict:     []string{""},
-		dictIDs:  map[string]uint16{"": 0},
+		dictIDs:  make(map[string]uint16),
 		persist:  store != nil,
 	}
+	for _, name := range fixedNames {
+		ix.internLocked(name)
+	}
+	return ix
 }
 
 // Counters implements metrics.CounterProvider.
@@ -304,13 +307,21 @@ func RowEndpoints(tx *types.Transaction) (from, to types.Address, value uint64) 
 	}
 }
 
+// The dictionary's first ids are fixed: "" (a plain transfer), the
+// names the queries test, and otherCall, the id of every string that
+// arrives once the dictionary is full — so an overflowed row reads as
+// some other contract call, never as a transfer or a versionkv update.
+var fixedNames = [...]string{"", "versionkv", "sendValue", "prealloc", "(other)"}
+
+const otherCall = uint16(len(fixedNames) - 1)
+
 // internLocked returns the dictionary id for a contract/method string.
 func (ix *Indexer) internLocked(s string) uint16 {
 	if id, ok := ix.dictIDs[s]; ok {
 		return id
 	}
 	if len(ix.dict) >= 1<<16 {
-		return 0 // dictionary full: degrade to "" rather than corrupt ids
+		return otherCall
 	}
 	id := uint16(len(ix.dict))
 	ix.dict = append(ix.dict, s)

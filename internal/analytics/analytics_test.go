@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -70,14 +72,16 @@ func chainSource(blocks, txPerBlock int) *fakeSource {
 	return src
 }
 
-// collect folds a bounded test stream into a slice.
-func collect(it Iterator[Row]) []Row {
-	return Reduce(it, []Row(nil), func(acc []Row, r Row) []Row { return append(acc, r) })
+// collect gathers what an access path hands its fold.
+func collect(path func(yield func(Row)) uint64) []Row {
+	var out []Row
+	path(func(r Row) { out = append(out, r) })
+	return out
 }
 
-func heights(it Iterator[Row]) []uint64 {
+func heights(path func(yield func(Row)) uint64) []uint64 {
 	var out []uint64
-	for _, r := range collect(it) {
+	for _, r := range collect(path) {
 		out = append(out, r.Height)
 	}
 	return out
@@ -96,7 +100,7 @@ func TestScanRangeAndZoneSkips(t *testing.T) {
 		t.Fatalf("last = %d, want 100", got)
 	}
 
-	got := heights(ix.view().scan(40, 43, nil))
+	got := heights(func(y func(Row)) uint64 { return ix.view().scan(40, 43, y) })
 	want := []uint64{40, 40, 40, 41, 41, 41, 42, 42, 42}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan [40,43) heights = %v, want %v", got, want)
@@ -105,7 +109,7 @@ func TestScanRangeAndZoneSkips(t *testing.T) {
 	// A range deep inside the chain must skip the leading sealed
 	// segments via their zone maps.
 	before := ix.zoneSkips.Value()
-	if got := len(collect(ix.view().scan(90, 95, nil))); got != 15 {
+	if got := len(collect(func(y func(Row)) uint64 { return ix.view().scan(90, 95, y) })); got != 15 {
 		t.Fatalf("scan [90,95) rows = %d, want 15", got)
 	}
 	if ix.zoneSkips.Value() <= before {
@@ -114,7 +118,7 @@ func TestScanRangeAndZoneSkips(t *testing.T) {
 	}
 
 	// Full scan covers everything in order.
-	all := heights(ix.view().scan(0, 0xffffffff, nil))
+	all := heights(func(y func(Row)) uint64 { return ix.view().scan(0, 0xffffffff, y) })
 	if len(all) != 300 || all[0] != 1 || all[299] != 100 {
 		t.Fatalf("full scan: %d rows, first %d, last %d", len(all), all[0], all[299])
 	}
@@ -131,7 +135,7 @@ func TestAccountScanPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows := collect(ix.view().accountScan(addr(1), 1, 100, nil))
+	rows := collect(func(y func(Row)) uint64 { return ix.view().accountScan(addr(1), 1, 100, y) })
 	if len(rows) != 3 {
 		t.Fatalf("account 1 rows = %d, want 3", len(rows))
 	}
@@ -143,10 +147,10 @@ func TestAccountScanPostings(t *testing.T) {
 	if hs := []uint64{rows[0].Height, rows[1].Height, rows[2].Height}; !reflect.DeepEqual(hs, []uint64{1, 3, 3}) {
 		t.Fatalf("account 1 heights = %v, want [1 3 3]", hs)
 	}
-	if got := heights(ix.view().accountScan(addr(1), 2, 4, nil)); !reflect.DeepEqual(got, []uint64{3, 3}) {
+	if got := heights(func(y func(Row)) uint64 { return ix.view().accountScan(addr(1), 2, 4, y) }); !reflect.DeepEqual(got, []uint64{3, 3}) {
 		t.Fatalf("account 1 [2,4) heights = %v, want [3 3]", got)
 	}
-	if got := collect(ix.view().accountScan(addr(9), 1, 100, nil)); len(got) != 0 {
+	if got := collect(func(y func(Row)) uint64 { return ix.view().accountScan(addr(9), 1, 100, y) }); len(got) != 0 {
 		t.Fatalf("unknown account returned %d rows", len(got))
 	}
 	if ix.postingsHits.Value() == 0 {
@@ -354,16 +358,7 @@ func TestMaxVersionMatchesVersionDiffSemantics(t *testing.T) {
 	}
 }
 
-func TestOperators(t *testing.T) {
-	ix := NewIndexer(nil, Options{})
-	if err := ix.CatchUp(chainSource(6, 1)); err != nil {
-		t.Fatal(err)
-	}
-	evens := Filter(ix.view().scan(1, 7, nil), func(r Row) bool { return r.Height%2 == 0 })
-	if got := Reduce(evens, uint64(0), func(a uint64, r Row) uint64 { return a + r.Height }); got != 12 {
-		t.Fatalf("filter+reduce = %d, want 12", got)
-	}
-
+func TestTopAccountsOrder(t *testing.T) {
 	stats := []AccountStat{
 		{Account: addr(1), Count: 3, Sum: 10},
 		{Account: addr(2), Count: 5, Sum: 1},
@@ -375,30 +370,225 @@ func TestOperators(t *testing.T) {
 	}
 }
 
-func TestLargeBatchesStreamBounded(t *testing.T) {
-	// More rows than one batch: the scan must deliver all of them in
-	// several batches, none exceeding the batch cap.
-	src := chainSource(400, 3) // 1200 rows
-	ix := NewIndexer(nil, Options{})
-	if err := ix.CatchUp(src); err != nil {
+// modelSource builds a seeded chain of plain transfers (some failed,
+// some self-transfers), versionkv preallocs and sendValues, and value-
+// carrying calls to other contracts, zero to five per block.
+func modelSource(rng *rand.Rand, blocks int, base *fakeSource, keep int) *fakeSource {
+	src := &fakeSource{blocks: append([]*types.Block{}, base.blocks[:keep]...), rcpts: append([][]*types.Receipt{}, base.rcpts[:keep]...)}
+	acct := func() byte { return byte(1 + rng.Intn(8)) }
+	for len(src.blocks) < blocks {
+		txs := make([]*types.Transaction, rng.Intn(6))
+		for i := range txs {
+			v := uint64(rng.Intn(50))
+			switch rng.Intn(6) {
+			case 0:
+				txs[i] = &types.Transaction{From: addr(9), Contract: "versionkv", Method: "prealloc",
+					Args: [][]byte{addr(acct()).Bytes(), types.U64Bytes(v)}}
+			case 1:
+				txs[i] = &types.Transaction{From: addr(9), Contract: "versionkv", Method: "sendValue",
+					Args: [][]byte{addr(acct()).Bytes(), addr(acct()).Bytes(), types.U64Bytes(v)}}
+			case 2:
+				txs[i] = &types.Transaction{From: addr(acct()), Contract: "smallbank", Method: "deposit", Value: v % 3}
+			default:
+				txs[i] = transfer(acct(), acct(), v)
+			}
+		}
+		src.add(txs...)
+		for _, r := range src.rcpts[len(src.rcpts)-1] {
+			r.OK = rng.Intn(5) != 0
+		}
+	}
+	return src
+}
+
+// modelQuery answers q by walking src's blocks and receipts one by one:
+// sum is Analytics.Q1's RPC walk, and the account queries read every
+// transaction whose endpoints touch the account. Rows counts what the
+// index's access paths must read: every row in the window for sum,
+// the account's rows otherwise.
+func modelQuery(src *fakeSource, q Query) Result {
+	var zero types.Address
+	from, to := q.From, q.To
+	if last := src.Height(); to == 0 || to > last+1 {
+		to = last + 1
+	}
+	res := Result{Height: to - 1}
+	if from >= to {
+		return res
+	}
+	if q.Op == OpMaxDelta {
+		from++ // rows at From itself are history, not deltas
+	}
+	stats := map[types.Address]*AccountStat{}
+	versions := 0
+	for h := from; h < to; h++ {
+		b, found := src.GetBlock(h)
+		if !found {
+			continue
+		}
+		var net int64
+		for i, tx := range b.Txs {
+			ok := src.Receipts(h)[i].OK
+			f, t, v := RowEndpoints(tx)
+			vkv := tx.Contract == "versionkv"
+			if q.Op == OpSum {
+				res.Rows++
+				if tx.Contract == "" {
+					res.Value += tx.Value
+				} else if vkv && tx.Method == "sendValue" {
+					res.Value += types.U64(tx.Args[2])
+				}
+				continue
+			}
+			if q.Account == zero || (f != q.Account && t != q.Account) {
+				continue
+			}
+			res.Rows++
+			if !ok {
+				continue
+			}
+			switch q.Op {
+			case OpMaxDelta:
+				if !vkv && f == q.Account {
+					net -= int64(v)
+				}
+				if !vkv && t == q.Account {
+					net += int64(v)
+				}
+			case OpMaxVersion:
+				if vkv {
+					if versions++; versions > 1 {
+						res.Value = max(res.Value, v)
+					}
+				}
+			case OpTopK:
+				cp := f
+				if cp == q.Account {
+					cp = t
+				}
+				if cp == zero || cp == q.Account {
+					continue
+				}
+				if stats[cp] == nil {
+					stats[cp] = &AccountStat{Account: cp}
+				}
+				stats[cp].Count++
+				stats[cp].Sum += v
+			}
+		}
+		if q.Op == OpMaxDelta {
+			res.Value = max(res.Value, absInt64(net))
+		}
+	}
+	if q.Op == OpTopK {
+		var all []AccountStat
+		for _, s := range stats {
+			all = append(all, *s)
+		}
+		res.Top = TopAccounts(all, topK(q.K))
+	}
+	return res
+}
+
+// TestAccessPathsMatchModel checks every op, and the rows each reads,
+// against a block-by-block walk: on an index of many 7-row segments and
+// an open tail that was reorged onto a diverging chain, and on a
+// default-size index of the same chain, over seeded windows that include
+// empty, past-the-end and whole-chain ones.
+func TestAccessPathsMatchModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	first := modelSource(rng, 540, &fakeSource{}, 0)
+	src := modelSource(rng, 520, first, 380)
+
+	small := NewIndexer(nil, Options{SegmentSize: 7})
+	if err := small.CatchUp(first); err != nil {
 		t.Fatal(err)
 	}
-	it := ix.view().scan(1, 401, nil)
-	total, batches := 0, 0
-	for {
-		b := it.Next()
-		if b == nil {
-			break
-		}
-		if len(b) > batchRows {
-			t.Fatalf("batch of %d exceeds cap %d", len(b), batchRows)
-		}
-		total += len(b)
-		batches++
+	small.OnCommit(src.blocks[380:], src.rcpts[380:])
+	if small.Rows() < 1200 || small.Last() != src.Height() {
+		t.Fatalf("reorged index: %d rows up to %d, want >= 1200 up to %d", small.Rows(), small.Last(), src.Height())
 	}
-	if total != 1200 || batches < 1200/batchRows {
-		t.Fatalf("streamed %d rows in %d batches", total, batches)
+	whole := NewIndexer(nil, Options{})
+	if err := whole.CatchUp(src); err != nil {
+		t.Fatal(err)
 	}
+
+	last := src.Height()
+	windows := [][2]uint64{{0, 0}, {1, last + 1}, {0, last + 50}, {last, last + 1}, {last + 1, 0}, {last + 5, last + 9}, {9, 9}, {30, 12}}
+	for len(windows) < 240 {
+		from := uint64(rng.Intn(int(last) + 10))
+		windows = append(windows, [2]uint64{from, from + uint64(rng.Intn(60))})
+	}
+	for _, ix := range []*Indexer{small, whole} {
+		for _, w := range windows {
+			for _, op := range []Op{OpSum, OpMaxDelta, OpMaxVersion, OpTopK} {
+				q := Query{Op: op, From: w[0], To: w[1], Account: addr(byte(rng.Intn(10))), K: rng.Intn(7)}
+				if rng.Intn(20) == 0 {
+					q.Account = types.Address{}
+				}
+				got, err := ix.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := modelQuery(src, q)
+				if len(got.Top) == 0 && len(want.Top) == 0 {
+					got.Top, want.Top = nil, nil
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("segment size %d, %+v:\n got %+v\nwant %+v", ix.segSize, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// overflowSource is a chain whose first block interns 65 536 distinct
+// method names, filling the index's 16-bit dictionary.
+func overflowSource() *fakeSource {
+	src := &fakeSource{}
+	txs := make([]*types.Transaction, 1<<16)
+	for i := range txs {
+		txs[i] = &types.Transaction{From: addr(1), Contract: "kvstore", Method: fmt.Sprintf("m%d", i)}
+	}
+	src.add(txs...)
+	return src
+}
+
+func TestDictionaryOverflowKeepsQueryNames(t *testing.T) {
+	query := func(t *testing.T, src *fakeSource, q Query) uint64 {
+		ix := NewIndexer(nil, Options{})
+		if err := ix.CatchUp(src); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Value
+	}
+	t.Run("unknown contract is not a transfer", func(t *testing.T) {
+		src := overflowSource()
+		src.add(&types.Transaction{From: addr(1), Contract: "unknown", Method: "call", Value: 7})
+		if got := query(t, src, Query{Op: OpSum, From: 2, To: 3}); got != 0 {
+			t.Fatalf("sum over a contract call = %d, want 0 (the RPC walk's)", got)
+		}
+	})
+	t.Run("versionkv first seen after the overflow", func(t *testing.T) {
+		acct, other := addr(2), addr(3)
+		src := overflowSource()
+		src.add(&types.Transaction{From: addr(9), Contract: "versionkv", Method: "prealloc",
+			Args: [][]byte{acct.Bytes(), types.U64Bytes(100)}})
+		src.add(&types.Transaction{From: addr(9), Contract: "versionkv", Method: "sendValue",
+			Args: [][]byte{acct.Bytes(), other.Bytes(), types.U64Bytes(5)}})
+		src.add(&types.Transaction{From: addr(9), Contract: "versionkv", Method: "sendValue",
+			Args: [][]byte{other.Bytes(), acct.Bytes(), types.U64Bytes(9)}})
+		if got := query(t, src, Query{Op: OpSum, From: 2, To: 5}); got != 14 {
+			t.Fatalf("sum = %d, want 14", got)
+		}
+		if got := query(t, src, Query{Op: OpMaxVersion, Account: acct, From: 2, To: 5}); got != 9 {
+			t.Fatalf("maxversion = %d, want 9", got)
+		}
+	})
 }
 
 func TestCounterProviderKeys(t *testing.T) {

@@ -10,11 +10,12 @@ package analytics
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"blockbench/internal/types"
 )
 
-const persistVersion = 1
+const persistVersion = 2
 
 var metaKey = []byte("a:m")
 
@@ -191,7 +192,7 @@ func (ix *Indexer) Load() error {
 		dict = append(dict, s)
 		dictIDs[s] = uint16(i)
 	}
-	if len(dict) == 0 || dict[0] != "" {
+	if len(dict) < len(fixedNames) || !slices.Equal(dict[:len(fixedNames)], fixedNames[:]) {
 		return fmt.Errorf("analytics: load: corrupt dictionary")
 	}
 

@@ -1,6 +1,6 @@
 // Query is the node-facing entry point: one request describes an
-// operation over a height range, and the indexer plans a small
-// iterator tree for it. The four operations cover the paper's two
+// operation over a height range, and the indexer answers it with one
+// access path and one fold. The four operations cover the paper's two
 // Analytics queries (sum, maxdelta/maxversion) and the counterparty
 // ranking the HTAP workload issues (topk).
 package analytics
@@ -49,9 +49,9 @@ type AccountStat struct {
 	Sum     uint64
 }
 
-// Result is one query's answer. Rows counts the index rows the
-// operator tree actually pulled (after pushdown — the query's true
-// scan cost), and Height is the last block the answer covers.
+// Result is one query's answer. Rows counts the index rows the access
+// path actually read (after pushdown — the query's true scan cost),
+// and Height is the last block the answer covers.
 type Result struct {
 	Value  uint64
 	Top    []AccountStat
@@ -73,50 +73,43 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 	if to == 0 || to > v.last+1 {
 		to = v.last + 1
 	}
-	var res Result
-	if to > 0 {
-		res.Height = to - 1
-	}
+	res := Result{Height: to - 1}
 	if from >= to {
 		return res, nil // empty range
 	}
 
-	var scanned uint64
 	switch q.Op {
 	case OpSum:
 		// Q1 counts value-bearing transactions whether or not they
 		// committed successfully, matching the baseline block walk.
-		it := Filter(v.scan(from, to, &scanned), func(r Row) bool {
-			return r.Contract == "" || (r.Contract == "versionkv" && r.Method == "sendValue")
+		res.Rows = v.scan(from, to, func(r Row) {
+			if r.Contract == "" || (r.Contract == "versionkv" && r.Method == "sendValue") {
+				res.Value += r.Value
+			}
 		})
-		res.Value = Reduce(it, uint64(0), func(acc uint64, r Row) uint64 { return acc + r.Value })
 
 	case OpMaxDelta:
 		// Per-block net balance movement of the account, max |net|.
 		// Transfers move balances by exactly their value (no fees in
 		// this system), so this equals the baseline's BalanceAt diffs.
-		it := Filter(v.accountScan(q.Account, from+1, to, &scanned), func(r Row) bool {
-			return r.OK && r.Contract != "versionkv" && (r.Contract == "" || r.Value > 0)
-		})
-		type state struct {
-			h    uint64
-			net  int64
-			best uint64
-		}
-		st := Reduce(it, state{}, func(s state, r Row) state {
-			if r.Height != s.h {
-				s.best = max(s.best, absInt64(s.net))
-				s.net, s.h = 0, r.Height
+		var h uint64
+		var net int64
+		res.Rows = v.accountScan(q.Account, from+1, to, func(r Row) {
+			if !r.OK || r.Contract == "versionkv" {
+				return
+			}
+			if r.Height != h {
+				res.Value = max(res.Value, absInt64(net))
+				net, h = 0, r.Height
 			}
 			if r.From == q.Account {
-				s.net -= int64(r.Value)
+				net -= int64(r.Value)
 			}
 			if r.To == q.Account {
-				s.net += int64(r.Value)
+				net += int64(r.Value)
 			}
-			return s
 		})
-		res.Value = max(st.best, absInt64(st.net))
+		res.Value = max(res.Value, absInt64(net))
 
 	case OpMaxVersion:
 		// versionkv writes one version per touching update, and
@@ -124,47 +117,39 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 		// value — so the largest newest-first diff over the in-range
 		// versions is the largest in-range update value, excluding the
 		// range's oldest version (it only anchors the first diff).
-		it := Filter(v.accountScan(q.Account, from, to, &scanned), func(r Row) bool {
-			return r.OK && r.Contract == "versionkv" && (r.Method == "sendValue" || r.Method == "prealloc")
-		})
-		type state struct {
-			seen bool
-			best uint64
-		}
-		st := Reduce(it, state{}, func(s state, r Row) state {
-			if !s.seen {
-				s.seen = true
-				return s
+		seen := false
+		res.Rows = v.accountScan(q.Account, from, to, func(r Row) {
+			if r.OK && r.Contract == "versionkv" && (r.Method == "sendValue" || r.Method == "prealloc") {
+				if seen {
+					res.Value = max(res.Value, r.Value)
+				}
+				seen = true
 			}
-			s.best = max(s.best, r.Value)
-			return s
 		})
-		res.Value = st.best
 
 	case OpTopK:
-		res.Top = TopAccounts(v.counterpartyStats(q.Account, from, to, &scanned), topK(q.K))
+		var stats []AccountStat
+		stats, res.Rows = v.counterpartyStats(q.Account, from, to)
+		res.Top = TopAccounts(stats, topK(q.K))
 	}
 
-	res.Rows = scanned
-	ix.queryRows.Add(scanned)
-	if res.Height > v.last {
-		res.Height = v.last
-	}
+	ix.queryRows.Add(res.Rows)
 	return res, nil
 }
 
 // counterpartyStats aggregates the per-counterparty count and value
-// sum of the committed rows touching acct in [from, to).
-func (v *view) counterpartyStats(acct types.Address, from, to uint64, scanned *uint64) []AccountStat {
+// sum of the committed rows touching acct in [from, to), and returns
+// them with the number of rows it read.
+func (v *view) counterpartyStats(acct types.Address, from, to uint64) ([]AccountStat, uint64) {
 	var zero types.Address
-	it := Filter(v.accountScan(acct, from, to, scanned), func(r Row) bool { return r.OK })
-	m := Reduce(it, make(map[types.Address]*AccountStat), func(m map[types.Address]*AccountStat, r Row) map[types.Address]*AccountStat {
+	m := make(map[types.Address]*AccountStat)
+	rows := v.accountScan(acct, from, to, func(r Row) {
 		cp := r.From
 		if cp == acct {
 			cp = r.To
 		}
-		if cp == zero || cp == acct {
-			return m
+		if !r.OK || cp == zero || cp == acct {
+			return
 		}
 		s := m[cp]
 		if s == nil {
@@ -173,13 +158,12 @@ func (v *view) counterpartyStats(acct types.Address, from, to uint64, scanned *u
 		}
 		s.Count++
 		s.Sum += r.Value
-		return m
 	})
 	out := make([]AccountStat, 0, len(m))
 	for _, s := range m {
 		out = append(out, *s)
 	}
-	return out
+	return out, rows
 }
 
 func topK(k int) int {

@@ -30,19 +30,15 @@ const noVote = simnet.NodeID(-1)
 // anything newer from the leader — log or InstallSnapshot).
 const metaKey = "raft:hard"
 
-// core is one Raft replica's protocol state and logic, and nothing
+// Core is one Raft replica's protocol state and logic, and nothing
 // else: no lock, no goroutine, no clock. Everything happens inside
 // Step(now, msg), which sends through ctx.Endpoint, persists through
 // ctx.Meta, applies through ctx.Chain and returns the next instant the
 // replica needs to run. The Engine's runner supplies the time, the
-// serialization and the timer; a test supplies them by hand.
-//
-// Core is the replica for an engine that contains one and steps it inside
-// its own step (sharding's gateway): the exported methods, none of which
-// locks, are its whole surface.
-type Core = core
-
-type core struct {
+// serialization and the timer; a test supplies them by hand; sharding's
+// gateway contains one and steps it inside its own step. The exported
+// methods, none of which locks, are its whole surface.
+type Core struct {
 	ctx   consensus.Context
 	opts  Options
 	lease time.Duration
@@ -109,7 +105,7 @@ func NewCore(ctx consensus.Context, opts Options, now time.Time) *Core {
 	lease := min(opts.Heartbeat*leaseFactor, opts.ElectionTimeout/2)
 	peers := slices.Clone(ctx.Peers)
 	slices.Sort(peers)
-	c := &core{
+	c := &Core{
 		ctx:        ctx,
 		opts:       opts,
 		lease:      lease,
@@ -131,7 +127,7 @@ func NewCore(ctx consensus.Context, opts Options, now time.Time) *Core {
 // (the paper's "random response" failure mode) fail authentication and
 // are dropped, and so is whatever is not Raft's. It returns the next
 // instant the replica needs a Wake.
-func (c *core) Step(now time.Time, msg simnet.Message) time.Time {
+func (c *Core) Step(now time.Time, msg simnet.Message) time.Time {
 	if consensus.HandleSync(c.ctx, msg) {
 		// Snapshot catch-up moves canonical blocks over the shared sync
 		// protocol; any replica serves requests from its chain, and a
@@ -160,7 +156,7 @@ func (c *core) Step(now time.Time, msg simnet.Message) time.Time {
 // holds and, once per Heartbeat, sends every follower at least an empty
 // AppendEntries; anyone else starts an election at the deadline and
 // polls an apply that is waiting on the chain.
-func (c *core) wake(now time.Time) {
+func (c *Core) wake(now time.Time) {
 	if c.role != leader {
 		if !now.Before(c.deadline) {
 			c.startElection(now)
@@ -189,7 +185,7 @@ func (c *core) wake(now time.Time) {
 // batch coming due (leader); the election deadline or, while committed
 // entries wait on the chain (a snapshot sync in flight, a failed
 // append), the next poll of it (anyone else).
-func (c *core) nextWake() time.Time {
+func (c *Core) nextWake() time.Time {
 	if c.role == leader {
 		if !c.batchDue.IsZero() && c.batchDue.Before(c.hbDue) {
 			return c.batchDue
@@ -212,7 +208,7 @@ func (c *core) nextWake() time.Time {
 // through ordinary AppendEntries if they are still resident, or
 // through InstallSnapshot plus a chain sync if the leader has
 // compacted past us.
-func (c *core) restoreMeta() {
+func (c *Core) restoreMeta() {
 	if c.ctx.Meta == nil {
 		return
 	}
@@ -243,7 +239,7 @@ func (c *core) restoreMeta() {
 
 // rebase makes the replica exactly a snapshot: an empty log behind
 // (index, term), committed and applied there, at chain (height, root).
-func (c *core) rebase(index, term, height uint64, root types.Hash) {
+func (c *Core) rebase(index, term, height uint64, root types.Hash) {
 	c.log = nil
 	c.snapIndex, c.snapTerm, c.snapHeight, c.snapRoot = index, term, height, root
 	c.commit, c.applied, c.appliedHeight, c.baseSet = index, index, height, true
@@ -252,7 +248,7 @@ func (c *core) rebase(index, term, height uint64, root types.Hash) {
 // saveMeta durably records the hard state. Called whenever term, vote
 // or the applied baseline changes; a nil MetaStore disables persistence
 // (the pre-crash-recovery behavior).
-func (c *core) saveMeta() {
+func (c *Core) saveMeta() {
 	if c.ctx.Meta == nil {
 		return
 	}
@@ -270,17 +266,17 @@ func (c *core) saveMeta() {
 	c.ctx.Meta.SaveMeta(metaKey, buf)
 }
 
-func (c *core) majority() int { return len(c.peers)/2 + 1 }
+func (c *Core) majority() int { return len(c.peers)/2 + 1 }
 
 // IsLeader reports whether this replica currently leads.
-func (c *core) IsLeader() bool { return c.role == leader }
+func (c *Core) IsLeader() bool { return c.role == leader }
 
 // LeaseRead classifies one client read on this replica and counts it
 // (raft.lease_reads vs raft.read_redirects): true means it is the leader
 // and a majority (self included) has acknowledged it within the lease,
 // Heartbeat×leaseFactor, so the local answer is linearizable without a
 // log round-trip; false means the read would have to redirect to the leader.
-func (c *core) LeaseRead(now time.Time) bool {
+func (c *Core) LeaseRead(now time.Time) bool {
 	cnt := 0
 	if c.role == leader {
 		cnt = 1 // self
@@ -302,12 +298,12 @@ func (c *core) LeaseRead(now time.Time) bool {
 // replica found already on its chain holding other transactions — the
 // point where chain and log diverged and the replica stopped applying
 // (ok=false: none). Counted as raft.apply_mismatches.
-func (c *core) ApplyMismatch() (index, height uint64, ok bool) {
+func (c *Core) ApplyMismatch() (index, height uint64, ok bool) {
 	return c.mismatchIndex, c.mismatchHeight, c.mismatchIndex != 0
 }
 
 // Counters implements metrics.CounterProvider.
-func (c *core) Counters() map[string]uint64 {
+func (c *Core) Counters() map[string]uint64 {
 	return map[string]uint64{
 		"raft.elections":         c.elections,
 		"raft.leader_wins":       c.leaderWins,
@@ -321,18 +317,18 @@ func (c *core) Counters() map[string]uint64 {
 	}
 }
 
-func (c *core) resetDeadline(now time.Time) {
+func (c *Core) resetDeadline(now time.Time) {
 	jitter := time.Duration(c.rng.Int63n(int64(c.opts.ElectionTimeout)))
 	c.deadline = now.Add(c.opts.ElectionTimeout + jitter)
 }
 
 // lastIndex returns the index of the last log entry (snapshot
 // included).
-func (c *core) lastIndex() uint64 { return c.snapIndex + uint64(len(c.log)) }
+func (c *Core) lastIndex() uint64 { return c.snapIndex + uint64(len(c.log)) }
 
 // termAt returns the term of the log entry at index (snapTerm for the
 // snapshot boundary and the compacted prefix, 0 past the end).
-func (c *core) termAt(index uint64) uint64 {
+func (c *Core) termAt(index uint64) uint64 {
 	if index <= c.snapIndex {
 		return c.snapTerm
 	}
@@ -342,12 +338,12 @@ func (c *core) termAt(index uint64) uint64 {
 	return c.log[index-c.snapIndex-1].Term
 }
 
-func (c *core) entryAt(index uint64) *Entry {
+func (c *Core) entryAt(index uint64) *Entry {
 	return &c.log[index-c.snapIndex-1]
 }
 
 // startElection begins a candidacy for term+1.
-func (c *core) startElection(now time.Time) {
+func (c *Core) startElection(now time.Time) {
 	c.term++
 	c.role = candidate
 	c.leader = noVote
@@ -365,7 +361,7 @@ func (c *core) startElection(now time.Time) {
 // upToDate implements the Raft voting restriction: grant only to
 // candidates whose log is at least as complete as ours, which keeps
 // committed entries from being lost across leader changes.
-func (c *core) upToDate(lastIndex, lastTerm uint64) bool {
+func (c *Core) upToDate(lastIndex, lastTerm uint64) bool {
 	myLast := c.lastIndex()
 	myTerm := c.termAt(myLast)
 	if lastTerm != myTerm {
@@ -375,7 +371,7 @@ func (c *core) upToDate(lastIndex, lastTerm uint64) bool {
 }
 
 // stepDown returns to follower state, adopting a newer term.
-func (c *core) stepDown(term uint64, now time.Time) {
+func (c *Core) stepDown(term uint64, now time.Time) {
 	if term > c.term {
 		c.term = term
 		c.votedFor = noVote
@@ -389,7 +385,7 @@ func (c *core) stepDown(term uint64, now time.Time) {
 }
 
 // maybeWin promotes a candidate holding a majority of votes.
-func (c *core) maybeWin(now time.Time) {
+func (c *Core) maybeWin(now time.Time) {
 	if c.role != candidate || len(c.votes) < c.majority() {
 		return
 	}
@@ -424,7 +420,7 @@ func (c *core) maybeWin(now time.Time) {
 }
 
 // pickBatch selects pending transactions not already in flight.
-func (c *core) pickBatch() []*types.Transaction {
+func (c *Core) pickBatch() []*types.Transaction {
 	candidates := c.ctx.Pool.Batch(c.opts.BatchSize+len(c.assigned), 0)
 	out := make([]*types.Transaction, 0, c.opts.BatchSize)
 	for _, tx := range candidates {
@@ -446,7 +442,7 @@ func (c *core) pickBatch() []*types.Transaction {
 // nextWake turns into a wake-up at that instant instead of quantizing
 // the timeout up to the next heartbeat. Reports whether anything was
 // appended.
-func (c *core) propose(now time.Time) bool {
+func (c *Core) propose(now time.Time) bool {
 	c.batchDue = time.Time{}
 	appended := false
 	for rounds := 0; rounds < 8; rounds++ {
@@ -479,7 +475,7 @@ func (c *core) propose(now time.Time) bool {
 // broadcastAppends replicates to every follower. With heartbeat set,
 // followers with nothing outstanding still receive an empty
 // AppendEntries carrying the commit index (and refreshing the lease).
-func (c *core) broadcastAppends(now time.Time, heartbeat bool) {
+func (c *Core) broadcastAppends(now time.Time, heartbeat bool) {
 	for _, p := range c.peers {
 		if p != c.ctx.Self {
 			c.sendTo(now, p, heartbeat)
@@ -492,7 +488,7 @@ func (c *core) broadcastAppends(now time.Time, heartbeat bool) {
 // acknowledged matchIndex by up to window entries in maxAppend-sized
 // messages, so a burst streams without waiting for per-message acks.
 // Followers behind the compacted prefix get an InstallSnapshot instead.
-func (c *core) sendTo(now time.Time, p simnet.NodeID, heartbeat bool) {
+func (c *Core) sendTo(now time.Time, p simnet.NodeID, heartbeat bool) {
 	ni := max(c.next[p], 1)
 	if ni <= c.snapIndex {
 		c.sendSnapshot(now, p)
@@ -514,7 +510,7 @@ func (c *core) sendTo(now time.Time, p simnet.NodeID, heartbeat bool) {
 	}
 }
 
-func (c *core) sendAppend(now time.Time, p simnet.NodeID, ni uint64, entries []Entry) {
+func (c *Core) sendAppend(now time.Time, p simnet.NodeID, ni uint64, entries []Entry) {
 	c.ctx.Endpoint.Send(p, MsgAppend, &AppendEntries{
 		Term:      c.term,
 		PrevIndex: ni - 1,
@@ -528,7 +524,7 @@ func (c *core) sendAppend(now time.Time, p simnet.NodeID, ni uint64, entries []E
 // sendSnapshot offers the local snapshot to a follower whose next index
 // fell behind the compacted prefix, throttled per follower to one offer
 // per heartbeat interval.
-func (c *core) sendSnapshot(now time.Time, p simnet.NodeID) {
+func (c *Core) sendSnapshot(now time.Time, p simnet.NodeID) {
 	if at, ok := c.snapSentAt[p]; ok && now.Sub(at) < c.opts.Heartbeat {
 		return
 	}
@@ -548,7 +544,7 @@ func (c *core) sendSnapshot(now time.Time, p simnet.NodeID) {
 // current term stored by a majority, then applies. It reports whether
 // the commit index moved, so the caller can propagate it to followers
 // without waiting for the next heartbeat.
-func (c *core) advanceCommit() bool {
+func (c *Core) advanceCommit() bool {
 	advanced := false
 	if c.role == leader {
 		for n := c.lastIndex(); n > c.commit; n-- {
@@ -580,7 +576,7 @@ func (c *core) advanceCommit() bool {
 // that point (synced, or reloaded from the journal after a restart) are
 // recognized by height, checked against the entry and skipped instead
 // of rebuilt. Applied prefixes past the retention window are compacted.
-func (c *core) apply() {
+func (c *Core) apply() {
 	if c.mismatchIndex != 0 {
 		return
 	}
@@ -606,7 +602,7 @@ func (c *core) apply() {
 // applyNext applies entry applied+1, reporting false if it has to wait:
 // for the chain sync, for a failed append's retry, or — forever — at a
 // mismatch.
-func (c *core) applyNext() bool {
+func (c *Core) applyNext() bool {
 	if c.ctx.Chain.Height() < c.appliedHeight {
 		return false // chain sync toward the snapshot still in flight
 	}
@@ -663,7 +659,7 @@ func (c *core) applyNext() bool {
 // snapshot records the chain height and block hash at the cutoff; a
 // follower further behind than the resident prefix is caught up with
 // InstallSnapshot plus a chain sync.
-func (c *core) maybeCompact() {
+func (c *Core) maybeCompact() {
 	retain := uint64(c.opts.Retain)
 	if retain == 0 || c.applied-c.snapIndex <= retain {
 		return
@@ -690,7 +686,7 @@ func (c *core) maybeCompact() {
 // maybeSync re-requests the canonical-chain sync while this replica's
 // chain is still short of its installed snapshot, and drains newly
 // synced blocks into the applied accounting once it is not.
-func (c *core) maybeSync(now time.Time) {
+func (c *Core) maybeSync(now time.Time) {
 	if !c.baseSet {
 		return
 	}
@@ -705,7 +701,7 @@ func (c *core) maybeSync(now time.Time) {
 	consensus.RequestSync(c.ctx, c.leader)
 }
 
-func (c *core) onRequestVote(now time.Time, from simnet.NodeID, rv *RequestVote) {
+func (c *Core) onRequestVote(now time.Time, from simnet.NodeID, rv *RequestVote) {
 	if rv.Term > c.term {
 		c.stepDown(rv.Term, now)
 	}
@@ -725,7 +721,7 @@ func (c *core) onRequestVote(now time.Time, from simnet.NodeID, rv *RequestVote)
 	c.ctx.Endpoint.Send(from, MsgVote, &Vote{Term: c.term, Granted: granted})
 }
 
-func (c *core) onVote(now time.Time, from simnet.NodeID, v *Vote) {
+func (c *Core) onVote(now time.Time, from simnet.NodeID, v *Vote) {
 	if v.Term > c.term {
 		c.stepDown(v.Term, now)
 		return
@@ -738,11 +734,11 @@ func (c *core) onVote(now time.Time, from simnet.NodeID, v *Vote) {
 }
 
 // ack answers an AppendEntries or InstallSnapshot (see AppendResp).
-func (c *core) ack(to simnet.NodeID, ok bool, match uint64, echo int64) {
+func (c *Core) ack(to simnet.NodeID, ok bool, match uint64, echo int64) {
 	c.ctx.Endpoint.Send(to, MsgAppendResp, &AppendResp{Term: c.term, OK: ok, Match: match, Echo: echo})
 }
 
-func (c *core) onAppend(now time.Time, from simnet.NodeID, ae *AppendEntries) {
+func (c *Core) onAppend(now time.Time, from simnet.NodeID, ae *AppendEntries) {
 	if ae.Term < c.term {
 		c.ack(from, false, 0, 0)
 		return
@@ -792,7 +788,7 @@ func (c *core) onAppend(now time.Time, from simnet.NodeID, ae *AppendEntries) {
 	c.ack(from, true, prev+uint64(len(entries)), ae.Sent)
 }
 
-func (c *core) onAppendResp(now time.Time, from simnet.NodeID, r *AppendResp) {
+func (c *Core) onAppendResp(now time.Time, from simnet.NodeID, r *AppendResp) {
 	if r.Term > c.term {
 		c.stepDown(r.Term, now)
 		return
@@ -858,7 +854,7 @@ func (c *core) onAppendResp(now time.Time, from simnet.NodeID, r *AppendResp) {
 // up to the snapshot height are pulled from the leader over the sync
 // protocol (the chain converges to the leader's byte-identical blocks;
 // applying later entries waits until it has).
-func (c *core) onSnapshot(now time.Time, from simnet.NodeID, s *InstallSnapshot) {
+func (c *Core) onSnapshot(now time.Time, from simnet.NodeID, s *InstallSnapshot) {
 	if s.Term < c.term {
 		c.ack(from, false, 0, 0)
 		return

@@ -199,8 +199,8 @@ const (
 
 // Engine is one Raft replica driving one node: a core behind a runner.
 type Engine struct {
-	run *consensus.Runner // its mutex guards the core
-	*core
+	run  *consensus.Runner // its mutex guards the core
+	core *Core
 }
 
 // New creates a Raft engine from resolved options (presets and tests
@@ -211,7 +211,7 @@ func New(ctx consensus.Context, opts Options) *Engine {
 	if ctx.Pool != nil {
 		notify = ctx.Pool.Notify()
 	}
-	e.run = consensus.NewRunner(e.Step, notify)
+	e.run = consensus.NewRunner(e.core.Step, notify)
 	return e
 }
 

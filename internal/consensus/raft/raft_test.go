@@ -140,7 +140,7 @@ func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
 func logLen(e *Engine) int {
 	e.run.Lock()
 	defer e.run.Unlock()
-	return len(e.log)
+	return len(e.core.log)
 }
 
 // leader returns the index of the single live leader, or -1.
@@ -225,7 +225,7 @@ func TestMajorityMath(t *testing.T) {
 			peers[i] = simnet.NodeID(i)
 		}
 		e := New(consensus.Context{Peers: peers}, DefaultOptions())
-		if got := e.majority(); got != want {
+		if got := e.core.majority(); got != want {
 			t.Errorf("n=%d: majority = %d, want %d", n, got, want)
 		}
 	}
@@ -251,17 +251,17 @@ func TestVoteRestrictionPrefersCompleteLogs(t *testing.T) {
 	peers := []simnet.NodeID{0, 1, 2}
 	e := New(consensus.Context{Self: 0, Peers: peers}, DefaultOptions())
 	e.run.Lock()
-	e.log = []Entry{{Term: 1}, {Term: 2}}
-	if e.upToDate(1, 2) {
+	e.core.log = []Entry{{Term: 1}, {Term: 2}}
+	if e.core.upToDate(1, 2) {
 		t.Fatal("granted vote to a shorter log of the same last term")
 	}
-	if e.upToDate(5, 1) {
+	if e.core.upToDate(5, 1) {
 		t.Fatal("granted vote to a longer log with an older last term")
 	}
-	if !e.upToDate(2, 2) {
+	if !e.core.upToDate(2, 2) {
 		t.Fatal("rejected an equal log")
 	}
-	if !e.upToDate(1, 3) {
+	if !e.core.upToDate(1, 3) {
 		t.Fatal("rejected a newer-term log")
 	}
 	e.run.Unlock()
@@ -479,7 +479,7 @@ func TestSnapshotInstallRejoin(t *testing.T) {
 	var compacted bool
 	for i, tn := range c.nodes {
 		tn.e.run.Lock()
-		if !skip[i] && tn.e.snapIndex > 0 {
+		if !skip[i] && tn.e.core.snapIndex > 0 {
 			compacted = true
 		}
 		tn.e.run.Unlock()
@@ -604,16 +604,16 @@ func TestRejectionHintLowersStaleMatch(t *testing.T) {
 	e := c.nodes[l].e
 	peer := simnet.NodeID(1 - l)
 	e.run.Lock()
-	e.log = make([]Entry, 10)
-	for i := range e.log {
-		e.log[i] = Entry{Term: e.term}
+	e.core.log = make([]Entry, 10)
+	for i := range e.core.log {
+		e.core.log[i] = Entry{Term: e.core.term}
 	}
-	e.match[peer] = 9
-	e.next[peer] = 10
+	e.core.match[peer] = 9
+	e.core.next[peer] = 10
 	defer e.run.Unlock()
 	// The follower rejects with a hint at its new, shorter log end.
-	e.onAppendResp(time.Now(), peer, &AppendResp{Term: e.term, OK: false, Match: 3})
-	if e.match[peer] > 3 {
-		t.Fatalf("stale match survived the rejection hint: match=%d, hint was 3", e.match[peer])
+	e.core.onAppendResp(time.Now(), peer, &AppendResp{Term: e.core.term, OK: false, Match: 3})
+	if e.core.match[peer] > 3 {
+		t.Fatalf("stale match survived the rejection hint: match=%d, hint was 3", e.core.match[peer])
 	}
 }

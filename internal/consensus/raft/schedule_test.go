@@ -53,7 +53,7 @@ type sim struct {
 	t0     time.Time
 	now    time.Time
 	peers  []simnet.NodeID
-	cores  []*core
+	cores  []*Core
 	chains []*ledger.Chain
 	pools  []*txpool.Pool
 	metas  []memMeta
@@ -100,8 +100,8 @@ func newSim(t *testing.T, n int, opts Options) *sim {
 	return s
 }
 
-func (s *sim) boot(i int) *core {
-	return newCore(consensus.Context{
+func (s *sim) boot(i int) *Core {
+	return NewCore(consensus.Context{
 		Self:     simnet.NodeID(i),
 		Endpoint: wire{s, simnet.NodeID(i)},
 		Chain:    s.chains[i],
@@ -127,7 +127,7 @@ func (s *sim) run(schedule []event) {
 		for _, i := range ev.nodes {
 			switch ev.op {
 			case wake:
-				s.cores[i].step(s.now, consensus.Wake)
+				s.cores[i].Step(s.now, consensus.Wake)
 			case add:
 				for _, nonce := range ev.txs {
 					s.pools[i].Add(schedTx(nonce))
@@ -166,7 +166,7 @@ func (s *sim) deliver(ev event) {
 		case !slices.Contains(ev.nodes, int(m.To)):
 			rest = append(rest, m)
 		case ev.op == recv:
-			s.cores[m.To].step(s.now, m)
+			s.cores[m.To].Step(s.now, m)
 		}
 	}
 	s.flight = append(rest, s.flight...)
