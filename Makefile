@@ -132,10 +132,11 @@ loc:
 
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
-# raise it says so in its diff of this line. It was lowered from 21649
-# when analytics' pull-based Iterator/Filter/Reduce framework gave way
-# to two push access paths and one loop per query op.
-LOC_MAX ?= 21515
+# raise it says so in its diff of this line. It was lowered from 21515
+# when the log-bucketed FixedHistogram went and the tracer's stage
+# statistics moved onto the exact Histogram, returned in the report's
+# own types.
+LOC_MAX ?= 21282
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -449,7 +449,7 @@ func (r *Handle) emitSnapshot(now time.Time) {
 		LatencyP99:        r.latency.Quantile(0.99),
 		Counters:          counterDelta(r.cluster.inner.Counters(), r.countersBefore),
 		Events:            events,
-		Stages:            stageStats(r.tracer),
+		Stages:            r.tracer.Summaries(),
 	}
 	snap.Counters["driver.failovers"] = r.failovers.Load()
 	r.seq++
@@ -502,8 +502,8 @@ func (r *Handle) finish() {
 		MsgsDropped:  netAfter.MessagesDropped - r.netBefore.MessagesDropped,
 		Counters:     counterDelta(c.inner.Counters(), r.countersBefore),
 		Events:       r.events, // the scheduler has exited: no more writers
-		Stages:       stageStats(r.tracer),
-		Traces:       exportTraces(r.tracer),
+		Stages:       r.tracer.Summaries(),
+		Traces:       r.tracer.Recent(),
 	}
 	rep.Counters["driver.failovers"] = r.failovers.Load()
 
@@ -533,38 +533,6 @@ func (r *Handle) finish() {
 
 	rep.LatencyCDFValues, rep.LatencyCDFFractions = r.latency.CDF(40)
 	r.reportOut = rep
-}
-
-// stageStats converts the tracer's per-stage summaries into the report
-// shape. The map always carries the full stage key set, so every frame
-// and the final report expose identical keys regardless of traffic.
-func stageStats(t *trace.Tracer) map[string]report.StageStat {
-	sums := t.Summaries()
-	out := make(map[string]report.StageStat, len(sums))
-	for _, s := range sums {
-		out[s.Stage] = report.StageStat{
-			Count: s.Count, MeanS: s.Mean, P50S: s.P50, P99S: s.P99,
-		}
-	}
-	return out
-}
-
-// exportTraces copies the tracer's retained complete spans into the
-// report shape, oldest first.
-func exportTraces(t *trace.Tracer) []report.Trace {
-	recent := t.Recent()
-	if len(recent) == 0 {
-		return nil
-	}
-	out := make([]report.Trace, len(recent))
-	for i, tr := range recent {
-		stamps := make([]report.TraceStamp, len(tr.Points))
-		for j, p := range tr.Points {
-			stamps[j] = report.TraceStamp{Stage: p.Stage, OffsetNs: p.OffsetNs}
-		}
-		out[i] = report.Trace{ID: tr.ID, Stages: stamps}
-	}
-	return out
 }
 
 // counterDelta returns after-before per key, keeping zero-valued keys so

@@ -53,35 +53,77 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
+	var reset Histogram
+	for i := 1; i <= 10; i++ {
+		reset.Observe(time.Duration(i) * time.Millisecond)
 	}
-	v, f := h.CDF(10)
-	if v != nil || f != nil {
-		t.Fatal("empty CDF should be nil")
+	reset.Quantile(0.5) // leave it sorted
+	reset.Reset()
+	for name, h := range map[string]*Histogram{"new": {}, "reset": &reset} {
+		if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Quantile(0.99) != 0 {
+			t.Fatalf("%s histogram should report zeros", name)
+		}
+		v, f := h.CDF(10)
+		if v != nil || f != nil {
+			t.Fatalf("%s histogram's CDF should be nil", name)
+		}
+		h.Observe(3 * time.Millisecond)
+		h.Observe(time.Millisecond)
+		if h.Count() != 2 || h.Quantile(0.5) != 0.001 || h.Quantile(1) != 0.003 {
+			t.Fatalf("%s histogram after two samples: count %d, p50 %v, max %v",
+				name, h.Count(), h.Quantile(0.5), h.Quantile(1))
+		}
 	}
 }
 
 func TestHistogramCDFMonotonic(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 500; i++ {
-		h.Observe(time.Duration(i%37) * time.Millisecond)
+	mod37 := make([]time.Duration, 500)
+	for i := range mod37 {
+		mod37[i] = time.Duration(i%37) * time.Millisecond
 	}
-	values, fractions := h.CDF(20)
-	if len(values) != 20 || len(fractions) != 20 {
-		t.Fatalf("lengths: %d, %d", len(values), len(fractions))
-	}
-	for i := 1; i < 20; i++ {
-		if values[i] < values[i-1] {
-			t.Fatal("CDF values not monotone")
+	for _, tc := range []struct {
+		name    string
+		samples []time.Duration
+		points  int
+	}{
+		{"mod37", mod37, 20},
+		// A median point between two samples: a third of the samples
+		// are at or below 1 s, so the 0.5 point is 2 s, as Quantile says.
+		{"three", []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}, 2},
+	} {
+		var h Histogram
+		for _, d := range tc.samples {
+			h.Observe(d)
 		}
-		if fractions[i] <= fractions[i-1] {
-			t.Fatal("CDF fractions not monotone")
+		values, fractions := h.CDF(tc.points)
+		if len(values) != tc.points || len(fractions) != tc.points {
+			t.Fatalf("%s: lengths: %d, %d", tc.name, len(values), len(fractions))
 		}
-	}
-	if fractions[19] != 1.0 {
-		t.Fatalf("last fraction = %v", fractions[19])
+		for i := range values {
+			if i > 0 && values[i] < values[i-1] {
+				t.Fatalf("%s: CDF values not monotone", tc.name)
+			}
+			if i > 0 && fractions[i] <= fractions[i-1] {
+				t.Fatalf("%s: CDF fractions not monotone", tc.name)
+			}
+			if q := h.Quantile(fractions[i]); values[i] != q {
+				t.Fatalf("%s: CDF point (%v, %v) disagrees with Quantile %v",
+					tc.name, values[i], fractions[i], q)
+			}
+			atOrBelow := 0
+			for _, d := range tc.samples {
+				if d.Seconds() <= values[i] {
+					atOrBelow++
+				}
+			}
+			if got := float64(atOrBelow) / float64(len(tc.samples)); got < fractions[i] {
+				t.Fatalf("%s: CDF point (%v, %v) but only %v of samples are at or below it",
+					tc.name, values[i], fractions[i], got)
+			}
+		}
+		if fractions[tc.points-1] != 1.0 {
+			t.Fatalf("%s: last fraction = %v", tc.name, fractions[tc.points-1])
+		}
 	}
 }
 
@@ -108,105 +150,8 @@ func TestTimeSeriesSumAndAverage(t *testing.T) {
 	}
 }
 
-func TestFixedHistogramObserveAndQuantile(t *testing.T) {
-	var h FixedHistogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty FixedHistogram should report zeros")
-	}
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if got, want := h.Sum(), 500.5; got < want*0.999 || got > want*1.001 {
-		t.Fatalf("sum = %v, want ~%v", got, want)
-	}
-	// Bucket width is 10^0.1 ≈ 1.26; estimates must land within ±30%.
-	for _, tc := range []struct{ q, want float64 }{
-		{0.50, 0.500}, {0.99, 0.990}, {0.10, 0.100},
-	} {
-		got := h.Quantile(tc.q)
-		if got < tc.want*0.7 || got > tc.want*1.3 {
-			t.Fatalf("q=%v estimate %v, want within 30%% of %v", tc.q, got, tc.want)
-		}
-	}
-	// Quantile must be monotone in q.
-	prev := -1.0
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestFixedHistogramExtremes(t *testing.T) {
-	var h FixedHistogram
-	h.Observe(-time.Second)       // clamps to 0 → bucket 0
-	h.Observe(0)                  // bucket 0
-	h.Observe(time.Nanosecond)    // below min → bucket 0
-	h.Observe(1000 * time.Second) // beyond max decade → overflow bucket
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	bounds, cum := h.Buckets()
-	if cum[0] != 3 {
-		t.Fatalf("underflow bucket holds %d, want 3", cum[0])
-	}
-	last := len(cum) - 1
-	if cum[last] != 4 || cum[last-1] != 3 {
-		t.Fatalf("overflow bucket miscounted: %v", cum[last-2:])
-	}
-	if !math.IsInf(bounds[last], 1) {
-		t.Fatal("last bound must be +Inf")
-	}
-	// An overflow-dominated quantile reports the finite floor, not Inf.
-	if v := h.Quantile(1.0); math.IsInf(v, 1) || v <= 0 {
-		t.Fatalf("overflow quantile = %v", v)
-	}
-}
-
-func TestFixedHistogramSumAndReset(t *testing.T) {
-	var a FixedHistogram
-	for i := 1; i <= 100; i++ {
-		a.Observe(time.Duration(i) * time.Millisecond)
-		a.Observe(time.Duration(i) * time.Microsecond)
-	}
-	if a.Count() != 200 {
-		t.Fatalf("count = %d", a.Count())
-	}
-	wantSum := 5.05 + 0.00505
-	if got := a.Sum(); got < wantSum*0.999 || got > wantSum*1.001 {
-		t.Fatalf("sum = %v, want ~%v", got, wantSum)
-	}
-	_, cum := a.Buckets()
-	if cum[len(cum)-1] != 200 {
-		t.Fatal("cumulative buckets disagree with count")
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Sum() != 0 || a.Quantile(0.5) != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
-}
-
-func TestFixedBucketBoundaries(t *testing.T) {
-	// Every bound must land in its own bucket (inclusive upper bound),
-	// and a hair above it in the next.
-	for i := 0; i < fixedBucketCount-1; i++ {
-		b := fixedBounds[i]
-		if got := fixedBucketOf(b); got != i && !(i == 0 && got == 0) {
-			t.Fatalf("bound %v landed in bucket %d, want %d", b, got, i)
-		}
-		if got := fixedBucketOf(b * 1.0001); got != i+1 {
-			t.Fatalf("just above bound %v landed in bucket %d, want %d", b, got, i+1)
-		}
-	}
-}
-
-func TestFixedHistogramConcurrent(t *testing.T) {
-	var h FixedHistogram
+func TestHistogramConcurrent(t *testing.T) {
+	var h Histogram
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -221,8 +166,11 @@ func TestFixedHistogramConcurrent(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	_, cum := h.Buckets()
-	if cum[len(cum)-1] != 8000 {
-		t.Fatal("bucket counts lost samples")
+	// Every sample survived: the order statistics are exactly 0..7999 µs.
+	if got := h.Quantile(1); got != 7999e-6 {
+		t.Fatalf("max = %v", got)
+	}
+	if got := h.Mean(); math.Abs(got-3999.5e-6) > 1e-12 {
+		t.Fatalf("mean = %v", got)
 	}
 }

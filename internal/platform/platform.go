@@ -127,9 +127,9 @@ type Cluster struct {
 	stores   []kvstore.Store
 	engines  []exec.Engine
 	nodeKeys []*crypto.Key
-	// providers holds each node's additional counter sources beyond the
-	// consensus and execution engines (intra-block executors, state
-	// layers, stores, indexers), dropped and re-collected on rebuild.
+	// providers holds each node's counter sources (consensus and
+	// execution engines, intra-block executors, state layers, stores,
+	// registries, indexers), dropped and re-collected on rebuild.
 	providers [][]metrics.CounterProvider
 	// indexers holds each node's analytics indexer (nil entries when
 	// the index is disabled).
@@ -310,7 +310,6 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		provs = append(provs, idx)
 	}
 	c.indexers[i] = idx
-	c.providers[i] = provs
 
 	lcfg := ledger.Config{
 		Engine:        eng,
@@ -391,6 +390,12 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		ncfg.Keyring = c.env.Keyring
 	}
 	c.nodes[i] = node.New(ncfg)
+	for _, v := range []any{c.nodes[i].Consensus(), eng} {
+		if cp, ok := v.(metrics.CounterProvider); ok {
+			provs = append(provs, cp)
+		}
+	}
+	c.providers[i] = provs
 	return nil
 }
 
@@ -623,22 +628,12 @@ func (c *Cluster) ApplyMismatch(i int) (index, height uint64, ok bool) {
 // rather than progress, so they are dropped instead of summed — the
 // next incarnation reports them afresh.
 func (c *Cluster) retireCountersLocked(i int) {
-	add := func(v any) {
-		p, ok := v.(metrics.CounterProvider)
-		if !ok {
-			return
-		}
-		for k, n := range p.Counters() {
-			if metrics.GaugeKey(k) {
-				continue
-			}
-			c.retired[k] += n
-		}
-	}
-	add(c.nodes[i].Consensus())
-	add(c.engines[i])
 	for _, p := range c.providers[i] {
-		add(p)
+		for k, n := range p.Counters() {
+			if !metrics.GaugeKey(k) {
+				c.retired[k] += n
+			}
+		}
 	}
 }
 
@@ -696,31 +691,24 @@ func (c *Cluster) NodeHeight(i int) uint64 {
 	return c.chains[i].Height()
 }
 
-// Counters aggregates every engine counter the cluster's nodes expose:
-// each node's consensus engine and execution engine is asked for its
-// metrics.CounterProvider map and same-named counters are summed across
-// nodes. Engines that expose no counters contribute nothing — there is
-// no per-backend case here, so any platform registered through the
-// preset registry flows into Report.Counters automatically.
+// Counters aggregates every counter the cluster's nodes expose: each
+// node's providers (buildNode collects every component that implements
+// metrics.CounterProvider, consensus and execution engines included)
+// are asked for their maps and same-named counters are summed across
+// nodes. There is no per-backend case here, so any platform registered
+// through the preset registry flows into Report.Counters automatically.
 func (c *Cluster) Counters() map[string]uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make(map[string]uint64)
-	add := func(v any) {
-		if p, ok := v.(metrics.CounterProvider); ok {
-			for k, n := range p.Counters() {
-				out[k] += n
-			}
-		}
-	}
-	for i, n := range c.nodes {
+	for i, provs := range c.providers {
 		if c.down[i] {
 			continue // captured in retired at kill time
 		}
-		add(n.Consensus())
-		add(c.engines[i])
-		for _, p := range c.providers[i] {
-			add(p)
+		for _, p := range provs {
+			for k, n := range p.Counters() {
+				out[k] += n
+			}
 		}
 	}
 	for k, n := range c.retired {

@@ -5,10 +5,13 @@
 // A transaction's span is opened when a client submits it and stamped
 // at each pipeline stage it crosses — pool admission, batch/forward,
 // consensus propose, ordering into a block, execution, state commit,
-// client confirmation. The stamps feed one bounded FixedHistogram per
-// stage (the stage.* p50/p99 surfaced in every driver snapshot and on
-// /metrics), and completed spans land in a fixed ring buffer exported
-// as whole traces (/traces, the JSONL report).
+// client confirmation. The stamps feed one exact metrics.Histogram per
+// stage, the same type as the driver's confirm latency: 8 bytes per
+// sampled transaction per stage, which is the growth the confirm
+// histogram already has per committed transaction. Summaries reads them
+// as the report's stage map (every driver snapshot and /metrics), and
+// completed spans land in a fixed ring buffer exported as whole traces
+// (/traces, the JSONL report).
 //
 // Sampling is decided once, at submit, as a pure function of the
 // transaction hash: a span exists iff the hash's leading 64 bits fall
@@ -34,6 +37,7 @@ import (
 
 	"blockbench/internal/metrics"
 	"blockbench/internal/types"
+	"blockbench/report"
 )
 
 // Stage identifies one pipeline stage, in canonical order.
@@ -89,31 +93,6 @@ func StageNames() []string {
 	return out
 }
 
-// Point is one stamped stage of an exported trace, as an offset from
-// the span's submit stamp.
-type Point struct {
-	Stage    string `json:"stage"`
-	OffsetNs int64  `json:"offset_ns"`
-}
-
-// Trace is one completed sampled span: the transaction ID and every
-// stage it crossed, in pipeline order.
-type Trace struct {
-	ID     string  `json:"id"`
-	Points []Point `json:"stages"`
-}
-
-// StageSummary is one stage's aggregate latency statistics (seconds,
-// measured from the previous stamped stage; submit is the span epoch
-// and reports only its count).
-type StageSummary struct {
-	Stage string
-	Count uint64
-	Mean  float64
-	P50   float64
-	P99   float64
-}
-
 // span is one live sampled transaction.
 type span struct {
 	mu sync.Mutex
@@ -140,14 +119,15 @@ type Tracer struct {
 	threshold atomic.Uint64
 	sampled   atomic.Uint64 // spans opened since Reset
 
-	// hists[s] aggregates stage s's latency from its previous stage;
-	// index 0 (submit) is unused — submit is the epoch.
-	hists [NumStages]*metrics.FixedHistogram
+	// hists[s] holds stage s's latency from its previous stage, one
+	// sample per sampled transaction; index 0 (submit) is unused —
+	// submit is the epoch.
+	hists [NumStages]metrics.Histogram
 
 	shards [spanShards]spanShard
 
 	ringMu   sync.Mutex
-	ring     [RingSize]Trace
+	ring     [RingSize]report.Trace
 	ringLen  int
 	ringNext int
 }
@@ -155,9 +135,6 @@ type Tracer struct {
 // New returns a disabled tracer; Reset arms it.
 func New() *Tracer {
 	t := &Tracer{}
-	for i := range t.hists {
-		t.hists[i] = &metrics.FixedHistogram{}
-	}
 	for i := range t.shards {
 		t.shards[i].m = make(map[types.Hash]*span)
 	}
@@ -192,8 +169,8 @@ func (t *Tracer) Reset(sample float64) {
 		sh.m = make(map[types.Hash]*span)
 		sh.mu.Unlock()
 	}
-	for _, h := range t.hists {
-		h.Reset()
+	for i := range t.hists {
+		t.hists[i].Reset()
 	}
 	t.ringMu.Lock()
 	t.ringLen, t.ringNext = 0, 0
@@ -307,12 +284,12 @@ func (t *Tracer) complete(h types.Hash, at [NumStages]time.Time) {
 	sh.mu.Unlock()
 
 	start := at[StageSubmit]
-	tr := Trace{ID: h.Hex(), Points: make([]Point, 0, NumStages)}
+	tr := report.Trace{ID: h.Hex(), Stages: make([]report.TraceStamp, 0, NumStages)}
 	for s := 0; s < NumStages; s++ {
 		if at[s].IsZero() {
 			continue
 		}
-		tr.Points = append(tr.Points, Point{
+		tr.Stages = append(tr.Stages, report.TraceStamp{
 			Stage:    stageNames[s],
 			OffsetNs: at[s].Sub(start).Nanoseconds(),
 		})
@@ -327,13 +304,13 @@ func (t *Tracer) complete(h types.Hash, at [NumStages]time.Time) {
 }
 
 // Recent returns the retained completed traces, oldest first.
-func (t *Tracer) Recent() []Trace {
+func (t *Tracer) Recent() []report.Trace {
 	if t == nil {
 		return nil
 	}
 	t.ringMu.Lock()
 	defer t.ringMu.Unlock()
-	out := make([]Trace, 0, t.ringLen)
+	out := make([]report.Trace, 0, t.ringLen)
 	start := t.ringNext - t.ringLen
 	if start < 0 {
 		start += RingSize
@@ -367,34 +344,27 @@ func (t *Tracer) SampledCount() uint64 {
 	return t.sampled.Load()
 }
 
-// Histogram returns stage s's latency histogram (nil for StageSubmit,
-// which is the span epoch, and on a nil tracer). The ops server
-// exposes these as Prometheus histogram series.
-func (t *Tracer) Histogram(s Stage) *metrics.FixedHistogram {
-	if t == nil || s == StageSubmit || int(s) >= NumStages {
-		return nil
-	}
-	return t.hists[s]
-}
-
-// Summaries returns per-stage aggregate statistics in pipeline order,
-// always covering every stage (zero counts included), so consumers can
-// rely on the full key set frame after frame.
-func (t *Tracer) Summaries() []StageSummary {
-	out := make([]StageSummary, NumStages)
+// Summaries returns every stage's latency statistics keyed by stage
+// name, always carrying all eight keys (zero counts included), so
+// consumers can rely on the full key set frame after frame. Submit is
+// the span epoch and reports only how many spans were opened.
+func (t *Tracer) Summaries() map[string]report.StageStat {
+	out := make(map[string]report.StageStat, NumStages)
 	for s := 0; s < NumStages; s++ {
-		out[s].Stage = stageNames[s]
+		out[stageNames[s]] = report.StageStat{}
 	}
 	if t == nil {
 		return out
 	}
-	out[StageSubmit].Count = t.sampled.Load()
+	out[stageNames[StageSubmit]] = report.StageStat{Count: t.sampled.Load()}
 	for s := 1; s < NumStages; s++ {
-		h := t.hists[s]
-		out[s].Count = h.Count()
-		out[s].Mean = h.Mean()
-		out[s].P50 = h.Quantile(0.50)
-		out[s].P99 = h.Quantile(0.99)
+		h := &t.hists[s]
+		out[stageNames[s]] = report.StageStat{
+			Count: uint64(h.Count()),
+			MeanS: h.Mean(),
+			P50S:  h.Quantile(0.50),
+			P99S:  h.Quantile(0.99),
+		}
 	}
 	return out
 }

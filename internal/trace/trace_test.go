@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blockbench/internal/types"
+	"blockbench/report"
 )
 
 func hashOf(i int) types.Hash {
@@ -81,11 +82,11 @@ func TestStampFirstWinsAndOrdering(t *testing.T) {
 		t.Fatalf("trace id = %s, want %s", got.ID, h.Hex())
 	}
 	want := StageNames()
-	if len(got.Points) != len(want) {
-		t.Fatalf("trace has %d points, want %d", len(got.Points), len(want))
+	if len(got.Stages) != len(want) {
+		t.Fatalf("trace has %d points, want %d", len(got.Stages), len(want))
 	}
 	var last int64 = -1
-	for i, p := range got.Points {
+	for i, p := range got.Stages {
 		if p.Stage != want[i] {
 			t.Fatalf("point %d stage = %s, want %s", i, p.Stage, want[i])
 		}
@@ -96,8 +97,9 @@ func TestStampFirstWinsAndOrdering(t *testing.T) {
 	}
 
 	// Each stamped stage past submit observed exactly one sample.
+	sums := tr.Summaries()
 	for s := Stage(1); s < NumStages; s++ {
-		if c := tr.Histogram(s).Count(); c != 1 {
+		if c := sums[s.String()].Count; c != 1 {
 			t.Fatalf("stage %s histogram count = %d, want 1", s, c)
 		}
 	}
@@ -110,11 +112,41 @@ func TestSummariesAlwaysFullKeySet(t *testing.T) {
 		if len(sums) != NumStages {
 			t.Fatalf("summaries = %d entries, want %d", len(sums), NumStages)
 		}
-		for i, s := range sums {
-			if s.Stage != stageNames[i] {
-				t.Fatalf("summary %d = %q, want %q", i, s.Stage, stageNames[i])
+		for _, name := range stageNames {
+			if _, ok := sums[name]; !ok {
+				t.Fatalf("summaries lack stage %q", name)
 			}
 		}
+	}
+}
+
+func TestResetEmptiesStageStats(t *testing.T) {
+	tr := New()
+	tr.Reset(1)
+	for i := 0; i < 10; i++ {
+		h := hashOf(i)
+		for s := Stage(0); s < NumStages; s++ {
+			tr.Stamp(h, s)
+		}
+	}
+	if got := tr.Summaries()["confirm"].Count; got != 10 {
+		t.Fatalf("confirm count before reset = %d, want 10", got)
+	}
+	tr.Reset(1)
+	for name, st := range tr.Summaries() {
+		if st != (report.StageStat{}) {
+			t.Fatalf("stage %s after reset = %+v, want zero", name, st)
+		}
+	}
+	if len(tr.Recent()) != 0 || tr.Pending() != 0 {
+		t.Fatal("reset kept traces or live spans")
+	}
+	// The tracer counts afresh after a reset.
+	h := hashOf(99)
+	tr.Stamp(h, StageSubmit)
+	tr.Stamp(h, StageConfirm)
+	if got := tr.Summaries()["confirm"]; got.Count != 1 || got.P50S != got.P99S {
+		t.Fatalf("confirm after one fresh span = %+v", got)
 	}
 }
 
@@ -123,7 +155,7 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.Reset(0.5)
 	tr.Stamp(hashOf(1), StageSubmit)
 	if tr.Enabled() || tr.Sampled(hashOf(1)) || tr.Pending() != 0 ||
-		tr.Recent() != nil || tr.Histogram(StageAdmit) != nil ||
+		tr.Recent() != nil || tr.Summaries()["admit"].Count != 0 ||
 		tr.SampleRate() != 0 || tr.SampledCount() != 0 {
 		t.Fatal("nil tracer must act disabled")
 	}
@@ -177,10 +209,10 @@ func TestConcurrentStamping(t *testing.T) {
 	}
 	want := StageNames()
 	for _, trc := range recent {
-		if len(trc.Points) != len(want) {
-			t.Fatalf("trace %s has %d points, want %d", trc.ID, len(trc.Points), len(want))
+		if len(trc.Stages) != len(want) {
+			t.Fatalf("trace %s has %d points, want %d", trc.ID, len(trc.Stages), len(want))
 		}
-		for i, p := range trc.Points {
+		for i, p := range trc.Stages {
 			if p.Stage != want[i] {
 				t.Fatalf("trace %s point %d = %s, want %s", trc.ID, i, p.Stage, want[i])
 			}

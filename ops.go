@@ -3,7 +3,6 @@ package blockbench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -42,7 +41,7 @@ func startOps(addr string, r *Handle) (*opsServer, error) {
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		traces := exportTraces(r.tracer)
+		traces := r.tracer.Recent()
 		if traces == nil {
 			traces = []Trace{}
 		}
@@ -80,7 +79,7 @@ func (r *Handle) OpsAddr() string {
 // writePrometheus renders the run's live metrics in Prometheus text
 // exposition format (version 0.0.4), hand-rolled so the framework stays
 // dependency-free: the run's own progress counters, every platform
-// counter the cluster's engines expose, and one histogram series per
+// counter the cluster's engines expose, and one summary series per
 // traced pipeline stage.
 func writePrometheus(w http.ResponseWriter, r *Handle) {
 	fmt.Fprintln(w, "# HELP bb_submitted_total Operations submitted by the driver this run.")
@@ -123,7 +122,7 @@ func writePrometheus(w http.ResponseWriter, r *Handle) {
 		fmt.Fprintf(w, "%s %d\n", name, counters[k])
 	}
 
-	// Lifecycle tracing: sampling meta plus one histogram per stage.
+	// Lifecycle tracing: sampling meta plus one summary per stage.
 	tracer := r.tracer
 	fmt.Fprintln(w, "# HELP bb_trace_sampled_total Lifecycle spans opened since the run armed the tracer.")
 	fmt.Fprintln(w, "# TYPE bb_trace_sampled_total counter")
@@ -135,21 +134,17 @@ func writePrometheus(w http.ResponseWriter, r *Handle) {
 	fmt.Fprintln(w, "# TYPE bb_trace_sample_rate gauge")
 	fmt.Fprintf(w, "bb_trace_sample_rate %s\n", formatFloat(tracer.SampleRate()))
 
+	// The stage summaries are the report's stage map, so /metrics and
+	// the JSONL carry the same numbers.
 	fmt.Fprintln(w, "# HELP bb_stage_latency_seconds Per-stage transaction latency, measured from the previous stamped stage.")
-	fmt.Fprintln(w, "# TYPE bb_stage_latency_seconds histogram")
+	fmt.Fprintln(w, "# TYPE bb_stage_latency_seconds summary")
+	stats := tracer.Summaries()
 	for s := trace.Stage(1); s < trace.NumStages; s++ {
-		h := tracer.Histogram(s)
-		if h == nil {
-			continue
-		}
-		stage := s.String()
-		bounds, cum := h.Buckets()
-		for i, le := range bounds {
-			fmt.Fprintf(w, "bb_stage_latency_seconds_bucket{stage=%q,le=%q} %d\n",
-				stage, formatLe(le), cum[i])
-		}
-		fmt.Fprintf(w, "bb_stage_latency_seconds_sum{stage=%q} %s\n", stage, formatFloat(h.Sum()))
-		fmt.Fprintf(w, "bb_stage_latency_seconds_count{stage=%q} %d\n", stage, h.Count())
+		stage, st := s.String(), stats[s.String()]
+		fmt.Fprintf(w, "bb_stage_latency_seconds{stage=%q,quantile=\"0.5\"} %s\n", stage, formatFloat(st.P50S))
+		fmt.Fprintf(w, "bb_stage_latency_seconds{stage=%q,quantile=\"0.99\"} %s\n", stage, formatFloat(st.P99S))
+		fmt.Fprintf(w, "bb_stage_latency_seconds_sum{stage=%q} %s\n", stage, formatFloat(st.MeanS*float64(st.Count)))
+		fmt.Fprintf(w, "bb_stage_latency_seconds_count{stage=%q} %d\n", stage, st.Count)
 	}
 }
 
@@ -166,16 +161,6 @@ func sanitizeMetricName(key string) string {
 		}
 	}
 	return b.String()
-}
-
-// formatLe renders a histogram bucket bound the way Prometheus clients
-// do: "+Inf" for the overflow bucket, shortest round-trip decimal
-// otherwise.
-func formatLe(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return formatFloat(v)
 }
 
 func formatFloat(v float64) string {

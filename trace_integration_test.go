@@ -239,8 +239,8 @@ func TestOpsServerEndpointsAndShutdown(t *testing.T) {
 
 	metricsBody := get("/metrics")
 	for _, want := range []string{
-		"# TYPE bb_stage_latency_seconds histogram",
-		`bb_stage_latency_seconds_bucket{stage="order",le="+Inf"}`,
+		"# TYPE bb_stage_latency_seconds summary",
+		`bb_stage_latency_seconds{stage="order",quantile="0.99"}`,
 		`bb_stage_latency_seconds_count{stage="confirm"}`,
 		"# TYPE bb_committed_total counter",
 		"bb_raft_elections",
