@@ -76,6 +76,31 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+// The name is kept from the bucketed histogram that Histogram replaced;
+// the same samples now check the exact sum, the CDF's tail and Reset.
+func TestFixedHistogramSumAndReset(t *testing.T) {
+	var a Histogram
+	for i := 1; i <= 100; i++ {
+		a.Observe(time.Duration(i) * time.Millisecond)
+		a.Observe(time.Duration(i) * time.Microsecond)
+	}
+	if a.Count() != 200 {
+		t.Fatalf("count = %d", a.Count())
+	}
+	wantSum := 5.05 + 0.00505
+	if got := a.Mean() * float64(a.Count()); math.Abs(got-wantSum) > 1e-12 {
+		t.Fatalf("sum = %v, want %v", got, wantSum)
+	}
+	v, f := a.CDF(4)
+	if f[len(f)-1] != 1 || v[len(v)-1] != 0.1 {
+		t.Fatalf("CDF tail = (%v, %v), want (0.1, 1)", v[len(v)-1], f[len(f)-1])
+	}
+	a.Reset()
+	if a.Count() != 0 || a.Mean() != 0 || a.Quantile(0.5) != 0 {
+		t.Fatal("reset did not clear histogram")
+	}
+}
+
 func TestHistogramCDFMonotonic(t *testing.T) {
 	mod37 := make([]time.Duration, 500)
 	for i := range mod37 {
