@@ -132,11 +132,11 @@ loc:
 
 # loc-check is the ratchet: LOC_MAX is the count the last shrinking PR
 # left. A PR that lowers the count lowers LOC_MAX with it; one that must
-# raise it says so in its diff of this line. It was lowered from 21515
-# when the log-bucketed FixedHistogram went and the tracer's stage
-# statistics moved onto the exact Histogram, returned in the report's
-# own types.
-LOC_MAX ?= 21282
+# raise it says so in its diff of this line. It was raised from 21282
+# by the 131 lines of simnet's per-endpoint delivery queue (a hand-
+# written min-heap, a pool of reusable timers), which replaced a
+# time.AfterFunc and a closure per message.
+LOC_MAX ?= 21413
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

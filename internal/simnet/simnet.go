@@ -9,6 +9,23 @@
 // crash failure, arbitrary message delay, random response (message
 // corruption), and network partition used by the double-spending /
 // selfish-mining attack simulation.
+//
+// A send decides a message's fate and modelled delay at once, from the
+// network's seeded rng, pushes {due, seq, message} onto the destination
+// endpoint's queue (a min-heap on due time, then send order) and arms a
+// timer for it from the endpoint's pool. A firing delivers every due
+// entry, re-checking the destination at delivery time (closed,
+// replaced, crashed, partitioned, inbox full); one firing delivers at a
+// time, and one that finds another delivering leaves its entries to it.
+// One timer per delivery, not per endpoint: the runtime runs a timer
+// only on the processor whose heap holds it, so a lone timer waits out
+// whatever runs there, up to a 10 ms preemption slice, and under
+// unpaced load that starved the nodes (DESIGN.md § Modelled versus
+// real). Lock order: fireMu, then the network's mu, then qmu; send
+// takes qmu under mu's read lock, so a firing pops under qmu and takes
+// the read lock only after releasing it. The host still fires a
+// sub-millisecond timer at its next millisecond edge, so a hop takes
+// ≈ 1.07 ms.
 package simnet
 
 import (
@@ -125,11 +142,12 @@ type Network struct {
 	chaosDups     atomic.Uint64
 	chaosReorders atomic.Uint64
 
-	// closed is set under mu's write lock, and a send counts its delivery
-	// timers in timers under the read lock: Close's Wait then never runs
-	// alongside an Add, and no timer starts once it has begun.
+	// epoch is the zero of the delivery clock (now).
+	epoch time.Time
+	// closed is set under mu's write lock; send reads it and enqueues
+	// under the read lock, deliver reads it and delivers under the read
+	// lock, so no message is queued or delivered once Close has set it.
 	closed bool
-	timers sync.WaitGroup
 }
 
 // New creates a network with the given configuration.
@@ -146,14 +164,31 @@ func New(cfg Config) *Network {
 		corruptRate: make(map[NodeID]float64),
 		faults:      make(map[NodeID]LinkFaults),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		epoch:       time.Now(),
 	}
 }
 
-// Endpoint is one node's attachment point: an ID plus a bounded inbox.
+// Endpoint is one node's attachment point: an ID plus a bounded inbox,
+// and the queue of deliveries on their way to it.
 type Endpoint struct {
 	ID    NodeID
 	Inbox chan Message
 	net   *Network
+
+	// fireMu lets one firing at a time deliver, so Inbox receives in
+	// (due, seq) order; batch is its scratch. pending is set by every
+	// firing and cleared by the one holding fireMu before it pops.
+	fireMu  sync.Mutex
+	batch   []delivery
+	pending atomic.Bool
+	// qmu guards queue, a min-heap on (due, seq), and seq; and timers,
+	// every timer the endpoint has made, of which idle indexes the ones
+	// not armed.
+	qmu    sync.Mutex
+	queue  []delivery
+	seq    uint64
+	timers []*time.Timer
+	idle   []int
 }
 
 // Join attaches a new endpoint. Joining an existing ID replaces the old
@@ -249,42 +284,128 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 	n.bytes.Add(uint64(size))
 
 	msg := Message{From: from.ID, To: to, Type: typ, Payload: payload, Size: size, Corrupt: isCorrupt}
-	n.deliverAfter(msg, dst, delay)
+	due := n.now() + delay
+	dst.enqueue(due, msg)
 	if duplicate {
 		n.chaosDups.Add(1)
-		n.deliverAfter(msg, dst, delay+n.cfg.BaseLatency)
+		dst.enqueue(due+n.cfg.BaseLatency, msg)
 	}
 	return true
 }
 
-// deliverAfter schedules one delivery attempt of msg to dst, re-checking
-// the destination's liveness (crash, partition, endpoint replacement) at
-// delivery time. The caller holds n.mu's read lock (see closed).
-func (n *Network) deliverAfter(msg Message, dst *Endpoint, delay time.Duration) {
-	n.timers.Add(1)
-	time.AfterFunc(delay, func() {
-		defer n.timers.Done()
-		to := msg.To
-		n.mu.RLock()
-		closed := n.closed
-		lost := n.endpoints[to] != dst || n.crashed[to] || n.partitioned && n.group[msg.From] != n.group[to]
-		n.mu.RUnlock()
-		if closed {
-			return
+// now is the time since the network was made: the clock deliveries are
+// due on.
+func (n *Network) now() time.Duration { return time.Since(n.epoch) }
+
+// delivery is one queued delivery attempt of msg. seq, the endpoint's
+// enqueue count, orders deliveries due at the same instant by send.
+type delivery struct {
+	due time.Duration
+	seq uint64
+	msg Message
+}
+
+func (d *delivery) before(e *delivery) bool {
+	return d.due < e.due || d.due == e.due && d.seq < e.seq
+}
+
+// enqueue queues one delivery of msg, due at due, and arms a timer for
+// it. The caller holds n.mu's read lock.
+func (ep *Endpoint) enqueue(due time.Duration, msg Message) {
+	ep.qmu.Lock()
+	defer ep.qmu.Unlock()
+	ep.queue = append(ep.queue, delivery{due: due, seq: ep.seq, msg: msg})
+	ep.seq++
+	q, i := ep.queue, len(ep.queue)-1
+	for i > 0 && q[i].before(&q[(i-1)/2]) {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+		i = (i - 1) / 2
+	}
+	d := due - ep.net.now()
+	if k := len(ep.idle); k > 0 {
+		ep.timers[ep.idle[k-1]].Reset(d)
+		ep.idle = ep.idle[:k-1]
+		return
+	}
+	t := len(ep.timers)
+	ep.timers = append(ep.timers, time.AfterFunc(d, func() { ep.fire(t) }))
+}
+
+// pop removes the head of the queue into d. The caller holds qmu.
+func (ep *Endpoint) pop(d *delivery) {
+	q := ep.queue
+	last := len(q) - 1
+	*d, q[0], q[last] = q[0], q[last], delivery{}
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < len(q) && q[c+1].before(&q[c]) {
+			c++
 		}
-		if lost {
+		if c >= len(q) || !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	ep.queue = q
+}
+
+// fire runs when timer t goes off. It returns t to idle and delivers
+// what is due unless another firing is delivering; that one then goes
+// round again, because pending is set. The deliveries are moved into
+// batch under qmu and handed over after releasing it, so a firing never
+// takes n.mu while holding qmu (send takes qmu under n.mu's read lock;
+// with a writer waiting, the reverse order deadlocks). A delivery whose
+// own timer finds it gone went out with an earlier one.
+func (ep *Endpoint) fire(t int) {
+	ep.qmu.Lock()
+	ep.idle = append(ep.idle, t)
+	ep.qmu.Unlock()
+	ep.pending.Store(true)
+	for ep.pending.Load() && ep.fireMu.TryLock() {
+		ep.pending.Store(false)
+		ep.qmu.Lock()
+		now, batch := ep.net.now(), ep.batch
+		for len(ep.queue) > 0 && ep.queue[0].due <= now {
+			batch = append(batch, delivery{})
+			ep.pop(&batch[len(batch)-1])
+		}
+		ep.qmu.Unlock()
+		ep.net.deliver(ep, batch)
+		clear(batch)
+		ep.batch = batch[:0]
+		ep.fireMu.Unlock()
+	}
+}
+
+// deliver re-checks the destination's liveness (crash, partition,
+// endpoint replacement) at delivery time and hands each message to the
+// inbox. It holds n.mu's read lock throughout, so every delivery falls
+// wholly before or after Close sets closed.
+func (n *Network) deliver(dst *Endpoint, batch []delivery) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if n.closed {
+		return
+	}
+	to := dst.ID
+	gone := n.endpoints[to] != dst || n.crashed[to]
+	for i := range batch {
+		msg := &batch[i].msg
+		if gone || n.partitioned && n.group[msg.From] != n.group[to] {
 			n.dropped.Add(1)
-			return
+			continue
 		}
 		select {
-		case dst.Inbox <- msg:
+		case dst.Inbox <- *msg:
 		default:
 			// Inbox full: the receiving process cannot keep up and the
 			// message is lost, exactly like a saturated gRPC/message
 			// channel in the real system.
 			n.dropped.Add(1)
 		}
-	})
+	}
 }
 
 // Crash stops delivery to and from id until Recover.
@@ -394,12 +515,22 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// Close stops all future deliveries and waits for in-flight timers.
+// Close stops all deliveries at once: queued ones are discarded, and
+// none reaches an inbox after Close returns. (A replaced endpoint's
+// queue is left to its timers, whose deliveries see closed.)
 func (n *Network) Close() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.closed = true
-	n.mu.Unlock()
-	n.timers.Wait()
+	for _, ep := range n.endpoints {
+		ep.qmu.Lock()
+		for _, t := range ep.timers {
+			t.Stop()
+		}
+		clear(ep.queue)
+		ep.queue = ep.queue[:0]
+		ep.qmu.Unlock()
+	}
 }
 
 func (id NodeID) String() string { return fmt.Sprintf("n%d", int(id)) }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -273,10 +274,24 @@ func TestHealKeepsLinkFaults(t *testing.T) {
 	recvWithin(t, b, time.Second) // the duplicate: the profile survived
 }
 
-// inboxCounts waits for every scheduled delivery, then reports how many
+// inboxCounts waits for every queued delivery, then reports how many
 // messages each endpoint holds.
 func inboxCounts(n *Network, eps []*Endpoint) []int {
-	n.timers.Wait()
+	for _, ep := range eps {
+		for {
+			ep.qmu.Lock()
+			queued := len(ep.queue)
+			ep.qmu.Unlock()
+			if queued == 0 {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		// A firing that popped the last deliveries holds fireMu until it
+		// has handed them over.
+		ep.fireMu.Lock()
+		ep.fireMu.Unlock()
+	}
 	out := make([]int, len(eps))
 	for i, ep := range eps {
 		out[i] = len(ep.Inbox)
@@ -374,4 +389,91 @@ func TestCloseDuringSend(t *testing.T) {
 			t.Fatalf("round %d: %d messages delivered after Close returned", round, got-held)
 		}
 	}
+}
+
+// TestLinkDeliversInDueOrder: on a link without jitter every message is
+// due BaseLatency after its send, so the inbox receives them in send
+// order. Messages due within one timer wake must not race each other to
+// the inbox.
+func TestLinkDeliversInDueOrder(t *testing.T) {
+	const msgs = 500
+	n := New(Config{BaseLatency: 200 * time.Microsecond})
+	defer n.Close()
+	a, b := n.Join(1), n.Join(2)
+	for i := 0; i < msgs; i++ {
+		a.Send(2, "x", i)
+	}
+	for i := 0; i < msgs; i++ {
+		if m := recvWithin(t, b, time.Second); m.Payload != i {
+			t.Fatalf("position %d holds message %v: a zero-jitter link reordered", i, m.Payload)
+		}
+	}
+}
+
+// TestCloseDoesNotWaitOutDelay: Close discards what is queued instead
+// of waiting for it to fall due, and nothing lands in an inbox after.
+func TestCloseDoesNotWaitOutDelay(t *testing.T) {
+	n := New(fastConfig())
+	a, b := n.Join(1), n.Join(2)
+	n.SetDelay(time.Hour, 2)
+	if !a.Send(2, "x", nil) {
+		t.Fatal("send refused")
+	}
+	closed := make(chan struct{})
+	go func() { n.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited out a queued delivery's delay")
+	}
+	if len(b.Inbox) != 0 {
+		t.Fatal("a delivery landed although the network closed")
+	}
+}
+
+// TestSendAllocBudget holds a message's whole trip — Send, the
+// endpoint's queue and timers, the hand-off to the inbox — to no heap
+// allocation once the queue and the timer pool have grown to their
+// working size. The payload is a pointer, so boxing it in the Message
+// allocates nothing either. The budget is per round, not per message,
+// so an allocation per firing or per batch fails it too.
+func TestSendAllocBudget(t *testing.T) {
+	const (
+		msgs    = 64
+		ceiling = 0 // allocations per round: 2 per message (a timer and a closure) before the delivery queue
+	)
+	n := New(fastConfig())
+	defer n.Close()
+	a, b := n.Join(1), n.Join(2)
+	payload := &sized{100}
+	round := func() {
+		for i := 0; i < msgs; i++ {
+			a.Send(2, "x", payload)
+		}
+		for i := 0; i < msgs; i++ {
+			<-b.Inbox
+		}
+		// A message's own timer can go off after an earlier firing
+		// delivered it; wait for every timer to be idle again, so the
+		// next round reuses them instead of growing the pool.
+		for !timersIdle(b) {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm-up: the queue and the timer pool grow to their working size
+	}
+	perRound := testing.AllocsPerRun(50, round)
+	t.Logf("send and deliver: %v allocations per %d-message round", perRound, msgs)
+	if perRound > ceiling {
+		t.Errorf("send and deliver: %v allocations per %d-message round, ceiling %d", perRound, msgs, ceiling)
+	}
+}
+
+// timersIdle reports whether every timer ep has made is back in its
+// idle list: none is armed or waiting to fire.
+func timersIdle(ep *Endpoint) bool {
+	ep.qmu.Lock()
+	defer ep.qmu.Unlock()
+	return len(ep.idle) == len(ep.timers)
 }
