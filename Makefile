@@ -135,8 +135,10 @@ loc:
 # raise it says so in its diff of this line. It was raised from 21282
 # by the 131 lines of simnet's per-endpoint delivery queue (a hand-
 # written min-heap, a pool of reusable timers), which replaced a
-# time.AfterFunc and a closure per message.
-LOC_MAX ?= 21413
+# time.AfterFunc and a closure per message. It fell to 21359 when raft,
+# pbft, poa and the sharded gateway came to embed consensus.Runner (no
+# forwarding Start/Stop/Handle) and shared one batch picker.
+LOC_MAX ?= 21359
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -8,7 +8,6 @@ import (
 
 	"blockbench"
 	"blockbench/internal/hstore"
-	"blockbench/internal/types"
 )
 
 // Fig14HStore reproduces Fig 14 (Appendix B): the three blockchains
@@ -104,5 +103,3 @@ func runHStore(workload string, d time.Duration) (float64, error) {
 	total.Range(func(_, v any) bool { sum += v.(uint64); return true })
 	return float64(sum) / d.Seconds(), nil
 }
-
-var _ = types.U64Bytes // keep types linked for future extensions

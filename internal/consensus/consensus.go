@@ -1,8 +1,10 @@
 // Package consensus defines the interface between a blockchain node and
-// its consensus engine, plus the block gossip and synchronization
-// protocol shared by the forking engines (PoW, PoA). The three engines — proof-of-work
-// (Ethereum), proof-of-authority (Parity) and PBFT (Hyperledger Fabric
-// v0.6) — live in subpackages.
+// its consensus engine, the Runner that turns a clock-free core into
+// one, and the block gossip and synchronization protocol shared by the
+// forking engines (PoW, PoA). The engines — proof-of-work (Ethereum),
+// proof-of-authority (Parity), PBFT (Hyperledger Fabric v0.6) and Raft
+// (Quorum) — live in subpackages; the sharded gateway
+// (internal/sharding) is the fifth.
 package consensus
 
 import (
@@ -62,14 +64,32 @@ type Context struct {
 
 // Engine is a consensus protocol instance driving one node.
 type Engine interface {
-	// Start launches the engine's goroutines (mining loop, step timer,
-	// batch timer...).
+	// Start launches the engine's goroutines: its runner's goroutine;
+	// PoW's mining loop.
 	Start()
 	// Stop halts them. Engines must tolerate Stop before Start.
 	Stop()
 	// Handle processes one network message; one that is not this
 	// engine's is ignored.
 	Handle(msg simnet.Message)
+}
+
+// PickBatch selects up to size pending transactions from pool that are
+// not in inFlight, over-fetching by len(inFlight) so in-flight ones do
+// not crowd out new ones. The caller marks what it proposes.
+func PickBatch(pool *txpool.Pool, size int, inFlight map[types.Hash]bool) []*types.Transaction {
+	candidates := pool.Batch(size+len(inFlight), 0)
+	out := make([]*types.Transaction, 0, size)
+	for _, tx := range candidates {
+		if inFlight[tx.Hash()] {
+			continue
+		}
+		out = append(out, tx)
+		if len(out) >= size {
+			break
+		}
+	}
+	return out
 }
 
 // Locator identifies one block on the requester's canonical chain.

@@ -122,13 +122,14 @@ func (c *core) maybePropose(now time.Time) {
 		c.nextSeq = height + 1
 	}
 	if int(c.nextSeq-height)-1 < window {
-		txs := c.pickBatch()
+		txs := consensus.PickBatch(c.ctx.Pool, c.opts.BatchSize, c.assigned)
 		if len(txs) == 0 {
 			return
 		}
 		seq := c.nextSeq
 		c.nextSeq++
 		for _, tx := range txs {
+			c.assigned[tx.Hash()] = true
 			c.ctx.Tracer.Stamp(tx.Hash(), trace.StagePropose)
 		}
 		pp := &PrePrepare{View: c.view, Seq: seq, Txs: txs}
@@ -140,25 +141,6 @@ func (c *core) maybePropose(now time.Time) {
 		// network echoes that never come.
 		c.advance(now, seq, inst)
 	}
-}
-
-// pickBatch selects pending transactions not already in flight.
-func (c *core) pickBatch() []*types.Transaction {
-	candidates := c.ctx.Pool.Batch(c.opts.BatchSize+len(c.assigned), 0)
-	out := make([]*types.Transaction, 0, c.opts.BatchSize)
-	for _, tx := range candidates {
-		if c.assigned[tx.Hash()] {
-			continue
-		}
-		out = append(out, tx)
-		if len(out) >= c.opts.BatchSize {
-			break
-		}
-	}
-	for _, tx := range out {
-		c.assigned[tx.Hash()] = true
-	}
-	return out
 }
 
 func (c *core) getInstance(seq, view uint64, txs []*types.Transaction) *instance {

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
 
@@ -115,9 +114,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// Engine is one PBFT replica: a core behind a runner.
+// Engine is one PBFT replica: a core behind a runner, which is the
+// consensus.Engine.
 type Engine struct {
-	run *consensus.Runner // its mutex guards the core
+	*consensus.Runner // its mutex guards the core
 	*core
 }
 
@@ -125,24 +125,14 @@ type Engine struct {
 // start from DefaultOptions). All peers run replicas.
 func New(ctx consensus.Context, opts Options) *Engine {
 	e := &Engine{core: newCore(ctx, opts, time.Now())}
-	e.run = consensus.NewRunner(e.step, nil)
+	e.Runner = consensus.NewRunner(e.step, nil)
 	return e
 }
 
-// Start implements consensus.Engine.
-func (e *Engine) Start() { e.run.Start() }
-
-// Stop implements consensus.Engine.
-func (e *Engine) Stop() { e.run.Stop() }
-
-// Handle implements consensus.Engine. The core tells its own messages
-// from anyone else's by payload type.
-func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }
-
 // Counters implements metrics.CounterProvider.
 func (e *Engine) Counters() map[string]uint64 {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return map[string]uint64{
 		"pbft.view_changes": e.viewChanges,
 		"pbft.batches":      e.batchesDone,

@@ -93,19 +93,19 @@ func TestViewChangeVotesTriggerJoinAndEnter(t *testing.T) {
 	e := New(consensus.Context{Self: 0, Peers: []simnet.NodeID{0, 1, 2, 3},
 		Endpoint: ep, Chain: testChain(t)}, DefaultOptions())
 
-	e.run.Lock()
+	e.Lock()
 	e.recordViewVote(time.Now(), 1, &ViewChange{NewView: 1})
 	joined := e.votedView
-	e.run.Unlock()
+	e.Unlock()
 	if joined != 0 {
 		t.Fatal("joined view change with only one foreign vote (f+1 = 2 needed)")
 	}
 
-	e.run.Lock()
+	e.Lock()
 	e.recordViewVote(time.Now(), 2, &ViewChange{NewView: 1})
 	// Two foreign votes = f+1 → we vote too (3 total = quorum) → enter.
 	view, voted := e.view, e.votedView
-	e.run.Unlock()
+	e.Unlock()
 	if voted != 1 {
 		t.Fatalf("votedView = %d, want 1", voted)
 	}
@@ -119,10 +119,10 @@ func TestViewChangeVotesTriggerJoinAndEnter(t *testing.T) {
 
 func TestStaleViewChangeIgnored(t *testing.T) {
 	e := engineOf(4, 0)
-	e.run.Lock()
+	e.Lock()
 	e.view = 5
 	e.onViewChange(time.Now(), 1, &ViewChange{NewView: 3})
-	defer e.run.Unlock()
+	defer e.Unlock()
 	if len(e.vcVotes[3]) != 0 {
 		t.Fatal("stale view-change vote recorded")
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
 
@@ -36,9 +35,11 @@ func DefaultOptions() Options {
 // stepDuration itself, but a hard cap keeps memory bounded.
 const maxTxsPerBlock = 4096
 
-// Engine is one authority node: a core behind a runner.
+// Engine is one authority node: a core behind a runner, which is the
+// consensus.Engine. The core handles sync traffic and gossiped blocks
+// sealed by the authority that owned their step.
 type Engine struct {
-	run *consensus.Runner // its mutex guards the core
+	*consensus.Runner // its mutex guards the core
 	*core
 }
 
@@ -46,23 +47,13 @@ type Engine struct {
 // from DefaultOptions).
 func New(ctx consensus.Context, opts Options) *Engine {
 	e := &Engine{core: &core{ctx: ctx, opts: opts}}
-	e.run = consensus.NewRunner(e.step, nil)
+	e.Runner = consensus.NewRunner(e.step, nil)
 	return e
 }
 
-// Start implements consensus.Engine.
-func (e *Engine) Start() { e.run.Start() }
-
-// Stop implements consensus.Engine.
-func (e *Engine) Stop() { e.run.Stop() }
-
-// Handle implements consensus.Engine: sync traffic, and gossiped blocks
-// sealed by the authority that owned their step.
-func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }
-
 // Counters implements metrics.CounterProvider.
 func (e *Engine) Counters() map[string]uint64 {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return map[string]uint64{"poa.sealed": e.sealed}
 }

@@ -419,22 +419,6 @@ func (c *Core) maybeWin(now time.Time) {
 	c.advanceCommit()
 }
 
-// pickBatch selects pending transactions not already in flight.
-func (c *Core) pickBatch() []*types.Transaction {
-	candidates := c.ctx.Pool.Batch(c.opts.BatchSize+len(c.assigned), 0)
-	out := make([]*types.Transaction, 0, c.opts.BatchSize)
-	for _, tx := range candidates {
-		if c.assigned[tx.Hash()] {
-			continue
-		}
-		out = append(out, tx)
-		if len(out) >= c.opts.BatchSize {
-			break
-		}
-	}
-	return out
-}
-
 // propose appends new log entries from the pool: full batches
 // immediately, partial batches once BatchTimeout has passed (Fabric-
 // style size/timeout batching, which Quorum's geth lineage shares). A
@@ -449,7 +433,7 @@ func (c *Core) propose(now time.Time) bool {
 		if c.lastIndex()-c.commit >= window {
 			break
 		}
-		txs := c.pickBatch()
+		txs := consensus.PickBatch(c.ctx.Pool, c.opts.BatchSize, c.assigned)
 		if len(txs) == 0 {
 			break
 		}

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
 
@@ -197,10 +196,11 @@ const (
 	leaseFactor = 3
 )
 
-// Engine is one Raft replica driving one node: a core behind a runner.
+// Engine is one Raft replica driving one node: a core behind a runner,
+// which is the consensus.Engine.
 type Engine struct {
-	run  *consensus.Runner // its mutex guards the core
-	core *Core
+	*consensus.Runner // its mutex guards the core
+	core              *Core
 }
 
 // New creates a Raft engine from resolved options (presets and tests
@@ -211,44 +211,34 @@ func New(ctx consensus.Context, opts Options) *Engine {
 	if ctx.Pool != nil {
 		notify = ctx.Pool.Notify()
 	}
-	e.run = consensus.NewRunner(e.core.Step, notify)
+	e.Runner = consensus.NewRunner(e.core.Step, notify)
 	return e
 }
 
-// Start implements consensus.Engine.
-func (e *Engine) Start() { e.run.Start() }
-
-// Stop implements consensus.Engine.
-func (e *Engine) Stop() { e.run.Stop() }
-
-// Handle implements consensus.Engine. The core tells its own messages
-// from anyone else's by payload type.
-func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }
-
 // IsLeader is the core's, under the lock.
 func (e *Engine) IsLeader() bool {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.core.IsLeader()
 }
 
 // LeaseRead is the core's, under the lock at the current time.
 func (e *Engine) LeaseRead() bool {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.core.LeaseRead(time.Now())
 }
 
 // ApplyMismatch is the core's, under the lock.
 func (e *Engine) ApplyMismatch() (index, height uint64, ok bool) {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.core.ApplyMismatch()
 }
 
 // Counters is the core's, under the lock.
 func (e *Engine) Counters() map[string]uint64 {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.core.Counters()
 }

@@ -138,8 +138,8 @@ func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
 // logLen returns the resident log length (entries past the snapshot) —
 // the quantity compaction bounds.
 func logLen(e *Engine) int {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return len(e.core.log)
 }
 
@@ -250,7 +250,7 @@ func TestWireSizes(t *testing.T) {
 func TestVoteRestrictionPrefersCompleteLogs(t *testing.T) {
 	peers := []simnet.NodeID{0, 1, 2}
 	e := New(consensus.Context{Self: 0, Peers: peers}, DefaultOptions())
-	e.run.Lock()
+	e.Lock()
 	e.core.log = []Entry{{Term: 1}, {Term: 2}}
 	if e.core.upToDate(1, 2) {
 		t.Fatal("granted vote to a shorter log of the same last term")
@@ -264,7 +264,7 @@ func TestVoteRestrictionPrefersCompleteLogs(t *testing.T) {
 	if !e.core.upToDate(1, 3) {
 		t.Fatal("rejected a newer-term log")
 	}
-	e.run.Unlock()
+	e.Unlock()
 }
 
 func TestElectsSingleLeader(t *testing.T) {
@@ -478,11 +478,11 @@ func TestSnapshotInstallRejoin(t *testing.T) {
 	c.waitCommitted(t, txs, skip)
 	var compacted bool
 	for i, tn := range c.nodes {
-		tn.e.run.Lock()
+		tn.e.Lock()
 		if !skip[i] && tn.e.core.snapIndex > 0 {
 			compacted = true
 		}
-		tn.e.run.Unlock()
+		tn.e.Unlock()
 	}
 	if !compacted {
 		t.Fatal("majority never compacted; snapshot path not exercised")
@@ -603,14 +603,14 @@ func TestRejectionHintLowersStaleMatch(t *testing.T) {
 	l := c.waitLeader(t, nil)
 	e := c.nodes[l].e
 	peer := simnet.NodeID(1 - l)
-	e.run.Lock()
+	e.Lock()
 	e.core.log = make([]Entry, 10)
 	for i := range e.core.log {
 		e.core.log[i] = Entry{Term: e.core.term}
 	}
 	e.core.match[peer] = 9
 	e.core.next[peer] = 10
-	defer e.run.Unlock()
+	defer e.Unlock()
 	// The follower rejects with a hint at its new, shorter log end.
 	e.core.onAppendResp(time.Now(), peer, &AppendResp{Term: e.core.term, OK: false, Match: 3})
 	if e.core.match[peer] > 3 {

@@ -23,7 +23,8 @@ var Wake = simnet.Message{}
 // Runner is the half of an engine that touches the machine: the only
 // mutex (embedded; the engine takes it around reads of core state), the
 // only goroutine, and one timer armed at whatever instant the core's
-// last step asked for.
+// last step asked for. It is a whole Engine: raft, pbft, poa and the
+// sharded gateway embed one and add only what their cores expose.
 type Runner struct {
 	sync.Mutex
 	step    Step
@@ -43,17 +44,20 @@ func NewRunner(step Step, notify <-chan struct{}) *Runner {
 		stop: make(chan struct{}), done: make(chan struct{})}
 }
 
-// Deliver steps the core with msg at the current time and re-arms the
+var _ Engine = (*Runner)(nil)
+
+// Handle steps the core with msg at the current time and re-arms the
 // timer. Callable before Start and after Stop (the core still answers;
-// only wake-ups need the goroutine).
-func (r *Runner) Deliver(msg simnet.Message) {
+// only wake-ups need the goroutine). The core tells its own messages
+// from anyone else's by payload type.
+func (r *Runner) Handle(msg simnet.Message) {
 	r.Lock()
 	defer r.Unlock()
 	now := time.Now()
 	r.Arm(now, r.step(now, msg))
 }
 
-// Arm sets the timer to fire at wake (zero: never). Deliver does it
+// Arm sets the timer to fire at wake (zero: never). Handle does it
 // after every step; an engine that changes its core's deadlines outside
 // a step — under the lock, which the caller holds — does it itself.
 func (r *Runner) Arm(now, wake time.Time) {
@@ -82,7 +86,7 @@ func (r *Runner) Stop() {
 func (r *Runner) loop() {
 	defer close(r.done)
 	for {
-		r.Deliver(Wake) // the first arms the timer
+		r.Handle(Wake) // the first arms the timer
 		select {
 		case <-r.stop:
 			return

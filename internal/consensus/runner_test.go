@@ -46,7 +46,7 @@ func TestCoresStayPure(t *testing.T) {
 // TestRunnerWakesAtTheRequestedInstant drives a Runner with a scripted
 // core: the loop's first step arms the timer, the wake arrives no earlier
 // than asked, a zero instant disarms, the notify channel wakes like the
-// timer, and a Deliver re-arms from the instant its step returns.
+// timer, and a Handle re-arms from the instant its step returns.
 func TestRunnerWakesAtTheRequestedInstant(t *testing.T) {
 	type call struct {
 		at   time.Time
@@ -104,12 +104,12 @@ func TestRunnerWakesAtTheRequestedInstant(t *testing.T) {
 	expect("notify", true)
 	quiet("still disarmed")
 	ask(10 * time.Millisecond)
-	r.Deliver(simnet.Message{Type: "x"})
+	r.Handle(simnet.Message{Type: "x"})
 	expect("deliver", false)
 	expect("timer armed by deliver", true)
 	quiet("disarmed again")
 	r.Stop()
 	r.Stop()
-	r.Deliver(simnet.Message{Type: "x"}) // the core still answers after Stop
+	r.Handle(simnet.Message{Type: "x"}) // the core still answers after Stop
 	expect("deliver after stop", false)
 }

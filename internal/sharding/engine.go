@@ -7,7 +7,6 @@ import (
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/raft"
-	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
 
@@ -33,11 +32,12 @@ func DefaultOptions() Options {
 
 // Engine is one node's sharded execution stack: a core (the gateway, the
 // 2PC roles and the shard group's Raft replica) behind the node's one
-// runner. It implements consensus.Engine and the node package's Router
-// (client transactions are routed instead of pooled locally, and commits
-// on foreign shards are surfaced back through BlocksFrom/Receipt).
+// runner, which is its consensus.Engine (Stop alone is overridden). It
+// also implements the node package's Router (client transactions are
+// routed instead of pooled locally, and commits on foreign shards are
+// surfaced back through BlocksFrom/Receipt).
 type Engine struct {
-	run *consensus.Runner // its mutex guards the core, replica included
+	*consensus.Runner // its mutex guards the core, replica included
 	*core
 }
 
@@ -46,7 +46,7 @@ type Engine struct {
 // timer and whenever the outbound queue admits a transaction.
 func New(ctx consensus.Context, opts Options) *Engine {
 	e := &Engine{core: newCore(ctx, opts, time.Now())}
-	e.run = consensus.NewRunner(e.step, e.outbound.Notify())
+	e.Runner = consensus.NewRunner(e.step, e.outbound.Notify())
 	return e
 }
 
@@ -58,8 +58,8 @@ func (e *Engine) Partition() HashPartitioner { return e.part }
 
 // IsLeader reports whether this node leads its shard group.
 func (e *Engine) IsLeader() bool {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.replica.IsLeader()
 }
 
@@ -67,28 +67,26 @@ func (e *Engine) IsLeader() bool {
 // vouches for read freshness exactly when its own shard group's replica
 // holds a live leader lease.
 func (e *Engine) LeaseRead() bool {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.replica.LeaseRead(time.Now())
 }
 
 // ApplyMismatch forwards the shard group's replica's (see
 // raft.Core.ApplyMismatch) to the invariant checker.
 func (e *Engine) ApplyMismatch() (index, height uint64, ok bool) {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	return e.replica.ApplyMismatch()
 }
 
-// Start implements consensus.Engine.
-func (e *Engine) Start() { e.run.Start() }
-
-// Stop implements consensus.Engine. Pending cross-shard coordinations
-// are resolved as aborts so the commit/abort accounting stays exact.
+// Stop implements consensus.Engine: the runner's, then pending
+// cross-shard coordinations are resolved as aborts so the commit/abort
+// accounting stays exact.
 func (e *Engine) Stop() {
-	e.run.Stop()
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Runner.Stop()
+	e.Lock()
+	defer e.Unlock()
 	e.xAborts += uint64(len(e.coord))
 	clear(e.coord)
 }
@@ -99,8 +97,8 @@ func (e *Engine) Stop() {
 // like raft.elections keep working) and under a per-shard prefix (so
 // shard imbalance is visible per group).
 func (e *Engine) Counters() map[string]uint64 {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	out := map[string]uint64{
 		"xshard.commits":  e.xCommits,
 		"xshard.aborts":   e.xAborts,
@@ -128,11 +126,11 @@ func (e *Engine) SubmitTx(tx *types.Transaction) error {
 		}
 		return ErrBusy
 	}
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	now := time.Now()
 	err := e.submit(now, tx, shards)
-	e.run.Arm(now, e.settle(now))
+	e.Arm(now, e.settle(now))
 	return err
 }
 
@@ -140,8 +138,8 @@ func (e *Engine) SubmitTx(tx *types.Transaction) error {
 // happened on shards this node is not a member of, ready to surface to
 // this node's polling clients (each ID is delivered once).
 func (e *Engine) DrainRemoteCommits() []types.Hash {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	out := e.remoteQ
 	e.remoteQ = nil
 	return out
@@ -150,12 +148,8 @@ func (e *Engine) DrainRemoteCommits() []types.Hash {
 // CommittedElsewhere implements Router: whether the gateway knows id
 // committed on every foreign shard it touched.
 func (e *Engine) CommittedElsewhere(id types.Hash) bool {
-	e.run.Lock()
-	defer e.run.Unlock()
+	e.Lock()
+	defer e.Unlock()
 	_, ok := e.remote[id]
 	return ok
 }
-
-// Handle implements consensus.Engine. The core tells sharding protocol
-// messages, its replica's and everyone else's apart.
-func (e *Engine) Handle(msg simnet.Message) { e.run.Deliver(msg) }

@@ -254,7 +254,7 @@ func write(nonce uint64, key []byte) *types.Transaction {
 // engineOf wraps a core in its shell, never started, to reach the Router
 // methods a node calls.
 func (s *sim) engineOf(i int) *Engine {
-	return &Engine{run: consensus.NewRunner(s.cores[i].step, nil), core: s.cores[i]}
+	return &Engine{Runner: consensus.NewRunner(s.cores[i].step, nil), core: s.cores[i]}
 }
 
 // accounted fails unless every coordination node i opened is resolved or

@@ -45,12 +45,6 @@ const (
 	// CounterAnalyticsQueries counts analytics queries served from the
 	// nodes' columnar ledger indexes.
 	CounterAnalyticsQueries = "analytics.queries"
-	// CounterAnalyticsQueryRows counts index rows pulled by those
-	// queries after pushdown — their true scan cost.
-	CounterAnalyticsQueryRows = "analytics.query_rows"
-	// CounterAnalyticsZoneSkips counts whole segments skipped by zone
-	// maps during range scans.
-	CounterAnalyticsZoneSkips = "analytics.zone_skips"
 )
 
 // EventRecord stamps one fired schedule event: its name and the actual
