@@ -6,31 +6,26 @@ import (
 	"time"
 
 	"blockbench/internal/types"
-	"blockbench/internal/workload"
 )
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "analytics",
 		Description: "OLAP micro benchmark: preloaded historical chain plus the Q1/Q2 scan queries",
-		Contracts:   []string{"versionkv"},
-		New: func(opts workload.Options) (any, error) {
-			d := workload.NewDecoder(opts)
+		New: func(opts WorkloadOptions) (Workload, error) {
+			d := NewWorkloadDecoder(opts)
 			a := &Analytics{
 				Blocks:     d.Int("blocks", 0),
 				TxPerBlock: d.Int("txperblock", 0),
 				Accounts:   d.Int("accounts", 0),
 				Mode:       d.String("mode", ""),
 			}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
 			switch a.Mode {
 			case "", "rpc", "indexed":
 			default:
-				return nil, fmt.Errorf("option mode=%q: want rpc or indexed", a.Mode)
+				d.Reject("mode", "want rpc or indexed")
 			}
-			return a, nil
+			return a, d.Finish()
 		},
 	})
 }

@@ -189,7 +189,7 @@ func TestAnalyticsCatchUpRebuild(t *testing.T) {
 // forks, so committed history is immutable).
 func TestHTAPScansSeeCommittedOnly(t *testing.T) {
 	c := fastCluster(t, Quorum, 3, 4, "versionkv", "donothing")
-	w := &HTAP{PreloadBlocks: 12, QueryEvery: 8}
+	w := &HTAP{QueryEvery: 8}
 
 	stop := make(chan struct{})
 	var monitorErr atomic.Value

@@ -148,8 +148,8 @@ func benchConfig(kind blockbench.Platform, nodes int, w blockbench.Workload) blo
 // 2PC). Per-shard ordering capacity is pinned down (small batches) so
 // the sweep exposes the parallelism of independent shard groups rather
 // than driver limits; each run also reports the workload's cross-shard
-// touch rate predicted by its KeyOf hint, and the observed rate from
-// the run's counters.
+// touch rate predicted by its operations' keys (OpKeys), and the
+// observed rate from the run's counters.
 func BenchmarkShardScaling(b *testing.B) {
 	for _, wname := range []string{"ycsb", "smallbank"} {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -317,21 +317,17 @@ func execScalingPreload(wname string, records int, rng *rand.Rand) []blockbench.
 }
 
 // keyOfCrossRate predicts a workload's cross-shard touch rate from its
-// KeyOf hint: the fraction of 2000 drawn operations whose keys span
+// operations' keys (OpKeys): the fraction of 2000 drawn operations whose keys span
 // more than one shard of a hash partitioner.
 func keyOfCrossRate(wname string, shards int) float64 {
 	w := blockbench.MustWorkload(wname, blockbench.WorkloadOptions{"records": "500"})
-	keyed, ok := w.(blockbench.KeyedWorkload)
-	if !ok {
-		return 0
-	}
 	p := sharding.NewHashPartitioner(shards)
 	rng := rand.New(rand.NewSource(11))
 	cross := 0
 	const draws = 2000
 	for i := 0; i < draws; i++ {
 		seen := map[int]bool{}
-		for _, k := range keyed.KeyOf(w.Next(i%8, rng)) {
+		for _, k := range blockbench.OpKeys(w.Next(i%8, rng)) {
 			seen[p.Shard(k)] = true
 		}
 		if len(seen) > 1 {

@@ -2,7 +2,7 @@
 // and prints the run's metrics — the CLI face of the framework's driver.
 //
 // Platforms and workloads both come from pluggable registries
-// (internal/platform, internal/workload): the paper's presets plus
+// (internal/platform, blockbench.RegisterWorkload): the paper's presets plus
 // anything framework users register. Workload parameters are generic
 // -wopt key=val pairs interpreted by the workload's factory, and
 // platform tuning is the same mechanism under -popt, interpreted by the
@@ -17,7 +17,7 @@
 //
 //	blockbench -platform hyperledger -workload ycsb -nodes 8 -clients 8 -rate 128 -duration 12s
 //	blockbench -platform ethereum -workload smallbank -blocking -duration 10s
-//	blockbench -platform parity -workload ycsb -wopt readprop=0.9 -wopt updateprop=0.1
+//	blockbench -platform parity -workload ycsb -wopt readprop=0.9 -wopt distribution=uniform
 //	blockbench -platform quorum -workload ycsb -duration 10s -out run.jsonl
 //	blockbench -platforms
 //	blockbench -workloads

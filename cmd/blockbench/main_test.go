@@ -19,9 +19,8 @@ import (
 func TestMain(m *testing.M) {
 	if os.Getenv("BLOCKBENCH_TEST_RUN_MAIN") == "1" {
 		if err := blockbench.RegisterWorkload(blockbench.WorkloadSpec{
-			Name:      "violator",
-			Contracts: []string{"donothing"},
-			New:       func(blockbench.WorkloadOptions) (any, error) { return violator{}, nil },
+			Name: "violator",
+			New:  func(blockbench.WorkloadOptions) (blockbench.Workload, error) { return violator{}, nil },
 		}); err != nil {
 			panic(err)
 		}
@@ -99,6 +98,16 @@ func TestOptionFlags(t *testing.T) {
 			"-popt", "maxappend=16", "-popt", "window=32"}, false,
 			[]string{"unknown option", "bounds", "maxappend", "partitioner", "window"}},
 		{"unknown wopt key", []string{"-workload", "ycsb", "-wopt", "recrods=5"}, false, []string{"unknown option", "recrods", "records"}},
+		{"readprop zero", []string{"-workload", "ycsb", "-wopt", "readprop=0"}, false, []string{"readprop", "(0, 1]"}},
+		{"readprop above one", []string{"-workload", "ycsb", "-wopt", "readprop=1.5"}, false, []string{"readprop", "(0, 1]"}},
+		{"retired ycsb distribution", []string{"-workload", "ycsb", "-wopt", "distribution=latest"}, false,
+			[]string{"distribution", "zipfian or uniform"}},
+		{"retired ycsb wopt keys", []string{"-workload", "ycsb", "-wopt", "valuesize=64", "-wopt", "insertprop=0.1",
+			"-wopt", "updateprop=0.4"}, false, []string{"unknown option", "insertprop", "updateprop", "valuesize"}},
+		{"retired doubler wopt key", []string{"-workload", "doubler", "-wopt", "stake=5"}, false, []string{"unknown option", "stake"}},
+		{"retired htap wopt keys", []string{"-workload", "htap", "-wopt", "accounts=4", "-wopt", "window=8", "-wopt", "k=3",
+			"-wopt", "blocks=4", "-wopt", "txperblock=2"}, false,
+			[]string{"unknown option", "accounts", "blocks", "k", "txperblock", "window", "known: [qevery]"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stderr, err := runMain(append(tc.args, boot...)...)
@@ -117,5 +126,32 @@ func TestOptionFlags(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestListWorkloads: -workloads prints every registered workload with a
+// non-empty contract set and its description.
+func TestListWorkloads(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-workloads")
+	cmd.Env = append(os.Environ(), "BLOCKBENCH_TEST_RUN_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("-workloads: %v", err)
+	}
+	listed := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		name, rest, _ := strings.Cut(line, " ")
+		listed[name] = rest
+	}
+	for _, name := range blockbench.Workloads() {
+		rest, ok := listed[name]
+		if !ok {
+			t.Errorf("-workloads does not list %s:\n%s", name, out)
+			continue
+		}
+		contracts, _, _ := strings.Cut(strings.TrimSpace(rest), "]")
+		if contracts == "[" || !strings.HasPrefix(contracts, "[") {
+			t.Errorf("%s lists no contracts: %q", name, rest)
+		}
 	}
 }

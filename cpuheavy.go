@@ -4,21 +4,16 @@ import (
 	"math/rand"
 
 	"blockbench/internal/types"
-	"blockbench/internal/workload"
 )
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "cpuheavy",
 		Description: "execution-layer micro benchmark: each transaction quicksorts an N-element array",
-		Contracts:   []string{"cpuheavy"},
-		New: func(opts workload.Options) (any, error) {
-			d := workload.NewDecoder(opts)
+		New: func(opts WorkloadOptions) (Workload, error) {
+			d := NewWorkloadDecoder(opts)
 			w := &CPUHeavyWorkload{N: d.Uint64("n", 0)}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
-			return w, nil
+			return w, d.Finish()
 		},
 	})
 }

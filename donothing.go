@@ -1,21 +1,13 @@
 package blockbench
 
-import (
-	"math/rand"
-
-	"blockbench/internal/workload"
-)
+import "math/rand"
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "donothing",
 		Description: "consensus isolation micro benchmark: the contract returns immediately",
-		Contracts:   []string{"donothing"},
-		New: func(opts workload.Options) (any, error) {
-			if err := workload.NewDecoder(opts).Finish(); err != nil {
-				return nil, err
-			}
-			return DoNothingWorkload{}, nil
+		New: func(opts WorkloadOptions) (Workload, error) {
+			return DoNothingWorkload{}, NewWorkloadDecoder(opts).Finish()
 		},
 	})
 }

@@ -1,30 +1,23 @@
 package blockbench
 
-import (
-	"math/rand"
-
-	"blockbench/internal/workload"
-)
+import "math/rand"
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "doubler",
 		Description: "pyramid-scheme contract: every transaction is an enter() carrying value",
-		Contracts:   []string{"doubler"},
-		New: func(opts workload.Options) (any, error) {
-			d := workload.NewDecoder(opts)
-			w := &DoublerWorkload{Stake: d.Uint64("stake", 0)}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
-			return w, nil
+		New: func(opts WorkloadOptions) (Workload, error) {
+			return &DoublerWorkload{}, NewWorkloadDecoder(opts).Finish()
 		},
 	})
 }
 
+// doublerStake is the value every enter() carries.
+const doublerStake = 10
+
 // DoublerWorkload drives the pyramid-scheme contract: every transaction
 // is an enter() carrying value.
-type DoublerWorkload struct{ Stake uint64 }
+type DoublerWorkload struct{}
 
 // Name implements Workload.
 func (w *DoublerWorkload) Name() string { return "doubler" }
@@ -37,9 +30,5 @@ func (w *DoublerWorkload) Init(c *Cluster, rng *rand.Rand) error { return nil }
 
 // Next implements Workload.
 func (w *DoublerWorkload) Next(clientID int, rng *rand.Rand) Op {
-	stake := w.Stake
-	if stake == 0 {
-		stake = 10
-	}
-	return Op{Contract: "doubler", Method: "enter", Value: stake}
+	return Op{Contract: "doubler", Method: "enter", Value: doublerStake}
 }

@@ -70,14 +70,9 @@ func main() {
 	err := blockbench.RegisterWorkload(blockbench.WorkloadSpec{
 		Name:        "iot-telemetry",
 		Description: "sensors appending readings under device-scoped keys",
-		Contracts:   []string{"ycsb"},
-		New: func(opts blockbench.WorkloadOptions) (any, error) {
+		New: func(opts blockbench.WorkloadOptions) (blockbench.Workload, error) {
 			d := blockbench.NewWorkloadDecoder(opts)
-			w := &IoTWorkload{Devices: d.Int("devices", 32)}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
-			return w, nil
+			return &IoTWorkload{Devices: d.Int("devices", 32)}, d.Finish()
 		},
 	})
 	if err != nil {

@@ -6,28 +6,16 @@ import (
 	"sync/atomic"
 
 	"blockbench/internal/types"
-	"blockbench/internal/workload"
 )
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "htap",
 		Description: "HTAP mix: OLTP value transfers with concurrent server-side analytical scans over committed history",
-		Contracts:   []string{"versionkv"},
-		New: func(opts workload.Options) (any, error) {
-			d := workload.NewDecoder(opts)
-			w := &HTAP{
-				Accounts:      d.Int("accounts", 0),
-				QueryEvery:    d.Int("qevery", 0),
-				Window:        uint64(d.Int("window", 0)),
-				K:             d.Int("k", 0),
-				PreloadBlocks: d.Int("blocks", 0),
-				TxPerBlock:    d.Int("txperblock", 0),
-			}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
-			return w, nil
+		New: func(opts WorkloadOptions) (Workload, error) {
+			d := NewWorkloadDecoder(opts)
+			w := &HTAP{QueryEvery: d.Int("qevery", 0)}
+			return w, d.Finish()
 		},
 	})
 }
@@ -41,15 +29,12 @@ func init() {
 // server microseconds, not a walk over the chain — and the workload
 // measures exactly the interference between the two sides.
 //
+// The OLTP side transfers among the accounts of every client key.
+//
 // Requires the analytics index (`-popt index=on`, the default); Init
 // fails fast when it is disabled.
 type HTAP struct {
-	Accounts      int    // OLTP account set (default: all client keys)
-	QueryEvery    int    // one analytical query per this many ops (default 32)
-	Window        uint64 // trailing scan window in blocks (default 256)
-	K             int    // top-k size (default 5)
-	PreloadBlocks int    // seeded history before the run (default 32)
-	TxPerBlock    int    // preload transactions per block (default 3)
+	QueryEvery int // one analytical query per this many ops (default 32)
 
 	hyperledger bool
 	cluster     *Cluster
@@ -68,51 +53,37 @@ func (w *HTAP) Contracts() []string { return []string{"versionkv"} }
 // Queries returns how many analytical queries succeeded so far.
 func (w *HTAP) Queries() uint64 { return w.queries.Load() }
 
-func (w *HTAP) fill(c *Cluster) {
-	if w.Accounts <= 0 || w.Accounts > len(c.keys) {
-		w.Accounts = len(c.keys)
-	}
-	if w.QueryEvery <= 0 {
-		w.QueryEvery = 32
-	}
-	if w.Window == 0 {
-		w.Window = 256
-	}
-	if w.K <= 0 {
-		w.K = 5
-	}
-	if w.PreloadBlocks <= 0 {
-		w.PreloadBlocks = 32
-	}
-	if w.TxPerBlock <= 0 {
-		w.TxPerBlock = 3
-	}
-}
+const (
+	htapWindow        = 256 // trailing scan window in blocks
+	htapTopK          = 5   // top-k size
+	htapPreloadBlocks = 32  // seeded history before the run
+	htapTxPerBlock    = 3   // preload transactions per block
+)
 
 // Init seeds a small history (so the first scans have a range to
 // cover) and verifies the analytics index is live.
 func (w *HTAP) Init(c *Cluster, rng *rand.Rand) error {
-	w.fill(c)
+	if w.QueryEvery <= 0 {
+		w.QueryEvery = 32
+	}
 	w.cluster = c
 	w.hyperledger = c.Kind() == Hyperledger
-	w.accts = make([]Address, w.Accounts)
+	w.accts = make([]Address, len(c.keys))
 	for i := range w.accts {
 		w.accts[i] = c.keys[i].Address()
 	}
 
 	var ops []Op
 	if w.hyperledger {
-		for i := 0; i < w.Accounts; i++ {
+		for _, a := range w.accts {
 			ops = append(ops, Op{Contract: "versionkv", Method: "prealloc",
-				Args: [][]byte{w.accts[i].Bytes(), types.U64Bytes(1 << 40)}})
+				Args: [][]byte{a.Bytes(), types.U64Bytes(1 << 40)}})
 		}
 	}
-	for b := 0; b < w.PreloadBlocks; b++ {
-		for t := 0; t < w.TxPerBlock; t++ {
-			ops = append(ops, w.transfer(rng))
-		}
+	for i := 0; i < htapPreloadBlocks*htapTxPerBlock; i++ {
+		ops = append(ops, w.transfer(rng))
 	}
-	if err := c.preloadOps(ops, w.TxPerBlock); err != nil {
+	if err := c.preloadOps(ops, htapTxPerBlock); err != nil {
 		return err
 	}
 	// Fail fast when the index is off — every analytical op would error.
@@ -149,17 +120,17 @@ func (w *HTAP) transfer(rng *rand.Rand) Op {
 	return Op{To: w.accts[to], Value: val}
 }
 
-// analyticalQuery runs one scan over the trailing Window of blocks,
+// analyticalQuery runs one scan over the trailing htapWindow blocks,
 // rotating through the three query shapes. To is left open (0): the
 // server clamps it to its confirmation height, so scans only ever see
 // committed history.
 func (w *HTAP) analyticalQuery(seq, clientID int, rng *rand.Rand) {
 	client := w.cluster.Client(clientID % len(w.cluster.keys))
 	var from uint64 = 1
-	if h := w.lastHeight.Load(); h > w.Window {
-		from = h - w.Window
+	if h := w.lastHeight.Load(); h > htapWindow {
+		from = h - htapWindow
 	}
-	q := AnalyticsQuery{From: from, K: w.K}
+	q := AnalyticsQuery{From: from, K: htapTopK}
 	switch seq % 3 {
 	case 0:
 		q.Op = AnalyticsSum

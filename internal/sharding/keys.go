@@ -15,9 +15,9 @@ var (
 
 // RegisterContractKeys installs the key extractor for a contract. The
 // built-in YCSB and Smallbank extractors register in this package's
-// init; framework users add their own contracts the same way. Workload
-// KeyOf hints (blockbench.KeyedWorkload) should delegate here so the
-// partitioner skew tooling and the router agree on placement.
+// init; framework users add their own contracts the same way.
+// blockbench.OpKeys reads the same extractors, so the partitioner skew
+// tooling and the router agree on placement.
 func RegisterContractKeys(contract string, fn KeysFunc) {
 	keysMu.Lock()
 	defer keysMu.Unlock()

@@ -82,9 +82,9 @@ type lruKey struct {
 	long string
 }
 
-// lruKeyOf keys key. A longer key's string is key itself: a lookup may
+// lruKeyFor keys key. A longer key's string is key itself: a lookup may
 // pass bytes it does not own, a key the LRU keeps must own them.
-func lruKeyOf(key string) (k lruKey) {
+func lruKeyFor(key string) (k lruKey) {
 	if len(key) > len(k.b) {
 		k.long = key
 	} else {
@@ -115,7 +115,7 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 	}
 	// The lookup keeps nothing, so a long key reads the caller's bytes in
 	// place; only one that enters the LRU below is copied.
-	k := lruKeyOf(unsafe.String(unsafe.SliceData(key), len(key)))
+	k := lruKeyFor(unsafe.String(unsafe.SliceData(key), len(key)))
 	if v, ok := f.cache.Get(k); ok {
 		f.hits++
 		return v, true
@@ -152,11 +152,11 @@ func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	}
 	for k, v := range writes {
 		if v == nil {
-			f.cache.Remove(lruKeyOf(k))
+			f.cache.Remove(lruKeyFor(k))
 			f.store.Delete(flatKey(f, k))
 			continue
 		}
-		f.cache.Put(lruKeyOf(k), v)
+		f.cache.Put(lruKeyFor(k), v)
 		// Persistence is best-effort: on a failed write the entry is just
 		// absent from the flat layer and reads fall through to the trie.
 		f.store.Put(flatKey(f, k), v)

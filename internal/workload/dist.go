@@ -1,7 +1,10 @@
-// Package workload provides the request-distribution generators behind
-// the YCSB-style workloads: zipfian (the YCSB default), uniform and
-// latest. The zipfian implementation follows the standard YCSB /
-// Gray et al. rejection-free construction.
+// Package workload holds the two pieces the workload and platform
+// factories share below the root package: key=val option decoding
+// (Options, ParseOptions and Decoder, which reads -wopt into a
+// workload and -popt into a platform preset) and the request
+// distributions behind YCSB, zipfian (the YCSB default) and uniform.
+// The zipfian implementation follows the standard YCSB / Gray et al.
+// rejection-free construction.
 package workload
 
 import (
@@ -67,16 +70,4 @@ func (z *Zipfian) Next(rng *rand.Rand) int {
 		idx = z.n - 1
 	}
 	return idx
-}
-
-// Latest skews toward the most recently inserted records: index n-1 is
-// the hottest.
-type Latest struct{ Z *Zipfian }
-
-// NewLatest builds a latest-distribution chooser over n items.
-func NewLatest(n int) *Latest { return &Latest{Z: NewZipfian(n)} }
-
-// Next implements KeyChooser.
-func (l *Latest) Next(rng *rand.Rand) int {
-	return l.Z.n - 1 - l.Z.Next(rng)
 }

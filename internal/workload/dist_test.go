@@ -42,25 +42,6 @@ func TestZipfianSkewsLow(t *testing.T) {
 	}
 }
 
-func TestLatestSkewsHigh(t *testing.T) {
-	l := NewLatest(1000)
-	rng := rand.New(rand.NewSource(3))
-	counts := make([]int, 1000)
-	for i := 0; i < 100_000; i++ {
-		k := l.Next(rng)
-		if k < 0 || k >= 1000 {
-			t.Fatalf("out of range: %d", k)
-		}
-		counts[k]++
-	}
-	if counts[999] < 1000 {
-		t.Fatalf("latest item only %d hits", counts[999])
-	}
-	if counts[999] < counts[0] {
-		t.Fatal("latest distribution favours old items")
-	}
-}
-
 func TestZipfianSmallN(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		z := NewZipfian(n)

@@ -1,12 +1,3 @@
-// Registry: the application-layer extension seam. A workload registers
-// a Spec (name, description, contracts, options-driven factory) and the
-// driver CLI, experiments and framework users build instances by name —
-// the workload-layer mirror of platform.Register.
-//
-// The package deliberately types factories as returning any: it sits
-// below the root blockbench package (which defines the Workload
-// interface over Cluster), so the root package narrows the value with a
-// type assertion in blockbench.NewWorkload.
 package workload
 
 import (
@@ -14,116 +5,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Options carries key=val parameters into a factory: -wopt into a
 // workload's, -popt into a platform preset's (platform.Config.Options).
 type Options map[string]string
-
-// Spec describes one registered workload.
-type Spec struct {
-	// Name is the registry key (the CLI's -workload value).
-	Name string
-	// Description is a one-line summary shown in CLI usage listings.
-	Description string
-	// Contracts lists the contract names the workload deploys, without
-	// instantiating it.
-	Contracts []string
-	// New builds a workload instance from options. The returned value
-	// must implement blockbench.Workload.
-	New func(opts Options) (any, error)
-}
-
-var (
-	regMu sync.RWMutex
-	specs = make(map[string]Spec)
-)
-
-// Register plugs a workload spec into the framework. It errors on a
-// duplicate or empty name and on a missing factory.
-func Register(s Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("workload: Register: empty name")
-	}
-	if s.New == nil {
-		return fmt.Errorf("workload: Register(%q): New factory is mandatory", s.Name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := specs[s.Name]; dup {
-		return fmt.Errorf("workload: Register(%q): already registered", s.Name)
-	}
-	specs[s.Name] = s
-	return nil
-}
-
-// MustRegister is Register for package init blocks: it panics on error.
-func MustRegister(s Spec) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the spec registered under a name.
-func Lookup(name string) (Spec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := specs[name]
-	if !ok {
-		known := make([]string, 0, len(specs))
-		for k := range specs {
-			known = append(known, k)
-		}
-		sort.Strings(known)
-		return Spec{}, fmt.Errorf("workload: unknown name %q (registered: %v)", name, known)
-	}
-	return s, nil
-}
-
-// New builds a registered workload by name.
-func New(name string, opts Options) (any, error) {
-	s, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	w, err := s.New(opts)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", name, err)
-	}
-	return w, nil
-}
-
-// Names lists registered workloads in sorted order — deterministic
-// regardless of which file's init ran first, so CLI listings and
-// registry tests never depend on registration sequencing.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(specs))
-	for name := range specs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Describe returns the one-line summary of a registered workload ("" if
-// unknown).
-func Describe(name string) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return specs[name].Description
-}
-
-// Contracts returns the contract names a registered workload deploys,
-// without instantiating it (nil if unknown).
-func Contracts(name string) []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), specs[name].Contracts...)
-}
 
 // ParseOptions turns repeated "key=val" CLI arguments (-wopt, -popt)
 // into Options.

@@ -1,50 +1,10 @@
 package workload
 
 import (
-	"sort"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestRegisterValidation(t *testing.T) {
-	if err := Register(Spec{Name: "", New: func(Options) (any, error) { return nil, nil }}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := Register(Spec{Name: "no-factory"}); err == nil {
-		t.Fatal("missing factory accepted")
-	}
-	ok := Spec{Name: "reg-test", Description: "x",
-		New: func(Options) (any, error) { return struct{}{}, nil }}
-	if err := Register(ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := Register(ok); err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("duplicate not rejected: %v", err)
-	}
-	if Describe("reg-test") != "x" {
-		t.Fatal("Describe lost the summary")
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "reg-test" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered name missing from Names")
-	}
-}
-
-func TestLookupUnknown(t *testing.T) {
-	_, err := Lookup("no-such-workload")
-	if err == nil || !strings.Contains(err.Error(), "unknown name") {
-		t.Fatalf("unknown lookup: %v", err)
-	}
-	if _, err := New("no-such-workload", nil); err == nil {
-		t.Fatal("New built an unknown workload")
-	}
-}
 
 func TestParseOptions(t *testing.T) {
 	opts, err := ParseOptions([]string{"readprop=0.9", "distribution=uniform"})
@@ -135,15 +95,5 @@ func TestDecoderErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "[recrods]") ||
 		!strings.Contains(err.Error(), "known: [records valuesize]") {
 		t.Fatalf("unknown option not flagged with the known keys: %v", err)
-	}
-}
-
-// TestNamesSorted: the listing is sorted, so -workloads help text and
-// registry tests are deterministic regardless of which file's init
-// block registered first.
-func TestNamesSorted(t *testing.T) {
-	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
 	}
 }

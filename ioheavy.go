@@ -5,24 +5,19 @@ import (
 	"sync/atomic"
 
 	"blockbench/internal/types"
-	"blockbench/internal/workload"
 )
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "ioheavy",
 		Description: "data-model micro benchmark: bulk random reads/writes of small tuples per transaction",
-		Contracts:   []string{"ioheavy"},
-		New: func(opts workload.Options) (any, error) {
-			d := workload.NewDecoder(opts)
+		New: func(opts WorkloadOptions) (Workload, error) {
+			d := NewWorkloadDecoder(opts)
 			w := &IOHeavyWorkload{
 				TuplesPerTx: d.Uint64("tuples", 0),
 				Write:       d.Bool("write", true),
 			}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
-			return w, nil
+			return w, d.Finish()
 		},
 	})
 }

@@ -108,16 +108,12 @@ func TestShardedLeaderCrashAbortRetry(t *testing.T) {
 }
 
 // TestPartitionerSkew draws 10k operations from YCSB's zipfian request
-// distribution and buckets their keys (via the KeyOf hint) across the
+// distribution and buckets their keys (via OpKeys) across the
 // hash partitioner: even under zipfian skew, no shard may see more than
 // 2x the mean load — hashing decorrelates popularity from placement.
 func TestPartitionerSkew(t *testing.T) {
 	w := blockbench.MustWorkload("ycsb", blockbench.WorkloadOptions{
 		"records": "1000", "distribution": "zipfian"})
-	keyed, ok := w.(blockbench.KeyedWorkload)
-	if !ok {
-		t.Fatal("ycsb does not implement KeyedWorkload")
-	}
 	rng := rand.New(rand.NewSource(99))
 	for _, shards := range []int{2, 4, 8} {
 		p := sharding.NewHashPartitioner(shards)
@@ -125,9 +121,9 @@ func TestPartitionerSkew(t *testing.T) {
 		const draws = 10_000
 		for i := 0; i < draws; i++ {
 			op := w.Next(i%4, rng)
-			keys := keyed.KeyOf(op)
+			keys := blockbench.OpKeys(op)
 			if len(keys) == 0 {
-				t.Fatalf("KeyOf returned no keys for %s.%s", op.Contract, op.Method)
+				t.Fatalf("OpKeys returned no keys for %s.%s", op.Contract, op.Method)
 			}
 			for _, k := range keys {
 				counts[p.Shard(k)]++
@@ -144,18 +140,17 @@ func TestPartitionerSkew(t *testing.T) {
 	}
 }
 
-// TestSmallbankKeyOfCrossShardRate: the Smallbank KeyOf hint predicts
+// TestSmallbankKeyOfCrossShardRate: Smallbank's operation keys predict
 // the workload's cross-shard touch rate — about half of the two-account
 // procedures (1/3 of the mix) cross a 2-shard split, and the observed
 // rate from 10k draws must sit in a sane band around it.
 func TestSmallbankKeyOfCrossShardRate(t *testing.T) {
 	w := blockbench.MustWorkload("smallbank", blockbench.WorkloadOptions{"accounts": "1000"})
-	keyed := w.(blockbench.KeyedWorkload)
 	p := sharding.NewHashPartitioner(2)
 	rng := rand.New(rand.NewSource(7))
 	cross, total := 0, 10_000
 	for i := 0; i < total; i++ {
-		keys := keyed.KeyOf(w.Next(i%4, rng))
+		keys := blockbench.OpKeys(w.Next(i%4, rng))
 		seen := map[int]bool{}
 		for _, k := range keys {
 			seen[p.Shard(k)] = true

@@ -8,24 +8,19 @@ import (
 	"time"
 
 	"blockbench/internal/types"
-	"blockbench/internal/workload"
 )
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "smallbank",
 		Description: "OLTP macro benchmark: bank accounts driven by the standard Smallbank procedure mix",
-		Contracts:   []string{"smallbank"},
-		New: func(opts workload.Options) (any, error) {
-			d := workload.NewDecoder(opts)
+		New: func(opts WorkloadOptions) (Workload, error) {
+			d := NewWorkloadDecoder(opts)
 			w := &SmallbankWorkload{
 				Accounts:       d.Int("accounts", d.Int("records", 0)),
 				InitialBalance: d.Uint64("balance", 0),
 			}
-			if err := d.Finish(); err != nil {
-				return nil, err
-			}
-			return w, nil
+			return w, d.Finish()
 		},
 	})
 }
@@ -73,11 +68,6 @@ func (w *SmallbankWorkload) Init(c *Cluster, rng *rand.Rand) error {
 	}
 	return c.preloadOps(ops, 400)
 }
-
-// KeyOf implements KeyedWorkload: the account argument(s) — two for
-// sendPayment/amalgamate, one otherwise — which is what makes Smallbank
-// the cross-shard workload of the shard-scaling comparison.
-func (w *SmallbankWorkload) KeyOf(op Op) [][]byte { return OpKeys(op) }
 
 // CheckInvariants implements WorkloadInvariants: after a fault-injected
 // run, every live node in a shard group must report the same balance

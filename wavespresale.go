@@ -2,23 +2,17 @@ package blockbench
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"blockbench/internal/types"
-	"blockbench/internal/workload"
 )
 
 func init() {
-	workload.MustRegister(workload.Spec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name:        "wavespresale",
 		Description: "crowd-sale contract: new sales, ownership transfers and record queries",
-		Contracts:   []string{"wavespresale"},
-		New: func(opts workload.Options) (any, error) {
-			if err := workload.NewDecoder(opts).Finish(); err != nil {
-				return nil, err
-			}
-			return &WavesWorkload{}, nil
+		New: func(opts WorkloadOptions) (Workload, error) {
+			return &WavesWorkload{}, NewWorkloadDecoder(opts).Finish()
 		},
 	})
 }
@@ -26,14 +20,7 @@ func init() {
 // WavesWorkload drives the crowd-sale contract: new sales, ownership
 // transfers of the client's own sales, and record queries.
 type WavesWorkload struct {
-	fillOnce sync.Once
-	counters []atomic.Int64
-}
-
-func (w *WavesWorkload) lazyFill() {
-	// Without Init (SkipInit) the first callers of Next are the clients'
-	// generators, all at once.
-	w.fillOnce.Do(func() { w.counters = make([]atomic.Int64, 256) })
+	counters [256]atomic.Int64 // per client ID, modulo 256
 }
 
 // Name implements Workload.
@@ -43,10 +30,7 @@ func (w *WavesWorkload) Name() string { return "wavespresale" }
 func (w *WavesWorkload) Contracts() []string { return []string{"wavespresale"} }
 
 // Init implements Workload.
-func (w *WavesWorkload) Init(c *Cluster, rng *rand.Rand) error {
-	w.lazyFill()
-	return nil
-}
+func (w *WavesWorkload) Init(c *Cluster, rng *rand.Rand) error { return nil }
 
 func wavesSaleID(clientID int, i int64) []byte {
 	return types.U64Bytes(uint64(clientID)<<32 | uint64(i))
@@ -54,7 +38,6 @@ func wavesSaleID(clientID int, i int64) []byte {
 
 // Next implements Workload.
 func (w *WavesWorkload) Next(clientID int, rng *rand.Rand) Op {
-	w.lazyFill()
 	ctr := &w.counters[clientID%len(w.counters)]
 	n := ctr.Load()
 	if n == 0 || rng.Float64() < 0.5 {

@@ -2,47 +2,50 @@ package blockbench
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"blockbench/internal/sharding"
 	"blockbench/internal/workload"
 )
 
-// KeyedWorkload is an optional Workload extension: KeyOf names the
-// state keys one operation addresses, without executing it. The sharded
-// platform's tooling uses the hint to reason about key placement — the
-// partitioner skew check draws operations and buckets their keys by
-// shard, and the shard-scaling benchmark reports each workload's
-// cross-shard touch rate alongside its throughput. Built-in contract
-// workloads delegate to the same per-contract extractors the sharded
-// router itself uses (sharding.ContractKeys), so the hint and the
-// actual routing always agree.
-type KeyedWorkload interface {
-	// KeyOf returns the state keys op addresses (nil when unknown).
-	KeyOf(op Op) [][]byte
-}
-
 // OpKeys extracts the state keys an operation addresses through the
 // per-contract extractor registry shared with the sharded router
-// (sharding.RegisterContractKeys). It is the canonical KeyOf
-// implementation for contract-backed workloads.
+// (sharding.RegisterContractKeys), so skew tooling — the partitioner
+// skew check, the shard-scaling benchmark's cross-shard touch rate —
+// and the router always agree on placement.
 func OpKeys(op Op) [][]byte {
 	return sharding.ContractKeys(op.Contract, op.Method, op.Args)
 }
 
-// Workload-registry bridge: the application-layer mirror of the
-// platform registry. Every shipped workload registers itself in its own
-// file through workload.Register; the CLI, experiments and framework
-// users build instances by name with NewWorkload, so adding a workload
-// needs no CLI or experiment edits.
+// Workload registry: the application-layer mirror of the platform
+// registry. Every shipped workload registers itself in its own file;
+// the CLI, experiments and framework users build instances by name with
+// NewWorkload, so adding a workload needs no CLI or experiment edits.
 
 type (
-	// WorkloadSpec registers a named workload factory.
-	WorkloadSpec = workload.Spec
 	// WorkloadOptions carries -wopt key=val parameters into a factory.
 	WorkloadOptions = workload.Options
 	// WorkloadDecoder reads typed values out of WorkloadOptions,
 	// collecting conversion errors and unknown keys for Finish.
 	WorkloadDecoder = workload.Decoder
+)
+
+// WorkloadSpec registers a named workload factory. What a workload
+// deploys is its instance's Contracts(); the spec does not repeat it.
+type WorkloadSpec struct {
+	// Name is the registry key (the CLI's -workload value).
+	Name string
+	// Description is a one-line summary shown in CLI usage listings.
+	Description string
+	// New builds a workload instance from options. On error the
+	// returned workload is ignored.
+	New func(opts WorkloadOptions) (Workload, error)
+}
+
+var (
+	workloadMu    sync.RWMutex
+	workloadSpecs = make(map[string]WorkloadSpec)
 )
 
 // NewWorkloadDecoder wraps options for typed access inside a workload
@@ -53,19 +56,44 @@ func NewWorkloadDecoder(opts WorkloadOptions) *WorkloadDecoder {
 }
 
 // RegisterWorkload plugs a workload spec into the framework, making it
-// reachable from NewWorkload, the CLI and the experiments.
-func RegisterWorkload(s WorkloadSpec) error { return workload.Register(s) }
+// reachable from NewWorkload, the CLI and the experiments. It errors on
+// a duplicate or empty name and on a missing factory.
+func RegisterWorkload(s WorkloadSpec) error {
+	if s.Name == "" {
+		return fmt.Errorf("workload: Register: empty name")
+	}
+	if s.New == nil {
+		return fmt.Errorf("workload: Register(%q): New factory is mandatory", s.Name)
+	}
+	workloadMu.Lock()
+	defer workloadMu.Unlock()
+	if _, dup := workloadSpecs[s.Name]; dup {
+		return fmt.Errorf("workload: Register(%q): already registered", s.Name)
+	}
+	workloadSpecs[s.Name] = s
+	return nil
+}
+
+// mustRegisterWorkload is RegisterWorkload for the shipped workloads'
+// init blocks: it panics on error.
+func mustRegisterWorkload(s WorkloadSpec) {
+	if err := RegisterWorkload(s); err != nil {
+		panic(err)
+	}
+}
 
 // NewWorkload builds a registered workload by name. Options not
 // understood by the workload are an error, as are malformed values.
 func NewWorkload(name string, opts WorkloadOptions) (Workload, error) {
-	v, err := workload.New(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	w, ok := v.(Workload)
+	workloadMu.RLock()
+	s, ok := workloadSpecs[name]
+	workloadMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("workload: %s factory returned %T, which does not implement blockbench.Workload", name, v)
+		return nil, fmt.Errorf("workload: unknown name %q (registered: %v)", name, Workloads())
+	}
+	w, err := s.New(opts)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", name, err)
 	}
 	return w, nil
 }
@@ -80,13 +108,33 @@ func MustWorkload(name string, opts WorkloadOptions) Workload {
 	return w
 }
 
-// Workloads lists registered workload names in sorted order.
-func Workloads() []string { return workload.Names() }
+// Workloads lists registered workload names in sorted order —
+// deterministic regardless of which file's init ran first.
+func Workloads() []string {
+	workloadMu.RLock()
+	defer workloadMu.RUnlock()
+	out := make([]string, 0, len(workloadSpecs))
+	for name := range workloadSpecs {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // WorkloadDescribe returns the one-line summary of a registered
 // workload ("" if unknown).
-func WorkloadDescribe(name string) string { return workload.Describe(name) }
+func WorkloadDescribe(name string) string {
+	workloadMu.RLock()
+	defer workloadMu.RUnlock()
+	return workloadSpecs[name].Description
+}
 
-// WorkloadContracts returns the contracts a registered workload deploys
-// without instantiating it (nil if unknown).
-func WorkloadContracts(name string) []string { return workload.Contracts(name) }
+// WorkloadContracts returns the contracts a registered workload deploys:
+// those of an instance built with no options (nil if unknown).
+func WorkloadContracts(name string) []string {
+	w, err := NewWorkload(name, nil)
+	if err != nil {
+		return nil
+	}
+	return w.Contracts()
+}

@@ -3,13 +3,17 @@ package blockbench
 import (
 	"math"
 	"math/rand"
+	"os"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestWorkloadRegistryComplete pins the shipped workload set: every
-// name must build through the registry and agree with the instance on
-// name and contracts.
+// name must build through the registry, agree with the instance on its
+// name, and deploy at least one contract.
 func TestWorkloadRegistryComplete(t *testing.T) {
 	want := []string{"ycsb", "smallbank", "etherid", "doubler",
 		"wavespresale", "donothing", "ioheavy", "cpuheavy", "analytics",
@@ -36,33 +40,111 @@ func TestWorkloadRegistryComplete(t *testing.T) {
 		if len(w.Contracts()) == 0 {
 			t.Fatalf("%s lists no contracts", n)
 		}
-		// The spec's contract list (readable without instantiation) must
-		// not drift from the instance's.
-		spec := WorkloadContracts(n)
-		if len(spec) != len(w.Contracts()) {
-			t.Fatalf("%s: spec contracts %v != instance contracts %v", n, spec, w.Contracts())
-		}
-		for i, c := range w.Contracts() {
-			if spec[i] != c {
-				t.Fatalf("%s: spec contracts %v != instance contracts %v", n, spec, w.Contracts())
-			}
-		}
 		if WorkloadDescribe(n) == "" {
 			t.Fatalf("%s has no description", n)
 		}
 	}
 }
 
+func TestRegisterValidation(t *testing.T) {
+	factory := func(WorkloadOptions) (Workload, error) { return DoNothingWorkload{}, nil }
+	if err := RegisterWorkload(WorkloadSpec{Name: "", New: factory}); err == nil {
+		t.Fatal("empty name accepted")
+	}
+	if err := RegisterWorkload(WorkloadSpec{Name: "no-factory"}); err == nil {
+		t.Fatal("missing factory accepted")
+	}
+	ok := WorkloadSpec{Name: "reg-test", Description: "x", New: factory}
+	if err := RegisterWorkload(ok); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		workloadMu.Lock()
+		delete(workloadSpecs, ok.Name)
+		workloadMu.Unlock()
+	})
+	if err := RegisterWorkload(ok); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("duplicate not rejected: %v", err)
+	}
+	if WorkloadDescribe("reg-test") != "x" {
+		t.Fatal("WorkloadDescribe lost the summary")
+	}
+	if !slices.Contains(Workloads(), "reg-test") {
+		t.Fatal("registered name missing from Workloads")
+	}
+}
+
+func TestLookupUnknown(t *testing.T) {
+	_, err := NewWorkload("no-such-workload", nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown name") {
+		t.Fatalf("unknown workload: %v", err)
+	}
+	if WorkloadContracts("no-such-workload") != nil {
+		t.Fatal("an unknown workload lists contracts")
+	}
+}
+
+// TestNamesSorted: the listing is sorted, so -workloads help text and
+// registry tests are deterministic regardless of which file's init
+// block registered first.
+func TestNamesSorted(t *testing.T) {
+	if names := Workloads(); !sort.StringsAreSorted(names) {
+		t.Fatalf("Workloads() not sorted: %v", names)
+	}
+}
+
+// TestDesignWorkloadTable holds DESIGN.md's -wopt table to the code: per
+// workload, the documented keys must be exactly the keys its factory
+// consults, as the unknown-key error lists them.
+func TestDesignWorkloadTable(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(doc), "\n## Workload options\n")
+	if !found {
+		t.Fatal("DESIGN.md has no Workload options section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := make(map[string][]string)
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "| ---") || strings.HasPrefix(line, "| key ") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|") // key | workload | default | chooser
+		name := strings.TrimSpace(cells[1])
+		if _, err := NewWorkload(name, nil); err != nil {
+			t.Fatalf("table row names workload %q: %v", name, err)
+		}
+		documented[name] = append(documented[name], strings.Trim(strings.TrimSpace(cells[0]), "`"))
+	}
+	for _, name := range Workloads() {
+		_, err := NewWorkload(name, WorkloadOptions{"no-such-key": "1"})
+		if err == nil {
+			t.Fatalf("%s accepted an unknown key", name)
+		}
+		_, known, found := strings.Cut(err.Error(), "(known: [")
+		if !found {
+			t.Fatalf("%s: error %q lists no known keys", name, err)
+		}
+		consulted := strings.Fields(strings.TrimSuffix(known, "])"))
+		want := documented[name]
+		sort.Strings(want)
+		if !slices.Equal(consulted, want) {
+			t.Errorf("%s: factory consults %v, DESIGN.md documents %v", name, consulted, want)
+		}
+	}
+}
+
 func TestNewWorkloadOptions(t *testing.T) {
 	w, err := NewWorkload("ycsb", WorkloadOptions{
-		"records": "50", "readprop": "0.9", "updateprop": "0.1",
-		"distribution": "uniform",
+		"records": "50", "readprop": "0.9", "distribution": "uniform",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	y := w.(*YCSBWorkload)
-	if y.Records != 50 || y.ReadProp != 0.9 || y.UpdateProp != 0.1 || y.Distribution != "uniform" {
+	if y.Records != 50 || y.ReadProp != 0.9 || y.Distribution != "uniform" {
 		t.Fatalf("options not applied: %+v", y)
 	}
 	if _, err := NewWorkload("ycsb", WorkloadOptions{"records": "many"}); err == nil {
@@ -99,31 +181,46 @@ func checkProportion(t *testing.T, label string, got, want float64, n int) {
 	}
 }
 
-// TestYCSBProportions verifies Next honors the configured
-// read/update/insert mix over 10k draws.
+// TestYCSBProportions verifies Next honors the configured read/update
+// mix over 10k draws.
 func TestYCSBProportions(t *testing.T) {
 	const n = 10_000
 	w := MustWorkload("ycsb", WorkloadOptions{
-		"records": "1000", "readprop": "0.6", "updateprop": "0.3",
-		"insertprop": "0.1", "distribution": "uniform",
+		"records": "1000", "readprop": "0.6", "distribution": "uniform",
 	})
-	// Init would seed the insert counter past the preload range; do it
-	// directly so inserted keys are distinguishable without a cluster.
-	w.(*YCSBWorkload).inserted.Store(1000)
-	reads, writes, inserts := 0, 0, 0
+	reads, writes := 0, 0
 	for _, op := range drawOps(w, n) {
-		switch {
-		case op.Method == "read":
+		if op.Method == "read" {
 			reads++
-		case string(op.Args[0]) > "user0000000999": // insert keys continue past the preload range
-			inserts++
-		default:
+		} else {
 			writes++
 		}
 	}
 	checkProportion(t, "read", float64(reads)/n, 0.6, n)
-	checkProportion(t, "update", float64(writes)/n, 0.3, n)
-	checkProportion(t, "insert", float64(inserts)/n, 0.1, n)
+	checkProportion(t, "update", float64(writes)/n, 0.4, n)
+}
+
+// TestYCSBReadpropAloneUpdates: readprop alone sets the mix — every
+// operation that is not a read is an update of a preloaded record, so
+// after Init no key lies past the preload.
+func TestYCSBReadpropAloneUpdates(t *testing.T) {
+	const n = 10_000
+	w := MustWorkload("ycsb", WorkloadOptions{"records": "100", "readprop": "0.9"})
+	c := fastClusterStopped(t, Hyperledger, 1, 1)
+	if err := w.Init(c, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	last := string(ycsbKey(99))
+	writes := 0
+	for _, op := range drawOps(w, n) {
+		if op.Method == "write" {
+			writes++
+		}
+		if k := string(op.Args[0]); k > last {
+			t.Fatalf("%s %s lies past the 100-record preload", op.Method, k)
+		}
+	}
+	checkProportion(t, "update", float64(writes)/n, 0.1, n)
 }
 
 // TestSmallbankProportions verifies the standard procedure mix: each
