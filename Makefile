@@ -139,8 +139,11 @@ loc:
 # pbft, poa and the sharded gateway came to embed consensus.Runner (no
 # forwarding Start/Stop/Handle) and shared one batch picker. It fell to
 # 21153 when the workload registry moved beside Workload with typed
-# factories and every -wopt key without a chooser went.
-LOC_MAX ?= 21153
+# factories and every -wopt key without a chooser went. It was raised
+# to 21176 by the LSM memtable's arena (its type, chunk size and alloc,
+# 21 lines, its field and its reset at flush), which replaced one record
+# allocation per Put with one per 32 KiB chunk.
+LOC_MAX ?= 21176
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \

@@ -32,11 +32,11 @@ type Stats struct {
 // Store is the engine interface shared by all state backends.
 //
 // Ownership: no method keeps a slice it is passed — Put copies key and
-// value, together, into the one allocation that is the stored record —
-// and nobody writes into a slice Get returns. An engine only ever
-// replaces a stored record, never rewrites it in place, so a Get result
-// is shared and immutable: the caller may keep it for ever and must not
-// modify it.
+// value, together, into a chunk region that is the stored record (on
+// Mem, its own allocation) — and nobody writes into a slice Get returns.
+// An engine only ever replaces a stored record, never rewrites it in
+// place, so a Get result is shared and immutable: the caller may keep
+// it for ever and must not modify it.
 type Store interface {
 	// Get returns the value for key, with ok=false if absent.
 	Get(key []byte) (value []byte, ok bool, err error)
@@ -118,7 +118,7 @@ func (s *Mem) Put(key, value []byte) error {
 	if s.cap > 0 && s.bytes+delta > s.cap {
 		return ErrMemoryFull
 	}
-	k, v := newRecord(key, value)
+	k, v := newRecord(nil, key, value)
 	s.m[k] = v // replaces the key string too, releasing the old record
 	s.bytes += delta
 	return nil

@@ -308,7 +308,7 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		if err := writeRecord(w, k, v, del); err != nil || w.Flush() != nil {
 			return false
 		}
-		k2, v2, del2, err := readRecord(bufio.NewReader(&buf))
+		k2, v2, del2, err := readRecord(bufio.NewReader(&buf), nil)
 		return err == nil && k2 == k && bytes.Equal(v2, v) && del2 == del
 	}
 	if err := quick.Check(f, nil); err != nil {

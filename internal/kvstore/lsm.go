@@ -16,8 +16,10 @@ import (
 )
 
 // LSM is a log-structured merge store: writes go to a group-fsynced
-// write-ahead log and an in-memory memtable; when the memtable exceeds a
-// threshold it is flushed to an immutable sorted run on disk. Each run
+// write-ahead log and an in-memory memtable; when the memtable's size
+// (LevelDB's: the key and value bytes handed to it since the last flush,
+// dead versions included, so the WAL less its record headers) reaches
+// MemTableBytes, it is flushed to an immutable sorted run. Each run
 // carries a bloom filter and a sparse block index in its footer, so a
 // point Get consults the memtable, then probes runs newest-to-oldest
 // reading at most one bounded file region per run that may hold the key.
@@ -37,7 +39,8 @@ type LSM struct {
 	dir string
 
 	mem      map[string]entry
-	memBytes int64
+	memBytes int64  // bytes handed to mem since the last flush
+	arena    arena  // mem's records are carved from it
 	runs     []*run // newest first
 
 	wal      *os.File
@@ -187,7 +190,7 @@ func (s *LSM) replayWAL() error {
 	r := bufio.NewReader(f)
 	var valid int64
 	for {
-		k, v, del, err := readRecord(r)
+		k, v, del, err := readRecord(r, &s.arena)
 		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorruptRecord) {
 			// A torn tail record is expected after a crash, and a header
 			// that cannot be real ends the readable log the same way;
@@ -211,19 +214,38 @@ func (s *LSM) replayWAL() error {
 }
 
 // memApply installs a record. Assigning to a present key replaces the
-// map's key string too, so an overwritten record is released whole.
+// map's key string too, so an overwritten record stops pinning its chunk.
 func (s *LSM) memApply(k string, v []byte, del bool) {
-	if old, ok := s.mem[k]; ok {
-		s.memBytes -= int64(len(k) + len(old.value))
-	}
 	s.mem[k] = entry{value: v, deleted: del}
 	s.memBytes += int64(len(k) + len(v))
 }
 
-// newRecord copies key and value into one allocation laid out
-// [key | value], the shape both engines store a record in.
-func newRecord(key, value []byte) (k string, v []byte) {
-	return splitRecord(append(append(make([]byte, 0, len(key)+len(value)), key...), value...), len(key))
+// arena is the free tail of the memtable's current chunk (LevelDB's
+// Arena): records are carved front to back, never freed one by one, and
+// a chunk lives while a record or a kept Get result points into it.
+type arena []byte
+
+const arenaChunk = 32 << 10
+
+// alloc returns n bytes, capacity clipped. A nil arena, or a record over
+// a quarter chunk, gets a block of its own and the current chunk stays
+// current (LevelDB's AllocateFallback), so no chunk tail is wasted.
+func (a *arena) alloc(n int) []byte {
+	if a == nil || n > arenaChunk/4 {
+		return make([]byte, n)
+	}
+	if n > len(*a) {
+		*a = make([]byte, arenaChunk)
+	}
+	b := (*a)[:n:n]
+	*a = (*a)[n:]
+	return b
+}
+
+// newRecord copies key and value into one region of a (nil: a slab of
+// its own) laid out [key | value], the shape both engines store records in.
+func newRecord(a *arena, key, value []byte) (k string, v []byte) {
+	return splitRecord(append(append(a.alloc(len(key) + len(value))[:0], key...), value...), len(key))
 }
 
 // splitRecord views a [key | value] slab as a string over its head and
@@ -272,10 +294,10 @@ func recordHeader(hdr []byte) (del bool, klen, vlen int, err error) {
 	return hdr[0] == 1, int(kl), int(vl), nil
 }
 
-// readRecord reads one record into one slab (splitRecord), peeking the
-// header in r's own buffer; errors are io.ReadFull's: io.EOF only
-// between records.
-func readRecord(r *bufio.Reader) (k string, v []byte, del bool, err error) {
+// readRecord reads one record into one region of a (splitRecord; nil:
+// a slab of its own), peeking the header in r's own buffer; errors are
+// io.ReadFull's: io.EOF only between records.
+func readRecord(r *bufio.Reader, a *arena) (k string, v []byte, del bool, err error) {
 	hdr, err := r.Peek(9)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -288,7 +310,7 @@ func readRecord(r *bufio.Reader) (k string, v []byte, del bool, err error) {
 		return
 	}
 	r.Discard(9)
-	slab := make([]byte, klen+vlen)
+	slab := a.alloc(klen + vlen)
 	if _, err = io.ReadFull(r, slab); err != nil {
 		err = io.ErrUnexpectedEOF
 		return
@@ -341,7 +363,7 @@ func (s *LSM) Put(key, value []byte) error {
 		return ErrClosed
 	}
 	s.puts.Add(1)
-	k, v := newRecord(key, value)
+	k, v := newRecord(&s.arena, key, value)
 	if err := s.walAppend(k, v, false); err != nil {
 		return err
 	}
@@ -357,7 +379,7 @@ func (s *LSM) Delete(key []byte) error {
 		return ErrClosed
 	}
 	s.dels.Add(1)
-	k := string(key)
+	k, _ := newRecord(&s.arena, key, nil)
 	if err := s.walAppend(k, nil, true); err != nil {
 		return err
 	}
@@ -424,6 +446,7 @@ func (s *LSM) flushLocked() error {
 	s.runs = append([]*run{r}, s.runs...)
 	clear(s.mem) // keeps its buckets: the next memtable grows to the same size
 	s.memBytes = 0
+	s.arena = nil
 	s.flushes.Add(1)
 
 	// Reset the WAL: everything in it is now durable in the run.

@@ -519,7 +519,7 @@ func (r *run) iterator(start []byte) *runIterator {
 
 func (it *runIterator) next() (string, []byte, bool, bool, error) {
 	for {
-		key, v, del, err := readRecord(it.rr.br)
+		key, v, del, err := readRecord(it.rr.br, nil)
 		if err == io.EOF { // clean end, between records
 			return "", nil, false, false, nil
 		}

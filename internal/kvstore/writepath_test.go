@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
-// TestPutAllocBudget is the storage engine's write budget: a Put
-// allocates the record it stores — key and value in one slab — and
-// nothing else, fresh key or overwrite, outside a flush.
+// TestPutAllocBudget is the storage engine's write budget outside a
+// flush, fresh key or overwrite. Mem allocates the record it stores —
+// key and value in one slab — and nothing else. The LSM carves the
+// record out of its memtable arena instead: the median Put allocates
+// nothing, and 10 000 Puts allocate one chunk per 32 KiB of records.
 func TestPutAllocBudget(t *testing.T) {
 	s, err := OpenLSM(t.TempDir(), LSMOptions{SyncBytes: -1})
 	if err != nil {
@@ -19,12 +22,13 @@ func TestPutAllocBudget(t *testing.T) {
 	defer s.Close()
 	val := make([]byte, 100)
 	// 40-byte keys, like a trie node's (see TestPointReadAllocBudget),
-	// built before the count, one per medianAllocs call.
-	keys := make([][]byte, 102)
+	// built before the count.
+	keys := make([][]byte, 10_000)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%036d", i))
 	}
 	for name, st := range map[string]Store{"lsm": s, "mem": NewMem()} {
+		budget := map[string]uint64{"lsm": 0, "mem": 1}[name]
 		i := 0
 		fresh := medianAllocs(101, func() {
 			if err := st.Put(keys[i], val); err != nil {
@@ -37,9 +41,34 @@ func TestPutAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if fresh != 1 || overwrite != 1 {
-			t.Errorf("%s: %d allocations per fresh-key Put, %d per overwrite; budget 1", name, fresh, overwrite)
+		if fresh != budget || overwrite != budget {
+			t.Errorf("%s: %d allocations per fresh-key Put, %d per overwrite; budget %d", name, fresh, overwrite, budget)
 		}
+	}
+
+	// Every key once, then a flush: clear keeps the map's buckets, so
+	// the second pass counts the arena's chunks and nothing else.
+	put := func() {
+		for _, k := range keys {
+			if err := s.Put(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	put()
+	runtime.ReadMemStats(&after)
+	const fixed = 4 // 44 allocations when written: 43 chunks and one more
+	bytes := len(keys) * (len(keys[0]) + len(val))
+	n, budget := after.Mallocs-before.Mallocs, uint64(bytes/arenaChunk+fixed)
+	t.Logf("%d allocations for %d Puts of %d B; budget %d", n, len(keys), bytes, budget)
+	if n > budget {
+		t.Fatalf("%d allocations for %d Puts of %d B; budget %d", n, len(keys), bytes, budget)
 	}
 }
 
@@ -126,19 +155,22 @@ func TestLongKeyRefused(t *testing.T) {
 	}
 }
 
-// TestReplayAllocBudget: reopening a WAL reads each record into one
-// allocation — the parent commit made four (the header, the key bytes,
-// the key string, the value) — plus a fixed cost for the open itself and
-// the memtable's growth.
+// TestReplayAllocBudget: reopening a WAL reads its records into the
+// memtable's arena, one allocation per 32 KiB chunk — the parent commit
+// made one per record, and before it four (the header, the key bytes,
+// the key string, the value) — plus a fixed cost for the open itself
+// and the memtable's growth.
 func TestReplayAllocBudget(t *testing.T) {
-	const records, fixed = 1000, 100 // 59 when written
+	const records, fixed = 1000, 100 // 59 when written, besides the chunks
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%036d", i)) }
+	val := make([]byte, 100)
 	dir := t.TempDir()
 	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < records; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("key-%036d", i)), make([]byte, 100)); err != nil {
+		if err := s.Put(key(i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,8 +190,9 @@ func TestReplayAllocBudget(t *testing.T) {
 		}
 		s.Close()
 	})
-	t.Logf("%.0f allocations to reopen a WAL of %d records", avg, records)
-	if avg > records+fixed {
-		t.Fatalf("%.0f allocations to reopen a WAL of %d records, budget %d", avg, records, records+fixed)
+	chunks := records*(len(key(0))+len(val))/arenaChunk + 1
+	t.Logf("%.0f allocations to reopen a WAL of %d records, %d chunks of them", avg, records, chunks)
+	if budget := chunks + fixed; avg > float64(budget) {
+		t.Fatalf("%.0f allocations to reopen a WAL of %d records, budget %d", avg, records, budget)
 	}
 }
