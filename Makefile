@@ -15,7 +15,7 @@
 #                tier-1 never builds it, and it imports internal/...
 #   make loc     the non-test Go line count ROADMAP's design-shrink item
 #                tracks (bench/ excluded)
-#   make loc-check  fail when that count exceeds LOC_MAX (the CI ratchet)
+#   make loc-check  fail when that count differs from LOC_MAX (the CI ratchet)
 GO ?= go
 
 .PHONY: build vet test race bench bench-check bench-build allocprof loc loc-check clean
@@ -142,12 +142,17 @@ loc:
 # factories and every -wopt key without a chooser went. It was raised
 # to 21176 by the LSM memtable's arena (its type, chunk size and alloc,
 # 21 lines, its field and its reset at flush), which replaced one record
-# allocation per Put with one per 32 KiB chunk.
-LOC_MAX ?= 21176
+# allocation per Put with one per 32 KiB chunk. It fell to 21062 when
+# the platform, contract, shard-key and experiment registries became
+# literal tables (no init-time Register, no maps, no locks).
+LOC_MAX ?= 21062
 
+# The check is exact: a count below LOC_MAX fails too, so a shrinking PR
+# cannot leave the ratchet stale.
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines (bench/ excluded) = $$n (LOC_MAX $(LOC_MAX))"; \
-	test $$n -le $(LOC_MAX) || { echo "loc-check: $$n exceeds LOC_MAX=$(LOC_MAX)"; exit 1; }
+	test $$n -le $(LOC_MAX) || { echo "loc-check: $$n exceeds LOC_MAX=$(LOC_MAX)"; exit 1; }; \
+	test $$n -ge $(LOC_MAX) || { echo "loc-check: lower LOC_MAX to $$n"; exit 1; }
 
 clean:
 	rm -f BENCH_ci.json BENCH_new.json $(ALLOCPROF_OUT) $(basename $(ALLOCPROF_OUT))-base.pprof

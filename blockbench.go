@@ -2,11 +2,11 @@
 // SIGMOD 2017), the evaluation framework for private blockchains, together
 // with simulated implementations of the three platforms the paper studies —
 // Ethereum (PoW), Parity (PoA) and Hyperledger Fabric v0.6 (PBFT) — plus
-// two extensions built on the framework's pluggable platform registry
-// (platform.Register): Quorum (Raft-ordered crash-fault-tolerant
-// consensus) and Sharded (hash-partitioned state with one consensus group
-// per shard and cross-shard two-phase commit — the database scaling
-// technique the paper's conclusion calls for).
+// two extensions built on the same platform connector (a preset in
+// internal/platform's closed table): Quorum (Raft-ordered
+// crash-fault-tolerant consensus) and Sharded (hash-partitioned state
+// with one consensus group per shard and cross-shard two-phase commit —
+// the database scaling technique the paper's conclusion calls for).
 //
 // The package mirrors the paper's Fig 4 software stack:
 //
@@ -17,11 +17,11 @@
 //     asynchronous transaction submission plus the block-range polling
 //     (getLatestBlock) that the paper's driver uses.
 //   - Workload is IWorkloadConnector: it supplies the next transaction.
-//     Workloads live on a registry mirroring the platform one
+//     Workloads are the framework's one public registry
 //     (RegisterWorkload / NewWorkload): YCSB, Smallbank, EtherId,
 //     Doubler, WavesPresale, DoNothing, IOHeavy, CPUHeavy, Analytics
 //     and the HTAP mix ship registered; framework users plug in their
-//     own the same way.
+//     own the same way. The platforms are a closed set of five.
 //   - Run is the benchmark driver: multiple clients, multiple threads,
 //     open- or closed-loop, collecting throughput, latency, queue and
 //     commit time series, fork and resource statistics.
@@ -49,9 +49,8 @@ type (
 	Address = types.Address
 	// Key is a client signing identity.
 	Key = crypto.Key
-	// Platform selects a registered backend: the paper's three systems,
-	// the Quorum and Sharded extensions, or one a framework user
-	// registered.
+	// Platform selects a backend: the paper's three systems or the
+	// Quorum and Sharded extensions.
 	Platform = platform.Kind
 	// ClusterConfig sizes a platform deployment; the selected preset's
 	// tuning knobs travel in its Options, keyed like the CLI's -popt
@@ -78,10 +77,10 @@ const (
 	AnalyticsTopK       = analytics.OpTopK
 )
 
-// The built-in platforms: the paper's three systems plus the
-// Raft-ordered Quorum extension and the partitioned Sharded backend.
-// New backends plug in through platform.Register and appear in
-// Platforms automatically.
+// The platforms: the paper's three systems plus the Raft-ordered Quorum
+// extension and the partitioned Sharded backend. The set is closed: a
+// new backend is a preset file and a row of internal/platform's table,
+// and then appears in Platforms.
 const (
 	Ethereum    = platform.Ethereum
 	Parity      = platform.Parity
@@ -90,10 +89,10 @@ const (
 	Sharded     = platform.Sharded
 )
 
-// Platforms lists all registered backends in sorted order.
+// Platforms lists every backend in sorted order.
 func Platforms() []Platform { return platform.Kinds() }
 
-// PlatformByName resolves a registered platform by its CLI name,
+// PlatformByName resolves a platform by its CLI name,
 // erroring with the known kinds when the name is unknown.
 func PlatformByName(name string) (Platform, error) {
 	if _, err := platform.Lookup(platform.Kind(name)); err != nil {
@@ -102,8 +101,8 @@ func PlatformByName(name string) (Platform, error) {
 	return Platform(name), nil
 }
 
-// PlatformDescribe returns the one-line summary of a registered
-// platform ("" if unknown).
+// PlatformDescribe returns the one-line summary of a platform ("" if
+// unknown).
 func PlatformDescribe(kind Platform) string { return platform.Describe(kind) }
 
 // NewKeys deterministically derives n client identities.

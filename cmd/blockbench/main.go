@@ -1,12 +1,12 @@
 // Command blockbench runs one workload against one simulated platform
 // and prints the run's metrics — the CLI face of the framework's driver.
 //
-// Platforms and workloads both come from pluggable registries
-// (internal/platform, blockbench.RegisterWorkload): the paper's presets plus
-// anything framework users register. Workload parameters are generic
-// -wopt key=val pairs interpreted by the workload's factory, and
-// platform tuning is the same mechanism under -popt, interpreted by the
-// preset, so a new workload or backend needs zero CLI edits.
+// Platforms come from internal/platform's closed table of five presets;
+// workloads from blockbench.RegisterWorkload, which framework users
+// extend. Workload parameters are generic -wopt key=val pairs
+// interpreted by the workload's factory, and platform tuning is the
+// same mechanism under -popt, interpreted by the preset, so a new
+// workload or backend needs zero CLI edits.
 //
 // The run executes through the driver's run handle: a live progress line
 // streams from the per-bucket snapshot channel, -out records the full
@@ -72,7 +72,7 @@ func main() {
 		traceSample  = flag.Float64("trace", 0, "lifecycle trace sampling fraction (0 = default 1%, negative = off, 1 = all)")
 		chaos        = flag.String("chaos", "", "randomized fault injection: seed=N,kill=p,net=p (empty values take defaults); safety invariants are checked and violations fail the run")
 		quiet        = flag.Bool("quiet", false, "suppress the live progress line")
-		listP        = flag.Bool("platforms", false, "list registered platforms and exit")
+		listP        = flag.Bool("platforms", false, "list platforms and exit")
 		listW        = flag.Bool("workloads", false, "list registered workloads and exit")
 	)
 	flag.Var(&wopts, "wopt", "workload option key=val (repeatable)")

@@ -7,12 +7,6 @@ import (
 	"blockbench"
 )
 
-func init() {
-	register("abl-inbox", AblationInbox)
-	register("abl-cache", AblationStateCache)
-	register("abl-signing", AblationParitySigning)
-}
-
 // AblationInbox isolates the mechanism behind Hyperledger's collapse at
 // scale: with bounded per-node message channels (the real system's
 // behaviour), PBFT under load drops consensus messages, diverges views

@@ -4,7 +4,7 @@
 // CPUHeavy, IOHeavy, analytics, DoNothing, the H-Store comparison, block
 // sizes, resource utilization, latency distributions.
 //
-// Each experiment is registered by figure ID and produces a Result whose
+// Each experiment is listed by figure ID and produces a Result whose
 // rows mirror the series the paper plots. Absolute numbers are at the
 // repository's simulation scale (see DESIGN.md); the shape checks —
 // which system wins, by what rough factor, where it breaks — are the
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -61,34 +60,50 @@ func (r *Result) String() string {
 // Runner is an experiment entry point.
 type Runner func(s Scale) (*Result, error)
 
-var registry = map[string]Runner{}
-var order []string
-
-func register(id string, fn Runner) {
-	registry[id] = fn
-	order = append(order, id)
+// runners lists every experiment in figure order, the ablations last.
+var runners = [...]struct {
+	id string
+	fn Runner
+}{
+	{"fig5", Fig5PeakAndRates},
+	{"fig6", Fig6QueueLength},
+	{"fig7", Fig7ScaleTogether},
+	{"fig8", Fig8ScaleServers},
+	{"fig9", Fig9CrashFault},
+	{"fig10", Fig10PartitionAttack},
+	{"fig11", Fig11CPUHeavy},
+	{"fig12", Fig12IOHeavy},
+	{"fig13", Fig13Analytics},
+	{"fig13c", Fig13cDoNothing},
+	{"fig14", Fig14HStore},
+	{"fig15", Fig15BlockSizes},
+	{"fig16", Fig16Utilization},
+	{"fig17", Fig17LatencyCDF},
+	{"fig18", Fig18Queue20},
+	{"fig19", Fig19SmallbankScale},
+	{"abl-inbox", AblationInbox},
+	{"abl-cache", AblationStateCache},
+	{"abl-signing", AblationParitySigning},
 }
 
-// IDs lists registered experiment IDs in figure order.
+// IDs lists the experiment IDs in figure order.
 func IDs() []string {
-	out := append([]string(nil), order...)
-	sort.Strings(out)
+	out := make([]string, len(runners))
+	for i, r := range runners {
+		out[i] = r.id
+	}
 	return out
 }
 
 // Get returns the runner for an experiment ID.
 func Get(id string) (Runner, bool) {
-	fn, ok := registry[id]
-	return fn, ok
+	for _, r := range runners {
+		if r.id == id {
+			return r.fn, true
+		}
+	}
+	return nil, false
 }
-
-// platforms under study: every backend on the platform registry, in its
-// sorted order — the paper's three plus the Quorum and Sharded
-// extensions today, and anything a framework user registers tomorrow
-// (a new backend becomes an experiments column with zero edits here).
-// Read at experiment-run time, not captured at init, so registrations
-// from packages initialized after this one still appear.
-func platforms() []blockbench.Platform { return blockbench.Platforms() }
 
 // sizedWorkload builds a registered workload with its record/account
 // volume set — the registry lookup behind every experiment table, so a

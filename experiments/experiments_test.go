@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,14 +15,17 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig13c", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "abl-inbox", "abl-cache", "abl-signing"}
-	ids := IDs()
-	if len(ids) != len(want) {
-		t.Fatalf("registered %d experiments, want %d: %v", len(ids), len(want), ids)
+	// IDs is in figure order: -list and -run all print in it.
+	if ids := IDs(); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("IDs() = %v, want %v", ids, want)
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Fatalf("missing experiment %s", id)
 		}
+	}
+	if _, ok := Get("fig99"); ok {
+		t.Fatal("Get of an unknown ID succeeded")
 	}
 }
 

@@ -8,12 +8,6 @@ import (
 	"blockbench"
 )
 
-func init() {
-	register("fig9", Fig9CrashFault)
-	register("fig10", Fig10PartitionAttack)
-	register("fig16", Fig16Utilization)
-}
-
 // Fig9CrashFault reproduces Fig 9: 4 servers are killed mid-run at 12
 // and 16 servers. Ethereum and Parity shrug; Hyperledger with 12 servers
 // loses its quorum (f=3 tolerates at most 3 failures) and stops
@@ -29,7 +23,7 @@ func init() {
 func Fig9CrashFault(s Scale) (*Result, error) {
 	res := &Result{ID: "fig9", Title: "committed tx over time, 4 servers killed mid-run, recovered at 3/4"}
 	sizes := scaleSweep(s, []int{12, 16}, []int{8})
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, n := range sizes {
 			w := macroWorkload("ycsb", s)
 			// Kill 4 nodes at the halfway point (the paper's 250th
@@ -74,7 +68,7 @@ func Fig9CrashFault(s Scale) (*Result, error) {
 // recover after the partition heals.
 func Fig10PartitionAttack(s Scale) (*Result, error) {
 	res := &Result{ID: "fig10", Title: "partition attack: total vs main-chain blocks"}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		w := macroWorkload("ycsb", s)
 		c, err := newCluster(kind, 8, 8, w, nil)
 		if err != nil {
@@ -130,7 +124,7 @@ func Fig16Utilization(s Scale) (*Result, error) {
 	// budget (the simulated miners are single-threaded; geth saturated
 	// its reserved cores the same way, just with more of them).
 	const nsPerHash = 280.0
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		w := macroWorkload("ycsb", s)
 		r, err := measure(kind, 8, 8, w, blockbench.RunConfig{
 			Threads: 4, Rate: 128, Duration: s.Duration,

@@ -25,7 +25,7 @@ func Fig14HStore(s Scale) (*Result, error) {
 		}
 		res.addf("%-12s %-10s -> %9.0f tx/s", "h-store", wname, tput)
 	}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, wname := range []string{"ycsb", "smallbank"} {
 			w := macroWorkload(wname, s)
 			r, err := measure(kind, 8, 8, w, blockbench.RunConfig{

@@ -8,19 +8,6 @@ import (
 	"blockbench"
 )
 
-func init() {
-	register("fig5", Fig5PeakAndRates)
-	register("fig6", Fig6QueueLength)
-	register("fig7", Fig7ScaleTogether)
-	register("fig8", Fig8ScaleServers)
-	register("fig13c", Fig13cDoNothing)
-	register("fig14", Fig14HStore)
-	register("fig15", Fig15BlockSizes)
-	register("fig17", Fig17LatencyCDF)
-	register("fig18", Fig18Queue20)
-	register("fig19", Fig19SmallbankScale)
-}
-
 // macroWorkload builds the two macro benchmarks sized to the scale,
 // through the workload registry.
 func macroWorkload(name string, s Scale) blockbench.Workload {
@@ -40,7 +27,7 @@ func Fig5PeakAndRates(s Scale) (*Result, error) {
 		rates = []float64{128, 512}
 	}
 	for _, wname := range []string{"ycsb", "smallbank"} {
-		for _, kind := range platforms() {
+		for _, kind := range blockbench.Platforms() {
 			var peakTput, peakLat float64
 			for _, rate := range rates {
 				w := macroWorkload(wname, s)
@@ -67,7 +54,7 @@ func Fig5PeakAndRates(s Scale) (*Result, error) {
 func Fig6QueueLength(s Scale) (*Result, error) {
 	res := &Result{ID: "fig6", Title: "client request queue length over time (8 clients, 8 servers)"}
 	for _, rate := range []float64{8, 512} {
-		for _, kind := range platforms() {
+		for _, kind := range blockbench.Platforms() {
 			w := macroWorkload("ycsb", s)
 			r, err := measure(kind, 8, 8, w, blockbench.RunConfig{
 				Threads: 4, Rate: rate, Duration: s.Duration,
@@ -109,7 +96,7 @@ func Fig19SmallbankScale(s Scale) (*Result, error) {
 
 func scaleExperiment(id, title, wname string, sizes []int, matchClients bool, s Scale) (*Result, error) {
 	res := &Result{ID: id, Title: title}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, n := range sizes {
 			clients := 8
 			if matchClients {
@@ -133,7 +120,7 @@ func scaleExperiment(id, title, wname string, sizes []int, matchClients bool, s 
 // throughput, isolating the consensus layer from execution cost.
 func Fig13cDoNothing(s Scale) (*Result, error) {
 	res := &Result{ID: "fig13c", Title: "consensus isolation: DoNothing vs YCSB vs Smallbank (8x8)"}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, wname := range []string{"smallbank", "ycsb", "donothing"} {
 			var w blockbench.Workload
 			if wname == "donothing" {
@@ -162,7 +149,7 @@ func Fig15BlockSizes(s Scale) (*Result, error) {
 		label string
 		mul   float64
 	}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, sz := range []sizing{{"small", 0.5}, {"medium", 1}, {"large", 2}} {
 			w := macroWorkload("ycsb", s)
 			r, err := measure(kind, 8, 8, w, blockbench.RunConfig{
@@ -199,7 +186,7 @@ func Fig15BlockSizes(s Scale) (*Result, error) {
 // and Smallbank at 8x8.
 func Fig17LatencyCDF(s Scale) (*Result, error) {
 	res := &Result{ID: "fig17", Title: "latency CDF (8x8)"}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, wname := range []string{"ycsb", "smallbank"} {
 			w := macroWorkload(wname, s)
 			r, err := measure(kind, 8, 8, w, blockbench.RunConfig{
@@ -235,7 +222,7 @@ func Fig18Queue20(s Scale) (*Result, error) {
 	if s.Shrink > 1 {
 		n = 8
 	}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		w := macroWorkload("ycsb", s)
 		r, err := measure(kind, n, n, w, blockbench.RunConfig{
 			Threads: 4, Rate: 512, Duration: s.Duration,

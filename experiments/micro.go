@@ -13,12 +13,6 @@ import (
 	"blockbench/internal/types"
 )
 
-func init() {
-	register("fig11", Fig11CPUHeavy)
-	register("fig12", Fig12IOHeavy)
-	register("fig13", Fig13Analytics)
-}
-
 // Fig11CPUHeavy reproduces Fig 11: quicksort execution time and peak
 // memory at growing input sizes, one server one client. Sizes are the
 // paper's 1M/10M/100M divided by 100 (see EXPERIMENTS.md); the memory
@@ -31,7 +25,7 @@ func Fig11CPUHeavy(s Scale) (*Result, error) {
 	if s.Shrink > 1 {
 		sizes = []int{40_000 / s.Shrink, 400_000 / s.Shrink}
 	}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, n := range sizes {
 			c, err := newCluster(kind, 1, 1, blockbench.MustWorkload("cpuheavy", nil), nil)
 			if err != nil {
@@ -90,7 +84,7 @@ func Fig12IOHeavy(s Scale) (*Result, error) {
 		sizes = []int{80_000 / s.Shrink, 200_000 / s.Shrink}
 		perTx = 20_000 / s.Shrink
 	}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		for _, tuples := range sizes {
 			row, err := ioHeavyRun(kind, tuples, perTx)
 			if err != nil {
@@ -181,7 +175,7 @@ func Fig13Analytics(s Scale) (*Result, error) {
 	res := &Result{ID: "fig13", Title: "analytics Q1/Q2 latency vs blocks scanned"}
 	blocks := 10_000 / s.Shrink
 	scans := []uint64{1, 10, 100, 1000, 10_000}
-	for _, kind := range platforms() {
+	for _, kind := range blockbench.Platforms() {
 		a := &blockbench.Analytics{Blocks: blocks, TxPerBlock: 3, Accounts: 32}
 		c, err := newCluster(kind, 2, 32, a, nil)
 		if err != nil {

@@ -105,6 +105,26 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestAllSortedAndLookupRoundTrips: All is strictly sorted by name (so
+// no name appears twice), Lookup finds every entry, and All hands out a
+// copy of the table.
+func TestAllSortedAndLookupRoundTrips(t *testing.T) {
+	all := All()
+	for i, s := range all {
+		if i > 0 && all[i-1].Name >= s.Name {
+			t.Fatalf("All() not strictly sorted at %d: %q, %q", i, all[i-1].Name, s.Name)
+		}
+		got, err := Lookup(s.Name)
+		if err != nil || got.Name != s.Name || got.EVM != s.EVM || got.Description != s.Description {
+			t.Fatalf("Lookup(%q) = %+v, %v", s.Name, got, err)
+		}
+	}
+	all[0].Name = "clobbered"
+	if All()[0].Name == "clobbered" {
+		t.Fatal("All() returned the table itself, not a copy")
+	}
+}
+
 func TestYCSBBothImplementations(t *testing.T) {
 	w := newWorld(t, "ycsb")
 	alice := addr("alice")

@@ -17,7 +17,6 @@ package contracts
 
 import (
 	"fmt"
-	"sort"
 
 	"blockbench/internal/chaincode"
 	"blockbench/internal/evm"
@@ -35,51 +34,37 @@ type Spec struct {
 	Chaincode chaincode.Chaincode
 }
 
-var registry = map[string]Spec{}
-
-func register(s Spec) {
-	if _, dup := registry[s.Name]; dup {
-		panic("contracts: duplicate " + s.Name)
-	}
-	registry[s.Name] = s
-}
-
-func init() {
-	register(Spec{Name: "ycsb", Description: "key-value store (YCSB)",
-		EVM: asm.MustAssemble(ycsbSrc), Chaincode: YCSB{}})
-	register(Spec{Name: "smallbank", Description: "OLTP bank accounts (Smallbank)",
-		EVM: asm.MustAssemble(smallbankSrc), Chaincode: Smallbank{}})
-	register(Spec{Name: "etherid", Description: "domain name registrar",
-		EVM: asm.MustAssemble(etherIdSrc), Chaincode: EtherId{}})
-	register(Spec{Name: "doubler", Description: "pyramid scheme",
-		EVM: asm.MustAssemble(doublerSrc), Chaincode: Doubler{}})
-	register(Spec{Name: "wavespresale", Description: "crowd sale",
-		EVM: asm.MustAssemble(wavesSrc), Chaincode: WavesPresale{}})
-	register(Spec{Name: "versionkv", Description: "versioned KV store (Hyperledger only)",
-		Chaincode: VersionKV{}})
-	register(Spec{Name: "ioheavy", Description: "bulk random I/O",
-		EVM: asm.MustAssemble(ioHeavySrc), Chaincode: IOHeavy{}})
-	register(Spec{Name: "cpuheavy", Description: "quicksort a large array",
-		EVM: asm.MustAssemble(cpuHeavySrc), Chaincode: CPUHeavy{}})
-	register(Spec{Name: "donothing", Description: "empty contract",
-		EVM: asm.MustAssemble(doNothingSrc), Chaincode: DoNothing{}})
+// specs is the Table 1 suite, sorted by name.
+var specs = [...]Spec{
+	{Name: "cpuheavy", Description: "quicksort a large array",
+		EVM: asm.MustAssemble(cpuHeavySrc), Chaincode: CPUHeavy{}},
+	{Name: "donothing", Description: "empty contract",
+		EVM: asm.MustAssemble(doNothingSrc), Chaincode: DoNothing{}},
+	{Name: "doubler", Description: "pyramid scheme",
+		EVM: asm.MustAssemble(doublerSrc), Chaincode: Doubler{}},
+	{Name: "etherid", Description: "domain name registrar",
+		EVM: asm.MustAssemble(etherIdSrc), Chaincode: EtherId{}},
+	{Name: "ioheavy", Description: "bulk random I/O",
+		EVM: asm.MustAssemble(ioHeavySrc), Chaincode: IOHeavy{}},
+	{Name: "smallbank", Description: "OLTP bank accounts (Smallbank)",
+		EVM: asm.MustAssemble(smallbankSrc), Chaincode: Smallbank{}},
+	{Name: "versionkv", Description: "versioned KV store (Hyperledger only)",
+		Chaincode: VersionKV{}},
+	{Name: "wavespresale", Description: "crowd sale",
+		EVM: asm.MustAssemble(wavesSrc), Chaincode: WavesPresale{}},
+	{Name: "ycsb", Description: "key-value store (YCSB)",
+		EVM: asm.MustAssemble(ycsbSrc), Chaincode: YCSB{}},
 }
 
 // Lookup returns the spec for name.
 func Lookup(name string) (Spec, error) {
-	s, ok := registry[name]
-	if !ok {
-		return Spec{}, fmt.Errorf("contracts: unknown contract %q", name)
+	for _, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return Spec{}, fmt.Errorf("contracts: unknown contract %q", name)
 }
 
 // All returns every spec sorted by name.
-func All() []Spec {
-	out := make([]Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func All() []Spec { return append([]Spec(nil), specs[:]...) }

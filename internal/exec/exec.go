@@ -52,7 +52,7 @@ type EVMEngine struct {
 	steps    atomic.Uint64
 }
 
-// NewEVMEngine deploys the named contracts (from the Table 1 registry)
+// NewEVMEngine deploys the named contracts (from the Table 1 suite)
 // and returns an engine using the given memory model.
 func NewEVMEngine(mem MemModel, contractNames ...string) (*EVMEngine, error) {
 	e := &EVMEngine{progs: make(map[string]*evm.Program), mem: mem}
@@ -202,7 +202,7 @@ type NativeEngine struct {
 	execTime atomic.Int64
 }
 
-// NewNativeEngine deploys the named chaincodes from the registry.
+// NewNativeEngine deploys the named chaincodes from the Table 1 suite.
 func NewNativeEngine(contractNames ...string) (*NativeEngine, error) {
 	e := &NativeEngine{codes: make(map[string]chaincode.Chaincode)}
 	for _, name := range contractNames {

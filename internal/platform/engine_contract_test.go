@@ -11,7 +11,7 @@ import (
 )
 
 // TestEveryEngineKeepsTheContract holds consensus.Engine's lifecycle on
-// every registered platform's engines, whether they are a core behind an
+// every platform's engines, whether they are a core behind an
 // embedded runner (raft, pbft, poa), override part of it (the sharded
 // gateway's Stop) or are written by hand (pow): Stop before Start is a
 // no-op, a second Start and a second Stop are harmless, Handle returns

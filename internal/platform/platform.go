@@ -1,21 +1,22 @@
 // Package platform wires the substrate packages into blockchain
 // platform presets and runs N-node clusters of them over the simulated
-// network. Presets plug in through a registry (see Register in
-// registry.go): each preset file declares its state store, state
-// organization, execution engine, per-element memory cost model and
-// consensus factory, and the driver, experiments and CLI pick new
-// platforms up automatically. Configuration is split the same way:
-// Config (this file) holds only what every preset reads; a preset's
-// tuning knobs live in its own file, as a private struct decoded from
-// Config.Options by its Build hook. DESIGN.md tabulates every key.
+// network. The presets are a closed table (presets, below): each preset
+// file declares its state store, state organization, execution engine,
+// per-element memory cost model and consensus factory, and the driver,
+// experiments and CLI list them through Kinds. Adding a platform is one
+// preset file and one row of that table. Configuration is split the
+// same way: Config (this file) holds only what every preset reads; a
+// preset's tuning knobs live in its own file, as a private struct
+// decoded from Config.Options by its Build hook. DESIGN.md tabulates
+// every key.
 //
-// Five presets ship with the framework: the three systems the paper
+// Five presets make up the table: the three systems the paper
 // evaluates — Ethereum (geth v1.4.18: PoW, Patricia-Merkle trie over
 // LevelDB with an LRU state cache, EVM), Parity (v1.6.0:
 // Proof-of-Authority, all state pinned in memory, EVM, server-side
 // transaction signing) and Hyperledger Fabric (v0.6.0-preview: PBFT,
 // Bucket-Merkle tree over RocksDB, native chaincode) — plus two
-// extension backends on the registry seam: Quorum (geth fork:
+// extension backends on the same Preset seam: Quorum (geth fork:
 // Raft-ordered crash-fault-tolerant consensus, trie state, EVM) and
 // Sharded (hash-partitioned state, one Raft group per shard,
 // cross-shard two-phase commit).
@@ -43,17 +44,17 @@ import (
 	"blockbench/internal/workload"
 )
 
-// Kind selects a platform preset by registry key.
+// Kind selects a platform preset by name.
 type Kind string
 
-func init() {
-	// The paper's three platforms, then the extension backends. Kinds()
-	// lists them sorted, so registration order is not load-bearing.
-	MustRegister(ethereumPreset())
-	MustRegister(parityPreset())
-	MustRegister(hyperledgerPreset())
-	MustRegister(quorumPreset())
-	MustRegister(shardedPreset())
+// presets is the closed set of platforms, sorted by Kind: the paper's
+// three systems and the two extension backends.
+var presets = [...]*Preset{
+	ethereumPreset(),
+	hyperledgerPreset(),
+	parityPreset(),
+	quorumPreset(),
+	shardedPreset(),
 }
 
 // Config sizes a cluster and carries the settings every preset reads.
@@ -158,8 +159,8 @@ type Cluster struct {
 // Tracer returns the cluster's lifecycle tracer.
 func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
-// New builds (but does not start) a cluster of the registered platform
-// named by cfg.Kind.
+// New builds (but does not start) a cluster of the platform named by
+// cfg.Kind.
 func New(cfg Config) (*Cluster, error) {
 	p, err := Lookup(cfg.Kind)
 	if err != nil {
@@ -175,9 +176,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.asm, err = p.Build(&c.cfg, d)
 	if err == nil {
 		err = d.Finish()
-	}
-	if err == nil && (c.asm.NewEngine == nil || c.asm.NewStateFactory == nil || c.asm.NewConsensus == nil) {
-		err = fmt.Errorf("Build left NewEngine, NewStateFactory or NewConsensus unset")
 	}
 	if err != nil {
 		c.Close() // removes a temp data dir decodeStore may have provisioned
@@ -695,8 +693,8 @@ func (c *Cluster) NodeHeight(i int) uint64 {
 // node's providers (buildNode collects every component that implements
 // metrics.CounterProvider, consensus and execution engines included)
 // are asked for their maps and same-named counters are summed across
-// nodes. There is no per-backend case here, so any platform registered
-// through the preset registry flows into Report.Counters automatically.
+// nodes. There is no per-backend case here, so every preset's counters
+// flow into Report.Counters without one.
 func (c *Cluster) Counters() map[string]uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"blockbench/internal/consensus"
@@ -52,15 +50,15 @@ func (env *Env) newRegistry() *crypto.Registry {
 // Preset describes how one platform kind is assembled from the substrate
 // packages: which state store and state organization it uses, which
 // execution engine and per-element memory cost model, which consensus
-// protocol, and how its nodes ingest transactions. Register a Preset to
-// plug a new platform into the framework — the driver, workloads,
-// experiments and CLI pick it up through platform.Kinds.
+// protocol, and how its nodes ingest transactions. A Preset in the
+// presets table is a platform: the driver, workloads, experiments and
+// CLI pick it up through platform.Kinds.
 //
 // A preset owns its tuning knobs: its file declares a private option
 // struct, and Build is the only place that reads them out of
 // Config.Options (-popt key=val).
 type Preset struct {
-	// Kind is the registry key (the CLI's -platform value).
+	// Kind is the preset's name (the CLI's -platform value).
 	Kind Kind
 	// Describe is a one-line summary shown in CLI usage listings.
 	Describe string
@@ -130,72 +128,29 @@ type Assembly struct {
 	NewConsensus func(env *Env) func(consensus.Context) consensus.Engine
 }
 
-var (
-	regMu   sync.RWMutex
-	presets = make(map[Kind]*Preset)
-)
-
-// Register plugs a platform preset into the framework. It errors on a
-// duplicate or empty kind and on missing mandatory hooks.
-func Register(p *Preset) error {
-	if p == nil || p.Kind == "" {
-		return fmt.Errorf("platform: Register: empty kind")
-	}
-	if p.Build == nil {
-		return fmt.Errorf("platform: Register(%q): Build is mandatory", p.Kind)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := presets[p.Kind]; dup {
-		return fmt.Errorf("platform: Register(%q): already registered", p.Kind)
-	}
-	presets[p.Kind] = p
-	return nil
-}
-
-// MustRegister is Register for package init blocks: it panics on error.
-func MustRegister(p *Preset) {
-	if err := Register(p); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the preset registered for a kind.
+// Lookup returns the preset for a kind.
 func Lookup(kind Kind) (*Preset, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := presets[kind]
-	if !ok {
-		known := make([]string, 0, len(presets))
-		for k := range presets {
-			known = append(known, string(k))
+	for _, p := range presets {
+		if p.Kind == kind {
+			return p, nil
 		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("platform: unknown kind %q (registered: %v)", kind, known)
 	}
-	return p, nil
+	return nil, fmt.Errorf("platform: unknown kind %q (known: %v)", kind, Kinds())
 }
 
-// Kinds lists registered presets in sorted (name) order — deterministic
-// regardless of init order, so CLI listings, experiment columns and
-// registry tests never depend on registration sequencing.
+// Kinds lists the presets in sorted (name) order, so CLI listings,
+// experiment columns and tests are deterministic.
 func Kinds() []Kind {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Kind, 0, len(presets))
-	for k := range presets {
-		out = append(out, k)
+	out := make([]Kind, len(presets))
+	for i, p := range presets {
+		out[i] = p.Kind
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// Describe returns the one-line summary of a registered kind ("" if
-// unknown).
+// Describe returns the one-line summary of a kind ("" if unknown).
 func Describe(kind Kind) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if p, ok := presets[kind]; ok {
+	if p, err := Lookup(kind); err == nil {
 		return p.Describe
 	}
 	return ""

@@ -1,50 +1,11 @@
 package platform
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
 	"blockbench/internal/exec"
 )
-
-// stubPreset returns a minimal valid preset under the given kind.
-func stubPreset(kind Kind) *Preset {
-	base := ethereumPreset()
-	base.Kind = kind
-	base.Describe = "test stub"
-	return base
-}
-
-func TestRegisterDuplicateKindErrors(t *testing.T) {
-	kind := Kind("registry-test-dup")
-	// The registry is process-global, so a previous run of this test (go
-	// test -count=N) may already have claimed the kind.
-	if err := Register(stubPreset(kind)); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("first Register: %v", err)
-	}
-	err := Register(stubPreset(kind))
-	if err == nil {
-		t.Fatal("duplicate Register accepted")
-	}
-	if !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("unexpected duplicate error: %v", err)
-	}
-}
-
-func TestRegisterRejectsInvalidPresets(t *testing.T) {
-	if err := Register(nil); err == nil {
-		t.Fatal("nil preset accepted")
-	}
-	if err := Register(&Preset{}); err == nil {
-		t.Fatal("empty kind accepted")
-	}
-	p := stubPreset("registry-test-incomplete")
-	p.Build = nil
-	if err := Register(p); err == nil {
-		t.Fatal("preset without a Build hook accepted")
-	}
-}
 
 func TestNewUnknownKindErrors(t *testing.T) {
 	_, err := New(Config{Kind: "no-such-platform", Nodes: 2})
@@ -54,10 +15,10 @@ func TestNewUnknownKindErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// The error names the registered kinds so -platform typos are
+	// The error names the known kinds so -platform typos are
 	// self-explaining.
 	if !strings.Contains(err.Error(), string(Quorum)) {
-		t.Fatalf("error does not list registered kinds: %v", err)
+		t.Fatalf("error does not list the known kinds: %v", err)
 	}
 }
 
@@ -76,13 +37,15 @@ func TestKindsIncludeAllBuiltins(t *testing.T) {
 	}
 }
 
-// TestKindsSortedAndStable: the listing is sorted, so help text, smoke
-// jobs and experiment columns are deterministic regardless of init
-// (registration) order.
+// TestKindsSortedAndStable: the listing is strictly increasing, so help
+// text, smoke jobs and experiment columns are deterministic and no kind
+// appears twice.
 func TestKindsSortedAndStable(t *testing.T) {
 	kinds := Kinds()
-	if !sort.SliceIsSorted(kinds, func(i, j int) bool { return kinds[i] < kinds[j] }) {
-		t.Fatalf("Kinds() not sorted: %v", kinds)
+	for i := 1; i < len(kinds); i++ {
+		if kinds[i-1] >= kinds[i] {
+			t.Fatalf("Kinds() not strictly increasing at %d: %v", i, kinds)
+		}
 	}
 	again := Kinds()
 	if len(again) != len(kinds) {
@@ -95,7 +58,7 @@ func TestKindsSortedAndStable(t *testing.T) {
 	}
 }
 
-// TestBootAllBuiltinPlatforms is the registry smoke test: every builtin
+// TestBootAllBuiltinPlatforms is the preset smoke test: every builtin
 // preset assembles, starts, commits a short YCSB run through consensus,
 // and shuts down.
 func TestBootAllBuiltinPlatforms(t *testing.T) {

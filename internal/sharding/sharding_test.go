@@ -85,24 +85,40 @@ func TestTouchedShards(t *testing.T) {
 	}
 }
 
-func TestContractKeysRegistry(t *testing.T) {
-	if ks := ContractKeys("ycsb", "read", [][]byte{[]byte("k")}); len(ks) != 1 {
-		t.Fatalf("ycsb read keys = %v", ks)
-	}
-	if ks := ContractKeys("smallbank", "amalgamate", [][]byte{[]byte("a"), []byte("b")}); len(ks) != 2 {
-		t.Fatalf("amalgamate keys = %v", ks)
-	}
-	if ks := ContractKeys("smallbank", "writeCheck", [][]byte{[]byte("a"), []byte("x")}); len(ks) != 1 {
-		t.Fatalf("writeCheck keys = %v", ks)
-	}
-	if ks := ContractKeys("no-such-contract", "m", nil); ks != nil {
-		t.Fatalf("unknown contract keys = %v", ks)
-	}
-	RegisterContractKeys("sharding-test-cc", func(method string, args [][]byte) [][]byte {
+func TestContractKeys(t *testing.T) {
+	k := func(n int) [][]byte {
+		args := make([][]byte, n)
+		for i := range args {
+			args[i] = []byte{byte('a' + i)}
+		}
 		return args
-	})
-	if ks := ContractKeys("sharding-test-cc", "m", [][]byte{[]byte("x"), []byte("y")}); len(ks) != 2 {
-		t.Fatalf("registered extractor ignored: %v", ks)
+	}
+	for _, tc := range []struct {
+		contract, method string
+		args             [][]byte
+		want             int // -1: nil
+	}{
+		{"ycsb", "read", k(1), 1},
+		{"ycsb", "write", k(2), 1},
+		{"ycsb", "read", k(0), -1},
+		{"smallbank", "amalgamate", k(2), 2},
+		{"smallbank", "sendPayment", k(3), 2},
+		{"smallbank", "sendPayment", k(1), -1},
+		{"smallbank", "writeCheck", k(2), 1},
+		{"smallbank", "writeCheck", k(0), -1},
+		{"no-such-contract", "m", k(2), -1},
+		{"donothing", "noop", nil, -1},
+	} {
+		ks := ContractKeys(tc.contract, tc.method, tc.args)
+		if tc.want < 0 {
+			if ks != nil {
+				t.Errorf("%s.%s with %d args: keys = %q, want nil", tc.contract, tc.method, len(tc.args), ks)
+			}
+			continue
+		}
+		if len(ks) != tc.want || &ks[0] != &tc.args[0] {
+			t.Errorf("%s.%s with %d args: keys = %q, want args[:%d]", tc.contract, tc.method, len(tc.args), ks, tc.want)
+		}
 	}
 }
 

@@ -6,9 +6,8 @@ import "blockbench/report"
 // framework's surface importable from the root package alone. Resource
 // counters reach the Report through the generic CounterProvider seam
 // (internal/metrics) aggregated by the platform cluster — there is no
-// per-engine case anywhere in the reporting path, so a backend
-// registered through platform.Register surfaces its counters without
-// touching this package.
+// per-engine case anywhere in the reporting path, so every platform
+// preset surfaces its counters without touching this package.
 type (
 	// Report carries the metrics of one driver run.
 	Report = report.Report

@@ -2,9 +2,9 @@
 // run: the final Report, the per-bucket Snapshot stream the driver's run
 // handle emits while the run is live, and the JSONL Sink that persists
 // both. It is deliberately free of platform types — resource counters
-// arrive as a generic name→value map, so any backend registered with
-// the platform registry flows through without this package (or the
-// driver) knowing its engines.
+// arrive as a generic name→value map, so every platform preset's
+// counters flow through without this package (or the driver) knowing
+// its engines.
 package report
 
 import (

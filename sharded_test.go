@@ -27,7 +27,7 @@ func fastShardedCluster(t *testing.T, nodes, shards, clients int, w blockbench.W
 // TestShardedDriverRun drives the fifth platform through the standard
 // run handle: a YCSB run (single-key, so pure fast path) commits
 // through per-shard consensus and the report carries the xshard counter
-// family — the registry seam end to end with zero driver edits.
+// family — the preset seam end to end with zero driver edits.
 func TestShardedDriverRun(t *testing.T) {
 	w := blockbench.MustWorkload("ycsb", blockbench.WorkloadOptions{"records": "100"})
 	c := fastShardedCluster(t, 4, 2, 4, w)

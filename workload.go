@@ -10,10 +10,11 @@ import (
 )
 
 // OpKeys extracts the state keys an operation addresses through the
-// per-contract extractor registry shared with the sharded router
-// (sharding.RegisterContractKeys), so skew tooling — the partitioner
-// skew check, the shard-scaling benchmark's cross-shard touch rate —
-// and the router always agree on placement.
+// per-contract extractor the sharded router uses
+// (sharding.ContractKeys: ycsb and smallbank; nil for any other
+// contract), so skew tooling — the partitioner skew check, the
+// shard-scaling benchmark's cross-shard touch rate — and the router
+// always agree on placement.
 func OpKeys(op Op) [][]byte {
 	return sharding.ContractKeys(op.Contract, op.Method, op.Args)
 }
