@@ -144,8 +144,12 @@ loc:
 # 21 lines, its field and its reset at flush), which replaced one record
 # allocation per Put with one per 32 KiB chunk. It fell to 21062 when
 # the platform, contract, shard-key and experiment registries became
-# literal tables (no init-time Register, no maps, no locks).
-LOC_MAX ?= 21062
+# literal tables (no init-time Register, no maps, no locks). It was
+# raised to 21093 by one allocation per state write: the trie's leaf
+# with its path inline (its type and constructor, a copy flag on
+# attach), the run writer's shared index-key buffer and SetState's
+# one-record layout, less keyNibbles and the unused Cluster.Indexer.
+LOC_MAX ?= 21093
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -10,9 +10,9 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // This file holds the on-disk run format and its read paths: the bloom
@@ -159,7 +159,8 @@ func (r *run) retire() {
 // runWriter streams sorted records into a new run file, accumulating the
 // bloom hashes and sparse index, then seals them into the footer. The
 // keys it is handed are views of memtable or merge records, so it keeps
-// none of them: every key's hash, and its own copy of each index key.
+// none of them: every key's hash, and its own copy of each index key,
+// carved from idxBuf.
 type runWriter struct {
 	path       string
 	f          *os.File
@@ -169,6 +170,7 @@ type runWriter struct {
 	hashes     []uint64 // every key's, for the bloom
 	idxKeys    []string
 	idxOffs    []int64
+	idxBuf     []byte // the buffer index keys are copied into; len is its used part
 	lastKey    string // copied only if finish indexes it
 	lastOff    int64
 	bitsPerKey int
@@ -186,7 +188,7 @@ func newRunWriter(path string, bitsPerKey, n int) (*runWriter, error) {
 // add appends one record; keys must arrive in strictly ascending order.
 func (rw *runWriter) add(k string, v []byte, del bool) error {
 	if rw.count%indexStride == 0 {
-		rw.idxKeys = append(rw.idxKeys, strings.Clone(k))
+		rw.idxKeys = append(rw.idxKeys, rw.cloneKey(k))
 		rw.idxOffs = append(rw.idxOffs, rw.off)
 	}
 	rw.lastKey, rw.lastOff = k, rw.off
@@ -199,6 +201,19 @@ func (rw *runWriter) add(k string, v []byte, del bool) error {
 	return nil
 }
 
+// cloneKey copies an index key into idxBuf and returns a view of the
+// copy. A key that does not fit starts a new buffer, twice the last
+// one's size; the full one is left as it is, because the keys already
+// carved from it are views of its bytes.
+func (rw *runWriter) cloneKey(k string) string {
+	if len(k) > cap(rw.idxBuf)-len(rw.idxBuf) {
+		rw.idxBuf = make([]byte, 0, max(2*cap(rw.idxBuf), len(k), 256))
+	}
+	start := len(rw.idxBuf)
+	rw.idxBuf = append(rw.idxBuf, k...)
+	return unsafe.String(unsafe.SliceData(rw.idxBuf[start:]), len(k))
+}
+
 // finish seals the run and reopens it read-only. An empty run (possible
 // when compaction drops every tombstone) yields (nil, nil) and removes
 // the file.
@@ -209,7 +224,7 @@ func (rw *runWriter) finish() (*run, error) {
 		return nil, nil
 	}
 	if rw.idxKeys[len(rw.idxKeys)-1] != rw.lastKey {
-		rw.idxKeys = append(rw.idxKeys, strings.Clone(rw.lastKey))
+		rw.idxKeys = append(rw.idxKeys, rw.cloneKey(rw.lastKey))
 		rw.idxOffs = append(rw.idxOffs, rw.lastOff)
 	}
 	dataLen := rw.off

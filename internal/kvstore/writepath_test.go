@@ -6,7 +6,9 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestPutAllocBudget is the storage engine's write budget outside a
@@ -194,5 +196,74 @@ func TestReplayAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations to reopen a WAL of %d records, %d chunks of them", avg, records, chunks)
 	if budget := chunks + fixed; avg > float64(budget) {
 		t.Fatalf("%.0f allocations to reopen a WAL of %d records, budget %d", avg, records, budget)
+	}
+}
+
+// TestIndexKeysSurviveBufferRollover: a run writer copies its index keys
+// into a buffer that it replaces, not grows in place, when the next key
+// does not fit, because the keys already copied are views of it. Flush
+// long keys until it has been replaced several times; every index key
+// and both bounds must still be the record keys they copied, equal to
+// what a reopen reads back from the file, and every key must be found.
+func TestIndexKeysSurviveBufferRollover(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLSM(dir, LSMOptions{SyncBytes: -1, MemTableBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 1000) // ascending: the zero-padded index leads
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%04d-%s", i, bytes.Repeat([]byte{'k'}, 150+i%90))
+		if err := s.Put([]byte(keys[i]), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	w := s.runs[0]
+	var want []string
+	for i := 0; i < len(keys); i += indexStride {
+		want = append(want, keys[i])
+	}
+	want = append(want, keys[len(keys)-1])
+	buffers := 1
+	for i, k := range w.idxKeys {
+		if i < len(want) && k != want[i] {
+			t.Fatalf("index key %d = %.12q…, want %.12q…", i, k, want[i])
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := w.idxKeys[i-1]; unsafe.Pointer(unsafe.StringData(k)) != unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev)) {
+			buffers++ // not carved right behind its predecessor
+		}
+	}
+	if len(w.idxKeys) != len(want) || w.minKey != keys[0] || w.maxKey != keys[len(keys)-1] {
+		t.Fatalf("%d index keys (want %d), bounds %.12q…%.12q…", len(w.idxKeys), len(want), w.minKey, w.maxKey)
+	}
+	if buffers < 4 {
+		t.Fatalf("index keys carved from %d buffers: the test no longer crosses a rollover", buffers)
+	}
+	idxKeys, minKey, maxKey := w.idxKeys, w.minKey, w.maxKey
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = OpenLSM(dir, LSMOptions{SyncBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := s.runs[0]
+	if !slices.Equal(r.idxKeys, idxKeys) || r.minKey != minKey || r.maxKey != maxKey {
+		t.Fatalf("reopened run: %d index keys, bounds %.12q…%.12q…; written: %d, %.12q…%.12q…",
+			len(r.idxKeys), r.minKey, r.maxKey, len(idxKeys), minKey, maxKey)
+	}
+	for i, k := range keys {
+		if v, ok, err := s.Get([]byte(k)); err != nil || !ok || !bytes.Equal(v, []byte{byte(i)}) {
+			t.Fatalf("Get(%.12q…) = %x, %v, %v after reopen", k, v, ok, err)
+		}
 	}
 }

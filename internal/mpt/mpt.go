@@ -115,9 +115,8 @@ type Trie struct {
 	// encoding during Commit/Hash — children are hashed before the
 	// parent's bytes are laid down, so one buffer serves every level —
 	// keyBuf the store key of the node being persisted, and nibBuf the
-	// nibble expansion of transient lookup keys (Get/Delete; Put paths
-	// are retained inside inserted nodes and must stay freshly
-	// allocated).
+	// nibble expansion of the key in hand (Get, Put, Delete: a node Put
+	// creates copies the part of the path it keeps, see newLeaf).
 	encBuf []byte
 	keyBuf []byte
 	nibBuf []byte
@@ -138,13 +137,8 @@ func NewWithCache(store kvstore.Store, root types.Hash, cache NodeCache) (*Trie,
 	return &Trie{store: store, cache: cache, root: ref{h: root}}, nil
 }
 
-// keyNibbles expands key bytes into nibbles (hi, lo per byte).
-func keyNibbles(key []byte) []byte {
-	return expandNibbles(make([]byte, len(key)*2), key)
-}
-
-// scratchNibbles expands into the trie's reusable nibble buffer — only
-// for paths that never retain the slice (Get, Delete).
+// scratchNibbles expands key into the trie's reusable nibble buffer:
+// the result is valid until the next call, and no node keeps it.
 func (t *Trie) scratchNibbles(key []byte) []byte {
 	n := len(key) * 2
 	if cap(t.nibBuf) < n {
@@ -235,7 +229,7 @@ func (t *Trie) Put(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	newRoot, err := t.insert(root, keyNibbles(key), value)
+	newRoot, err := t.insert(root, t.scratchNibbles(key), value)
 	if err != nil {
 		return err
 	}
@@ -262,23 +256,26 @@ func ownBranch(n *branchNode) *branchNode {
 	return n
 }
 
+// insert puts (path, value) under n. path is scratch (Put's nibBuf):
+// a node that keeps part of it copies that part (newLeaf), and a path
+// equal to one n already holds is taken from n instead.
 func (t *Trie) insert(n Node, path []byte, value []byte) (Node, error) {
 	switch n := n.(type) {
 	case nil:
-		return &leafNode{path: path, value: value}, nil
+		return newLeaf(path, value), nil
 	case *leafNode:
 		cp := commonPrefix(path, n.path)
 		if cp == len(path) && cp == len(n.path) {
 			if n.clean {
-				return &leafNode{path: path, value: value}, nil
+				return &leafNode{path: n.path, value: value}, nil
 			}
 			n.value, n.hashed = value, false
 			return n, nil
 		}
 		branch := &branchNode{}
-		branch.attach(n.path[cp:], n.value)
-		branch.attach(path[cp:], value)
-		return extend(path[:cp], branch), nil
+		branch.attach(n.path[cp:], n.value, false)
+		branch.attach(path[cp:], value, true)
+		return extend(n.path[:cp], branch), nil
 	case *extNode:
 		cp := commonPrefix(path, n.path)
 		if cp == len(n.path) {
@@ -302,8 +299,8 @@ func (t *Trie) insert(n Node, path []byte, value []byte) (Node, error) {
 		} else {
 			branch.children[rem[0]] = ref{n: &extNode{path: rem[1:], child: n.child}}
 		}
-		branch.attach(path[cp:], value)
-		return extend(path[:cp], branch), nil
+		branch.attach(path[cp:], value, true)
+		return extend(n.path[:cp], branch), nil
 	case *branchNode:
 		if len(path) == 0 {
 			n = ownBranch(n)
@@ -334,13 +331,41 @@ func extend(path []byte, child Node) Node {
 	return &extNode{path: path, child: ref{n: child}}
 }
 
-// attach places (path, value) directly under a fresh branch node.
-func (b *branchNode) attach(path []byte, value []byte) {
+// attach places (path, value) directly under a fresh branch node; a
+// leaf copies its path when it is scratch, and shares it when it is an
+// existing node's (paths are never written in place: concat copies).
+func (b *branchNode) attach(path []byte, value []byte, scratch bool) {
 	if len(path) == 0 {
 		b.value = value
 		return
 	}
-	b.children[path[0]] = ref{n: &leafNode{path: path[1:], value: value}}
+	var leaf *leafNode
+	if scratch {
+		leaf = newLeaf(path[1:], value)
+	} else {
+		leaf = &leafNode{path: path[1:], value: value}
+	}
+	b.children[path[0]] = ref{n: leaf}
+}
+
+// inlineLeaf is a leaf that carries its path in its own allocation: a
+// path of up to 64 nibbles, a 32-byte key's (the size of state.DB's
+// keyArr, which fits every registry contract's keys), costs one
+// allocation where a leaf and its path used to cost two.
+type inlineLeaf struct {
+	leafNode
+	buf [64]byte
+}
+
+// newLeaf returns a leaf holding its own copy of path; a path too long
+// for the inline storage is a plain copy.
+func newLeaf(path, value []byte) *leafNode {
+	if len(path) > len(inlineLeaf{}.buf) {
+		return &leafNode{path: append([]byte(nil), path...), value: value}
+	}
+	l := &inlineLeaf{}
+	l.path, l.value = append(l.buf[:0:len(path)], path...), value
+	return &l.leafNode
 }
 
 // Delete removes key from the trie; deleting an absent key is a no-op.

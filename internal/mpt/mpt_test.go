@@ -317,3 +317,60 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestPutAllocBudget: Put of a fresh key under a path this trie already
+// dirtied costs one allocation, the new leaf, which carries its own
+// copy of the 62-nibble path suffix; the key's nibbles are scratch.
+func TestPutAllocBudget(t *testing.T) {
+	tr := newMemTrie(t)
+	key := func(hi, lo int) []byte {
+		k := bytes.Repeat([]byte{0xab}, 32)
+		k[0] = byte(hi<<4 | lo)
+		return k
+	}
+	// Every top nibble gets a dirty branch with two leaves under it.
+	for hi := 0; hi < 16; hi++ {
+		must(t, tr.Put(key(hi, 0), []byte("v")))
+		must(t, tr.Put(key(hi, 1), []byte("v")))
+	}
+	var fresh [][]byte
+	for lo := 2; lo < 16; lo++ {
+		for hi := 0; hi < 16; hi++ {
+			fresh = append(fresh, key(hi, lo))
+		}
+	}
+	value, i := []byte("v"), 0
+	if a := testing.AllocsPerRun(100, func() {
+		must(t, tr.Put(fresh[i], value))
+		i++
+	}); a != 1 {
+		t.Fatalf("Put of a fresh key under a dirty path: %v allocations, want 1", a)
+	}
+	for _, k := range fresh[:i] {
+		if got, _ := tr.Get(k); !bytes.Equal(got, value) {
+			t.Fatalf("Get(%x) = %q", k, got)
+		}
+	}
+}
+
+// TestPutDoesNotKeepKey: Put expands its key into scratch, so neither a
+// caller that rewrites the key afterwards nor the next Put changes a
+// leaf already in the trie, whether its path is inline or, longer,
+// copied beside it.
+func TestPutDoesNotKeepKey(t *testing.T) {
+	for _, n := range []int{4, 32, 40} {
+		tr := newMemTrie(t)
+		for i := 0; i < 64; i++ {
+			k := bytes.Repeat([]byte{byte(i)}, n)
+			must(t, tr.Put(k, []byte{byte(i)}))
+			for j := range k {
+				k[j] = 0xff
+			}
+		}
+		for i := 0; i < 64; i++ {
+			if got, _ := tr.Get(bytes.Repeat([]byte{byte(i)}, n)); !bytes.Equal(got, []byte{byte(i)}) {
+				t.Fatalf("%d-byte key %d: Get = %x after later Puts", n, i, got)
+			}
+		}
+	}
+}

@@ -210,3 +210,54 @@ func TestQuickIncrementalMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickLongKeysMatchRebuild is TestQuickIncrementalMatchesRebuild's
+// check for keys longer than a leaf's inline path storage: 2, 33 and
+// 42-byte keys that share long runs, so leaf paths fall on both sides of
+// 64 nibbles and splits share the paths of leaves of either kind.
+func TestQuickLongKeysMatchRebuild(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		store := kvstore.NewMem()
+		tr, _ := NewWithCache(store, types.ZeroHash, newMapCache())
+		model := map[string][]byte{}
+		for step := 0; step < 200; step++ {
+			k := append([]byte{byte(rng.Intn(3)) << 4}, bytes.Repeat([]byte{0x5a}, []int{0, 31, 40}[rng.Intn(3)])...)
+			k = append(k, byte(rng.Intn(4)))
+			if rng.Intn(4) == 0 {
+				delete(model, string(k))
+				if tr.Delete(k) != nil {
+					return false
+				}
+			} else {
+				v := []byte{byte(step), byte(step >> 8)}
+				model[string(k)] = v
+				if tr.Put(k, v) != nil {
+					return false
+				}
+			}
+			if step%20 != 19 {
+				continue
+			}
+			fresh, _ := New(nil, types.ZeroHash)
+			for k, v := range model {
+				fresh.Put([]byte(k), v)
+			}
+			want, _ := fresh.Hash()
+			root, err := tr.Commit()
+			if err != nil || root != want {
+				return false
+			}
+			cold, _ := New(store, root)
+			for k, v := range model {
+				if got, err := cold.Get([]byte(k)); err != nil || !bytes.Equal(got, v) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

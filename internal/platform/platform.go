@@ -132,9 +132,6 @@ type Cluster struct {
 	// execution engines, intra-block executors, state layers, stores,
 	// registries, indexers), dropped and re-collected on rebuild.
 	providers [][]metrics.CounterProvider
-	// indexers holds each node's analytics indexer (nil entries when
-	// the index is disabled).
-	indexers []*analytics.Indexer
 	// down marks process-killed nodes; restarts counts recoveries, so
 	// the invariant checker can distinguish a restart-induced height
 	// regression from a real safety violation.
@@ -215,7 +212,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.stores = make([]kvstore.Store, cfg.Nodes)
 	c.engines = make([]exec.Engine, cfg.Nodes)
 	c.providers = make([][]metrics.CounterProvider, cfg.Nodes)
-	c.indexers = make([]*analytics.Indexer, cfg.Nodes)
 	c.down = make([]bool, cfg.Nodes)
 	c.restarts = make([]uint64, cfg.Nodes)
 	c.retired = make(map[string]uint64)
@@ -307,7 +303,6 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		idx = analytics.NewIndexer(store, analytics.Options{})
 		provs = append(provs, idx)
 	}
-	c.indexers[i] = idx
 
 	lcfg := ledger.Config{
 		Engine:        eng,
@@ -476,14 +471,6 @@ func (c *Cluster) Store(i int) kvstore.Store {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.stores[i]
-}
-
-// Indexer returns node i's analytics indexer (nil when the index is
-// disabled via -popt index=off).
-func (c *Cluster) Indexer(i int) *analytics.Indexer {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.indexers[i]
 }
 
 // Crash process-kills node i: its network presence, consensus engine,

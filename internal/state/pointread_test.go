@@ -306,3 +306,38 @@ func BenchmarkStatePointRead(b *testing.B) {
 	c := flat.Counters()
 	b.ReportMetric(100*float64(c["store.flat_hits"]-c["store.flat_persisted_hits"])/float64(c["store.flat_hits"]+c["store.flat_misses"]), "lru-hit%")
 }
+
+// TestSetStateAllocBudget: a write-set entry is one record. SetState
+// makes one allocation beyond the overlay's and the journal's growth,
+// which the test pre-grows by writing the keys once and reverting, and
+// the value the backend is handed has its capacity clipped, so an
+// append to it copies rather than writing into the record.
+func TestSetStateAllocBudget(t *testing.T) {
+	rec := &recordingBackend{}
+	db := NewDB(rec)
+	keys := make([][]byte, 200)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("tuple-%020d", i))
+		db.SetState("ioheavy", keys[i], []byte("first"))
+	}
+	db.Revert(0)
+	value, i := bytes.Repeat([]byte{7}, 100), 0
+	if a := testing.AllocsPerRun(len(keys)-1, func() {
+		db.SetState("ioheavy", keys[i], value)
+		i++
+	}); a != 1 {
+		t.Fatalf("SetState: %v allocations, want 1", a)
+	}
+	value[0] = 8 // the caller's slice is its own again
+	if _, err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.writes) != len(keys) {
+		t.Fatalf("write set holds %d keys, want %d", len(rec.writes), len(keys))
+	}
+	for k, v := range rec.writes {
+		if !bytes.Equal(v, bytes.Repeat([]byte{7}, 100)) || cap(v) != len(v) {
+			t.Fatalf("write set[%q] = %d bytes of cap %d: %x", k, len(v), cap(v), v)
+		}
+	}
+}

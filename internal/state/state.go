@@ -9,6 +9,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"blockbench/internal/types"
 )
@@ -50,7 +51,8 @@ type DB struct {
 	journal []journalEntry
 	// keyBuf is the composite key of the call in progress. A read probes
 	// the overlay and the backend with these bytes (neither keeps them); a
-	// write copies them into the string the overlay and journal hold.
+	// write copies them into the string the overlay and journal hold
+	// (SetState: into the head of the value's own record).
 	// keyArr is its first backing, enough for every registry contract's
 	// keys: a DB lives for one block, and a buffer grown from nil would
 	// cost every one of them three allocations.
@@ -150,14 +152,16 @@ func (db *DB) GetState(contract string, key []byte) []byte {
 	return db.read(db.stateKey(contract, key))
 }
 
-// SetState writes a contract state key. The copy it makes is the one
-// the backend keeps — Commit hands over the write set and the trie keeps
-// the value it is handed — so only a store's persisted record copies it
-// again.
+// SetState writes a contract state key. Key and value are copied once,
+// into one [key | value] record laid out as a kvstore record is: the
+// overlay and journal key is an unsafe.String over its head, the value
+// its tail with the capacity clipped, so an append to it copies. That
+// value is the copy the backend keeps — Commit hands over the write set
+// and the trie keeps the value it is handed.
 func (db *DB) SetState(contract string, key, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	db.write(string(db.stateKey(contract, key)), v)
+	k := db.stateKey(contract, key)
+	rec := append(append(make([]byte, 0, len(k)+len(value)), k...), value...)
+	db.write(unsafe.String(unsafe.SliceData(rec), len(k)), rec[len(k):len(rec):len(rec)])
 }
 
 // DeleteState removes a contract state key.
