@@ -82,9 +82,11 @@ bench-check:
 # bench-build is the only thing that tells a refactor it broke the
 # repository benchmark: bench/ is a separate module (replace => ../), so
 # `go build ./...` and `go test ./...` skip it, yet its layer probes call
-# internal/ packages directly. -mod=mod because it commits no go.sum.
+# internal/ packages directly. -mod=readonly: it needs no go.sum (its one
+# requirement is replaced by ../), and a build that would rewrite
+# bench/go.mod fails here instead of editing it silently.
 bench-build:
-	cd bench && GOFLAGS=-mod=mod $(GO) vet ./...
+	cd bench && GOFLAGS=-mod=readonly $(GO) vet ./...
 
 # allocprof answers "where do the bytes go" for one platform x workload:
 # a 4-node run with the per-run ops endpoint up, the heap's allocation
@@ -149,7 +151,9 @@ loc:
 # with its path inline (its type and constructor, a copy flag on
 # attach), the run writer's shared index-key buffer and SetState's
 # one-record layout, less keyNibbles and the unused Cluster.Indexer.
-LOC_MAX ?= 21093
+# It fell to 20988 when TestChooserRule made the chooser rule a check
+# and the declarations it listed that only tests used went.
+LOC_MAX ?= 20988
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -241,10 +241,10 @@ func TestHTAPScansSeeCommittedOnly(t *testing.T) {
 	if r.Committed == 0 {
 		t.Fatal("no OLTP transactions committed")
 	}
-	if w.Queries() == 0 {
+	if w.queries.Load() == 0 {
 		t.Fatal("no analytical queries ran during the mix")
 	}
-	if r.AnalyticsQueries() == 0 {
+	if r.Counters["analytics.queries"] == 0 {
 		t.Fatalf("report analytics.queries = 0: %v", r.Counters)
 	}
 

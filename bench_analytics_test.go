@@ -114,11 +114,11 @@ func BenchmarkHTAPMix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.AnalyticsQueries() == 0 {
+		if r.Counters["analytics.queries"] == 0 {
 			b.Fatal("no analytical queries reached the index")
 		}
 		tput += r.Throughput
-		qps += float64(r.AnalyticsQueries()) / r.Duration.Seconds()
+		qps += float64(r.Counters["analytics.queries"]) / r.Duration.Seconds()
 	}
 	b.ReportMetric(tput/float64(b.N), "tx/s")
 	b.ReportMetric(qps/float64(b.N), "q/s")

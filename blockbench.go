@@ -61,10 +61,6 @@ type (
 	AnalyticsQuery = analytics.Query
 	// AnalyticsResult is an analytics query's answer.
 	AnalyticsResult = analytics.Result
-	// AnalyticsOp names an analytics operation.
-	AnalyticsOp = analytics.Op
-	// AccountStat is one account's aggregated activity in a range.
-	AccountStat = analytics.AccountStat
 )
 
 // The analytics operations: the paper's Q1 (sum) and Q2 (maxdelta on
@@ -178,7 +174,6 @@ func (c *Cluster) ClientOn(i, server int) *Client {
 		cluster:   c,
 		key:       c.keys[i],
 		signLocal: !c.inner.ServerSigns(),
-		id:        i,
 		nonce:     &c.nonces[i],
 	}
 	cl.server.Store(int32(server))
@@ -200,9 +195,6 @@ func (c *Cluster) Recover(i int) { c.inner.Recover(i) }
 
 // Down reports whether node i is currently process-killed.
 func (c *Cluster) Down(i int) bool { return c.inner.Down(i) }
-
-// Restarts counts node i's crash-recoveries.
-func (c *Cluster) Restarts(i int) uint64 { return c.inner.Restarts(i) }
 
 // ShardOf returns the shard group whose canonical chain node i follows
 // (0 on single-chain platforms).

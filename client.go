@@ -34,12 +34,8 @@ type Client struct {
 	key       *crypto.Key
 	server    atomic.Int32
 	signLocal bool
-	id        int
 	nonce     *atomic.Uint64
 }
-
-// ID returns the client's index.
-func (c *Client) ID() int { return c.id }
 
 // Server returns the index of the server node this client submits to
 // and polls.
@@ -53,9 +49,6 @@ func (c *Client) Failover(server int) { c.server.Store(int32(server)) }
 // call: after a crash-recovery the previous *node.Node is a stopped
 // husk, so holding a pointer across calls would wedge the client.
 func (c *Client) nodeRef() *node.Node { return c.cluster.nodeAt(int(c.server.Load())) }
-
-// Address returns the client's account address.
-func (c *Client) Address() Address { return c.key.Address() }
 
 // buildTx turns an operation into a transaction, assigning a fresh nonce
 // and signing client-side unless the platform signs at the server

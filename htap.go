@@ -50,9 +50,6 @@ func (w *HTAP) Name() string { return "htap" }
 // Contracts lists required contracts (Hyperledger only).
 func (w *HTAP) Contracts() []string { return []string{"versionkv"} }
 
-// Queries returns how many analytical queries succeeded so far.
-func (w *HTAP) Queries() uint64 { return w.queries.Load() }
-
 const (
 	htapWindow        = 256 // trailing scan window in blocks
 	htapTopK          = 5   // top-k size

@@ -68,9 +68,6 @@ func (s *Stub) Transfer(from, to types.Address, amount uint64) error {
 	return s.db.Transfer(from, to, amount)
 }
 
-// Balance reads an account balance.
-func (s *Stub) Balance(addr types.Address) uint64 { return s.db.GetBalance(addr) }
-
 // Chaincode is the contract interface, following Fabric v0.6's
 // Invoke/Query split: Invoke may write state; Query must not (it runs
 // against the current state outside consensus).

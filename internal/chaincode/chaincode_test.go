@@ -63,7 +63,7 @@ func TestStubTransferAndBalance(t *testing.T) {
 	if err := s.Transfer(a, b, 60); err != nil {
 		t.Fatal(err)
 	}
-	if s.Balance(a) != 40 || s.Balance(b) != 60 {
+	if s.db.GetBalance(a) != 40 || s.db.GetBalance(b) != 60 {
 		t.Fatal("balances wrong")
 	}
 }

@@ -179,12 +179,6 @@ func (e *EVMEngine) Query(db *state.DB, contract, method string, args [][]byte) 
 // PeakMem reports the largest simulated execution footprint seen.
 func (e *EVMEngine) PeakMem() int64 { return e.peakMem.Load() }
 
-// ExecTime reports cumulative wall-clock time spent inside the VM.
-func (e *EVMEngine) ExecTime() time.Duration { return time.Duration(e.execTime.Load()) }
-
-// Steps reports the total VM instructions executed.
-func (e *EVMEngine) Steps() uint64 { return e.steps.Load() }
-
 // Counters implements metrics.CounterProvider. Peak memory is excluded:
 // it is a high-water mark, not a monotonic counter, so per-run deltas
 // and per-node sums would be meaningless.

@@ -170,10 +170,10 @@ func TestEVMEngineCounters(t *testing.T) {
 	tx := &types.Transaction{Contract: "ycsb", Method: "write",
 		Args: [][]byte{[]byte("k"), []byte("v")}, GasLimit: 100_000}
 	eng.Execute(db, tx, 1)
-	if eng.Steps() == 0 {
+	if eng.Counters()["exec.steps"] == 0 {
 		t.Fatal("no steps counted")
 	}
-	if eng.ExecTime() <= 0 {
+	if eng.Counters()["exec.time_ns"] == 0 {
 		t.Fatal("no exec time")
 	}
 	if eng.PeakMem() < 1<<20 {

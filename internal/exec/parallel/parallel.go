@@ -45,9 +45,6 @@ func New(workers int) *Executor {
 	return &Executor{workers: workers}
 }
 
-// Workers returns the configured worker count.
-func (e *Executor) Workers() int { return e.workers }
-
 // Counters implements metrics.CounterProvider. exec.parallel.workers
 // is the configured pool size (constant, so still monotonic); summed
 // across a cluster it reads as nodes × workers.

@@ -231,8 +231,8 @@ func TestConflictCounterConservation(t *testing.T) {
 // rather than deadlocking an empty pool.
 func TestWorkerClamp(t *testing.T) {
 	for _, w := range []int{0, -3} {
-		if got := New(w).Workers(); got != 1 {
-			t.Fatalf("New(%d).Workers() = %d, want 1", w, got)
+		if got := New(w).Counters()["exec.parallel.workers"]; got != 1 {
+			t.Fatalf("New(%d) has %d workers, want 1", w, got)
 		}
 	}
 }

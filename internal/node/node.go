@@ -182,9 +182,6 @@ func (n *Node) Stop() {
 	n.done.Wait()
 }
 
-// ID returns the node's network identity.
-func (n *Node) ID() simnet.NodeID { return n.cfg.ID }
-
 // Pool exposes the node's pending pool.
 func (n *Node) Pool() *txpool.Pool { return n.cfg.Pool }
 

@@ -176,11 +176,11 @@ func TestIngestionQueueBackpressure(t *testing.T) {
 
 func TestRPCOnCrashedNodeFails(t *testing.T) {
 	n, _, _ := newTestNode(t, nil)
-	n.cfg.Net.Crash(n.ID())
+	n.cfg.Net.Crash(n.cfg.ID)
 	if _, err := n.Height(); err == nil {
 		t.Fatal("crashed node served RPC")
 	}
-	n.cfg.Net.Recover(n.ID())
+	n.cfg.Net.Recover(n.cfg.ID)
 	if _, err := n.Height(); err != nil {
 		t.Fatal("recovered node refused RPC")
 	}

@@ -98,7 +98,8 @@ func crossShardPair(p sharding.HashPartitioner, from int) (a, b []byte) {
 // notice paths concurrently.
 func TestShardedCrossShard2PCAccounting(t *testing.T) {
 	keys := clientKeys(4)
-	cfg := shardedConfig(4, 2)
+	const shards = 2
+	cfg := shardedConfig(4, shards)
 	cfg.ClientKeys = keys
 	cfg.Contracts = []string{"smallbank", "ycsb", "donothing"}
 	c, err := New(cfg)
@@ -108,11 +109,10 @@ func TestShardedCrossShard2PCAccounting(t *testing.T) {
 	t.Cleanup(func() { c.Stop(); c.Close() })
 	c.Start()
 
-	eng, ok := c.Node(0).Consensus().(*sharding.Engine)
-	if !ok {
+	if _, ok := c.Node(0).Consensus().(*sharding.Engine); !ok {
 		t.Fatalf("sharded node runs %T", c.Node(0).Consensus())
 	}
-	part := eng.Partition()
+	part := sharding.NewHashPartitioner(shards) // what each node's core builds
 
 	// A small pool of hot cross-shard pairs so concurrent prepares
 	// contend for the same locks (abort-retry coverage).

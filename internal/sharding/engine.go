@@ -53,9 +53,6 @@ func New(ctx consensus.Context, opts Options) *Engine {
 // Shard returns this node's shard group index.
 func (e *Engine) Shard() int { return e.shard }
 
-// Partition exposes the engine's partitioner (tests, skew tooling).
-func (e *Engine) Partition() HashPartitioner { return e.part }
-
 // IsLeader reports whether this node leads its shard group.
 func (e *Engine) IsLeader() bool {
 	e.Lock()

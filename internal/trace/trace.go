@@ -86,13 +86,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames returns all stage names in pipeline order.
-func StageNames() []string {
-	out := make([]string, NumStages)
-	copy(out, stageNames[:])
-	return out
-}
-
 // span is one live sampled transaction.
 type span struct {
 	mu sync.Mutex

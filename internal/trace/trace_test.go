@@ -81,7 +81,7 @@ func TestStampFirstWinsAndOrdering(t *testing.T) {
 	if got.ID != h.Hex() {
 		t.Fatalf("trace id = %s, want %s", got.ID, h.Hex())
 	}
-	want := StageNames()
+	want := stageNames[:]
 	if len(got.Stages) != len(want) {
 		t.Fatalf("trace has %d points, want %d", len(got.Stages), len(want))
 	}
@@ -207,7 +207,7 @@ func TestConcurrentStamping(t *testing.T) {
 	if len(recent) == 0 {
 		t.Fatal("no traces completed")
 	}
-	want := StageNames()
+	want := stageNames[:]
 	for _, trc := range recent {
 		if len(trc.Stages) != len(want) {
 			t.Fatalf("trace %s has %d points, want %d", trc.ID, len(trc.Stages), len(want))

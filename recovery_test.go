@@ -111,7 +111,7 @@ func TestQuorumCrashRecoveryByteIdentical(t *testing.T) {
 	if len(r.Events) != 2 {
 		t.Fatalf("fired %d of 2 fault events: %v", len(r.Events), r.Events)
 	}
-	if got := c.Restarts(1); got != 1 {
+	if got := c.inner.Restarts(1); got != 1 {
 		t.Fatalf("node 1 restarts = %d, want 1", got)
 	}
 	if len(r.Invariants) != 0 {

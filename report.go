@@ -13,8 +13,6 @@ type (
 	Report = report.Report
 	// Snapshot is one per-bucket frame of a live run's metric stream.
 	Snapshot = report.Snapshot
-	// StageStat is one pipeline stage's sampled latency statistics.
-	StageStat = report.StageStat
 	// Trace is one complete sampled transaction lifecycle.
 	Trace = report.Trace
 	// Sink consumes a run's snapshot stream and final report (the JSONL

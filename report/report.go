@@ -42,9 +42,6 @@ const (
 	// CounterXShardRetries counts abort-retry rounds (a transaction that
 	// aborts twice and then commits adds two).
 	CounterXShardRetries = "xshard.retries"
-	// CounterAnalyticsQueries counts analytics queries served from the
-	// nodes' columnar ledger indexes.
-	CounterAnalyticsQueries = "analytics.queries"
 )
 
 // EventRecord stamps one fired schedule event: its name and the actual
@@ -177,10 +174,6 @@ func (r *Report) ExecTime() time.Duration {
 // the run (Raft-ordered platforms; 0 elsewhere). A stable cluster elects
 // once and then only heartbeats.
 func (r *Report) Elections() uint64 { return r.Counters[CounterElections] }
-
-// AnalyticsQueries counts analytics queries served across the cluster
-// during the run (0 when no workload queried the index).
-func (r *Report) AnalyticsQueries() uint64 { return r.Counters[CounterAnalyticsQueries] }
 
 // CrossShardRatio reports the fraction of routed transactions that
 // touched more than one shard (0 on unsharded platforms, which expose

@@ -14,12 +14,22 @@ import (
 	"time"
 
 	"blockbench/internal/trace"
+	"blockbench/report"
 )
+
+// stageNames lists the tracer's stages in pipeline order.
+func stageNames() []string {
+	names := make([]string, trace.NumStages)
+	for s := range names {
+		names[s] = trace.Stage(s).String()
+	}
+	return names
+}
 
 // stageIndex maps stage names to their canonical pipeline position.
 var stageIndex = func() map[string]int {
 	m := make(map[string]int)
-	for i, n := range trace.StageNames() {
+	for i, n := range stageNames() {
 		m[n] = i
 	}
 	return m
@@ -64,12 +74,12 @@ func checkTraces(t *testing.T, traces []Trace, minStages int) {
 
 // checkStages asserts the full stage key set is present and the stages
 // named in counted saw traffic.
-func checkStages(t *testing.T, stages map[string]StageStat, counted ...string) {
+func checkStages(t *testing.T, stages map[string]report.StageStat, counted ...string) {
 	t.Helper()
 	if len(stages) != trace.NumStages {
 		t.Fatalf("stage map has %d keys, want %d: %v", len(stages), trace.NumStages, stages)
 	}
-	for _, name := range trace.StageNames() {
+	for _, name := range stageNames() {
 		if _, ok := stages[name]; !ok {
 			t.Fatalf("stage map missing %q: %v", name, stages)
 		}
@@ -123,8 +133,8 @@ func TestTraceLifecycleQuorumParallelExec(t *testing.T) {
 		t.Fatalf("nothing committed: %v", r)
 	}
 	// The full pipeline saw traffic: pool, consensus, execution, commit.
-	checkStages(t, r.Stages, trace.StageNames()...)
-	checkStages(t, lastFrame.Stages, trace.StageNames()...)
+	checkStages(t, r.Stages, stageNames()...)
+	checkStages(t, lastFrame.Stages, stageNames()...)
 	// All traffic was sampled, so confirms track commits.
 	if got := r.Stages["confirm"].Count; got == 0 || got > r.Committed {
 		t.Fatalf("confirm count %d vs committed %d", got, r.Committed)
