@@ -152,8 +152,11 @@ loc:
 # attach), the run writer's shared index-key buffer and SetState's
 # one-record layout, less keyNibbles and the unused Cluster.Indexer.
 # It fell to 20988 when TestChooserRule made the chooser rule a check
-# and the declarations it listed that only tests used went.
-LOC_MAX ?= 20988
+# and the declarations it listed that only tests used went. It fell to
+# 20908 when the scan came to cover struct fields and the fields no
+# non-test code read, or knobs none set, went with the code that kept
+# them.
+LOC_MAX ?= 20908
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -23,8 +23,9 @@ import (
 // TestChooserRule is the chooser rule (DESIGN.md § What earns its place)
 // as a check: every function, method and package-level type, const and
 // var of this module is used by some non-test code, here or in bench/,
-// or DESIGN.md's allowlist names it with a reason. A table row the scan
-// no longer reports is stale and fails too.
+// every struct field is read by it and every knob-typed field set, or
+// DESIGN.md's allowlist names it with a reason. A table row the scan no
+// longer reports is stale and fails too.
 func TestChooserRule(t *testing.T) {
 	start := time.Now()
 	unused, err := chooserScan(".", "bench")
@@ -46,16 +47,23 @@ func TestChooserRule(t *testing.T) {
 }
 
 // TestChooserScanFixture runs the scan over a two-module fixture: one
-// planted unused function is all it reports, past the method, generic
-// and cross-module uses it must see, and the allowlist check fails on
-// that function and on a stale row.
+// planted unused function, two write-only fields and one never-set knob
+// are all it reports, past the method, generic and cross-module uses and
+// the implicit field reads and writes it must see, and the allowlist
+// check fails on that function and on a stale row.
 func TestChooserScanFixture(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
 		"lib/go.mod": "module fix\n\ngo 1.22\n",
 		"lib/fix.go": `package fix
 
-import "container/heap"
+import (
+	"container/heap"
+	"encoding/json"
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Unused is planted: nothing calls it.
 func Unused() {}
@@ -80,6 +88,38 @@ type list[T any] struct{ items []T }
 
 func (l *list[T]) add(v T) { l.items = append(l.items, v) }
 
+// planted's fields are planted: writeOnly is never read, knob never set.
+type planted struct {
+	writeOnly int
+	knob      int
+}
+
+// key's fields are read only as a generic map key.
+type key struct{ a, b int }
+
+type cache[K comparable, V any] struct{ m map[K]V }
+
+func newCache[K comparable, V any]() *cache[K, V] { return &cache[K, V]{m: make(map[K]V)} }
+
+// conf is decoded by encoding/json without tags.
+type conf struct{ Name string }
+
+// gate's flag is read only through CompareAndSwap's result.
+type gate struct{ started atomic.Bool }
+
+// opts' field is filled only through its address.
+type opts struct{ n int }
+
+// snap's field is planted: it is never read, and holding snap in an
+// atomic.Pointer, whose type parameter is not comparable, reads nothing.
+type snap struct{ unread int }
+
+// guarded's mutex is never assigned: its zero value is ready.
+type guarded struct {
+	mu sync.Mutex
+	n  int
+}
+
 func Entry() int {
 	h := &ints{3, 1}
 	heap.Init(h)
@@ -89,7 +129,25 @@ func Entry() int {
 	}
 	var l list[int]
 	l.add(1)
-	return len(l.items)
+	var p planted
+	p.writeOnly = 1
+	c := newCache[key, int]()
+	c.m[key{1, 2}] = 3
+	var cf conf
+	_ = json.Unmarshal([]byte(` + "`" + `{"Name":"x"}` + "`" + `), &cf)
+	var g gate
+	if !g.started.CompareAndSwap(false, true) {
+		return 0
+	}
+	var o opts
+	fmt.Sscan("4", &o.n)
+	var sp atomic.Pointer[snap]
+	sp.Store(&snap{unread: 1})
+	var gd guarded
+	gd.mu.Lock()
+	gd.n++
+	gd.mu.Unlock()
+	return len(l.items) + p.knob + len(c.m) + gd.n
 }
 `,
 		"lib/fix_test.go": "package fix\n\nimport \"testing\"\n\nfunc TestUnused(t *testing.T) { Unused() }\n",
@@ -109,13 +167,23 @@ func Entry() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(unused, []string{"Unused"}) {
-		t.Fatalf("scan lists %v, want [Unused]", unused)
+	if want := []string{"Unused", "planted.knob", "planted.writeOnly", "snap.unread"}; !slices.Equal(unused, want) {
+		t.Fatalf("scan lists %v, want %v", unused, want)
 	}
-	if problems := chooserDiff(unused, map[string]bool{}); len(problems) != 1 || !strings.Contains(problems[0], "Unused") {
-		t.Errorf("no allowlist: problems %q, want one naming Unused", problems)
+	problems := chooserDiff(unused, map[string]bool{})
+	if len(problems) != len(unused) {
+		t.Errorf("no allowlist: problems %q, want one per name listed", problems)
 	}
-	if problems := chooserDiff(unused, map[string]bool{"Unused": true, "Gone": true}); len(problems) != 1 || !strings.Contains(problems[0], "Gone") {
+	for i, name := range unused {
+		if i < len(problems) && !strings.Contains(problems[i], name) {
+			t.Errorf("no allowlist: problem %q does not name %s", problems[i], name)
+		}
+	}
+	allowed := map[string]bool{"Gone": true}
+	for _, name := range unused {
+		allowed[name] = true
+	}
+	if problems := chooserDiff(unused, allowed); len(problems) != 1 || !strings.Contains(problems[0], "Gone") {
 		t.Errorf("stale row Gone: problems %q, want one naming Gone", problems)
 	}
 }
@@ -195,6 +263,10 @@ type listedPackage struct {
 // counts as used when its receiver satisfies an interface with a method
 // of that name: a named or literal interface of the scanned code, or one
 // of the standard library's that code implements for the library to call.
+// It also returns, as [package.]Type.Field, every named field of a named
+// struct type of the first module that no non-test file reads, and every
+// knob-typed one (isKnob) that none writes (DESIGN.md § What earns its
+// place gives the read and write positions).
 func chooserScan(dirs ...string) ([]string, error) {
 	fset := token.NewFileSet()
 	exports := make(map[string]string) // standard-library import path -> export data file
@@ -216,8 +288,48 @@ func chooserScan(dirs ...string) ([]string, error) {
 		name string
 		obj  types.Object
 	}
-	var decls []decl
+	var decls, fields []decl
 	used := make(map[types.Object]bool)
+	read := make(map[types.Object]bool)  // fields read, explicitly or implicitly
+	wrote := make(map[types.Object]bool) // fields written, explicitly or implicitly
+	type implicitKey struct {
+		t    types.Type
+		deep bool
+	}
+	seenImplicit := make(map[implicitKey]bool)
+	// implicit marks every field of t read and written: its values are
+	// compared, hashed or handed to encoding/json, which reach each field
+	// unseen. deep follows pointers, slices and maps too, as json does.
+	var implicit func(t types.Type, deep bool)
+	implicit = func(t types.Type, deep bool) {
+		if seenImplicit[implicitKey{t, deep}] {
+			return
+		}
+		seenImplicit[implicitKey{t, deep}] = true
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				f := origin(u.Field(i))
+				read[f], wrote[f] = true, true
+				implicit(u.Field(i).Type(), deep)
+			}
+		case *types.Array:
+			implicit(u.Elem(), deep)
+		case *types.Pointer:
+			if deep {
+				implicit(u.Elem(), deep)
+			}
+		case *types.Slice:
+			if deep {
+				implicit(u.Elem(), deep)
+			}
+		case *types.Map:
+			implicit(u.Key(), false)
+			if deep {
+				implicit(u.Elem(), deep)
+			}
+		}
+	}
 	var named []types.Type        // every named type of the scanned code
 	var ifaces []*types.Interface // every interface with methods, named or literal
 	seenIface := make(map[*types.Interface]bool)
@@ -269,6 +381,7 @@ func chooserScan(dirs ...string) ([]string, error) {
 				Uses:       make(map[*ast.Ident]types.Object),
 				Selections: make(map[*ast.SelectorExpr]*types.Selection),
 				Types:      make(map[ast.Expr]types.TypeAndValue),
+				Instances:  make(map[*ast.Ident]types.Instance),
 			}
 			pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 			if err != nil {
@@ -307,6 +420,20 @@ func chooserScan(dirs ...string) ([]string, error) {
 							switch s := spec.(type) {
 							case *ast.TypeSpec:
 								ids = []*ast.Ident{s.Name}
+								st, ok := s.Type.(*ast.StructType)
+								if !ok {
+									break
+								}
+								for _, fd := range st.Fields.List {
+									for _, id := range fd.Names {
+										if own && id.Name != "_" {
+											fields = append(fields, decl{prefix + s.Name.Name + "." + id.Name, info.Defs[id]})
+										}
+									}
+									if fd.Tag != nil && strings.Contains(fd.Tag.Value, `json:"`) {
+										implicit(info.Defs[s.Name].Type(), true)
+									}
+								}
 							case *ast.ValueSpec:
 								ids = s.Names
 							}
@@ -324,12 +451,38 @@ func chooserScan(dirs ...string) ([]string, error) {
 					used[origin(obj)] = true
 				}
 			}
-			for _, sel := range info.Selections {
-				used[origin(sel.Obj())] = true
+			access := make(map[*ast.SelectorExpr]fieldAccess)
+			for _, f := range files {
+				fieldUses(f, info, access, wrote, implicit)
+			}
+			for expr, sel := range info.Selections {
+				obj := origin(sel.Obj())
+				used[obj] = true
+				if sel.Kind() != types.FieldVal {
+					continue
+				}
+				a := access[expr]
+				read[obj] = read[obj] || a != writeOnly
+				wrote[obj] = wrote[obj] || a != readOnly
 			}
 			for _, tv := range info.Types {
 				if tv.IsType() {
 					addIface(tv.Type) // named interfaces' bodies are type expressions too
+					if m, ok := tv.Type.(*types.Map); ok {
+						implicit(m.Key(), false)
+					}
+				}
+			}
+			for id, inst := range info.Instances {
+				// Only a comparable type parameter hashes or compares its
+				// argument's values, as lru.Cache's keys; holding or
+				// sorting them, as atomic.Pointer or slices.SortFunc do,
+				// reaches no field.
+				tparams := typeParams(info.Uses[id])
+				for i := 0; i < inst.TypeArgs.Len() && i < tparams.Len(); i++ {
+					if c, ok := tparams.At(i).Constraint().Underlying().(*types.Interface); ok && c.IsComparable() {
+						implicit(inst.TypeArgs.At(i), false)
+					}
 				}
 			}
 			scope := pkg.Scope()
@@ -377,8 +530,139 @@ func chooserScan(dirs ...string) ([]string, error) {
 			unused = append(unused, d.name)
 		}
 	}
+	for _, f := range fields {
+		if !read[f.obj] || !wrote[f.obj] && isKnob(f.obj.Type()) {
+			unused = append(unused, f.name)
+		}
+	}
 	sort.Strings(unused)
 	return unused, nil
+}
+
+// fieldAccess is how a field selector x.f is used; the zero value,
+// a plain read, is every position fieldUses does not record.
+type fieldAccess int
+
+const (
+	readOnly  fieldAccess = iota
+	writeOnly             // assigned, incremented, deleted from, cleared, or an atomic mutator whose result is dropped
+	readWrite             // &x.f, or an atomic mutator whose result is used
+)
+
+// typeParams is the type parameter list of a generic function or type
+// that an instantiated identifier denotes, nil for anything else.
+func typeParams(obj types.Object) *types.TypeParamList {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin().Type().(*types.Signature).TypeParams()
+	case *types.TypeName:
+		if n, ok := o.Type().(*types.Named); ok {
+			return n.Origin().TypeParams()
+		}
+	}
+	return nil
+}
+
+// fieldUses records in access the field selectors of f in write
+// positions, marks in wrote the fields composite literals set, and hands
+// implicit the operand type of every == and != and every argument type
+// of an encoding/json call.
+func fieldUses(f *ast.File, info *types.Info, access map[*ast.SelectorExpr]fieldAccess, wrote map[types.Object]bool, implicit func(types.Type, bool)) {
+	mark := func(e ast.Expr, a fieldAccess) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr: // x.f[k] = v writes x.f
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				if access[x] != readWrite {
+					access[x] = a
+				}
+			}
+			return
+		}
+	}
+	dropped := make(map[*ast.CallExpr]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mark(lhs, writeOnly)
+			}
+		case *ast.IncDecStmt:
+			mark(n.X, writeOnly)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(n.X, readWrite)
+			}
+		case *ast.ExprStmt:
+			if call, ok := n.X.(*ast.CallExpr); ok {
+				dropped[call] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				implicit(info.Types[n.X].Type, false)
+			}
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					wrote[origin(info.Uses[kv.Key.(*ast.Ident)])] = true
+				} else {
+					wrote[origin(st.Field(i))] = true
+				}
+			}
+		case *ast.CallExpr:
+			var callee types.Object
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				callee = info.Uses[fun]
+			case *ast.SelectorExpr:
+				callee = info.Uses[fun.Sel]
+			}
+			if b, ok := callee.(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+				mark(n.Args[0], writeOnly)
+			}
+			if callee == nil || callee.Pkg() == nil {
+				break
+			}
+			switch callee.Pkg().Path() {
+			case "sync/atomic":
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok || info.Selections[sel] == nil || !slices.Contains([]string{"Add", "Store", "Swap", "CompareAndSwap"}, callee.Name()) {
+					break
+				}
+				if dropped[n] {
+					mark(sel.X, writeOnly)
+				} else {
+					mark(sel.X, readWrite)
+				}
+			case "encoding/json":
+				for _, arg := range n.Args {
+					implicit(info.Types[arg].Type, true)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// isKnob reports whether a field of type t is an option its zero value
+// leaves unchosen: a basic, func, pointer, slice, map, chan or interface
+// value. Structs (sync and sync/atomic types among them) and arrays are
+// ready to use at zero.
+func isKnob(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Struct, *types.Array:
+		return false
+	}
+	return true
 }
 
 // origin maps a generic instantiation's method or field to its

@@ -41,7 +41,6 @@ type HTAP struct {
 	accts       []Address
 	ops         atomic.Uint64
 	lastHeight  atomic.Uint64 // newest height a query has observed
-	queries     atomic.Uint64
 }
 
 // Name identifies the workload in reports.
@@ -145,7 +144,6 @@ func (w *HTAP) analyticalQuery(seq, clientID int, rng *rand.Rand) {
 	if err != nil {
 		return // a crashed/partitioned server: the OLTP side keeps going
 	}
-	w.queries.Add(1)
 	// Advance the window to the newest height this query covered.
 	for {
 		prev := w.lastHeight.Load()

@@ -488,7 +488,6 @@ func (v *view) postingsFor(acct types.Address) []uint32 {
 func (v *view) rowFrom(s *segment, i int) Row {
 	return Row{
 		Height:   s.height[i],
-		Time:     s.time[i],
 		From:     s.from[i],
 		To:       s.to[i],
 		Value:    s.value[i],

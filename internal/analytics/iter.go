@@ -14,7 +14,6 @@ import (
 // Row is one decoded index row (one transaction).
 type Row struct {
 	Height   uint64
-	Time     int64
 	From     types.Address
 	To       types.Address
 	Value    uint64

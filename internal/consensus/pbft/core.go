@@ -1,12 +1,10 @@
 package pbft
 
 import (
-	"encoding/binary"
 	"sort"
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/merkle"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
 	"blockbench/internal/types"
@@ -14,7 +12,6 @@ import (
 
 type instance struct {
 	view     uint64
-	digest   types.Hash
 	txs      []*types.Transaction
 	prepares map[simnet.NodeID]bool
 	commits  map[simnet.NodeID]bool
@@ -101,15 +98,6 @@ func (c *core) step(now time.Time, msg simnet.Message) time.Time {
 	return c.tick
 }
 
-func digestOf(view, seq uint64, txs []*types.Transaction) types.Hash {
-	var buf [16 + types.HashSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], view)
-	binary.LittleEndian.PutUint64(buf[8:], seq)
-	root := merkle.TxRoot(txs)
-	copy(buf[16:], root[:])
-	return types.HashData(buf[:])
-}
-
 // maybePropose lets the primary open one new instance per batch tick
 // (Fabric batches on a size/timeout trigger; one batch per timeout is
 // what yields the paper's ~3 blocks/s at batch size 500).
@@ -155,7 +143,6 @@ func (c *core) getInstance(seq, view uint64, txs []*types.Transaction) *instance
 	}
 	if txs != nil {
 		inst.txs = txs
-		inst.digest = digestOf(view, seq, txs)
 	}
 	return inst
 }
@@ -192,7 +179,7 @@ func (c *core) onPrePrepare(now time.Time, from simnet.NodeID, pp *PrePrepare) {
 	if !inst.sentPrep {
 		inst.sentPrep = true
 		inst.prepares[c.ctx.Self] = true
-		c.ctx.Endpoint.Broadcast(MsgPrepare, &Vote{View: pp.View, Seq: pp.Seq, Digest: inst.digest})
+		c.ctx.Endpoint.Broadcast(MsgPrepare, &Vote{View: pp.View, Seq: pp.Seq})
 	}
 	c.advance(now, pp.Seq, inst)
 }
@@ -222,7 +209,7 @@ func (c *core) advance(now time.Time, seq uint64, inst *instance) {
 	if !inst.sentComm && len(inst.prepares) >= c.quorum() {
 		inst.sentComm = true
 		inst.commits[c.ctx.Self] = true
-		c.ctx.Endpoint.Broadcast(MsgCommit, &Vote{View: inst.view, Seq: seq, Digest: inst.digest})
+		c.ctx.Endpoint.Broadcast(MsgCommit, &Vote{View: inst.view, Seq: seq})
 	}
 	c.executeReady(now)
 }
@@ -287,10 +274,10 @@ func (c *core) voteView(now time.Time, nv uint64) {
 		return
 	}
 	c.votedView = nv
-	vc := &ViewChange{NewView: nv, Height: c.ctx.Chain.Height()}
+	vc := &ViewChange{NewView: nv}
 	for seq, inst := range c.instances {
 		if inst.txs != nil && len(inst.prepares) >= c.quorum() {
-			vc.Prepared = append(vc.Prepared, PreparedProof{Seq: seq, Digest: inst.digest, Txs: inst.txs})
+			vc.Prepared = append(vc.Prepared, PreparedProof{Seq: seq, Txs: inst.txs})
 		}
 	}
 	c.recordViewVote(now, c.ctx.Self, vc)

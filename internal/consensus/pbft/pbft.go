@@ -48,10 +48,11 @@ func (m *PrePrepare) WireSize() int {
 	return n
 }
 
-// Vote is a prepare or commit for a batch digest.
+// Vote is a prepare or commit for the batch at (view, seq). Replicas
+// key every instance by (view, seq) and are honest, so the model carries
+// no batch digest; WireSize still counts the real message's.
 type Vote struct {
 	View, Seq uint64
-	Digest    types.Hash
 }
 
 // WireSize implements simnet.Sizer.
@@ -63,15 +64,14 @@ func (*Vote) WireSize() int { return 24 + types.HashSize }
 // simulated nodes are honest; Byzantine behaviour enters via the
 // network fault injectors instead).
 type PreparedProof struct {
-	Seq    uint64
-	Digest types.Hash
-	Txs    []*types.Transaction
+	Seq uint64
+	Txs []*types.Transaction
 }
 
-// ViewChange votes to move to NewView.
+// ViewChange votes to move to NewView. Like Vote, it is sized as the
+// real message, with the sender's height and each proof's digest.
 type ViewChange struct {
 	NewView  uint64
-	Height   uint64
 	Prepared []PreparedProof
 }
 

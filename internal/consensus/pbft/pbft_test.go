@@ -66,24 +66,6 @@ func TestPrimaryRotation(t *testing.T) {
 	}
 }
 
-func TestDigestDeterministicAndBinding(t *testing.T) {
-	txs := []*types.Transaction{{Nonce: 1}, {Nonce: 2}}
-	d1 := digestOf(3, 7, txs)
-	d2 := digestOf(3, 7, txs)
-	if d1 != d2 {
-		t.Fatal("digest unstable")
-	}
-	if digestOf(4, 7, txs) == d1 {
-		t.Fatal("digest ignores view")
-	}
-	if digestOf(3, 8, txs) == d1 {
-		t.Fatal("digest ignores seq")
-	}
-	if digestOf(3, 7, txs[:1]) == d1 {
-		t.Fatal("digest ignores batch content")
-	}
-}
-
 func TestViewChangeVotesTriggerJoinAndEnter(t *testing.T) {
 	// A replica that sees f+1 votes for a higher view joins it; on 2f+1
 	// it enters the view. n=4 → f=1, quorum=3.

@@ -115,7 +115,7 @@ func TestAllSortedAndLookupRoundTrips(t *testing.T) {
 			t.Fatalf("All() not strictly sorted at %d: %q, %q", i, all[i-1].Name, s.Name)
 		}
 		got, err := Lookup(s.Name)
-		if err != nil || got.Name != s.Name || got.EVM != s.EVM || got.Description != s.Description {
+		if err != nil || got.Name != s.Name || got.EVM != s.EVM {
 			t.Fatalf("Lookup(%q) = %+v, %v", s.Name, got, err)
 		}
 	}

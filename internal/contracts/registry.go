@@ -25,8 +25,7 @@ import (
 
 // Spec bundles both implementations of one contract.
 type Spec struct {
-	Name        string
-	Description string
+	Name string
 	// EVM is the bytecode version (nil when the contract exists only as
 	// chaincode, like VersionKVStore).
 	EVM *evm.Program
@@ -36,24 +35,15 @@ type Spec struct {
 
 // specs is the Table 1 suite, sorted by name.
 var specs = [...]Spec{
-	{Name: "cpuheavy", Description: "quicksort a large array",
-		EVM: asm.MustAssemble(cpuHeavySrc), Chaincode: CPUHeavy{}},
-	{Name: "donothing", Description: "empty contract",
-		EVM: asm.MustAssemble(doNothingSrc), Chaincode: DoNothing{}},
-	{Name: "doubler", Description: "pyramid scheme",
-		EVM: asm.MustAssemble(doublerSrc), Chaincode: Doubler{}},
-	{Name: "etherid", Description: "domain name registrar",
-		EVM: asm.MustAssemble(etherIdSrc), Chaincode: EtherId{}},
-	{Name: "ioheavy", Description: "bulk random I/O",
-		EVM: asm.MustAssemble(ioHeavySrc), Chaincode: IOHeavy{}},
-	{Name: "smallbank", Description: "OLTP bank accounts (Smallbank)",
-		EVM: asm.MustAssemble(smallbankSrc), Chaincode: Smallbank{}},
-	{Name: "versionkv", Description: "versioned KV store (Hyperledger only)",
-		Chaincode: VersionKV{}},
-	{Name: "wavespresale", Description: "crowd sale",
-		EVM: asm.MustAssemble(wavesSrc), Chaincode: WavesPresale{}},
-	{Name: "ycsb", Description: "key-value store (YCSB)",
-		EVM: asm.MustAssemble(ycsbSrc), Chaincode: YCSB{}},
+	{Name: "cpuheavy", EVM: asm.MustAssemble(cpuHeavySrc), Chaincode: CPUHeavy{}},      // quicksort a large array
+	{Name: "donothing", EVM: asm.MustAssemble(doNothingSrc), Chaincode: DoNothing{}},   // empty contract
+	{Name: "doubler", EVM: asm.MustAssemble(doublerSrc), Chaincode: Doubler{}},         // pyramid scheme
+	{Name: "etherid", EVM: asm.MustAssemble(etherIdSrc), Chaincode: EtherId{}},         // domain name registrar
+	{Name: "ioheavy", EVM: asm.MustAssemble(ioHeavySrc), Chaincode: IOHeavy{}},         // bulk random I/O
+	{Name: "smallbank", EVM: asm.MustAssemble(smallbankSrc), Chaincode: Smallbank{}},   // OLTP bank accounts (Smallbank)
+	{Name: "versionkv", Chaincode: VersionKV{}},                                        // versioned KV store (Hyperledger only)
+	{Name: "wavespresale", EVM: asm.MustAssemble(wavesSrc), Chaincode: WavesPresale{}}, // crowd sale
+	{Name: "ycsb", EVM: asm.MustAssemble(ycsbSrc), Chaincode: YCSB{}},                  // key-value store (YCSB)
 }
 
 // Lookup returns the spec for name.

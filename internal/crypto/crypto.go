@@ -104,16 +104,16 @@ func (r *Registry) hitLocked(tx *types.Transaction) bool {
 	if !ok {
 		s, ok = r.prev[tx.Hash()]
 	}
-	if ok = ok && !tx.Corrupt && bytes.Equal(s, tx.Sig); ok {
+	if ok = ok && bytes.Equal(s, tx.Sig); ok {
 		r.hits++
 	}
 	return ok
 }
 
 // VerifyTx checks the transaction signature against the registered key of
-// tx.From. Unknown senders and corrupted transactions fail verification.
+// tx.From. Unknown senders and damaged signatures fail verification.
 func (r *Registry) VerifyTx(tx *types.Transaction) bool {
-	if tx.Corrupt || len(tx.Sig) == 0 {
+	if len(tx.Sig) == 0 {
 		return false
 	}
 	r.mu.Lock()

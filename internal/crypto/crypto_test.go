@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"crypto/ecdsa"
+	"slices"
 	"testing"
 
 	"blockbench/internal/types"
@@ -65,12 +66,17 @@ func TestRegistryVerifyTx(t *testing.T) {
 		t.Fatal("signed tx rejected")
 	}
 
-	// Corrupted-in-flight transactions fail verification.
-	tx.Corrupt = true
+	// A signature damaged in flight fails verification, cached or not.
+	// The damage is to a copy of Sig: the registry keeps a checked Sig
+	// by reference, and Hash() is cached at signing, so editing a signed
+	// field in place would go unseen.
+	sig := tx.Sig
+	tx.Sig = slices.Clone(sig)
+	tx.Sig[len(tx.Sig)/2] ^= 0x01
 	if reg.VerifyTx(tx) {
-		t.Fatal("corrupt tx verified")
+		t.Fatal("tx with a damaged signature verified")
 	}
-	tx.Corrupt = false
+	tx.Sig = sig
 
 	// Unknown sender.
 	other := DeterministicKey(2)

@@ -114,7 +114,7 @@ func (e *EVMEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uint64
 
 // ExecuteInto implements Engine.
 func (e *EVMEngine) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
-	*r = types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
+	*r = types.Receipt{TxHash: tx.Hash()}
 	snap := db.Snapshot()
 	var err error
 	if r.GasUsed, r.Output, err = e.apply(db, tx); err != nil {
@@ -231,7 +231,7 @@ func (e *NativeEngine) Execute(db *state.DB, tx *types.Transaction, blockNum uin
 // ExecuteInto implements Engine. Chaincode execution is not gas metered
 // (Fabric v0.6 "does not consider these semantics in its design").
 func (e *NativeEngine) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
-	*r = types.Receipt{TxHash: tx.Hash(), BlockNumber: blockNum}
+	*r = types.Receipt{TxHash: tx.Hash()}
 	snap := db.Snapshot()
 	cc, ok := e.codes[tx.Contract]
 	if !ok {

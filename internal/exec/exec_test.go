@@ -42,7 +42,7 @@ func TestExecuteWriteAndQuery(t *testing.T) {
 			if !r.OK {
 				t.Fatalf("receipt: %+v", r)
 			}
-			if r.BlockNumber != 1 || r.TxHash != tx.Hash() {
+			if r.TxHash != tx.Hash() {
 				t.Fatal("receipt metadata wrong")
 			}
 			out, err := eng.Query(db, "ycsb", "read", [][]byte{[]byte("k")})

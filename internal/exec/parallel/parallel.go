@@ -60,8 +60,7 @@ func (e *Executor) Counters() map[string]uint64 {
 // ExecuteBlock applies txs to db in block blockNum, returning one
 // receipt per transaction in order. The outcome — receipts and the
 // final content of db's overlay — is byte-identical to executing the
-// transactions serially with eng.Execute. Receipt Index/BlockHash
-// stamping is left to the caller, as on the serial path.
+// transactions serially with eng.Execute.
 func (e *Executor) ExecuteBlock(eng exec.Engine, db *state.DB, txs []*types.Transaction, blockNum uint64) []*types.Receipt {
 	n := len(txs)
 	e.txs.Add(uint64(n))

@@ -5,8 +5,8 @@
 // Two engines are provided: Mem, a mutex-protected in-memory map used by
 // the Parity preset (which "holds all the state information in memory"),
 // and LSM, a log-structured merge store with a write-ahead log, sorted
-// immutable runs and size-triggered compaction. Both track read/write and
-// on-disk byte counters so the IOHeavy experiment can report disk usage.
+// immutable runs and size-triggered compaction. Both report their
+// resident bytes (Stats) so the IOHeavy experiment can report disk usage.
 package kvstore
 
 import (
@@ -19,12 +19,8 @@ import (
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("kvstore: store is closed")
 
-// Stats summarizes a store's activity and footprint.
+// Stats summarizes a store's footprint.
 type Stats struct {
-	Keys      int
-	Reads     uint64
-	Writes    uint64
-	Deletes   uint64
 	DiskBytes int64 // bytes resident in on-disk structures (0 for Mem)
 	MemBytes  int64 // bytes resident in memory structures
 }
@@ -67,9 +63,6 @@ type Mem struct {
 	mu     sync.RWMutex
 	m      map[string][]byte
 	bytes  int64
-	reads  uint64
-	writes uint64
-	dels   uint64
 	closed bool
 
 	// Cap, when non-zero, bounds resident bytes; Put returns ErrMemoryFull
@@ -92,12 +85,11 @@ func NewMemCapped(capBytes int64) *Mem {
 
 // Get implements Store.
 func (s *Mem) Get(key []byte) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	s.reads++
 	v, ok := s.m[string(key)]
 	return v, ok, nil
 }
@@ -109,7 +101,6 @@ func (s *Mem) Put(key, value []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.writes++
 	old, had := s.m[string(key)]
 	delta := int64(len(key) + len(value))
 	if had {
@@ -131,7 +122,6 @@ func (s *Mem) Delete(key []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.dels++
 	k := string(key)
 	if old, ok := s.m[k]; ok {
 		s.bytes -= int64(len(k) + len(old))
@@ -173,8 +163,7 @@ func (s *Mem) Iterate(start, end []byte, fn func(k, v []byte) bool) error {
 func (s *Mem) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{Keys: len(s.m), Reads: s.reads, Writes: s.writes,
-		Deletes: s.dels, MemBytes: s.bytes}
+	return Stats{MemBytes: s.bytes}
 }
 
 // Close implements Store.

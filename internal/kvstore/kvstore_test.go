@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +190,52 @@ func TestMemStatsBytes(t *testing.T) {
 	if got := s.Stats().MemBytes; got != 0 {
 		t.Fatalf("MemBytes after delete = %d, want 0", got)
 	}
+}
+
+// TestMemConcurrentGetPut: Mem.Get holds only the read lock, so readers
+// run alongside each other while writers overwrite and delete the same
+// keys, as parallel execution workers do. Under -race, a Get that wrote
+// shared state is a reported race; every value read is its key's.
+func TestMemConcurrentGetPut(t *testing.T) {
+	s := NewMem()
+	defer s.Close()
+	const keys, rounds = 32, 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%02d", i%keys)) }
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := key(i + w)
+				var err error
+				if i%5 == 4 {
+					err = s.Delete(k)
+				} else {
+					err = s.Put(k, append(append([]byte(nil), k...), fmt.Sprintf("/%d", i)...))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := key(i * (r + 1))
+				v, ok, err := s.Get(k)
+				if err != nil || ok && !bytes.HasPrefix(v, append(k, '/')) {
+					t.Errorf("Get(%s) = %q, %v, %v", k, v, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestClosedStoreErrors(t *testing.T) {

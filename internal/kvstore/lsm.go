@@ -59,7 +59,7 @@ type LSM struct {
 	nextRun int
 	closed  bool
 
-	gets, puts, dels        atomic.Uint64
+	gets, puts              atomic.Uint64
 	bloomProbes, bloomSkips atomic.Uint64
 	flushes, compactions    atomic.Uint64
 	compactBytes, walSyncs  atomic.Uint64
@@ -378,7 +378,6 @@ func (s *LSM) Delete(key []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.dels.Add(1)
 	k, _ := newRecord(&s.arena, key, nil)
 	if err := s.walAppend(k, nil, true); err != nil {
 		return err
@@ -713,17 +712,11 @@ func (s *LSM) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var disk, aux int64
-	keys := len(s.mem)
 	for _, r := range s.runs {
 		disk += r.size
-		keys += r.count
 		aux += r.aux
 	}
 	return Stats{
-		Keys:      keys, // upper bound: duplicates across runs counted once each
-		Reads:     s.gets.Load(),
-		Writes:    s.puts.Load(),
-		Deletes:   s.dels.Load(),
 		DiskBytes: disk + s.walSize,
 		MemBytes:  s.memBytes + aux,
 	}

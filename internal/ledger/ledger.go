@@ -173,10 +173,6 @@ func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Rec
 			c.cfg.Engine.ExecuteInto(db, tx, b.Number(), receipts[i])
 		}
 	}
-	for i, r := range receipts {
-		r.Index = i
-		r.BlockHash = b.Hash()
-	}
 	if c.cfg.Tracer.Enabled() {
 		for _, tx := range b.Txs {
 			c.cfg.Tracer.Stamp(tx.Hash(), trace.StageExecute)
@@ -248,14 +244,12 @@ func (c *Chain) Append(b *types.Block) error {
 	return nil
 }
 
-// setHeadLocked switches the canonical chain to end at e, stamping
-// commit times on the receipts of newly canonical blocks.
+// setHeadLocked switches the canonical chain to end at e.
 func (c *Chain) setHeadLocked(e *entry) {
 	c.head = e
 	c.headState = nil // lazily reopened at the new root
 
 	// Rebuild the canonical index from e back to the divergence point.
-	now := time.Now()
 	cur := e
 	var fresh []*entry
 	for {
@@ -302,7 +296,6 @@ func (c *Chain) setHeadLocked(e *entry) {
 		c.canonical = append(c.canonical, en.block.Hash())
 		included = append(included, en.block.Txs...)
 		for _, r := range en.receipts {
-			r.CommitTime = now
 			c.byTx[r.TxHash] = r
 		}
 	}

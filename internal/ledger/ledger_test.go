@@ -129,13 +129,15 @@ func TestRejectBadSignature(t *testing.T) {
 	if err := c.Append(b); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("unsigned tx accepted: %v", err)
 	}
-	// Properly signed but corrupted in flight.
+	// Properly signed, then its signature damaged in flight. Hash() is
+	// cached at signing, so editing a signed field in place would go
+	// unseen; the damage is to a byte of Sig.
 	tx2 := &types.Transaction{Contract: "ycsb", Method: "write",
 		Args: [][]byte{[]byte("k"), []byte("v")}, GasLimit: 100_000}
 	if err := crypto.SignTx(tx2, key); err != nil {
 		t.Fatal(err)
 	}
-	tx2.Corrupt = true
+	tx2.Sig[len(tx2.Sig)/2] ^= 0x01
 	b2, err := c.ProposeBlock([]*types.Transaction{tx2}, key.Address(), 1, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ type Config struct {
 	// caused by transaction signing").
 	ServerSigns bool
 	IngestCost  time.Duration
-	IngestQueue int
 	// Keyring holds the account keys a ServerSigns node signs with.
 	Keyring map[types.Address]*crypto.Key
 
@@ -104,6 +103,9 @@ var ErrStopped = errors.New("node: stopped")
 // ErrBusy is returned when the server-side ingestion queue is full.
 var ErrBusy = errors.New("node: ingestion queue full")
 
+// ingestQueue is the capacity of a ServerSigns node's ingestion queue.
+const ingestQueue = 512
+
 // ErrRejected is returned when the node's pool refuses a transaction it
 // has not seen: its signature does not verify, or the pool is full.
 var ErrRejected = errors.New("node: transaction rejected")
@@ -149,11 +151,7 @@ func New(cfg Config) *Node {
 		n.lease = lr
 	}
 	if cfg.ServerSigns {
-		q := cfg.IngestQueue
-		if q <= 0 {
-			q = 512
-		}
-		n.ingest = make(chan *types.Transaction, q)
+		n.ingest = make(chan *types.Transaction, ingestQueue)
 	}
 	return n
 }
@@ -291,7 +289,6 @@ func (n *Node) SendTransaction(tx *types.Transaction) (types.Hash, error) {
 // BlockInfo is the confirmed-block summary returned to pollers.
 type BlockInfo struct {
 	Number uint64
-	Hash   types.Hash
 	TxIDs  []types.Hash
 }
 
@@ -320,7 +317,7 @@ func (n *Node) BlocksFrom(h uint64) ([]BlockInfo, error) {
 			if b.Number() > confirmed {
 				break
 			}
-			info := BlockInfo{Number: b.Number(), Hash: b.Hash(), TxIDs: make([]types.Hash, 0, len(b.Txs))}
+			info := BlockInfo{Number: b.Number(), TxIDs: make([]types.Hash, 0, len(b.Txs))}
 			for _, tx := range b.Txs {
 				info.TxIDs = append(info.TxIDs, tx.Hash())
 			}

@@ -127,7 +127,6 @@ func TestServerSideSigningKeyring(t *testing.T) {
 	n, chain, _ := newTestNode(t, func(c *Config) {
 		c.ServerSigns = true
 		c.IngestCost = time.Millisecond
-		c.IngestQueue = 8
 		c.Keyring = map[types.Address]*crypto.Key{key.Address(): key}
 	})
 	// Unsigned transaction from a known account: the server signs it.
@@ -156,11 +155,10 @@ func TestIngestionQueueBackpressure(t *testing.T) {
 	n, _, _ := newTestNode(t, func(c *Config) {
 		c.ServerSigns = true
 		c.IngestCost = 50 * time.Millisecond
-		c.IngestQueue = 2
 		c.Keyring = map[types.Address]*crypto.Key{key.Address(): key}
 	})
 	busy := false
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ingestQueue+2; i++ {
 		tx := &types.Transaction{Nonce: uint64(i), From: key.Address(),
 			Contract: "ycsb", Method: "write",
 			Args: [][]byte{[]byte("k"), []byte("v")}, GasLimit: 100_000}

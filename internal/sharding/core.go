@@ -276,7 +276,7 @@ func (c *core) submit(now time.Time, tx *types.Transaction, shards []int) error 
 	c.xTxs++
 	cs := &coordState{tx: tx, shards: shards, attempt: 1}
 	c.coord[id] = cs
-	c.sendPrepares(now, id, cs)
+	c.sendPrepares(now, cs)
 	return nil
 }
 
@@ -357,7 +357,7 @@ func (c *core) sweepLocks(now time.Time) {
 
 // sendPrepares opens (or reopens) phase one for a coordinated
 // transaction.
-func (c *core) sendPrepares(now time.Time, id types.Hash, cs *coordState) {
+func (c *core) sendPrepares(now time.Time, cs *coordState) {
 	cs.votes, cs.backoff, cs.due = cs.votes[:0], false, now.Add(prepareTimeout)
 	c.coordDue = earliest(c.coordDue, cs.due)
 	m := &Prepare{Origin: c.ctx.Self, Attempt: cs.attempt, Tx: cs.tx}
@@ -517,7 +517,7 @@ func (c *core) tickCoord(now time.Time) {
 		case now.Before(cs.due):
 			c.coordDue = earliest(c.coordDue, cs.due)
 		case cs.backoff:
-			c.sendPrepares(now, id, cs)
+			c.sendPrepares(now, cs)
 		default:
 			c.abortAttempt(now, id, cs)
 		}

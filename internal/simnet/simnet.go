@@ -41,16 +41,15 @@ import (
 type NodeID int
 
 // Message is a single network delivery. Payload is passed by reference
-// (the network is in-process); Size carries the encoded wire size used
-// for transmission-time and utilization accounting. Corrupt marks a
-// message damaged by the random-response fault injector — receivers must
-// treat it as failing signature/digest verification.
+// (the network is in-process); its wire size (a Sizer's, else 64
+// bytes) is counted in BytesSent and sets the transmission delay.
+// Corrupt marks a message damaged by the random-response fault injector
+// — receivers drop it as if it failed authentication.
 type Message struct {
 	From    NodeID
 	To      NodeID
 	Type    string
 	Payload any
-	Size    int
 	Corrupt bool
 }
 
@@ -93,11 +92,6 @@ type Stats struct {
 	MessagesSent    uint64
 	MessagesDropped uint64
 	BytesSent       uint64
-	// Link-chaos accounting: messages probabilistically dropped,
-	// duplicated and delay-reordered by the per-link fault injector.
-	ChaosDrops    uint64
-	ChaosDups     uint64
-	ChaosReorders uint64
 }
 
 // LinkFaults is a per-sender probabilistic link fault profile: each
@@ -135,12 +129,9 @@ type Network struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	msgs          atomic.Uint64
-	dropped       atomic.Uint64
-	bytes         atomic.Uint64
-	chaosDrops    atomic.Uint64
-	chaosDups     atomic.Uint64
-	chaosReorders atomic.Uint64
+	msgs    atomic.Uint64
+	dropped atomic.Uint64
+	bytes   atomic.Uint64
 
 	// epoch is the zero of the delivery clock (now).
 	epoch time.Time
@@ -263,7 +254,6 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 			// unlike the origin drops above.
 			n.rngMu.Unlock()
 			n.dropped.Add(1)
-			n.chaosDrops.Add(1)
 			return true
 		}
 		duplicate = faults.Dup > 0 && n.rng.Float64() < faults.Dup
@@ -271,7 +261,6 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 			// Hold the message long enough that later traffic on the same
 			// link overtakes it.
 			delay += n.cfg.BaseLatency + time.Duration(n.rng.Int63n(int64(4*n.cfg.BaseLatency+1)))
-			n.chaosReorders.Add(1)
 		}
 	}
 	n.rngMu.Unlock()
@@ -283,11 +272,10 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 	n.msgs.Add(1)
 	n.bytes.Add(uint64(size))
 
-	msg := Message{From: from.ID, To: to, Type: typ, Payload: payload, Size: size, Corrupt: isCorrupt}
+	msg := Message{From: from.ID, To: to, Type: typ, Payload: payload, Corrupt: isCorrupt}
 	due := n.now() + delay
 	dst.enqueue(due, msg)
 	if duplicate {
-		n.chaosDups.Add(1)
 		dst.enqueue(due+n.cfg.BaseLatency, msg)
 	}
 	return true
@@ -509,9 +497,6 @@ func (n *Network) Stats() Stats {
 		MessagesSent:    n.msgs.Load(),
 		MessagesDropped: n.dropped.Load(),
 		BytesSent:       n.bytes.Load(),
-		ChaosDrops:      n.chaosDrops.Load(),
-		ChaosDups:       n.chaosDups.Load(),
-		ChaosReorders:   n.chaosReorders.Load(),
 	}
 }
 

@@ -199,8 +199,8 @@ func TestLinkFaultsDropAll(t *testing.T) {
 		t.Fatal("message delivered through Drop=1.0 link")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if got := n.Stats().ChaosDrops; got != 20 {
-		t.Fatalf("ChaosDrops = %d, want 20", got)
+	if got := n.Stats().MessagesDropped; got != 20 {
+		t.Fatalf("MessagesDropped = %d, want 20", got)
 	}
 	// A zero profile clears the faults.
 	n.SetLinkFaults(LinkFaults{}, 1)
@@ -214,26 +214,42 @@ func TestLinkFaultsDuplicate(t *testing.T) {
 	a, b := n.Join(1), n.Join(2)
 	n.SetLinkFaults(LinkFaults{Dup: 1.0}, 1)
 	a.Send(2, "x", nil)
-	recvWithin(t, b, time.Second)
-	recvWithin(t, b, time.Second) // the duplicate
-	if got := n.Stats().ChaosDups; got != 1 {
-		t.Fatalf("ChaosDups = %d, want 1", got)
+	if got := inboxCounts(n, []*Endpoint{b})[0]; got != 2 {
+		t.Fatalf("%d deliveries of one send, want 2 (the message and its duplicate)", got)
 	}
 }
 
 func TestLinkFaultsReorderCounts(t *testing.T) {
-	n := New(fastConfig())
+	// A latency long next to timer slack, so that a message sent without
+	// the reorder delay arrives well before twice the latency.
+	cfg := fastConfig()
+	cfg.BaseLatency = 20 * time.Millisecond
+	n := New(cfg)
 	defer n.Close()
 	a, b := n.Join(1), n.Join(2)
 	n.SetLinkFaults(LinkFaults{Reorder: 1.0}) // no ids: every sender
-	for i := 0; i < 10; i++ {
+	var sent [10]time.Time
+	for i := range sent {
+		sent[i] = time.Now()
 		a.Send(2, "x", i)
 	}
-	for i := 0; i < 10; i++ {
-		recvWithin(t, b, time.Second) // delayed, never lost
+	// A reordered message waits at least one BaseLatency beyond its own,
+	// and a delivery never fires before it is due, so every message
+	// arriving that late took the reorder branch. The extra delays are
+	// drawn from a range far wider than the gaps between sends, so the
+	// arrival order differs from the send order.
+	least := 2 * cfg.BaseLatency
+	var order []int
+	for range sent {
+		m := recvWithin(t, b, time.Second) // delayed, never lost
+		i := m.Payload.(int)
+		if took := time.Since(sent[i]); took < least {
+			t.Fatalf("message %d delivered after %v, want at least %v", i, took, least)
+		}
+		order = append(order, i)
 	}
-	if got := n.Stats().ChaosReorders; got != 10 {
-		t.Fatalf("ChaosReorders = %d, want 10", got)
+	if slices.IsSorted(order) {
+		t.Fatalf("arrival order %v is the send order: nothing was reordered", order)
 	}
 }
 
@@ -358,8 +374,14 @@ func TestSameSeedSameFate(t *testing.T) {
 	if !slices.Equal(a, b) || sa != sb {
 		t.Fatalf("one seed, two outcomes:\n%v %+v\n%v %+v", a, sa, b, sb)
 	}
-	if sa.ChaosDrops == 0 || sa.ChaosDups == 0 {
-		t.Fatalf("fault draws never fired: %+v", sa)
+	// No node is crashed or partitioned, so every drop is a fault draw;
+	// MessagesSent counts each surviving send once, its duplicate never.
+	delivered := 0
+	for _, c := range a {
+		delivered += c
+	}
+	if sa.MessagesDropped == 0 || uint64(delivered) <= sa.MessagesSent {
+		t.Fatalf("fault draws never fired: %d delivered, %+v", delivered, sa)
 	}
 }
 

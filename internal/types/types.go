@@ -10,7 +10,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // HashSize is the byte length of a content hash.
@@ -86,10 +85,6 @@ type Transaction struct {
 	Args     [][]byte // raw encoded arguments
 	GasLimit uint64
 	Sig      []byte // signature over Hash() by From
-
-	// Corrupt marks a transaction whose bytes were damaged in flight by
-	// the network-level fault injector; validators must reject it.
-	Corrupt bool
 
 	hash atomic.Pointer[Hash]
 }
@@ -223,15 +218,11 @@ func (b *Block) String() string {
 
 // Receipt records the outcome of executing a transaction in a block.
 type Receipt struct {
-	TxHash      Hash
-	BlockNumber uint64
-	BlockHash   Hash
-	Index       int
-	OK          bool
-	GasUsed     uint64
-	Output      []byte
-	Err         string
-	CommitTime  time.Time // local time the containing block was committed
+	TxHash  Hash
+	OK      bool
+	GasUsed uint64
+	Output  []byte
+	Err     string
 }
 
 // NewReceipts returns n zero receipts backed by one allocation, for a
