@@ -155,8 +155,11 @@ loc:
 # and the declarations it listed that only tests used went. It fell to
 # 20908 when the scan came to cover struct fields and the fields no
 # non-test code read, or knobs none set, went with the code that kept
-# them.
-LOC_MAX ?= 20908
+# them. It was raised to 20933 by the LSM's read arena (its type, its
+# locked copy, its field, the empty-request case in alloc and the
+# ownership comments), which replaced one allocation per run-served
+# Get with one per 32 KiB chunk.
+LOC_MAX ?= 20933
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -120,6 +120,10 @@ type guarded struct {
 	n  int
 }
 
+// counter's field is planted: its one use, an atomic Add whose result
+// is dropped, writes it and reads nothing.
+type counter struct{ n atomic.Int64 }
+
 func Entry() int {
 	h := &ints{3, 1}
 	heap.Init(h)
@@ -147,6 +151,8 @@ func Entry() int {
 	gd.mu.Lock()
 	gd.n++
 	gd.mu.Unlock()
+	var ct counter
+	ct.n.Add(1)
 	return len(l.items) + p.knob + len(c.m) + gd.n
 }
 `,
@@ -167,7 +173,7 @@ func Entry() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"Unused", "planted.knob", "planted.writeOnly", "snap.unread"}; !slices.Equal(unused, want) {
+	if want := []string{"Unused", "counter.n", "planted.knob", "planted.writeOnly", "snap.unread"}; !slices.Equal(unused, want) {
 		t.Fatalf("scan lists %v, want %v", unused, want)
 	}
 	problems := chooserDiff(unused, map[string]bool{})

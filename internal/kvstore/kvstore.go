@@ -32,7 +32,10 @@ type Stats struct {
 // Mem, its own allocation) — and nobody writes into a slice Get returns.
 // An engine only ever replaces a stored record, never rewrites it in
 // place, so a Get result is shared and immutable: the caller may keep
-// it for ever and must not modify it.
+// it for ever and must not modify it. On the LSM a Get result is a
+// region of a 32 KiB chunk — its memtable record, or the copy of a
+// run-served value carved from the store's read arena — so a kept
+// result keeps its chunk alive.
 type Store interface {
 	// Get returns the value for key, with ok=false if absent.
 	Get(key []byte) (value []byte, ok bool, err error)

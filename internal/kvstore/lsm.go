@@ -39,9 +39,10 @@ type LSM struct {
 	dir string
 
 	mem      map[string]entry
-	memBytes int64  // bytes handed to mem since the last flush
-	arena    arena  // mem's records are carved from it
-	runs     []*run // newest first
+	memBytes int64     // bytes handed to mem since the last flush
+	arena    arena     // mem's records are carved from it
+	reads    readArena // run-served Get results are carved from it
+	runs     []*run    // newest first
 
 	wal      *os.File
 	walBuf   *bufio.Writer
@@ -227,11 +228,12 @@ type arena []byte
 
 const arenaChunk = 32 << 10
 
-// alloc returns n bytes, capacity clipped. A nil arena, or a record over
-// a quarter chunk, gets a block of its own and the current chunk stays
+// alloc returns n bytes, capacity clipped, never nil. A nil arena, an
+// empty request (make allocates nothing for it) or a record over a
+// quarter chunk gets a block of its own and the current chunk stays
 // current (LevelDB's AllocateFallback), so no chunk tail is wasted.
 func (a *arena) alloc(n int) []byte {
-	if a == nil || n > arenaChunk/4 {
+	if a == nil || n == 0 || n > arenaChunk/4 {
 		return make([]byte, n)
 	}
 	if n > len(*a) {
@@ -240,6 +242,24 @@ func (a *arena) alloc(n int) []byte {
 	b := (*a)[:n:n]
 	*a = (*a)[n:]
 	return b
+}
+
+// readArena is the arena run-served Get results are copied into. Get
+// holds only the store's read lock, so the carve takes a lock of its
+// own; it is apart from the memtable's so that a kept read never pins a
+// flushed memtable's chunk.
+type readArena struct {
+	mu sync.Mutex
+	arena
+}
+
+// copy returns a copy of b carved from the arena, capacity clipped.
+func (r *readArena) copy(b []byte) []byte {
+	r.mu.Lock()
+	v := r.alloc(len(b))
+	r.mu.Unlock()
+	copy(v, b)
+	return v
 }
 
 // newRecord copies key and value into one region of a (nil: a slab of
@@ -398,7 +418,7 @@ func (s *LSM) Get(key []byte) ([]byte, bool, error) {
 		return e.value, !e.deleted, nil
 	}
 	for _, r := range s.runs {
-		v, del, ok, err := r.get(key, &s.bloomProbes, &s.bloomSkips)
+		v, del, ok, err := r.get(key, &s.reads, &s.bloomProbes, &s.bloomSkips)
 		if err != nil || ok {
 			return v, ok && !del, err
 		}

@@ -432,12 +432,14 @@ var regionBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // get probes the run for key: min/max bounds, then the bloom filter,
 // then one read of the bounded region — at most indexStride records —
-// into a pooled buffer, walked in place. The only allocation is the copy
-// of the value that is returned (a tombstone has none). Regions begin
-// and end on record boundaries, so only a clean end of the region means
-// "absent": a record the region cuts short has damaged lengths, and
-// reading it as the end would drop what follows.
-func (r *run) get(key []byte, probes, skips *atomic.Uint64) (v []byte, del, ok bool, err error) {
+// into a pooled buffer, walked in place. The value that is returned (a
+// tombstone has none) is copied out of that buffer into a region of
+// reads, so it allocates only when it starts a 32 KiB chunk, and a kept
+// result pins its chunk. Regions begin and end on record boundaries, so
+// only a clean end of the region means "absent": a record the region
+// cuts short has damaged lengths, and reading it as the end would drop
+// what follows.
+func (r *run) get(key []byte, reads *readArena, probes, skips *atomic.Uint64) (v []byte, del, ok bool, err error) {
 	if string(key) < r.minKey || string(key) > r.maxKey {
 		return nil, false, false, nil
 	}
@@ -471,7 +473,7 @@ func (r *run) get(key []byte, probes, skips *atomic.Uint64) (v []byte, del, ok b
 			return nil, false, false, nil
 		case cmp == 0:
 			if !d {
-				v = append(make([]byte, 0, vlen), buf[9+klen:end]...)
+				v = reads.copy(buf[9+klen : end])
 			}
 			return v, d, true, nil
 		}

@@ -13,8 +13,10 @@ import (
 // TestPointReadAllocBudget is the storage engine's read budget: a point
 // read allocates what it hands back and nothing else. The memtable and
 // Mem share the stored slice, a run-served hit copies the value out of
-// the pooled region buffer (one allocation), and a probe that the key
-// bounds or the bloom filter reject touches neither file nor heap.
+// the pooled region buffer into a region of the store's read arena (no
+// allocation but the chunk every 32 KiB, TestRunReadAllocBudget), and a
+// probe that the key bounds or the bloom filter reject touches neither
+// file nor heap.
 func TestPointReadAllocBudget(t *testing.T) {
 	s, err := OpenLSM(t.TempDir(), LSMOptions{SyncBytes: -1})
 	if err != nil {
@@ -60,8 +62,8 @@ func TestPointReadAllocBudget(t *testing.T) {
 		budget uint64
 	}{
 		{"lsm memtable hit", s, key(0, "-in-the-memtable"), true, 0},
-		{"lsm run-served hit", s, key(500, ""), true, 1},
-		{"lsm run-served hit, last record", s, key(999, ""), true, 1},
+		{"lsm run-served hit", s, key(500, ""), true, 0},
+		{"lsm run-served hit, last record", s, key(999, ""), true, 0},
 		{"lsm bloom-rejected miss", s, string(rejected), false, 0},
 		{"lsm miss below the run's bounds", s, "a", false, 0},
 		{"lsm miss above the run's bounds", s, "z", false, 0},

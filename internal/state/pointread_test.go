@@ -48,9 +48,9 @@ func readFixture(t testing.TB, store kvstore.Store, tuples, lru int) (*DB, *Flat
 // over a store): a read served by the overlay or the flat layer's LRU
 // allocates nothing — the composite key lives in the DB's scratch buffer,
 // and the LRU's key is a value built on the stack — and one the flat layer
-// fetches from the store allocates only the value the store hands out: the
-// copy an LSM run makes, and nothing from an LSM memtable or a Mem store
-// (ycsb-quorum's), which share the value they hold.
+// fetches from the store allocates nothing either: an LSM run copies the
+// value into its read arena's current 32 KiB chunk, and an LSM memtable
+// or a Mem store (ycsb-quorum's) share the value they hold.
 func TestGetStateAllocBudget(t *testing.T) {
 	const tuples, lru = 640, 64
 	run := openLSM(t)
@@ -60,7 +60,7 @@ func TestGetStateAllocBudget(t *testing.T) {
 		flush     func() error // puts the fixture in a run; nil leaves it in the memtable
 		persisted uint64       // budget for a read the store serves
 	}{
-		{"LSM run", run, run.Flush, 1},
+		{"LSM run", run, run.Flush, 0},
 		{"LSM memtable", openLSM(t), nil, 0},
 		{"Mem", kvstore.NewMem(), nil, 0},
 	} {
