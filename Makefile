@@ -101,7 +101,11 @@ bench-build:
 # beside it with -base in its name, for `go tool pprof -list` or a diff
 # against another commit's. ARGS is appended to the CLI line (-popt/-wopt
 # and the like), e.g. the trie write path: PLATFORM=quorum
-# WORKLOAD=ioheavy ARGS='-popt store=lsm -wopt tuples=10'.
+# WORKLOAD=ioheavy ARGS='-popt store=lsm -wopt tuples=10'. The CLI (not
+# the compiler) runs under GODEBUG=memprofilerate=1, so the tables are
+# exact, CI's allocs-profile artifacts too: at the runtime's default the
+# profile samples about one allocation per 512 KiB and scales each
+# sample up, so a 16-byte object is counted from a handful of samples.
 PLATFORM ?= hyperledger
 WORKLOAD ?= smallbank
 SECONDS ?= 5
@@ -111,7 +115,7 @@ ALLOCPROF_OUT ?= allocs.pprof
 
 allocprof:
 	@set -eu; \
-	$(GO) run ./cmd/blockbench -platform $(PLATFORM) -workload $(WORKLOAD) \
+	$(GO) run -exec "env GODEBUG=memprofilerate=1" ./cmd/blockbench -platform $(PLATFORM) -workload $(WORKLOAD) \
 		-nodes 4 -duration $(SECONDS)s -http $(ALLOCPROF_ADDR) -quiet $(ARGS) & \
 	run_pid=$$!; \
 	for i in $$(seq 1 100); do \
@@ -158,8 +162,12 @@ loc:
 # them. It was raised to 20933 by the LSM's read arena (its type, its
 # locked copy, its field, the empty-request case in alloc and the
 # ownership comments), which replaced one allocation per run-served
-# Get with one per 32 KiB chunk.
-LOC_MAX ?= 20933
+# Get with one per 32 KiB chunk. It was raised to 21020 by the
+# transaction path's scratch: the chaincodes' stack buffer and their
+# named revert reasons, the bucket backend's commit key, the driver's
+# direct paced send and poller scratch, the chain's head-switch scratch
+# and PBFT's per-instance vote set, which replaced two maps.
+LOC_MAX ?= 21020
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -11,13 +12,25 @@ import (
 )
 
 type instance struct {
-	view     uint64
-	txs      []*types.Transaction
-	prepares map[simnet.NodeID]bool
-	commits  map[simnet.NodeID]bool
+	view uint64
+	txs  []*types.Transaction
+	// votes is the instance's vote set: by replica, in core.peers'
+	// order, which of prepare and commit it has sent. prepares and
+	// commits count the replicas with each.
+	votes    []voted
+	prepares int
+	commits  int
 	sentPrep bool
 	sentComm bool
 }
+
+// voted is one replica's entry in an instance's vote set.
+type voted uint8
+
+const (
+	votedPrepare voted = 1 << iota
+	votedCommit
+)
 
 // core is one PBFT replica's protocol state and logic, and nothing
 // else: no lock, no goroutine, no clock. Everything happens inside
@@ -122,7 +135,7 @@ func (c *core) maybePropose(now time.Time) {
 		}
 		pp := &PrePrepare{View: c.view, Seq: seq, Txs: txs}
 		inst := c.getInstance(seq, c.view, txs)
-		inst.prepares[c.ctx.Self] = true // primary's pre-prepare counts
+		c.vote(inst, c.ctx.Self, votedPrepare) // primary's pre-prepare counts
 		c.ctx.Endpoint.Broadcast(MsgPrePrepare, pp)
 		// Tiny deployments (n ≤ 3 ⇒ f = 0) reach quorum on the primary's
 		// own messages; advance immediately rather than waiting for
@@ -134,17 +147,28 @@ func (c *core) maybePropose(now time.Time) {
 func (c *core) getInstance(seq, view uint64, txs []*types.Transaction) *instance {
 	inst := c.instances[seq]
 	if inst == nil || inst.view != view {
-		inst = &instance{
-			view:     view,
-			prepares: make(map[simnet.NodeID]bool),
-			commits:  make(map[simnet.NodeID]bool),
-		}
+		inst = &instance{view: view, votes: make([]voted, len(c.peers))}
 		c.instances[seq] = inst
 	}
 	if txs != nil {
 		inst.txs = txs
 	}
 	return inst
+}
+
+// vote adds from's vote of one kind to inst's vote set. A repeated vote
+// counts once; a sender outside the peer set is not counted.
+func (c *core) vote(inst *instance, from simnet.NodeID, kind voted) {
+	i, ok := slices.BinarySearch(c.peers, from)
+	if !ok || inst.votes[i]&kind != 0 {
+		return
+	}
+	inst.votes[i] |= kind
+	if kind == votedPrepare {
+		inst.prepares++
+	} else {
+		inst.commits++
+	}
 }
 
 func (c *core) onPrePrepare(now time.Time, from simnet.NodeID, pp *PrePrepare) {
@@ -175,10 +199,10 @@ func (c *core) onPrePrepare(now time.Time, from simnet.NodeID, pp *PrePrepare) {
 		return
 	}
 	inst := c.getInstance(pp.Seq, pp.View, pp.Txs)
-	inst.prepares[from] = true // the pre-prepare is the primary's prepare
+	c.vote(inst, from, votedPrepare) // the pre-prepare is the primary's prepare
 	if !inst.sentPrep {
 		inst.sentPrep = true
-		inst.prepares[c.ctx.Self] = true
+		c.vote(inst, c.ctx.Self, votedPrepare)
 		c.ctx.Endpoint.Broadcast(MsgPrepare, &Vote{View: pp.View, Seq: pp.Seq})
 	}
 	c.advance(now, pp.Seq, inst)
@@ -193,9 +217,9 @@ func (c *core) onVote(now time.Time, from simnet.NodeID, v *Vote, isCommit bool)
 	}
 	inst := c.getInstance(v.Seq, v.View, nil)
 	if isCommit {
-		inst.commits[from] = true
+		c.vote(inst, from, votedCommit)
 	} else {
-		inst.prepares[from] = true
+		c.vote(inst, from, votedPrepare)
 	}
 	c.advance(now, v.Seq, inst)
 }
@@ -206,9 +230,9 @@ func (c *core) advance(now time.Time, seq uint64, inst *instance) {
 	if inst.txs == nil {
 		return // still waiting for the pre-prepare
 	}
-	if !inst.sentComm && len(inst.prepares) >= c.quorum() {
+	if !inst.sentComm && inst.prepares >= c.quorum() {
 		inst.sentComm = true
-		inst.commits[c.ctx.Self] = true
+		c.vote(inst, c.ctx.Self, votedCommit)
 		c.ctx.Endpoint.Broadcast(MsgCommit, &Vote{View: inst.view, Seq: seq})
 	}
 	c.executeReady(now)
@@ -219,7 +243,7 @@ func (c *core) executeReady(now time.Time) {
 	for {
 		height := c.ctx.Chain.Height()
 		inst := c.instances[height+1]
-		if inst == nil || inst.txs == nil || len(inst.commits) < c.quorum() {
+		if inst == nil || inst.txs == nil || inst.commits < c.quorum() {
 			return
 		}
 		head := c.ctx.Chain.Head()
@@ -276,7 +300,7 @@ func (c *core) voteView(now time.Time, nv uint64) {
 	c.votedView = nv
 	vc := &ViewChange{NewView: nv}
 	for seq, inst := range c.instances {
-		if inst.txs != nil && len(inst.prepares) >= c.quorum() {
+		if inst.txs != nil && inst.prepares >= c.quorum() {
 			vc.Prepared = append(vc.Prepared, PreparedProof{Seq: seq, Txs: inst.txs})
 		}
 	}
@@ -349,7 +373,7 @@ func (c *core) enterView(now time.Time, nv uint64, votes map[simnet.NodeID]*View
 	for _, seq := range seqs {
 		p := carried[seq]
 		inst := c.getInstance(seq, nv, p.Txs)
-		inst.prepares[c.ctx.Self] = true
+		c.vote(inst, c.ctx.Self, votedPrepare)
 		for _, tx := range p.Txs {
 			c.assigned[tx.Hash()] = true
 		}

@@ -14,6 +14,30 @@ import (
 // flattened into key-value tuples — the paper calls this out as making
 // "the chaincode more bulky than the Ethereum counterpart".
 
+// buf is a caller's stack buffer for a key or value it only hands to
+// the stub, which keeps neither (DESIGN.md § Who owns a slice). 64 bytes
+// hold every key and record below; a longer one spills to the heap.
+type buf [64]byte
+
+// cat returns prefix followed by part, built in b.
+func (b *buf) cat(prefix string, part []byte) []byte {
+	return append(append(b[:0], prefix...), part...)
+}
+
+// The fixed revert reasons, built once. Each wraps chaincode.ErrRevert
+// and reads as chaincode.Revertf would have made it per call.
+var (
+	errLowChecking = chaincode.Revertf("insufficient checking balance")
+	errDomainTaken = chaincode.Revertf("domain taken")
+	errNoDomain    = chaincode.Revertf("no such domain")
+	errNotOwner    = chaincode.Revertf("not the owner")
+	errLowFunds    = chaincode.Revertf("insufficient funds")
+	errSaleExists  = chaincode.Revertf("sale exists")
+	errNoSale      = chaincode.Revertf("no such sale")
+	errSortFailed  = chaincode.Revertf("sort failed")
+	errLowBalance  = chaincode.Revertf("insufficient balance")
+)
+
 // YCSB is the key-value store chaincode.
 type YCSB struct{}
 
@@ -53,16 +77,14 @@ func readOrRevert(stub *chaincode.Stub, key []byte) ([]byte, error) {
 // account under "s:"/"c:" prefixed keys.
 type Smallbank struct{}
 
-func sbKey(prefix byte, id []byte) []byte {
-	return append([]byte{prefix, ':'}, id...)
+func sbGet(stub *chaincode.Stub, prefix string, id []byte) uint64 {
+	var k buf
+	return types.U64(stub.GetState(k.cat(prefix, id)))
 }
 
-func sbGet(stub *chaincode.Stub, prefix byte, id []byte) uint64 {
-	return types.U64(stub.GetState(sbKey(prefix, id)))
-}
-
-func sbPut(stub *chaincode.Stub, prefix byte, id []byte, v uint64) {
-	stub.PutState(sbKey(prefix, id), types.U64Bytes(v))
+func sbPut(stub *chaincode.Stub, prefix string, id []byte, v uint64) {
+	var k, val buf
+	stub.PutState(k.cat(prefix, id), binary.BigEndian.AppendUint64(val[:0], v))
 }
 
 // Invoke implements chaincode.Chaincode.
@@ -70,33 +92,33 @@ func (Smallbank) Invoke(stub *chaincode.Stub, method string, args [][]byte) ([]b
 	switch method {
 	case "sendPayment":
 		from, to, amt := args[0], args[1], types.U64(args[2])
-		bal := sbGet(stub, 'c', from)
+		bal := sbGet(stub, "c:", from)
 		if bal < amt {
-			return nil, chaincode.Revertf("insufficient checking balance")
+			return nil, errLowChecking
 		}
-		sbPut(stub, 'c', from, bal-amt)
-		sbPut(stub, 'c', to, sbGet(stub, 'c', to)+amt)
+		sbPut(stub, "c:", from, bal-amt)
+		sbPut(stub, "c:", to, sbGet(stub, "c:", to)+amt)
 	case "depositChecking":
 		id, amt := args[0], types.U64(args[1])
-		sbPut(stub, 'c', id, sbGet(stub, 'c', id)+amt)
+		sbPut(stub, "c:", id, sbGet(stub, "c:", id)+amt)
 	case "transactSavings":
 		id, amt := args[0], types.U64(args[1])
-		sbPut(stub, 's', id, sbGet(stub, 's', id)+amt)
+		sbPut(stub, "s:", id, sbGet(stub, "s:", id)+amt)
 	case "writeCheck":
 		id, amt := args[0], types.U64(args[1])
-		bal := sbGet(stub, 'c', id)
+		bal := sbGet(stub, "c:", id)
 		if bal < amt {
-			return nil, chaincode.Revertf("insufficient checking balance")
+			return nil, errLowChecking
 		}
-		sbPut(stub, 'c', id, bal-amt)
+		sbPut(stub, "c:", id, bal-amt)
 	case "amalgamate":
 		src, dst := args[0], args[1]
-		total := sbGet(stub, 's', src) + sbGet(stub, 'c', src)
-		sbPut(stub, 's', src, 0)
-		sbPut(stub, 'c', src, 0)
-		sbPut(stub, 'c', dst, sbGet(stub, 'c', dst)+total)
+		total := sbGet(stub, "s:", src) + sbGet(stub, "c:", src)
+		sbPut(stub, "s:", src, 0)
+		sbPut(stub, "c:", src, 0)
+		sbPut(stub, "c:", dst, sbGet(stub, "c:", dst)+total)
 	case "getBalance":
-		return types.U64Bytes(sbGet(stub, 's', args[0]) + sbGet(stub, 'c', args[0])), nil
+		return types.U64Bytes(sbGet(stub, "s:", args[0]) + sbGet(stub, "c:", args[0])), nil
 	default:
 		return nil, chaincode.ErrNoMethod
 	}
@@ -108,7 +130,7 @@ func (Smallbank) Query(stub *chaincode.Stub, method string, args [][]byte) ([]by
 	if method != "getBalance" {
 		return nil, chaincode.ErrNoMethod
 	}
-	return types.U64Bytes(sbGet(stub, 's', args[0]) + sbGet(stub, 'c', args[0])), nil
+	return types.U64Bytes(sbGet(stub, "s:", args[0]) + sbGet(stub, "c:", args[0])), nil
 }
 
 // EtherId is the domain registrar chaincode. As the paper describes, it
@@ -123,7 +145,8 @@ type eidRecord struct {
 }
 
 func eidGet(stub *chaincode.Stub, domain []byte) (eidRecord, bool) {
-	v := stub.GetState(append([]byte("d:"), domain...))
+	var k buf
+	v := stub.GetState(k.cat("d:", domain))
 	if len(v) < types.AddressSize+8 {
 		return eidRecord{}, false
 	}
@@ -134,18 +157,18 @@ func eidGet(stub *chaincode.Stub, domain []byte) (eidRecord, bool) {
 }
 
 func eidPut(stub *chaincode.Stub, domain []byte, r eidRecord) {
-	v := make([]byte, types.AddressSize+8)
-	copy(v, r.owner[:])
-	binary.BigEndian.PutUint64(v[types.AddressSize:], r.price)
-	stub.PutState(append([]byte("d:"), domain...), v)
+	var k, v buf
+	stub.PutState(k.cat("d:", domain), binary.BigEndian.AppendUint64(v.cat("", r.owner[:]), r.price))
 }
 
 func eidBal(stub *chaincode.Stub, addr types.Address) uint64 {
-	return types.U64(stub.GetState(append([]byte("b:"), addr[:]...)))
+	var k buf
+	return types.U64(stub.GetState(k.cat("b:", addr[:])))
 }
 
 func eidSetBal(stub *chaincode.Stub, addr types.Address, v uint64) {
-	stub.PutState(append([]byte("b:"), addr[:]...), types.U64Bytes(v))
+	var k, val buf
+	stub.PutState(k.cat("b:", addr[:]), binary.BigEndian.AppendUint64(val[:0], v))
 }
 
 // Invoke implements chaincode.Chaincode.
@@ -155,27 +178,27 @@ func (EtherId) Invoke(stub *chaincode.Stub, method string, args [][]byte) ([]byt
 		eidSetBal(stub, types.BytesToAddress(args[0]), types.U64(args[1]))
 	case "register": // args: domain, price
 		if _, ok := eidGet(stub, args[0]); ok {
-			return nil, chaincode.Revertf("domain taken")
+			return nil, errDomainTaken
 		}
 		eidPut(stub, args[0], eidRecord{owner: stub.Caller, price: types.U64(args[1])})
 	case "transfer": // args: domain, newOwner20
 		r, ok := eidGet(stub, args[0])
 		if !ok {
-			return nil, chaincode.Revertf("no such domain")
+			return nil, errNoDomain
 		}
 		if r.owner != stub.Caller {
-			return nil, chaincode.Revertf("not the owner")
+			return nil, errNotOwner
 		}
 		r.owner = types.BytesToAddress(args[1])
 		eidPut(stub, args[0], r)
 	case "buy": // args: domain; pays from the caller's pre-allocated funds
 		r, ok := eidGet(stub, args[0])
 		if !ok {
-			return nil, chaincode.Revertf("no such domain")
+			return nil, errNoDomain
 		}
 		bal := eidBal(stub, stub.Caller)
 		if bal < r.price {
-			return nil, chaincode.Revertf("insufficient funds")
+			return nil, errLowFunds
 		}
 		eidSetBal(stub, stub.Caller, bal-r.price)
 		eidSetBal(stub, r.owner, eidBal(stub, r.owner)+r.price)
@@ -194,9 +217,10 @@ func (EtherId) Query(stub *chaincode.Stub, method string, args [][]byte) ([]byte
 	if method != "query" {
 		return nil, chaincode.ErrNoMethod
 	}
-	v := stub.GetState(append([]byte("d:"), args[0]...))
+	var k buf
+	v := stub.GetState(k.cat("d:", args[0]))
 	if v == nil {
-		return nil, chaincode.Revertf("no such domain")
+		return nil, errNoDomain
 	}
 	return v, nil
 }
@@ -211,11 +235,13 @@ func dblIdx(stub *chaincode.Stub, key string) uint64 {
 }
 
 func dblSetIdx(stub *chaincode.Stub, key string, v uint64) {
-	stub.PutState([]byte(key), types.U64Bytes(v))
+	var val buf
+	stub.PutState([]byte(key), binary.BigEndian.AppendUint64(val[:0], v))
 }
 
-func dblPartKey(i uint64) []byte {
-	return append([]byte("p:"), types.U64Bytes(i)...)
+// dblPartKey is participant i's key, built in k.
+func dblPartKey(k *buf, i uint64) []byte {
+	return binary.BigEndian.AppendUint64(k.cat("p:", nil), i)
 }
 
 // Invoke implements chaincode.Chaincode.
@@ -224,15 +250,13 @@ func (Doubler) Invoke(stub *chaincode.Stub, method string, args [][]byte) ([]byt
 		return nil, chaincode.ErrNoMethod
 	}
 	n := dblIdx(stub, "n")
-	rec := make([]byte, types.AddressSize+8)
-	copy(rec, stub.Caller[:])
-	binary.BigEndian.PutUint64(rec[types.AddressSize:], stub.Value)
-	stub.PutState(dblPartKey(n), rec)
+	var k, rec buf
+	stub.PutState(dblPartKey(&k, n), binary.BigEndian.AppendUint64(rec.cat("", stub.Caller[:]), stub.Value))
 	dblSetIdx(stub, "n", n+1)
 	pot := dblIdx(stub, "pot") + stub.Value
 	i := dblIdx(stub, "i")
 	for i < n+1 {
-		r := stub.GetState(dblPartKey(i))
+		r := stub.GetState(dblPartKey(&k, i))
 		if len(r) < types.AddressSize+8 {
 			break
 		}
@@ -270,33 +294,31 @@ func (Doubler) Query(stub *chaincode.Stub, method string, args [][]byte) ([]byte
 // record per sale under "s:<id>".
 type WavesPresale struct{}
 
-func wpSaleKey(id []byte) []byte { return append([]byte("s:"), id...) }
-
 // Invoke implements chaincode.Chaincode.
 func (WavesPresale) Invoke(stub *chaincode.Stub, method string, args [][]byte) ([]byte, error) {
+	var k, v buf
 	switch method {
 	case "newSale": // args: id, tokens
-		if stub.GetState(wpSaleKey(args[0])) != nil {
-			return nil, chaincode.Revertf("sale exists")
+		key := k.cat("s:", args[0])
+		if stub.GetState(key) != nil {
+			return nil, errSaleExists
 		}
 		tokens := types.U64(args[1])
-		rec := make([]byte, types.AddressSize+8)
-		copy(rec, stub.Caller[:])
-		binary.BigEndian.PutUint64(rec[types.AddressSize:], tokens)
-		stub.PutState(wpSaleKey(args[0]), rec)
-		stub.PutState([]byte("t"), types.U64Bytes(types.U64(stub.GetState([]byte("t")))+tokens))
+		stub.PutState(key, binary.BigEndian.AppendUint64(v.cat("", stub.Caller[:]), tokens))
+		total := types.U64(stub.GetState([]byte("t"))) + tokens
+		stub.PutState([]byte("t"), binary.BigEndian.AppendUint64(v[:0], total))
 	case "transferSale": // args: id, newOwner20
-		rec := stub.GetState(wpSaleKey(args[0]))
+		key := k.cat("s:", args[0])
+		rec := stub.GetState(key)
 		if rec == nil {
-			return nil, chaincode.Revertf("no such sale")
+			return nil, errNoSale
 		}
 		if types.BytesToAddress(rec[:types.AddressSize]) != stub.Caller {
-			return nil, chaincode.Revertf("not the owner")
+			return nil, errNotOwner
 		}
-		out := make([]byte, len(rec))
-		copy(out, rec)
+		out := v.cat("", rec)
 		copy(out[:types.AddressSize], args[1])
-		stub.PutState(wpSaleKey(args[0]), out)
+		stub.PutState(key, out)
 	default:
 		return nil, chaincode.ErrNoMethod
 	}
@@ -307,9 +329,10 @@ func (WavesPresale) Invoke(stub *chaincode.Stub, method string, args [][]byte) (
 func (WavesPresale) Query(stub *chaincode.Stub, method string, args [][]byte) ([]byte, error) {
 	switch method {
 	case "getSale":
-		rec := stub.GetState(wpSaleKey(args[0]))
+		var k buf
+		rec := stub.GetState(k.cat("s:", args[0]))
 		if rec == nil {
-			return nil, chaincode.Revertf("no such sale")
+			return nil, errNoSale
 		}
 		return rec, nil
 	case "total":
@@ -323,6 +346,8 @@ func (WavesPresale) Query(stub *chaincode.Stub, method string, args [][]byte) ([
 // key derivation as the EVM version (20-byte keys, 100-byte values).
 type IOHeavy struct{}
 
+// ioKey is inlined into Invoke, so its fixed-size make is Invoke's
+// stack buffer, as a buf would be.
 func ioKey(k uint64) []byte {
 	key := make([]byte, 20)
 	binary.LittleEndian.PutUint64(key[0:], k)
@@ -377,7 +402,7 @@ func (CPUHeavy) Invoke(stub *chaincode.Stub, method string, args [][]byte) ([]by
 	}
 	quicksort(a)
 	if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
-		return nil, chaincode.Revertf("sort failed")
+		return nil, errSortFailed
 	}
 	if n == 0 {
 		return types.U64Bytes(0), nil

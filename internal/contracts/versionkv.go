@@ -1,6 +1,8 @@
 package contracts
 
 import (
+	"encoding/binary"
+
 	"blockbench/internal/chaincode"
 	"blockbench/internal/types"
 )
@@ -14,21 +16,18 @@ import (
 // per block on Ethereum/Parity, the ~10x latency gap of Fig 13b.
 type VersionKV struct{}
 
-func vkvKey(acct []byte, ver uint64) []byte {
-	k := append(append([]byte{}, acct...), ':')
-	return append(k, types.U64Bytes(ver)...)
+// vkvKey is the key of acct's version ver, built in k.
+func vkvKey(k *buf, acct []byte, ver uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(k.cat("", acct), ':'), ver)
 }
 
 func vkvLatest(stub *chaincode.Stub, acct []byte) (uint64, bool) {
-	v := stub.GetState(append(append([]byte{}, acct...), ":latest"...))
+	var k buf
+	v := stub.GetState(append(k.cat("", acct), ":latest"...))
 	if v == nil {
 		return 0, false
 	}
 	return types.U64(v), true
-}
-
-func vkvRecord(balance uint64, block uint64) []byte {
-	return append(types.U64Bytes(balance), types.U64Bytes(block)...)
 }
 
 func vkvWrite(stub *chaincode.Stub, acct []byte, balance uint64) {
@@ -36,8 +35,10 @@ func vkvWrite(stub *chaincode.Stub, acct []byte, balance uint64) {
 	if ok {
 		ver++
 	}
-	stub.PutState(vkvKey(acct, ver), vkvRecord(balance, stub.BlockNumber))
-	stub.PutState(append(append([]byte{}, acct...), ":latest"...), types.U64Bytes(ver))
+	var k, v buf
+	rec := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(v[:0], balance), stub.BlockNumber)
+	stub.PutState(vkvKey(&k, acct, ver), rec)
+	stub.PutState(append(k.cat("", acct), ":latest"...), binary.BigEndian.AppendUint64(v[:0], ver))
 }
 
 func vkvBalance(stub *chaincode.Stub, acct []byte) uint64 {
@@ -45,7 +46,8 @@ func vkvBalance(stub *chaincode.Stub, acct []byte) uint64 {
 	if !ok {
 		return 0
 	}
-	rec := stub.GetState(vkvKey(acct, ver))
+	var k buf
+	rec := stub.GetState(vkvKey(&k, acct, ver))
 	if len(rec) < 16 {
 		return 0
 	}
@@ -61,7 +63,7 @@ func (VersionKV) Invoke(stub *chaincode.Stub, method string, args [][]byte) ([]b
 		from, to, val := args[0], args[1], types.U64(args[2])
 		fb := vkvBalance(stub, from)
 		if fb < val {
-			return nil, chaincode.Revertf("insufficient balance")
+			return nil, errLowBalance
 		}
 		vkvWrite(stub, from, fb-val)
 		vkvWrite(stub, to, vkvBalance(stub, to)+val)
@@ -88,8 +90,9 @@ func (VersionKV) Query(stub *chaincode.Stub, method string, args [][]byte) ([]by
 			return nil, nil
 		}
 		var out []byte
+		var k buf
 		for {
-			rec := stub.GetState(vkvKey(acct, ver))
+			rec := stub.GetState(vkvKey(&k, acct, ver))
 			if len(rec) < 16 {
 				break
 			}

@@ -61,7 +61,8 @@ type Config struct {
 	// canonical, so the node can clear them from its pending pool. Pool
 	// bookkeeping must key off canonicality, not block arrival: a
 	// transaction that only ever appeared on a losing fork has to stay
-	// pending.
+	// pending. The slice is the chain's scratch, borrowed for the call:
+	// the hook must neither keep it nor modify it.
 	OnInclude func(included []*types.Transaction)
 	// OnReorg is called with the transactions of blocks that left the
 	// canonical chain and are not part of the new branch, so the node
@@ -72,7 +73,9 @@ type Config struct {
 	// reorg the new branch's blocks replace previously delivered
 	// heights. The analytics indexer maintains its columnar index here.
 	// The hook runs under the chain lock: it must be fast and must not
-	// call back into the chain.
+	// call back into the chain. Both slices are the chain's scratch,
+	// borrowed for the call: the hook must neither keep them nor modify
+	// them (the blocks and receipts they point to stay valid).
 	OnCommit func(blocks []*types.Block, receipts [][]*types.Receipt)
 	// Tracer is the cluster's lifecycle tracer (nil-safe). The chain
 	// stamps StagePropose when a candidate block includes a transaction,
@@ -101,6 +104,15 @@ type Chain struct {
 	headState *state.DB
 
 	appended uint64 // every block ever accepted, including side chains
+
+	// setHeadLocked's scratch, reused under mu from one head switch to
+	// the next: the blocks that become canonical (newest first), their
+	// transactions, and the blocks and receipts handed to OnCommit.
+	// Hooks only borrow them (see Config.OnInclude and OnCommit).
+	fresh    []*entry
+	included []*types.Transaction
+	blocks   []*types.Block
+	receipts [][]*types.Receipt
 }
 
 // New creates a chain with a freshly executed genesis block.
@@ -251,7 +263,7 @@ func (c *Chain) setHeadLocked(e *entry) {
 
 	// Rebuild the canonical index from e back to the divergence point.
 	cur := e
-	var fresh []*entry
+	fresh := c.fresh[:0]
 	for {
 		n := cur.block.Number()
 		if uint64(len(c.canonical)) > n && c.canonical[n] == cur.block.Hash() {
@@ -263,6 +275,7 @@ func (c *Chain) setHeadLocked(e *entry) {
 		}
 		cur = c.entries[cur.block.Header.ParentHash]
 	}
+	c.fresh = fresh
 	// Receipts on abandoned branch blocks must no longer resolve, and
 	// their transactions go back to the pool unless the new branch also
 	// includes them. A head that extends the old head abandons nothing.
@@ -290,7 +303,7 @@ func (c *Chain) setHeadLocked(e *entry) {
 		}
 		c.canonical = c.canonical[:lowest]
 	}
-	var included []*types.Transaction
+	included := c.included[:0]
 	for i := len(fresh) - 1; i >= 0; i-- {
 		en := fresh[i]
 		c.canonical = append(c.canonical, en.block.Hash())
@@ -299,6 +312,7 @@ func (c *Chain) setHeadLocked(e *entry) {
 			c.byTx[r.TxHash] = r
 		}
 	}
+	c.included = included
 	if len(included) > 0 && c.cfg.OnInclude != nil {
 		c.cfg.OnInclude(included)
 	}
@@ -306,12 +320,12 @@ func (c *Chain) setHeadLocked(e *entry) {
 		c.cfg.OnReorg(dropped)
 	}
 	if len(fresh) > 0 && c.cfg.OnCommit != nil {
-		blocks := make([]*types.Block, 0, len(fresh))
-		receipts := make([][]*types.Receipt, 0, len(fresh))
+		blocks, receipts := c.blocks[:0], c.receipts[:0]
 		for i := len(fresh) - 1; i >= 0; i-- {
 			blocks = append(blocks, fresh[i].block)
 			receipts = append(receipts, fresh[i].receipts)
 		}
+		c.blocks, c.receipts = blocks, receipts
 		c.cfg.OnCommit(blocks, receipts)
 	}
 }

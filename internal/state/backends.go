@@ -122,6 +122,10 @@ func (b *TrieBackend) Commit(writes map[string][]byte) (types.Hash, error) {
 // data management entirely to the storage engine").
 type BucketBackend struct {
 	tree *bmt.Tree
+	// key is Commit's scratch: each write-set key is copied into it
+	// for Tree.Put/Delete, neither of which keeps it (Put clones a key
+	// only when the key is new to its bucket).
+	key []byte
 }
 
 // NewBucketBackend opens a bucket-tree backend.
@@ -139,11 +143,12 @@ func (b *BucketBackend) Get(key []byte) ([]byte, error) { return b.tree.Get(key)
 // Commit implements Backend.
 func (b *BucketBackend) Commit(writes map[string][]byte) (types.Hash, error) {
 	for k, v := range writes {
+		b.key = append(b.key[:0], k...)
 		var err error
 		if v == nil {
-			err = b.tree.Delete([]byte(k))
+			err = b.tree.Delete(b.key)
 		} else {
-			err = b.tree.Put([]byte(k), v)
+			err = b.tree.Put(b.key, v)
 		}
 		if err != nil {
 			return types.ZeroHash, err
