@@ -166,8 +166,14 @@ loc:
 # transaction path's scratch: the chaincodes' stack buffer and their
 # named revert reasons, the bucket backend's commit key, the driver's
 # direct paced send and poller scratch, the chain's head-switch scratch
-# and PBFT's per-instance vote set, which replaced two maps.
-LOC_MAX ?= 21020
+# and PBFT's per-instance vote set, which replaced two maps. It was
+# raised to 21297 by internal/consensus/schedtest (278 lines), the one
+# schedule harness under the raft, pbft, poa and sharding tables: test
+# infrastructure in a non-test package, which the four test files' own
+# copies of its plumbing (281 test lines) gave way to; the product
+# changes beside it (PBFT's proof view, the gateway's due order, a
+# proposal's timestamp from its proposer's clock) came to one line less.
+LOC_MAX ?= 21297
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -1,8 +1,8 @@
 package pbft
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"blockbench/internal/consensus"
@@ -59,7 +59,7 @@ type core struct {
 
 func newCore(ctx consensus.Context, opts Options, now time.Time) *core {
 	peers := append([]simnet.NodeID(nil), ctx.Peers...)
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	return &core{
 		ctx:          ctx,
 		opts:         opts,
@@ -179,9 +179,7 @@ func (c *core) onPrePrepare(now time.Time, from simnet.NodeID, pp *PrePrepare) {
 		// replica would demand the new-view certificate first).
 		c.view = pp.View
 		c.active = true
-		if c.votedView < pp.View {
-			c.votedView = pp.View
-		}
+		c.votedView = max(c.votedView, pp.View)
 		c.instances = make(map[uint64]*instance)
 		c.assigned = make(map[types.Hash]bool)
 		c.noteProgress(now)
@@ -209,10 +207,7 @@ func (c *core) onPrePrepare(now time.Time, from simnet.NodeID, pp *PrePrepare) {
 }
 
 func (c *core) onVote(now time.Time, from simnet.NodeID, v *Vote, isCommit bool) {
-	if v.View != c.view || !c.active {
-		return
-	}
-	if v.Seq <= c.ctx.Chain.Height() {
+	if v.View != c.view || !c.active || v.Seq <= c.ctx.Chain.Height() {
 		return
 	}
 	inst := c.getInstance(v.Seq, v.View, nil)
@@ -301,7 +296,7 @@ func (c *core) voteView(now time.Time, nv uint64) {
 	vc := &ViewChange{NewView: nv}
 	for seq, inst := range c.instances {
 		if inst.txs != nil && inst.prepares >= c.quorum() {
-			vc.Prepared = append(vc.Prepared, PreparedProof{Seq: seq, Txs: inst.txs})
+			vc.Prepared = append(vc.Prepared, PreparedProof{View: inst.view, Seq: seq, Txs: inst.txs})
 		}
 	}
 	c.recordViewVote(now, c.ctx.Self, vc)
@@ -353,35 +348,32 @@ func (c *core) enterView(now time.Time, nv uint64, votes map[simnet.NodeID]*View
 	if c.primaryOf(nv) != c.ctx.Self {
 		return
 	}
-	// New primary: re-propose prepared batches from the certificates,
-	// highest-seq wins per slot, then resume normal proposing.
+	// New primary: re-propose prepared batches from the certificates, per
+	// seq the one prepared in the highest view (a primary pre-prepares one
+	// batch per view and seq), then resume normal proposing.
 	height := c.ctx.Chain.Height()
-	carried := make(map[uint64]PreparedProof)
+	var carried []PreparedProof
 	for _, vc := range votes {
 		for _, p := range vc.Prepared {
 			if p.Seq > height {
-				carried[p.Seq] = p
+				carried = append(carried, p)
 			}
 		}
 	}
+	slices.SortFunc(carried, func(a, b PreparedProof) int { return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(b.View, a.View)) })
 	c.nextSeq = height + 1
-	seqs := make([]uint64, 0, len(carried))
-	for seq := range carried {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		p := carried[seq]
-		inst := c.getInstance(seq, nv, p.Txs)
+	for i, p := range carried {
+		if i > 0 && carried[i-1].Seq == p.Seq {
+			continue
+		}
+		inst := c.getInstance(p.Seq, nv, p.Txs)
 		c.vote(inst, c.ctx.Self, votedPrepare)
 		for _, tx := range p.Txs {
 			c.assigned[tx.Hash()] = true
 		}
-		c.ctx.Endpoint.Broadcast(MsgPrePrepare, &PrePrepare{View: nv, Seq: seq, Txs: p.Txs})
-		if seq >= c.nextSeq {
-			c.nextSeq = seq + 1
-		}
-		c.advance(now, seq, inst)
+		c.ctx.Endpoint.Broadcast(MsgPrePrepare, &PrePrepare{View: nv, Seq: p.Seq, Txs: p.Txs})
+		c.nextSeq = max(c.nextSeq, p.Seq+1)
+		c.advance(now, p.Seq, inst)
 	}
 	c.maybePropose(now)
 }

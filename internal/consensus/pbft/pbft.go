@@ -58,14 +58,14 @@ type Vote struct {
 // WireSize implements simnet.Sizer.
 func (*Vote) WireSize() int { return 24 + types.HashSize }
 
-// PreparedProof carries a prepared-but-unexecuted batch into a view
-// change so the new primary can re-propose it (the safety-critical part
-// of PBFT's new-view protocol, simplified: proofs are trusted because
-// simulated nodes are honest; Byzantine behaviour enters via the
-// network fault injectors instead).
+// PreparedProof carries a batch prepared in View but not executed into
+// a view change, so the new primary can re-propose it (the safety-critical
+// part of PBFT's new-view protocol, simplified: proofs are trusted because
+// simulated nodes are honest; Byzantine behaviour enters via the network
+// fault injectors instead). Of two proofs for one seq, the higher view's wins.
 type PreparedProof struct {
-	Seq uint64
-	Txs []*types.Transaction
+	View, Seq uint64
+	Txs       []*types.Transaction
 }
 
 // ViewChange votes to move to NewView. Like Vote, it is sized as the
@@ -79,7 +79,7 @@ type ViewChange struct {
 func (m *ViewChange) WireSize() int {
 	n := 48
 	for _, p := range m.Prepared {
-		n += 8 + types.HashSize
+		n += 16 + types.HashSize
 		for _, tx := range p.Txs {
 			n += tx.WireSize()
 		}

@@ -5,37 +5,10 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/exec"
-	"blockbench/internal/kvstore"
-	"blockbench/internal/ledger"
+	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/simnet"
-	"blockbench/internal/state"
 	"blockbench/internal/types"
 )
-
-func testChain(t *testing.T) *ledger.Chain {
-	t.Helper()
-	store := kvstore.NewMem()
-	eng, err := exec.NewNativeEngine("donothing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ledger.New(ledger.Config{
-		Engine: eng,
-		StateFactory: func(root types.Hash) (*state.DB, error) {
-			b, err := state.NewTrieBackend(store, root, 0)
-			if err != nil {
-				return nil, err
-			}
-			return state.NewDB(b), nil
-		},
-		SupportsForks: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 func engineOf(n int, self int) *Engine {
 	peers := make([]simnet.NodeID, n)
@@ -73,7 +46,7 @@ func TestViewChangeVotesTriggerJoinAndEnter(t *testing.T) {
 	defer net.Close()
 	ep := net.Join(0)
 	e := New(consensus.Context{Self: 0, Peers: []simnet.NodeID{0, 1, 2, 3},
-		Endpoint: ep, Chain: testChain(t)}, DefaultOptions())
+		Endpoint: ep, Chain: schedtest.Chain(t, nil, "donothing")}, DefaultOptions())
 
 	e.Lock()
 	e.recordViewVote(time.Now(), 1, &ViewChange{NewView: 1})
@@ -122,5 +95,8 @@ func TestWireSizes(t *testing.T) {
 	vc := &ViewChange{Prepared: []PreparedProof{{Txs: []*types.Transaction{{}}}}}
 	if vc.WireSize() <= 48 {
 		t.Fatal("view-change size ignores proofs")
+	}
+	if n := (&ViewChange{Prepared: make([]PreparedProof, 1)}).WireSize(); n != 48+16+types.HashSize {
+		t.Fatalf("view-change size %d does not count a proof's view, seq and digest", n)
 	}
 }

@@ -1,89 +1,44 @@
 package pbft
 
 import (
-	"slices"
 	"testing"
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/ledger"
+	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/simnet"
-	"blockbench/internal/txpool"
 	"blockbench/internal/types"
 )
 
-// The raft package's schedule harness, cut down to what one view change
-// needs: cores driven directly (no Engine, runner, goroutine or sleep),
-// time a value the schedule advances, the wire a queue it drains.
+// The tests in this file are rows over internal/consensus/schedtest:
+// cores driven directly, no Engine, runner, goroutine or sleep.
 
-type op int
+type event = schedtest.Row
 
 const (
-	wake op = iota // the node's timer fires
-	recv           // the nodes receive what is in flight to them, in send order
-	drop           // what is in flight to the nodes is lost
+	wake   = schedtest.Wake   // the node's timer fires
+	recv   = schedtest.Recv   // the nodes receive what is in flight to them, in send order
+	drop   = schedtest.Drop   // what is in flight to the nodes is lost
+	inject = schedtest.Inject // Msg is handed to the nodes as if the wire had carried it
 )
 
-type event struct {
-	at    time.Duration // clock moves to t0+at (never back; 0 keeps it)
-	op    op
-	nodes []int
-}
-
+// sim is the harness with the typed cores it steps.
 type sim struct {
-	t0, now time.Time
-	peers   []simnet.NodeID
-	cores   []*core
-	chains  []*ledger.Chain
-	flight  []simnet.Message
+	*schedtest.Sim
+	cores []*core
 }
 
-// wire is one node's consensus.Net: sends join the sim's flight queue.
-type wire struct {
-	s    *sim
-	self simnet.NodeID
-}
-
-func (w wire) Send(to simnet.NodeID, typ string, payload any) bool {
-	w.s.flight = append(w.s.flight, simnet.Message{From: w.self, To: to, Type: typ, Payload: payload})
-	return true
-}
-
-func (w wire) Broadcast(typ string, payload any) {
-	for _, p := range w.s.peers {
-		if p != w.self {
-			w.Send(p, typ, payload)
+// newSim boots n replicas whose pools hold txs.
+func newSim(t *testing.T, n int, opts Options, txs ...*types.Transaction) *sim {
+	s := &sim{cores: make([]*core, n)}
+	s.Sim = schedtest.New(t, n, func(ctx consensus.Context, now time.Time) consensus.Step {
+		for _, tx := range txs {
+			ctx.Pool.Add(tx)
 		}
-	}
-}
-
-func (s *sim) run(schedule []event) {
-	for _, ev := range schedule {
-		if at := s.t0.Add(ev.at); at.After(s.now) {
-			s.now = at
-		}
-		if ev.op == wake {
-			for _, i := range ev.nodes {
-				s.cores[i].step(s.now, consensus.Wake)
-			}
-			continue
-		}
-		// What was in flight to ev.nodes when the row began is received
-		// or lost, in send order; what those steps send waits for a
-		// later row.
-		batch := s.flight
-		s.flight = nil
-		var rest []simnet.Message
-		for _, m := range batch {
-			switch {
-			case !slices.Contains(ev.nodes, int(m.To)):
-				rest = append(rest, m)
-			case ev.op == recv:
-				s.cores[m.To].step(s.now, m)
-			}
-		}
-		s.flight = append(rest, s.flight...)
-	}
+		s.cores[ctx.Self] = newCore(ctx, opts, now)
+		return s.cores[ctx.Self].step
+	}, "donothing")
+	return s
 }
 
 // TestScheduleViewChangeCarriesPreparedBatch: the primary of view 0 gets
@@ -94,46 +49,31 @@ func (s *sim) run(schedule []event) {
 // three — and exactly one view change was counted.
 func TestScheduleViewChangeCarriesPreparedBatch(t *testing.T) {
 	opts := DefaultOptions()
-	s := &sim{t0: time.Unix(1_000_000, 0)}
-	s.now = s.t0
 	batch := []*types.Transaction{{Nonce: 1, Contract: "donothing", Method: "nop"}, {Nonce: 2, Contract: "donothing", Method: "nop"}}
-	for i := 0; i < 4; i++ {
-		s.peers = append(s.peers, simnet.NodeID(i))
-	}
-	for i := 0; i < 4; i++ {
-		pool := txpool.New(0)
-		for _, tx := range batch {
-			pool.Add(tx)
-		}
-		s.chains = append(s.chains, testChain(t))
-		s.cores = append(s.cores, newCore(consensus.Context{
-			Self: simnet.NodeID(i), Endpoint: wire{s, simnet.NodeID(i)},
-			Chain: s.chains[i], Pool: pool, Peers: s.peers,
-		}, opts, s.now))
-	}
+	s := newSim(t, 4, opts, batch...)
 	others := []int{1, 2, 3}
-	s.run([]event{
+	s.Run([]event{
 		// View 0: primary 0 proposes on its first tick; everyone prepares
 		// (pre-prepare + 3 prepares ≥ quorum 3) and broadcasts a commit.
-		{at: opts.BatchTimeout, op: wake, nodes: []int{0}},
-		{op: recv, nodes: others}, // pre-prepare → prepares
-		{op: recv, nodes: []int{0, 1, 2, 3}},
+		{At: opts.BatchTimeout, Op: wake, Nodes: []int{0}},
+		{Op: recv, Nodes: others}, // pre-prepare → prepares
+		{Op: recv, Nodes: []int{0, 1, 2, 3}},
 		// The commits are lost and node 0 is never heard from again.
-		{op: drop, nodes: []int{0, 1, 2, 3}},
+		{Op: drop, Nodes: []int{0, 1, 2, 3}},
 		// A view timeout later the other three vote for view 1...
-		{at: opts.BatchTimeout + opts.ViewTimeout, op: wake, nodes: others},
-		{op: drop, nodes: []int{0}},
+		{At: opts.BatchTimeout + opts.ViewTimeout, Op: wake, Nodes: others},
+		{Op: drop, Nodes: []int{0}},
 		// ...collect a quorum, enter it, and new primary 1 re-proposes.
-		{op: recv, nodes: others}, // view-change votes (and 1's pre-prepare)
-		{op: drop, nodes: []int{0}},
-		{op: recv, nodes: others}, // pre-prepare / prepares
-		{op: drop, nodes: []int{0}},
-		{op: recv, nodes: others}, // prepares / commits
-		{op: drop, nodes: []int{0}},
-		{op: recv, nodes: others}, // commits
+		{Op: recv, Nodes: others}, // view-change votes (and 1's pre-prepare)
+		{Op: drop, Nodes: []int{0}},
+		{Op: recv, Nodes: others}, // pre-prepare / prepares
+		{Op: drop, Nodes: []int{0}},
+		{Op: recv, Nodes: others}, // prepares / commits
+		{Op: drop, Nodes: []int{0}},
+		{Op: recv, Nodes: others}, // commits
 	})
 
-	ref, ok := s.chains[1].GetBlock(1)
+	ref, ok := s.Chains[1].GetBlock(1)
 	if !ok {
 		t.Fatal("new primary never executed block 1")
 	}
@@ -145,11 +85,52 @@ func TestScheduleViewChangeCarriesPreparedBatch(t *testing.T) {
 		if c.view != 1 || !c.active || c.viewChanges != 1 {
 			t.Fatalf("node %d: view=%d active=%v viewChanges=%d, want 1 true 1", i, c.view, c.active, c.viewChanges)
 		}
-		if b, ok := s.chains[i].GetBlock(1); !ok || b.Hash() != ref.Hash() {
+		if b, ok := s.Chains[i].GetBlock(1); !ok || b.Hash() != ref.Hash() {
 			t.Fatalf("node %d disagrees on block 1", i)
 		}
 	}
-	if h := s.chains[0].Height(); h != 0 {
+	if h := s.Chains[0].Height(); h != 0 {
 		t.Fatalf("silent old primary executed to height %d without a commit quorum", h)
 	}
+}
+
+// TestScheduleViewChangeCarriesHighestViewBatch: the certificates that
+// make the new primary's quorum carry different batches for seq 1, one
+// prepared in view 1 and one in view 0. PBFT's new-view rule re-proposes
+// the higher view's, whichever vote holds it and whatever order the votes
+// came in: on fifty fresh sims, primary 2 enters view 2 and pre-prepares
+// the view-1 batch every time.
+func TestScheduleViewChangeCarriesHighestViewBatch(t *testing.T) {
+	older := []*types.Transaction{{Nonce: 1, Contract: "donothing", Method: "nop"}}
+	newer := []*types.Transaction{{Nonce: 2, Contract: "donothing", Method: "nop"}}
+	vote := func(from simnet.NodeID, view uint64, txs []*types.Transaction) event {
+		return event{Op: inject, Nodes: []int{2}, Msg: simnet.Message{From: from, To: 2, Type: MsgViewChange,
+			Payload: &ViewChange{NewView: 2, Prepared: []PreparedProof{{View: view, Seq: 1, Txs: txs}}}}}
+	}
+	for run := range 50 {
+		s := newSim(t, 4, DefaultOptions())
+		// Two votes are f+1: node 2 joins, and its own vote makes the quorum.
+		s.Run([]event{vote(1, 1, newer), vote(0, 0, older)})
+		if c := s.cores[2]; c.view != 2 || !c.active || c.viewChanges != 1 {
+			t.Fatalf("run %d: view=%d active=%v viewChanges=%d, want 2 true 1", run, c.view, c.active, c.viewChanges)
+		}
+		var sent int
+		for _, m := range s.Flight {
+			if pp, ok := m.Payload.(*PrePrepare); ok {
+				sent++
+				if pp.View != 2 || pp.Seq != 1 || len(pp.Txs) != 1 || pp.Txs[0] != newer[0] {
+					t.Fatalf("run %d: primary pre-prepared view %d seq %d %v, want the view-1 batch at view 2 seq 1",
+						run, pp.View, pp.Seq, pp.Txs)
+				}
+			}
+		}
+		if sent != 3 {
+			t.Fatalf("run %d: %d pre-prepares sent, want one to each of the other three", run, sent)
+		}
+	}
+}
+
+// TestSchedulesReplay: rerun on fresh sims, each table delivers and commits the same.
+func TestSchedulesReplay(t *testing.T) {
+	schedtest.Replay(t, TestScheduleViewChangeCarriesPreparedBatch, TestScheduleViewChangeCarriesHighestViewBatch)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
+	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/simnet"
 )
 
@@ -13,7 +14,7 @@ import (
 // the peer set counts not at all.
 func TestVotesCountOncePerPeer(t *testing.T) {
 	e := New(consensus.Context{Self: 0, Peers: []simnet.NodeID{0, 1, 2, 3},
-		Chain: testChain(t)}, DefaultOptions())
+		Chain: schedtest.Chain(t, nil, "donothing")}, DefaultOptions())
 	e.Lock()
 	defer e.Unlock()
 	now := time.Now()

@@ -29,7 +29,7 @@ func (c *core) step(now time.Time, msg simnet.Message) time.Time {
 	if slot := now.UnixNano() / width; slot > c.slot {
 		c.slot = slot
 		if c.myTurn(slot) {
-			c.seal(uint64(slot))
+			c.seal(now, uint64(slot))
 		}
 	}
 	return time.Unix(0, (c.slot+1)*width)
@@ -42,9 +42,9 @@ func (c *core) myTurn(step int64) bool {
 
 // seal proposes, appends and gossips the block for a slot, whether or
 // not transactions are pending.
-func (c *core) seal(slot uint64) {
+func (c *core) seal(now time.Time, slot uint64) {
 	txs := c.ctx.Pool.Batch(maxTxsPerBlock, 0)
-	block, err := c.ctx.Chain.ProposeBlock(txs, c.ctx.Address, 1, slot)
+	block, err := c.ctx.Chain.ProposeBlock(txs, c.ctx.Address, 1, slot, now)
 	if err != nil || c.ctx.Chain.Append(block) != nil {
 		return
 	}

@@ -6,12 +6,7 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/exec"
-	"blockbench/internal/kvstore"
-	"blockbench/internal/ledger"
-	"blockbench/internal/simnet"
-	"blockbench/internal/state"
-	"blockbench/internal/txpool"
+	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/types"
 )
 
@@ -65,53 +60,25 @@ func TestValidProposerChecksSlotOwner(t *testing.T) {
 	}
 }
 
-// sealLog is a consensus.Net that records the slot of every block an
-// authority gossips.
-type sealLog struct{ slots []uint64 }
-
-func (l *sealLog) Send(simnet.NodeID, string, any) bool { return true }
-func (l *sealLog) Broadcast(_ string, payload any) {
-	l.slots = append(l.slots, payload.(*types.Block).Header.View)
-}
-
-// TestSlotTable steps three authority cores by hand across seven slot
-// boundaries (no runner, no goroutine, no sleep): each seals exactly
-// once per slot it owns and asks to be woken at the next boundary; a
-// second wake inside a slot seals nothing more, and a wake that arrives
-// a slot late (authority 1 sleeps through slot 4, which it owns) seals
-// neither the missed slot nor anything extra.
+// TestSlotTable steps three authority cores through schedtest rows
+// across seven slot boundaries (no runner, no goroutine, no sleep): each
+// seals exactly once per slot it owns and asks to be woken at the next
+// boundary; a second wake inside a slot seals nothing more, and a wake
+// that arrives a slot late (authority 1 sleeps through slot 4, which it
+// owns) seals neither the missed slot nor anything extra.
 func TestSlotTable(t *testing.T) {
 	const width = 40 * time.Millisecond
 	auth := addrs(3)
-	logs := make([]*sealLog, len(auth))
 	cores := make([]*core, len(auth))
-	for i, a := range auth {
-		pool := txpool.New(0)
-		eng, err := exec.NewNativeEngine("donothing")
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := kvstore.NewMem()
-		chain, err := ledger.New(ledger.Config{
-			Engine: eng,
-			StateFactory: func(root types.Hash) (*state.DB, error) {
-				b, err := state.NewTrieBackend(store, root, 0)
-				if err != nil {
-					return nil, err
-				}
-				return state.NewDB(b), nil
-			},
-			SupportsForks: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[i] = &sealLog{}
-		cores[i] = &core{ctx: consensus.Context{Address: a, Endpoint: logs[i], Chain: chain, Pool: pool},
-			opts: Options{StepDuration: width, Authorities: auth}}
-	}
-	// Slot s starts at s×width; authority s%3 owns it. Offsets are into
-	// the slot: the timer fires a little after the boundary.
+	s := schedtest.New(t, len(auth), func(ctx consensus.Context, _ time.Time) consensus.Step {
+		ctx.Address = auth[ctx.Self]
+		cores[ctx.Self] = &core{ctx: ctx, opts: Options{StepDuration: width, Authorities: auth}}
+		return cores[ctx.Self].step
+	}, "donothing")
+	// Slot s starts at s×width from the Unix epoch; authority s%3 owns
+	// it. Offsets are into the slot: the timer fires a little after the
+	// boundary.
+	s.T0, s.Now = time.Unix(0, 0), time.Unix(0, 0)
 	at := func(slot int64, into time.Duration) time.Time { return time.Unix(0, slot*int64(width)).Add(into) }
 	type row struct {
 		slot  int64
@@ -128,17 +95,30 @@ func TestSlotTable(t *testing.T) {
 		{slot: 6, into: 39 * time.Millisecond, nodes: []int{0, 1, 2}},
 		{slot: 7, into: time.Millisecond, nodes: []int{0, 1, 2}},
 	} {
+		s.Run([]schedtest.Row{{At: at(r.slot, r.into).Sub(s.T0), Op: schedtest.Wake, Nodes: r.nodes}})
 		for _, i := range r.nodes {
-			now := at(r.slot, r.into)
-			if wake, want := cores[i].step(now, consensus.Wake), at(r.slot+1, 0); !wake.Equal(want) {
+			if wake, want := s.Wakes[i], at(r.slot+1, 0); !wake.Equal(want) {
 				t.Fatalf("authority %d in slot %d asked to be woken at %v, want the next boundary %v", i, r.slot, wake, want)
 			}
 		}
 	}
 	want := [][]uint64{{3, 6}, {1, 7}, {2, 5}}
-	for i, l := range logs {
-		if !slices.Equal(l.slots, want[i]) || cores[i].sealed != uint64(len(want[i])) {
-			t.Errorf("authority %d sealed slots %v (counter %d), want %v", i, l.slots, cores[i].sealed, want[i])
+	for i := range auth {
+		// The slots of the blocks authority i gossiped, read off its
+		// copies to the next authority (nothing is delivered).
+		var slots []uint64
+		for _, m := range s.Flight {
+			if int(m.From) == i && int(m.To) == (i+1)%len(auth) {
+				slots = append(slots, m.Payload.(*types.Block).Header.View)
+			}
+		}
+		if !slices.Equal(slots, want[i]) || cores[i].sealed != uint64(len(want[i])) {
+			t.Errorf("authority %d sealed slots %v (counter %d), want %v", i, slots, cores[i].sealed, want[i])
 		}
 	}
+}
+
+// TestSchedulesReplay: rerun on fresh sims, the slot table seals the same blocks.
+func TestSchedulesReplay(t *testing.T) {
+	schedtest.Replay(t, TestSlotTable)
 }

@@ -158,7 +158,7 @@ func (e *Engine) mineLoop() {
 		// Over-fetch by count; ProposeBlock trims to the block gas limit
 		// based on gas actually consumed.
 		txs := e.ctx.Pool.Batch(batchFetch, 0)
-		block, err := e.ctx.Chain.ProposeBlock(txs, e.ctx.Address, diff, 0)
+		block, err := e.ctx.Chain.ProposeBlock(txs, e.ctx.Address, diff, 0, time.Now())
 		if err != nil {
 			// Head may have moved mid-build; retry.
 			continue

@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
-	"blockbench/internal/exec"
-	"blockbench/internal/kvstore"
+	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
-	"blockbench/internal/state"
 	"blockbench/internal/txpool"
 	"blockbench/internal/types"
 )
@@ -56,32 +54,6 @@ func (c *testCluster) stop() {
 	})
 }
 
-// newChain builds an empty do-nothing ledger whose inclusions drain pool.
-func newChain(t testing.TB, pool *txpool.Pool) *ledger.Chain {
-	t.Helper()
-	store := kvstore.NewMem()
-	eng, err := exec.NewNativeEngine("donothing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := ledger.New(ledger.Config{
-		Engine: eng,
-		StateFactory: func(root types.Hash) (*state.DB, error) {
-			b, err := state.NewTrieBackend(store, root, 0)
-			if err != nil {
-				return nil, err
-			}
-			return state.NewDB(b), nil
-		},
-		SupportsForks: true,
-		OnInclude:     pool.MarkIncluded,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return chain
-}
-
 // newTestCluster boots n replicas over a fresh simnet, each with its own
 // chain, pool and a pump goroutine standing in for the node inbox loop.
 func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
@@ -99,7 +71,7 @@ func newTestCluster(t testing.TB, n int, opts Options) *testCluster {
 	c := &testCluster{net: net}
 	for i := 0; i < n; i++ {
 		pool := txpool.New(1 << 16)
-		chain := newChain(t, pool)
+		chain := schedtest.Chain(t, pool.MarkIncluded, "donothing")
 		ep := net.Join(simnet.NodeID(i))
 		tn := &testNode{
 			ep:    ep,

@@ -334,8 +334,8 @@ func (c *Chain) setHeadLocked(e *entry) {
 // head from the given transactions, including them in order until the
 // block gas limit is reached (as geth's miner does: the limit applies to
 // gas consumed, not to the transactions' declared gas allowances). The
-// returned block has its roots filled; PoW engines still need to seal it.
-func (c *Chain) ProposeBlock(txs []*types.Transaction, proposer types.Address, difficulty, view uint64) (*types.Block, error) {
+// block, stamped now, has its roots filled; PoW still has to seal it.
+func (c *Chain) ProposeBlock(txs []*types.Transaction, proposer types.Address, difficulty, view uint64, now time.Time) (*types.Block, error) {
 	c.mu.RLock()
 	parent := c.head
 	c.mu.RUnlock()
@@ -385,7 +385,7 @@ func (c *Chain) ProposeBlock(txs []*types.Transaction, proposer types.Address, d
 		Header: types.Header{
 			Number:     number,
 			ParentHash: parent.block.Hash(),
-			Time:       time.Now().UnixNano(),
+			Time:       now.UnixNano(),
 			Difficulty: difficulty,
 			Proposer:   proposer,
 			View:       view,

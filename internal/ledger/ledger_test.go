@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"blockbench/internal/crypto"
 	"blockbench/internal/exec"
@@ -71,7 +72,7 @@ func TestProposeAndAppend(t *testing.T) {
 	txs := []*types.Transaction{
 		signedTx(t, key, 1, "write", []byte("k"), []byte("v")),
 	}
-	b, err := c.ProposeBlock(txs, key.Address(), 10, 0)
+	b, err := c.ProposeBlock(txs, key.Address(), 10, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRejectBadSignature(t *testing.T) {
 	// Unsigned tx.
 	tx := &types.Transaction{Contract: "ycsb", Method: "write",
 		Args: [][]byte{[]byte("k"), []byte("v")}, GasLimit: 100_000}
-	b, err := c.ProposeBlock([]*types.Transaction{tx}, key.Address(), 1, 0)
+	b, err := c.ProposeBlock([]*types.Transaction{tx}, key.Address(), 1, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRejectBadSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2.Sig[len(tx2.Sig)/2] ^= 0x01
-	b2, err := c.ProposeBlock([]*types.Transaction{tx2}, key.Address(), 1, 0)
+	b2, err := c.ProposeBlock([]*types.Transaction{tx2}, key.Address(), 1, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestStateRootMismatchRejected(t *testing.T) {
 	c, key := newTestChain(t, true)
 	b, err := c.ProposeBlock([]*types.Transaction{
 		signedTx(t, key, 1, "write", []byte("a"), []byte("b")),
-	}, key.Address(), 1, 0)
+	}, key.Address(), 1, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestTxRootCheckedOnlyWhenCarried(t *testing.T) {
 	propose := func(c *Chain, key *crypto.Key) *types.Block {
 		b, err := c.ProposeBlock([]*types.Transaction{
 			signedTx(t, key, 1, "write", []byte("a"), []byte("b")),
-		}, key.Address(), 1, 0)
+		}, key.Address(), 1, 0, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func TestForkChoiceHeaviestChain(t *testing.T) {
 	// Chain A: one block of difficulty 10.
 	a1, err := c.ProposeBlock([]*types.Transaction{
 		signedTx(t, key, 1, "write", []byte("k"), []byte("A")),
-	}, key.Address(), 10, 0)
+	}, key.Address(), 10, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func buildOn(c *Chain, parent *types.Block, difficulty uint64) (*types.Block, er
 
 func TestNoForksPlatformRejectsSideChain(t *testing.T) {
 	c, key := newTestChain(t, false)
-	b1, err := c.ProposeBlock(nil, key.Address(), 0, 0)
+	b1, err := c.ProposeBlock(nil, key.Address(), 0, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestBlocksFromPolling(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b, err := c.ProposeBlock([]*types.Transaction{
 			signedTx(t, key, uint64(i), "write", []byte{byte(i)}, []byte("v")),
-		}, key.Address(), 1, 0)
+		}, key.Address(), 1, 0, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +311,7 @@ func TestStateAtHistoricalHeight(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		b, err := c.ProposeBlock([]*types.Transaction{
 			signedTx(t, key, uint64(i), "write", []byte("k"), []byte{byte(i)}),
-		}, key.Address(), 1, 0)
+		}, key.Address(), 1, 0, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func TestFailedTxRevertedButIncluded(t *testing.T) {
 	c, key := newTestChain(t, true)
 	good := signedTx(t, key, 1, "write", []byte("k"), []byte("v"))
 	bad := signedTx(t, key, 2, "read", []byte("missing")) // reverts
-	b, err := c.ProposeBlock([]*types.Transaction{good, bad}, key.Address(), 1, 0)
+	b, err := c.ProposeBlock([]*types.Transaction{good, bad}, key.Address(), 1, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestProposeBlockRespectsGasLimit(t *testing.T) {
 		}
 		txs = append(txs, tx)
 	}
-	b, err := c.ProposeBlock(txs, key.Address(), 1, 0)
+	b, err := c.ProposeBlock(txs, key.Address(), 1, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

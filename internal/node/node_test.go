@@ -70,7 +70,7 @@ func newTestNode(t *testing.T, cfgMut func(*Config)) (*Node, *ledger.Chain, *cry
 
 func appendBlock(t *testing.T, chain *ledger.Chain, txs []*types.Transaction) {
 	t.Helper()
-	b, err := chain.ProposeBlock(txs, types.ZeroAddress, 1, 0)
+	b, err := chain.ProposeBlock(txs, types.ZeroAddress, 1, 0, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

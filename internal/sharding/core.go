@@ -1,6 +1,7 @@
 package sharding
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -512,13 +513,19 @@ func (c *core) tickCoord(now time.Time) {
 		return
 	}
 	c.coordDue = time.Time{} // rebuilt below: both calls fold their new due in
+	var due []types.Hash     // advanced in hash order: each sends and may draw jitter
 	for id, cs := range c.coord {
-		switch {
-		case now.Before(cs.due):
+		if now.Before(cs.due) {
 			c.coordDue = earliest(c.coordDue, cs.due)
-		case cs.backoff:
+		} else {
+			due = append(due, id)
+		}
+	}
+	slices.SortFunc(due, func(a, b types.Hash) int { return bytes.Compare(a[:], b[:]) })
+	for _, id := range due {
+		if cs := c.coord[id]; cs.backoff {
 			c.sendPrepares(now, cs)
-		default:
+		} else {
 			c.abortAttempt(now, id, cs)
 		}
 	}

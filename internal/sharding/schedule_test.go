@@ -8,203 +8,70 @@ import (
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/raft"
-	"blockbench/internal/exec"
-	"blockbench/internal/kvstore"
-	"blockbench/internal/ledger"
+	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/simnet"
-	"blockbench/internal/state"
-	"blockbench/internal/txpool"
 	"blockbench/internal/types"
 )
 
-// The tests in this file drive gateway cores — each with its real Raft
-// core inside — directly: no Engine, no runner, no goroutine, no sleep.
-// Time is a value the schedule advances, the wire is a queue the schedule
-// drains, and the whole interleaving is the table (modelled on
-// internal/consensus/raft/schedule_test.go).
+// The tests in this file are rows over internal/consensus/schedtest: gateway
+// cores, each with its real Raft core inside, driven directly.
 
-type op int
+type event = schedtest.Row
 
 const (
-	wake   op = iota // the nodes' timers fire (or their outbound queues signal)
-	recv             // the nodes receive what is in flight to them, in send order
-	drop             // what is in flight to the nodes is lost
-	flow             // everything in flight is delivered, and what that sends, until the wire is quiet
-	crash            // the nodes die: they are never stepped again, and mail to them is lost
-	submit           // tx reaches the node through SubmitTx (either path)
-	inject           // msg is handed to the node as if the wire had carried it
-	check            // do inspects the sim
+	wake   = schedtest.Wake   // the nodes' timers fire (or their outbound queues signal)
+	recv   = schedtest.Recv   // the nodes receive what is in flight to them, in send order
+	drop   = schedtest.Drop   // what is in flight to the nodes is lost
+	flow   = schedtest.Flow   // everything in flight is delivered, and what that sends, until the wire is quiet
+	crash  = schedtest.Crash  // the nodes die: they are never stepped again, and mail to them is lost
+	inject = schedtest.Inject // Msg is handed to the node as if the wire had carried it
+	do     = schedtest.Do     // Do runs: a submission or a check
 )
 
-// event is one row of a schedule: at time t0+at (the clock never goes
-// back; 0 keeps it), op happens on each of nodes in order.
-type event struct {
-	at    time.Duration
-	op    op
-	nodes []int
-	tx    *types.Transaction
-	msg   simnet.Message
-	do    func(s *sim)
-}
-
-// sim is n gateway cores joined by a recording consensus.Net.
+// sim is the harness with the typed gateway cores it steps.
 type sim struct {
-	t      *testing.T
-	t0     time.Time
-	now    time.Time
-	peers  []simnet.NodeID
-	cores  []*core
-	chains []*ledger.Chain
-	pools  []*txpool.Pool
-	wakes  []time.Time      // what each node's last event asked for
-	down   []bool           // crashed
-	flight []simnet.Message // sent, not yet received or dropped
-	row    int
-	// watch, if set, runs after every row (an invariant that must hold
-	// at every point of the interleaving, not just at the end).
-	watch func(s *sim)
-}
-
-// wire is one node's consensus.Net: sends join the sim's flight queue.
-type wire struct {
-	s    *sim
-	self simnet.NodeID
-}
-
-func (w wire) Send(to simnet.NodeID, typ string, payload any) bool {
-	w.s.flight = append(w.s.flight, simnet.Message{From: w.self, To: to, Type: typ, Payload: payload})
-	return true
-}
-
-// Broadcast reaches every node of the cluster, as simnet's does: another
-// group's election traffic arrives here and must be ignored.
-func (w wire) Broadcast(typ string, payload any) {
-	for _, p := range w.s.peers {
-		if p != w.self {
-			w.Send(p, typ, payload)
-		}
-	}
+	*schedtest.Sim
+	t     *testing.T
+	cores []*core
 }
 
 func newSim(t *testing.T, nodes, shards int) *sim {
-	s := &sim{t: t, t0: time.Unix(1_000_000, 0), wakes: make([]time.Time, nodes), down: make([]bool, nodes)}
-	s.now = s.t0
-	for i := 0; i < nodes; i++ {
-		s.peers = append(s.peers, simnet.NodeID(i))
-	}
 	opts := DefaultOptions()
 	opts.Shards = shards
-	for i := 0; i < nodes; i++ {
-		pool := txpool.New(0)
-		store := kvstore.NewMem()
-		eng, err := exec.NewNativeEngine("ycsb", "smallbank")
-		if err != nil {
-			t.Fatal(err)
-		}
-		chain, err := ledger.New(ledger.Config{
-			Engine: eng,
-			StateFactory: func(root types.Hash) (*state.DB, error) {
-				b, err := state.NewTrieBackend(store, root, 0)
-				if err != nil {
-					return nil, err
-				}
-				return state.NewDB(b), nil
-			},
-			SupportsForks: true,
-			OnInclude:     pool.MarkIncluded,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.pools = append(s.pools, pool)
-		s.chains = append(s.chains, chain)
-		s.cores = append(s.cores, newCore(consensus.Context{
-			Self:     simnet.NodeID(i),
-			Endpoint: wire{s, simnet.NodeID(i)},
-			Chain:    chain,
-			Pool:     pool,
-			Peers:    s.peers,
-		}, opts, s.now))
-	}
+	s := &sim{t: t, cores: make([]*core, nodes)}
+	s.Sim = schedtest.New(t, nodes, func(ctx consensus.Context, now time.Time) consensus.Step {
+		s.cores[ctx.Self] = newCore(ctx, opts, now)
+		return s.cores[ctx.Self].step
+	}, "ycsb", "smallbank")
 	return s
 }
 
-func (s *sim) run(schedule []event) {
-	s.t.Helper()
-	for _, ev := range schedule {
-		s.row++
-		if at := s.t0.Add(ev.at); at.After(s.now) {
-			s.now = at
-		}
-		switch ev.op {
-		case recv, drop:
-			s.deliver(ev.op, ev.nodes)
-		case flow:
-			for round := 0; len(s.flight) > 0; round++ {
-				if round == 100 {
-					s.t.Fatalf("row %d: the wire never went quiet", s.row)
-				}
-				s.deliver(recv, nil)
+// submit is the step in which tx reaches node i through SubmitTx (either
+// path): what Engine.SubmitTx does, minus the lock and the clock.
+func (s *sim) submit(i int, tx *types.Transaction) func() {
+	return func() {
+		c := s.cores[i]
+		if shards := TouchedShards(c.part, tx); len(shards) == 1 {
+			if !c.outbound.Add(tx) {
+				s.t.Fatalf("row %d: outbound queue refused the transaction", s.Row)
 			}
-		case check:
-			ev.do(s)
-		}
-		for _, i := range ev.nodes {
-			switch ev.op {
-			case wake:
-				s.wakes[i] = s.cores[i].step(s.now, consensus.Wake)
-			case inject:
-				s.wakes[i] = s.cores[i].step(s.now, ev.msg)
-			case crash:
-				s.down[i] = true
-			case submit:
-				// What Engine.SubmitTx does, minus the lock and the clock.
-				c := s.cores[i]
-				if shards := TouchedShards(c.part, ev.tx); len(shards) == 1 {
-					if !c.outbound.Add(ev.tx) {
-						s.t.Fatalf("row %d: outbound queue refused the transaction", s.row)
-					}
-				} else if err := c.submit(s.now, ev.tx, shards); err != nil {
-					s.t.Fatalf("row %d: submit: %v", s.row, err)
-				} else {
-					s.wakes[i] = c.settle(s.now)
-				}
-			}
-		}
-		if s.watch != nil {
-			s.watch(s)
+		} else if err := c.submit(s.Now, tx, shards); err != nil {
+			s.t.Fatalf("row %d: submit: %v", s.Row, err)
+		} else {
+			s.Wakes[i] = c.settle(s.Now)
 		}
 	}
-}
-
-// deliver hands (recv) or loses (drop) what was in flight to nodes (nil:
-// everyone) when the row began, in send order; what those steps send in
-// turn waits for a later row. Mail for the dead is lost either way.
-func (s *sim) deliver(o op, nodes []int) {
-	batch := s.flight
-	s.flight = nil
-	var rest []simnet.Message
-	for _, m := range batch {
-		switch {
-		case s.down[m.To]:
-		case nodes != nil && !slices.Contains(nodes, int(m.To)):
-			rest = append(rest, m)
-		case o == recv:
-			s.wakes[m.To] = s.cores[m.To].step(s.now, m)
-		}
-	}
-	s.flight = append(rest, s.flight...)
 }
 
 // elected is the schedule prefix every test starts with: each group's
 // chosen leader times out (any deadline is < 2×ElectionTimeout), wins,
 // and its first heartbeat is acknowledged.
-func elected(leaders ...int) []event {
+func (s *sim) elected(leaders ...int) []event {
 	et := raft.DefaultOptions().ElectionTimeout
 	return []event{
-		{at: 2 * et, op: wake, nodes: leaders},
-		{op: flow},
-		{op: check, do: func(s *sim) {
+		{At: 2 * et, Op: wake, Nodes: leaders},
+		{Op: flow},
+		{Op: do, Do: func() {
 			for i, c := range s.cores {
 				if c.replica.IsLeader() != slices.Contains(leaders, i) {
 					s.t.Fatalf("after the election rows node %d: leader=%v", i, c.replica.IsLeader())
@@ -217,7 +84,7 @@ func elected(leaders ...int) []event {
 // inFlight lists the (type, from, to) of what is on the wire of a type.
 func (s *sim) inFlight(typ string) []string {
 	var out []string
-	for _, m := range s.flight {
+	for _, m := range s.Flight {
 		if m.Type == typ {
 			out = append(out, fmt.Sprintf("%d>%d", m.From, m.To))
 		}
@@ -264,7 +131,7 @@ func (s *sim) accounted(i int) {
 	c := s.cores[i]
 	if c.xCommits+c.xAborts+uint64(len(c.coord)) != c.xTxs {
 		s.t.Fatalf("row %d: node %d: commits %d + aborts %d + pending %d != txs %d",
-			s.row, i, c.xCommits, c.xAborts, len(c.coord), c.xTxs)
+			s.Row, i, c.xCommits, c.xAborts, len(c.coord), c.xTxs)
 	}
 }
 
@@ -279,38 +146,38 @@ func TestScheduleHappyPath(t *testing.T) {
 	p := s.cores[0].part
 	tx := payment(1, keyIn(p, 0, 0), keyIn(p, 1, 0))
 	id := tx.Hash()
-	s.run(elected(0, 2, 4))
-	s.run([]event{
+	s.Run(s.elected(0, 2, 4))
+	s.Run([]event{
 		// An idle gateway sleeps as long as its replica: a follower until
 		// its election deadline, a leader until its next heartbeat — not
 		// until now + forwardInterval.
-		{op: wake, nodes: []int{1, 5}},
-		{op: check, do: func(s *sim) {
+		{Op: wake, Nodes: []int{1, 5}},
+		{Op: do, Do: func() {
 			for _, i := range []int{0, 1, 5} {
 				c := s.cores[i]
-				if s.wakes[i] != c.replicaWake || !s.wakes[i].After(s.now.Add(forwardInterval)) {
+				if s.Wakes[i] != c.replicaWake || !s.Wakes[i].After(s.Now.Add(forwardInterval)) {
 					t.Fatalf("idle node %d asked to be woken %v from now; its replica asked for %v",
-						i, s.wakes[i].Sub(s.now), c.replicaWake.Sub(s.now))
+						i, s.Wakes[i].Sub(s.Now), c.replicaWake.Sub(s.Now))
 				}
 			}
 		}},
-		{op: submit, nodes: []int{5}, tx: tx},
-		{op: check, do: func(s *sim) {
+		{Op: do, Do: s.submit(5, tx)},
+		{Op: do, Do: func() {
 			if got := s.inFlight(MsgPrepare); !slices.Equal(got, []string{"5>0", "5>1", "5>2", "5>3"}) {
 				t.Fatalf("prepares in flight: %v", got)
 			}
-			if want := s.now.Add(prepareTimeout); !s.wakes[5].Equal(want) {
-				t.Fatalf("coordinator asked to be woken at %v, want the phase-one deadline %v", s.wakes[5], want)
+			if want := s.Now.Add(prepareTimeout); !s.Wakes[5].Equal(want) {
+				t.Fatalf("coordinator asked to be woken at %v, want the phase-one deadline %v", s.Wakes[5], want)
 			}
 		}},
-		{op: recv, nodes: []int{0, 1, 2, 3}},
-		{op: check, do: func(s *sim) {
+		{Op: recv, Nodes: []int{0, 1, 2, 3}},
+		{Op: do, Do: func() {
 			if got := s.inFlight(MsgVote); !slices.Equal(got, []string{"0>5", "2>5"}) {
 				t.Fatalf("votes in flight: %v (one per shard, from its leader)", got)
 			}
 		}},
-		{op: recv, nodes: []int{5}},
-		{op: check, do: func(s *sim) {
+		{Op: recv, Nodes: []int{5}},
+		{Op: do, Do: func() {
 			c := s.cores[5]
 			if c.xCommits != 1 || len(c.coord) != 0 || len(c.awaiting[id]) != 2 {
 				t.Fatalf("after both votes: commits=%d pending=%d awaiting=%v", c.xCommits, len(c.coord), c.awaiting[id])
@@ -319,22 +186,22 @@ func TestScheduleHappyPath(t *testing.T) {
 				t.Fatalf("decisions in flight: %v", got)
 			}
 		}},
-		{op: recv, nodes: []int{0, 1, 2, 3}},
-		{op: check, do: func(s *sim) {
+		{Op: recv, Nodes: []int{0, 1, 2, 3}},
+		{Op: do, Do: func() {
 			for i := 0; i < 4; i++ {
-				if s.pools[i].Len() != 1 || len(s.cores[i].locks) != 0 || s.cores[i].notice[id] != 5 {
+				if s.Pools[i].Len() != 1 || len(s.cores[i].locks) != 0 || s.cores[i].notice[id] != 5 {
 					t.Fatalf("node %d after the decision: pool=%d locks=%d notice=%v",
-						i, s.pools[i].Len(), len(s.cores[i].locks), s.cores[i].notice)
+						i, s.Pools[i].Len(), len(s.cores[i].locks), s.cores[i].notice)
 				}
 			}
 			if len(s.inFlight(raft.MsgAppend)) == 0 {
 				t.Fatal("the leaders did not propose in the step that admitted the transaction")
 			}
 		}},
-		{op: flow},
+		{Op: flow},
 	})
 	for i := 0; i < 4; i++ {
-		if _, ok := s.chains[i].Receipt(id); !ok {
+		if _, ok := s.Chains[i].Receipt(id); !ok {
 			t.Fatalf("node %d never applied the transaction", i)
 		}
 		if c := s.cores[i]; len(c.notice) != 0 || c.replica.IsLeader() != (len(c.owed) == 0) {
@@ -347,7 +214,7 @@ func TestScheduleHappyPath(t *testing.T) {
 	}
 	// A late duplicate notice (the successor of a leader that did send)
 	// surfaces nothing twice.
-	s.run([]event{{op: inject, nodes: []int{5}, msg: simnet.Message{From: 1, To: 5, Type: MsgNotice,
+	s.Run([]event{{Op: inject, Nodes: []int{5}, Msg: simnet.Message{From: 1, To: 5, Type: MsgNotice,
 		Payload: &CommitNotice{TxID: id, Shard: 0}}}})
 	if got := e.DrainRemoteCommits(); len(got) != 0 || !e.CommittedElsewhere(id) {
 		t.Fatalf("second drain: %v, committed elsewhere: %v", got, e.CommittedElsewhere(id))
@@ -365,58 +232,58 @@ func TestScheduleLeaderlessShard(t *testing.T) {
 	s := newSim(t, 4, 2)
 	p := s.cores[0].part
 	tx := payment(1, keyIn(p, 0, 0), keyIn(p, 1, 0))
-	s.watch = func(s *sim) { s.accounted(0) }
-	s.run(elected(0))
+	s.Watch = func() { s.accounted(0) }
+	s.Run(s.elected(0))
 	var opened, retryAt time.Time
-	s.run([]event{
-		{op: submit, nodes: []int{0}, tx: tx},
-		{op: check, do: func(s *sim) { opened = s.now }},
-		{op: flow}, // node 1's prepare, node 2 and 3's silence
+	s.Run([]event{
+		{Op: do, Do: s.submit(0, tx)},
+		{Op: do, Do: func() { opened = s.Now }},
+		{Op: flow}, // node 1's prepare, node 2 and 3's silence
 	})
 	c := s.cores[0]
 	cs := c.coord[tx.Hash()]
 	if !slices.Equal(cs.votes, []int{0}) || c.xRetries != 0 {
 		t.Fatalf("phase one: votes %v retries %d", cs.votes, c.xRetries)
 	}
-	s.run([]event{
-		{at: opened.Add(prepareTimeout - time.Millisecond).Sub(s.t0), op: wake, nodes: []int{0}},
-		{op: check, do: func(s *sim) {
+	s.Run([]event{
+		{At: opened.Add(prepareTimeout - time.Millisecond).Sub(s.T0), Op: wake, Nodes: []int{0}},
+		{Op: do, Do: func() {
 			if c.xRetries != 0 || cs.backoff {
 				t.Fatal("aborted before prepareTimeout")
 			}
 		}},
-		{at: opened.Add(prepareTimeout).Sub(s.t0), op: wake, nodes: []int{0}},
-		{op: check, do: func(s *sim) {
+		{At: opened.Add(prepareTimeout).Sub(s.T0), Op: wake, Nodes: []int{0}},
+		{Op: do, Do: func() {
 			if c.xRetries != 1 || !cs.backoff || cs.attempt != 2 {
 				t.Fatalf("at prepareTimeout: retries=%d backoff=%v attempt=%d", c.xRetries, cs.backoff, cs.attempt)
 			}
-			if wait := cs.due.Sub(s.now); wait < 2*retryBackoff || wait >= 3*retryBackoff {
+			if wait := cs.due.Sub(s.Now); wait < 2*retryBackoff || wait >= 3*retryBackoff {
 				t.Fatalf("attempt 2 backs off %v, want attempt × retryBackoff plus under one unit of jitter", wait)
 			}
-			if !s.wakes[0].Equal(c.replicaWake) && !s.wakes[0].Equal(cs.due) {
-				t.Fatalf("coordinator's wake %v is neither its replica's nor the retry", s.wakes[0])
+			if !s.Wakes[0].Equal(c.replicaWake) && !s.Wakes[0].Equal(cs.due) {
+				t.Fatalf("coordinator's wake %v is neither its replica's nor the retry", s.Wakes[0])
 			}
 			retryAt = cs.due
 		}},
-		{op: flow}, // the abort decision releases node 0's own lock
+		{Op: flow}, // the abort decision releases node 0's own lock
 		// Shard 1 elects node 2 in the meantime.
-		{op: wake, nodes: []int{2}},
-		{op: flow},
-		{op: check, do: func(s *sim) {
+		{Op: wake, Nodes: []int{2}},
+		{Op: flow},
+		{Op: do, Do: func() {
 			if !s.cores[2].replica.IsLeader() || len(c.locks) != 0 {
 				t.Fatalf("shard 1 leader=%v, node 0 locks=%d", s.cores[2].replica.IsLeader(), len(c.locks))
 			}
 		}},
 	})
-	s.run([]event{
-		{at: retryAt.Add(-time.Microsecond).Sub(s.t0), op: wake, nodes: []int{0}},
-		{op: check, do: func(s *sim) {
+	s.Run([]event{
+		{At: retryAt.Add(-time.Microsecond).Sub(s.T0), Op: wake, Nodes: []int{0}},
+		{Op: do, Do: func() {
 			if !cs.backoff {
 				t.Fatal("re-prepared before the backoff ran out")
 			}
 		}},
-		{at: retryAt.Sub(s.t0), op: wake, nodes: []int{0}},
-		{op: flow},
+		{At: retryAt.Sub(s.T0), Op: wake, Nodes: []int{0}},
+		{Op: flow},
 	})
 	if c.xCommits != 1 || c.xRetries != 1 || len(c.coord) != 0 {
 		t.Fatalf("after the retry: commits=%d retries=%d pending=%d", c.xCommits, c.xRetries, len(c.coord))
@@ -424,13 +291,13 @@ func TestScheduleLeaderlessShard(t *testing.T) {
 
 	// Shard 1 loses its leader for good.
 	tx2 := payment(2, keyIn(p, 0, 1), keyIn(p, 1, 1))
-	s.run([]event{{op: crash, nodes: []int{2}}, {op: submit, nodes: []int{0}, tx: tx2}})
+	s.Run([]event{{Op: crash, Nodes: []int{2}}, {Op: do, Do: s.submit(0, tx2)}})
 	for round := 0; len(c.coord) > 0; round++ {
 		if round > 2*maxAttempts {
 			t.Fatalf("coordination still pending after %d deadlines", round)
 		}
 		// Each wake lands exactly on the instant the core asked for.
-		s.run([]event{{at: c.coordDue.Sub(s.t0), op: wake, nodes: []int{0}}, {op: flow}})
+		s.Run([]event{{At: c.coordDue.Sub(s.T0), Op: wake, Nodes: []int{0}}, {Op: flow}})
 	}
 	if c.xTxs != 2 || c.xCommits != 1 || c.xAborts != 1 || c.xRetries != 1+maxAttempts-1 {
 		t.Fatalf("txs=%d commits=%d aborts=%d retries=%d", c.xTxs, c.xCommits, c.xAborts, c.xRetries)
@@ -444,7 +311,7 @@ func TestScheduleLeaderlessShard(t *testing.T) {
 func (s *sim) lockOwners(key []byte) []types.Hash {
 	var owners []types.Hash
 	for i, c := range s.cores {
-		if ent, held := c.locks[string(key)]; held && !s.down[i] && s.now.Before(ent.expires) {
+		if ent, held := c.locks[string(key)]; held && !s.Down[i] && s.Now.Before(ent.expires) {
 			owners = append(owners, ent.owner)
 		}
 	}
@@ -461,41 +328,41 @@ func TestScheduleContention(t *testing.T) {
 	p := s.cores[0].part
 	hot := keyIn(p, 0, 0)
 	first, second := payment(1, hot, keyIn(p, 1, 0)), payment(2, hot, keyIn(p, 1, 1))
-	s.watch = func(s *sim) {
+	s.Watch = func() {
 		if owners := s.lockOwners(hot); len(owners) > 1 {
-			t.Fatalf("row %d: the contended account has %d owners", s.row, len(owners))
+			t.Fatalf("row %d: the contended account has %d owners", s.Row, len(owners))
 		}
 		s.accounted(4)
 		s.accounted(2)
 	}
-	s.run(elected(0, 2, 4))
-	s.run([]event{
-		{op: submit, nodes: []int{4}, tx: first},
-		{op: submit, nodes: []int{2}, tx: second}, // node 2 leads shard 1: it votes for itself at once
-		{op: recv, nodes: []int{0}},
-		{op: check, do: func(s *sim) {
+	s.Run(s.elected(0, 2, 4))
+	s.Run([]event{
+		{Op: do, Do: s.submit(4, first)},
+		{Op: do, Do: s.submit(2, second)}, // node 2 leads shard 1: it votes for itself at once
+		{Op: recv, Nodes: []int{0}},
+		{Op: do, Do: func() {
 			if owners := s.lockOwners(hot); len(owners) != 1 || owners[0] != first.Hash() {
 				t.Fatalf("owners after both prepares: %v", owners)
 			}
 		}},
-		{op: recv, nodes: []int{1, 2, 3}},
-		{op: recv, nodes: []int{2, 4}}, // the votes: yes+yes to 4, a refusal to 2
+		{Op: recv, Nodes: []int{1, 2, 3}},
+		{Op: recv, Nodes: []int{2, 4}}, // the votes: yes+yes to 4, a refusal to 2
 	})
 	a, b := s.cores[4], s.cores[2]
 	if a.xCommits != 1 || b.xCommits != 0 || b.xRetries != 1 {
 		t.Fatalf("after the votes: first commits=%d; second commits=%d retries=%d", a.xCommits, b.xCommits, b.xRetries)
 	}
-	s.run([]event{
-		{op: flow}, // the commit releases the account; both groups order the first payment
-		{at: b.coordDue.Sub(s.t0), op: wake, nodes: []int{2}},
-		{op: flow},
+	s.Run([]event{
+		{Op: flow}, // the commit releases the account; both groups order the first payment
+		{At: b.coordDue.Sub(s.T0), Op: wake, Nodes: []int{2}},
+		{Op: flow},
 	})
 	if b.xCommits != 1 || b.xAborts != 0 || b.xRetries != 1 {
 		t.Fatalf("second payment: commits=%d aborts=%d retries=%d", b.xCommits, b.xAborts, b.xRetries)
 	}
 	for _, tx := range []*types.Transaction{first, second} {
 		for _, i := range []int{0, 1, 2, 3} {
-			if _, ok := s.chains[i].Receipt(tx.Hash()); !ok {
+			if _, ok := s.Chains[i].Receipt(tx.Hash()); !ok {
 				t.Fatalf("node %d never applied payment %d", i, tx.Nonce)
 			}
 		}
@@ -518,17 +385,17 @@ func TestScheduleVanishedCoordinator(t *testing.T) {
 	p := s.cores[0].part
 	hot := keyIn(p, 0, 0)
 	orphan, next := payment(1, hot, keyIn(p, 1, 0)), payment(2, hot, keyIn(p, 1, 1))
-	s.watch = func(s *sim) { s.accounted(2) }
-	s.run(elected(0, 2, 4))
+	s.Watch = func() { s.accounted(2) }
+	s.Run(s.elected(0, 2, 4))
 	var locked time.Time
-	s.run([]event{
-		{op: submit, nodes: []int{4}, tx: orphan},
-		{op: recv, nodes: []int{0, 1, 2, 3}},
-		{op: check, do: func(s *sim) { locked = s.now }},
-		{op: crash, nodes: []int{4}}, // the votes fall on a dead node
-		{op: drop, nodes: []int{4}},
-		{at: 2*raft.DefaultOptions().ElectionTimeout + 10*time.Millisecond, op: submit, nodes: []int{2}, tx: next},
-		{op: flow},
+	s.Run([]event{
+		{Op: do, Do: s.submit(4, orphan)},
+		{Op: recv, Nodes: []int{0, 1, 2, 3}},
+		{Op: do, Do: func() { locked = s.Now }},
+		{Op: crash, Nodes: []int{4}}, // the votes fall on a dead node
+		{Op: drop, Nodes: []int{4}},
+		{At: 2*raft.DefaultOptions().ElectionTimeout + 10*time.Millisecond, Op: do, Do: s.submit(2, next)},
+		{Op: flow},
 	})
 	l0, b := s.cores[0], s.cores[2]
 	if b.xRetries != 1 || b.xCommits != 0 || len(s.lockOwners(hot)) != 1 || s.lockOwners(hot)[0] != orphan.Hash() {
@@ -537,24 +404,24 @@ func TestScheduleVanishedCoordinator(t *testing.T) {
 	if l0.sweepAt.IsZero() || l0.sweepAt.After(locked.Add(lockTTL)) {
 		t.Fatalf("leader's sweep is set for %v; the lock expires at %v", l0.sweepAt, locked.Add(lockTTL))
 	}
-	s.run([]event{
+	s.Run([]event{
 		// One more attempt a millisecond before expiry is refused too.
-		{at: locked.Add(lockTTL - time.Millisecond).Sub(s.t0), op: wake, nodes: []int{2}},
-		{op: flow},
-		{op: check, do: func(s *sim) {
+		{At: locked.Add(lockTTL - time.Millisecond).Sub(s.T0), Op: wake, Nodes: []int{2}},
+		{Op: flow},
+		{Op: do, Do: func() {
 			if b.xRetries != 2 || len(l0.locks) != 1 {
 				t.Fatalf("just before lockTTL: retries=%d, leader holds %d locks", b.xRetries, len(l0.locks))
 			}
 		}},
-		{at: locked.Add(lockTTL).Sub(s.t0), op: wake, nodes: []int{0}},
-		{op: check, do: func(s *sim) {
+		{At: locked.Add(lockTTL).Sub(s.T0), Op: wake, Nodes: []int{0}},
+		{Op: do, Do: func() {
 			if len(l0.locks) != 0 || len(l0.txLocks) != 0 || !l0.sweepAt.IsZero() {
 				t.Fatalf("after the sweep: locks=%d txLocks=%d sweepAt=%v", len(l0.locks), len(l0.txLocks), l0.sweepAt)
 			}
 		}},
-		{op: flow},
+		{Op: flow},
 	})
-	s.run([]event{{at: b.coordDue.Sub(s.t0), op: wake, nodes: []int{2}}, {op: flow}})
+	s.Run([]event{{At: b.coordDue.Sub(s.T0), Op: wake, Nodes: []int{2}}, {Op: flow}})
 	if b.xCommits != 1 || b.xAborts != 0 {
 		t.Fatalf("after the sweep the next prepare should succeed: commits=%d aborts=%d retries=%d",
 			b.xCommits, b.xAborts, b.xRetries)
@@ -571,12 +438,12 @@ func TestScheduleNoticeFailover(t *testing.T) {
 	tx := write(1, keyIn(s.cores[0].part, 1, 0))
 	id := tx.Hash()
 	et := raft.DefaultOptions().ElectionTimeout
-	s.run(elected(0, 3))
+	s.Run(s.elected(0, 3))
 	var applied time.Time
-	s.run([]event{
-		{op: submit, nodes: []int{0}, tx: tx},
-		{op: wake, nodes: []int{0}}, // the outbound queue's signal: an idle gateway flushes at once
-		{op: check, do: func(s *sim) {
+	s.Run([]event{
+		{Op: do, Do: s.submit(0, tx)},
+		{Op: wake, Nodes: []int{0}}, // the outbound queue's signal: an idle gateway flushes at once
+		{Op: do, Do: func() {
 			if got := s.inFlight(MsgForward); !slices.Equal(got, []string{"0>3", "0>4", "0>5"}) {
 				t.Fatalf("forwards in flight: %v", got)
 			}
@@ -584,20 +451,20 @@ func TestScheduleNoticeFailover(t *testing.T) {
 				t.Fatalf("gateway after the flush: awaiting=%v fastpath=%d", c.awaiting[id], c.fastpath)
 			}
 		}},
-		{op: recv, nodes: []int{3, 4, 5}}, // admitted everywhere; the leader proposes in the same step
-		{op: recv, nodes: []int{4, 5}},    // append
-		{op: recv, nodes: []int{3}},       // acks: commit, apply, notice, commit index to followers
-		{op: check, do: func(s *sim) {
-			applied = s.now
+		{Op: recv, Nodes: []int{3, 4, 5}}, // admitted everywhere; the leader proposes in the same step
+		{Op: recv, Nodes: []int{4, 5}},    // append
+		{Op: recv, Nodes: []int{3}},       // acks: commit, apply, notice, commit index to followers
+		{Op: do, Do: func() {
+			applied = s.Now
 			if got := s.inFlight(MsgNotice); !slices.Equal(got, []string{"3>0"}) {
 				t.Fatalf("notices in flight: %v (the leader's, and only its)", got)
 			}
 		}},
-		{op: drop, nodes: []int{0}},    // the notice is lost...
-		{op: recv, nodes: []int{4, 5}}, // ...the followers apply...
-		{op: crash, nodes: []int{3}},   // ...and the leader dies.
-		{op: flow},
-		{op: check, do: func(s *sim) {
+		{Op: drop, Nodes: []int{0}},    // the notice is lost...
+		{Op: recv, Nodes: []int{4, 5}}, // ...the followers apply...
+		{Op: crash, Nodes: []int{3}},   // ...and the leader dies.
+		{Op: flow},
+		{Op: do, Do: func() {
 			for _, i := range []int{4, 5} {
 				if c := s.cores[i]; len(c.owed) != 1 || len(c.notice) != 0 {
 					t.Fatalf("follower %d: owed=%d notice=%d", i, len(c.owed), len(c.notice))
@@ -607,15 +474,15 @@ func TestScheduleNoticeFailover(t *testing.T) {
 				t.Fatal("gateway surfaced a commit nobody told it about")
 			}
 		}},
-		{at: 5 * et, op: wake, nodes: []int{4}}, // past everyone's sticky-voter window
-		{op: recv, nodes: []int{5}},
-		{op: recv, nodes: []int{4}}, // the vote: node 4 leads, and sends what it owes
-		{op: check, do: func(s *sim) {
+		{At: 5 * et, Op: wake, Nodes: []int{4}}, // past everyone's sticky-voter window
+		{Op: recv, Nodes: []int{5}},
+		{Op: recv, Nodes: []int{4}}, // the vote: node 4 leads, and sends what it owes
+		{Op: do, Do: func() {
 			if got := s.inFlight(MsgNotice); !s.cores[4].replica.IsLeader() || !slices.Equal(got, []string{"4>0"}) {
 				t.Fatalf("successor leads=%v, notices in flight: %v", s.cores[4].replica.IsLeader(), got)
 			}
 		}},
-		{op: flow},
+		{Op: flow},
 	})
 	if c := s.cores[0]; !slices.Equal(c.remoteQ, []types.Hash{id}) || len(c.awaiting) != 0 {
 		t.Fatalf("gateway: remoteQ=%v awaiting=%d", c.remoteQ, len(c.awaiting))
@@ -623,16 +490,16 @@ func TestScheduleNoticeFailover(t *testing.T) {
 	if n4, n5 := len(s.cores[4].owed), len(s.cores[5].owed); n4 != 0 || n5 != 1 {
 		t.Fatalf("owed after failover: successor %d, follower %d", n4, n5)
 	}
-	s.run([]event{
-		{at: applied.Add(noticeRetain).Sub(s.t0), op: wake, nodes: []int{4}}, // a heartbeat
-		{op: flow},
-		{op: check, do: func(s *sim) {
+	s.Run([]event{
+		{At: applied.Add(noticeRetain).Sub(s.T0), Op: wake, Nodes: []int{4}}, // a heartbeat
+		{Op: flow},
+		{Op: do, Do: func() {
 			if len(s.cores[5].owed) != 1 {
 				t.Fatal("follower dropped its record before noticeRetain had passed")
 			}
 		}},
-		{at: applied.Add(noticeRetain + raft.DefaultOptions().Heartbeat).Sub(s.t0), op: wake, nodes: []int{4}},
-		{op: flow}, // the next heartbeat
+		{At: applied.Add(noticeRetain + raft.DefaultOptions().Heartbeat).Sub(s.T0), Op: wake, Nodes: []int{4}},
+		{Op: flow}, // the next heartbeat
 	})
 	if len(s.cores[5].owed) != 0 {
 		t.Fatal("follower kept its record past noticeRetain")
@@ -648,56 +515,56 @@ func TestScheduleIgnored(t *testing.T) {
 	tx := payment(1, keyIn(p, 0, 0), keyIn(p, 1, 0))
 	id := tx.Hash()
 	vote := func(from, shard, attempt int, ok, corrupt bool) event {
-		return event{op: inject, nodes: []int{4}, msg: simnet.Message{From: simnet.NodeID(from), To: 4,
+		return event{Op: inject, Nodes: []int{4}, Msg: simnet.Message{From: simnet.NodeID(from), To: 4,
 			Type: MsgVote, Corrupt: corrupt, Payload: &Vote{TxID: id, Shard: shard, Attempt: attempt, OK: ok}}}
 	}
-	s.run(elected(0, 2, 4))
+	s.Run(s.elected(0, 2, 4))
 	c := s.cores[4]
-	s.run([]event{
-		{op: submit, nodes: []int{4}, tx: tx},
-		{op: drop, nodes: []int{0, 1, 2, 3}}, // every prepare is lost: attempt 1 times out
-		{at: 2*raft.DefaultOptions().ElectionTimeout + prepareTimeout, op: wake, nodes: []int{4}},
-		{op: drop, nodes: []int{0, 1, 2, 3, 5}},
+	s.Run([]event{
+		{Op: do, Do: s.submit(4, tx)},
+		{Op: drop, Nodes: []int{0, 1, 2, 3}}, // every prepare is lost: attempt 1 times out
+		{At: 2*raft.DefaultOptions().ElectionTimeout + prepareTimeout, Op: wake, Nodes: []int{4}},
+		{Op: drop, Nodes: []int{0, 1, 2, 3, 5}},
 	})
 	cs := c.coord[id]
-	s.run([]event{
-		{at: cs.due.Sub(s.t0), op: wake, nodes: []int{4}}, // attempt 2 opens
-		{op: drop, nodes: []int{0, 1, 2, 3, 5}},
+	s.Run([]event{
+		{At: cs.due.Sub(s.T0), Op: wake, Nodes: []int{4}}, // attempt 2 opens
+		{Op: drop, Nodes: []int{0, 1, 2, 3, 5}},
 		vote(0, 0, 1, true, false), // attempt 1's vote, late
-		{op: check, do: func(s *sim) {
+		{Op: do, Do: func() {
 			if cs.attempt != 2 || cs.backoff || len(cs.votes) != 0 {
 				t.Fatalf("a stale vote counted: attempt=%d backoff=%v votes=%v", cs.attempt, cs.backoff, cs.votes)
 			}
 		}},
 		vote(0, 0, 2, false, true), // a corrupt refusal
-		{op: check, do: func(s *sim) {
+		{Op: do, Do: func() {
 			if cs.backoff || c.xRetries != 1 {
 				t.Fatalf("a corrupt refusal aborted the attempt: retries=%d", c.xRetries)
 			}
 		}},
 		vote(0, 0, 2, true, false),
 		vote(1, 0, 2, true, false), // shard 0 again, from the member that took over
-		{op: check, do: func(s *sim) {
+		{Op: do, Do: func() {
 			if !slices.Equal(cs.votes, []int{0}) || c.xCommits != 0 {
 				t.Fatalf("a duplicate vote counted: votes=%v commits=%d", cs.votes, c.xCommits)
 			}
 		}},
 		vote(2, 1, 2, true, false),
-		{op: check, do: func(s *sim) {
+		{Op: do, Do: func() {
 			if c.xCommits != 1 || len(s.inFlight(MsgDecide)) != 4 {
 				t.Fatalf("commits=%d, decisions in flight %v", c.xCommits, s.inFlight(MsgDecide))
 			}
 		}},
 	})
 	// The decision arrives corrupted at node 1 and intact at node 0.
-	for i := range s.flight {
-		if s.flight[i].To == 1 {
-			s.flight[i].Corrupt = true
+	for i := range s.Flight {
+		if s.Flight[i].To == 1 {
+			s.Flight[i].Corrupt = true
 		}
 	}
-	s.run([]event{{op: recv, nodes: []int{0, 1}}})
-	if s.pools[0].Len() != 1 || s.pools[1].Len() != 0 || len(s.cores[1].notice) != 0 {
-		t.Fatalf("pools after the decision: node 0 holds %d, node 1 (corrupt copy) %d", s.pools[0].Len(), s.pools[1].Len())
+	s.Run([]event{{Op: recv, Nodes: []int{0, 1}}})
+	if s.Pools[0].Len() != 1 || s.Pools[1].Len() != 0 || len(s.cores[1].notice) != 0 {
+		t.Fatalf("pools after the decision: node 0 holds %d, node 1 (corrupt copy) %d", s.Pools[0].Len(), s.Pools[1].Len())
 	}
 	s.accounted(4)
 }
@@ -709,54 +576,111 @@ func TestScheduleIgnored(t *testing.T) {
 func TestScheduleForwardPacing(t *testing.T) {
 	s := newSim(t, 4, 2)
 	p := s.cores[1].part
-	s.run(elected(0, 2))
+	s.Run(s.elected(0, 2))
 	var flushed time.Time
-	s.run([]event{
-		{op: submit, nodes: []int{1}, tx: write(1, keyIn(p, 1, 0))},
-		{op: wake, nodes: []int{1}},
-		{op: check, do: func(s *sim) {
-			flushed = s.now
+	s.Run([]event{
+		{Op: do, Do: s.submit(1, write(1, keyIn(p, 1, 0)))},
+		{Op: wake, Nodes: []int{1}},
+		{Op: do, Do: func() {
+			flushed = s.Now
 			if got := s.inFlight(MsgForward); !slices.Equal(got, []string{"1>2", "1>3"}) {
 				t.Fatalf("idle gateway: forwards in flight %v", got)
 			}
 		}},
-		{op: flow},
-		{at: 2*raft.DefaultOptions().ElectionTimeout + forwardInterval/4, op: submit, nodes: []int{1}, tx: write(2, keyIn(p, 1, 1))},
-		{op: wake, nodes: []int{1}},
-		{op: submit, nodes: []int{1}, tx: write(3, keyIn(p, 0, 0))}, // own shard
-		{op: wake, nodes: []int{1}},
-		{op: check, do: func(s *sim) {
-			if len(s.flight) != 0 || s.cores[1].outbound.Len() != 2 {
-				t.Fatalf("inside the interval: %d messages sent, %d queued", len(s.flight), s.cores[1].outbound.Len())
+		{Op: flow},
+		{At: 2*raft.DefaultOptions().ElectionTimeout + forwardInterval/4, Op: do, Do: s.submit(1, write(2, keyIn(p, 1, 1)))},
+		{Op: wake, Nodes: []int{1}},
+		{Op: do, Do: s.submit(1, write(3, keyIn(p, 0, 0)))}, // own shard
+		{Op: wake, Nodes: []int{1}},
+		{Op: do, Do: func() {
+			if len(s.Flight) != 0 || s.cores[1].outbound.Len() != 2 {
+				t.Fatalf("inside the interval: %d messages sent, %d queued", len(s.Flight), s.cores[1].outbound.Len())
 			}
-			if want := flushed.Add(forwardInterval); !s.wakes[1].Equal(want) {
-				t.Fatalf("busy gateway asked to be woken at %v, want the interval's end %v", s.wakes[1], want)
+			if want := flushed.Add(forwardInterval); !s.Wakes[1].Equal(want) {
+				t.Fatalf("busy gateway asked to be woken at %v, want the interval's end %v", s.Wakes[1], want)
 			}
 		}},
 	})
-	s.run([]event{
-		{at: s.wakes[1].Sub(s.t0), op: wake, nodes: []int{1}},
-		{op: check, do: func(s *sim) {
+	s.Run([]event{
+		{At: s.Wakes[1].Sub(s.T0), Op: wake, Nodes: []int{1}},
+		{Op: do, Do: func() {
 			if got := s.inFlight(MsgForward); !slices.Equal(got, []string{"1>0", "1>2", "1>3"}) {
 				t.Fatalf("at the interval's end: forwards in flight %v", got)
 			}
-			if s.pools[1].Len() != 1 || s.cores[1].outbound.Len() != 0 || s.cores[1].fastpath != 3 {
+			if s.Pools[1].Len() != 1 || s.cores[1].outbound.Len() != 0 || s.cores[1].fastpath != 3 {
 				t.Fatalf("own-shard transaction: pool=%d queued=%d fastpath=%d",
-					s.pools[1].Len(), s.cores[1].outbound.Len(), s.cores[1].fastpath)
+					s.Pools[1].Len(), s.cores[1].outbound.Len(), s.cores[1].fastpath)
 			}
 		}},
-		{op: flow},
+		{Op: flow},
 	})
 	// Shard 1's leader proposed the first write at once and withheld the
 	// second as a partial batch: its gateway core asks for the replica's
 	// batch timeout, and a wake at that instant proposes it.
-	s.run([]event{{at: s.wakes[2].Sub(s.t0), op: wake, nodes: []int{2}}, {op: flow}})
+	s.Run([]event{{At: s.Wakes[2].Sub(s.T0), Op: wake, Nodes: []int{2}}, {Op: flow}})
 	for _, i := range []int{0, 1} {
-		if s.chains[i].Height() != 1 {
-			t.Fatalf("shard 0 member %d at height %d", i, s.chains[i].Height())
+		if s.Chains[i].Height() != 1 {
+			t.Fatalf("shard 0 member %d at height %d", i, s.Chains[i].Height())
 		}
 	}
 	if got := s.engineOf(1).DrainRemoteCommits(); len(got) != 2 {
 		t.Fatalf("gateway surfaced %d of its 2 foreign-shard commits", len(got))
 	}
+}
+
+// TestScheduleSharedDeadline: node 0 coordinates four payments into
+// leaderless shard 1 from the same instant, so every phase one times out
+// in one wake. All four abort there and back off, each with its own draw
+// of jitter; once shard 1 has elected, each retry commits at its own
+// instant, and every node applies all four.
+func TestScheduleSharedDeadline(t *testing.T) {
+	s := newSim(t, 4, 2)
+	p := s.cores[0].part
+	var txs []*types.Transaction
+	for k := range 4 {
+		txs = append(txs, payment(uint64(k+1), keyIn(p, 0, k), keyIn(p, 1, k)))
+	}
+	s.Watch = func() { s.accounted(0) }
+	s.Run(s.elected(0))
+	c := s.cores[0]
+	for _, tx := range txs {
+		s.Run([]event{{Op: do, Do: s.submit(0, tx)}})
+	}
+	s.Run([]event{
+		{Op: flow},
+		{At: c.coordDue.Sub(s.T0), Op: wake, Nodes: []int{0}},
+		{Op: do, Do: func() {
+			if c.xRetries != 4 || len(c.coord) != 4 {
+				t.Fatalf("at the shared deadline: retries=%d pending=%d, want 4 and 4", c.xRetries, len(c.coord))
+			}
+		}},
+		{Op: flow},
+		{Op: wake, Nodes: []int{2}},
+		{Op: flow},
+	})
+	for round := 0; len(c.coord) > 0; round++ {
+		if round > 4 {
+			t.Fatalf("%d coordinations still pending after %d retries", len(c.coord), round)
+		}
+		s.Run([]event{{At: c.coordDue.Sub(s.T0), Op: wake, Nodes: []int{0}}, {Op: flow}})
+	}
+	// The leaders withheld what came in a partial batch; a batch timeout
+	// later they propose it.
+	s.Run([]event{{At: s.Now.Add(raft.DefaultOptions().BatchTimeout).Sub(s.T0), Op: wake, Nodes: []int{0, 2}}, {Op: flow}})
+	if c.xCommits != 4 || c.xAborts != 0 {
+		t.Fatalf("commits=%d aborts=%d, want 4 and 0", c.xCommits, c.xAborts)
+	}
+	for _, tx := range txs {
+		for i := range s.cores {
+			if _, ok := s.Chains[i].Receipt(tx.Hash()); !ok {
+				t.Fatalf("node %d never applied payment %d", i, tx.Nonce)
+			}
+		}
+	}
+}
+
+// TestSchedulesReplay: rerun on fresh sims, each table delivers and commits the same.
+func TestSchedulesReplay(t *testing.T) {
+	schedtest.Replay(t, TestScheduleHappyPath, TestScheduleLeaderlessShard, TestScheduleContention,
+		TestScheduleVanishedCoordinator, TestScheduleNoticeFailover, TestScheduleIgnored, TestScheduleForwardPacing, TestScheduleSharedDeadline)
 }
