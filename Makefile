@@ -106,6 +106,14 @@ bench-build:
 # exact, CI's allocs-profile artifacts too: at the runtime's default the
 # profile samples about one allocation per 512 KiB and scales each
 # sample up, so a 16-byte object is counted from a handful of samples.
+# The last two lines divide the window's totals by its transaction
+# count, read off the profile itself: blockbench.(*Client).buildTx
+# allocates exactly one object per transaction, so its flat
+# alloc_objects is the divisor (a paced run commits fewer transactions
+# than its rate times the window, so the rate is not). The totals leave
+# out what serving the first snapshot allocated (net/http/pprof's
+# frames, inside the window): at a paced rate that is ≈ 24 objects per
+# transaction, none of them the run's.
 PLATFORM ?= hyperledger
 WORKLOAD ?= smallbank
 SECONDS ?= 5
@@ -130,7 +138,13 @@ allocprof:
 	wait $$run_pid; \
 	for index in alloc_space alloc_objects; do \
 		$(GO) tool pprof -sample_index=$$index -top -nodecount=15 -base $(basename $(ALLOCPROF_OUT))-base.pprof $(ALLOCPROF_OUT); \
-	done
+	done; \
+	top() { $(GO) tool pprof -sample_index=$$1 -unit=B -ignore=net/http/pprof -top -nodecount=1000000 -nodefraction=0 \
+		-base $(basename $(ALLOCPROF_OUT))-base.pprof $(ALLOCPROF_OUT) 2> /dev/null; }; \
+	bytes=$$(top alloc_space | awk '/accounting for/ { print $$5 + 0; exit }'); \
+	top alloc_objects | awk -v b="$$bytes" '/accounting for/ { o = $$5 + 0 } $$NF == "blockbench.(*Client).buildTx" { n = $$1 + 0 } END { \
+		printf "window: %d transactions (flat alloc_objects of blockbench.(*Client).buildTx, one per transaction)\n", n; \
+		if (n > 0) printf "per transaction, the profile endpoint left out: %.1f objects, %.2f KB (%.0f objects, %.0f B)\n", o / n, b / n / 1024, o, b }'
 
 # loc makes "net-negative" a number in the log rather than a claim.
 loc:
@@ -173,7 +187,14 @@ loc:
 # copies of its plumbing (281 test lines) gave way to; the product
 # changes beside it (PBFT's proof view, the gateway's due order, a
 # proposal's timestamp from its proposer's clock) came to one line less.
-LOC_MAX ?= 21297
+# It was raised to 21368 by the block path's scratch: the chain's kept
+# state DB (its two fields, the reuse test in execute, DB.Rebind and
+# Trie.Reset), the journal's key and record built in per-node buffers
+# (appendBlockKey, types.AppendBlock, storeMeta's key) and the pick
+# scratch of Raft and PBFT (Pool.AppendBatch, PickBatch's dst), which
+# replaced a state DB, trie and their buffers, a formatted key, a
+# record and two slices per block.
+LOC_MAX ?= 21368
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -50,7 +50,10 @@ func TestChooserRule(t *testing.T) {
 // planted unused function, two write-only fields and one never-set knob
 // are all it reports, past the method, generic and cross-module uses and
 // the implicit field reads and writes it must see, and the allowlist
-// check fails on that function and on a stale row.
+// check fails on that function and on a stale row. Of three packages
+// beside them, it skips the test-support one and reports the dead
+// function of one only a test imports and the unused function of a
+// "test"-named one that the other module imports.
 func TestChooserScanFixture(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -156,9 +159,17 @@ func Entry() int {
 	return len(l.items) + p.knob + len(c.m) + gd.n
 }
 `,
-		"lib/fix_test.go": "package fix\n\nimport \"testing\"\n\nfunc TestUnused(t *testing.T) { Unused() }\n",
-		"caller/go.mod":   "module caller\n\ngo 1.22\n\nrequire fix v0.0.0\n\nreplace fix => ../lib\n",
-		"caller/main.go":  "package main\n\nimport \"fix\"\n\nfunc main() {\n\tfix.CallerOnly()\n\tfix.Entry()\n}\n",
+		"lib/fix_test.go": "package fix\n\nimport (\n\t\"testing\"\n\n\t\"fix/dead\"\n\t\"fix/fixtest\"\n)\n\n" +
+			"func TestUnused(t *testing.T) {\n\tUnused()\n\tdead.Dead()\n\tfixtest.Helper()\n}\n",
+		// Test support: only a test imports it, so it needs no chooser.
+		"lib/fixtest/fixtest.go": "package fixtest\n\nfunc Helper() {}\n",
+		// Named like product code, so its one function is dead.
+		"lib/dead/dead.go": "package dead\n\nfunc Dead() {}\n",
+		// Named like test support, but the caller imports it.
+		"lib/usedtest/usedtest.go": "package usedtest\n\nfunc Used() {}\n\nfunc Unused() {}\n",
+		"caller/go.mod":            "module caller\n\ngo 1.22\n\nrequire fix v0.0.0\n\nreplace fix => ../lib\n",
+		"caller/main.go": "package main\n\nimport (\n\t\"fix\"\n\t\"fix/usedtest\"\n)\n\n" +
+			"func main() {\n\tfix.CallerOnly()\n\tfix.Entry()\n\tusedtest.Used()\n}\n",
 	}
 	for name, src := range files {
 		path := filepath.Join(dir, name)
@@ -173,7 +184,7 @@ func Entry() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"Unused", "counter.n", "planted.knob", "planted.writeOnly", "snap.unread"}; !slices.Equal(unused, want) {
+	if want := []string{"Unused", "counter.n", "dead.Dead", "planted.knob", "planted.writeOnly", "snap.unread", "usedtest.Unused"}; !slices.Equal(unused, want) {
 		t.Fatalf("scan lists %v, want %v", unused, want)
 	}
 	problems := chooserDiff(unused, map[string]bool{})
@@ -250,12 +261,16 @@ func chooserAllowlist(doc string) (map[string]bool, error) {
 
 // listedPackage is the part of `go list -json` the scan reads.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
-	Module     *struct {
+	ImportPath   string
+	Name         string
+	Dir          string
+	GoFiles      []string
+	Imports      []string
+	TestImports  []string
+	XTestImports []string
+	Export       string
+	Standard     bool
+	Module       *struct {
 		Path string
 		Main bool
 	}
@@ -272,7 +287,10 @@ type listedPackage struct {
 // It also returns, as [package.]Type.Field, every named field of a named
 // struct type of the first module that no non-test file reads, and every
 // knob-typed one (isKnob) that none writes (DESIGN.md § What earns its
-// place gives the read and write positions).
+// place gives the read and write positions). A test-support package —
+// named like httptest, with a "test" suffix, and imported by test files
+// and by no non-test package — is test code: the scan neither lists its
+// declarations nor counts its uses.
 func chooserScan(dirs ...string) ([]string, error) {
 	fset := token.NewFileSet()
 	exports := make(map[string]string) // standard-library import path -> export data file
@@ -346,6 +364,9 @@ func chooserScan(dirs ...string) ([]string, error) {
 		}
 	}
 	mainPath := ""
+	var listed []listedPackage
+	imported := make(map[string]bool)     // by a non-test package
+	testImported := make(map[string]bool) // by a _test.go file
 	for i, dir := range dirs {
 		cmd := exec.Command("go", "list", "-json", "-export", "-deps", "./...", "container/heap", "flag", "fmt", "sort")
 		cmd.Dir = dir
@@ -371,131 +392,143 @@ func chooserScan(dirs ...string) ([]string, error) {
 			if i == 0 && p.Module.Main {
 				mainPath = p.Module.Path
 			}
-			if _, ok := checked[p.ImportPath]; ok {
-				continue
+			for _, path := range p.Imports {
+				imported[path] = true
 			}
-			var files []*ast.File
-			for _, name := range p.GoFiles {
-				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-				if err != nil {
-					return nil, err
-				}
-				files = append(files, f)
+			for _, path := range slices.Concat(p.TestImports, p.XTestImports) {
+				testImported[path] = true
 			}
-			info := &types.Info{
-				Defs:       make(map[*ast.Ident]types.Object),
-				Uses:       make(map[*ast.Ident]types.Object),
-				Selections: make(map[*ast.SelectorExpr]*types.Selection),
-				Types:      make(map[ast.Expr]types.TypeAndValue),
-				Instances:  make(map[*ast.Ident]types.Instance),
-			}
-			pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+			listed = append(listed, p)
+		}
+	}
+	for _, p := range listed {
+		if _, ok := checked[p.ImportPath]; ok {
+			continue
+		}
+		if strings.HasSuffix(p.Name, "test") && testImported[p.ImportPath] && !imported[p.ImportPath] {
+			continue // test support
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
 			if err != nil {
 				return nil, err
 			}
-			checked[p.ImportPath] = pkg
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Instances:  make(map[*ast.Ident]types.Instance),
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p.ImportPath] = pkg
 
-			own := p.Module.Path == mainPath
-			prefix := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, mainPath), "/")
-			if prefix != "" {
-				prefix += "."
-			}
-			receivers := make(map[*ast.Ident]bool) // a method's receiver type is not a use of it
-			for _, f := range files {
-				for _, d := range f.Decls {
-					switch d := d.(type) {
-					case *ast.FuncDecl:
-						name := d.Name.Name
-						if d.Recv != nil {
-							ast.Inspect(d.Recv, func(n ast.Node) bool {
-								if id, ok := n.(*ast.Ident); ok {
-									receivers[id] = true
-								}
-								return true
-							})
-							name = receiverName(d.Recv.List[0].Type) + "." + name
-						} else if name == "init" || name == "main" {
-							continue
-						}
-						if own {
-							decls = append(decls, decl{prefix + name, info.Defs[d.Name]})
-						}
-					case *ast.GenDecl:
-						for _, spec := range d.Specs {
-							var ids []*ast.Ident
-							switch s := spec.(type) {
-							case *ast.TypeSpec:
-								ids = []*ast.Ident{s.Name}
-								st, ok := s.Type.(*ast.StructType)
-								if !ok {
-									break
-								}
-								for _, fd := range st.Fields.List {
-									for _, id := range fd.Names {
-										if own && id.Name != "_" {
-											fields = append(fields, decl{prefix + s.Name.Name + "." + id.Name, info.Defs[id]})
-										}
-									}
-									if fd.Tag != nil && strings.Contains(fd.Tag.Value, `json:"`) {
-										implicit(info.Defs[s.Name].Type(), true)
+		own := p.Module.Path == mainPath
+		prefix := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, mainPath), "/")
+		if prefix != "" {
+			prefix += "."
+		}
+		receivers := make(map[*ast.Ident]bool) // a method's receiver type is not a use of it
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id] = true
+							}
+							return true
+						})
+						name = receiverName(d.Recv.List[0].Type) + "." + name
+					} else if name == "init" || name == "main" {
+						continue
+					}
+					if own {
+						decls = append(decls, decl{prefix + name, info.Defs[d.Name]})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var ids []*ast.Ident
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							ids = []*ast.Ident{s.Name}
+							st, ok := s.Type.(*ast.StructType)
+							if !ok {
+								break
+							}
+							for _, fd := range st.Fields.List {
+								for _, id := range fd.Names {
+									if own && id.Name != "_" {
+										fields = append(fields, decl{prefix + s.Name.Name + "." + id.Name, info.Defs[id]})
 									}
 								}
-							case *ast.ValueSpec:
-								ids = s.Names
-							}
-							for _, id := range ids {
-								if own && id.Name != "_" {
-									decls = append(decls, decl{prefix + id.Name, info.Defs[id]})
+								if fd.Tag != nil && strings.Contains(fd.Tag.Value, `json:"`) {
+									implicit(info.Defs[s.Name].Type(), true)
 								}
+							}
+						case *ast.ValueSpec:
+							ids = s.Names
+						}
+						for _, id := range ids {
+							if own && id.Name != "_" {
+								decls = append(decls, decl{prefix + id.Name, info.Defs[id]})
 							}
 						}
 					}
 				}
 			}
-			for id, obj := range info.Uses {
-				if !receivers[id] {
-					used[origin(obj)] = true
+		}
+		for id, obj := range info.Uses {
+			if !receivers[id] {
+				used[origin(obj)] = true
+			}
+		}
+		access := make(map[*ast.SelectorExpr]fieldAccess)
+		for _, f := range files {
+			fieldUses(f, info, access, wrote, implicit)
+		}
+		for expr, sel := range info.Selections {
+			obj := origin(sel.Obj())
+			used[obj] = true
+			if sel.Kind() != types.FieldVal {
+				continue
+			}
+			a := access[expr]
+			read[obj] = read[obj] || a != writeOnly
+			wrote[obj] = wrote[obj] || a != readOnly
+		}
+		for _, tv := range info.Types {
+			if tv.IsType() {
+				addIface(tv.Type) // named interfaces' bodies are type expressions too
+				if m, ok := tv.Type.(*types.Map); ok {
+					implicit(m.Key(), false)
 				}
 			}
-			access := make(map[*ast.SelectorExpr]fieldAccess)
-			for _, f := range files {
-				fieldUses(f, info, access, wrote, implicit)
-			}
-			for expr, sel := range info.Selections {
-				obj := origin(sel.Obj())
-				used[obj] = true
-				if sel.Kind() != types.FieldVal {
-					continue
-				}
-				a := access[expr]
-				read[obj] = read[obj] || a != writeOnly
-				wrote[obj] = wrote[obj] || a != readOnly
-			}
-			for _, tv := range info.Types {
-				if tv.IsType() {
-					addIface(tv.Type) // named interfaces' bodies are type expressions too
-					if m, ok := tv.Type.(*types.Map); ok {
-						implicit(m.Key(), false)
-					}
+		}
+		for id, inst := range info.Instances {
+			// Only a comparable type parameter hashes or compares its
+			// argument's values, as lru.Cache's keys; holding or
+			// sorting them, as atomic.Pointer or slices.SortFunc do,
+			// reaches no field.
+			tparams := typeParams(info.Uses[id])
+			for i := 0; i < inst.TypeArgs.Len() && i < tparams.Len(); i++ {
+				if c, ok := tparams.At(i).Constraint().Underlying().(*types.Interface); ok && c.IsComparable() {
+					implicit(inst.TypeArgs.At(i), false)
 				}
 			}
-			for id, inst := range info.Instances {
-				// Only a comparable type parameter hashes or compares its
-				// argument's values, as lru.Cache's keys; holding or
-				// sorting them, as atomic.Pointer or slices.SortFunc do,
-				// reaches no field.
-				tparams := typeParams(info.Uses[id])
-				for i := 0; i < inst.TypeArgs.Len() && i < tparams.Len(); i++ {
-					if c, ok := tparams.At(i).Constraint().Underlying().(*types.Interface); ok && c.IsComparable() {
-						implicit(inst.TypeArgs.At(i), false)
-					}
-				}
-			}
-			scope := pkg.Scope()
-			for _, name := range scope.Names() {
-				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-					named = append(named, tn.Type())
-				}
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn.Type())
 			}
 		}
 	}

@@ -30,7 +30,8 @@ const (
 // node's persisted store so the state survives a process kill; engines
 // must tolerate a nil MetaStore (nothing persists, as before).
 type MetaStore interface {
-	// SaveMeta durably records value under key, overwriting.
+	// SaveMeta durably records value under key, overwriting. The value
+	// is borrowed for the call: an engine may rewrite it afterwards.
 	SaveMeta(key string, value []byte)
 	// LoadMeta returns the last saved value for key, ok=false if absent.
 	LoadMeta(key string) (value []byte, ok bool)
@@ -74,18 +75,20 @@ type Engine interface {
 	Handle(msg simnet.Message)
 }
 
-// PickBatch selects up to size pending transactions from pool that are
-// not in inFlight, over-fetching by len(inFlight) so in-flight ones do
-// not crowd out new ones. The caller marks what it proposes.
-func PickBatch(pool *txpool.Pool, size int, inFlight map[types.Hash]bool) []*types.Transaction {
-	candidates := pool.Batch(size+len(inFlight), 0)
-	out := make([]*types.Transaction, 0, size)
-	for _, tx := range candidates {
+// PickBatch appends to dst up to size pending transactions from pool
+// that are not in inFlight, over-fetching by len(inFlight) so in-flight
+// ones do not crowd out new ones. Candidates are fetched into dst's
+// spare capacity and filtered in place. The caller marks what it
+// proposes, and copies what it keeps if dst is its scratch.
+func PickBatch(dst []*types.Transaction, pool *txpool.Pool, size int, inFlight map[types.Hash]bool) []*types.Transaction {
+	all := pool.AppendBatch(dst, size+len(inFlight), 0)
+	out := all[:len(dst)]
+	for _, tx := range all[len(dst):] {
 		if inFlight[tx.Hash()] {
 			continue
 		}
 		out = append(out, tx)
-		if len(out) >= size {
+		if len(out)-len(dst) >= size {
 			break
 		}
 	}

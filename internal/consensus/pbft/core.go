@@ -55,6 +55,7 @@ type core struct {
 	failedViews  uint64 // consecutive views without progress (backoff)
 	viewChanges  uint64
 	batchesDone  uint64
+	pick         []*types.Transaction // maybePropose's scratch; a pre-prepare carries a copy
 }
 
 func newCore(ctx consensus.Context, opts Options, now time.Time) *core {
@@ -123,10 +124,11 @@ func (c *core) maybePropose(now time.Time) {
 		c.nextSeq = height + 1
 	}
 	if int(c.nextSeq-height)-1 < window {
-		txs := consensus.PickBatch(c.ctx.Pool, c.opts.BatchSize, c.assigned)
-		if len(txs) == 0 {
+		c.pick = consensus.PickBatch(c.pick[:0], c.ctx.Pool, c.opts.BatchSize, c.assigned)
+		if len(c.pick) == 0 {
 			return
 		}
+		txs := slices.Clone(c.pick)
 		seq := c.nextSeq
 		c.nextSeq++
 		for _, tx := range txs {

@@ -7,6 +7,7 @@ import (
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/schedtest"
 	"blockbench/internal/simnet"
+	"blockbench/internal/txpool"
 	"blockbench/internal/types"
 )
 
@@ -98,5 +99,26 @@ func TestWireSizes(t *testing.T) {
 	}
 	if n := (&ViewChange{Prepared: make([]PreparedProof, 1)}).WireSize(); n != 48+16+types.HashSize {
 		t.Fatalf("view-change size %d does not count a proof's view, seq and digest", n)
+	}
+}
+
+// TestPrimaryRepickAllocatesNothing: the primary picks again on every
+// tick, and while everything pending is already in flight it proposes
+// nothing. The pick goes into the core's scratch, so such a tick
+// allocates nothing; only a batch a pre-prepare carries is copied.
+func TestPrimaryRepickAllocatesNothing(t *testing.T) {
+	pool := txpool.New(0)
+	c := newCore(consensus.Context{Self: 0, Peers: []simnet.NodeID{0, 1, 2, 3},
+		Chain: schedtest.Chain(t, nil), Pool: pool}, DefaultOptions(), time.Unix(0, 0))
+	for i := 0; i < 3; i++ {
+		tx := &types.Transaction{Nonce: uint64(i), Method: "m"}
+		pool.Add(tx)
+		c.assigned[tx.Hash()] = true
+	}
+	if n := testing.AllocsPerRun(100, func() { c.maybePropose(time.Unix(1, 0)) }); n != 0 {
+		t.Errorf("a tick with every pending transaction in flight: %v allocations, want 0", n)
+	}
+	if len(c.instances) != 0 {
+		t.Fatal("the primary proposed transactions already in flight")
 	}
 }

@@ -95,6 +95,11 @@ type Core struct {
 	snapsSent       uint64
 	snapsTaken      uint64 // snapshots installed (follower side)
 	applyMismatches uint64
+
+	// Scratch: saveMeta's record, which MetaStore borrows for the call,
+	// and propose's pick, copied only into a log entry.
+	meta [5*8 + 1]byte
+	pick []*types.Transaction
 }
 
 // NewCore builds a replica that has no runner.
@@ -257,7 +262,7 @@ func (c *Core) saveMeta() {
 		base = 1
 	}
 	le := binary.LittleEndian
-	buf := le.AppendUint64(make([]byte, 0, 5*8+1), c.term)
+	buf := le.AppendUint64(c.meta[:0], c.term)
 	buf = le.AppendUint64(buf, uint64(int64(c.votedFor)))
 	buf = append(buf, base)
 	buf = le.AppendUint64(buf, c.applied)
@@ -433,7 +438,8 @@ func (c *Core) propose(now time.Time) bool {
 		if c.lastIndex()-c.commit >= window {
 			break
 		}
-		txs := consensus.PickBatch(c.ctx.Pool, c.opts.BatchSize, c.assigned)
+		c.pick = consensus.PickBatch(c.pick[:0], c.ctx.Pool, c.opts.BatchSize, c.assigned)
+		txs := c.pick
 		if len(txs) == 0 {
 			break
 		}
@@ -449,7 +455,7 @@ func (c *Core) propose(now time.Time) bool {
 			c.assigned[tx.Hash()] = true
 			c.ctx.Tracer.Stamp(tx.Hash(), trace.StagePropose)
 		}
-		c.log = append(c.log, Entry{Term: c.term, Txs: txs})
+		c.log = append(c.log, Entry{Term: c.term, Txs: slices.Clone(txs)})
 		c.lastProposal = now
 		appended = true
 	}

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"encoding/hex"
 	"sync"
 	"testing"
 	"time"
@@ -587,5 +588,67 @@ func TestRejectionHintLowersStaleMatch(t *testing.T) {
 	e.core.onAppendResp(time.Now(), peer, &AppendResp{Term: e.core.term, OK: false, Match: 3})
 	if e.core.match[peer] > 3 {
 		t.Fatalf("stale match survived the rejection hint: match=%d, hint was 3", e.core.match[peer])
+	}
+}
+
+// lastMeta keeps the last record saved, copied into an array of its
+// own: SaveMeta's value is borrowed for the call.
+type lastMeta struct {
+	rec [64]byte
+	n   int
+}
+
+func (m *lastMeta) SaveMeta(_ string, v []byte)    { m.n = copy(m.rec[:], v) }
+func (m *lastMeta) LoadMeta(string) ([]byte, bool) { return m.rec[:m.n], m.n > 0 }
+
+// TestSaveMetaRecord pins the hard-state record to the bytes restoreMeta
+// reads back after a kill — term, vote, base flag, applied index, its
+// term and the chain height, little-endian — and holds a save to no
+// allocation: the record is built in the core's own array.
+func TestSaveMetaRecord(t *testing.T) {
+	m := &lastMeta{}
+	ctx := consensus.Context{Self: 1, Peers: []simnet.NodeID{0, 1, 2}, Chain: schedtest.Chain(t, nil), Meta: m}
+	c := NewCore(ctx, fastOptions(), time.Unix(0, 0))
+	c.term, c.votedFor = 7, 2
+	c.rebase(41, 6, 40, types.Hash{})
+	c.saveMeta()
+	const want = "0700000000000000" + "0200000000000000" + "01" + "2900000000000000" + "0600000000000000" + "2800000000000000"
+	if got := hex.EncodeToString(m.rec[:m.n]); got != want {
+		t.Fatalf("meta record %s, want %s", got, want)
+	}
+	if n := testing.AllocsPerRun(100, c.saveMeta); n != 0 {
+		t.Errorf("saveMeta: %v allocations, want 0", n)
+	}
+	r := NewCore(ctx, fastOptions(), time.Unix(0, 0))
+	if r.term != 7 || r.votedFor != 2 || !r.baseSet || r.applied != 41 || r.snapTerm != 6 || r.appliedHeight != 40 {
+		t.Fatalf("restored term %d vote %d base %v applied %d (term %d) height %d",
+			r.term, r.votedFor, r.baseSet, r.applied, r.snapTerm, r.appliedHeight)
+	}
+}
+
+// TestWithheldBatchAllocatesNothing: a leader holding a partial batch
+// back until BatchTimeout picks it again on every wake. The pick goes
+// into the core's scratch, so a wake that appends nothing allocates
+// nothing; only a batch that enters the log is copied.
+func TestWithheldBatchAllocatesNothing(t *testing.T) {
+	pool := txpool.New(0)
+	for i := 0; i < 3; i++ {
+		pool.Add(&types.Transaction{Nonce: uint64(i), Method: "m"})
+	}
+	now := time.Unix(100, 0)
+	ctx := consensus.Context{Self: 0, Peers: []simnet.NodeID{0, 1, 2}, Chain: schedtest.Chain(t, nil), Pool: pool}
+	c := NewCore(ctx, fastOptions(), now)
+	c.role, c.lastProposal = leader, now
+	if c.propose(now) || c.batchDue.IsZero() {
+		t.Fatal("a partial batch before its timeout was not withheld")
+	}
+	if n := testing.AllocsPerRun(100, func() { c.propose(now) }); n != 0 {
+		t.Errorf("a wake that withholds the batch: %v allocations, want 0", n)
+	}
+	if !c.propose(now.Add(time.Second)) || len(c.log) != 1 || len(c.log[0].Txs) != 3 {
+		t.Fatal("the batch due at its timeout did not enter the log")
+	}
+	if &c.log[0].Txs[0] == &c.pick[:1][0] {
+		t.Fatal("the log entry shares the pick scratch")
 	}
 }

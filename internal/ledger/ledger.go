@@ -47,6 +47,8 @@ type Config struct {
 	// StateFactory opens a state database at the given root. Platforms
 	// without state versioning (Hyperledger's bucket tree) may return a
 	// process-wide singleton; they must also set SupportsForks=false.
+	// A DB it returns may serve many blocks: the chain executes a block
+	// on the DB its parent committed on, when it kept that (Chain.kept).
 	StateFactory func(root types.Hash) (*state.DB, error)
 	// Registry verifies transaction signatures; nil disables checks.
 	Registry *crypto.Registry
@@ -104,6 +106,13 @@ type Chain struct {
 	headState *state.DB
 
 	appended uint64 // every block ever accepted, including side chains
+
+	// kept is the DB the last accepted block committed on, rebound at
+	// keptRoot, where the next block on that root executes. State and
+	// StateAt never return it (a factory's singleton aside); a failed or
+	// rejected execution drops it.
+	kept     *state.DB
+	keptRoot types.Hash
 
 	// setHeadLocked's scratch, reused under mu from one head switch to
 	// the next: the blocks that become canonical (newest first), their
@@ -170,11 +179,16 @@ func (c *Chain) verifyTxs(b *types.Block) error {
 	return nil
 }
 
-// execute runs the block's transactions on the parent state.
-func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Receipt, error) {
-	db, err := c.cfg.StateFactory(parent.stateRoot)
-	if err != nil {
-		return types.ZeroHash, nil, err
+// execute runs the block's transactions on the parent state, on the
+// kept DB when it stands there; Append keeps the DB if b is accepted.
+func (c *Chain) execute(parent *entry, b *types.Block) (*state.DB, types.Hash, []*types.Receipt, error) {
+	db := c.kept
+	c.kept = nil
+	if db == nil || c.keptRoot != parent.stateRoot {
+		var err error
+		if db, err = c.cfg.StateFactory(parent.stateRoot); err != nil {
+			return nil, types.ZeroHash, nil, err
+		}
 	}
 	var receipts []*types.Receipt
 	if c.cfg.Parallel != nil {
@@ -192,14 +206,14 @@ func (c *Chain) execute(parent *entry, b *types.Block) (types.Hash, []*types.Rec
 	}
 	root, err := db.Commit()
 	if err != nil {
-		return types.ZeroHash, nil, fmt.Errorf("ledger: state commit: %w", err)
+		return nil, types.ZeroHash, nil, fmt.Errorf("ledger: state commit: %w", err)
 	}
 	if c.cfg.Tracer.Enabled() {
 		for _, tx := range b.Txs {
 			c.cfg.Tracer.Stamp(tx.Hash(), trace.StageStateCommit)
 		}
 	}
-	return root, receipts, nil
+	return db, root, receipts, nil
 }
 
 // Append validates, executes and stores a block, advancing the head if
@@ -233,7 +247,7 @@ func (c *Chain) Append(b *types.Block) error {
 		}
 	}
 
-	root, receipts, err := c.execute(parent, b)
+	db, root, receipts, err := c.execute(parent, b)
 	if err != nil {
 		return err
 	}
@@ -241,6 +255,8 @@ func (c *Chain) Append(b *types.Block) error {
 		return fmt.Errorf("%w: state root mismatch (have %s, computed %s)",
 			ErrBadBlock, b.Header.StateRoot.Short(), root.Short())
 	}
+	db.Rebind()
+	c.kept, c.keptRoot = db, root
 
 	diff := b.Header.Difficulty
 	if diff == 0 {

@@ -137,6 +137,11 @@ func NewWithCache(store kvstore.Store, root types.Hash, cache NodeCache) (*Trie,
 	return &Trie{store: store, cache: cache, root: ref{h: root}}, nil
 }
 
+// Reset reopens the trie at root as New would but keeps its scratch
+// buffers: every node it resolved or created, committed or not, is
+// dropped.
+func (t *Trie) Reset(root types.Hash) { t.root = ref{h: root} }
+
 // scratchNibbles expands key into the trie's reusable nibble buffer:
 // the result is valid until the next call, and no node keeps it.
 func (t *Trie) scratchNibbles(key []byte) []byte {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -225,19 +226,31 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// blockKey is the store key journaling the committed block at height n
-// (zero-padded so store iteration yields ascending heights).
-func blockKey(n uint64) []byte { return []byte(fmt.Sprintf("blk:%016d", n)) }
+// appendBlockKey appends the store key journaling the committed block
+// at height n, fmt's "blk:%016d" (zero-padded so store iteration yields
+// ascending heights), to dst.
+func appendBlockKey(dst []byte, n uint64) []byte {
+	dst = append(dst, "blk:"...)
+	for w := uint64(1e15); w > n && w > 1; w /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, n, 10)
+}
 
 // storeMeta adapts a node's kvstore into the consensus.MetaStore the
 // engines persist their hard state through (Raft term/vote/applied).
-type storeMeta struct{ s kvstore.Store }
-
-func (m storeMeta) SaveMeta(key string, value []byte) {
-	m.s.Put([]byte("meta:"+key), value)
+// key is SaveMeta's scratch: the store copies the key it is handed.
+type storeMeta struct {
+	s   kvstore.Store
+	key []byte
 }
 
-func (m storeMeta) LoadMeta(key string) ([]byte, bool) {
+func (m *storeMeta) SaveMeta(key string, value []byte) {
+	m.key = append(append(m.key[:0], "meta:"...), key...)
+	m.s.Put(m.key, value)
+}
+
+func (m *storeMeta) LoadMeta(key string) ([]byte, bool) {
 	v, ok, err := m.s.Get([]byte("meta:" + key))
 	if err != nil || !ok {
 		return nil, false
@@ -322,11 +335,14 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	if p.DurableRecovery {
 		// Journal committed blocks so a killed node can rebuild its
 		// chain from disk alone. Composed before the indexer hook; runs
-		// under the chain lock, so it only touches the store.
+		// under the chain lock, so it only touches the store, which
+		// copies the key and record this node's scratch holds.
 		inner := lcfg.OnCommit
+		var key, enc []byte
 		lcfg.OnCommit = func(blocks []*types.Block, receipts [][]*types.Receipt) {
 			for _, b := range blocks {
-				store.Put(blockKey(b.Number()), types.EncodeBlock(b))
+				key, enc = appendBlockKey(key[:0], b.Number()), types.AppendBlock(enc[:0], b)
+				store.Put(key, enc)
 			}
 			if inner != nil {
 				inner(blocks, receipts)
@@ -375,7 +391,7 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		Tracer:            c.tracer,
 	}
 	if p.DurableRecovery {
-		ncfg.Meta = storeMeta{store}
+		ncfg.Meta = &storeMeta{s: store}
 	}
 	if p.ServerSigns {
 		ncfg.ServerSigns = true

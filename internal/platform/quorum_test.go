@@ -93,10 +93,21 @@ func TestExecWorkersCountersFlow(t *testing.T) {
 // standard library's ECDSA verify is about half of it.
 func TestQuorumAppendAllocBudget(t *testing.T) {
 	const (
-		blocks  = 15
 		perBlk  = 20
 		ceiling = 20 // allocations per transaction: 17 when written (18-19 under -race); 20 before PR 25, 27 before PR 22
 	)
+	perTx := appendAllocs(t, 15, perBlk) / perBlk
+	t.Logf("Chain.Append: %d allocations per transaction (median of 15 blocks of %d)", perTx, perBlk)
+	if perTx > ceiling {
+		t.Errorf("Chain.Append: %d allocations per transaction, ceiling %d", perTx, ceiling)
+	}
+}
+
+// appendAllocs appends blocks of perBlk signed ycsb writes to the one
+// node of a quorum cluster and returns the median allocations of one
+// Chain.Append.
+func appendAllocs(t *testing.T, blocks, perBlk int) uint64 {
+	t.Helper()
 	keys := clientKeys(1)
 	c, err := New(fastConfig(Quorum, 1, keys))
 	if err != nil {
@@ -105,8 +116,8 @@ func TestQuorumAppendAllocBudget(t *testing.T) {
 	t.Cleanup(func() { c.Stop(); c.Close() })
 	chain := c.Chain(0)
 
-	var perTx [blocks]uint64
-	for h := 0; h < blocks; h++ {
+	allocs := make([]uint64, blocks)
+	for h := range allocs {
 		txs := make([]*types.Transaction, perBlk)
 		for i := range txs {
 			n := h*perBlk + i
@@ -127,11 +138,8 @@ func TestQuorumAppendAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perTx[h] = (after.Mallocs - before.Mallocs) / perBlk
+		allocs[h] = after.Mallocs - before.Mallocs
 	}
-	slices.Sort(perTx[:])
-	t.Logf("Chain.Append: %d allocations per transaction (median of %d blocks of %d)", perTx[blocks/2], blocks, perBlk)
-	if perTx[blocks/2] > ceiling {
-		t.Errorf("Chain.Append: %d allocations per transaction, ceiling %d", perTx[blocks/2], ceiling)
-	}
+	slices.Sort(allocs)
+	return allocs[blocks/2]
 }

@@ -18,6 +18,8 @@ import (
 // and one commit per block whose only argument is the block's write
 // set. There is no enumeration — no contract, workload or figure scans
 // state (the paper's data-model workloads are point reads and writes).
+// A backend outlives its block (see DB.Rebind): after Commit it reads
+// at the root Commit returned.
 type Backend interface {
 	// Get returns nil for absent keys. It must not keep key (the DB
 	// reuses those bytes for its next call); the result is shared and
@@ -54,8 +56,8 @@ type DB struct {
 	// write copies them into the string the overlay and journal hold
 	// (SetState: into the head of the value's own record).
 	// keyArr is its first backing, enough for every registry contract's
-	// keys: a DB lives for one block, and a buffer grown from nil would
-	// cost every one of them three allocations.
+	// keys: a head-state or proposal DB lives for one block, and a buffer
+	// grown from nil would cost every one of them three allocations.
 	keyBuf []byte
 	keyArr [32]byte
 }
@@ -175,6 +177,16 @@ func (db *DB) DeleteState(contract string, key []byte) {
 func (db *DB) Commit() (types.Hash, error) {
 	writes := db.overlay
 	db.overlay = nil
+	clear(db.journal) // its keys and values are the block's, not the DB's
 	db.journal = db.journal[:0]
 	return db.backend.Commit(writes)
+}
+
+// Rebind readies a DB that has just committed for the next block on
+// that root. It keeps its scratch, a trie's buffers too, but no node the
+// trie resolved: a fresh DB at that root would hold none.
+func (db *DB) Rebind() {
+	if b, ok := db.backend.(*TrieBackend); ok {
+		b.trie.Reset(b.root)
+	}
 }

@@ -182,3 +182,63 @@ func TestBlockAllocBudget(t *testing.T) {
 		t.Fatalf("%.0f allocations per 10-insert block, budget %d", avg, budget)
 	}
 }
+
+// TestKeptDBMatchesFreshBlocks runs 100 IOHeavy blocks on one DB, rebound
+// after each commit as a chain keeps it, and on a fresh DB per block
+// over a store of their own: every root matches, with a node cache and
+// flat layer and without. Meanwhile a reader opens DBs at the roots the
+// kept DB publishes and reads through the cache and flat layer it
+// shares with it (run under -race).
+func TestKeptDBMatchesFreshBlocks(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		store, freshStore := kvstore.NewMem(), kvstore.NewMem()
+		var cache, freshCache *SharedCache
+		var flat, freshFlat *FlatState
+		if shared {
+			cache, flat = NewSharedCache(64), NewFlatState(store, 64)
+			freshCache, freshFlat = NewSharedCache(64), NewFlatState(freshStore, 64)
+		}
+		b, err := NewTrieBackendShared(store, types.ZeroHash, cache, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := NewDB(b)
+		roots := make(chan types.Hash, 100)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for root := range roots {
+				b, err := NewTrieBackendShared(store, root, cache, flat)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				db := NewDB(b)
+				for k := uint64(0); k < 50; k++ {
+					db.GetState("ioheavy", ioKey(k))
+				}
+			}
+		}()
+		val := make([]byte, 100)
+		var fresh types.Hash
+		for blk := uint64(0); blk < 100 && !t.Failed(); blk++ {
+			for j := uint64(0); j < 10; j++ {
+				binary.LittleEndian.PutUint64(val, j)
+				kept.SetState("ioheavy", ioKey(blk*7+j), val) // overwrites as well as inserts
+			}
+			root, err := kept.Commit()
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			kept.Rebind()
+			roots <- root
+			if fresh = ioBlock(t, freshStore, freshCache, freshFlat, fresh, blk*7, 10); root != fresh {
+				t.Errorf("shared=%v block %d: root %s on the kept DB, %s on fresh ones", shared, blk, root.Short(), fresh.Short())
+			}
+		}
+		close(roots)
+		wg.Wait()
+	}
+}

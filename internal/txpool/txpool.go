@@ -10,6 +10,7 @@
 package txpool
 
 import (
+	"slices"
 	"sync"
 
 	"blockbench/internal/crypto"
@@ -105,11 +106,16 @@ func (p *Pool) Known(h types.Hash) bool {
 	return ok
 }
 
-// Batch returns up to maxTxs pending transactions (0: no bound) whose
-// gas limits sum to at most gasLimit (0 disables the gas constraint), in
-// arrival order, walking the live head of the FIFO in place.
-// Transactions stay pending until MarkIncluded.
+// Batch returns AppendBatch(nil, maxTxs, gasLimit) in a slice of its own.
 func (p *Pool) Batch(maxTxs int, gasLimit uint64) []*types.Transaction {
+	return p.AppendBatch(nil, maxTxs, gasLimit)
+}
+
+// AppendBatch appends to dst up to maxTxs pending transactions (0: no
+// bound) whose gas limits sum to at most gasLimit (0 disables the gas
+// constraint), in arrival order, walking the live head of the FIFO in
+// place. Transactions stay pending until MarkIncluded.
+func (p *Pool) AppendBatch(dst []*types.Transaction, maxTxs int, gasLimit uint64) []*types.Transaction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.head < len(p.pending) && p.pending[p.head].dead {
@@ -121,9 +127,9 @@ func (p *Pool) Batch(maxTxs int, gasLimit uint64) []*types.Transaction {
 	if maxTxs > 0 && maxTxs < n {
 		n = maxTxs
 	}
-	out := make([]*types.Transaction, 0, n)
+	out := slices.Grow(dst, n)
 	var gas uint64
-	for i := p.head; i < len(p.pending) && len(out) < n; i++ {
+	for i := p.head; i < len(p.pending) && len(out)-len(dst) < n; i++ {
 		e := &p.pending[i]
 		if e.dead {
 			continue

@@ -116,8 +116,13 @@ func DecodeHeader(d *Decoder) Header {
 // at-rest format the platform layer persists for crash recovery, so it
 // round-trips byte-identically through DecodeBlock.
 func EncodeBlock(b *Block) []byte {
-	buf := make([]byte, 0, b.WireSize()+4+4*len(b.Txs))
-	buf = b.Header.AppendTo(buf)
+	return AppendBlock(make([]byte, 0, b.WireSize()+4+4*len(b.Txs)), b)
+}
+
+// AppendBlock appends EncodeBlock's bytes for b to dst: a caller that
+// encodes block after block (the recovery journal) reuses one buffer.
+func AppendBlock(dst []byte, b *Block) []byte {
+	buf := b.Header.AppendTo(dst)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Txs)))
 	for _, tx := range b.Txs {
 		// Reserve the length prefix and fill it in behind the

@@ -215,6 +215,22 @@ func TestDecodeHostileCounts(t *testing.T) {
 	}
 }
 
+// TestAppendBlockExtendsDst: AppendBlock leaves dst's bytes in place
+// and appends exactly EncodeBlock's, whatever dst already holds.
+func TestAppendBlockExtendsDst(t *testing.T) {
+	for _, n := range []int{0, 1, 20} {
+		b := budgetBlock(n)
+		want := EncodeBlock(b)
+		for _, prefix := range [][]byte{nil, []byte("blk:"), make([]byte, 300)} {
+			dst := append([]byte(nil), prefix...)
+			got := AppendBlock(dst, b)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%d transactions after a %d-byte prefix: AppendBlock differs from EncodeBlock", n, len(prefix))
+			}
+		}
+	}
+}
+
 func budgetBlock(n int) *Block {
 	b := &Block{Header: Header{Number: 1, Time: 1, Difficulty: 1}}
 	for i := 0; i < n; i++ {
@@ -232,6 +248,10 @@ func TestCodecAllocBudget(t *testing.T) {
 	b := budgetBlock(20)
 	if got := testing.AllocsPerRun(100, func() { EncodeBlock(b) }); got != 1 {
 		t.Errorf("EncodeBlock of 20 transactions: %v allocations, want 1", got)
+	}
+	buf := AppendBlock(nil, b)
+	if got := testing.AllocsPerRun(100, func() { buf = AppendBlock(buf[:0], b) }); got != 0 {
+		t.Errorf("AppendBlock of 20 transactions into a buffer that fits: %v allocations, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { b.Header.Hash(); b.Header.SealHash() }); got != 0 {
 		t.Errorf("Header.Hash and SealHash: %v allocations, want 0", got)
