@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -27,12 +28,12 @@ import (
 // DESIGN.md's allowlist names it with a reason. A table row the scan no
 // longer reports is stale and fails too.
 func TestChooserRule(t *testing.T) {
-	start := time.Now()
-	unused, err := chooserScan(".", "bench")
+	scan, err := moduleScan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("scan: %d names unused outside tests, in %v", len(unused), time.Since(start).Round(time.Millisecond))
+	unused := scan.unused
+	t.Logf("scan: %d names unused outside tests, in %v", len(unused), scan.took.Round(time.Millisecond))
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func Entry() int {
 			t.Fatal(err)
 		}
 	}
-	unused, err := chooserScan(filepath.Join(dir, "lib"), filepath.Join(dir, "caller"))
+	unused, _, err := chooserScan(filepath.Join(dir, "lib"), filepath.Join(dir, "caller"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +205,23 @@ func Entry() int {
 		t.Errorf("stale row Gone: problems %q, want one naming Gone", problems)
 	}
 }
+
+// scanResult is what one chooserScan of the module and bench/ found:
+// the names no non-test code uses, every package it type-checked by
+// import path, and how long that took.
+type scanResult struct {
+	unused []string
+	pkgs   map[string]*types.Package
+	took   time.Duration
+}
+
+// moduleScan runs the module's scan once per test binary, so every check
+// built on its type information shares one type-check.
+var moduleScan = sync.OnceValues(func() (scanResult, error) {
+	start := time.Now()
+	unused, pkgs, err := chooserScan(".", "bench")
+	return scanResult{unused, pkgs, time.Since(start)}, err
+})
 
 // chooserDiff compares the scan's list with the allowlist, both ways.
 func chooserDiff(unused []string, allowed map[string]bool) []string {
@@ -290,8 +308,9 @@ type listedPackage struct {
 // place gives the read and write positions). A test-support package —
 // named like httptest, with a "test" suffix, and imported by test files
 // and by no non-test package — is test code: the scan neither lists its
-// declarations nor counts its uses.
-func chooserScan(dirs ...string) ([]string, error) {
+// declarations nor counts its uses. The packages it type-checked come
+// back too, by import path.
+func chooserScan(dirs ...string) ([]string, map[string]*types.Package, error) {
 	fset := token.NewFileSet()
 	exports := make(map[string]string) // standard-library import path -> export data file
 	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -375,19 +394,19 @@ func chooserScan(dirs ...string) ([]string, error) {
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		if err != nil {
-			return nil, fmt.Errorf("go list in %s: %v: %s", dir, err, stderr.Bytes())
+			return nil, nil, fmt.Errorf("go list in %s: %v: %s", dir, err, stderr.Bytes())
 		}
 		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 			var p listedPackage
 			if err := dec.Decode(&p); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if p.Standard {
 				exports[p.ImportPath] = p.Export
 				continue
 			}
 			if p.Module == nil {
-				return nil, fmt.Errorf("%s: package outside any module", p.ImportPath)
+				return nil, nil, fmt.Errorf("%s: package outside any module", p.ImportPath)
 			}
 			if i == 0 && p.Module.Main {
 				mainPath = p.Module.Path
@@ -412,7 +431,7 @@ func chooserScan(dirs ...string) ([]string, error) {
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			files = append(files, f)
 		}
@@ -425,7 +444,7 @@ func chooserScan(dirs ...string) ([]string, error) {
 		}
 		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		checked[p.ImportPath] = pkg
 
@@ -536,7 +555,7 @@ func chooserScan(dirs ...string) ([]string, error) {
 	for _, ref := range [][2]string{{"container/heap", "Interface"}, {"sort", "Interface"}, {"flag", "Value"}, {"fmt", "Stringer"}} {
 		pkg, err := imp.Import(ref[0])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		addIface(pkg.Scope().Lookup(ref[1]).Type())
 	}
@@ -575,7 +594,7 @@ func chooserScan(dirs ...string) ([]string, error) {
 		}
 	}
 	sort.Strings(unused)
-	return unused, nil
+	return unused, checked, nil
 }
 
 // fieldAccess is how a field selector x.f is used; the zero value,
