@@ -193,8 +193,13 @@ loc:
 # (appendBlockKey, types.AppendBlock, storeMeta's key) and the pick
 # scratch of Raft and PBFT (Pool.AppendBatch, PickBatch's dst), which
 # replaced a state DB, trie and their buffers, a formatted key, a
-# record and two slices per block.
-LOC_MAX ?= 21368
+# record and two slices per block. It fell to 21252 when a run's event
+# timeline became the one way a fault reaches a cluster: the public
+# Cluster's eight fault forwarders, the schedule's state-gated triggers
+# with their polling loop, platform.Cluster.PartitionHalves and
+# simnet's Partition went, and the chain's Query and BalanceAt, which
+# read under its lock, replaced its State and the node's Exec engine.
+LOC_MAX ?= 21252
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -11,8 +11,8 @@
 // The package mirrors the paper's Fig 4 software stack:
 //
 //   - Cluster boots an N-node deployment of one platform over a simulated
-//     network with fault and attack injection (IBlockchainConnector's
-//     backend side).
+//     network (IBlockchainConnector's backend side); a run's Events
+//     inject faults and attacks into it.
 //   - Client is a connector bound to one client identity and one server:
 //     asynchronous transaction submission plus the block-range polling
 //     (getLatestBlock) that the paper's driver uses.
@@ -30,13 +30,11 @@ package blockbench
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"blockbench/internal/analytics"
 	"blockbench/internal/crypto"
 	"blockbench/internal/node"
 	"blockbench/internal/platform"
-	"blockbench/internal/simnet"
 	"blockbench/internal/types"
 )
 
@@ -180,58 +178,12 @@ func (c *Cluster) ClientOn(i, server int) *Client {
 	return cl
 }
 
-// Fault and attack injection (§3.3 of the paper, extended with real
-// process-kill semantics and link-level chaos).
-
-// Crash process-kills node i: consensus engine, transaction pool and
-// uncommitted ledger tail are torn down; only the node's persisted
-// store survives for Recover.
-func (c *Cluster) Crash(i int) { c.inner.Crash(i) }
-
-// Recover restarts a killed node from its persisted store (WAL replay
-// and chain journal on durable platforms, chain sync otherwise). On a
-// node that is not down it is a no-op.
-func (c *Cluster) Recover(i int) { c.inner.Recover(i) }
-
 // Down reports whether node i is currently process-killed.
 func (c *Cluster) Down(i int) bool { return c.inner.Down(i) }
 
 // ShardOf returns the shard group whose canonical chain node i follows
 // (0 on single-chain platforms).
 func (c *Cluster) ShardOf(i int) int { return c.inner.ShardOf(i) }
-
-// PartitionHalves splits the network into [0,k) and [k,N) — the
-// double-spending / selfish-mining attack simulation.
-func (c *Cluster) PartitionHalves(k int) { c.inner.PartitionHalves(k) }
-
-// PartitionGroups installs an arbitrary (possibly asymmetric) multi-way
-// partition; unlisted nodes form an implicit group of their own.
-func (c *Cluster) PartitionGroups(groups [][]int) { c.inner.PartitionGroups(groups) }
-
-// SetLinkFaults installs probabilistic drop/duplicate/reorder faults on
-// messages sent by the given nodes (all nodes when none are named); a
-// zero profile clears them.
-func (c *Cluster) SetLinkFaults(drop, dup, reorder float64, nodes ...int) {
-	c.inner.SetLinkFaults(drop, dup, reorder, nodes...)
-}
-
-// Heal removes partitions.
-func (c *Cluster) Heal() { c.inner.Heal() }
-
-// SetDelay injects extra message delay at the given nodes.
-func (c *Cluster) SetDelay(d time.Duration, nodes ...int) {
-	c.inner.SetDelay(d, nodes...)
-}
-
-// SetCorruptRate makes a fraction of the given nodes' messages arrive
-// corrupted (random-response failure mode).
-func (c *Cluster) SetCorruptRate(rate float64, nodes ...int) {
-	ids := make([]simnet.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = simnet.NodeID(n)
-	}
-	c.inner.Net.SetCorruptRate(rate, ids...)
-}
 
 // ForkStats reports (blocks on any branch, main-chain length): the
 // security metric of §3.3.
@@ -240,9 +192,7 @@ func (c *Cluster) ForkStats() (total, mainChain uint64) { return c.inner.ForkSta
 // Height returns node 0's confirmed chain height.
 func (c *Cluster) Height() uint64 { return c.inner.Chain(0).Height() }
 
-// NodeHeight returns node i's confirmed chain height. Together with
-// Crash/Recover/PartitionHalves/Heal/SetDelay it makes the cluster a
-// valid target for declarative event timelines (see Event).
+// NodeHeight returns node i's confirmed chain height.
 func (c *Cluster) NodeHeight(i int) uint64 { return c.inner.NodeHeight(i) }
 
 // Internal accessors used by the driver, analytics helpers, experiments
@@ -251,5 +201,7 @@ func (c *Cluster) NodeHeight(i int) uint64 { return c.inner.NodeHeight(i) }
 func (c *Cluster) nodeAt(i int) *node.Node { return c.inner.Node(i) }
 
 // Inner exposes the underlying platform cluster for experiment code that
-// needs platform-level counters (storage stats, execution engines).
+// needs platform-level counters (storage stats, execution engines), and
+// for code that injects a fault outside a run (Inner().Crash(i)); inside
+// a run, faults are RunConfig.Events.
 func (c *Cluster) Inner() *platform.Cluster { return c.inner }

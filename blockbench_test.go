@@ -242,7 +242,7 @@ func TestCrashFaultTolerance(t *testing.T) {
 	if _, err := Run(c, w, RunConfig{Clients: 2, Rate: 20, Duration: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	c.Crash(3)
+	c.Inner().Crash(3)
 	// Deterministic: submit one transaction and poll its receipt instead
 	// of betting that a fixed measurement window sees a commit (mining
 	// speed varies with the host, especially under -race).

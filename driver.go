@@ -110,7 +110,8 @@ type ChaosOptions struct {
 
 // WorkloadInvariants is implemented by workloads that can audit their
 // own application-level safety invariants after a run (smallbank's
-// balance conservation, for example). The driver calls it once at the
+// replica agreement: every live replica of a shard group reports the
+// same balances, for example). The driver calls it once at the
 // end of a checked run and merges the violations into the report.
 type WorkloadInvariants interface {
 	CheckInvariants(c *Cluster) []string
@@ -339,7 +340,7 @@ func Start(ctx context.Context, c *Cluster, w Workload, cfg RunConfig) (*Handle,
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			schedule.Run(c, start, cfg.Events, cfg.PollInterval, r.stop, r.recordEvent)
+			schedule.Run(c.inner, start, cfg.Events, r.stop, r.recordEvent)
 		}()
 	}
 	workers.Add(1)

@@ -165,6 +165,50 @@ func TestRunHandleCancelBlockingMode(t *testing.T) {
 	waitGoroutines(t, before+2)
 }
 
+// TestDelayAndCorruptEventsFireAndClear runs the two §3.3 injections no
+// figure uses, message delay and corrupted responses, on a quorum run:
+// each is set and then cleared, all four events reach the report in
+// order and by name, and the run commits, after the clear too. A window
+// in which every message arrives corrupted starves the followers of
+// heartbeats for several election timeouts, so raft.elections rising
+// shows the corrupt rate reached the cluster's network.
+func TestDelayAndCorruptEventsFireAndClear(t *testing.T) {
+	c := fastCluster(t, Quorum, 4, 2)
+	all := []int{0, 1, 2, 3}
+	events := []Event{
+		SetDelay(100*time.Millisecond, 20*time.Millisecond, all...),
+		SetDelay(400*time.Millisecond, 0, all...),
+		SetCorruptRate(700*time.Millisecond, 1, all...),
+		SetCorruptRate(1200*time.Millisecond, 0, all...),
+	}
+	r, err := Run(c, &YCSBWorkload{Records: 50}, RunConfig{
+		Clients: 2, Threads: 2, Rate: 60, Duration: 3 * time.Second, Events: events,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"setdelay(20ms,[0 1 2 3])", "setdelay(0s,[0 1 2 3])",
+		"setcorruptrate(1,[0 1 2 3])", "setcorruptrate(0,[0 1 2 3])"}
+	if len(r.Events) != len(want) {
+		t.Fatalf("report events %+v, want %q", r.Events, want)
+	}
+	for i, ev := range r.Events {
+		if ev.Name != want[i] || ev.At < events[i].At {
+			t.Fatalf("report event %d is %q at %v, want %q at or after %v", i, ev.Name, ev.At, want[i], events[i].At)
+		}
+	}
+	if r.Counters["raft.elections"] == 0 {
+		t.Fatalf("a window of corrupted messages raised no raft election: %v", r.Counters)
+	}
+	var after float64
+	for i := int(r.Events[3].At/r.Bucket) + 1; i < len(r.CommitSeries); i++ {
+		after += r.CommitSeries[i]
+	}
+	if r.Committed == 0 || after == 0 {
+		t.Fatalf("committed %d in all, %v after the last clear; want both > 0", r.Committed, after)
+	}
+}
+
 // TestEventScheduleCrashRaisesElections is the acceptance scenario: a
 // scheduled CrashNode of the Raft leader on the quorum platform shows
 // raft.elections rising in the generic Counters map of the final Report,

@@ -7,10 +7,12 @@ import (
 )
 
 // Event is one entry of a declarative fault/attack timeline (§3.3 of the
-// paper): crash, recover, partition, heal or delay injection at a time
-// offset into the run. Attach a timeline to RunConfig.Events and the
-// driver executes it, stamping each firing into the snapshot stream and
-// the final Report — no hand-rolled sleep-and-inject goroutines.
+// paper): crash, recover, partition, heal, delay or corrupt-response
+// injection at a time offset into the run. Attach a timeline to
+// RunConfig.Events and the driver executes it against the cluster,
+// stamping each firing into the snapshot stream and the final Report —
+// no hand-rolled sleep-and-inject goroutines. Events are the one way a
+// fault reaches a running benchmark.
 //
 // Events run in order: an event arms only after every earlier one fired,
 // so At offsets describe a sequential timeline.
@@ -43,4 +45,10 @@ func Heal(at time.Duration) Event {
 // SetDelay schedules extra message delay d at the given nodes.
 func SetDelay(at time.Duration, d time.Duration, nodes ...int) Event {
 	return Event{At: at, Act: schedule.SetDelay(d, nodes...)}
+}
+
+// SetCorruptRate schedules the random-response failure mode: the given
+// fraction of the given nodes' messages arrive corrupted. Rate 0 clears.
+func SetCorruptRate(at time.Duration, rate float64, nodes ...int) Event {
+	return Event{At: at, Act: schedule.SetCorruptRate(rate, nodes...)}
 }

@@ -337,7 +337,7 @@ func TestPartitionedMinorityRejoins(t *testing.T) {
 	c.waitLeader(t, nil)
 
 	// Cut off nodes 0-1; the 3-node majority keeps committing.
-	c.net.Partition([]simnet.NodeID{0, 1})
+	c.net.PartitionGroups([][]simnet.NodeID{{0, 1}})
 	skip := map[int]bool{0: true, 1: true}
 	var txs []*types.Transaction
 	for i := 0; i < 20; i++ {
@@ -439,7 +439,7 @@ func TestSnapshotInstallRejoin(t *testing.T) {
 			break
 		}
 	}
-	c.net.Partition([]simnet.NodeID{simnet.NodeID(lagger)})
+	c.net.PartitionGroups([][]simnet.NodeID{{simnet.NodeID(lagger)}})
 	skip := map[int]bool{lagger: true}
 	txs = nil
 	for i := 100; i < 160; i++ {
@@ -515,7 +515,7 @@ func TestLeaseReadSafety(t *testing.T) {
 
 	// Depose the leader by partitioning it away; its lease must lapse
 	// before a successor can win (lease ≤ ElectionTimeout/2).
-	c.net.Partition([]simnet.NodeID{simnet.NodeID(l)})
+	c.net.PartitionGroups([][]simnet.NodeID{{simnet.NodeID(l)}})
 	time.Sleep(fastOptions().ElectionTimeout / 2)
 	if c.nodes[l].e.LeaseRead() {
 		t.Fatal("partitioned leader served a lease read past its lease")

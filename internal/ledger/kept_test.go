@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"blockbench/internal/bmt"
 	"blockbench/internal/crypto"
 	"blockbench/internal/exec"
 	"blockbench/internal/kvstore"
@@ -161,12 +162,12 @@ func TestKeptDBMatchesFreshAcrossForkSwitch(t *testing.T) {
 			if w.kept.kept != db {
 				t.Fatal("the block after the reorg did not run on the kept DB")
 			}
-			head, err := w.kept.State()
+			head, err := w.kept.StateAt(w.kept.Height())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if head == w.kept.kept {
-				t.Fatal("State returned the kept DB")
+				t.Fatal("StateAt returned the kept DB")
 			}
 		})
 	}
@@ -255,7 +256,7 @@ func TestKeptDBConcurrentReads(t *testing.T) {
 				return
 			default:
 			}
-			if db, err := c.State(); err == nil {
+			if db, err := c.StateAt(c.Height()); err == nil {
 				db.GetBalance(w.key.Address())
 			}
 			if h := c.Height(); h > 0 {
@@ -280,5 +281,75 @@ func TestKeptDBConcurrentReads(t *testing.T) {
 		if _, ok := c.Receipt(b.Txs[len(b.Txs)-1].Hash()); !ok {
 			t.Fatalf("block %d: no receipt", b.Number())
 		}
+	}
+}
+
+// TestQueryDuringAppend reads through Query and BalanceAt while another
+// goroutine appends blocks, on a bucket-tree chain whose factory hands
+// every block the same DB, as Hyperledger's does: a read that ran outside
+// the chain lock would snapshot, read and revert that DB mid-block (run
+// under -race).
+func TestQueryDuringAppend(t *testing.T) {
+	key := crypto.DeterministicKey(1)
+	eng, err := exec.NewNativeEngine("ycsb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := state.NewBucketBackend(kvstore.NewMem(), bmt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := state.NewDB(b)
+	c, err := New(Config{Engine: eng, StateFactory: func(types.Hash) (*state.DB, error) { return db, nil },
+		GenesisAlloc: map[types.Address]uint64{key.Address(): 1_000_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]*types.Block, 40)
+	parent, nonce := c.Head(), uint64(0)
+	for i := range blocks {
+		var txs []*types.Transaction
+		for j := 0; j < 4; j++ {
+			nonce++
+			txs = append(txs, signedTx(t, key, nonce, "write", []byte(fmt.Sprint("k", j)), []byte(fmt.Sprint(i))))
+		}
+		blocks[i] = &types.Block{Header: types.Header{Number: parent.Number() + 1, ParentHash: parent.Hash(),
+			Time: int64(i)}, Txs: txs}
+		parent = blocks[i]
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, b := range blocks {
+			if err := c.Append(b); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		close(done)
+	}()
+	reads := 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if bal, err := c.BalanceAt(key.Address(), c.Height()); err == nil && bal != 1_000_000 {
+			t.Errorf("balance read %d mid-append, want 1000000", bal)
+			break
+		}
+		if h := c.Height(); h > 0 {
+			if v, err := c.Query("ycsb", "read", [][]byte{[]byte("k0")}); err != nil || len(v) == 0 {
+				t.Errorf("query at height %d: %q, %v", h, v, err)
+				break
+			}
+		}
+	}
+	wg.Wait()
+	if v, err := c.Query("ycsb", "read", [][]byte{[]byte("k3")}); err != nil || string(v) != fmt.Sprint(len(blocks)-1) {
+		t.Fatalf("head query after %d reads: %q, %v; want %q", reads, v, err, fmt.Sprint(len(blocks)-1))
 	}
 }

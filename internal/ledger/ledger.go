@@ -103,13 +103,13 @@ type Chain struct {
 	canonical []types.Hash // by height, canonical[0] = genesis
 	head      *entry
 	byTx      map[types.Hash]*types.Receipt
-	headState *state.DB
+	headState *state.DB // Query's DB at the head, reopened after a head switch
 
 	appended uint64 // every block ever accepted, including side chains
 
 	// kept is the DB the last accepted block committed on, rebound at
-	// keptRoot, where the next block on that root executes. State and
-	// StateAt never return it (a factory's singleton aside); a failed or
+	// keptRoot, where the next block on that root executes. Query and
+	// StateAt never read it (a factory's singleton aside); a failed or
 	// rejected execution drops it.
 	kept     *state.DB
 	keptRoot types.Hash
@@ -415,8 +415,11 @@ func (c *Chain) ProposeBlock(txs []*types.Transaction, proposer types.Address, d
 	return b, nil
 }
 
-// State returns a read-only view of the state at the canonical head.
-func (c *Chain) State() (*state.DB, error) {
+// Query runs a read-only contract method against the state at the
+// canonical head, with the chain's engine. It holds the chain lock for
+// the whole read: a StateFactory may hand every block the same DB (see
+// Config.StateFactory), and Append executes blocks on it under the lock.
+func (c *Chain) Query(contract, method string, args [][]byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.headState == nil {
@@ -426,25 +429,42 @@ func (c *Chain) State() (*state.DB, error) {
 		}
 		c.headState = db
 	}
-	return c.headState, nil
+	return c.cfg.Engine.Query(c.headState, contract, method, args)
+}
+
+// BalanceAt returns an account's balance as of the canonical block at
+// the given height, holding the chain lock for the whole read as Query
+// does. Platforms without state versioning return an error for non-head
+// heights.
+func (c *Chain) BalanceAt(addr types.Address, number uint64) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	db, err := c.stateAtLocked(number)
+	if err != nil {
+		return 0, err
+	}
+	return db.GetBalance(addr), nil
 }
 
 // StateAt returns the state as of the canonical block at the given
 // height. Platforms without state versioning return an error for
-// non-head heights.
+// non-head heights, and hand out the DB the chain executes blocks on:
+// read it only while no block is appended.
 func (c *Chain) StateAt(number uint64) (*state.DB, error) {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.stateAtLocked(number)
+}
+
+// stateAtLocked is StateAt for a caller that holds c.mu.
+func (c *Chain) stateAtLocked(number uint64) (*state.DB, error) {
 	if number >= uint64(len(c.canonical)) {
-		c.mu.RUnlock()
 		return nil, fmt.Errorf("ledger: no block %d", number)
 	}
-	root := c.entries[c.canonical[number]].stateRoot
-	head := c.head.block.Number()
-	c.mu.RUnlock()
-	if !c.cfg.SupportsForks && number != head {
+	if head := c.head.block.Number(); !c.cfg.SupportsForks && number != head {
 		return nil, fmt.Errorf("ledger: platform keeps no historical state (asked for block %d, head %d)", number, head)
 	}
-	return c.cfg.StateFactory(root)
+	return c.cfg.StateFactory(c.entries[c.canonical[number]].stateRoot)
 }
 
 // GetBlock returns the canonical block at a height.

@@ -58,7 +58,7 @@ func TestGenesisState(t *testing.T) {
 	if c.Height() != 0 {
 		t.Fatal("genesis height != 0")
 	}
-	db, err := c.State()
+	db, err := c.StateAt(c.Height())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestProposeAndAppend(t *testing.T) {
 	if !ok || !r.OK {
 		t.Fatalf("receipt: %+v ok=%v", r, ok)
 	}
-	db, _ := c.State()
+	db, _ := c.StateAt(c.Height())
 	if string(db.GetState("ycsb", []byte("k"))) != "v" {
 		t.Fatal("state not applied")
 	}
@@ -228,7 +228,7 @@ func TestForkChoiceHeaviestChain(t *testing.T) {
 		t.Fatalf("height = %d", c.Height())
 	}
 	// State must reflect branch B (no write of "k").
-	db, _ := c.State()
+	db, _ := c.StateAt(c.Height())
 	if db.GetState("ycsb", []byte("k")) != nil {
 		t.Fatal("state still from abandoned branch")
 	}

@@ -14,7 +14,6 @@ import (
 	"blockbench/internal/analytics"
 	"blockbench/internal/consensus"
 	"blockbench/internal/crypto"
-	"blockbench/internal/exec"
 	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
@@ -29,7 +28,6 @@ type Config struct {
 	Net   *simnet.Network
 	Chain *ledger.Chain
 	Pool  *txpool.Pool
-	Exec  exec.Engine
 	// NewConsensus builds the consensus engine once the endpoint exists.
 	NewConsensus func(consensus.Context) consensus.Engine
 	Peers        []simnet.NodeID
@@ -364,11 +362,7 @@ func (n *Node) Query(contract, method string, args [][]byte) ([]byte, error) {
 	if err := n.rpc(); err != nil {
 		return nil, err
 	}
-	db, err := n.cfg.Chain.State()
-	if err != nil {
-		return nil, err
-	}
-	return n.cfg.Exec.Query(db, contract, method, args)
+	return n.cfg.Chain.Query(contract, method, args)
 }
 
 // BalanceAt returns an account balance at a block height (Ethereum's
@@ -378,11 +372,7 @@ func (n *Node) BalanceAt(addr types.Address, number uint64) (uint64, error) {
 	if err := n.rpc(); err != nil {
 		return 0, err
 	}
-	db, err := n.cfg.Chain.StateAt(number)
-	if err != nil {
-		return 0, err
-	}
-	return db.GetBalance(addr), nil
+	return n.cfg.Chain.BalanceAt(addr, number)
 }
 
 // AnalyticsQuery serves one analytics request from the node's columnar

@@ -53,7 +53,6 @@ func newTestNode(t *testing.T, cfgMut func(*Config)) (*Node, *ledger.Chain, *cry
 		Net:   net,
 		Chain: chain,
 		Pool:  txpool.New(0),
-		Exec:  eng,
 		NewConsensus: func(consensus.Context) consensus.Engine {
 			return nullConsensus{}
 		},
@@ -240,7 +239,6 @@ func TestGossipTxReachesPeerPool(t *testing.T) {
 	mk := func(id simnet.NodeID) *Node {
 		n := New(Config{
 			ID: id, Key: key, Net: net, Chain: mkChain(), Pool: txpool.New(0),
-			Exec:         eng,
 			NewConsensus: func(consensus.Context) consensus.Engine { return nullConsensus{} },
 			Peers:        []simnet.NodeID{1, 2},
 		})

@@ -382,7 +382,6 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		Net:               c.Net,
 		Chain:             chain,
 		Pool:              pool,
-		Exec:              eng,
 		NewConsensus:      a.NewConsensus(c.env),
 		Peers:             c.peers,
 		RPCLatency:        cfg.RPCLatency,
@@ -638,25 +637,23 @@ func (c *Cluster) retireCountersLocked(i int) {
 	}
 }
 
-// PartitionHalves splits the cluster into [0, k) and [k, N) — the
-// double-spending attack simulation from §3.3.
-func (c *Cluster) PartitionHalves(k int) {
-	var a []simnet.NodeID
-	for i := 0; i < k; i++ {
-		a = append(a, simnet.NodeID(i))
+// nodeIDs converts node indexes to network ids.
+func nodeIDs(nodes []int) []simnet.NodeID {
+	ids := make([]simnet.NodeID, len(nodes))
+	for i, n := range nodes {
+		ids[i] = simnet.NodeID(n)
 	}
-	c.Net.Partition(a)
+	return ids
 }
 
 // PartitionGroups splits the cluster into arbitrary (possibly
 // asymmetric) groups; nodes not listed anywhere share an implicit
-// group with each other. Messages flow only within a group.
+// group with each other. Messages flow only within a group. One listed
+// group of [0, k) is the double-spending attack simulation from §3.3.
 func (c *Cluster) PartitionGroups(groups [][]int) {
 	g := make([][]simnet.NodeID, len(groups))
 	for i, grp := range groups {
-		for _, n := range grp {
-			g[i] = append(g[i], simnet.NodeID(n))
-		}
+		g[i] = nodeIDs(grp)
 	}
 	c.Net.PartitionGroups(g)
 }
@@ -668,24 +665,20 @@ func (c *Cluster) Heal() { c.Net.Heal() }
 // sent by the given nodes (all nodes when none are named): drop, dup
 // and reorder are per-message probabilities. A zero profile clears.
 func (c *Cluster) SetLinkFaults(drop, dup, reorder float64, nodes ...int) {
-	ids := make([]simnet.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = simnet.NodeID(n)
-	}
-	c.Net.SetLinkFaults(simnet.LinkFaults{Drop: drop, Dup: dup, Reorder: reorder}, ids...)
+	c.Net.SetLinkFaults(simnet.LinkFaults{Drop: drop, Dup: dup, Reorder: reorder}, nodeIDs(nodes)...)
 }
 
 // SetDelay injects extra message delay at the given nodes.
-func (c *Cluster) SetDelay(d time.Duration, nodes ...int) {
-	ids := make([]simnet.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = simnet.NodeID(n)
-	}
-	c.Net.SetDelay(d, ids...)
+func (c *Cluster) SetDelay(d time.Duration, nodes ...int) { c.Net.SetDelay(d, nodeIDs(nodes)...) }
+
+// SetCorruptRate makes a fraction of the given nodes' messages arrive
+// corrupted (the random-response failure mode of §3.3); zero clears.
+func (c *Cluster) SetCorruptRate(rate float64, nodes ...int) {
+	c.Net.SetCorruptRate(rate, nodeIDs(nodes)...)
 }
 
-// NodeHeight returns node i's confirmed chain height (the schedule
-// package's growth triggers key fault timelines off it).
+// NodeHeight returns node i's confirmed chain height (the invariant
+// checker samples it every bucket).
 func (c *Cluster) NodeHeight(i int) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -220,27 +220,39 @@ func TestEthereumPartitionForksAndHeals(t *testing.T) {
 	defer func() { c.Stop(); c.Close() }()
 	c.Start()
 
-	// The partition attack as a declarative timeline, keyed off observed
-	// chain growth instead of fixed sleeps: PoW mining speed varies with
-	// the host, so a timed window can close before a slow half has mined
-	// anything (the old flake — both fork tests saw zero stale blocks on
-	// slow machines). Partition once a common prefix reaches every node;
-	// heal once both halves have demonstrably mined two blocks past the
-	// fork point, which guarantees at least two blocks end up stale
-	// whichever side wins.
-	stop := make(chan struct{})
-	timeout := time.AfterFunc(60*time.Second, func() { close(stop) })
-	defer timeout.Stop()
-	recs := schedule.Run(c, time.Now(), []schedule.Event{
-		{When: schedule.HeightAtLeast(1), Act: schedule.Partition(2)},
-		{When: schedule.GrowthAtLeast(2, 0, 2), Act: schedule.Heal()},
-	}, 10*time.Millisecond, stop, nil)
-	if len(recs) != 2 {
-		for i := 0; i < c.Size(); i++ {
-			t.Logf("node %d height=%d", i, c.Chain(i).Height())
+	// The partition attack, keyed off observed chain growth instead of
+	// fixed sleeps: PoW mining speed varies with the host, so a timed
+	// window can close before a slow half has mined anything (the old
+	// flake — both fork tests saw zero stale blocks on slow machines).
+	// Partition once a common prefix reaches every node; heal once both
+	// halves have demonstrably mined two blocks past the fork point,
+	// which guarantees at least two blocks end up stale whichever side
+	// wins.
+	deadline := time.Now().Add(60 * time.Second)
+	fired := 0
+	// waitHeights polls until every listed node reaches height target,
+	// then applies act.
+	waitHeights := func(target uint64, act schedule.Action, nodes ...int) {
+		for _, i := range nodes {
+			for c.Chain(i).Height() < target {
+				if time.Now().After(deadline) {
+					for i := 0; i < c.Size(); i++ {
+						t.Logf("node %d height=%d", i, c.Chain(i).Height())
+					}
+					t.Fatalf("event timeline timed out after %d of 2 events", fired)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 		}
-		t.Fatalf("event timeline timed out after %d of 2 events", len(recs))
+		act.Do(c)
+		fired++
 	}
+	waitHeights(1, schedule.Partition(2), 0, 1, 2, 3)
+	var base uint64
+	for i := 0; i < c.Size(); i++ {
+		base = max(base, c.Chain(i).Height())
+	}
+	waitHeights(base+2, schedule.Heal(), 0, 2)
 
 	// Healing does not proactively re-gossip: the minority adopts the
 	// winning branch when the next mined block arrives with an unknown
@@ -253,7 +265,7 @@ func TestEthereumPartitionForksAndHeals(t *testing.T) {
 			forkBase = h
 		}
 	}
-	deadline := time.Now().Add(60 * time.Second)
+	deadline = time.Now().Add(60 * time.Second)
 	for {
 		minH := c.Chain(0).Height()
 		for i := 1; i < c.Size(); i++ {

@@ -1,18 +1,10 @@
 // Package schedule executes declarative fault/attack timelines against a
 // running cluster: the §3.3 injections (crash, recover, partition, heal,
-// message delay) expressed as data instead of hand-rolled
-// sleep-and-inject goroutines. A timeline is a sequence of events, each
-// gated on a time offset and/or an observed-state trigger (chain height,
-// chain growth); the runner fires them in order and stamps a record per
-// firing, which the driver forwards into the run's snapshot stream and
-// final report.
-//
-// Triggers exist because wall-clock offsets are not deterministic on
-// simulated proof-of-work: mining speed varies with the host, so "heal
-// after 2 s" can fire before a slow half has mined anything. Keying the
-// same phases off observed chain growth is what made the fork-injection
-// tests deterministic, and the trigger hooks preserve that property in
-// declarative form.
+// message delay, corrupted responses) expressed as data instead of
+// hand-rolled sleep-and-inject goroutines. A timeline is a sequence of
+// events, each at a time offset; the runner fires them in order and
+// stamps a record per firing, which the driver forwards into the run's
+// snapshot stream and final report.
 package schedule
 
 import (
@@ -22,19 +14,14 @@ import (
 	"time"
 )
 
-// Cluster is the injection surface a timeline runs against. Both the
-// public blockbench.Cluster and the internal platform.Cluster implement
-// it.
+// Cluster is the injection surface a timeline runs against: the
+// platform cluster, which the driver hands to Run.
 type Cluster interface {
-	// Size returns the number of server nodes.
-	Size() int
 	// Crash process-kills node i (in-memory state is lost).
 	Crash(i int)
 	// Recover restarts a killed node from its persisted store; on a
 	// node that is not down it is a no-op.
 	Recover(i int)
-	// PartitionHalves splits the network into [0,k) and [k,N).
-	PartitionHalves(k int)
 	// PartitionGroups installs an arbitrary multi-way partition;
 	// unlisted nodes form an implicit group.
 	PartitionGroups(groups [][]int)
@@ -42,12 +29,13 @@ type Cluster interface {
 	Heal()
 	// SetDelay injects extra message delay at the given nodes.
 	SetDelay(d time.Duration, nodes ...int)
+	// SetCorruptRate makes the given fraction of the given nodes'
+	// messages arrive corrupted; zero clears.
+	SetCorruptRate(rate float64, nodes ...int)
 	// SetLinkFaults installs probabilistic drop/duplicate/reorder on
 	// messages the given nodes send (all nodes when none are named);
 	// zero probabilities clear the profile.
 	SetLinkFaults(drop, dup, reorder float64, nodes ...int)
-	// NodeHeight returns node i's confirmed chain height.
-	NodeHeight(i int) uint64
 }
 
 // Action is one named injection step.
@@ -58,19 +46,12 @@ type Action struct {
 	Do func(Cluster)
 }
 
-// Trigger gates an event on observed cluster state. It is called once
-// when the event becomes armed (its At offset elapsed and every earlier
-// event fired), letting it capture a baseline; the returned predicate is
-// then polled until true.
-type Trigger func(Cluster) (ready func() bool)
-
 // Event is one entry of a timeline: the action fires once the offset At
-// has elapsed since the timeline started, every earlier event has fired,
-// and the optional When trigger reports ready.
+// has elapsed since the timeline started and every earlier event has
+// fired.
 type Event struct {
-	At   time.Duration
-	When Trigger
-	Act  Action
+	At  time.Duration
+	Act Action
 }
 
 // Record stamps one fired event with the actual offset at which it
@@ -90,9 +71,14 @@ func Recover(i int) Action {
 	return Action{Name: fmt.Sprintf("recover(%d)", i), Do: func(c Cluster) { c.Recover(i) }}
 }
 
-// Partition returns the split-in-[0,k)/[k,N) action.
+// Partition returns the action that splits nodes [0,k) off from the
+// rest, [k,N).
 func Partition(k int) Action {
-	return Action{Name: fmt.Sprintf("partition(%d)", k), Do: func(c Cluster) { c.PartitionHalves(k) }}
+	group := make([]int, max(k, 0))
+	for i := range group {
+		group[i] = i
+	}
+	return Action{Name: fmt.Sprintf("partition(%d)", k), Do: func(c Cluster) { c.PartitionGroups([][]int{group}) }}
 }
 
 // PartitionGroups returns the multi-way partition action.
@@ -126,56 +112,11 @@ func SetDelay(d time.Duration, nodes ...int) Action {
 	}
 }
 
-// nodesOrAll expands an empty node list to every node.
-func nodesOrAll(c Cluster, nodes []int) []int {
-	if len(nodes) > 0 {
-		return nodes
-	}
-	all := make([]int, c.Size())
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// HeightAtLeast fires once every listed node (all nodes when none are
-// listed) has reached the absolute chain height target.
-func HeightAtLeast(target uint64, nodes ...int) Trigger {
-	return func(c Cluster) func() bool {
-		ns := nodesOrAll(c, nodes)
-		return func() bool {
-			for _, i := range ns {
-				if c.NodeHeight(i) < target {
-					return false
-				}
-			}
-			return true
-		}
-	}
-}
-
-// GrowthAtLeast fires once every listed node (all nodes when none are
-// listed) has grown delta blocks past the highest height observed
-// anywhere in the cluster at arm time — "both halves mined two blocks
-// past the fork point", independent of mining speed.
-func GrowthAtLeast(delta uint64, nodes ...int) Trigger {
-	return func(c Cluster) func() bool {
-		var base uint64
-		for i := 0; i < c.Size(); i++ {
-			if h := c.NodeHeight(i); h > base {
-				base = h
-			}
-		}
-		target := base + delta
-		ns := nodesOrAll(c, nodes)
-		return func() bool {
-			for _, i := range ns {
-				if c.NodeHeight(i) < target {
-					return false
-				}
-			}
-			return true
-		}
+// SetCorruptRate returns the corrupt-responses action (rate 0 clears).
+func SetCorruptRate(rate float64, nodes ...int) Action {
+	return Action{
+		Name: fmt.Sprintf("setcorruptrate(%v,%v)", rate, nodes),
+		Do:   func(c Cluster) { c.SetCorruptRate(rate, nodes...) },
 	}
 }
 
@@ -301,16 +242,10 @@ func Chaos(cfg ChaosConfig) []Event {
 }
 
 // Run executes the timeline in order against c, treating start as the
-// timeline's origin for At offsets. Trigger predicates are polled every
-// poll (default 5ms). A close of stop aborts the remaining events (nil
-// means run to completion). Each firing is reported through onFire (if
-// non-nil) and collected into the returned records.
-func Run(c Cluster, start time.Time, events []Event, poll time.Duration,
-	stop <-chan struct{}, onFire func(Record)) []Record {
-
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
-	}
+// timeline's origin for At offsets. A close of stop aborts the remaining
+// events (nil means run to completion). Each firing is reported through
+// onFire (if non-nil) and collected into the returned records.
+func Run(c Cluster, start time.Time, events []Event, stop <-chan struct{}, onFire func(Record)) []Record {
 	var recs []Record
 	for _, ev := range events {
 		if d := time.Until(start.Add(ev.At)); d > 0 {
@@ -326,18 +261,6 @@ func Run(c Cluster, start time.Time, events []Event, poll time.Duration,
 			case <-stop:
 				return recs
 			default:
-			}
-		}
-		if ev.When != nil {
-			ready := ev.When(c)
-			for !ready() {
-				t := time.NewTimer(poll)
-				select {
-				case <-stop:
-					t.Stop()
-					return recs
-				case <-t.C:
-				}
 			}
 		}
 		if ev.Act.Do != nil {

@@ -2,21 +2,16 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeCluster records injections and serves scripted heights.
+// fakeCluster records injections.
 type fakeCluster struct {
-	mu      sync.Mutex
-	size    int
-	heights []uint64
-	log     []string
-}
-
-func newFake(size int) *fakeCluster {
-	return &fakeCluster{size: size, heights: make([]uint64, size)}
+	mu  sync.Mutex
+	log []string
 }
 
 func (f *fakeCluster) record(s string) {
@@ -25,34 +20,23 @@ func (f *fakeCluster) record(s string) {
 	f.mu.Unlock()
 }
 
-func (f *fakeCluster) Size() int                                { return f.size }
-func (f *fakeCluster) Crash(i int)                              { f.record("crash") }
-func (f *fakeCluster) Recover(i int)                            { f.record("recover") }
-func (f *fakeCluster) PartitionHalves(int)                      { f.record("partition") }
-func (f *fakeCluster) PartitionGroups(groups [][]int)           { f.record("partition_groups") }
+func (f *fakeCluster) Crash(i int)   { f.record("crash") }
+func (f *fakeCluster) Recover(i int) { f.record("recover") }
+func (f *fakeCluster) PartitionGroups(groups [][]int) {
+	f.record(fmt.Sprint("partition_groups", groups))
+}
 func (f *fakeCluster) Heal()                                    { f.record("heal") }
 func (f *fakeCluster) SetDelay(d time.Duration, nodes ...int)   { f.record("setdelay") }
+func (f *fakeCluster) SetCorruptRate(r float64, nodes ...int)   { f.record("setcorruptrate") }
 func (f *fakeCluster) SetLinkFaults(d, u, r float64, ns ...int) { f.record("linkfaults") }
 
-func (f *fakeCluster) NodeHeight(i int) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.heights[i]
-}
-
-func (f *fakeCluster) setHeight(i int, h uint64) {
-	f.mu.Lock()
-	f.heights[i] = h
-	f.mu.Unlock()
-}
-
 func TestRunFiresInOrderWithOffsets(t *testing.T) {
-	c := newFake(4)
+	c := &fakeCluster{}
 	start := time.Now()
 	recs := Run(c, start, []Event{
 		{At: 0, Act: Crash(3)},
 		{At: 30 * time.Millisecond, Act: Heal()},
-	}, time.Millisecond, nil, nil)
+	}, nil, nil)
 	if len(recs) != 2 {
 		t.Fatalf("fired %d events, want 2", len(recs))
 	}
@@ -64,65 +48,27 @@ func TestRunFiresInOrderWithOffsets(t *testing.T) {
 	}
 }
 
-func TestHeightTriggerGates(t *testing.T) {
-	c := newFake(2)
-	fired := make(chan Record, 2)
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		c.setHeight(0, 5)
-		c.setHeight(1, 5)
-	}()
-	recs := Run(c, time.Now(), []Event{
-		{When: HeightAtLeast(5), Act: Partition(1)},
-	}, time.Millisecond, nil, func(r Record) { fired <- r })
-	if len(recs) != 1 {
-		t.Fatalf("fired %d events, want 1", len(recs))
+// A partition of k splits the first k nodes off as one group, under the
+// record name the reports have always carried.
+func TestPartitionSplitsFirstK(t *testing.T) {
+	c := &fakeCluster{}
+	var fired []string
+	Run(c, time.Now(), []Event{{Act: Partition(2)}, {Act: Partition(0)}}, nil, func(r Record) { fired = append(fired, r.Name) })
+	if want := []string{"partition(2)", "partition(0)"}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %q, want %q", fired, want)
 	}
-	if c.NodeHeight(0) < 5 {
-		t.Fatal("trigger fired before the height was reached")
-	}
-	select {
-	case r := <-fired:
-		if r.Name != "partition(1)" {
-			t.Fatalf("onFire saw %q", r.Name)
-		}
-	default:
-		t.Fatal("onFire not called")
-	}
-}
-
-func TestGrowthTriggerUsesArmTimeBaseline(t *testing.T) {
-	c := newFake(2)
-	c.setHeight(0, 10) // baseline max is 10 at arm time
-	c.setHeight(1, 8)
-	done := make(chan []Record, 1)
-	go func() {
-		done <- Run(c, time.Now(), []Event{
-			{When: GrowthAtLeast(2, 0), Act: Heal()},
-		}, time.Millisecond, nil, nil)
-	}()
-	time.Sleep(15 * time.Millisecond)
-	c.setHeight(0, 11) // 10+2 not reached yet
-	time.Sleep(15 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("growth trigger fired below baseline+delta")
-	default:
-	}
-	c.setHeight(0, 12)
-	recs := <-done
-	if len(recs) != 1 {
-		t.Fatalf("fired %d events, want 1", len(recs))
+	if want := []string{"partition_groups[[0 1]]", "partition_groups[[]]"}; !slices.Equal(c.log, want) {
+		t.Fatalf("cluster saw %q, want %q", c.log, want)
 	}
 }
 
 func TestStopAbortsRemainingEvents(t *testing.T) {
-	c := newFake(2)
+	c := &fakeCluster{}
 	stop := make(chan struct{})
 	close(stop)
 	recs := Run(c, time.Now(), []Event{
 		{At: time.Hour, Act: Crash(0)},
-	}, time.Millisecond, stop, nil)
+	}, stop, nil)
 	if len(recs) != 0 {
 		t.Fatalf("fired %d events after stop, want 0", len(recs))
 	}

@@ -417,16 +417,13 @@ func (n *Network) Crashed(id NodeID) bool {
 	return n.crashed[id]
 }
 
-// Partition splits the network in two: nodes in groupA on one side,
-// everyone else on the other. Traffic across the cut is dropped. This is
-// the attack primitive from §3.3 (eclipse / BGP-hijack simulation).
-func (n *Network) Partition(groupA []NodeID) { n.PartitionGroups([][]NodeID{groupA}) }
-
 // PartitionGroups splits the network into an arbitrary number of
 // mutually-isolated groups: nodes in groups[i] can only talk to members
 // of the same group, and any node not listed forms group 0 together with
-// other unlisted nodes. This generalizes Partition beyond the paper's
-// two-way split to the multi-way partial partitions chaos runs use.
+// other unlisted nodes; traffic across a cut is dropped. One listed
+// group is the paper's two-way split, the attack primitive of §3.3
+// (eclipse / BGP-hijack simulation); chaos runs use the multi-way
+// partial partitions.
 func (n *Network) PartitionGroups(groups [][]NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -80,7 +80,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	n := New(fastConfig())
 	defer n.Close()
 	a, b, c := n.Join(1), n.Join(2), n.Join(3)
-	n.Partition([]NodeID{1}) // 1 | 2,3
+	n.PartitionGroups([][]NodeID{{1}}) // 1 | 2,3
 	if a.Send(2, "x", nil) {
 		t.Fatal("cross-partition send accepted")
 	}
@@ -280,7 +280,7 @@ func TestHealKeepsLinkFaults(t *testing.T) {
 	n := New(fastConfig())
 	defer n.Close()
 	a, b := n.Join(1), n.Join(2)
-	n.Partition([]NodeID{1})
+	n.PartitionGroups([][]NodeID{{1}})
 	n.SetLinkFaults(LinkFaults{Dup: 1.0}, 1)
 	n.Heal()
 	if !a.Send(2, "x", nil) {

@@ -137,7 +137,7 @@ func TestQuorumRejoinViaInstallSnapshot(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.Crash(3)
+	c.Inner().Crash(3)
 	before := c.NodeHeight(0)
 	if _, err := Run(c, &YCSBWorkload{Records: 50}, RunConfig{
 		Clients: 2, Threads: 2, Rate: 150, Duration: 2 * time.Second, SkipInit: true,
@@ -147,7 +147,7 @@ func TestQuorumRejoinViaInstallSnapshot(t *testing.T) {
 	if grown := c.NodeHeight(0) - before; grown < 16 {
 		t.Fatalf("only %d blocks committed while node 3 was down; need > retention(8)*2", grown)
 	}
-	c.Recover(3)
+	c.Inner().Recover(3)
 	waitConverged(t, c, c.NodeHeight(0), 30*time.Second)
 	if got := c.Inner().Counters()["raft.snapshot_installs"]; got == 0 {
 		t.Fatal("node rejoined without an InstallSnapshot despite compacted log")
