@@ -199,7 +199,11 @@ loc:
 # with their polling loop, platform.Cluster.PartitionHalves and
 # simnet's Partition went, and the chain's Query and BalanceAt, which
 # read under its lock, replaced its State and the node's Exec engine.
-LOC_MAX ?= 21252
+# It was raised to 21293 by parallel set-up: Preload's per-chain
+# goroutines and joined errors, simnet's corrupted and delayed counters
+# with the Counters method that reports them, and the every-node
+# default that SetDelay and SetCorruptRate now share with SetLinkFaults.
+LOC_MAX ?= 21293
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

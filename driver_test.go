@@ -166,46 +166,85 @@ func TestRunHandleCancelBlockingMode(t *testing.T) {
 }
 
 // TestDelayAndCorruptEventsFireAndClear runs the two §3.3 injections no
-// figure uses, message delay and corrupted responses, on a quorum run:
+// figure uses, message delay and corrupted responses, on a quorum run,
+// once naming every node and once naming none (which means every node):
 // each is set and then cleared, all four events reach the report in
-// order and by name, and the run commits, after the clear too. A window
-// in which every message arrives corrupted starves the followers of
-// heartbeats for several election timeouts, so raft.elections rising
-// shows the corrupt rate reached the cluster's network.
+// order and by name, and the run commits, after the clear too. Each
+// window is checked by its own counter in the snapshot stream:
+// simnet.delayed and simnet.corrupted rise between the frame that saw
+// the set and the one that saw the clear, and stay flat from the clear
+// to the end of the run. A window in which every message arrives
+// corrupted starves the followers of heartbeats for several election
+// timeouts, so raft.elections rises too.
 func TestDelayAndCorruptEventsFireAndClear(t *testing.T) {
-	c := fastCluster(t, Quorum, 4, 2)
-	all := []int{0, 1, 2, 3}
-	events := []Event{
-		SetDelay(100*time.Millisecond, 20*time.Millisecond, all...),
-		SetDelay(400*time.Millisecond, 0, all...),
-		SetCorruptRate(700*time.Millisecond, 1, all...),
-		SetCorruptRate(1200*time.Millisecond, 0, all...),
-	}
-	r, err := Run(c, &YCSBWorkload{Records: 50}, RunConfig{
-		Clients: 2, Threads: 2, Rate: 60, Duration: 3 * time.Second, Events: events,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"setdelay(20ms,[0 1 2 3])", "setdelay(0s,[0 1 2 3])",
-		"setcorruptrate(1,[0 1 2 3])", "setcorruptrate(0,[0 1 2 3])"}
-	if len(r.Events) != len(want) {
-		t.Fatalf("report events %+v, want %q", r.Events, want)
-	}
-	for i, ev := range r.Events {
-		if ev.Name != want[i] || ev.At < events[i].At {
-			t.Fatalf("report event %d is %q at %v, want %q at or after %v", i, ev.Name, ev.At, want[i], events[i].At)
-		}
-	}
-	if r.Counters["raft.elections"] == 0 {
-		t.Fatalf("a window of corrupted messages raised no raft election: %v", r.Counters)
-	}
-	var after float64
-	for i := int(r.Events[3].At/r.Bucket) + 1; i < len(r.CommitSeries); i++ {
-		after += r.CommitSeries[i]
-	}
-	if r.Committed == 0 || after == 0 {
-		t.Fatalf("committed %d in all, %v after the last clear; want both > 0", r.Committed, after)
+	for _, tc := range []struct {
+		name  string
+		nodes []int
+		want  []string // record names of the four events, in order
+	}{
+		{"listed", []int{0, 1, 2, 3}, []string{"setdelay(20ms,[0 1 2 3])", "setdelay(0s,[0 1 2 3])",
+			"setcorruptrate(1,[0 1 2 3])", "setcorruptrate(0,[0 1 2 3])"}},
+		{"none", nil, []string{"setdelay(20ms,[])", "setdelay(0s,[])",
+			"setcorruptrate(1,[])", "setcorruptrate(0,[])"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := fastCluster(t, Quorum, 4, 2)
+			events := []Event{
+				SetDelay(100*time.Millisecond, 20*time.Millisecond, tc.nodes...),
+				SetDelay(400*time.Millisecond, 0, tc.nodes...),
+				SetCorruptRate(700*time.Millisecond, 1, tc.nodes...),
+				SetCorruptRate(1200*time.Millisecond, 0, tc.nodes...),
+			}
+			run, err := Start(context.Background(), c, &YCSBWorkload{Records: 50}, RunConfig{
+				Clients: 2, Threads: 2, Rate: 60, Duration: 3 * time.Second,
+				Bucket: 50 * time.Millisecond, Events: events,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// fired[name] is the counters of the first frame after the event:
+			// the action took effect before the frame read them.
+			fired := map[string]map[string]uint64{}
+			for snap := range run.Snapshots() {
+				for _, name := range snap.Events {
+					fired[name] = snap.Counters
+				}
+			}
+			r, err := run.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Events) != len(tc.want) {
+				t.Fatalf("report events %+v, want %q", r.Events, tc.want)
+			}
+			for i, ev := range r.Events {
+				if ev.Name != tc.want[i] || ev.At < events[i].At {
+					t.Fatalf("report event %d is %q at %v, want %q at or after %v", i, ev.Name, ev.At, tc.want[i], events[i].At)
+				}
+				if fired[ev.Name] == nil {
+					t.Fatalf("event %q reached no snapshot", ev.Name)
+				}
+			}
+			for w, key := range []string{"simnet.delayed", "simnet.corrupted"} {
+				set, clear := fired[tc.want[2*w]][key], fired[tc.want[2*w+1]][key]
+				if clear <= set {
+					t.Errorf("%s: %d when set, %d when cleared; want a rise inside the window", key, set, clear)
+				}
+				if end := r.Counters[key]; end != clear {
+					t.Errorf("%s: %d when cleared, %d at the end; want flat after the clear", key, clear, end)
+				}
+			}
+			if r.Counters["raft.elections"] == 0 {
+				t.Fatalf("a window of corrupted messages raised no raft election: %v", r.Counters)
+			}
+			var after float64
+			for i := int(r.Events[3].At/r.Bucket) + 1; i < len(r.CommitSeries); i++ {
+				after += r.CommitSeries[i]
+			}
+			if r.Committed == 0 || after == 0 {
+				t.Fatalf("committed %d in all, %v after the last clear; want both > 0", r.Committed, after)
+			}
+		})
 	}
 }
 

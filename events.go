@@ -42,13 +42,15 @@ func Heal(at time.Duration) Event {
 	return Event{At: at, Act: schedule.Heal()}
 }
 
-// SetDelay schedules extra message delay d at the given nodes.
+// SetDelay schedules extra message delay d at the given nodes, or at
+// every node when none are given.
 func SetDelay(at time.Duration, d time.Duration, nodes ...int) Event {
 	return Event{At: at, Act: schedule.SetDelay(d, nodes...)}
 }
 
 // SetCorruptRate schedules the random-response failure mode: the given
-// fraction of the given nodes' messages arrive corrupted. Rate 0 clears.
+// fraction of the given nodes' messages (every node's when none are
+// given) arrive corrupted. Rate 0 clears.
 func SetCorruptRate(at time.Duration, rate float64, nodes ...int) Event {
 	return Event{At: at, Act: schedule.SetCorruptRate(rate, nodes...)}
 }

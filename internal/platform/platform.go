@@ -23,6 +23,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -689,8 +690,9 @@ func (c *Cluster) NodeHeight(i int) uint64 {
 // node's providers (buildNode collects every component that implements
 // metrics.CounterProvider, consensus and execution engines included)
 // are asked for their maps and same-named counters are summed across
-// nodes. There is no per-backend case here, so every preset's counters
-// flow into Report.Counters without one.
+// nodes; the network adds its fault-injection counts once. There is no
+// per-backend case here, so every preset's counters flow into
+// Report.Counters without one.
 func (c *Cluster) Counters() map[string]uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -706,6 +708,9 @@ func (c *Cluster) Counters() map[string]uint64 {
 		}
 	}
 	for k, n := range c.retired {
+		out[k] += n
+	}
+	for k, n := range c.Net.Counters() {
 		out[k] += n
 	}
 	return out
@@ -751,12 +756,17 @@ func (c *Cluster) ForkStats() (total, mainChain uint64) {
 // blocks"). Transactions must already be signed. Roots are left zero so
 // every chain executes and commits the batch exactly once on Append
 // (platforms without state versioning share one live state database).
+// The blocks are built once; each chain appends them in order on its
+// own goroutine, as separate servers would load their own stores, and
+// still verifies every signature and executes every block itself. The
+// result joins each chain's first error.
 func (c *Cluster) Preload(batches [][]*types.Transaction) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, txs := range batches {
-		head := c.chains[0].Head()
-		b := &types.Block{
+	blocks := make([]*types.Block, len(batches))
+	head := c.chains[0].Head()
+	for i, txs := range batches {
+		blocks[i] = &types.Block{
 			Header: types.Header{
 				Number:     head.Number() + 1,
 				ParentHash: head.Hash(),
@@ -765,11 +775,21 @@ func (c *Cluster) Preload(batches [][]*types.Transaction) error {
 			},
 			Txs: txs,
 		}
-		for _, ch := range c.chains {
-			if err := ch.Append(b); err != nil {
-				return err
-			}
-		}
+		head = blocks[i]
 	}
-	return nil
+	errs := make([]error, len(c.chains))
+	var wg sync.WaitGroup
+	for i, ch := range c.chains {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range blocks {
+				if errs[i] = ch.Append(b); errs[i] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }

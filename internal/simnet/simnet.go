@@ -132,6 +132,10 @@ type Network struct {
 	msgs    atomic.Uint64
 	dropped atomic.Uint64
 	bytes   atomic.Uint64
+	// corrupted and delayed count the sends the fault injectors reached:
+	// marked corrupt, or given extra delay by SetDelay.
+	corrupted atomic.Uint64
+	delayed   atomic.Uint64
 
 	// epoch is the zero of the delivery clock (now).
 	epoch time.Time
@@ -237,7 +241,8 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 		n.dropped.Add(1)
 		return false
 	}
-	delay := n.cfg.BaseLatency + n.extraDelay[from.ID] + n.extraDelay[to]
+	extra := n.extraDelay[from.ID] + n.extraDelay[to]
+	delay := n.cfg.BaseLatency + extra
 	corrupt := n.corruptRate[from.ID]
 	faults := n.faults[from.ID]
 
@@ -271,6 +276,12 @@ func (n *Network) send(from *Endpoint, to NodeID, typ string, payload any) bool 
 
 	n.msgs.Add(1)
 	n.bytes.Add(uint64(size))
+	if isCorrupt {
+		n.corrupted.Add(1)
+	}
+	if extra > 0 {
+		n.delayed.Add(1)
+	}
 
 	msg := Message{From: from.ID, To: to, Type: typ, Payload: payload, Corrupt: isCorrupt}
 	due := n.now() + delay
@@ -444,17 +455,17 @@ func (n *Network) PartitionGroups(groups [][]NodeID) {
 func (n *Network) SetLinkFaults(f LinkFaults, ids ...NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	setPerNode(n, n.faults, f, f.zero(), ids)
+}
+
+// setPerNode sets m[id] = v for every id, or deletes the entries when off;
+// no ids means every joined node. The caller holds n.mu.
+func setPerNode[V any](n *Network, m map[NodeID]V, v V, off bool, ids []NodeID) {
 	if len(ids) == 0 {
 		for id := range n.endpoints {
 			ids = append(ids, id)
 		}
 	}
-	setPerNode(n.faults, f, f.zero(), ids)
-}
-
-// setPerNode sets m[id] = v for every id, or deletes the entries when off.
-// The caller holds n.mu.
-func setPerNode[V any](m map[NodeID]V, v V, off bool, ids []NodeID) {
 	for _, id := range ids {
 		if off {
 			delete(m, id)
@@ -473,19 +484,21 @@ func (n *Network) Heal() {
 }
 
 // SetDelay injects extra one-way delay on all links touching the given
-// nodes (the paper's network-delay failure mode).
+// nodes, every node when none are given (the paper's network-delay
+// failure mode).
 func (n *Network) SetDelay(d time.Duration, ids ...NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	setPerNode(n.extraDelay, d, d <= 0, ids)
+	setPerNode(n, n.extraDelay, d, d <= 0, ids)
 }
 
-// SetCorruptRate makes a fraction of messages sent by the given nodes
-// arrive corrupted (the paper's random-response failure mode).
+// SetCorruptRate makes a fraction of messages sent by the given nodes,
+// every node when none are given, arrive corrupted (the paper's
+// random-response failure mode).
 func (n *Network) SetCorruptRate(rate float64, ids ...NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	setPerNode(n.corruptRate, rate, rate <= 0, ids)
+	setPerNode(n, n.corruptRate, rate, rate <= 0, ids)
 }
 
 // Stats returns a snapshot of global counters.
@@ -495,6 +508,12 @@ func (n *Network) Stats() Stats {
 		MessagesDropped: n.dropped.Load(),
 		BytesSent:       n.bytes.Load(),
 	}
+}
+
+// Counters implements metrics.CounterProvider: the sends the corrupt
+// and delay injectors reached.
+func (n *Network) Counters() map[string]uint64 {
+	return map[string]uint64{"simnet.corrupted": n.corrupted.Load(), "simnet.delayed": n.delayed.Load()}
 }
 
 // Close stops all deliveries at once: queued ones are discarded, and

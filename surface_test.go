@@ -23,9 +23,10 @@ const surfacePath = "testdata/surface.txt"
 
 // TestPublicSurface pins what the module promises its callers: every
 // exported identifier of the root package with its signature, a type's
-// exported fields or interface methods and its method set, and every
-// field of the JSONL schema (report.Report and report.Snapshot, and the
-// structs they hold) with its Go type. It reads the type information of
+// exported fields or interface methods and its method set, every field
+// of the JSONL schema (report.Report and report.Snapshot, and the
+// structs they hold) with its Go type, and every -popt key per preset
+// and -wopt key per workload. It reads the type information of
 // TestChooserRule's scan, so the two checks share one type-check.
 func TestPublicSurface(t *testing.T) {
 	scan, err := moduleScan()
@@ -36,7 +37,7 @@ func TestPublicSurface(t *testing.T) {
 	if root == nil || rep == nil {
 		t.Fatal("the scan type-checked no blockbench or blockbench/report package")
 	}
-	got := publicSurface(root, rep)
+	got := publicSurface(root, rep) + optionSurface(t)
 	if *updateSurface {
 		if err := os.WriteFile(surfacePath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -129,6 +130,42 @@ func publicSurface(root, rep *types.Package) string {
 	seen := make(map[*types.Named]bool)
 	for _, name := range []string{"Report", "Snapshot"} {
 		jsonFields(&b, rep.Scope().Lookup(name).Type().(*types.Named), qual, seen)
+	}
+	return b.String()
+}
+
+// optionSurface lists every -popt key each preset consults and every
+// -wopt key each workload consults, one "-popt <preset>" or "-wopt
+// <workload>" line per key. The keys are the ones the unknown-key error
+// lists, the decoder's consulted set, so no list is kept by hand.
+func optionSurface(t *testing.T) string {
+	t.Helper()
+	known := func(what string, err error) []string {
+		if err == nil {
+			t.Fatalf("%s accepted an unknown key", what)
+		}
+		_, keys, found := strings.Cut(err.Error(), "(known: [")
+		if !found {
+			t.Fatalf("%s: error %q lists no known keys", what, err)
+		}
+		return strings.Fields(strings.TrimSuffix(keys, "])"))
+	}
+	var b strings.Builder
+	unknown := map[string]string{"no-such-key": "1"}
+	for _, kind := range Platforms() {
+		c, err := NewCluster(ClusterConfig{Kind: kind, Nodes: 4, Options: unknown}, 1)
+		if err == nil {
+			c.Stop()
+		}
+		for _, k := range known(string(kind), err) {
+			fmt.Fprintf(&b, "-popt %s\t%s\n", kind, k)
+		}
+	}
+	for _, name := range Workloads() {
+		_, err := NewWorkload(name, unknown)
+		for _, k := range known(name, err) {
+			fmt.Fprintf(&b, "-wopt %s\t%s\n", name, k)
+		}
 	}
 	return b.String()
 }
