@@ -203,7 +203,11 @@ loc:
 # goroutines and joined errors, simnet's corrupted and delayed counters
 # with the Counters method that reports them, and the every-node
 # default that SetDelay and SetCorruptRate now share with SetLinkFaults.
-LOC_MAX ?= 21293
+# It fell to 20957 when the analytics index became memory-only: its
+# write-only persistence (persist.go, Load, CatchUp with BlockSource,
+# Last, the segment's time column) and Chain.Receipts went, and simnet's
+# fault counts moved into Stats in place of Network.Counters.
+LOC_MAX ?= 20957
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"blockbench/internal/analytics"
-	"blockbench/internal/kvstore"
 )
 
 // fastAnalyticsCluster is fastClusterStopped plus extra -popt style
@@ -30,8 +27,8 @@ func fastAnalyticsCluster(t *testing.T, kind Platform, nodes, clients int, popts
 
 // TestAnalyticsIndexedMatchesRPC pins the tentpole equivalence: on a
 // seeded 2k-block chain, the indexed read path returns exactly what
-// the paper's per-block RPC walk returns — on every platform,
-// including the LSM store (which also persists the index segments).
+// the paper's per-block RPC walk returns — on every platform, and on
+// quorum over the LSM store too.
 func TestAnalyticsIndexedMatchesRPC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2k-block preload too heavy for -short")
@@ -116,69 +113,6 @@ func TestAnalyticsIndexedMatchesRPC(t *testing.T) {
 				t.Fatalf("analytics counters did not move: %v", counters)
 			}
 		})
-	}
-}
-
-// TestAnalyticsCatchUpRebuild pins late-start convergence: an indexer
-// attached after the fact — fresh, or restored from the node's store —
-// catches up to the chain and answers every query exactly like the
-// commit-path indexer that saw each block live.
-func TestAnalyticsCatchUpRebuild(t *testing.T) {
-	if testing.Short() {
-		t.Skip("preload too heavy for -short")
-	}
-	c := fastAnalyticsCluster(t, Quorum, 2, 8, nil)
-	a := &Analytics{Blocks: 1200, TxPerBlock: 3, Accounts: 8}
-	if err := a.Init(c, rand.New(rand.NewSource(11))); err != nil {
-		t.Fatal(err)
-	}
-	// The cluster stays unstarted: the chain is frozen at the preload,
-	// so live, rebuilt and restored indexes must agree exactly.
-	chain := c.Inner().Chain(0)
-
-	rebuilt := analytics.NewIndexer(kvstore.NewMem(), analytics.Options{})
-	if err := rebuilt.CatchUp(chain); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := analytics.NewIndexer(c.Inner().Store(0), analytics.Options{})
-	if err := restored.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Rows() == 0 {
-		t.Fatal("restored indexer loaded no persisted segments")
-	}
-	if err := restored.CatchUp(chain); err != nil {
-		t.Fatal(err)
-	}
-
-	client := c.Client(0)
-	h := c.Height()
-	queries := []AnalyticsQuery{
-		{Op: AnalyticsSum, From: 1, To: h + 1},
-		{Op: AnalyticsSum, From: h / 2, To: h/2 + 50},
-		{Op: AnalyticsMaxDelta, Account: a.Account(0), From: 1, To: h + 1},
-		{Op: AnalyticsTopK, Account: a.Account(1), From: 1, To: h + 1, K: 4},
-	}
-	for _, q := range queries {
-		live, err := client.Analytics(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, ix := range map[string]*analytics.Indexer{"rebuilt": rebuilt, "restored": restored} {
-			got, err := ix.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Value != live.Value || len(got.Top) != len(live.Top) {
-				t.Fatalf("%s %s: got %+v, live %+v", name, q.Op, got, live)
-			}
-			for i := range got.Top {
-				if got.Top[i] != live.Top[i] {
-					t.Fatalf("%s %s top[%d]: got %+v, live %+v", name, q.Op, i, got.Top[i], live.Top[i])
-				}
-			}
-		}
 	}
 }
 

@@ -4,15 +4,11 @@
 // and the server-side query entry point the node exposes to clients.
 //
 // The Indexer appends one row per transaction into fixed-size column
-// segments (height, time, sender, recipient, value, contract, method,
+// segments (height, sender, recipient, value, contract, method,
 // status). Sealed segments carry a min/max height zone map so
 // range-restricted scans skip whole segments without touching rows, and
 // a per-account posting list maps each address to the global row ids
 // that touch it, so account-keyed queries read only their own rows.
-// Sealed segments are persisted through internal/kvstore under the "a:"
-// prefix (write-through, best effort) and reloaded by Load; CatchUp
-// replays any blocks the persisted image is missing from a BlockSource,
-// so a late-started or freshly-attached indexer converges on the chain.
 //
 // Concurrency contract: OnCommit/Apply mutate under ix.mu; queries take
 // a snapshot of the segment set under RLock and then run lock-free.
@@ -36,7 +32,7 @@ import (
 // DefaultSegmentSize is the row capacity of one column segment. 1024
 // rows ≈ 340 blocks at the paper's 3 tx/block: small enough that zone
 // maps prune tight ranges, large enough that per-segment overhead
-// (zones, one kvstore entry) stays negligible.
+// (the zone map, the segment header) stays negligible.
 const DefaultSegmentSize = 1024
 
 // Options configures an Indexer.
@@ -45,19 +41,10 @@ type Options struct {
 	SegmentSize int
 }
 
-// BlockSource is the chain surface CatchUp replays from. *ledger.Chain
-// satisfies it.
-type BlockSource interface {
-	Height() uint64
-	GetBlock(number uint64) (*types.Block, bool)
-	Receipts(number uint64) []*types.Receipt
-}
-
 // segment is one fixed-capacity column group. Sealed segments are
 // immutable and carry a zone map; the open segment grows by append only.
 type segment struct {
 	height   []uint64
-	time     []int64
 	from     []types.Address
 	to       []types.Address
 	value    []uint64
@@ -65,7 +52,7 @@ type segment struct {
 	method   []uint16
 	ok       []byte // 1 = receipt OK
 
-	// Height zone map, valid only when zoned (sealed or loaded segments).
+	// Height zone map, valid only when zoned (sealed segments).
 	zoned      bool
 	minH, maxH uint64
 }
@@ -79,7 +66,6 @@ func (s *segment) freeze() *segment {
 	n := len(s.height)
 	return &segment{
 		height:   s.height[:n:n],
-		time:     s.time[:n:n],
 		from:     s.from[:n:n],
 		to:       s.to[:n:n],
 		value:    s.value[:n:n],
@@ -97,7 +83,6 @@ func (s *segment) freeze() *segment {
 func (s *segment) clone(keep int) *segment {
 	c := &segment{
 		height:   append(make([]uint64, 0, keep), s.height[:keep]...),
-		time:     append(make([]int64, 0, keep), s.time[:keep]...),
 		from:     append(make([]types.Address, 0, keep), s.from[:keep]...),
 		to:       append(make([]types.Address, 0, keep), s.to[:keep]...),
 		value:    append(make([]uint64, 0, keep), s.value[:keep]...),
@@ -119,7 +104,6 @@ func (s *segment) zone() {
 
 // Indexer maintains the columnar index for one node's canonical chain.
 type Indexer struct {
-	store   kvstore.Store // nil: memory-only (no persistence)
 	segSize int
 
 	mu       sync.RWMutex
@@ -130,7 +114,6 @@ type Indexer struct {
 	dictIDs  map[string]uint16
 	last     uint64 // highest fully indexed block height (0 = none)
 	rows     uint64 // live row count (sealed + open)
-	persist  bool   // write-through enabled (disabled after a store error)
 
 	// Counters are monotonic (CounterProvider contract): segments and
 	// rows count cumulative seals/appends, not the live totals.
@@ -142,21 +125,19 @@ type Indexer struct {
 	queryRows    metrics.Counter
 }
 
-// NewIndexer builds an empty indexer over a kvstore (nil for
-// memory-only). Call Load to restore a persisted image before hooking
-// it to a chain.
-func NewIndexer(store kvstore.Store, opts Options) *Indexer {
+// NewIndexer builds an empty, memory-only indexer. The store is
+// ignored: the index is rebuilt by the commit path (journal replay or
+// chain sync) after a restart, never read back from a store.
+func NewIndexer(_ kvstore.Store, opts Options) *Indexer {
 	size := opts.SegmentSize
 	if size <= 0 {
 		size = DefaultSegmentSize
 	}
 	ix := &Indexer{
-		store:    store,
 		segSize:  size,
 		open:     &segment{},
 		postings: make(map[types.Address][]uint32),
 		dictIDs:  make(map[string]uint16),
-		persist:  store != nil,
 	}
 	for _, name := range fixedNames {
 		ix.internLocked(name)
@@ -176,13 +157,6 @@ func (ix *Indexer) Counters() map[string]uint64 {
 	}
 }
 
-// Last returns the highest indexed block height (0 when empty).
-func (ix *Indexer) Last() uint64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.last
-}
-
 // Rows returns the live row count.
 func (ix *Indexer) Rows() uint64 {
 	ix.mu.RLock()
@@ -193,7 +167,7 @@ func (ix *Indexer) Rows() uint64 {
 // OnCommit is the ledger hook (ledger.Config.OnCommit): blocks arrive
 // in ascending height order, possibly replacing previously committed
 // heights after a reorg. It must not fail the commit, so index errors
-// stop indexing at the failing block; CatchUp repairs the gap.
+// stop indexing at the failing block.
 func (ix *Indexer) OnCommit(blocks []*types.Block, receipts [][]*types.Receipt) {
 	for i, b := range blocks {
 		var rs []*types.Receipt
@@ -229,46 +203,18 @@ func (ix *Indexer) Apply(b *types.Block, receipts []*types.Receipt) error {
 		if i < len(receipts) && receipts[i].OK {
 			ok = 1
 		}
-		ix.appendLocked(n, b.Header.Time, tx, ok)
+		ix.appendLocked(n, tx, ok)
 	}
 	ix.last = n
 	return nil
 }
 
-// CatchUp replays every block the index is missing from src, and first
-// rewinds the index if it is ahead of src (a shorter chain after a
-// restart). It is meant for indexers not hooked into a live commit
-// path: it takes ix.mu only per block, never while calling into src, so
-// a source whose methods lock the chain cannot deadlock against an
-// OnCommit-hooked indexer.
-func (ix *Indexer) CatchUp(src BlockSource) error {
-	if h := src.Height(); ix.Last() > h {
-		ix.mu.Lock()
-		ix.truncateLocked(h + 1)
-		ix.mu.Unlock()
-	}
-	for {
-		next := ix.Last() + 1
-		if next > src.Height() {
-			return nil
-		}
-		b, ok := src.GetBlock(next)
-		if !ok {
-			return fmt.Errorf("analytics: catch-up: block %d not available", next)
-		}
-		if err := ix.Apply(b, src.Receipts(next)); err != nil {
-			return err
-		}
-	}
-}
-
 // appendLocked adds one row and its posting entries.
-func (ix *Indexer) appendLocked(height uint64, time int64, tx *types.Transaction, ok byte) {
+func (ix *Indexer) appendLocked(height uint64, tx *types.Transaction, ok byte) {
 	from, to, value := RowEndpoints(tx)
 	id := uint32(ix.rows)
 	s := ix.open
 	s.height = append(s.height, height)
-	s.time = append(s.time, time)
 	s.from = append(s.from, from)
 	s.to = append(s.to, to)
 	s.value = append(s.value, value)
@@ -329,26 +275,14 @@ func (ix *Indexer) internLocked(s string) uint16 {
 	return id
 }
 
-// sealLocked freezes the full open segment: computes its zone map,
-// persists it, and starts a fresh open segment.
+// sealLocked freezes the full open segment: computes its zone map and
+// starts a fresh open segment.
 func (ix *Indexer) sealLocked() {
 	s := ix.open
 	s.zone()
 	ix.sealed = append(ix.sealed, s)
 	ix.open = &segment{}
 	ix.segsTotal.Inc()
-	if ix.persist {
-		if err := ix.persistSegment(len(ix.sealed)-1, s); err == nil {
-			err = ix.persistMeta()
-			if err != nil {
-				ix.persist = false
-			}
-		} else {
-			// Write-through is best effort (a capped store can fill up);
-			// the in-memory index stays authoritative.
-			ix.persist = false
-		}
-	}
 }
 
 // truncateLocked drops every row at height >= h (reorg rewind) and sets
@@ -376,27 +310,12 @@ func (ix *Indexer) truncateLocked(h uint64) {
 		if keepSealed < len(ix.sealed) {
 			// Reopen the boundary segment: its kept prefix becomes the
 			// new open segment.
-			reopened := ix.sealed[keepSealed].clone(tail)
-			dropped := len(ix.sealed) - keepSealed
+			ix.open = ix.sealed[keepSealed].clone(tail)
 			ix.sealed = append([]*segment(nil), ix.sealed[:keepSealed]...)
-			ix.open = reopened
-			if ix.persist {
-				for i := 0; i < dropped; i++ {
-					if err := ix.deleteSegment(keepSealed + i); err != nil {
-						ix.persist = false
-						break
-					}
-				}
-			}
 		} else {
 			ix.open = ix.open.clone(tail)
 		}
 		ix.rows = cut
-		if ix.persist {
-			if err := ix.persistMeta(); err != nil {
-				ix.persist = false
-			}
-		}
 	}
 	ix.last = h - 1
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"blockbench/internal/kvstore"
 	"blockbench/internal/types"
 )
 
@@ -21,7 +20,7 @@ func transfer(from, to byte, value uint64) *types.Transaction {
 	return &types.Transaction{From: addr(from), To: addr(to), Value: value}
 }
 
-// fakeSource is an in-memory BlockSource: blocks[i] is height i+1.
+// fakeSource is an in-memory chain: blocks[i] is height i+1.
 type fakeSource struct {
 	blocks []*types.Block
 	rcpts  [][]*types.Receipt
@@ -57,6 +56,17 @@ func (f *fakeSource) add(txs ...*types.Transaction) {
 	f.rcpts = append(f.rcpts, rs)
 }
 
+// load indexes every block of src in order through Apply, as the
+// ledger's commit hook does.
+func load(tb testing.TB, ix *Indexer, src *fakeSource) {
+	tb.Helper()
+	for i, b := range src.blocks {
+		if err := ix.Apply(b, src.rcpts[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // chainSource builds blocks*txPerBlock deterministic transfers among 8
 // accounts.
 func chainSource(blocks, txPerBlock int) *fakeSource {
@@ -90,13 +100,11 @@ func heights(path func(yield func(Row)) uint64) []uint64 {
 func TestScanRangeAndZoneSkips(t *testing.T) {
 	src := chainSource(100, 3) // 300 rows
 	ix := NewIndexer(nil, Options{SegmentSize: 32})
-	if err := ix.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
+	load(t, ix, src)
 	if got := ix.Rows(); got != 300 {
 		t.Fatalf("rows = %d, want 300", got)
 	}
-	if got := ix.Last(); got != 100 {
+	if got := ix.last; got != 100 {
 		t.Fatalf("last = %d, want 100", got)
 	}
 
@@ -131,9 +139,7 @@ func TestAccountScanPostings(t *testing.T) {
 	src.add(transfer(1, 3, 30), transfer(2, 1, 40))
 	src.add(transfer(4, 2, 50))
 	ix := NewIndexer(nil, Options{SegmentSize: 2})
-	if err := ix.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
+	load(t, ix, src)
 
 	rows := collect(func(y func(Row)) uint64 { return ix.view().accountScan(addr(1), 1, 100, y) })
 	if len(rows) != 3 {
@@ -168,18 +174,14 @@ func TestReorgTruncateConverges(t *testing.T) {
 	forkB.add(transfer(4, 5, 333), transfer(5, 6, 444))
 
 	ix := NewIndexer(nil, Options{SegmentSize: 4})
-	if err := ix.CatchUp(forkA); err != nil {
-		t.Fatal(err)
-	}
+	load(t, ix, forkA)
 	// Reorg: the ledger redelivers the new branch's blocks through
 	// OnCommit, replacing previously indexed heights from the
 	// divergence point (here height 7; fork A's height 8 must go too).
 	ix.OnCommit(forkB.blocks[6:], forkB.rcpts[6:])
 
 	fresh := NewIndexer(nil, Options{SegmentSize: 4})
-	if err := fresh.CatchUp(forkB); err != nil {
-		t.Fatal(err)
-	}
+	load(t, fresh, forkB)
 	for _, q := range []Query{
 		{Op: OpSum, From: 1, To: 100},
 		{Op: OpMaxDelta, Account: addr(5), From: 1, To: 100},
@@ -198,59 +200,9 @@ func TestReorgTruncateConverges(t *testing.T) {
 			t.Fatalf("%s after reorg: got %+v, want %+v", q.Op, got, want)
 		}
 	}
-	if ix.Rows() != fresh.Rows() || ix.Last() != fresh.Last() {
+	if ix.Rows() != fresh.Rows() || ix.last != fresh.last {
 		t.Fatalf("reorged index rows/last = %d/%d, fresh = %d/%d",
-			ix.Rows(), ix.Last(), fresh.Rows(), fresh.Last())
-	}
-}
-
-func TestPersistLoadCatchUp(t *testing.T) {
-	// SegmentSize 7 with 3 tx/block guarantees seal boundaries cut
-	// mid-block, exercising the partial-tail rewind in Load.
-	src := chainSource(50, 3)
-	store := kvstore.NewMem()
-	ix := NewIndexer(store, Options{SegmentSize: 7})
-	if err := ix.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := NewIndexer(store, Options{SegmentSize: 7})
-	if err := restored.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Last() >= ix.Last() && restored.Rows() == ix.Rows() {
-		t.Fatalf("load restored the full index; expected the open tail to be missing")
-	}
-	if err := restored.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Rows() != ix.Rows() || restored.Last() != ix.Last() {
-		t.Fatalf("restored rows/last = %d/%d, want %d/%d",
-			restored.Rows(), restored.Last(), ix.Rows(), ix.Last())
-	}
-	for _, q := range []Query{
-		{Op: OpSum, From: 1, To: 51},
-		{Op: OpSum, From: 20, To: 30},
-		{Op: OpMaxDelta, Account: addr(3), From: 1, To: 51},
-		{Op: OpMaxVersion, Account: addr(3), From: 1, To: 51},
-		{Op: OpTopK, Account: addr(2), From: 5, To: 45},
-	} {
-		got, err := restored.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ix.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: restored %+v, original %+v", q.Op, got, want)
-		}
-	}
-
-	// Loading into a mismatched geometry must fail loudly.
-	if err := NewIndexer(store, Options{SegmentSize: 8}).Load(); err == nil {
-		t.Fatal("load with mismatched segment size succeeded")
+			ix.Rows(), ix.last, fresh.Rows(), fresh.last)
 	}
 }
 
@@ -266,9 +218,7 @@ func TestQuerySemantics(t *testing.T) {
 	src.rcpts[3][0].OK = false
 
 	ix := NewIndexer(nil, Options{})
-	if err := ix.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
+	load(t, ix, src)
 
 	sum, err := ix.Query(Query{Op: OpSum, From: 1, To: 5})
 	if err != nil {
@@ -330,9 +280,7 @@ func TestMaxVersionMatchesVersionDiffSemantics(t *testing.T) {
 	src.add(vkv("sendValue", other.Bytes(), acct.Bytes(), types.U64Bytes(700))) // h3: v3, diff 700
 	src.add(vkv("sendValue", acct.Bytes(), other.Bytes(), types.U64Bytes(20)))  // h4: v4, diff 20
 	ix := NewIndexer(nil, Options{})
-	if err := ix.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
+	load(t, ix, src)
 
 	// Full range: versions v1..v4 in window; the oldest (prealloc) only
 	// anchors the first diff, so the answer is max(50, 700, 20).
@@ -501,17 +449,13 @@ func TestAccessPathsMatchModel(t *testing.T) {
 	src := modelSource(rng, 520, first, 380)
 
 	small := NewIndexer(nil, Options{SegmentSize: 7})
-	if err := small.CatchUp(first); err != nil {
-		t.Fatal(err)
-	}
+	load(t, small, first)
 	small.OnCommit(src.blocks[380:], src.rcpts[380:])
-	if small.Rows() < 1200 || small.Last() != src.Height() {
-		t.Fatalf("reorged index: %d rows up to %d, want >= 1200 up to %d", small.Rows(), small.Last(), src.Height())
+	if small.Rows() < 1200 || small.last != src.Height() {
+		t.Fatalf("reorged index: %d rows up to %d, want >= 1200 up to %d", small.Rows(), small.last, src.Height())
 	}
 	whole := NewIndexer(nil, Options{})
-	if err := whole.CatchUp(src); err != nil {
-		t.Fatal(err)
-	}
+	load(t, whole, src)
 
 	last := src.Height()
 	windows := [][2]uint64{{0, 0}, {1, last + 1}, {0, last + 50}, {last, last + 1}, {last + 1, 0}, {last + 5, last + 9}, {9, 9}, {30, 12}}
@@ -557,9 +501,7 @@ func overflowSource() *fakeSource {
 func TestDictionaryOverflowKeepsQueryNames(t *testing.T) {
 	query := func(t *testing.T, src *fakeSource, q Query) uint64 {
 		ix := NewIndexer(nil, Options{})
-		if err := ix.CatchUp(src); err != nil {
-			t.Fatal(err)
-		}
+		load(t, ix, src)
 		res, err := ix.Query(q)
 		if err != nil {
 			t.Fatal(err)

@@ -7,9 +7,7 @@ import "testing"
 // with no RPC in front: the query cost alone.
 func BenchmarkIndexQuery(b *testing.B) {
 	ix := NewIndexer(nil, Options{})
-	if err := ix.CatchUp(chainSource(100_000, 3)); err != nil {
-		b.Fatal(err)
-	}
+	load(b, ix, chainSource(100_000, 3))
 	for _, bc := range []struct {
 		name string
 		q    Query

@@ -500,16 +500,6 @@ func (c *Chain) Receipt(txHash types.Hash) (*types.Receipt, bool) {
 	return r, ok
 }
 
-// Receipts returns the receipts of a canonical block.
-func (c *Chain) Receipts(number uint64) []*types.Receipt {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if number >= uint64(len(c.canonical)) {
-		return nil
-	}
-	return c.entries[c.canonical[number]].receipts
-}
-
 // Height returns the canonical head height.
 func (c *Chain) Height() uint64 {
 	c.mu.RLock()

@@ -310,11 +310,9 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		provs = append(provs, pex)
 	}
 	// Analytics indexer: maintained on the commit path unless disabled.
-	// It persists through the node's own store, so -popt store=lsm
-	// carries the columnar segments on the same engine as state.
 	var idx *analytics.Indexer
 	if a.Index {
-		idx = analytics.NewIndexer(store, analytics.Options{})
+		idx = analytics.NewIndexer(nil, analytics.Options{})
 		provs = append(provs, idx)
 	}
 
@@ -710,9 +708,9 @@ func (c *Cluster) Counters() map[string]uint64 {
 	for k, n := range c.retired {
 		out[k] += n
 	}
-	for k, n := range c.Net.Counters() {
-		out[k] += n
-	}
+	st := c.Net.Stats()
+	out["simnet.corrupted"] = st.Corrupted
+	out["simnet.delayed"] = st.Delayed
 	return out
 }
 

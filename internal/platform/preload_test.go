@@ -85,7 +85,11 @@ func viewOf(t *testing.T, ch *ledger.Chain) chainView {
 		}
 		v.hashes = append(v.hashes, b.Hash())
 		var rs []types.Receipt
-		for _, r := range ch.Receipts(n) {
+		for _, tx := range b.Txs {
+			r, ok := ch.Receipt(tx.Hash())
+			if !ok {
+				t.Fatalf("no receipt for transaction %s of block %d", tx.Hash(), n)
+			}
 			rs = append(rs, *r)
 		}
 		v.receipts = append(v.receipts, rs)

@@ -87,11 +87,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats is a snapshot of network-wide counters.
+// Stats is a snapshot of network-wide counters. Corrupted and Delayed
+// count the sends the corrupt and delay injectors reached.
 type Stats struct {
 	MessagesSent    uint64
 	MessagesDropped uint64
 	BytesSent       uint64
+	Corrupted       uint64
+	Delayed         uint64
 }
 
 // LinkFaults is a per-sender probabilistic link fault profile: each
@@ -507,13 +510,9 @@ func (n *Network) Stats() Stats {
 		MessagesSent:    n.msgs.Load(),
 		MessagesDropped: n.dropped.Load(),
 		BytesSent:       n.bytes.Load(),
+		Corrupted:       n.corrupted.Load(),
+		Delayed:         n.delayed.Load(),
 	}
-}
-
-// Counters implements metrics.CounterProvider: the sends the corrupt
-// and delay injectors reached.
-func (n *Network) Counters() map[string]uint64 {
-	return map[string]uint64{"simnet.corrupted": n.corrupted.Load(), "simnet.delayed": n.delayed.Load()}
 }
 
 // Close stops all deliveries at once: queued ones are discarded, and

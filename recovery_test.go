@@ -2,6 +2,7 @@ package blockbench
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -91,7 +92,8 @@ func assertChainsByteIdentical(t *testing.T, c *Cluster, nodes ...int) {
 // its LSM store crash-closes with a genuinely torn WAL tail — then
 // restarts it from disk alone. The recovered node must replay its
 // journal, rejoin the group, and converge to byte-identical chain
-// contents on every node.
+// contents on every node. Its analytics index, rebuilt by that replay
+// and the sync after it, must answer like a node that never went down.
 func TestQuorumCrashRecoveryByteIdentical(t *testing.T) {
 	c := durableCluster(t, Quorum, 4, 2, nil)
 	r, err := Run(c, &YCSBWorkload{Records: 50}, RunConfig{
@@ -119,6 +121,29 @@ func TestQuorumCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	waitConverged(t, c, 1, 30*time.Second)
 	assertChainsByteIdentical(t, c, 0, 1, 2, 3)
+
+	// Both queries read every indexed row they cover: the sum counts all
+	// rows in [1, h], the top-k every row of a client's account.
+	h := min(c.NodeHeight(0), c.NodeHeight(1))
+	for _, q := range []AnalyticsQuery{
+		{Op: AnalyticsSum, From: 1, To: h + 1},
+		{Op: AnalyticsTopK, Account: c.Keys()[0].Address(), From: 1, To: h + 1, K: 4},
+	} {
+		want, err := c.ClientOn(0, 0).Analytics(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ClientOn(0, 1).Analytics(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Rows == 0 || want.Height != h {
+			t.Fatalf("%s on node 0 read %d rows up to %d, want rows up to %d", q.Op, want.Rows, want.Height, h)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s to %d: recovered node 1 answered %+v, node 0 %+v", q.Op, h, got, want)
+		}
+	}
 }
 
 // TestQuorumRejoinViaInstallSnapshot kills a node, commits far past the
