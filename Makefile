@@ -207,7 +207,14 @@ loc:
 # write-only persistence (persist.go, Load, CatchUp with BlockSource,
 # Last, the segment's time column) and Chain.Receipts went, and simnet's
 # fault counts moved into Stats in place of Network.Counters.
-LOC_MAX ?= 20957
+# It was raised to 21049 by a trie branch that reads its children's
+# hashes from its stored encoding instead of copying them (the encoding
+# and cleared-slot fields, the slot resolver, the commit's read-back and
+# the split that resolves a child a new branch takes), which took
+# ownBranch's copy from 896 to 352 bytes, and by two store errors that
+# no longer pass in silence: the flat layer resets on a failed write,
+# and the analytics index keeps its first failure for Query.
+LOC_MAX ?= 21049
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

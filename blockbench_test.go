@@ -1,6 +1,7 @@
 package blockbench
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -176,9 +177,24 @@ func TestContractWorkloadsCommit(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			c := fastCluster(t, Ethereum, 3, 2, w.Contracts()...)
-			r, err := Run(c, w, RunConfig{
-				Clients: 2, Threads: 1, Rate: 30, Duration: 2 * time.Second,
+			// The run ends at the first frame that shows a commit; its
+			// Duration only bounds a hang.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			run, err := Start(ctx, c, w, RunConfig{
+				Clients: 2, Threads: 1, Rate: 30, Duration: 20 * time.Second,
+				Bucket: 100 * time.Millisecond,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for snap := range run.Snapshots() {
+				if snap.Committed > 0 {
+					cancel()
+					break
+				}
+			}
+			r, err := run.Wait()
 			if err != nil {
 				t.Fatal(err)
 			}

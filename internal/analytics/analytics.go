@@ -114,6 +114,9 @@ type Indexer struct {
 	dictIDs  map[string]uint16
 	last     uint64 // highest fully indexed block height (0 = none)
 	rows     uint64 // live row count (sealed + open)
+	// failed is the first block the commit hook could not index: the
+	// index has stopped there, and every query reports it.
+	failed error
 
 	// Counters are monotonic (CounterProvider contract): segments and
 	// rows count cumulative seals/appends, not the live totals.
@@ -166,8 +169,9 @@ func (ix *Indexer) Rows() uint64 {
 
 // OnCommit is the ledger hook (ledger.Config.OnCommit): blocks arrive
 // in ascending height order, possibly replacing previously committed
-// heights after a reorg. It must not fail the commit, so index errors
-// stop indexing at the failing block.
+// heights after a reorg. It must not fail the commit, so an index error
+// stops indexing at the failing block, and Query reports the first one
+// from then on rather than answer from the prefix.
 func (ix *Indexer) OnCommit(blocks []*types.Block, receipts [][]*types.Receipt) {
 	for i, b := range blocks {
 		var rs []*types.Receipt
@@ -175,6 +179,11 @@ func (ix *Indexer) OnCommit(blocks []*types.Block, receipts [][]*types.Receipt) 
 			rs = receipts[i]
 		}
 		if err := ix.Apply(b, rs); err != nil {
+			ix.mu.Lock()
+			if ix.failed == nil {
+				ix.failed = fmt.Errorf("analytics: index stopped at block %d: %w", b.Number(), err)
+			}
+			ix.mu.Unlock()
 			return
 		}
 	}
@@ -347,6 +356,7 @@ type view struct {
 	dict    []string
 	last    uint64
 	rows    uint64
+	failed  error
 }
 
 func (ix *Indexer) view() *view {
@@ -362,6 +372,7 @@ func (ix *Indexer) view() *view {
 		dict:    ix.dict[:d:d],
 		last:    ix.last,
 		rows:    ix.rows,
+		failed:  ix.failed,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"blockbench/internal/types"
@@ -551,5 +552,25 @@ func TestApplyGapFails(t *testing.T) {
 	b := &types.Block{Header: types.Header{Number: 5}}
 	if err := ix.Apply(b, nil); err == nil {
 		t.Fatal("applying block 5 onto an empty index succeeded")
+	}
+}
+
+// TestCommitGapFailsQueries: a gap on the commit path stops the index,
+// and every later query says where and why instead of answering from
+// the prefix (which it used to do with no error).
+func TestCommitGapFailsQueries(t *testing.T) {
+	src := chainSource(5, 2)
+	ix := NewIndexer(nil, Options{})
+	ix.OnCommit(src.blocks[:3], src.rcpts[:3])
+	if _, err := ix.Query(Query{Op: OpSum}); err != nil {
+		t.Fatalf("query before the gap: %v", err)
+	}
+	ix.OnCommit(src.blocks[4:], src.rcpts[4:])
+	res, err := ix.Query(Query{Op: OpSum})
+	if err == nil {
+		t.Fatalf("query after a gap at block 5 answered %+v with no error", res)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "block 5") || !strings.Contains(msg, "gap") {
+		t.Fatalf("query error %q names neither the height nor the cause", msg)
 	}
 }

@@ -69,6 +69,9 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 	ix.queries.Inc()
 
 	v := ix.view()
+	if v.failed != nil {
+		return Result{}, v.failed
+	}
 	from, to := q.From, q.To
 	if to == 0 || to > v.last+1 {
 		to = v.last + 1

@@ -2,6 +2,7 @@ package mpt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"blockbench/internal/kvstore"
@@ -162,12 +163,12 @@ func checkPublished(t testing.TB, cache mapCache) {
 			}
 			dirty = &extNode{path: n.path, child: n.child}
 		case *branchNode:
-			for i := range n.children {
-				if n.children[i].n != nil {
+			for i := range n.kids {
+				if n.kids[i] != nil {
 					t.Fatalf("cached branch %s links child %d", h.Hex(), i)
 				}
 			}
-			dirty = &branchNode{children: n.children, value: n.value}
+			dirty = &branchNode{value: n.value, enc: n.enc, cleared: n.cleared}
 		}
 		if got, _ := scratch.encode(dirty, false); got != h {
 			t.Fatalf("cached node %s now encodes to %s", h.Hex(), got.Hex())
@@ -207,7 +208,10 @@ func TestPublishedNodesAreNeverWritten(t *testing.T) {
 }
 
 // TestDecodeBranchAllocs pins the cache-miss cost: a full 16-child
-// branch decodes in O(1) allocations, not one boxed hash per child.
+// branch decodes in O(1) allocations, not one boxed hash per child, and
+// in at most 352 bytes: the node reads its child hashes from the
+// encoding it keeps (copied into its slots they made it 832 bytes, an
+// 896-byte size class).
 func TestDecodeBranchAllocs(t *testing.T) {
 	enc := appendUint32(nil, kindBranch)
 	for i := 0; i < 16; i++ {
@@ -220,11 +224,21 @@ func TestDecodeBranchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := n.(*branchNode)
-	if b.children[15].h != types.HashData([]byte{15}) || string(b.value) != "value" {
-		t.Fatalf("decoded branch wrong: %x %q", b.children[15].h, b.value)
+	if b.storedHash(15) != types.HashData([]byte{15}) || string(b.value) != "value" {
+		t.Fatalf("decoded branch wrong: %x %q", b.storedHash(15), b.value)
 	}
 	if a := testing.AllocsPerRun(100, func() { decodeNode(enc) }); a > 2 {
 		t.Fatalf("decoding a 16-child branch: %v allocations, want <= 2", a)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decodeNode(enc)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 352 {
+		t.Fatalf("decoding a 16-child branch: %d bytes, want <= 352", b)
 	}
 }
 

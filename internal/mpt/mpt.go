@@ -47,15 +47,13 @@ type nodeMeta struct {
 
 func (m *nodeMeta) meta() *nodeMeta { return m }
 
-// ref is a child slot: the child itself once resolved, otherwise the
-// hash it is persisted under (zero: no child). h is meaningful only
-// while n is nil.
+// ref is an extension's or the root's child slot: the child itself once
+// resolved, otherwise the hash it is persisted under (zero: no child).
+// h is meaningful only while n is nil.
 type ref struct {
 	n Node
 	h types.Hash
 }
-
-func (r *ref) empty() bool { return r.n == nil && r.h.IsZero() }
 
 type (
 	// leafNode holds the tail of a key path and its value.
@@ -71,14 +69,30 @@ type (
 		child ref
 	}
 	// branchNode fans out on the next nibble; value holds a terminated
-	// key ending exactly here. Unresolved children cost no allocation:
-	// their hashes live in the slots.
+	// key ending exactly here. Each child's hash lives in one place: in
+	// the child itself once resolved (kids[i]), otherwise in enc, the
+	// branch's persisted encoding, which the node shares with the store
+	// and never writes into. cleared marks the slots a Delete emptied
+	// since enc was written; a branch with no enc (built by Put) has
+	// every child resolved.
 	branchNode struct {
 		nodeMeta
-		children [16]ref
-		value    []byte
+		kids    [16]Node
+		value   []byte
+		enc     []byte
+		cleared uint16
 	}
 )
+
+// storedHash returns the hash of slot i as enc records it, zero when
+// the slot is empty or cleared; it is meaningful only while kids[i] is
+// nil.
+func (b *branchNode) storedHash(i int) (h types.Hash) {
+	if b.enc != nil && b.cleared&(1<<i) == 0 {
+		h = types.Hash(b.enc[4+i*types.HashSize:])
+	}
+	return h
+}
 
 // NodeCache caches decoded trie nodes by content hash. Because a clean
 // node is immutable under its hash, a shared cache is valid across every
@@ -179,17 +193,31 @@ func (t *Trie) load(owner *nodeMeta, r *ref) (Node, error) {
 }
 
 // loadSlow resolves slot r, if it holds a child at all, and memoises the
-// node into it only when owner is private to this trie (see the Trie
-// comment).
+// node into it only when owner is private to this trie.
 func (t *Trie) loadSlow(owner *nodeMeta, r *ref) (Node, error) {
-	if r.h.IsZero() {
-		return nil, nil
-	}
 	n, err := t.resolve(r.h)
-	if err == nil && (t.cache == nil || owner == nil || !owner.clean) {
+	if t.private(owner) {
 		r.n = n
 	}
 	return n, err
+}
+
+// kid is load for slot i of branch b.
+func (t *Trie) kid(b *branchNode, i byte) (Node, error) {
+	if n := b.kids[i]; n != nil {
+		return n, nil
+	}
+	n, err := t.resolve(b.storedHash(int(i)))
+	if t.private(&b.nodeMeta) {
+		b.kids[i] = n
+	}
+	return n, err
+}
+
+// private reports whether a child resolved into a slot of owner (nil:
+// the root slot) may be memoised there (see the Trie comment).
+func (t *Trie) private(owner *nodeMeta) bool {
+	return t.cache == nil || owner == nil || !owner.clean
 }
 
 // Get returns the value stored at key, or nil if absent.
@@ -215,7 +243,7 @@ func (t *Trie) Get(key []byte) ([]byte, error) {
 			if len(path) == 0 {
 				return cur.value, nil
 			}
-			n, err = t.load(&cur.nodeMeta, &cur.children[path[0]])
+			n, err = t.kid(cur, path[0])
 			path = path[1:]
 		}
 	}
@@ -244,7 +272,8 @@ func (t *Trie) Put(key, value []byte) error {
 
 // ownExt and ownBranch return n ready for mutation: n itself with its
 // cached hash cleared when this trie created it since its last Commit,
-// a dirty copy when n is clean.
+// a dirty copy when n is clean. A branch's copy shares n's encoding,
+// which is immutable, for the slots it does not change.
 func ownExt(n *extNode) *extNode {
 	if n.clean {
 		return &extNode{path: n.path, child: n.child}
@@ -255,7 +284,7 @@ func ownExt(n *extNode) *extNode {
 
 func ownBranch(n *branchNode) *branchNode {
 	if n.clean {
-		return &branchNode{children: n.children, value: n.value}
+		return &branchNode{kids: n.kids, value: n.value, enc: n.enc, cleared: n.cleared}
 	}
 	n.hashed = false
 	return n
@@ -296,13 +325,18 @@ func (t *Trie) insert(n Node, path []byte, value []byte) (Node, error) {
 			return n, nil
 		}
 		// Split the extension at cp: its remainder goes under the first
-		// nibble past the split.
+		// nibble past the split. The new branch has no encoding to hold a
+		// hash in, so a child it takes directly is resolved first.
 		branch := &branchNode{}
 		rem := n.path[cp:]
 		if len(rem) == 1 {
-			branch.children[rem[0]] = n.child
+			child, err := t.load(&n.nodeMeta, &n.child)
+			if err != nil {
+				return nil, err
+			}
+			branch.kids[rem[0]] = child
 		} else {
-			branch.children[rem[0]] = ref{n: &extNode{path: rem[1:], child: n.child}}
+			branch.kids[rem[0]] = &extNode{path: rem[1:], child: n.child}
 		}
 		branch.attach(path[cp:], value, true)
 		return extend(n.path[:cp], branch), nil
@@ -312,7 +346,7 @@ func (t *Trie) insert(n Node, path []byte, value []byte) (Node, error) {
 			n.value = value
 			return n, nil
 		}
-		child, err := t.load(&n.nodeMeta, &n.children[path[0]])
+		child, err := t.kid(n, path[0])
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +354,7 @@ func (t *Trie) insert(n Node, path []byte, value []byte) (Node, error) {
 			return nil, err
 		}
 		n = ownBranch(n)
-		n.children[path[0]] = ref{n: child}
+		n.kids[path[0]] = child
 		return n, nil
 	default:
 		return nil, fmt.Errorf("mpt: unknown node type %T", n)
@@ -350,7 +384,7 @@ func (b *branchNode) attach(path []byte, value []byte, scratch bool) {
 	} else {
 		leaf = &leafNode{path: path[1:], value: value}
 	}
-	b.children[path[0]] = ref{n: leaf}
+	b.kids[path[0]] = leaf
 }
 
 // inlineLeaf is a leaf that carries its path in its own allocation: a
@@ -415,7 +449,7 @@ func (t *Trie) remove(n Node, path []byte) (Node, bool, error) {
 			return nil, true, nil
 		}
 		// The child was a branch; what is left of it decides the shape.
-		return prepend(n.path, ref{n: child}, child), true, nil
+		return prepend(n.path, child), true, nil
 	case *branchNode:
 		if len(path) == 0 {
 			if n.value == nil {
@@ -424,7 +458,7 @@ func (t *Trie) remove(n Node, path []byte) (Node, bool, error) {
 			n = ownBranch(n)
 			n.value = nil
 		} else {
-			child, err := t.load(&n.nodeMeta, &n.children[path[0]])
+			child, err := t.kid(n, path[0])
 			if err != nil {
 				return n, false, err
 			}
@@ -433,7 +467,9 @@ func (t *Trie) remove(n Node, path []byte) (Node, bool, error) {
 				return n, changed, err
 			}
 			n = ownBranch(n)
-			n.children[path[0]] = ref{n: child}
+			if n.kids[path[0]] = child; child == nil {
+				n.cleared |= 1 << path[0]
+			}
 		}
 		collapsed, err := t.collapseBranch(n)
 		return collapsed, true, err
@@ -447,8 +483,8 @@ func (t *Trie) remove(n Node, path []byte) (Node, bool, error) {
 func (t *Trie) collapseBranch(b *branchNode) (Node, error) {
 	live := -1
 	count := 0
-	for i := range b.children {
-		if !b.children[i].empty() {
+	for i := range b.kids {
+		if b.kids[i] != nil || !b.storedHash(i).IsZero() {
 			live = i
 			count++
 		}
@@ -460,26 +496,26 @@ func (t *Trie) collapseBranch(b *branchNode) (Node, error) {
 		return &leafNode{path: nil, value: b.value}, nil
 	}
 	if count == 1 && b.value == nil {
-		child, err := t.load(&b.nodeMeta, &b.children[live])
+		child, err := t.kid(b, byte(live))
 		if err != nil {
 			return nil, err
 		}
-		return prepend([]byte{byte(live)}, b.children[live], child), nil
+		return prepend([]byte{byte(live)}, child), nil
 	}
 	return b, nil
 }
 
-// prepend returns the node that puts prefix in front of child, the
-// resolved occupant of slot r: a leaf or extension absorbs the prefix
-// into its own path, a branch goes under a new extension that keeps r.
-func prepend(prefix []byte, r ref, child Node) Node {
+// prepend returns the node that puts prefix in front of child: a leaf
+// or extension absorbs the prefix into its own path, a branch goes under
+// a new extension.
+func prepend(prefix []byte, child Node) Node {
 	switch c := child.(type) {
 	case *leafNode:
 		return &leafNode{path: concat(prefix, c.path), value: c.value}
 	case *extNode:
 		return &extNode{path: concat(prefix, c.path), child: c.child}
 	default:
-		return &extNode{path: prefix, child: r}
+		return &extNode{path: prefix, child: ref{n: child}}
 	}
 }
 
@@ -506,6 +542,12 @@ const (
 // nodes), and Hash never repeats work either. Children are hashed
 // before any of the parent's bytes are laid down, so the single
 // reusable encBuf serves every recursion level in turn.
+//
+// Under a node cache a persisted branch is about to be published, and
+// published nodes hold hashes, not subtrees: it takes the record the
+// store now holds as its enc and unlinks its children. The read-back
+// costs no allocation on either engine (a store's Get result is the
+// stored record, shared and immutable).
 func (t *Trie) encode(n Node, write bool) (types.Hash, error) {
 	m := n.meta()
 	if m.clean || (m.hashed && !write) {
@@ -525,14 +567,21 @@ func (t *Trie) encode(n Node, write bool) (types.Hash, error) {
 		buf = types.AppendBytes(buf, n.path)
 		buf = append(buf, n.child.h[:]...)
 	case *branchNode:
-		for i := range n.children {
-			if err := t.encodeChild(&n.children[i], write); err != nil {
+		for _, k := range n.kids {
+			if k == nil {
+				continue
+			}
+			if _, err := t.encode(k, write); err != nil {
 				return types.ZeroHash, err
 			}
 		}
 		buf = appendUint32(t.encBuf[:0], kindBranch)
-		for i := range n.children {
-			buf = append(buf, n.children[i].h[:]...)
+		for i, k := range n.kids {
+			h := n.storedHash(i)
+			if k != nil {
+				h = k.meta().hash
+			}
+			buf = append(buf, h[:]...)
 		}
 		if n.value != nil {
 			buf = append(buf, 1)
@@ -545,12 +594,23 @@ func (t *Trie) encode(n Node, write bool) (types.Hash, error) {
 
 	m.hash, m.hashed = types.HashData(buf), true
 	if write {
-		if err := t.store.Put(t.nodeKey(m.hash), buf); err != nil {
+		key := t.nodeKey(m.hash)
+		if err := t.store.Put(key, buf); err != nil {
 			return types.ZeroHash, err
 		}
 		t.nodesWritten++
 		m.clean = true
 		if t.cache != nil {
+			if b, ok := n.(*branchNode); ok {
+				enc, ok, err := t.store.Get(key)
+				if err == nil && !ok {
+					err = ErrNotFound
+				}
+				if err != nil {
+					return types.ZeroHash, fmt.Errorf("mpt: reading back node %s: %w", m.hash.Hex(), err)
+				}
+				b.kids, b.enc, b.cleared = [16]Node{}, enc, 0
+			}
 			t.cache.Put(m.hash, n)
 		}
 	}
@@ -615,10 +675,13 @@ func (t *Trie) nodeKey(h types.Hash) []byte {
 	return k
 }
 
-// resolve returns the clean node persisted under h: the shared object
-// from the node cache when it is resident, else a fresh decode that is
-// published to the cache for every later trie.
+// resolve returns the clean node persisted under h (none for a zero h):
+// the shared object from the node cache when it is resident, else a
+// fresh decode that is published to the cache for every later trie.
 func (t *Trie) resolve(h types.Hash) (Node, error) {
+	if h.IsZero() {
+		return nil, nil
+	}
 	if t.store == nil {
 		return nil, ErrNotFound
 	}
@@ -646,15 +709,15 @@ func (t *Trie) resolve(h types.Hash) (Node, error) {
 }
 
 // decodeNode builds the node enc describes in one allocation whatever
-// its fan-out: child hashes are copied into the node's own slots, paths
-// and values alias enc, which the node therefore retains: a store's Get
-// result is shared and immutable (kvstore.Store), so the node may keep
-// it and must never write into it.
-func decodeNode(enc []byte) (Node, error) {
-	if len(enc) < 4 {
+// its fan-out: a branch keeps enc itself, where its child hashes are,
+// and paths, values and an extension's child hash alias or copy out of
+// it. A store's Get result is shared and immutable (kvstore.Store), so
+// the node may keep it and must never write into it.
+func decodeNode(node []byte) (Node, error) {
+	if len(node) < 4 {
 		return nil, fmt.Errorf("mpt: node: %w", types.ErrTruncated)
 	}
-	kind, enc := binary.LittleEndian.Uint32(enc), enc[4:]
+	kind, enc := binary.LittleEndian.Uint32(node), node[4:]
 	var ok bool
 	switch kind {
 	case kindLeaf:
@@ -677,10 +740,7 @@ func decodeNode(enc []byte) (Node, error) {
 		if len(enc) < 16*types.HashSize+1 {
 			return nil, fmt.Errorf("mpt: branch node: %w", types.ErrTruncated)
 		}
-		n := &branchNode{}
-		for i := range n.children {
-			copy(n.children[i].h[:], enc[i*types.HashSize:])
-		}
+		n := &branchNode{enc: node}
 		if enc = enc[16*types.HashSize:]; enc[0] != 0 {
 			if n.value, _, ok = cutBytes(enc[1:]); !ok {
 				return nil, fmt.Errorf("mpt: branch node value: %w", types.ErrTruncated)
@@ -708,33 +768,40 @@ func cutBytes(enc []byte) (b, rest []byte, ok bool) {
 // reconstructed from paths; only byte-aligned keys (even nibble count)
 // are produced, which is all this repository ever stores.
 func (t *Trie) Iterate(fn func(key, value []byte) bool) error {
-	_, err := t.walk(nil, &t.root, nil, fn)
+	root, err := t.load(nil, &t.root)
+	if err == nil {
+		_, err = t.walk(root, nil, fn)
+	}
 	return err
 }
 
-func (t *Trie) walk(owner *nodeMeta, r *ref, prefix []byte, fn func(k, v []byte) bool) (bool, error) {
-	n, err := t.load(owner, r)
-	if err != nil {
-		return false, err
-	}
+func (t *Trie) walk(n Node, prefix []byte, fn func(k, v []byte) bool) (bool, error) {
 	switch n := n.(type) {
 	case nil:
 		return true, nil
 	case *leafNode:
 		return emit(concat(prefix, n.path), n.value, fn), nil
 	case *extNode:
-		return t.walk(&n.nodeMeta, &n.child, concat(prefix, n.path), fn)
+		child, err := t.load(&n.nodeMeta, &n.child)
+		if err != nil {
+			return false, err
+		}
+		return t.walk(child, concat(prefix, n.path), fn)
 	case *branchNode:
 		if n.value != nil {
 			if !emit(prefix, n.value, fn) {
 				return false, nil
 			}
 		}
-		for i := range n.children {
-			if n.children[i].empty() {
+		for i := range n.kids {
+			child, err := t.kid(n, byte(i))
+			if err != nil {
+				return false, err
+			}
+			if child == nil {
 				continue
 			}
-			cont, err := t.walk(&n.nodeMeta, &n.children[i], concat(prefix, []byte{byte(i)}), fn)
+			cont, err := t.walk(child, concat(prefix, []byte{byte(i)}), fn)
 			if err != nil || !cont {
 				return cont, err
 			}

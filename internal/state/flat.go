@@ -139,6 +139,8 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 // the anchor from parent to root. Re-committing the block the layer is
 // already anchored at is a no-op; a commit from any other parent resets
 // the layer (new generation, LRU cleared in place) and re-anchors at root.
+// So does a write the store fails: the key's older persisted value
+// would otherwise be served once the LRU evicts the new one.
 func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -146,22 +148,31 @@ func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 		return
 	}
 	if parent != f.root {
-		f.gen++
-		f.cache.Clear()
-		f.resets++
+		f.resetLocked()
 	}
 	for k, v := range writes {
+		var err error
 		if v == nil {
 			f.cache.Remove(lruKeyFor(k))
-			f.store.Delete(flatKey(f, k))
-			continue
+			err = f.store.Delete(flatKey(f, k))
+		} else {
+			f.cache.Put(lruKeyFor(k), v)
+			err = f.store.Put(flatKey(f, k), v)
 		}
-		f.cache.Put(lruKeyFor(k), v)
-		// Persistence is best-effort: on a failed write the entry is just
-		// absent from the flat layer and reads fall through to the trie.
-		f.store.Put(flatKey(f, k), v)
+		if err != nil {
+			f.resetLocked()
+			break
+		}
 	}
 	f.root = root
+}
+
+// resetLocked empties the layer in O(1): every persisted entry is under
+// an older generation from here on.
+func (f *FlatState) resetLocked() {
+	f.gen++
+	f.cache.Clear()
+	f.resets++
 }
 
 // Counters implements metrics.CounterProvider.

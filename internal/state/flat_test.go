@@ -3,6 +3,7 @@ package state
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -154,11 +155,68 @@ func TestFlatStateDeletionShadows(t *testing.T) {
 	}
 }
 
+// failNextWrite is a store whose next Put or Delete fails once armed.
+type failNextWrite struct {
+	kvstore.Store
+	armed bool
+}
+
+var errWriteFailed = errors.New("injected write failure")
+
+func (s *failNextWrite) fail() error {
+	if s.armed {
+		s.armed = false
+		return errWriteFailed
+	}
+	return nil
+}
+
+func (s *failNextWrite) Put(k, v []byte) error {
+	if err := s.fail(); err != nil {
+		return err
+	}
+	return s.Store.Put(k, v)
+}
+
+func (s *failNextWrite) Delete(k []byte) error {
+	if err := s.fail(); err != nil {
+		return err
+	}
+	return s.Store.Delete(k)
+}
+
+// TestFlatStateFailedWriteResets: a write the store fails leaves the
+// key's older value persisted, and once a one-entry LRU has evicted the
+// newer one the layer must not serve it. Before a failed write reset
+// the layer, Get answered "old" where the state held "new" (failed Put)
+// or nothing (failed Delete).
+func TestFlatStateFailedWriteResets(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		next []byte // nil: the block deletes the key
+	}{{"put", []byte("new")}, {"delete", nil}} {
+		store := &failNextWrite{Store: kvstore.NewMem()}
+		f := NewFlatState(store, 1)
+		r1, r2, r3 := types.Hash{1}, types.Hash{2}, types.Hash{3}
+		f.Advance(types.ZeroHash, r1, map[string][]byte{"k": []byte("old")})
+		store.armed = true
+		f.Advance(r1, r2, map[string][]byte{"k": tc.next})
+		f.Advance(r2, r3, map[string][]byte{"evicts k": []byte("x")})
+		if v, ok := f.Get(r3, []byte("k")); ok && (tc.next == nil || !bytes.Equal(v, tc.next)) {
+			t.Errorf("%s: Get = %q after the failed write, state holds %q", tc.name, v, tc.next)
+		}
+		if n := f.Counters()["store.flat_resets"]; n != 1 {
+			t.Errorf("%s: %d resets, want 1", tc.name, n)
+		}
+	}
+}
+
 // TestFlatStateSkipsUnstorableKey: the LSM refuses a key longer than a
-// run's sparse index can record (uint16 lengths), the flat layer's
-// best-effort put skips it, and the trie, which stores only hashes as
-// keys, still serves it. The store flushes and reopens — after the
-// parent commit's flush of such a key, OpenLSM failed.
+// run's sparse index can record (uint16 lengths), the flat layer resets
+// on the failed put and persists nothing of it, and the trie, which
+// stores only hashes as keys, still serves it. The store flushes and
+// reopens — after the parent commit's flush of such a key, OpenLSM
+// failed.
 func TestFlatStateSkipsUnstorableKey(t *testing.T) {
 	dir := t.TempDir()
 	store, err := kvstore.OpenLSM(dir, kvstore.LSMOptions{})
@@ -223,7 +281,8 @@ func TestFlatStateLRUSpill(t *testing.T) {
 // TestFlatStateKeysMatchStringModel drives a FlatState and a model whose
 // LRU is keyed on strings through one seeded mix of reads and one-write
 // blocks: puts, deletes, re-commits and fork resets, and reads at a
-// foreign root. Every read and every counter must agree after every step.
+// foreign root, and writes of a key the LSM refuses, which reset the
+// layer. Every read and every counter must agree after every step.
 // Two keys one representation tells apart and the other merges would read
 // each other's values; a key held differently would change which keys stay
 // resident and so the split between LRU and persisted hits. Reads pass a
@@ -235,7 +294,7 @@ func TestFlatStateKeysMatchStringModel(t *testing.T) {
 		"", "k", "k\x00", "k\x00\x00", // lengths 0 and 1, trailing zeros
 		p[:31], p[:31] + "\x00", p, p + "\x00", // 31, 32 and 33 bytes
 		p + "a", p + "b", p + "tail-0", p + "tail-1", // differ past byte 32
-		strings.Repeat("k", 70_000), // refused by the LSM: never persisted
+		strings.Repeat("k", 70_000), // refused by the LSM: writing it resets the layer
 	}
 	store, err := kvstore.OpenLSM(t.TempDir(), kvstore.LSMOptions{MemTableBytes: 1 << 10})
 	if err != nil {
@@ -259,10 +318,16 @@ func TestFlatStateKeysMatchStringModel(t *testing.T) {
 			clear(stored)
 			want["store.flat_resets"]++
 		}
-		if v == nil {
+		switch {
+		case len(k)+10 > math.MaxUint16: // the store fails the write: a reset
+			cache.Clear()
+			clear(stored)
+			want["store.flat_resets"]++
+		case v == nil:
 			cache.Remove(k)
 			delete(stored, k)
-		} else if cache.Put(k, v); len(k)+10 <= math.MaxUint16 {
+		default:
+			cache.Put(k, v)
 			stored[k] = v
 		}
 		anchor = root
