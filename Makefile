@@ -69,14 +69,15 @@ bench:
 # bench-check is the CI regression gate: run only the tracked benchmark
 # families (raft commit latency, shard scaling, exec scaling, txpool
 # contention, LSM point-read/range-scan, flat-cache hits, analytics
-# query latency, the HTAP mix, the lifecycle-trace overhead sweep) into
+# query latency, the HTAP mix, the lifecycle-trace overhead sweep, the
+# EVM quicksort) into
 # BENCH_new.json, then compare against the committed BENCH_ci.json
 # baseline with cmd/benchcheck's tolerance. The committed file is never
 # overwritten here — refresh it with `make bench` when a PR
 # legitimately moves the numbers.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkRaftCommitLatency|BenchmarkShardScaling|BenchmarkExecScaling|BenchmarkPoolContention|BenchmarkLSMPointRead|BenchmarkLSMRangeScan|BenchmarkFlatCacheHit|BenchmarkAnalyticsQuery|BenchmarkHTAPMix|BenchmarkTraceOverhead' \
-		-benchtime 1x -benchmem -timeout 60m -json . ./internal/txpool ./internal/consensus/raft ./internal/kvstore > BENCH_new.json
+	$(GO) test -run '^$$' -bench 'BenchmarkRaftCommitLatency|BenchmarkShardScaling|BenchmarkExecScaling|BenchmarkPoolContention|BenchmarkLSMPointRead|BenchmarkLSMRangeScan|BenchmarkFlatCacheHit|BenchmarkAnalyticsQuery|BenchmarkHTAPMix|BenchmarkTraceOverhead|BenchmarkEVMSort' \
+		-benchtime 1x -benchmem -timeout 60m -json . ./internal/txpool ./internal/consensus/raft ./internal/kvstore ./internal/contracts > BENCH_new.json
 	$(GO) run ./cmd/benchcheck -baseline BENCH_ci.json -new BENCH_new.json
 
 # bench-build is the only thing that tells a refactor it broke the
@@ -214,7 +215,12 @@ loc:
 # ownBranch's copy from 896 to 352 bytes, and by two store errors that
 # no longer pass in silence: the flat layer resets on a failed write,
 # and the analytics index keeps its first failure for Query.
-LOC_MAX ?= 21049
+# It was raised to 21208 by the EVM's decoded table (159 lines): a
+# Program decodes its code once into an entry per offset, and seven
+# fused runs, the commonest in the CPUHeavy sort, dispatch once behind
+# a guard that keeps gas, steps and traps the byte loop's; and by the
+# LSM flush's kept key slice.
+LOC_MAX ?= 21208
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

@@ -1,11 +1,16 @@
 package evm_test
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
+	"blockbench/internal/contracts"
 	"blockbench/internal/evm"
+	"blockbench/internal/evm/asm"
 )
 
 // TestConcurrentRunsMatchSerial runs a mix of contracts — small and large
@@ -74,4 +79,90 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentFirstRunsMatchSerial is the same check for Programs that
+// have never run. A Program decodes its code on its first Run, so each
+// round builds a fresh set — every registry contract's code in a new
+// Program, the ad-hoc and fused-run programs assembled again, seeded
+// random programs — and 8 goroutines released at once make the first
+// Run of each. Every row must equal the serial run's on a set of its
+// own. Under -race this is the check that the table is built once and
+// every goroutine reads it whole.
+func TestConcurrentFirstRunsMatchSerial(t *testing.T) {
+	alice := goldenAddr("alice")
+	env := evm.Env{
+		ContractAddr: goldenAddr("contract:adhoc"), Caller: alice, Value: 9,
+		Args: [][]byte{u64(60), u64(61), u64(62)},
+	}
+	type job struct {
+		method string
+		gas    uint64
+		build  func() *evm.Program // a Program that has never run
+	}
+	var jobs []job
+	for _, spec := range contracts.All() {
+		if spec.EVM == nil {
+			continue
+		}
+		code, funcs := spec.EVM.Code, spec.EVM.Funcs
+		methods := make([]string, 0, len(funcs))
+		for m := range funcs {
+			methods = append(methods, m)
+		}
+		sort.Strings(methods)
+		for _, m := range methods {
+			jobs = append(jobs, job{m, 1 << 30, func() *evm.Program { return &evm.Program{Code: bytes.Clone(code), Funcs: funcs} }})
+		}
+	}
+	var srcs []string
+	for _, p := range adhocPrograms {
+		srcs = append(srcs, p.src)
+	}
+	for _, p := range fusedEdges() {
+		srcs = append(srcs, p.src)
+	}
+	for _, src := range srcs {
+		jobs = append(jobs, job{"main", 100000, func() *evm.Program { return asm.MustAssemble(".func main\n" + src) }})
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		jobs = append(jobs, job{"main", 8000, func() *evm.Program { return randomProgram(rand.New(rand.NewSource(seed))) }})
+	}
+	run := func(j job, prog *evm.Program) string {
+		var rows []string
+		g := &goldenRun{st: newTraceState(), rows: &rows}
+		g.st.bal[env.ContractAddr] = 50
+		e := env
+		e.Contract, e.GasLimit = "c", j.gas
+		g.call(j.method, prog, j.method, e)
+		return rows[0]
+	}
+	serial := make([]string, len(jobs))
+	for i, j := range jobs {
+		serial[i] = run(j, j.build())
+	}
+
+	for round := 0; round < 3; round++ {
+		progs := make([]*evm.Program, len(jobs))
+		for i, j := range jobs {
+			progs[i] = j.build()
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i, j := range jobs { // all in one order, so every first Run is contended
+					if got := run(j, progs[i]); got != serial[i] {
+						t.Errorf("round %d, goroutine %d, job %d:\n got  %s\n want %s", round, w, i, got, serial[i])
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+	}
 }

@@ -350,7 +350,84 @@ func goldenRows(t *testing.T) []string {
 		}
 		adhoc(fmt.Sprintf("rand/%d", i), randomProgram(rng), env)
 	}
+
+	// The interpreter runs some straight-line runs in one dispatch when
+	// nothing in them can trap (PUSH a; MLOAD — PUSH k; ADD, SUB or MUL
+	// — PUSH a; SWAP 1; MSTORE — ISZERO; JUMPI — SWAP 1; MSTORE). These
+	// rows put each run at the edge of that guard: a sweep of gas limits
+	// that runs out at each of its instructions, a PUSH at 1 024
+	// operands, an address that needs growth or wraps, too few operands,
+	// a jump into the middle of a run and a JUMPI target past the end.
+	// They were captured on the interpreter that dispatched every
+	// instruction on its own.
+	for _, p := range fusedEdges() {
+		prog, err := asm.Assemble(".func main\n" + p.src)
+		if err != nil {
+			t.Fatalf("fused %s: %v", p.name, err)
+		}
+		for gas := p.lo; gas <= p.hi; gas++ {
+			env, name := adhocEnv, "fused/"+p.name
+			if gas != 0 {
+				env.GasLimit, name = gas, fmt.Sprintf("%s-gas=%d", name, gas)
+			}
+			adhoc(name, prog, env)
+		}
+	}
+	for _, v := range []byte{0, 1} { // ISZERO; JUMPI inside a PUSH immediate, reached by a jump
+		raw(fmt.Sprintf("fused-in-immediate-%d", v), 0x10, v, 0, 0, 0, 0, 0, 0, 0, 0x20, 15, 0, 0, 0,
+			0x10, 0x09, 0x21, 23, 0, 0, 0, 0x00, 0x00, 0x34, 0x00)
+		raw(fmt.Sprintf("iszero-jumpi-past-end-%d", v), 0x10, v, 0, 0, 0, 0, 0, 0, 0, 0x09, 0x21, 0xff, 0, 0, 0)
+		raw(fmt.Sprintf("iszero-jumpi-to-end-%d", v), 0x10, v, 0, 0, 0, 0, 0, 0, 0, 0x09, 0x21, 15, 0, 0, 0)
+		raw(fmt.Sprintf("iszero-jumpi-one-past-end-%d", v), 0x10, v, 0, 0, 0, 0, 0, 0, 0, 0x09, 0x21, 16, 0, 0, 0)
+	}
+	raw("iszero-jumpi-truncated", 0x10, 1, 0, 0, 0, 0, 0, 0, 0, 0x09, 0x21, 1, 2)
+	raw("iszero-jumpi-underflow", 0x09, 0x21, 0, 0, 0, 0)
+	raw("swap-mstore-underflow-0", 0x13, 0x01, 0x31)
 	return rows
+}
+
+// fusedEdge is a program swept over the gas limits lo..hi (0: the
+// ad-hoc default only).
+type fusedEdge struct {
+	name, src string
+	lo, hi    uint64
+}
+
+func fusedEdges() []fusedEdge {
+	const ret = "\nPUSH 0\nSWAP 1\nMSTORE\nPUSH 0\nPUSH 8\nRETURN" // the top operand as output
+	edges := []fusedEdge{
+		{"push-mload", "PUSH 0\nPUSH 0x1122\nMSTORE\nPUSH 0\nMLOAD\nPUSH 24\nSWAP 1\nMSTORE\nPUSH 24\nPUSH 8\nRETURN", 5, 19},
+		{"push-mload-grows", "PUSH 0\nPUSH 1\nMSTORE\nPUSH 25\nMLOAD\nSTOP", 6, 12},
+		{"push-mload-fresh", "PUSH 5000\nMLOAD\nSTOP", 0, 0},
+		{"push-mload-wraps-to-0", "PUSH 0xfffffffffffffff8\nMLOAD\nSTOP", 0, 0},
+		{"push-mload-wraps-to-1", "PUSH 0xfffffffffffffff9\nMLOAD\nSTOP", 0, 0},
+		{"push-mload-overflow", "PUSH 0\nPUSH 0\nMSTORE\nloop:\nPUSH 8\nMLOAD\nJUMP @loop", 0, 0},
+		{"push-swap-mstore", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 9\nPUSH 24\nSWAP 1\nMSTORE\nPUSH 24\nPUSH 8\nRETURN", 5, 16},
+		{"push-swap-mstore-grows", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 9\nPUSH 25\nSWAP 1\nMSTORE\nSTOP", 6, 14},
+		{"push-swap-mstore-wraps", "PUSH 9\nPUSH 0xfffffffffffffff8\nSWAP 1\nMSTORE", 0, 0},
+		{"push-swap-mstore-underflow", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 24\nSWAP 1\nMSTORE", 0, 0},
+		{"push-swap-mstore-overflow", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 1\nloop:\nDUP 1\nPUSH 0\nSWAP 1\nMSTORE\nDUP 1\nJUMP @loop", 0, 0},
+		{"iszero-jumpi-taken", "PUSH 0\nISZERO\nJUMPI @t\nPUSH 1\nt:\nPUSH 2\nSTOP", 1, 7},
+		{"iszero-jumpi-not-taken", "PUSH 1\nISZERO\nJUMPI @t\nPUSH 1\nt:\nPUSH 2\nSTOP", 1, 7},
+		{"swap-mstore", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 9\nPUSH 20\nPUSH 4\nADD\nSWAP 1\nMSTORE\nPUSH 24\nPUSH 8\nRETURN", 7, 18},
+		{"swap-mstore-grows", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 9\nPUSH 21\nPUSH 4\nADD\nSWAP 1\nMSTORE\nSTOP", 9, 16},
+		{"push-swap-2-mstore", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 7\nPUSH 16\nPUSH 8\nSWAP 2\nMSTORE\nPUSH 0\nPUSH 24\nRETURN", 0, 0},
+		{"swap-mstore-wraps-to-0", "PUSH 9\nPUSH 7\nNOT\nSWAP 1\nMSTORE", 0, 0},
+		{"swap-mstore-wraps-to-4", "PUSH 9\nPUSH 3\nNOT\nSWAP 1\nMSTORE", 0, 0},
+		{"swap-mstore-underflow-1", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 8\nNOT\nNOT\nSWAP 1\nMSTORE", 0, 0},
+		{"jump-to-mload", "PUSH 16\nPUSH 0x1122\nMSTORE\nPUSH 16\nJUMP @mid\nPUSH 8\nmid:\nMLOAD" + ret, 0, 0},
+		{"jump-to-add", "PUSH 5\nPUSH 6\nJUMP @mid\nPUSH 100\nmid:\nADD" + ret, 0, 0},
+		{"jump-to-swap", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 7\nPUSH 16\nJUMP @mid\nPUSH 8\nmid:\nSWAP 1\nMSTORE\nPUSH 16\nPUSH 8\nRETURN", 0, 0},
+		{"jump-to-mstore", "PUSH 0\nPUSH 0\nMSTORE\nPUSH 16\nPUSH 5\nJUMP @mid\nPUSH 8\nSWAP 1\nmid:\nMSTORE\nPUSH 16\nPUSH 8\nRETURN", 0, 0},
+		{"jump-to-jumpi", "PUSH 0\nJUMP @mid\nISZERO\nmid:\nJUMPI @t\nPUSH 1\nt:\nSTOP", 0, 0},
+	}
+	for _, op := range []string{"ADD", "SUB", "MUL"} {
+		edges = append(edges,
+			fusedEdge{"push-" + op, "PUSH 3\nPUSH 4\n" + op + ret, 1, 13},
+			fusedEdge{"push-" + op + "-underflow", "PUSH 4\n" + op, 0, 0},
+			fusedEdge{"push-" + op + "-overflow", "PUSH 1\nloop:\nDUP 1\nPUSH 1\n" + op + "\nJUMP @loop", 0, 0})
+	}
+	return edges
 }
 
 var adhocPrograms = []struct {

@@ -50,12 +50,20 @@ var opInfo = [256]struct {
 	opRETURN: {gasBase, 2}, opREVERT: {gasBase, 2}, opSHA3: {0, 3}, opGASLEFT: {gasBase, 0},
 }
 
-// run is the interpreter loop: it executes code from pc and reports the
-// RETURN payload, or an error for traps and reverts (revert payload
-// alongside ErrRevert). pc, gas, the step count and the stack depth live
-// in locals for the whole run and reach the Result at the one exit below
-// the loop; every trap sets err and breaks to it.
-func (m *vm) run(code []byte, pc int, gasLimit uint64) Result {
+// run is the interpreter loop: it executes the decoded table from pc and
+// reports the RETURN payload, or an error for traps and reverts (revert
+// payload alongside ErrRevert). pc, gas, the step count and the stack
+// depth live in locals for the whole run and reach the Result at the one
+// exit below the loop; every trap sets err and breaks to it.
+//
+// Where a fused run starts, it runs in one dispatch if its guard holds:
+// gas for the whole run, the stack depth it needs and room for its PUSH,
+// memory that already covers its address (the table admits no address
+// that can wrap and no jump target past the end). Nothing in it can
+// then trap, and it adds to gas, steps, the stack and memory what its
+// instructions would one by one. Otherwise the plain instruction at pc
+// runs, and the run's next offset is dispatched on its own.
+func (m *vm) run(tab []ins, pc int, gasLimit uint64) Result {
 	var (
 		gas   = gasLimit
 		stack = &m.stack
@@ -66,11 +74,62 @@ func (m *vm) run(code []byte, pc int, gasLimit uint64) Result {
 		err   error
 	)
 loop:
-	for pc < len(code) { // falling off the end behaves like STOP
-		op := code[pc]
+	for pc < len(tab) { // falling off the end behaves like STOP
+		in := &tab[pc]
+		op := in.op
+		if op > 0xff {
+			switch op {
+			case fPushMload:
+				if a := in.imm; gas >= gasBase+gasMem && sp < maxStack && a+8 <= uint64(len(m.mem)) {
+					stack[sp] = binary.LittleEndian.Uint64(m.mem[a:])
+					sp, gas, steps, pc = sp+1, gas-(gasBase+gasMem), steps+2, pc+10
+					continue
+				}
+			case fPushAdd, fPushSub, fPushMul:
+				if gas >= 2*gasBase && sp >= 1 && sp < maxStack {
+					switch op {
+					case fPushAdd:
+						stack[sp-1] += in.imm
+					case fPushSub:
+						stack[sp-1] -= in.imm
+					default:
+						stack[sp-1] *= in.imm
+					}
+					gas, steps, pc = gas-2*gasBase, steps+2, pc+10
+					continue
+				}
+			case fPushSwapMstore:
+				if a := in.imm; gas >= 2*gasBase+gasMem && sp >= 1 && sp < maxStack && a+8 <= uint64(len(m.mem)) {
+					binary.LittleEndian.PutUint64(m.mem[a:], stack[sp-1])
+					sp, gas, steps, pc = sp-1, gas-(2*gasBase+gasMem), steps+3, pc+12
+					continue
+				}
+			case fIszeroJumpi:
+				if gas >= gasBase+gasJump && sp >= 1 {
+					if sp--; stack[sp] == 0 {
+						pc = int(tab[pc+1].imm)
+					} else {
+						pc += 6
+					}
+					gas, steps = gas-(gasBase+gasJump), steps+2
+					continue
+				}
+				op = opISZERO
+			case fSwapMstore:
+				if gas >= gasBase+gasMem && sp >= 2 && stack[sp-1] < maxFusedAddr && stack[sp-1]+8 <= uint64(len(m.mem)) {
+					binary.LittleEndian.PutUint64(m.mem[stack[sp-1]:], stack[sp-2])
+					sp, gas, steps, pc = sp-2, gas-(gasBase+gasMem), steps+2, pc+3
+					continue
+				}
+				op = opSWAP
+			}
+			if op > 0xff { // a run that starts with PUSH
+				op = opPUSH
+			}
+		}
 		pc++
 		steps++
-		info := &opInfo[op]
+		info := &opInfo[uint8(op)]
 		if gas < uint64(info.gas) {
 			gas, err = 0, ErrOutOfGas
 			break
@@ -142,7 +201,7 @@ loop:
 			sp--
 
 		case opPUSH:
-			if pc+8 > len(code) {
+			if pc+8 > len(tab) {
 				err = ErrBadJump
 				break loop
 			}
@@ -150,16 +209,16 @@ loop:
 				err = ErrStackOverflow
 				break loop
 			}
-			stack[sp] = binary.LittleEndian.Uint64(code[pc:])
+			stack[sp] = in.imm
 			sp++
 			pc += 8
 
 		case opDUP, opSWAP:
-			if pc == len(code) {
+			if pc == len(tab) {
 				err = ErrBadJump
 				break loop
 			}
-			n := int(code[pc])
+			n := int(in.imm)
 			pc++
 			reach := n // DUP copies the n-th operand, SWAP reaches the (n+1)-th
 			if op == opSWAP {
@@ -181,11 +240,11 @@ loop:
 			sp++
 
 		case opJUMP, opJUMPI, opCALLSUB:
-			if pc+4 > len(code) {
+			if pc+4 > len(tab) {
 				err = ErrBadJump
 				break loop
 			}
-			dst := uint64(binary.LittleEndian.Uint32(code[pc:]))
+			dst := in.imm
 			pc += 4
 			if op == opJUMPI {
 				if sp == 0 {
@@ -200,7 +259,7 @@ loop:
 				err = ErrStackOverflow
 				break loop
 			}
-			if dst > uint64(len(code)) {
+			if dst > uint64(len(tab)) {
 				err = ErrBadJump
 				break loop
 			}

@@ -35,7 +35,7 @@ func (noState) DeleteState(string, []byte)                          {}
 func (noState) GetBalance(types.Address) uint64                     { return 0 }
 func (noState) Transfer(types.Address, types.Address, uint64) error { return nil }
 func execOn(m *vm, prog []byte, args ...[]byte) Result {
-	return m.exec(prog, 0, &Env{State: noState{}, Args: args, GasLimit: 1 << 30})
+	return m.exec(&Program{Code: prog}, 0, &Env{State: noState{}, Args: args, GasLimit: 1 << 30})
 }
 
 // TestPooledMachineStartsClean drives one machine the way the pool does,

@@ -159,20 +159,20 @@ func Run(prog *Program, method string, env *Env) Result {
 		return Result{Err: fmt.Errorf("%w: %q", ErrNoMethod, method)}
 	}
 	m := vmPool.Get().(*vm)
-	res := m.exec(prog.Code, int(entry), env)
+	res := m.exec(prog, int(entry), env)
 	vmPool.Put(m)
 	return res
 }
 
 // exec is one call on this machine: reset, run, let go of the caller's
 // state and arguments so an idle pooled machine keeps nothing alive.
-func (m *vm) exec(code []byte, entry int, env *Env) Result {
+func (m *vm) exec(prog *Program, entry int, env *Env) Result {
 	m.mem, m.env, m.peak = m.mem[:0], *env, 0
 	if m.env.MemFactor <= 0 {
 		m.env.MemFactor = 1
 	}
 	m.notePeak()
-	res := m.run(code, entry, env.GasLimit)
+	res := m.run(prog.decoded(), entry, env.GasLimit)
 	m.env = Env{}
 	return res
 }

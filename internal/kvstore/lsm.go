@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,7 @@ type LSM struct {
 	arena    arena     // mem's records are carved from it
 	reads    readArena // run-served Get results are carved from it
 	runs     []*run    // newest first
+	sorted   []string  // flush's key scratch, empty between flushes
 
 	wal      *os.File
 	walBuf   *bufio.Writer
@@ -439,7 +441,7 @@ func (s *LSM) flushLocked() error {
 	if len(s.mem) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(s.mem))
+	keys := slices.Grow(s.sorted[:0], len(s.mem))
 	for k := range s.mem {
 		keys = append(keys, k)
 	}
@@ -462,6 +464,8 @@ func (s *LSM) flushLocked() error {
 	if err != nil {
 		return err
 	}
+	clear(keys) // they point into the memtable's chunks: pin none past the flush
+	s.sorted = keys[:0]
 	s.runs = append([]*run{r}, s.runs...)
 	clear(s.mem) // keeps its buckets: the next memtable grows to the same size
 	s.memBytes = 0

@@ -65,7 +65,8 @@ func weakValue(t *testing.T, s Store, key []byte) weak.Pointer[byte] {
 // TestFlushReleasesMemtable: a flushed run keeps its own copies of its
 // index and bound keys and only hashes of the rest, so after a flush and
 // a GC no record the memtable held is reachable — not through the run's
-// sparse index, its min/max keys or anything else.
+// sparse index, its min/max keys, the flush's reused key slice or
+// anything else.
 func TestFlushReleasesMemtable(t *testing.T) {
 	s, err := OpenLSM(t.TempDir(), LSMOptions{SyncBytes: -1})
 	if err != nil {
