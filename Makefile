@@ -220,7 +220,16 @@ loc:
 # fused runs, the commonest in the CPUHeavy sort, dispatch once behind
 # a guard that keeps gas, steps and traps the byte loop's; and by the
 # LSM flush's kept key slice.
-LOC_MAX ?= 21208
+# It was raised to 21419 by block metering in the EVM (211 lines): the
+# decoder records each offset's straight-line block (static gas, steps,
+# operands needed, room for pushes) and the table's own entries for the
+# end of the code, a jump past it and a truncated immediate; vm.run
+# checks a block once, single-steps where that fails and keeps its
+# call-outs in a second switch below the hot loop; two more fused runs;
+# and by a per-metric tolerance in cmd/benchcheck with its compare
+# function, the store's size-refusal sentinel the flat layer no longer
+# resets on, and Smallbank's concurrent agreement check.
+LOC_MAX ?= 21419
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

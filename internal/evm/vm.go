@@ -144,6 +144,7 @@ type Result struct {
 type vm struct {
 	stack [maxStack]uint64
 	calls [maxCallDepth]int
+	alone [10]ins // an instruction that runs on its own, then opResume
 	mem   []byte
 	env   Env
 	peak  int64

@@ -341,14 +341,19 @@ func readRecord(r *bufio.Reader, a *arena) (k string, v []byte, del bool, err er
 	return k, v, del, nil
 }
 
+// ErrTooLarge is returned for a record the LSM refuses by size, so it
+// holds no version of that record: a key too long for a run's sparse
+// index, which stores key lengths as uint16, or a value over the record
+// limit.
+var ErrTooLarge = errors.New("kvstore: record over the size limits")
+
 // walAppend writes one record to the WAL buffer and group-fsyncs once
 // enough unsynced bytes accumulate: many records share one fsync. It
 // refuses what a later open could not read back, so it is never
-// acknowledged: a value over the record limit, and a key too long for a
-// run's sparse index, which stores key lengths as uint16.
+// acknowledged (ErrTooLarge).
 func (s *LSM) walAppend(k string, v []byte, del bool) error {
 	if len(k) > math.MaxUint16 || len(v) > maxRecordLen {
-		return fmt.Errorf("kvstore: %d B key, %d B value: over the %d B key or %d B value limit", len(k), len(v), math.MaxUint16, maxRecordLen)
+		return fmt.Errorf("%w: %d B key, %d B value, over the %d B key or %d B value limit", ErrTooLarge, len(k), len(v), math.MaxUint16, maxRecordLen)
 	}
 	if err := writeRecord(s.walBuf, k, v, del); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)

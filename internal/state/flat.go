@@ -2,6 +2,7 @@ package state
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"sync"
 	"unsafe"
@@ -140,7 +141,10 @@ func (f *FlatState) Get(root types.Hash, key []byte) ([]byte, bool) {
 // already anchored at is a no-op; a commit from any other parent resets
 // the layer (new generation, LRU cleared in place) and re-anchors at root.
 // So does a write the store fails: the key's older persisted value
-// would otherwise be served once the LRU evicts the new one.
+// would otherwise be served once the LRU evicts the new one. A record
+// the store refuses by size (kvstore.ErrTooLarge) is not a failure of
+// the store: the key's older persisted value is deleted (there is none
+// under a key too long to store), and the LRU alone holds the new one.
 func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -159,7 +163,10 @@ func (f *FlatState) Advance(parent, root types.Hash, writes map[string][]byte) {
 			f.cache.Put(lruKeyFor(k), v)
 			err = f.store.Put(flatKey(f, k), v)
 		}
-		if err != nil {
+		if errors.Is(err, kvstore.ErrTooLarge) && v != nil {
+			err = f.store.Delete(flatKey(f, k))
+		}
+		if err != nil && !errors.Is(err, kvstore.ErrTooLarge) {
 			f.resetLocked()
 			break
 		}

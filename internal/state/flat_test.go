@@ -211,9 +211,43 @@ func TestFlatStateFailedWriteResets(t *testing.T) {
 	}
 }
 
+// refuseValue is a store that refuses, by size, every Put of one value.
+type refuseValue struct {
+	kvstore.Store
+	value string
+}
+
+func (s *refuseValue) Put(k, v []byte) error {
+	if string(v) == s.value {
+		return fmt.Errorf("%w: injected", kvstore.ErrTooLarge)
+	}
+	return s.Store.Put(k, v)
+}
+
+// TestFlatStateRefusedRecordKeepsLayer: a put the store refuses by size
+// (kvstore.ErrTooLarge) does not reset the layer, and it deletes the
+// key's older persisted value, so once the LRU evicts the new value the
+// layer misses rather than serve the old one.
+func TestFlatStateRefusedRecordKeepsLayer(t *testing.T) {
+	f := NewFlatState(&refuseValue{Store: kvstore.NewMem(), value: "huge"}, 1)
+	r1, r2, r3 := types.Hash{1}, types.Hash{2}, types.Hash{3}
+	f.Advance(types.ZeroHash, r1, map[string][]byte{"k": []byte("old")})
+	f.Advance(r1, r2, map[string][]byte{"k": []byte("huge")})
+	if v, ok := f.Get(r2, []byte("k")); !ok || string(v) != "huge" {
+		t.Errorf("Get = %q, %v after the refused put; want the LRU's %q", v, ok, "huge")
+	}
+	f.Advance(r2, r3, map[string][]byte{"evicts k": []byte("x")})
+	if v, ok := f.Get(r3, []byte("k")); ok {
+		t.Errorf("Get = %q once the LRU evicted the refused value; want a miss", v)
+	}
+	if n := f.Counters()["store.flat_resets"]; n != 0 {
+		t.Errorf("%d resets, want 0", n)
+	}
+}
+
 // TestFlatStateSkipsUnstorableKey: the LSM refuses a key longer than a
-// run's sparse index can record (uint16 lengths), the flat layer resets
-// on the failed put and persists nothing of it, and the trie, which
+// run's sparse index can record (uint16 lengths), the flat layer keeps
+// it in its LRU only and persists nothing of it, and the trie, which
 // stores only hashes as keys, still serves it. The store flushes and
 // reopens — after the parent commit's flush of such a key, OpenLSM
 // failed.
@@ -281,8 +315,9 @@ func TestFlatStateLRUSpill(t *testing.T) {
 // TestFlatStateKeysMatchStringModel drives a FlatState and a model whose
 // LRU is keyed on strings through one seeded mix of reads and one-write
 // blocks: puts, deletes, re-commits and fork resets, and reads at a
-// foreign root, and writes of a key the LSM refuses, which reset the
-// layer. Every read and every counter must agree after every step.
+// foreign root, and writes of a key the LSM refuses by size, which the
+// LRU alone holds. Every read and every counter must agree after every
+// step.
 // Two keys one representation tells apart and the other merges would read
 // each other's values; a key held differently would change which keys stay
 // resident and so the split between LRU and persisted hits. Reads pass a
@@ -294,7 +329,7 @@ func TestFlatStateKeysMatchStringModel(t *testing.T) {
 		"", "k", "k\x00", "k\x00\x00", // lengths 0 and 1, trailing zeros
 		p[:31], p[:31] + "\x00", p, p + "\x00", // 31, 32 and 33 bytes
 		p + "a", p + "b", p + "tail-0", p + "tail-1", // differ past byte 32
-		strings.Repeat("k", 70_000), // refused by the LSM: writing it resets the layer
+		strings.Repeat("k", 70_000), // refused by the LSM: only the LRU holds it
 	}
 	store, err := kvstore.OpenLSM(t.TempDir(), kvstore.LSMOptions{MemTableBytes: 1 << 10})
 	if err != nil {
@@ -319,13 +354,11 @@ func TestFlatStateKeysMatchStringModel(t *testing.T) {
 			want["store.flat_resets"]++
 		}
 		switch {
-		case len(k)+10 > math.MaxUint16: // the store fails the write: a reset
-			cache.Clear()
-			clear(stored)
-			want["store.flat_resets"]++
 		case v == nil:
 			cache.Remove(k)
 			delete(stored, k)
+		case len(k)+10 > math.MaxUint16: // the store refuses the key
+			cache.Put(k, v)
 		default:
 			cache.Put(k, v)
 			stored[k] = v

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -135,16 +136,21 @@ func (w *SmallbankWorkload) balancesAgree(c *Cluster, nodes []int, acct int) (st
 			last = fmt.Sprintf("replica heights never converged on nodes %v: %v", nodes, hs)
 			continue
 		}
-		vals := make([][]byte, 0, len(nodes))
-		for _, i := range nodes {
-			out, err := c.nodeAt(i).Query("smallbank", "getBalance", [][]byte{sbAcct(acct)})
-			if err != nil || len(out) == 0 {
-				vals = nil
-				break
-			}
-			vals = append(vals, out)
+		// One query per replica, all at once: each pays its own RPC
+		// latency, so a row costs one round trip, not one per node.
+		vals := make([][]byte, len(nodes))
+		var wg sync.WaitGroup
+		for j, i := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if out, err := c.nodeAt(i).Query("smallbank", "getBalance", [][]byte{sbAcct(acct)}); err == nil && len(out) > 0 {
+					vals[j] = out
+				}
+			}()
 		}
-		if vals == nil {
+		wg.Wait()
+		if slices.ContainsFunc(vals, func(v []byte) bool { return v == nil }) {
 			continue // a node went down mid-check; retry the whole row
 		}
 		// Compare raw answer bytes: every replica runs the same engine,
