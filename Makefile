@@ -229,7 +229,14 @@ loc:
 # and by a per-metric tolerance in cmd/benchcheck with its compare
 # function, the store's size-refusal sentinel the flat layer no longer
 # resets on, and Smallbank's concurrent agreement check.
-LOC_MAX ?= 21419
+# It fell to 21418 when the chain came to build every block itself
+# (Chain.Build with its Meta, the one execute that also enforces a gas
+# limit, the outcome held for the Append of the built block, the journal
+# replay that fails on a bad record): ProposeBlock with its second
+# execution loop, the engines' and Preload's header literals, the
+# ledger's and the assembly's GasLimit, the entry's copy of the state
+# root and pow's broadcast wrapper went; schedtest gained Rebuild.
+LOC_MAX ?= 21418
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

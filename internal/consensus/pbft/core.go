@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
+	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
 	"blockbench/internal/types"
@@ -243,19 +244,10 @@ func (c *core) executeReady(now time.Time) {
 		if inst == nil || inst.txs == nil || inst.commits < c.quorum() {
 			return
 		}
-		head := c.ctx.Chain.Head()
 		// Header fields must be identical on every replica so all nodes
 		// commit byte-identical blocks: deterministic time, no proposer.
-		block := &types.Block{
-			Header: types.Header{
-				Number:     height + 1,
-				ParentHash: head.Hash(),
-				Time:       int64(height + 1),
-				View:       inst.view,
-			},
-			Txs: inst.txs,
-		}
-		if err := c.ctx.Chain.Append(block); err != nil {
+		block, err := c.ctx.Chain.Build(inst.txs, ledger.Meta{Time: int64(height + 1), View: inst.view})
+		if err != nil || c.ctx.Chain.Append(block) != nil {
 			return
 		}
 		for _, tx := range inst.txs {

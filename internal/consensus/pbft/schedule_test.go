@@ -6,7 +6,9 @@ import (
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/schedtest"
+	"blockbench/internal/exec"
 	"blockbench/internal/simnet"
+	"blockbench/internal/state"
 	"blockbench/internal/types"
 )
 
@@ -128,6 +130,60 @@ func TestScheduleViewChangeCarriesHighestViewBatch(t *testing.T) {
 			t.Fatalf("run %d: %d pre-prepares sent, want one to each of the other three", run, sent)
 		}
 	}
+}
+
+// TestScheduleDivergentStateCaught: replica 3's engine writes one value
+// the others do not while executing the batch's first transaction. All
+// four execute the same committed batch, so the blocks' bodies agree, but
+// each header commits to the state its replica computed: replica 3's
+// block 1 hashes differently, which is what the agreement check compares.
+func TestScheduleDivergentStateCaught(t *testing.T) {
+	opts := DefaultOptions()
+	batch := []*types.Transaction{{Nonce: 1, Contract: "donothing", Method: "nop"}, {Nonce: 2, Contract: "donothing", Method: "nop"}}
+	s := newSim(t, 4, opts, batch...)
+	skew(t, s.Sim, 3, batch[0])
+	s.Run([]event{
+		{At: opts.BatchTimeout, Op: wake, Nodes: []int{0}},
+		{Op: schedtest.Flow}, // pre-prepare, prepares, commits: every replica executes
+	})
+	ref, ok := s.Chains[0].GetBlock(1)
+	if !ok || len(ref.Txs) != len(batch) {
+		t.Fatal("block 1 is not the batch on the primary")
+	}
+	for i := 1; i < 4; i++ {
+		b, ok := s.Chains[i].GetBlock(1)
+		if !ok {
+			t.Fatalf("node %d never executed block 1", i)
+		}
+		if (b.Hash() == ref.Hash()) == (i == 3) {
+			t.Fatalf("node %d: block 1 is %s, the primary's %s: want the skewed replica's alone to differ",
+				i, b.Hash().Short(), ref.Hash().Short())
+		}
+	}
+}
+
+// skewed writes one more value than its inner engine when it executes
+// transaction tx.
+type skewed struct {
+	exec.Engine
+	tx types.Hash
+}
+
+func (e skewed) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
+	e.Engine.ExecuteInto(db, tx, blockNum, r)
+	if tx.Hash() == e.tx {
+		db.SetState("skew", []byte("k"), []byte("v"))
+	}
+}
+
+// skew rebuilds node i of s over an engine that writes one value the
+// others do not when it executes tx.
+func skew(t *testing.T, s *schedtest.Sim, i int, tx *types.Transaction) {
+	eng, err := exec.NewNativeEngine("donothing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Rebuild(i, skewed{eng, tx.Hash()})
 }
 
 // TestSchedulesReplay: rerun on fresh sims, each table delivers and commits the same.

@@ -4,7 +4,9 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
+	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
+	"blockbench/internal/trace"
 	"blockbench/internal/types"
 )
 
@@ -40,11 +42,14 @@ func (c *core) myTurn(step int64) bool {
 	return n > 0 && c.opts.Authorities[step%n] == c.ctx.Address
 }
 
-// seal proposes, appends and gossips the block for a slot, whether or
+// seal builds, appends and gossips the block for a slot, whether or
 // not transactions are pending.
 func (c *core) seal(now time.Time, slot uint64) {
 	txs := c.ctx.Pool.Batch(maxTxsPerBlock, 0)
-	block, err := c.ctx.Chain.ProposeBlock(txs, c.ctx.Address, 1, slot, now)
+	for _, tx := range txs {
+		c.ctx.Tracer.Stamp(tx.Hash(), trace.StagePropose)
+	}
+	block, err := c.ctx.Chain.Build(txs, ledger.Meta{Proposer: c.ctx.Address, Difficulty: 1, View: slot, Time: now.UnixNano()})
 	if err != nil || c.ctx.Chain.Append(block) != nil {
 		return
 	}

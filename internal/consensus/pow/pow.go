@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
+	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
+	"blockbench/internal/trace"
 	"blockbench/internal/types"
 )
 
@@ -31,7 +33,7 @@ type Options struct {
 	MinDifficulty uint64
 	// GasLimit bounds the summed gas of a block's transactions — the
 	// geth miner's gasLimit knob, which the block-size experiment tunes.
-	// The ledger's ProposeBlock enforces it; the preset hands it there.
+	// The miner puts it in every header it builds, whose block it bounds.
 	GasLimit uint64
 }
 
@@ -155,10 +157,14 @@ func (e *Engine) mineLoop() {
 		}
 		parent := e.ctx.Chain.Head()
 		diff := e.nextDifficulty(parent)
-		// Over-fetch by count; ProposeBlock trims to the block gas limit
-		// based on gas actually consumed.
+		// Over-fetch by count; Build trims to the block gas limit based
+		// on gas actually consumed.
 		txs := e.ctx.Pool.Batch(batchFetch, 0)
-		block, err := e.ctx.Chain.ProposeBlock(txs, e.ctx.Address, diff, 0, time.Now())
+		for _, tx := range txs {
+			e.ctx.Tracer.Stamp(tx.Hash(), trace.StagePropose)
+		}
+		block, err := e.ctx.Chain.Build(txs, ledger.Meta{Proposer: e.ctx.Address, Difficulty: diff,
+			Time: time.Now().UnixNano(), GasLimit: e.opts.GasLimit})
 		if err != nil {
 			// Head may have moved mid-build; retry.
 			continue
@@ -166,7 +172,7 @@ func (e *Engine) mineLoop() {
 		if e.seal(block, parent.Hash(), &rng) {
 			if err := e.ctx.Chain.Append(block); err == nil {
 				e.mined.Add(1)
-				e.broadcastBlock(block)
+				e.ctx.Endpoint.Broadcast(consensus.MsgBlock, block)
 			}
 		}
 	}
@@ -202,10 +208,6 @@ func (e *Engine) seal(block *types.Block, parent types.Hash, rng *uint64) bool {
 		}
 		runtime.Gosched()
 	}
-}
-
-func (e *Engine) broadcastBlock(b *types.Block) {
-	e.ctx.Endpoint.Broadcast(consensus.MsgBlock, b)
 }
 
 // Handle implements consensus.Engine: sync traffic, and gossiped blocks

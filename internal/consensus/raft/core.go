@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blockbench/internal/consensus"
+	"blockbench/internal/ledger"
 	"blockbench/internal/merkle"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
@@ -602,34 +603,20 @@ func (c *Core) applyNext() bool {
 		return true
 	}
 	target := c.appliedHeight + 1
-	txRoot := merkle.TxRoot(en.Txs)
 	if c.ctx.Chain.Height() >= target {
 		// Already on the chain: account for it without rebuilding — if
 		// it is this entry's block. A different block there means this
 		// replica's chain and the group's log have diverged; stop at the
 		// first wrong block rather than keep counting heights over it.
-		if b, ok := c.ctx.Chain.GetBlock(target); !ok || b.Header.TxRoot != txRoot {
+		if b, ok := c.ctx.Chain.GetBlock(target); !ok || b.Header.TxRoot != merkle.TxRoot(en.Txs) {
 			c.mismatchIndex, c.mismatchHeight = c.applied+1, target
 			c.applyMismatches++
 			return false
 		}
 	} else {
-		head := c.ctx.Chain.Head()
-		block := &types.Block{
-			Header: types.Header{
-				Number:     head.Number() + 1,
-				ParentHash: head.Hash(),
-				Time:       int64(head.Number() + 1),
-				View:       en.Term,
-				// TxRoot makes the block content-addressed: without it
-				// two chains (the sharded platform runs one per group)
-				// could build same-height blocks with identical hashes
-				// over different transactions.
-				TxRoot: txRoot,
-			},
-			Txs: en.Txs,
-		}
-		if err := c.ctx.Chain.Append(block); err != nil {
+		// Every replica builds the same header: the height as the time.
+		block, err := c.ctx.Chain.Build(en.Txs, ledger.Meta{Time: int64(target), View: en.Term})
+		if err != nil || c.ctx.Chain.Append(block) != nil {
 			return false // retried on the next wake-up
 		}
 	}

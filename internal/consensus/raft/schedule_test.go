@@ -7,6 +7,8 @@ import (
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/schedtest"
+	"blockbench/internal/exec"
+	"blockbench/internal/state"
 	"blockbench/internal/types"
 )
 
@@ -171,6 +173,61 @@ func TestApplyStopsAtFirstWrongBlock(t *testing.T) {
 		t.Fatalf("wedged replica moved: applied=%d count=%d height=%d",
 			c.applied, c.applyMismatches, s.Chains[0].Height())
 	}
+}
+
+// TestScheduleDivergentStateCaught: replica 2's engine writes one value
+// the others do not while applying tx 1. All three apply the same
+// entries, so the blocks' bodies agree, but each header commits to the
+// state its replica computed: replica 2's block 1 hashes differently,
+// which is what the agreement check compares.
+func TestScheduleDivergentStateCaught(t *testing.T) {
+	opts := DefaultOptions()
+	s := newSim(t, 3, opts)
+	skew(t, s.Sim, 2, schedTx(1))
+	all := []int{0, 1, 2}
+	s.Run([]event{
+		{At: 2 * opts.ElectionTimeout, Op: wake, Nodes: []int{0}},
+		{Op: schedtest.Flow}, // 0 is elected
+		s.add(all, 1, 2),
+		{Op: wake, Nodes: []int{0}},
+		{Op: schedtest.Flow}, // index 1 commits and every replica applies it
+	})
+	for i, ch := range s.Chains {
+		if ch.Height() != 1 {
+			t.Fatalf("node %d: height %d, want block 1 applied", i, ch.Height())
+		}
+	}
+	b0, _ := s.Chains[0].GetBlock(1)
+	b1, _ := s.Chains[1].GetBlock(1)
+	b2, _ := s.Chains[2].GetBlock(1)
+	if b0.Hash() != b1.Hash() || b0.Hash() == b2.Hash() {
+		t.Fatalf("block 1 is %s, %s and %s: want the skewed replica's alone to differ",
+			b0.Hash().Short(), b1.Hash().Short(), b2.Hash().Short())
+	}
+}
+
+// skewed writes one more value than its inner engine when it executes
+// transaction tx.
+type skewed struct {
+	exec.Engine
+	tx types.Hash
+}
+
+func (e skewed) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
+	e.Engine.ExecuteInto(db, tx, blockNum, r)
+	if tx.Hash() == e.tx {
+		db.SetState("skew", []byte("k"), []byte("v"))
+	}
+}
+
+// skew rebuilds node i of s over an engine that writes one value the
+// others do not when it executes tx.
+func skew(t *testing.T, s *schedtest.Sim, i int, tx *types.Transaction) {
+	eng, err := exec.NewNativeEngine("donothing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Rebuild(i, skewed{eng, tx.Hash()})
 }
 
 // TestSchedulesReplay: rerun on fresh sims, each table delivers and commits the same.

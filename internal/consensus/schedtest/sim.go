@@ -98,6 +98,13 @@ func New(t testing.TB, n int, boot func(ctx consensus.Context, now time.Time) co
 	return s
 }
 
+// Rebuild replaces node i, before any row has run, with one whose chain
+// executes on eng: a replica whose execution departs from the group's.
+func (s *Sim) Rebuild(i int, eng exec.Engine) {
+	s.Chains[i] = chainOver(s.t, eng, func(txs []*types.Transaction) { s.Pools[i].MarkIncluded(txs) })
+	s.steps[i] = s.start(i)
+}
+
 func (s *Sim) start(i int) consensus.Step {
 	return s.boot(consensus.Context{Self: simnet.NodeID(i), Endpoint: wire{s, simnet.NodeID(i)},
 		Chain: s.Chains[i], Pool: s.Pools[i], Peers: s.peers, Meta: s.metas[i]}, s.Now)
@@ -217,6 +224,12 @@ func Chain(t testing.TB, onInclude func([]*types.Transaction), contracts ...stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	return chainOver(t, eng, onInclude)
+}
+
+// chainOver is Chain with its engine given.
+func chainOver(t testing.TB, eng exec.Engine, onInclude func([]*types.Transaction)) *ledger.Chain {
+	t.Helper()
 	store := kvstore.NewMem()
 	chain, err := ledger.New(ledger.Config{Engine: eng, SupportsForks: true, OnInclude: onInclude,
 		StateFactory: func(root types.Hash) (*state.DB, error) {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"blockbench/internal/crypto"
 	"blockbench/internal/exec"
@@ -41,8 +40,8 @@ type Config struct {
 	Engine exec.Engine
 	// Parallel, when non-nil, executes block transaction lists through
 	// the optimistic intra-block scheduler instead of the serial loop.
-	// Proposals under a block gas limit stay serial: inclusion is
-	// decided per transaction in sequence order there.
+	// Blocks under a gas limit stay serial: inclusion is decided per
+	// transaction in sequence order there.
 	Parallel BlockExecutor
 	// StateFactory opens a state database at the given root. Platforms
 	// without state versioning (Hyperledger's bucket tree) may return a
@@ -52,8 +51,6 @@ type Config struct {
 	StateFactory func(root types.Hash) (*state.DB, error)
 	// Registry verifies transaction signatures; nil disables checks.
 	Registry *crypto.Registry
-	// GasLimit is the block gas limit (0 = unlimited), Ethereum-style.
-	GasLimit uint64
 	// SupportsForks enables side chains and reorgs (PoW/PoA). When
 	// false, a block whose parent is not the current head is rejected.
 	SupportsForks bool
@@ -80,16 +77,36 @@ type Config struct {
 	// them (the blocks and receipts they point to stay valid).
 	OnCommit func(blocks []*types.Block, receipts [][]*types.Receipt)
 	// Tracer is the cluster's lifecycle tracer (nil-safe). The chain
-	// stamps StagePropose when a candidate block includes a transaction,
-	// StageOrder when an accepted block carries it, and
-	// StageExecute/StageStateCommit around the accepted block's
-	// execution and state commit.
+	// stamps StageOrder when a block it builds or accepts carries a
+	// transaction, and StageExecute/StageStateCommit around that block's
+	// one execution and state commit. StagePropose is the consensus
+	// engines' (consensus.Context.Tracer).
 	Tracer *trace.Tracer
 }
 
+// Meta is what Build takes from the proposer for a header. Time is the
+// proposer's clock in unix nanoseconds, or the height where replicas
+// must agree. GasLimit bounds the gas the block's transactions use (0 =
+// unbounded).
+type Meta struct {
+	Proposer                   types.Address
+	Difficulty, View, GasLimit uint64
+	Time                       int64
+}
+
+// result is one execution of a transaction list on a parent's state.
+type result struct {
+	block    *types.Block // the block Build returned; nil for Append's own runs
+	db       *state.DB
+	root     types.Hash
+	receipts []*types.Receipt // one per included transaction
+	gasUsed  uint64
+}
+
+// entry is an accepted block; its header's StateRoot is the root its
+// execution committed.
 type entry struct {
 	block     *types.Block
-	stateRoot types.Hash
 	totalDiff uint64
 	receipts  []*types.Receipt
 }
@@ -114,6 +131,9 @@ type Chain struct {
 	kept     *state.DB
 	keptRoot types.Hash
 
+	// built is Build's outcome, held for an Append of that very block.
+	built result
+
 	// setHeadLocked's scratch, reused under mu from one head switch to
 	// the next: the blocks that become canonical (newest first), their
 	// transactions, and the blocks and receipts handed to OnCommit.
@@ -137,19 +157,16 @@ func New(cfg Config) (*Chain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ledger: genesis commit: %w", err)
 	}
-	genesis := &types.Block{Header: types.Header{
-		Number: 0, StateRoot: root, GasLimit: cfg.GasLimit,
-	}}
-	e := &entry{block: genesis, stateRoot: root}
-	c := &Chain{
+	genesis := &types.Block{Header: types.Header{Number: 0, StateRoot: root}}
+	e := &entry{block: genesis}
+	return &Chain{
 		cfg:       cfg,
 		entries:   map[types.Hash]*entry{genesis.Hash(): e},
 		canonical: []types.Hash{genesis.Hash()},
 		head:      e,
 		byTx:      make(map[types.Hash]*types.Receipt),
 		headState: db,
-	}
-	return c, nil
+	}, nil
 }
 
 // Head returns the current canonical head block.
@@ -169,58 +186,106 @@ func (c *Chain) Has(h types.Hash) bool {
 
 // verifyTxs checks signatures and corruption flags: cache hits for what
 // the pool admitted, fanned out for the rest (preload, sync, replay).
-func (c *Chain) verifyTxs(b *types.Block) error {
+func (c *Chain) verifyTxs(txs []*types.Transaction) error {
 	if c.cfg.Registry == nil {
 		return nil
 	}
-	if i := c.cfg.Registry.VerifyTxs(b.Txs); i >= 0 {
-		return fmt.Errorf("%w: bad signature on %s", ErrBadBlock, b.Txs[i].Hash())
+	if i := c.cfg.Registry.VerifyTxs(txs); i >= 0 {
+		return fmt.Errorf("%w: bad signature on %s", ErrBadBlock, txs[i].Hash())
 	}
 	return nil
 }
 
-// execute runs the block's transactions on the parent state, on the
-// kept DB when it stands there; Append keeps the DB if b is accepted.
-func (c *Chain) execute(parent *entry, b *types.Block) (*state.DB, types.Hash, []*types.Receipt, error) {
+// stamp records stage s for every sampled transaction of txs.
+func (c *Chain) stamp(txs []*types.Transaction, s trace.Stage) {
+	if c.cfg.Tracer.Enabled() {
+		for _, tx := range txs {
+			c.cfg.Tracer.Stamp(tx.Hash(), s)
+		}
+	}
+}
+
+// execute runs txs as block number on the parent state, on the kept DB
+// when it stands there, and commits; it drops any held Build outcome.
+// Under a gas limit it includes txs in order until the next would push
+// the gas used past it (geth's miner: gas consumed, not gas declared).
+func (c *Chain) execute(parent *entry, txs []*types.Transaction, number, gasLimit uint64) (result, error) {
+	c.built = result{}
 	db := c.kept
 	c.kept = nil
-	if db == nil || c.keptRoot != parent.stateRoot {
+	if root := parent.block.Header.StateRoot; db == nil || c.keptRoot != root {
 		var err error
-		if db, err = c.cfg.StateFactory(parent.stateRoot); err != nil {
-			return nil, types.ZeroHash, nil, err
+		if db, err = c.cfg.StateFactory(root); err != nil {
+			return result{}, err
 		}
 	}
-	var receipts []*types.Receipt
-	if c.cfg.Parallel != nil {
-		receipts = c.cfg.Parallel.ExecuteBlock(c.cfg.Engine, db, b.Txs, b.Number())
+	r := result{db: db}
+	if c.cfg.Parallel != nil && gasLimit == 0 {
+		r.receipts = c.cfg.Parallel.ExecuteBlock(c.cfg.Engine, db, txs, number)
 	} else {
-		receipts = types.NewReceipts(len(b.Txs))
-		for i, tx := range b.Txs {
-			c.cfg.Engine.ExecuteInto(db, tx, b.Number(), receipts[i])
+		r.receipts = types.NewReceipts(len(txs))
+		var used uint64
+		for i, tx := range txs {
+			snap := db.Snapshot()
+			c.cfg.Engine.ExecuteInto(db, tx, number, r.receipts[i])
+			if used += r.receipts[i].GasUsed; gasLimit > 0 && used > gasLimit {
+				db.Revert(snap)
+				r.receipts = r.receipts[:i]
+				break // block is full; keep FIFO order
+			}
 		}
 	}
-	if c.cfg.Tracer.Enabled() {
-		for _, tx := range b.Txs {
-			c.cfg.Tracer.Stamp(tx.Hash(), trace.StageExecute)
-		}
+	txs = txs[:len(r.receipts)]
+	for _, rc := range r.receipts {
+		r.gasUsed += rc.GasUsed
 	}
-	root, err := db.Commit()
+	c.stamp(txs, trace.StageExecute)
+	var err error
+	if r.root, err = db.Commit(); err != nil {
+		return result{}, fmt.Errorf("ledger: state commit: %w", err)
+	}
+	c.stamp(txs, trace.StageStateCommit)
+	return r, nil
+}
+
+// Build makes the next block on the head, the one way a block comes to
+// be: it verifies txs, executes them once, fills the header's roots and
+// gas used, and holds the outcome for an Append of the returned block.
+// A seal in between changes the block's hash, not its roots; any other
+// execution in between drops the outcome, and the Append executes.
+func (c *Chain) Build(txs []*types.Transaction, m Meta) (*types.Block, error) {
+	if err := c.verifyTxs(txs); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	parent := c.head
+	number := parent.block.Number() + 1
+	c.stamp(txs, trace.StageOrder)
+	r, err := c.execute(parent, txs, number, m.GasLimit)
 	if err != nil {
-		return nil, types.ZeroHash, nil, fmt.Errorf("ledger: state commit: %w", err)
+		return nil, err
 	}
-	if c.cfg.Tracer.Enabled() {
-		for _, tx := range b.Txs {
-			c.cfg.Tracer.Stamp(tx.Hash(), trace.StageStateCommit)
-		}
-	}
-	return db, root, receipts, nil
+	txs = txs[:len(r.receipts):len(r.receipts)]
+	r.block = &types.Block{Txs: txs, Header: types.Header{Number: number, ParentHash: parent.block.Hash(),
+		Time: m.Time, Difficulty: m.Difficulty, Proposer: m.Proposer, View: m.View, GasLimit: m.GasLimit,
+		StateRoot: r.root, TxRoot: merkle.TxRoot(txs), GasUsed: r.gasUsed}}
+	c.built = r
+	return r.block, nil
 }
 
 // Append validates, executes and stores a block, advancing the head if
 // the block extends the heaviest chain. Duplicate blocks are ignored.
+// The block Build returned commits Build's outcome. Every header must
+// match its body and its execution: tx root, state root and gas.
 func (c *Chain) Append(b *types.Block) error {
-	if err := c.verifyTxs(b); err != nil {
-		return err
+	c.mu.RLock()
+	built := c.built.block == b // Build verified its transactions
+	c.mu.RUnlock()
+	if !built {
+		if err := c.verifyTxs(b.Txs); err != nil {
+			return err
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -237,32 +302,33 @@ func (c *Chain) Append(b *types.Block) error {
 	if b.Number() != parent.block.Number()+1 {
 		return fmt.Errorf("%w: number %d after parent %d", ErrBadBlock, b.Number(), parent.block.Number())
 	}
-	// PBFT blocks carry no TxRoot; build the tx tree only to compare it.
-	if !b.Header.TxRoot.IsZero() && merkle.TxRoot(b.Txs) != b.Header.TxRoot {
+	if merkle.TxRoot(b.Txs) != b.Header.TxRoot {
 		return fmt.Errorf("%w: tx root mismatch", ErrBadBlock)
 	}
-	if c.cfg.Tracer.Enabled() {
-		for _, tx := range b.Txs {
-			c.cfg.Tracer.Stamp(tx.Hash(), trace.StageOrder)
+
+	r := c.built
+	if r.block == b {
+		c.built = result{}
+	} else {
+		c.stamp(b.Txs, trace.StageOrder)
+		var err error
+		if r, err = c.execute(parent, b.Txs, b.Number(), b.Header.GasLimit); err != nil {
+			return err
 		}
 	}
-
-	db, root, receipts, err := c.execute(parent, b)
-	if err != nil {
-		return err
-	}
-	if !b.Header.StateRoot.IsZero() && b.Header.StateRoot != root {
+	switch {
+	case len(r.receipts) < len(b.Txs):
+		return fmt.Errorf("%w: gas used past the limit %d", ErrBadBlock, b.Header.GasLimit)
+	case r.root != b.Header.StateRoot:
 		return fmt.Errorf("%w: state root mismatch (have %s, computed %s)",
-			ErrBadBlock, b.Header.StateRoot.Short(), root.Short())
+			ErrBadBlock, b.Header.StateRoot.Short(), r.root.Short())
+	case r.gasUsed != b.Header.GasUsed:
+		return fmt.Errorf("%w: gas used %d, computed %d", ErrBadBlock, b.Header.GasUsed, r.gasUsed)
 	}
-	db.Rebind()
-	c.kept, c.keptRoot = db, root
+	r.db.Rebind()
+	c.kept, c.keptRoot = r.db, r.root
 
-	diff := b.Header.Difficulty
-	if diff == 0 {
-		diff = 1
-	}
-	e := &entry{block: b, stateRoot: root, totalDiff: parent.totalDiff + diff, receipts: receipts}
+	e := &entry{block: b, totalDiff: parent.totalDiff + max(b.Header.Difficulty, 1), receipts: r.receipts}
 	c.entries[b.Hash()] = e
 	c.appended++
 
@@ -346,75 +412,6 @@ func (c *Chain) setHeadLocked(e *entry) {
 	}
 }
 
-// ProposeBlock builds and executes a candidate block on the current
-// head from the given transactions, including them in order until the
-// block gas limit is reached (as geth's miner does: the limit applies to
-// gas consumed, not to the transactions' declared gas allowances). The
-// block, stamped now, has its roots filled; PoW still has to seal it.
-func (c *Chain) ProposeBlock(txs []*types.Transaction, proposer types.Address, difficulty, view uint64, now time.Time) (*types.Block, error) {
-	c.mu.RLock()
-	parent := c.head
-	c.mu.RUnlock()
-
-	number := parent.block.Number() + 1
-	db, err := c.cfg.StateFactory(parent.stateRoot)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		included []*types.Transaction
-		gasUsed  uint64
-	)
-	if c.cfg.Parallel != nil && c.cfg.GasLimit == 0 {
-		// No gas ceiling to enforce per transaction, so the whole list
-		// is included and can execute on the parallel scheduler.
-		for _, r := range c.cfg.Parallel.ExecuteBlock(c.cfg.Engine, db, txs, number) {
-			gasUsed += r.GasUsed
-		}
-		included = txs
-	} else {
-		var r types.Receipt // a proposal keeps only the gas
-		for _, tx := range txs {
-			snap := db.Snapshot()
-			c.cfg.Engine.ExecuteInto(db, tx, number, &r)
-			if c.cfg.GasLimit > 0 && gasUsed+r.GasUsed > c.cfg.GasLimit {
-				db.Revert(snap)
-				break // block is full; keep FIFO order
-			}
-			gasUsed += r.GasUsed
-			included = append(included, tx)
-		}
-	}
-	root, err := db.Commit()
-	if err != nil {
-		return nil, fmt.Errorf("ledger: propose commit: %w", err)
-	}
-	// Speculative execution above is not the block's canonical execution,
-	// so only the propose stage is stamped here; execute/state_commit are
-	// stamped when the block is accepted through Append.
-	if c.cfg.Tracer.Enabled() {
-		for _, tx := range included {
-			c.cfg.Tracer.Stamp(tx.Hash(), trace.StagePropose)
-		}
-	}
-	b := &types.Block{
-		Header: types.Header{
-			Number:     number,
-			ParentHash: parent.block.Hash(),
-			Time:       now.UnixNano(),
-			Difficulty: difficulty,
-			Proposer:   proposer,
-			View:       view,
-			GasLimit:   c.cfg.GasLimit,
-			StateRoot:  root,
-			TxRoot:     merkle.TxRoot(included),
-			GasUsed:    gasUsed,
-		},
-		Txs: included,
-	}
-	return b, nil
-}
-
 // Query runs a read-only contract method against the state at the
 // canonical head, with the chain's engine. It holds the chain lock for
 // the whole read: a StateFactory may hand every block the same DB (see
@@ -423,7 +420,7 @@ func (c *Chain) Query(contract, method string, args [][]byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.headState == nil {
-		db, err := c.cfg.StateFactory(c.head.stateRoot)
+		db, err := c.cfg.StateFactory(c.head.block.Header.StateRoot)
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +461,7 @@ func (c *Chain) stateAtLocked(number uint64) (*state.DB, error) {
 	if head := c.head.block.Number(); !c.cfg.SupportsForks && number != head {
 		return nil, fmt.Errorf("ledger: platform keeps no historical state (asked for block %d, head %d)", number, head)
 	}
-	return c.cfg.StateFactory(c.entries[c.canonical[number]].stateRoot)
+	return c.cfg.StateFactory(c.entries[c.canonical[number]].block.Header.StateRoot)
 }
 
 // GetBlock returns the canonical block at a height.

@@ -3,11 +3,12 @@ package ledger
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"blockbench/internal/crypto"
 	"blockbench/internal/exec"
+	"blockbench/internal/invariant"
 	"blockbench/internal/kvstore"
+	"blockbench/internal/merkle"
 	"blockbench/internal/state"
 	"blockbench/internal/types"
 )
@@ -33,7 +34,6 @@ func newTestChain(t *testing.T, forks bool) (*Chain, *crypto.Key) {
 	c, err := New(Config{
 		Engine:        eng,
 		StateFactory:  trieFactory(),
-		GasLimit:      10_000_000,
 		SupportsForks: forks,
 		GenesisAlloc:  map[types.Address]uint64{key.Address(): 1_000_000},
 	})
@@ -41,6 +41,40 @@ func newTestChain(t *testing.T, forks bool) (*Chain, *crypto.Key) {
 		t.Fatal(err)
 	}
 	return c, key
+}
+
+// blockOn makes a block of txs on parent, which need not be c's head
+// and need not be appended yet, with the roots and gas used that
+// executing it on a fresh DB of c's factory yields: the block Build would
+// return there. It leaves c's kept DB and held result alone.
+func blockOn(t *testing.T, c *Chain, parent *types.Block, difficulty uint64, time int64, txs ...*types.Transaction) *types.Block {
+	t.Helper()
+	db, err := c.cfg.StateFactory(parent.Header.StateRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receipts := types.NewReceipts(len(txs))
+	var gas uint64
+	for i, tx := range txs {
+		c.cfg.Engine.ExecuteInto(db, tx, parent.Number()+1, receipts[i])
+		gas += receipts[i].GasUsed
+	}
+	root, err := db.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &types.Block{Header: types.Header{Number: parent.Number() + 1, ParentHash: parent.Hash(),
+		Difficulty: difficulty, Time: time, StateRoot: root, TxRoot: merkle.TxRoot(txs), GasUsed: gas}, Txs: txs}
+}
+
+// build is Build with the test's failure handling.
+func build(t *testing.T, c *Chain, m Meta, txs ...*types.Transaction) *types.Block {
+	t.Helper()
+	b, err := c.Build(txs, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func signedTx(t *testing.T, key *crypto.Key, nonce uint64, method string, args ...[]byte) *types.Transaction {
@@ -67,16 +101,13 @@ func TestGenesisState(t *testing.T) {
 	}
 }
 
-func TestProposeAndAppend(t *testing.T) {
+func TestBuildAndAppend(t *testing.T) {
 	c, key := newTestChain(t, true)
 	txs := []*types.Transaction{
 		signedTx(t, key, 1, "write", []byte("k"), []byte("v")),
 	}
-	b, err := c.ProposeBlock(txs, key.Address(), 10, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Header.StateRoot.IsZero() || b.Header.TxRoot.IsZero() {
+	b := build(t, c, Meta{Proposer: key.Address(), Difficulty: 10, Time: 1}, txs...)
+	if b.Header.StateRoot.IsZero() || b.Header.TxRoot.IsZero() || b.Header.GasUsed == 0 {
 		t.Fatal("roots not filled")
 	}
 	if err := c.Append(b); err != nil {
@@ -120,16 +151,20 @@ func TestRejectBadSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Neither Build nor an Append of a block built elsewhere takes a bad
+	// transaction.
+	reject := func(what string, tx *types.Transaction) {
+		t.Helper()
+		if _, err := c.Build([]*types.Transaction{tx}, Meta{}); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("%s tx built into a block: %v", what, err)
+		}
+		if err := c.Append(blockOn(t, c, c.Head(), 1, 1, tx)); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("%s tx accepted: %v", what, err)
+		}
+	}
 	// Unsigned tx.
-	tx := &types.Transaction{Contract: "ycsb", Method: "write",
-		Args: [][]byte{[]byte("k"), []byte("v")}, GasLimit: 100_000}
-	b, err := c.ProposeBlock([]*types.Transaction{tx}, key.Address(), 1, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append(b); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("unsigned tx accepted: %v", err)
-	}
+	reject("unsigned", &types.Transaction{Contract: "ycsb", Method: "write",
+		Args: [][]byte{[]byte("k"), []byte("v")}, GasLimit: 100_000})
 	// Properly signed, then its signature damaged in flight. Hash() is
 	// cached at signing, so editing a signed field in place would go
 	// unseen; the damage is to a byte of Sig.
@@ -139,64 +174,39 @@ func TestRejectBadSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2.Sig[len(tx2.Sig)/2] ^= 0x01
-	b2, err := c.ProposeBlock([]*types.Transaction{tx2}, key.Address(), 1, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append(b2); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("corrupt tx accepted: %v", err)
-	}
+	reject("corrupt", tx2)
 }
 
 func TestStateRootMismatchRejected(t *testing.T) {
 	c, key := newTestChain(t, true)
-	b, err := c.ProposeBlock([]*types.Transaction{
-		signedTx(t, key, 1, "write", []byte("a"), []byte("b")),
-	}, key.Address(), 1, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := build(t, c, Meta{Difficulty: 1}, signedTx(t, key, 1, "write", []byte("a"), []byte("b")))
 	b.Header.StateRoot = types.HashData([]byte("wrong"))
 	if err := c.Append(b); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("bad state root accepted: %v", err)
 	}
 }
 
-// A header that carries a TxRoot (Raft, PoW) is checked against the
-// body; one that carries none (PBFT) is accepted without the check.
-func TestTxRootCheckedOnlyWhenCarried(t *testing.T) {
-	propose := func(c *Chain, key *crypto.Key) *types.Block {
-		b, err := c.ProposeBlock([]*types.Transaction{
-			signedTx(t, key, 1, "write", []byte("a"), []byte("b")),
-		}, key.Address(), 1, 0, time.Now())
-		if err != nil {
-			t.Fatal(err)
+// Every header's TxRoot is checked against its body: a wrong one and a
+// missing one are both refused, on the held block and on a block built
+// elsewhere.
+func TestTxRootCheckedOnEveryBlock(t *testing.T) {
+	for _, root := range []types.Hash{types.HashData([]byte("wrong")), types.ZeroHash} {
+		c, key := newTestChain(t, true)
+		tx := signedTx(t, key, 1, "write", []byte("a"), []byte("b"))
+		other := blockOn(t, c, c.Head(), 1, 1, tx)
+		for _, b := range []*types.Block{build(t, c, Meta{Difficulty: 1}, tx), other} {
+			b.Header.TxRoot = root
+			if err := c.Append(b); !errors.Is(err, ErrBadBlock) {
+				t.Fatalf("tx root %s accepted: %v", root.Short(), err)
+			}
 		}
-		return b
-	}
-	c, key := newTestChain(t, true)
-	b := propose(c, key)
-	b.Header.TxRoot = types.HashData([]byte("wrong"))
-	if err := c.Append(b); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("bad tx root accepted: %v", err)
-	}
-	c, key = newTestChain(t, true)
-	b = propose(c, key)
-	b.Header.TxRoot = types.ZeroHash
-	if err := c.Append(b); err != nil {
-		t.Fatalf("block without tx root rejected: %v", err)
 	}
 }
 
 func TestForkChoiceHeaviestChain(t *testing.T) {
 	c, key := newTestChain(t, true)
 	// Chain A: one block of difficulty 10.
-	a1, err := c.ProposeBlock([]*types.Transaction{
-		signedTx(t, key, 1, "write", []byte("k"), []byte("A")),
-	}, key.Address(), 10, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := build(t, c, Meta{Difficulty: 10, Time: 1}, signedTx(t, key, 1, "write", []byte("k"), []byte("A")))
 	if err := c.Append(a1); err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +214,7 @@ func TestForkChoiceHeaviestChain(t *testing.T) {
 
 	// Chain B: two blocks of difficulty 10 each, built on genesis.
 	genesis, _ := c.GetBlock(0)
-	b1 := &types.Block{Header: types.Header{
-		Number: 1, ParentHash: genesis.Hash(), Difficulty: 10, Time: 12345,
-	}}
+	b1 := blockOn(t, c, genesis, 10, 12345)
 	if err := c.Append(b1); err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +222,7 @@ func TestForkChoiceHeaviestChain(t *testing.T) {
 	if c.Head().Hash() != headA {
 		t.Fatal("head moved on equal difficulty")
 	}
-	b2, err := buildOn(c, b1, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := blockOn(t, c, b1, 20, 67890)
 	if err := c.Append(b2); err != nil {
 		t.Fatal(err)
 	}
@@ -242,40 +247,14 @@ func TestForkChoiceHeaviestChain(t *testing.T) {
 	}
 }
 
-// buildOn manually builds an empty block on a given parent (bypassing
-// head selection), for fork tests.
-func buildOn(c *Chain, parent *types.Block, difficulty uint64) (*types.Block, error) {
-	db, err := c.cfg.StateFactory(c.entries[parent.Hash()].stateRoot)
-	if err != nil {
-		return nil, err
-	}
-	root, err := db.Commit()
-	if err != nil {
-		return nil, err
-	}
-	return &types.Block{Header: types.Header{
-		Number:     parent.Number() + 1,
-		ParentHash: parent.Hash(),
-		Difficulty: difficulty,
-		StateRoot:  root,
-		Time:       67890,
-	}}, nil
-}
-
 func TestNoForksPlatformRejectsSideChain(t *testing.T) {
-	c, key := newTestChain(t, false)
-	b1, err := c.ProposeBlock(nil, key.Address(), 0, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append(b1); err != nil {
+	c, _ := newTestChain(t, false)
+	if err := c.Append(build(t, c, Meta{})); err != nil {
 		t.Fatal(err)
 	}
 	// A second block on genesis must be refused.
 	genesis, _ := c.GetBlock(0)
-	side := &types.Block{Header: types.Header{
-		Number: 1, ParentHash: genesis.Hash(), Time: 1,
-	}}
+	side := blockOn(t, c, genesis, 0, 1)
 	if err := c.Append(side); !errors.Is(err, ErrNoForks) {
 		t.Fatalf("side chain accepted: %v", err)
 	}
@@ -284,12 +263,7 @@ func TestNoForksPlatformRejectsSideChain(t *testing.T) {
 func TestBlocksFromPolling(t *testing.T) {
 	c, key := newTestChain(t, true)
 	for i := 0; i < 5; i++ {
-		b, err := c.ProposeBlock([]*types.Transaction{
-			signedTx(t, key, uint64(i), "write", []byte{byte(i)}, []byte("v")),
-		}, key.Address(), 1, 0, time.Now())
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := build(t, c, Meta{Difficulty: 1}, signedTx(t, key, uint64(i), "write", []byte{byte(i)}, []byte("v")))
 		if err := c.Append(b); err != nil {
 			t.Fatal(err)
 		}
@@ -309,12 +283,7 @@ func TestBlocksFromPolling(t *testing.T) {
 func TestStateAtHistoricalHeight(t *testing.T) {
 	c, key := newTestChain(t, true)
 	for i := 1; i <= 3; i++ {
-		b, err := c.ProposeBlock([]*types.Transaction{
-			signedTx(t, key, uint64(i), "write", []byte("k"), []byte{byte(i)}),
-		}, key.Address(), 1, 0, time.Now())
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := build(t, c, Meta{Difficulty: 1}, signedTx(t, key, uint64(i), "write", []byte("k"), []byte{byte(i)}))
 		if err := c.Append(b); err != nil {
 			t.Fatal(err)
 		}
@@ -333,11 +302,7 @@ func TestFailedTxRevertedButIncluded(t *testing.T) {
 	c, key := newTestChain(t, true)
 	good := signedTx(t, key, 1, "write", []byte("k"), []byte("v"))
 	bad := signedTx(t, key, 2, "read", []byte("missing")) // reverts
-	b, err := c.ProposeBlock([]*types.Transaction{good, bad}, key.Address(), 1, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append(b); err != nil {
+	if err := c.Append(build(t, c, Meta{Difficulty: 1}, good, bad)); err != nil {
 		t.Fatal(err)
 	}
 	r, ok := c.Receipt(bad.Hash())
@@ -352,20 +317,16 @@ func TestFailedTxRevertedButIncluded(t *testing.T) {
 	}
 }
 
-func TestProposeBlockRespectsGasLimit(t *testing.T) {
+// TestBuildRespectsGasLimit: Build includes transactions in order until
+// the next would push the gas used past the header's limit, and an
+// Append of a block built elsewhere that crosses its own limit fails.
+func TestBuildRespectsGasLimit(t *testing.T) {
 	key := crypto.DeterministicKey(1)
 	eng, err := exec.NewEVMEngine(exec.MemModel{}, "ycsb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each YCSB write uses ~21k intrinsic + storage gas; a 100k block
-	// fits about 4 of them regardless of the txs' declared allowances.
-	c, err := New(Config{
-		Engine:        eng,
-		StateFactory:  trieFactory(),
-		GasLimit:      100_000,
-		SupportsForks: true,
-	})
+	c, err := New(Config{Engine: eng, StateFactory: trieFactory(), SupportsForks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,15 +339,14 @@ func TestProposeBlockRespectsGasLimit(t *testing.T) {
 		}
 		txs = append(txs, tx)
 	}
-	b, err := c.ProposeBlock(txs, key.Address(), 1, 0, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Each YCSB write uses ~21k intrinsic + storage gas; a 100k block
+	// fits about 4 of them regardless of the txs' declared allowances.
+	b := build(t, c, Meta{Difficulty: 1, GasLimit: 100_000}, txs...)
 	if len(b.Txs) == 0 || len(b.Txs) >= 20 {
 		t.Fatalf("included %d txs, want a gas-bounded subset", len(b.Txs))
 	}
-	if b.Header.GasUsed > 100_000 {
-		t.Fatalf("gas used %d exceeds block limit", b.Header.GasUsed)
+	if b.Header.GasUsed > 100_000 || b.Header.GasLimit != 100_000 {
+		t.Fatalf("gas used %d under header limit %d, want at most 100000", b.Header.GasUsed, b.Header.GasLimit)
 	}
 	// FIFO: the included txs are the first ones offered.
 	for i, tx := range b.Txs {
@@ -394,8 +354,117 @@ func TestProposeBlockRespectsGasLimit(t *testing.T) {
 			t.Fatal("inclusion not FIFO")
 		}
 	}
-	// The proposed block is valid and appendable.
+	// A block over its own limit is refused; the built one is appended.
+	over := blockOn(t, c, c.Head(), 1, 1, txs[:len(b.Txs)+1]...)
+	over.Header.GasLimit = 100_000
+	if err := c.Append(over); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("block over its gas limit accepted: %v", err)
+	}
 	if err := c.Append(b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// testEngine counts the transactions it executes. When skew is set, the
+// transaction with that hash also writes one value no other engine does.
+type testEngine struct {
+	exec.Engine
+	runs int
+	skew types.Hash
+}
+
+func (e *testEngine) ExecuteInto(db *state.DB, tx *types.Transaction, blockNum uint64, r *types.Receipt) {
+	e.runs++
+	e.Engine.ExecuteInto(db, tx, blockNum, r)
+	if tx.Hash() == e.skew {
+		db.SetState("ycsb", []byte("skew"), []byte("x"))
+	}
+}
+
+// chainWith is newTestChain's forking chain over the given engine.
+func chainWith(t *testing.T, eng exec.Engine, key *crypto.Key) *Chain {
+	t.Helper()
+	c, err := New(Config{Engine: eng, StateFactory: trieFactory(), SupportsForks: true,
+		GenesisAlloc: map[types.Address]uint64{key.Address(): 1_000_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestProposerExecutesOnce: a PoA-style proposal, built and then
+// appended by its proposer, executes each transaction once.
+func TestProposerExecutesOnce(t *testing.T) {
+	key := crypto.DeterministicKey(1)
+	inner, err := exec.NewEVMEngine(exec.MemModel{}, "ycsb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &testEngine{Engine: inner}
+	c := chainWith(t, eng, key)
+	var txs []*types.Transaction
+	for i := 0; i < 5; i++ {
+		txs = append(txs, signedTx(t, key, uint64(i), "write", []byte{byte(i)}, []byte("v")))
+	}
+	b := build(t, c, Meta{Proposer: key.Address(), Difficulty: 1, View: 3, Time: 1}, txs...)
+	if err := c.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	if eng.runs != len(txs) {
+		t.Fatalf("the proposer executed %d transactions for a block of %d", eng.runs, len(txs))
+	}
+}
+
+// chainPair is two chains as the invariant checker's ChainView.
+type chainPair [2]*Chain
+
+func (p chainPair) Size() int               { return len(p) }
+func (p chainPair) Down(int) bool           { return false }
+func (p chainPair) Restarts(int) uint64     { return 0 }
+func (p chainPair) ShardOf(int) int         { return 0 }
+func (p chainPair) NodeHeight(i int) uint64 { return p[i].Height() }
+func (p chainPair) BlockHash(i int, h uint64) (types.Hash, bool) {
+	b, ok := p[i].GetBlock(h)
+	if !ok {
+		return types.Hash{}, false
+	}
+	return b.Hash(), true
+}
+
+// TestDivergentReplicaCaught: two replicas build the same batch with the
+// same meta, one of them on an engine that writes one value differently
+// for one transaction. Their blocks carry the same transactions but
+// commit to different states, so they hash differently, and the
+// agreement check records it.
+func TestDivergentReplicaCaught(t *testing.T) {
+	key := crypto.DeterministicKey(1)
+	txs := []*types.Transaction{
+		signedTx(t, key, 1, "write", []byte("a"), []byte("1")),
+		signedTx(t, key, 2, "write", []byte("b"), []byte("2")),
+	}
+	var pair chainPair
+	for i := range pair {
+		inner, err := exec.NewEVMEngine(exec.MemModel{}, "ycsb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &testEngine{Engine: inner}
+		if i == 1 {
+			eng.skew = txs[1].Hash()
+		}
+		pair[i] = chainWith(t, eng, key)
+		if err := pair[i].Append(build(t, pair[i], Meta{View: 4, Time: 1}, txs...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := pair[0].GetBlock(1)
+	b, _ := pair[1].GetBlock(1)
+	if a.Hash() == b.Hash() {
+		t.Fatal("replicas with different states agree on block 1")
+	}
+	check := invariant.New()
+	check.CheckAgreement(pair, 0)
+	if v := check.Violations(); len(v) != 1 {
+		t.Fatalf("agreement check recorded %q, want one violation", v)
 	}
 }

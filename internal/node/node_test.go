@@ -69,7 +69,7 @@ func newTestNode(t *testing.T, cfgMut func(*Config)) (*Node, *ledger.Chain, *cry
 
 func appendBlock(t *testing.T, chain *ledger.Chain, txs []*types.Transaction) {
 	t.Helper()
-	b, err := chain.ProposeBlock(txs, types.ZeroAddress, 1, 0, time.Now())
+	b, err := chain.Build(txs, ledger.Meta{Difficulty: 1, Time: time.Now().UnixNano()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,10 @@ func ethereumPreset() *Preset {
 		ConfirmationDepth: 2,
 		Build: func(cfg *Config, d *workload.Decoder) (*Assembly, error) {
 			o := decodeEthereum(d)
+			// Only Ethereum-lineage PoW bounds blocks by gas (the miner's
+			// o.pow.GasLimit); Parity's block size is set by stepDuration
+			// and Hyperledger's by batch size.
 			a := &Assembly{
-				// Only Ethereum-lineage PoW bounds blocks by gas; Parity's
-				// block size is set by stepDuration and Hyperledger's by
-				// batch size.
-				GasLimit:        o.pow.GasLimit,
 				NewStateFactory: trieSharedStateFactory(o.cache),
 				NewConsensus: func(*Env) func(consensus.Context) consensus.Engine {
 					return func(ctx consensus.Context) consensus.Engine { return pow.New(ctx, o.pow) }

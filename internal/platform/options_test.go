@@ -56,26 +56,24 @@ func TestGoldenDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		kind    Kind
 		depth   uint64
-		gas     uint64
 		ingest  time.Duration
 		workers int
 	}{
-		{Ethereum, 2, 650_000, 0, 1},
-		{Parity, 5, 0, 180 * ms, 1},
-		{Hyperledger, 0, 0, 0, 0}, // no parallel executor: strictly serial
-		{Quorum, 0, 0, 0, 1},
-		{Sharded, 0, 0, 0, 1},
+		{Ethereum, 2, 0, 1},
+		{Parity, 5, 180 * ms, 1},
+		{Hyperledger, 0, 0, 0}, // no parallel executor: strictly serial
+		{Quorum, 0, 0, 1},
+		{Sharded, 0, 0, 1},
 	} {
 		c, err := New(Config{Kind: tc.kind, Nodes: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
 		a := c.asm
-		if c.ConfirmationDepth() != tc.depth || a.GasLimit != tc.gas || a.IngestCost != tc.ingest ||
-			a.Workers != tc.workers || !a.Index {
-			t.Errorf("%s: depth=%d gas=%d ingest=%v workers=%d index=%v, want %d %d %v %d true",
-				tc.kind, c.ConfirmationDepth(), a.GasLimit, a.IngestCost, a.Workers, a.Index,
-				tc.depth, tc.gas, tc.ingest, tc.workers)
+		if c.ConfirmationDepth() != tc.depth || a.IngestCost != tc.ingest || a.Workers != tc.workers || !a.Index {
+			t.Errorf("%s: depth=%d ingest=%v workers=%d index=%v, want %d %v %d true",
+				tc.kind, c.ConfirmationDepth(), a.IngestCost, a.Workers, a.Index,
+				tc.depth, tc.ingest, tc.workers)
 		}
 		if c.cfg.StoreBackend != "" || c.cfg.DataDir != "" || c.cfg.RPCLatency != 200*time.Microsecond {
 			t.Errorf("%s: store=%q dir=%q rpc=%v, want in-memory store and 200µs",

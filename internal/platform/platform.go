@@ -321,7 +321,6 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		Parallel:      blockExec,
 		StateFactory:  factory,
 		Registry:      reg,
-		GasLimit:      a.GasLimit,
 		SupportsForks: p.SupportsForks,
 		GenesisAlloc:  c.alloc,
 		OnInclude:     pool.MarkIncluded,
@@ -355,23 +354,8 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	c.chains[i] = chain
 
 	if p.DurableRecovery {
-		// Replay the journaled chain (no-op on a fresh store). Execution
-		// is deterministic and the trie is content-addressed, so replay
-		// converges on the exact pre-crash state; a record that fails to
-		// decode marks the torn tail and ends the replay.
-		var blocks []*types.Block
-		store.Iterate([]byte("blk:"), []byte("blk;"), func(k, v []byte) bool {
-			b, err := types.DecodeBlock(v)
-			if err != nil {
-				return false
-			}
-			blocks = append(blocks, b)
-			return true
-		})
-		for _, b := range blocks {
-			if err := chain.Append(b); err != nil {
-				break
-			}
+		if err := replayJournal(store, chain); err != nil {
+			return err
 		}
 	}
 
@@ -403,6 +387,42 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		}
 	}
 	c.providers[i] = provs
+	return nil
+}
+
+// replayJournal rebuilds chain from the blocks its store journaled (none
+// on a fresh store), failing at the first block whose header does not
+// match its execution. Only the last record, a crash's torn tail, may
+// fail to decode: replay ends before it.
+func replayJournal(store kvstore.Store, chain *ledger.Chain) error {
+	var (
+		blocks []*types.Block
+		torn   string // the key of a record that does not decode
+		next   bool   // a record follows it
+	)
+	err := store.Iterate([]byte("blk:"), []byte("blk;"), func(k, v []byte) bool {
+		if next = torn != ""; next {
+			return false
+		}
+		if b, err := types.DecodeBlock(v); err != nil {
+			torn = string(k)
+		} else {
+			blocks = append(blocks, b)
+		}
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("platform: reading the block journal: %w", err)
+	}
+	if next {
+		n, _ := strconv.ParseUint(torn[len("blk:"):], 10, 64) // appendBlockKey's digits
+		return fmt.Errorf("platform: journaled block %d does not decode, and blocks follow it", n)
+	}
+	for _, b := range blocks {
+		if err := chain.Append(b); err != nil {
+			return fmt.Errorf("platform: replaying journaled block %d: %w", b.Number(), err)
+		}
+	}
 	return nil
 }
 
@@ -751,37 +771,24 @@ func (c *Cluster) ForkStats() (total, mainChain uint64) {
 // Preload force-appends blocks built from the given transaction batches
 // to every node, bypassing consensus — used to seed the analytics
 // workload's historical chain quickly ("we pre-loaded them with 100,000
-// blocks"). Transactions must already be signed. Roots are left zero so
-// every chain executes and commits the batch exactly once on Append
-// (platforms without state versioning share one live state database).
-// The blocks are built once; each chain appends them in order on its
-// own goroutine, as separate servers would load their own stores, and
-// still verifies every signature and executes every block itself. The
+// blocks"). Transactions must already be signed. Each chain builds and
+// appends a block per batch on its own goroutine, as separate servers
+// would load their own stores; equal states make equal blocks. The
 // result joins each chain's first error.
 func (c *Cluster) Preload(batches [][]*types.Transaction) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	blocks := make([]*types.Block, len(batches))
-	head := c.chains[0].Head()
-	for i, txs := range batches {
-		blocks[i] = &types.Block{
-			Header: types.Header{
-				Number:     head.Number() + 1,
-				ParentHash: head.Hash(),
-				Time:       int64(head.Number() + 1),
-				Difficulty: 1,
-			},
-			Txs: txs,
-		}
-		head = blocks[i]
-	}
 	errs := make([]error, len(c.chains))
 	var wg sync.WaitGroup
 	for i, ch := range c.chains {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, b := range blocks {
+			for _, txs := range batches {
+				var b *types.Block
+				if b, errs[i] = ch.Build(txs, ledger.Meta{Difficulty: 1, Time: int64(ch.Height() + 1)}); errs[i] != nil {
+					return
+				}
 				if errs[i] = ch.Append(b); errs[i] != nil {
 					return
 				}

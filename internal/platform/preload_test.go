@@ -14,19 +14,14 @@ import (
 	"blockbench/internal/types"
 )
 
-// preloadSerial is the reference Preload: one block at a time, appended
-// to every chain in turn before the next is built.
+// preloadSerial is the reference Preload: one block at a time, built on
+// the first chain and appended to every chain in turn before the next is
+// built.
 func preloadSerial(c *Cluster, batches [][]*types.Transaction) error {
 	for _, txs := range batches {
-		head := c.chains[0].Head()
-		b := &types.Block{
-			Header: types.Header{
-				Number:     head.Number() + 1,
-				ParentHash: head.Hash(),
-				Time:       int64(head.Number() + 1),
-				Difficulty: 1,
-			},
-			Txs: txs,
+		b, err := c.chains[0].Build(txs, ledger.Meta{Difficulty: 1, Time: int64(c.chains[0].Height() + 1)})
+		if err != nil {
+			return err
 		}
 		for _, ch := range c.chains {
 			if err := ch.Append(b); err != nil {

@@ -60,8 +60,8 @@ func quorumPreset() *Preset {
 		// ledger's versioned-state queries (analytics Q2) stay available.
 		SupportsForks:   true,
 		DurableRecovery: true,
-		// Blocks are batch-bounded like PBFT, not gas-bounded (no
-		// GasLimit), and final on commit: no confirmation depth.
+		// Blocks are batch-bounded like PBFT, not gas-bounded, and
+		// final on commit: no confirmation depth.
 		Build: func(cfg *Config, d *workload.Decoder) (*Assembly, error) {
 			o := decodeQuorum(cfg, d)
 			// Same geth lineage as the Ethereum preset: EVM, trie state

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"blockbench/internal/crypto"
-	"blockbench/internal/merkle"
+	"blockbench/internal/ledger"
 	"blockbench/internal/types"
 )
 
@@ -105,16 +105,21 @@ func TestQuorumAppendAllocBudget(t *testing.T) {
 
 // appendAllocs appends blocks of perBlk signed ycsb writes to the one
 // node of a quorum cluster and returns the median allocations of one
-// Chain.Append.
+// Chain.Append. A twin cluster builds each block, so the measured chain
+// verifies and executes it as a replica does.
 func appendAllocs(t *testing.T, blocks, perBlk int) uint64 {
 	t.Helper()
 	keys := clientKeys(1)
-	c, err := New(fastConfig(Quorum, 1, keys))
-	if err != nil {
-		t.Fatal(err)
+	var chains [2]*ledger.Chain
+	for i := range chains {
+		c, err := New(fastConfig(Quorum, 1, keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Stop(); c.Close() })
+		chains[i] = c.Chain(0)
 	}
-	t.Cleanup(func() { c.Stop(); c.Close() })
-	chain := c.Chain(0)
+	chain, twin := chains[0], chains[1]
 
 	allocs := make([]uint64, blocks)
 	for h := range allocs {
@@ -127,13 +132,17 @@ func appendAllocs(t *testing.T, blocks, perBlk int) uint64 {
 				t.Fatal(err)
 			}
 		}
-		head := chain.Head()
-		b := &types.Block{Header: types.Header{Number: head.Number() + 1, ParentHash: head.Hash(),
-			Time: int64(h + 1), Difficulty: 1, TxRoot: merkle.TxRoot(txs)}, Txs: txs}
+		b, err := twin.Build(txs, ledger.Meta{Difficulty: 1, Time: int64(h + 1)})
+		if err == nil {
+			err = twin.Append(b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		b.Hash()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := chain.Append(b)
+		err = chain.Append(b)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

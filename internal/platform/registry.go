@@ -97,9 +97,6 @@ type Preset struct {
 // buildNode calls the constructors once per node, and again when
 // Recover rebuilds one.
 type Assembly struct {
-	// GasLimit is the ledger's block gas limit (0 = unbounded: blocks are
-	// bounded by step or batch instead).
-	GasLimit uint64
 	// IngestCost is the per-transaction server processing time of a
 	// ServerSigns preset.
 	IngestCost time.Duration
