@@ -236,7 +236,13 @@ loc:
 # execution loop, the engines' and Preload's header literals, the
 # ledger's and the assembly's GasLimit, the entry's copy of the state
 # root and pow's broadcast wrapper went; schedtest gained Rebuild.
-LOC_MAX ?= 21418
+# It fell to 21374 when Raft came to persist through the node's store:
+# consensus.MetaStore and platform's storeMeta adapter went, with
+# metrics.Counter and the LSM's second close body, and buildNode's three
+# DurableRecovery blocks and Recover's durable/non-durable split became
+# one each; Raft's save sites and Recover now return their errors, and
+# schedule actions theirs.
+LOC_MAX ?= 21374
 
 # The check is exact: a count below LOC_MAX fails too, so a shrinking PR
 # cannot leave the ratchet stale.

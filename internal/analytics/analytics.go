@@ -22,10 +22,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"blockbench/internal/exec"
 	"blockbench/internal/kvstore"
-	"blockbench/internal/metrics"
 	"blockbench/internal/types"
 )
 
@@ -120,12 +120,12 @@ type Indexer struct {
 
 	// Counters are monotonic (CounterProvider contract): segments and
 	// rows count cumulative seals/appends, not the live totals.
-	segsTotal    metrics.Counter
-	rowsTotal    metrics.Counter
-	zoneSkips    metrics.Counter
-	postingsHits metrics.Counter
-	queries      metrics.Counter
-	queryRows    metrics.Counter
+	segsTotal    atomic.Uint64
+	rowsTotal    atomic.Uint64
+	zoneSkips    atomic.Uint64
+	postingsHits atomic.Uint64
+	queries      atomic.Uint64
+	queryRows    atomic.Uint64
 }
 
 // NewIndexer builds an empty, memory-only indexer. The store is
@@ -151,12 +151,12 @@ func NewIndexer(_ kvstore.Store, opts Options) *Indexer {
 // Counters implements metrics.CounterProvider.
 func (ix *Indexer) Counters() map[string]uint64 {
 	return map[string]uint64{
-		"analytics.segments":      ix.segsTotal.Value(),
-		"analytics.rows":          ix.rowsTotal.Value(),
-		"analytics.zone_skips":    ix.zoneSkips.Value(),
-		"analytics.postings_hits": ix.postingsHits.Value(),
-		"analytics.queries":       ix.queries.Value(),
-		"analytics.query_rows":    ix.queryRows.Value(),
+		"analytics.segments":      ix.segsTotal.Load(),
+		"analytics.rows":          ix.rowsTotal.Load(),
+		"analytics.zone_skips":    ix.zoneSkips.Load(),
+		"analytics.postings_hits": ix.postingsHits.Load(),
+		"analytics.queries":       ix.queries.Load(),
+		"analytics.query_rows":    ix.queryRows.Load(),
 	}
 }
 
@@ -238,7 +238,7 @@ func (ix *Indexer) appendLocked(height uint64, tx *types.Transaction, ok byte) {
 		ix.postings[to] = append(ix.postings[to], id)
 	}
 	ix.rows++
-	ix.rowsTotal.Inc()
+	ix.rowsTotal.Add(1)
 	if s.rows() == ix.segSize {
 		ix.sealLocked()
 	}
@@ -291,7 +291,7 @@ func (ix *Indexer) sealLocked() {
 	s.zone()
 	ix.sealed = append(ix.sealed, s)
 	ix.open = &segment{}
-	ix.segsTotal.Inc()
+	ix.segsTotal.Add(1)
 }
 
 // truncateLocked drops every row at height >= h (reorg rewind) and sets

@@ -117,13 +117,13 @@ func TestScanRangeAndZoneSkips(t *testing.T) {
 
 	// A range deep inside the chain must skip the leading sealed
 	// segments via their zone maps.
-	before := ix.zoneSkips.Value()
+	before := ix.zoneSkips.Load()
 	if got := len(collect(func(y func(Row)) uint64 { return ix.view().scan(90, 95, y) })); got != 15 {
 		t.Fatalf("scan [90,95) rows = %d, want 15", got)
 	}
-	if ix.zoneSkips.Value() <= before {
+	if ix.zoneSkips.Load() <= before {
 		t.Fatalf("zone skips did not grow on a range-restricted scan (%d -> %d)",
-			before, ix.zoneSkips.Value())
+			before, ix.zoneSkips.Load())
 	}
 
 	// Full scan covers everything in order.
@@ -160,7 +160,7 @@ func TestAccountScanPostings(t *testing.T) {
 	if got := collect(func(y func(Row)) uint64 { return ix.view().accountScan(addr(9), 1, 100, y) }); len(got) != 0 {
 		t.Fatalf("unknown account returned %d rows", len(got))
 	}
-	if ix.postingsHits.Value() == 0 {
+	if ix.postingsHits.Load() == 0 {
 		t.Fatal("postings hits counter did not move")
 	}
 }

@@ -37,11 +37,11 @@ func (v *view) scan(from, to uint64, yield func(Row)) (rows uint64) {
 		// segment without reading a row. Heights are globally
 		// ascending, so a segment past the range ends the scan.
 		if s.zoned && s.maxH < from {
-			v.ix.zoneSkips.Inc()
+			v.ix.zoneSkips.Add(1)
 			continue
 		}
 		if s.zoned && s.minH >= to {
-			v.ix.zoneSkips.Inc()
+			v.ix.zoneSkips.Add(1)
 			return rows
 		}
 		for p := sort.Search(s.rows(), func(j int) bool { return s.height[j] >= from }); p < s.rows(); p++ {

@@ -66,7 +66,7 @@ func (ix *Indexer) Query(q Query) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("analytics: unknown op %q", q.Op)
 	}
-	ix.queries.Inc()
+	ix.queries.Add(1)
 
 	v := ix.view()
 	if v.failed != nil {

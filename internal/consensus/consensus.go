@@ -10,6 +10,7 @@ package consensus
 import (
 	"sync"
 
+	"blockbench/internal/kvstore"
 	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
@@ -24,18 +25,6 @@ const (
 	MsgSyncReq  = "sync_req"  // *SyncReq: give me blocks after height H
 	MsgSyncResp = "sync_resp" // *SyncResp: canonical blocks in order
 )
-
-// MetaStore is durable small-blob storage for an engine's hard state
-// (Raft term/vote/applied-index). The platform layer backs it with the
-// node's persisted store so the state survives a process kill; engines
-// must tolerate a nil MetaStore (nothing persists, as before).
-type MetaStore interface {
-	// SaveMeta durably records value under key, overwriting. The value
-	// is borrowed for the call: an engine may rewrite it afterwards.
-	SaveMeta(key string, value []byte)
-	// LoadMeta returns the last saved value for key, ok=false if absent.
-	LoadMeta(key string) (value []byte, ok bool)
-}
 
 // Net is the wire as an engine sees it: the two calls every engine makes
 // on its node's *simnet.Endpoint. A core-level test substitutes a
@@ -59,8 +48,10 @@ type Context struct {
 	// Tracer is the cluster's lifecycle tracer (nil-safe); engines stamp
 	// StagePropose when a proposal first includes a transaction.
 	Tracer *trace.Tracer
-	// Meta is durable hard-state storage for crash recovery (may be nil).
-	Meta MetaStore
+	// Meta is the node's store, which survives a process kill: an engine
+	// keeps its hard state there under keys of its own ("meta:..."). Nil
+	// where the preset does not recover durably: nothing persists.
+	Meta kvstore.Store
 }
 
 // Engine is a consensus protocol instance driving one node.

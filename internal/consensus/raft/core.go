@@ -24,16 +24,16 @@ const (
 
 const noVote = simnet.NodeID(-1)
 
-// metaKey is the MetaStore slot holding this replica's durable hard
-// state: term, vote, and the applied-index/chain-height baseline a
-// restarted replica resumes from (its log tail is gone, so it comes
-// back as if freshly snapshotted at the applied index and re-fetches
-// anything newer from the leader — log or InstallSnapshot).
-const metaKey = "raft:hard"
+// metaKey is the key in the node's store holding this replica's
+// durable hard state: term, vote, and the applied-index/chain-height
+// baseline a restarted replica resumes from (its log tail is gone, so
+// it comes back as if freshly snapshotted at the applied index and
+// re-fetches anything newer from the leader — log or InstallSnapshot).
+var metaKey = []byte("meta:raft:hard")
 
 // Core is one Raft replica's protocol state and logic, and nothing
 // else: no lock, no goroutine, no clock. Everything happens inside
-// Step(now, msg), which sends through ctx.Endpoint, persists through
+// Step(now, msg), which sends through ctx.Endpoint, persists in
 // ctx.Meta, applies through ctx.Chain and returns the next instant the
 // replica needs to run. The Engine's runner supplies the time, the
 // serialization and the timer; a test supplies them by hand; sharding's
@@ -96,9 +96,10 @@ type Core struct {
 	snapsSent       uint64
 	snapsTaken      uint64 // snapshots installed (follower side)
 	applyMismatches uint64
+	metaFailures    uint64 // hard-state writes the store refused, records it could not give back
 
-	// Scratch: saveMeta's record, which MetaStore borrows for the call,
-	// and propose's pick, copied only into a log entry.
+	// Scratch: saveMeta's record, which the store copies, and propose's
+	// pick, copied only into a log entry.
 	meta [5*8 + 1]byte
 	pick []*types.Transaction
 }
@@ -218,7 +219,10 @@ func (c *Core) restoreMeta() {
 	if c.ctx.Meta == nil {
 		return
 	}
-	buf, ok := c.ctx.Meta.LoadMeta(metaKey)
+	buf, ok, err := c.ctx.Meta.Get(metaKey)
+	if err != nil {
+		c.metaFailures++ // unreadable: start clean
+	}
 	if !ok {
 		return
 	}
@@ -230,7 +234,8 @@ func (c *Core) restoreMeta() {
 	appliedTerm := d.Uint64()
 	height := d.Uint64()
 	if d.Err() != nil {
-		return // torn meta record: start clean
+		c.metaFailures++ // torn meta record: start clean
+		return
 	}
 	c.term = term
 	c.votedFor = voted
@@ -251,12 +256,14 @@ func (c *Core) rebase(index, term, height uint64, root types.Hash) {
 	c.commit, c.applied, c.appliedHeight, c.baseSet = index, index, height, true
 }
 
-// saveMeta durably records the hard state. Called whenever term, vote
-// or the applied baseline changes; a nil MetaStore disables persistence
-// (the pre-crash-recovery behavior).
-func (c *Core) saveMeta() {
+// saveMeta records the hard state in the node's store whenever term,
+// vote or the applied baseline changes, and returns the store's error,
+// counted in raft.meta_failures. A nil store persists nothing. A vote
+// and a candidacy wait for their write (onRequestVote, startElection);
+// the other sites go on, as DESIGN.md § Consensus seam argues.
+func (c *Core) saveMeta() error {
 	if c.ctx.Meta == nil {
-		return
+		return nil
 	}
 	var base byte
 	if c.baseSet {
@@ -269,7 +276,11 @@ func (c *Core) saveMeta() {
 	buf = le.AppendUint64(buf, c.applied)
 	buf = le.AppendUint64(buf, c.termAt(c.applied))
 	buf = le.AppendUint64(buf, c.appliedHeight)
-	c.ctx.Meta.SaveMeta(metaKey, buf)
+	err := c.ctx.Meta.Put(metaKey, buf)
+	if err != nil {
+		c.metaFailures++
+	}
+	return err
 }
 
 func (c *Core) majority() int { return len(c.peers)/2 + 1 }
@@ -320,6 +331,7 @@ func (c *Core) Counters() map[string]uint64 {
 		"raft.snapshots_sent":    c.snapsSent,
 		"raft.snapshot_installs": c.snapsTaken,
 		"raft.apply_mismatches":  c.applyMismatches,
+		"raft.meta_failures":     c.metaFailures,
 	}
 }
 
@@ -356,8 +368,10 @@ func (c *Core) startElection(now time.Time) {
 	c.votedFor = c.ctx.Self
 	c.votes = map[simnet.NodeID]bool{c.ctx.Self: true}
 	c.elections++
-	c.saveMeta() // term++/self-vote must be durable before soliciting
 	c.resetDeadline(now)
+	if c.saveMeta() != nil {
+		return // term++/self-vote are not durable: solicit nothing, retry at the deadline
+	}
 	last := c.lastIndex()
 	rv := &RequestVote{Term: c.term, LastLogIndex: last, LastLogTerm: c.termAt(last)}
 	c.ctx.Endpoint.Broadcast(MsgRequestVote, rv)
@@ -691,9 +705,12 @@ func (c *Core) onRequestVote(now time.Time, from simnet.NodeID, rv *RequestVote)
 		(c.votedFor == noVote || c.votedFor == from) &&
 		c.upToDate(rv.LastLogIndex, rv.LastLogTerm)
 	if granted {
+		// The vote is a durable promise: one the store did not take is not
+		// made (votedFor stays from, which only refuses other candidates).
 		c.votedFor = from
-		c.saveMeta() // the vote is a durable promise
-		c.resetDeadline(now)
+		if granted = c.saveMeta() == nil; granted {
+			c.resetDeadline(now)
+		}
 	}
 	c.ctx.Endpoint.Send(from, MsgVote, &Vote{Term: c.term, Granted: granted})
 }

@@ -8,6 +8,7 @@ import (
 
 	"blockbench/internal/consensus"
 	"blockbench/internal/consensus/schedtest"
+	"blockbench/internal/kvstore"
 	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/txpool"
@@ -591,38 +592,80 @@ func TestRejectionHintLowersStaleMatch(t *testing.T) {
 	}
 }
 
-// lastMeta keeps the last record saved, copied into an array of its
-// own: SaveMeta's value is borrowed for the call.
-type lastMeta struct {
-	rec [64]byte
-	n   int
-}
-
-func (m *lastMeta) SaveMeta(_ string, v []byte)    { m.n = copy(m.rec[:], v) }
-func (m *lastMeta) LoadMeta(string) ([]byte, bool) { return m.rec[:m.n], m.n > 0 }
-
-// TestSaveMetaRecord pins the hard-state record to the bytes restoreMeta
-// reads back after a kill — term, vote, base flag, applied index, its
-// term and the chain height, little-endian — and holds a save to no
-// allocation: the record is built in the core's own array.
+// TestSaveMetaRecord pins the hard-state record to the key and bytes
+// restoreMeta reads back after a kill — term, vote, base flag, applied
+// index, its term and the chain height, little-endian, under
+// "meta:raft:hard", as LSM directories written before hold it — and
+// holds a save to one allocation, the store's record: the record is
+// built in the core's own array.
 func TestSaveMetaRecord(t *testing.T) {
-	m := &lastMeta{}
-	ctx := consensus.Context{Self: 1, Peers: []simnet.NodeID{0, 1, 2}, Chain: schedtest.Chain(t, nil), Meta: m}
+	store := kvstore.NewMem()
+	ctx := consensus.Context{Self: 1, Peers: []simnet.NodeID{0, 1, 2}, Chain: schedtest.Chain(t, nil), Meta: store}
 	c := NewCore(ctx, fastOptions(), time.Unix(0, 0))
 	c.term, c.votedFor = 7, 2
 	c.rebase(41, 6, 40, types.Hash{})
-	c.saveMeta()
-	const want = "0700000000000000" + "0200000000000000" + "01" + "2900000000000000" + "0600000000000000" + "2800000000000000"
-	if got := hex.EncodeToString(m.rec[:m.n]); got != want {
-		t.Fatalf("meta record %s, want %s", got, want)
+	if err := c.saveMeta(); err != nil {
+		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, c.saveMeta); n != 0 {
-		t.Errorf("saveMeta: %v allocations, want 0", n)
+	const want = "0700000000000000" + "0200000000000000" + "01" + "2900000000000000" + "0600000000000000" + "2800000000000000"
+	if rec, ok, err := store.Get([]byte("meta:raft:hard")); err != nil || !ok || hex.EncodeToString(rec) != want {
+		t.Fatalf("meta record %x (%v, %v), want %s", rec, ok, err, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.saveMeta() }); n != 1 {
+		t.Errorf("saveMeta over Mem: %v allocations, want 1 (the store's record)", n)
 	}
 	r := NewCore(ctx, fastOptions(), time.Unix(0, 0))
 	if r.term != 7 || r.votedFor != 2 || !r.baseSet || r.applied != 41 || r.snapTerm != 6 || r.appliedHeight != 40 {
 		t.Fatalf("restored term %d vote %d base %v applied %d (term %d) height %d",
 			r.term, r.votedFor, r.baseSet, r.applied, r.snapTerm, r.appliedHeight)
+	}
+}
+
+// outbox is a Net that keeps what a core sends.
+type outbox []simnet.Message
+
+func (o *outbox) Send(to simnet.NodeID, typ string, payload any) bool {
+	*o = append(*o, simnet.Message{To: to, Type: typ, Payload: payload})
+	return true
+}
+func (o *outbox) Broadcast(typ string, payload any) { o.Send(-1, typ, payload) }
+
+// TestMetaWriteFailureWithholdsVote: Raft keeps term and vote on stable
+// storage before it answers (Fig. 2). Over a store whose every Put
+// fails, a replica asked for its vote refuses it, and at its election
+// deadline it solicits no votes; each failed write, the adopted term's
+// included, is counted in raft.meta_failures. Over a working store the
+// same steps grant the vote and broadcast the RequestVote.
+func TestMetaWriteFailureWithholdsVote(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		store    kvstore.Store
+		failures uint64 // term adoption, vote, candidacy
+	}{
+		{"working", kvstore.NewMem(), 0},
+		{"failing", kvstore.NewMemCapped(1), 3}, // every record is over the cap
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := &outbox{}
+			opts := fastOptions()
+			now := time.Unix(100, 0)
+			ctx := consensus.Context{Self: 1, Endpoint: out, Peers: []simnet.NodeID{0, 1, 2}, Chain: schedtest.Chain(t, nil), Meta: tc.store}
+			c := NewCore(ctx, opts, now)
+			c.Step(now, simnet.Message{From: 0, Type: MsgRequestVote, Payload: &RequestVote{Term: 1}})
+			v, _ := (*out)[len(*out)-1].Payload.(*Vote)
+			if v == nil || v.Granted != (tc.failures == 0) {
+				t.Fatalf("answer to RequestVote = %+v, want granted %v", (*out)[len(*out)-1], tc.failures == 0)
+			}
+			*out = (*out)[:0]
+			c.Step(now.Add(3*opts.ElectionTimeout), simnet.Message{}) // past any deadline
+			solicited := len(*out) > 0 && (*out)[0].Type == MsgRequestVote
+			if solicited != (tc.failures == 0) {
+				t.Fatalf("at the election deadline sent %v, want a RequestVote broadcast %v", *out, tc.failures == 0)
+			}
+			if got := c.Counters()["raft.meta_failures"]; got != tc.failures {
+				t.Fatalf("raft.meta_failures = %d, want %d", got, tc.failures)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Step is a consensus core's one entry point. A core holds all protocol
 // state and logic but no clock, lock or goroutine: it is advanced to now
 // by one event — a delivered message, or Wake — sends through Context's
-// Net, persists through its MetaStore, applies through its Chain, and
+// Net, persists through its Meta store, applies through its Chain, and
 // returns the next instant it needs to run even if no message arrives
 // (zero: none). A spurious Wake must be harmless.
 type Step func(now time.Time, msg simnet.Message) (wake time.Time)

@@ -1,6 +1,6 @@
 // Package schedtest drives consensus cores through schedule tables: n
 // nodes, each a consensus.Step over its own chain, pool and in-memory
-// MetaStore, joined by a flight queue the table drains. No Engine,
+// store, joined by a flight queue the table drains. No Engine,
 // runner, goroutine or sleep: time is a value the table advances, and
 // the whole interleaving is the table (DESIGN.md § Consensus seam).
 package schedtest
@@ -67,8 +67,8 @@ type Sim struct {
 	boot  func(consensus.Context, time.Time) consensus.Step
 	steps []consensus.Step
 	peers []simnet.NodeID
-	metas []meta
-	side  []int // partition group per node
+	metas []kvstore.Store // each node's Context.Meta, which survives Restart
+	side  []int           // partition group per node
 }
 
 // replaying collects the sims New builds while Replay runs a test, so
@@ -76,7 +76,7 @@ type Sim struct {
 var replaying *[]*Sim
 
 // New builds n nodes, each with a fresh pool, a Chain running the named
-// native chaincodes and an empty MetaStore, and boots each core with
+// native chaincodes and an empty kvstore.Mem, and boots each core with
 // boot from a Context whose Endpoint is the sim's wire, at T0.
 func New(t testing.TB, n int, boot func(ctx consensus.Context, now time.Time) consensus.Step, contracts ...string) *Sim {
 	t0 := time.Unix(1_000_000, 0)
@@ -87,7 +87,7 @@ func New(t testing.TB, n int, boot func(ctx consensus.Context, now time.Time) co
 		s.Pools = append(s.Pools, txpool.New(0))
 		// Inclusions drain the node's pool of the moment: Restart replaces it.
 		s.Chains = append(s.Chains, Chain(t, func(txs []*types.Transaction) { s.Pools[i].MarkIncluded(txs) }, contracts...))
-		s.metas = append(s.metas, meta{})
+		s.metas = append(s.metas, kvstore.NewMem())
 	}
 	for i := range n {
 		s.steps[i] = s.start(i)
@@ -204,15 +204,6 @@ func (w wire) Broadcast(typ string, payload any) {
 			w.Send(p, typ, payload)
 		}
 	}
-}
-
-// meta is a MetaStore that survives Restart.
-type meta map[string][]byte
-
-func (m meta) SaveMeta(k string, v []byte) { m[k] = append([]byte(nil), v...) }
-func (m meta) LoadMeta(k string) ([]byte, bool) {
-	v, ok := m[k]
-	return v, ok
 }
 
 // Chain is an empty forking ledger over an in-memory trie that runs the

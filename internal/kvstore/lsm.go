@@ -771,33 +771,23 @@ func (s *LSM) Counters() map[string]uint64 {
 // buffered writes were is abandoned — possibly mid-record, leaving a
 // genuinely torn tail for replayWAL's truncation to recover on reopen.
 // Only durably synced (and incidentally OS-buffered) data survives.
-func (s *LSM) CrashClose() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	// Abandon walBuf (never flushed) and close the file without Sync.
-	if err := s.wal.Close(); err != nil {
-		return err
-	}
-	for _, r := range s.runs {
-		r.release()
-	}
-	s.runs = nil
-	s.closed = true
-	return nil
-}
+func (s *LSM) CrashClose() error { return s.close(false) }
 
 // Close flushes the WAL and releases all files.
-func (s *LSM) Close() error {
+func (s *LSM) Close() error { return s.close(true) }
+
+// close releases the WAL and every run, first flushing and syncing the
+// WAL's buffered tail when syncWAL is set; walBuf is otherwise abandoned.
+func (s *LSM) close(syncWAL bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	if err := s.syncWALLocked(); err != nil {
-		return err
+	if syncWAL {
+		if err := s.syncWALLocked(); err != nil {
+			return err
+		}
 	}
 	if err := s.wal.Close(); err != nil {
 		return err

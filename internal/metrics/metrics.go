@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives behind the
-// BLOCKBENCH stats collector: counters, latency histograms with
-// percentile and CDF extraction, and wall-clock-bucketed time series for
-// the commit-rate, queue-length and utilization figures.
+// BLOCKBENCH stats collector: the counter-provider contract, latency
+// histograms with percentile and CDF extraction, and wall-clock-bucketed
+// time series for the commit-rate, queue-length and utilization figures.
 //
 // Histogram is the one latency histogram. It retains every raw sample,
 // so percentiles and CDF points are exact: the gated confirm quantiles,
@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -45,18 +44,6 @@ func GaugeKey(key string) bool {
 	const suffix = ".workers"
 	return len(key) >= len(suffix) && key[len(key)-len(suffix):] == suffix
 }
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Histogram accumulates duration samples and reports order statistics.
 // It retains raw samples (experiments are bounded), which keeps

@@ -7,28 +7,6 @@ import (
 	"time"
 )
 
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	c.Add(5)
-	if c.Value() != 8005 {
-		t.Fatal("Add failed")
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 100; i++ {

@@ -14,6 +14,7 @@ import (
 	"blockbench/internal/analytics"
 	"blockbench/internal/consensus"
 	"blockbench/internal/crypto"
+	"blockbench/internal/kvstore"
 	"blockbench/internal/ledger"
 	"blockbench/internal/simnet"
 	"blockbench/internal/trace"
@@ -59,9 +60,10 @@ type Config struct {
 	// consensus engine through its Context.
 	Tracer *trace.Tracer
 
-	// Meta is durable hard-state storage for the consensus engine's crash
-	// recovery, handed through the Context (may be nil).
-	Meta consensus.MetaStore
+	// Meta is the node's store, handed to the consensus engine through
+	// its Context for the hard state it keeps across a kill (nil: the
+	// preset does not recover durably).
+	Meta kvstore.Store
 }
 
 // Router intercepts the client-facing transaction path. A consensus

@@ -7,9 +7,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
-	"blockbench/internal/kvstore"
 	"blockbench/internal/ledger"
+	"blockbench/internal/schedule"
 	"blockbench/internal/types"
 )
 
@@ -29,20 +30,31 @@ func TestAppendBlockKeyMatchesSprintf(t *testing.T) {
 	}
 }
 
-// TestStoreMetaAllocBudget: a hard-state save costs the store's record
-// and nothing else, the key being built in the adapter's scratch, and a
-// load reads back what was saved.
-func TestStoreMetaAllocBudget(t *testing.T) {
-	m := &storeMeta{s: kvstore.NewMem()}
-	value := make([]byte, 41)
-	if got := testing.AllocsPerRun(100, func() { m.SaveMeta("raft:hard", value) }); got != 1 {
-		t.Errorf("SaveMeta over Mem: %v allocations, want 1 (the store's record)", got)
+// TestRecoverReportsJournalError crashes a durable node, overwrites a
+// middle record of its block journal and fires the recover event the
+// way a run's timeline does: the rebuild fails, the node stays down and
+// the timeline record names the height that does not decode.
+func TestRecoverReportsJournalError(t *testing.T) {
+	keys := clientKeys(2)
+	c, err := New(fastConfig(Quorum, 1, keys))
+	if err != nil {
+		t.Fatal(err)
 	}
-	value[0] = 7
-	m.SaveMeta("raft:hard", value)
-	value[0] = 8 // borrowed for the call only
-	if got, ok := m.LoadMeta("raft:hard"); !ok || len(got) != 41 || got[0] != 7 {
-		t.Errorf("LoadMeta = %v, %v; want the 41 bytes saved", got, ok)
+	t.Cleanup(func() { c.Stop(); c.Close() })
+	if err := c.Preload(preloadBatches(t, keys, 3, 10)); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(0)
+	if err := c.Store(0).Put(appendBlockKey(nil, 2), []byte("not a block")); err != nil {
+		t.Fatal(err)
+	}
+	recs := schedule.Run(c, time.Now(), []schedule.Event{{Act: schedule.Recover(0)}}, nil, nil)
+	const want = "recover(0): platform: journaled block 2 does not decode, and blocks follow it"
+	if len(recs) != 1 || recs[0].Name != want {
+		t.Fatalf("timeline records %+v, want one named %q", recs, want)
+	}
+	if !c.Down(0) {
+		t.Fatal("node 0 is up after a failed recover")
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -238,27 +237,6 @@ func appendBlockKey(dst []byte, n uint64) []byte {
 	return strconv.AppendUint(dst, n, 10)
 }
 
-// storeMeta adapts a node's kvstore into the consensus.MetaStore the
-// engines persist their hard state through (Raft term/vote/applied).
-// key is SaveMeta's scratch: the store copies the key it is handed.
-type storeMeta struct {
-	s   kvstore.Store
-	key []byte
-}
-
-func (m *storeMeta) SaveMeta(key string, value []byte) {
-	m.key = append(append(m.key[:0], "meta:"...), key...)
-	m.s.Put(m.key, value)
-}
-
-func (m *storeMeta) LoadMeta(key string) ([]byte, bool) {
-	v, ok, err := m.s.Get([]byte("meta:" + key))
-	if err != nil || !ok {
-		return nil, false
-	}
-	return v, true
-}
-
 // buildNode assembles node i from the preset's hooks, writing slot i of
 // every per-node slice. A nil store opens a fresh one through the
 // preset; Recover passes the reopened (or surviving) store so a
@@ -330,11 +308,13 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 	if idx != nil {
 		lcfg.OnCommit = idx.OnCommit
 	}
+	var durable kvstore.Store // the journal and the engine's hard state; nil: neither
 	if p.DurableRecovery {
 		// Journal committed blocks so a killed node can rebuild its
 		// chain from disk alone. Composed before the indexer hook; runs
 		// under the chain lock, so it only touches the store, which
 		// copies the key and record this node's scratch holds.
+		durable = store
 		inner := lcfg.OnCommit
 		var key, enc []byte
 		lcfg.OnCommit = func(blocks []*types.Block, receipts [][]*types.Receipt) {
@@ -352,11 +332,8 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		return err
 	}
 	c.chains[i] = chain
-
-	if p.DurableRecovery {
-		if err := replayJournal(store, chain); err != nil {
-			return err
-		}
+	if err := replayJournal(durable, chain); err != nil {
+		return err
 	}
 
 	ncfg := node.Config{
@@ -371,9 +348,7 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 		ConfirmationDepth: p.ConfirmationDepth,
 		Analytics:         idx,
 		Tracer:            c.tracer,
-	}
-	if p.DurableRecovery {
-		ncfg.Meta = &storeMeta{s: store}
+		Meta:              durable,
 	}
 	if p.ServerSigns {
 		ncfg.ServerSigns = true
@@ -391,10 +366,14 @@ func (c *Cluster) buildNode(i int, store kvstore.Store) error {
 }
 
 // replayJournal rebuilds chain from the blocks its store journaled (none
-// on a fresh store), failing at the first block whose header does not
-// match its execution. Only the last record, a crash's torn tail, may
-// fail to decode: replay ends before it.
+// on a fresh store or a nil one, a preset that journals nothing),
+// failing at the first block whose header does not match its execution.
+// Only the last record, a crash's torn tail, may fail to decode: replay
+// ends before it.
 func replayJournal(store kvstore.Store, chain *ledger.Chain) error {
+	if store == nil {
+		return nil
+	}
 	var (
 		blocks []*types.Block
 		torn   string // the key of a record that does not decode
@@ -528,52 +507,42 @@ func (c *Cluster) Crash(i int) {
 	}
 }
 
-// Recover restarts a killed node from its persisted store.
-// DurableRecovery presets reopen the store (WAL replay truncates any
-// torn tail), rebuild the chain from the journaled blocks and hand the
-// consensus engine its persisted hard state; other presets restart
-// from genesis and rejoin through the chain-sync protocol. On a node
-// that is not down it is a no-op.
-func (c *Cluster) Recover(i int) {
+// Recover restarts a killed node on the store the kill left, or else
+// on a fresh one. A DurableRecovery preset's Mem was never torn down and
+// stands in for the disk; a crash-closed LSM reopens (WAL replay
+// truncates any torn tail). buildNode then rebuilds the chain from the
+// journaled blocks and hands the consensus engine its persisted hard
+// state. Other presets' disks are not a chain journal: the node restarts
+// empty and rejoins through the chain-sync protocol. If the rebuild
+// fails the node stays down and the error says why; on a node that is
+// not down Recover does nothing.
+func (c *Cluster) Recover(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.down[i] {
-		return
+		return nil
 	}
-	var store kvstore.Store
-	if c.preset.DurableRecovery {
-		if _, crashClosed := c.stores[i].(kvstore.CrashCloser); crashClosed {
-			s, err := c.openStoreFor(i)
-			if err != nil {
-				return // leave the node down; nothing sane to rebuild on
-			}
-			store = s
-		} else {
-			// The in-memory store was never torn down: it stands in for
-			// the surviving disk.
-			store = c.stores[i]
-		}
-	} else {
-		// Non-durable preset: the process's disk is not a chain journal,
-		// so the node restarts empty (fresh directory for LSM runs).
-		if c.cfg.DataDir != "" && c.cfg.StoreBackend != "mem" {
-			os.RemoveAll(filepath.Join(c.cfg.DataDir, fmt.Sprintf("node-%d", i)))
-		} else {
+	store := c.stores[i]
+	if _, crashClosed := store.(kvstore.CrashCloser); crashClosed || !c.preset.DurableRecovery {
+		store = nil // buildNode opens it through the preset
+		if !c.preset.DurableRecovery {
 			c.stores[i].Close()
+			if crashClosed {
+				os.RemoveAll(nodeDir(&c.cfg, i)) // the LSM's directory
+			}
 		}
-		s, err := c.openStoreFor(i)
-		if err != nil {
-			return
-		}
-		store = s
 	}
 	if err := c.buildNode(i, store); err != nil {
-		return
+		if cc, ok := c.stores[i].(kvstore.CrashCloser); ok {
+			cc.CrashClose() // down, as the kill left it
+		}
+		return err
 	}
 	c.Net.Recover(simnet.NodeID(i))
 	c.nodes[i].Start()
 	c.down[i] = false
 	c.restarts[i]++
+	return nil
 }
 
 // Down reports whether node i is currently process-killed.

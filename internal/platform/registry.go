@@ -72,9 +72,10 @@ type Preset struct {
 	// DurableRecovery makes a killed node restart from its persisted
 	// store: committed blocks are journaled on the ledger commit path
 	// and replayed into a fresh chain on Cluster.Recover, and the
-	// consensus engine gets a MetaStore for its hard state (Raft
-	// term/vote/applied). Presets without it restart empty and rejoin
-	// through the chain-sync protocol alone.
+	// consensus engine gets the store as its Context.Meta for its hard
+	// state (Raft's term/vote/applied record, "meta:raft:hard").
+	// Presets without it restart empty and rejoin through the
+	// chain-sync protocol alone.
 	DurableRecovery bool
 	// ConfirmationDepth hides the newest blocks from pollers until buried
 	// this deep (0: blocks are final on commit).
@@ -216,8 +217,11 @@ func defaultOpenStore(cfg *Config, i int) (kvstore.Store, error) {
 	if cfg.StoreBackend == "mem" || cfg.DataDir == "" {
 		return kvstore.NewMem(), nil
 	}
-	return kvstore.OpenLSM(filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i)), kvstore.LSMOptions{})
+	return kvstore.OpenLSM(nodeDir(cfg, i), kvstore.LSMOptions{})
 }
+
+// nodeDir is node i's LSM directory under cfg.DataDir.
+func nodeDir(cfg *Config, i int) string { return filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i)) }
 
 // evmContracts filters cfg.Contracts down to those with an EVM build:
 // chaincode-only contracts (VersionKVStore) have no EVM deployment, so

@@ -20,8 +20,9 @@ type Cluster interface {
 	// Crash process-kills node i (in-memory state is lost).
 	Crash(i int)
 	// Recover restarts a killed node from its persisted store; on a
-	// node that is not down it is a no-op.
-	Recover(i int)
+	// node that is not down it is a no-op. If it fails, the node stays
+	// down and the error says why.
+	Recover(i int) error
 	// PartitionGroups installs an arbitrary multi-way partition;
 	// unlisted nodes form an implicit group.
 	PartitionGroups(groups [][]int)
@@ -42,8 +43,9 @@ type Cluster interface {
 type Action struct {
 	// Name labels the action in snapshot streams and reports.
 	Name string
-	// Do applies the action to the cluster.
-	Do func(Cluster)
+	// Do applies the action to the cluster. An error it returns is
+	// appended to Name in the firing's Record.
+	Do func(Cluster) error
 }
 
 // Event is one entry of a timeline: the action fires once the offset At
@@ -55,7 +57,7 @@ type Event struct {
 }
 
 // Record stamps one fired event with the actual offset at which it
-// executed.
+// executed. A failed action's Name ends in ": " and its error.
 type Record struct {
 	Name string
 	At   time.Duration
@@ -63,12 +65,12 @@ type Record struct {
 
 // Crash returns the crash-node action.
 func Crash(i int) Action {
-	return Action{Name: fmt.Sprintf("crash(%d)", i), Do: func(c Cluster) { c.Crash(i) }}
+	return Action{Name: fmt.Sprintf("crash(%d)", i), Do: func(c Cluster) error { c.Crash(i); return nil }}
 }
 
 // Recover returns the recover-node action.
 func Recover(i int) Action {
-	return Action{Name: fmt.Sprintf("recover(%d)", i), Do: func(c Cluster) { c.Recover(i) }}
+	return Action{Name: fmt.Sprintf("recover(%d)", i), Do: func(c Cluster) error { return c.Recover(i) }}
 }
 
 // Partition returns the action that splits nodes [0,k) off from the
@@ -78,14 +80,14 @@ func Partition(k int) Action {
 	for i := range group {
 		group[i] = i
 	}
-	return Action{Name: fmt.Sprintf("partition(%d)", k), Do: func(c Cluster) { c.PartitionGroups([][]int{group}) }}
+	return Action{Name: fmt.Sprintf("partition(%d)", k), Do: func(c Cluster) error { c.PartitionGroups([][]int{group}); return nil }}
 }
 
 // PartitionGroups returns the multi-way partition action.
 func PartitionGroups(groups [][]int) Action {
 	return Action{
 		Name: fmt.Sprintf("partition_groups(%v)", groups),
-		Do:   func(c Cluster) { c.PartitionGroups(groups) },
+		Do:   func(c Cluster) error { c.PartitionGroups(groups); return nil },
 	}
 }
 
@@ -96,19 +98,19 @@ func LinkFaults(drop, dup, reorder float64, nodes ...int) Action {
 	if drop == 0 && dup == 0 && reorder == 0 {
 		name = "linkfaults(clear)"
 	}
-	return Action{Name: name, Do: func(c Cluster) { c.SetLinkFaults(drop, dup, reorder, nodes...) }}
+	return Action{Name: name, Do: func(c Cluster) error { c.SetLinkFaults(drop, dup, reorder, nodes...); return nil }}
 }
 
 // Heal returns the remove-partition action.
 func Heal() Action {
-	return Action{Name: "heal", Do: func(c Cluster) { c.Heal() }}
+	return Action{Name: "heal", Do: func(c Cluster) error { c.Heal(); return nil }}
 }
 
 // SetDelay returns the inject-message-delay action.
 func SetDelay(d time.Duration, nodes ...int) Action {
 	return Action{
 		Name: fmt.Sprintf("setdelay(%v,%v)", d, nodes),
-		Do:   func(c Cluster) { c.SetDelay(d, nodes...) },
+		Do:   func(c Cluster) error { c.SetDelay(d, nodes...); return nil },
 	}
 }
 
@@ -116,7 +118,7 @@ func SetDelay(d time.Duration, nodes ...int) Action {
 func SetCorruptRate(rate float64, nodes ...int) Action {
 	return Action{
 		Name: fmt.Sprintf("setcorruptrate(%v,%v)", rate, nodes),
-		Do:   func(c Cluster) { c.SetCorruptRate(rate, nodes...) },
+		Do:   func(c Cluster) error { c.SetCorruptRate(rate, nodes...); return nil },
 	}
 }
 
@@ -263,10 +265,13 @@ func Run(c Cluster, start time.Time, events []Event, stop <-chan struct{}, onFir
 			default:
 			}
 		}
+		rec := Record{Name: ev.Act.Name}
 		if ev.Act.Do != nil {
-			ev.Act.Do(c)
+			if err := ev.Act.Do(c); err != nil {
+				rec.Name += ": " + err.Error()
+			}
 		}
-		rec := Record{Name: ev.Act.Name, At: time.Since(start)}
+		rec.At = time.Since(start)
 		recs = append(recs, rec)
 		if onFire != nil {
 			onFire(rec)

@@ -20,8 +20,8 @@ func (f *fakeCluster) record(s string) {
 	f.mu.Unlock()
 }
 
-func (f *fakeCluster) Crash(i int)   { f.record("crash") }
-func (f *fakeCluster) Recover(i int) { f.record("recover") }
+func (f *fakeCluster) Crash(i int)         { f.record("crash") }
+func (f *fakeCluster) Recover(i int) error { f.record("recover"); return nil }
 func (f *fakeCluster) PartitionGroups(groups [][]int) {
 	f.record(fmt.Sprint("partition_groups", groups))
 }

@@ -172,7 +172,9 @@ func TestQuorumRejoinViaInstallSnapshot(t *testing.T) {
 	if grown := c.NodeHeight(0) - before; grown < 16 {
 		t.Fatalf("only %d blocks committed while node 3 was down; need > retention(8)*2", grown)
 	}
-	c.Inner().Recover(3)
+	if err := c.Inner().Recover(3); err != nil {
+		t.Fatal(err)
+	}
 	waitConverged(t, c, c.NodeHeight(0), 30*time.Second)
 	if got := c.Inner().Counters()["raft.snapshot_installs"]; got == 0 {
 		t.Fatal("node rejoined without an InstallSnapshot despite compacted log")
