@@ -30,6 +30,43 @@ func TestAppendBlockKeyMatchesSprintf(t *testing.T) {
 	}
 }
 
+// TestStoreMetaAllocBudget: Raft keeps its hard state in the node's own
+// store, under meta:raft:hard, as the 41-byte record it has always
+// written. Over the durable preset's store a save of that record costs
+// the store's copy and nothing else, and a read gives back what was
+// saved, the value being borrowed for the call only.
+func TestStoreMetaAllocBudget(t *testing.T) {
+	keys := clientKeys(2)
+	c, err := New(fastConfig(Quorum, 1, keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Stop(); c.Close() })
+	s, key := c.Store(0), []byte("meta:raft:hard")
+	c.Start() // the lone replica elects itself and records its term
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, ok, _ := s.Get(key); ok || time.Now().After(deadline) {
+			break
+		}
+	}
+	c.Crash(0) // no core writes the store from here on
+	if rec, ok, err := s.Get(key); err != nil || !ok || len(rec) != 41 {
+		t.Fatalf("hard-state record %x (%v, %v), want 41 bytes", rec, ok, err)
+	}
+	value := make([]byte, 41)
+	if got := testing.AllocsPerRun(100, func() { s.Put(key, value) }); got != 1 {
+		t.Errorf("hard-state save over the node's store: %v allocations, want 1 (the store's record)", got)
+	}
+	value[0] = 7
+	if err := s.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	value[0] = 8
+	if got, ok, err := s.Get(key); err != nil || !ok || len(got) != 41 || got[0] != 7 {
+		t.Errorf("Get = %v, %v, %v; want the 41 bytes saved", got, ok, err)
+	}
+}
+
 // TestRecoverReportsJournalError crashes a durable node, overwrites a
 // middle record of its block journal and fires the recover event the
 // way a run's timeline does: the rebuild fails, the node stays down and
